@@ -184,6 +184,16 @@ func TestEndIntervalGroupValidation(t *testing.T) {
 	if _, err := EndIntervalGroup([]*Pipeline{p, q, q}); err == nil {
 		t.Fatal("duplicate pipeline in group accepted")
 	}
+	// A sibling whose histograms cannot merge into the primary's must
+	// error before anything moves.
+	wide, err := New(Config{Detector: detector.Config{Bins: 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	if _, err := EndIntervalGroup([]*Pipeline{p, wide}); err == nil {
+		t.Fatal("group across bin counts accepted")
+	}
 	// A singleton group is the plain interval close.
 	p.Observe(flow.Record{DstPort: 80})
 	rep, err := EndIntervalGroup([]*Pipeline{p})

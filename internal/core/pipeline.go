@@ -19,6 +19,7 @@ import (
 	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 	"anomalyx/internal/mining/apriori"
@@ -125,8 +126,8 @@ type Pipeline struct {
 	// prefilter scan, snapshot, wire encode — walks it column-wise.
 	buffer flow.Buffer
 
-	// selfGroup is the single-element group BeginClose drains, built once
-	// so the pipelined hot path allocates nothing per close.
+	// selfGroup is the single-element group EndInterval and BeginClose
+	// close p as, built once so neither allocates it per close.
 	selfGroup []*Pipeline
 
 	// spares is the freelist of reset interval states (clone histograms +
@@ -185,25 +186,9 @@ func (p *Pipeline) ObserveBatch(recs []flow.Record) {
 }
 
 // EndInterval closes the current interval: runs detection and, on an
-// alarm, extraction (prefilter + mining). The flow buffer is cleared.
-func (p *Pipeline) EndInterval() (*Report, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	det := p.bank.EndInterval()
-	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: p.buffer.Len(),
-	}
-	if det.Alarm && det.Meta.Count() > 0 {
-		if err := p.extract(rep, det.Meta); err != nil {
-			return nil, err
-		}
-	}
-	p.buffer.Reset()
-	return rep, nil
-}
+// alarm, extraction (prefilter + mining). The flow buffer is cleared. It
+// is EndIntervalGroup over a group of one.
+func (p *Pipeline) EndInterval() (*Report, error) { return EndIntervalGroup(p.selfGroup) }
 
 // Absorb folds other's in-progress interval into p: other's buffered
 // flows move to the end of p's flow buffer and other's detector-bank
@@ -245,21 +230,11 @@ func (p *Pipeline) ProcessInterval(recs []flow.Record) (*Report, error) {
 	return p.EndInterval()
 }
 
-// extract runs prefiltering and mining for an alarming interval. The
-// prefilter scan fans out over cfg.Workers chunks; the chunked output is
-// concatenated in range order, so the report is byte-identical to a
-// sequential scan.
-func (p *Pipeline) extract(rep *Report, meta detector.MetaData) error {
-	suspicious := prefilter.FilterBufferParallel(p.cfg.Prefilter, meta, &p.buffer, p.cfg.Workers)
-	return finishExtract(p.cfg, rep, suspicious)
-}
-
 // finishExtract populates rep's extraction fields from an
 // already-prefiltered suspicious set: counts, resolved minimum support,
-// mining result, maximal item-sets, and cost reduction. Every extraction
-// entry point — the online interval close, the offline post-mortem, and
-// the distributed sharded close — funnels through here so their reports
-// stay field-for-field comparable.
+// mining result, maximal item-sets, and cost reduction. Both extraction
+// entry points — the interval close and the offline post-mortem — funnel
+// through here so their reports stay field-for-field comparable.
 func finishExtract(cfg Config, rep *Report, suspicious []flow.Record) error {
 	rep.SuspiciousFlows = len(suspicious)
 	if cfg.KeepSuspicious {
@@ -315,78 +290,101 @@ func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Re
 }
 
 // EndIntervalGroup closes one measurement interval in lockstep across a
-// group of shard pipelines, with the extraction stage distributed over
-// the shards instead of funneled through one merged buffer:
+// group of shard pipelines (see closeGroup); a single pipeline is a
+// group of one. Every pipeline must share the detector configuration; the
+// pipelines must not observe flows concurrently with the group close (the
+// shard package serializes this). The report is byte-identical to a
+// single pipeline having observed the whole stream — only the
+// KeepSuspicious forensic slice regroups by shard.
 //
-//  1. the primary (first) pipeline absorbs every sibling's detector-bank
-//     clone histograms (exact mergeable sketches — see Absorb) and
-//     closes detection over the merged state;
-//  2. on an alarm, every shard prefilters its own local flow buffer
-//     concurrently (one goroutine per shard, each fanning further out
-//     over its pipeline's Workers), and the per-shard suspicious sets
-//     concatenate in shard order — the same flows the former
-//     merge-then-scan produced, in the same order, found by one parallel
-//     pass over buffers that never leave their shard;
-//  3. the merged suspicious set is mined once.
-//
-// All buffers are cleared before returning. Every pipeline must share
-// the detector configuration; the pipelines must not observe flows
-// concurrently with the group close (the shard package serializes this).
-// The report is byte-identical to a single pipeline having observed the
-// whole stream — only the KeepSuspicious forensic slice regroups by
-// shard.
+// The synchronous close locks the group and lends its live state to the
+// close in place. It is deliberately not BeginIntervalGroup + Finish:
+// that swap keeps a second interval state (clone sets, value-table
+// arenas, buffer columns) alive per pipeline, which a caller that never
+// overlaps closes with ingestion pays in resident memory for nothing.
 func EndIntervalGroup(group []*Pipeline) (*Report, error) {
+	if err := checkGroup(group); err != nil {
+		return nil, err
+	}
+	clones := make([][][]*histogram.Histogram, len(group))
+	buffers := make([]*flow.Buffer, len(group))
+	for i, p := range group {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		clones[i], buffers[i] = p.bank.LiveInterval(), &p.buffer
+	}
+	return closeGroup(group, clones, buffers)
+}
+
+// checkGroup validates a group before any close entry point locks or
+// drains it: non-empty, no pipeline twice (locking one twice would
+// self-deadlock instead of erroring), and every sibling's detector bank
+// mergeable into the primary's.
+func checkGroup(group []*Pipeline) error {
 	if len(group) == 0 {
-		return nil, fmt.Errorf("core: empty pipeline group")
+		return fmt.Errorf("core: empty pipeline group")
 	}
-	if len(group) == 1 {
-		return group[0].EndInterval()
-	}
-	// Reject duplicates before taking any lock: locking the same
-	// pipeline twice would self-deadlock instead of erroring.
-	for i := range group {
-		for j := i + 1; j < len(group); j++ {
-			if group[i] == group[j] {
-				return nil, fmt.Errorf("core: duplicate pipeline in group")
+	for i, p := range group {
+		for _, q := range group[i+1:] {
+			if p == q {
+				return fmt.Errorf("core: duplicate pipeline in group")
+			}
+		}
+		if i > 0 {
+			if err := group[0].bank.Mergeable(p.bank); err != nil {
+				return err
 			}
 		}
 	}
-	for _, p := range group {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
+	return nil
+}
+
+// closeGroup is the one interval close (Fig. 3), over one clone-set
+// collection and one flow buffer per shard — the group's live state lent
+// by a synchronous close, or the state a pipelined close drained earlier:
+//
+//  1. the sibling shards' clone histograms merge into the primary's
+//     (clones[0]; exact mergeable sketches) and detection closes over the
+//     merged state against the primary bank's history;
+//  2. on an alarm, every shard's flow buffer is prefiltered concurrently
+//     (one goroutine per shard, each fanning further out over its
+//     pipeline's Workers), and the per-shard suspicious sets concatenate
+//     in shard order — the flows a scan of one merged buffer would find,
+//     in the same order, by one parallel pass over buffers that never
+//     leave their shard;
+//  3. the merged suspicious set is mined once.
+//
+// Every histogram and buffer is left reset, on the error path too:
+// detection history has rotated by the time mining can fail, so state
+// left behind would be counted into the next interval a second time.
+// Calls over the same primary must be serialized in interval order — the
+// KL scheme compares each interval against the previous one. The caller
+// must have validated the group (checkGroup) and must own every clone set
+// and buffer for the duration of the call.
+func closeGroup(group []*Pipeline, clones [][][]*histogram.Histogram, buffers []*flow.Buffer) (*Report, error) {
 	primary := group[0]
-	siblings := make([]*detector.Bank, len(group)-1)
-	for i, sh := range group[1:] {
-		siblings[i] = sh.bank
-	}
-	// Parallel fold (one task per detector) — byte-identical to absorbing
-	// each shard in turn, without serializing the merge on this goroutine.
-	if err := primary.bank.AbsorbGroup(siblings); err != nil {
-		return nil, err
-	}
-	det := primary.bank.EndInterval()
-	total := 0
-	for _, sh := range group {
-		total += sh.buffer.Len()
-	}
+	primary.bank.MergeDrained(clones[0], clones[1:])
+	det := primary.bank.FinishInterval(clones[0])
 	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: total,
+		Interval:  det.Interval,
+		Detection: det,
+		Alarm:     det.Alarm,
 	}
+	for _, buf := range buffers {
+		rep.TotalFlows += buf.Len()
+	}
+	var err error
 	if det.Alarm && det.Meta.Count() > 0 {
 		parts := make([][]flow.Record, len(group))
 		var wg sync.WaitGroup
 		for i, sh := range group {
-			if sh.buffer.Len() == 0 {
+			if buffers[i].Len() == 0 {
 				continue
 			}
 			wg.Add(1)
 			go func(i int, sh *Pipeline) {
 				defer wg.Done()
-				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, &sh.buffer, sh.cfg.Workers)
+				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, buffers[i], sh.cfg.Workers)
 			}(i, sh)
 		}
 		wg.Wait()
@@ -402,12 +400,13 @@ func EndIntervalGroup(group []*Pipeline) (*Report, error) {
 				suspicious = append(suspicious, part...)
 			}
 		}
-		if err := finishExtract(primary.cfg, rep, suspicious); err != nil {
-			return nil, err
-		}
+		err = finishExtract(primary.cfg, rep, suspicious)
 	}
-	for _, sh := range group {
-		sh.buffer.Reset()
+	for _, buf := range buffers {
+		buf.Reset()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

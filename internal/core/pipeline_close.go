@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"anomalyx/internal/flow"
 	"anomalyx/internal/histogram"
-	"anomalyx/internal/prefilter"
 )
 
 // intervalState is one pipeline's drained open interval: the detector
@@ -75,15 +71,8 @@ func (p *Pipeline) BeginClose() (*PendingClose, error) {
 // observe flows concurrently with the drain of the same boundary (the
 // shard package serializes this).
 func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
-	if len(group) == 0 {
-		return nil, fmt.Errorf("core: empty pipeline group")
-	}
-	for i := range group {
-		for j := i + 1; j < len(group); j++ {
-			if group[i] == group[j] {
-				return nil, fmt.Errorf("core: duplicate pipeline in group")
-			}
-		}
+	if err := checkGroup(group); err != nil {
+		return nil, err
 	}
 	pc := &PendingClose{group: group, states: make([]intervalState, len(group))}
 	for i, p := range group {
@@ -97,87 +86,26 @@ func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
 	return pc, nil
 }
 
-// Finish completes a drained interval close: merges the shards' drained
-// clone histograms into the primary's in shard order (exact mergeable
-// sketches), closes detection over the merged state against the primary
-// bank's history, and on an alarm prefilters each shard's drained buffer
-// concurrently with the per-shard suspicious sets concatenated in shard
-// order — step for step the math of EndInterval / EndIntervalGroup, so
-// the report is byte-identical to the synchronous close. The drained
-// containers are reset and recycled onto their pipelines' freelists
-// before returning.
+// Finish completes a drained interval close: closeGroup over the
+// drained state — the very function the synchronous close runs over the
+// live state, so the report is byte-identical to EndIntervalGroup's. The
+// drained containers, left reset by the close, are recycled onto their
+// pipelines' freelists before returning, whether or not mining failed.
 //
 // Finish never touches the pipelines' live state (buffers, current
 // histograms), so it may run concurrently with observes; it does touch
 // the primary bank's detection history, so Finish calls for successive
 // closes must be serialized in begin order.
 func (pc *PendingClose) Finish() (*Report, error) {
-	primary := pc.group[0]
-	merged := pc.states[0].clones
-	if len(pc.states) > 1 {
-		siblings := make([][][]*histogram.Histogram, len(pc.states)-1)
-		for si := 1; si < len(pc.states); si++ {
-			siblings[si-1] = pc.states[si].clones
-		}
-		// Parallel fold, one task per detector — byte-identical to the
-		// serial sibling merge (see Bank.MergeDrained).
-		primary.bank.MergeDrained(merged, siblings)
-	}
-	det := primary.bank.FinishInterval(merged)
-	total := 0
+	clones := make([][][]*histogram.Histogram, len(pc.states))
+	buffers := make([]*flow.Buffer, len(pc.states))
 	for i := range pc.states {
-		total += pc.states[i].buffer.Len()
+		clones[i], buffers[i] = pc.states[i].clones, &pc.states[i].buffer
 	}
-	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: total,
-	}
-	if det.Alarm && det.Meta.Count() > 0 {
-		parts := make([][]flow.Record, len(pc.states))
-		var wg sync.WaitGroup
-		for i := range pc.states {
-			if pc.states[i].buffer.Len() == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sh *Pipeline) {
-				defer wg.Done()
-				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, &pc.states[i].buffer, sh.cfg.Workers)
-			}(i, pc.group[i])
-		}
-		wg.Wait()
-		n := 0
-		for _, part := range parts {
-			n += len(part)
-		}
-		// Keep the no-match case nil, as the sequential Filter returns it.
-		var suspicious []flow.Record
-		if n > 0 {
-			suspicious = make([]flow.Record, 0, n)
-			for _, part := range parts {
-				suspicious = append(suspicious, part...)
-			}
-		}
-		if err := finishExtract(primary.cfg, rep, suspicious); err != nil {
-			return nil, err
-		}
-	}
+	rep, err := closeGroup(pc.group, clones, buffers)
 	for i := range pc.states {
-		st := &pc.states[i]
-		if i > 0 {
-			// The primary's histograms were reset by the bank's rotate;
-			// the siblings' still hold the counts Merge read.
-			for _, set := range st.clones {
-				for _, h := range set {
-					h.Reset()
-				}
-			}
-		}
-		st.buffer.Reset()
-		pc.group[i].pushSpare(*st)
-		*st = intervalState{}
+		pc.group[i].pushSpare(pc.states[i])
+		pc.states[i] = intervalState{}
 	}
-	return rep, nil
+	return rep, err
 }

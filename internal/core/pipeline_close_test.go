@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
+	"anomalyx/internal/itemset"
+	"anomalyx/internal/mining"
+	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/stats"
 )
 
@@ -27,6 +32,15 @@ func closeInterval(r *stats.Rand, n, nAnom int) []flow.Record {
 		})
 	}
 	return recs
+}
+
+// twoPhase closes group's interval the pipelined way: drain, then finish.
+func twoPhase(group []*Pipeline) (*Report, error) {
+	pc, err := BeginIntervalGroup(group)
+	if err != nil {
+		return nil, err
+	}
+	return pc.Finish()
 }
 
 // TestBeginFinishMatchesEndInterval pins the two-phase close to the
@@ -55,11 +69,7 @@ func TestBeginFinishMatchesEndInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := piped.BeginClose()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pc.Finish()
+		got, err := twoPhase(piped.selfGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +84,11 @@ func TestBeginFinishMatchesEndInterval(t *testing.T) {
 }
 
 // TestBeginFinishMatchesEndIntervalGroup pins the sharded two-phase
-// close: BeginIntervalGroup+Finish over shard pipelines fed identical
-// partitions must equal EndIntervalGroup report for report.
+// close: over shard pipelines fed identical partitions, an all-pipelined
+// group (BeginIntervalGroup+Finish every interval) and a group that
+// alternates synchronous and pipelined closes — one close lending live
+// state, the next swapping it out, as cmd/bench's shard twin does between
+// passes — must both equal an all-EndIntervalGroup run report for report.
 func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 	const shards = 3
 	newGroup := func() []*Pipeline {
@@ -89,8 +102,22 @@ func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 		}
 		return group
 	}
-	gSync, gPiped := newGroup(), newGroup()
-	rs, rp := stats.NewRand(21), stats.NewRand(21)
+	gSync := newGroup()
+	variants := []struct {
+		name  string
+		group []*Pipeline
+		rand  *stats.Rand
+		close func(interval int, group []*Pipeline) (*Report, error)
+	}{
+		{"pipelined", newGroup(), stats.NewRand(21), func(_ int, g []*Pipeline) (*Report, error) { return twoPhase(g) }},
+		{"alternating", newGroup(), stats.NewRand(21), func(i int, g []*Pipeline) (*Report, error) {
+			if i%2 == 0 {
+				return EndIntervalGroup(g)
+			}
+			return twoPhase(g)
+		}},
+	}
+	rs := stats.NewRand(21)
 	feed := func(group []*Pipeline, r *stats.Rand, nAnom int) {
 		recs := closeInterval(r, 3000, nAnom)
 		for i, rec := range recs {
@@ -104,21 +131,19 @@ func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 			nAnom = 1500
 		}
 		feed(gSync, rs, nAnom)
-		feed(gPiped, rp, nAnom)
 		want, err := EndIntervalGroup(gSync)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := BeginIntervalGroup(gPiped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pc.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: sharded two-phase report diverged\ngot:  %+v\nwant: %+v", i, got, want)
+		for _, v := range variants {
+			feed(v.group, v.rand, nAnom)
+			got, err := v.close(i, v.group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("interval %d: %s close diverged\ngot:  %+v\nwant: %+v", i, v.name, got, want)
+			}
 		}
 		alarmed = alarmed || want.Alarm
 	}
@@ -139,6 +164,15 @@ func TestBeginIntervalGroupValidation(t *testing.T) {
 	}
 	if _, err := BeginIntervalGroup([]*Pipeline{p, p}); err == nil {
 		t.Error("duplicate pipeline accepted")
+	}
+	cfg := testConfig()
+	cfg.Detector.Seed++
+	q, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BeginIntervalGroup([]*Pipeline{p, q}); err == nil {
+		t.Error("group across hash seeds accepted")
 	}
 }
 
@@ -184,6 +218,99 @@ func TestPendingCloseRecyclesState(t *testing.T) {
 	}
 }
 
+// failOnceMiner fails its first Mine call and delegates from then on.
+type failOnceMiner struct {
+	mining.Miner
+	failed bool
+}
+
+func (m *failOnceMiner) Mine(txs []itemset.Transaction, minsup int) (*mining.Result, error) {
+	if !m.failed {
+		m.failed = true
+		return nil, errors.New("injected mining failure")
+	}
+	return m.Miner.Mine(txs, minsup)
+}
+
+// TestFailedMiningLeavesIntervalClean: detection history has rotated by
+// the time mining can fail, so every close entry point must still leave
+// its histograms and buffers reset — the close after a failed one reports
+// only its own flows — and a failed Finish must still recycle its drained
+// state (exactly two clone sets ever cycle through BeginClose).
+func TestFailedMiningLeavesIntervalClean(t *testing.T) {
+	drained := make(map[*histogram.Histogram]int)
+	cases := []struct {
+		name   string
+		shards int
+		close  func(group []*Pipeline) (*Report, error)
+		check  func(t *testing.T, group []*Pipeline)
+	}{
+		{"EndInterval", 1, func(g []*Pipeline) (*Report, error) { return g[0].EndInterval() }, nil},
+		{"EndIntervalGroup", 2, EndIntervalGroup, nil},
+		{"BeginClose+Finish", 1, func(g []*Pipeline) (*Report, error) {
+			pc, err := g[0].BeginClose()
+			if err != nil {
+				return nil, err
+			}
+			drained[pc.states[0].clones[0][0]]++
+			return pc.Finish()
+		}, func(t *testing.T, g []*Pipeline) {
+			if len(drained) != 2 {
+				t.Errorf("%d distinct clone sets drained, want 2 (failed finish must recycle)", len(drained))
+			}
+			if got := len(g[0].spares); got != 1 {
+				t.Errorf("freelist holds %d states, want 1", got)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Miner = &failOnceMiner{Miner: apriori.New()}
+			group := make([]*Pipeline, tc.shards)
+			for i := range group {
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				group[i] = p
+			}
+			r := stats.NewRand(9)
+			feed := func(nAnom int) {
+				for i, rec := range closeInterval(r, 3000, nAnom) {
+					group[i%tc.shards].Observe(rec)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				feed(0)
+				if _, err := tc.close(group); err != nil {
+					t.Fatal(err)
+				}
+			}
+			feed(1500)
+			if _, err := tc.close(group); err == nil {
+				t.Fatal("flood interval closed without surfacing the mining failure")
+			}
+			// Two more closes: a state the failed finish dropped instead of
+			// recycling is replaced at the first and shows up at the second.
+			for i := 0; i < 2; i++ {
+				feed(0)
+				rep, err := tc.close(group)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.TotalFlows != 3000 {
+					t.Errorf("close %d after the failed one reports %d flows, want its own 3000", i+1, rep.TotalFlows)
+				}
+			}
+			if tc.check != nil {
+				tc.check(t, group)
+			}
+		})
+	}
+}
+
 // BenchmarkPipelinedClose compares the synchronous interval close with
 // the drained two-phase one on identical 5k-flow intervals; allocs/op is
 // the freelist's steady-state bar (no per-close buffer or arena growth).
@@ -218,12 +345,6 @@ func BenchmarkPipelinedClose(b *testing.B) {
 		run(b, func(p *Pipeline) (*Report, error) { return p.EndInterval() })
 	})
 	b.Run("two-phase", func(b *testing.B) {
-		run(b, func(p *Pipeline) (*Report, error) {
-			pc, err := p.BeginClose()
-			if err != nil {
-				return nil, err
-			}
-			return pc.Finish()
-		})
+		run(b, func(p *Pipeline) (*Report, error) { return twoPhase(p.selfGroup) })
 	})
 }

@@ -25,10 +25,9 @@ type PipelineSnapshot struct {
 // buffer — and nothing else. It is PipelineSnapshot minus the detection
 // history, which on the distributed agent path is dead weight: an agent
 // never closes detection, so its reference counts, KL series, and
-// threshold samples are permanently zero, and DrainSnapshot deep-copied
-// them every interval anyway. The collector absorbs an OpenInterval
-// additively (AbsorbOpenInterval), so the drain/ship/absorb cycle never
-// touches history on either side.
+// threshold samples are permanently zero. The collector absorbs an
+// OpenInterval additively (AbsorbOpenInterval), so the drain/ship/absorb
+// cycle never touches history on either side.
 type OpenInterval struct {
 	Clones [][]histogram.Snapshot
 	Buffer flow.Buffer
@@ -58,25 +57,6 @@ func (p *Pipeline) RestoreSnapshot(s PipelineSnapshot) error {
 	p.buffer.Reset()
 	p.buffer.AppendBuffer(&s.Buffer)
 	return nil
-}
-
-// DrainSnapshot captures the pipeline's state and then clears the open
-// interval — clone histograms reset, flow buffer emptied — leaving the
-// pipeline ready to accumulate the next interval without having closed
-// detection. Prefer DrainOpenInterval on the distributed agent path: it
-// moves the same information without copying the detection history a
-// drain never touches. DrainSnapshot remains for callers that need the
-// full restorable state (session replay, tests).
-func (p *Pipeline) DrainSnapshot() PipelineSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := PipelineSnapshot{
-		Bank:   p.bank.Snapshot(),
-		Buffer: p.buffer.Clone(),
-	}
-	p.bank.ResetInterval()
-	p.buffer.Reset()
-	return s
 }
 
 // DrainOpenInterval captures the open interval — clone-histogram

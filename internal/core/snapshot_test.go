@@ -92,10 +92,10 @@ func TestPipelineSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestPipelineDrainSnapshot: draining captures bank state and buffer,
-// then leaves the pipeline empty for the next interval — and an
-// absorb-after-restore of the drained state reproduces a direct run.
-func TestPipelineDrainSnapshot(t *testing.T) {
+// TestPipelineRestoreThenAbsorb: the full-snapshot hand-off — Snapshot
+// an agent's open interval, restore it into a scratch pipeline, Absorb
+// the scratch into a primary — reproduces a direct run.
+func TestPipelineRestoreThenAbsorb(t *testing.T) {
 	direct, err := New(snapConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -122,19 +122,15 @@ func TestPipelineDrainSnapshot(t *testing.T) {
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
 
-		snap := agent.DrainSnapshot()
+		snap := agent.Snapshot()
+		agent.DrainOpenInterval() // the agent never closes detection
 		if snap.Buffer.Len() != len(recs) {
-			t.Fatalf("interval %d: drained %d records, want %d", i, snap.Buffer.Len(), len(recs))
-		}
-		// The drained pipeline is empty: an immediate re-drain carries
-		// nothing.
-		if rd := agent.DrainSnapshot(); rd.Buffer.Len() != 0 {
-			t.Fatalf("interval %d: re-drain still holds %d records", i, rd.Buffer.Len())
+			t.Fatalf("interval %d: snapshot holds %d records, want %d", i, snap.Buffer.Len(), len(recs))
 		}
 		for _, ds := range snap.Bank.Detectors {
 			for _, hs := range ds.Clones {
 				if hs.Total == 0 {
-					t.Fatalf("interval %d: drained snapshot has empty clone", i)
+					t.Fatalf("interval %d: snapshot has empty clone", i)
 				}
 			}
 		}
@@ -153,7 +149,7 @@ func TestPipelineDrainSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: absorb-of-drain diverged from direct run:\n got %+v\nwant %+v",
+			t.Fatalf("interval %d: absorb-of-restore diverged from direct run:\n got %+v\nwant %+v",
 				i, got, want)
 		}
 	}

@@ -178,17 +178,34 @@ func (b *Bank) ObserveBatch(recs []flow.Record) {
 }
 
 // EndInterval closes the interval on every detector and merges their
-// meta-data (union across detectors, §II-A). The per-detector interval
-// close runs on the worker pool; results are merged in feature order, so
-// the report is identical to the sequential path.
+// meta-data: FinishInterval over the live clone sets, under the bank
+// mutex so it linearizes against ObserveBatch.
 func (b *Bank) EndInterval() BankResult {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	results := make([]Result, len(b.detectors))
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() { results[i] = b.detectors[i].EndInterval() }
-	})
-	return mergeResults(results)
+	return b.FinishInterval(b.live())
+}
+
+// live returns the detectors' current-interval clone sets, index-aligned
+// with Detectors(). The bank mutex must be held.
+func (b *Bank) live() [][]*histogram.Histogram {
+	sets := make([][]*histogram.Histogram, len(b.detectors))
+	for i, d := range b.detectors {
+		sets[i] = d.cur
+	}
+	return sets
+}
+
+// LiveInterval returns the detectors' current-interval clone sets in
+// place — what SwapInterval would drain, without swapping — so a
+// synchronous close can run MergeDrained and FinishInterval over them
+// and hold no second interval state. The caller must keep every observe
+// and swap off the bank for as long as it uses the sets (core holds the
+// pipeline lock across the whole close).
+func (b *Bank) LiveInterval() [][]*histogram.Histogram {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.live()
 }
 
 // mergeResults consolidates per-detector interval results in feature
@@ -228,13 +245,17 @@ func (b *Bank) SwapInterval(repl [][]*histogram.Histogram) [][]*histogram.Histog
 	return repl
 }
 
-// FinishInterval closes the interval whose clone sets were drained by
-// SwapInterval. It deliberately does NOT take the bank mutex: cur is
-// private to the caller and each detector's interval history is touched
-// only by finish calls, so detection here may overlap ObserveBatch on
-// the swapped-in sets. The caller must serialize FinishInterval calls in
-// swap order — the KL scheme compares each interval against the previous
-// one. cur's histograms are reset in place for recycling.
+// FinishInterval closes the interval accumulated in cur — clone sets
+// drained by SwapInterval, or lent in place by LiveInterval — on every
+// detector and merges their meta-data (union across detectors, §II-A).
+// The per-detector close runs on the worker pool; results are merged in
+// feature order, so the report is identical to the sequential path. It
+// deliberately does NOT take the bank mutex: cur is private to the
+// caller and each detector's interval history is touched only by finish
+// calls, so detection here may overlap ObserveBatch on swapped-in sets.
+// The caller must serialize FinishInterval calls in swap order — the KL
+// scheme compares each interval against the previous one. cur's
+// histograms are reset in place for recycling.
 func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
 	results := make([]Result, len(b.detectors))
 	b.runTasks(len(b.detectors), func(i int) func() {
@@ -243,92 +264,82 @@ func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
 	return mergeResults(results)
 }
 
-// AbsorbGroup folds every sibling bank's in-progress interval into b in
-// sibling order, fanning one task per detector across the worker pool —
-// detector columns are independent, so the parallel merge is
-// byte-identical to absorbing each sibling sequentially. This is the
-// cross-shard merge of the interval close; serializing it on the
-// closing goroutine was the scaling bottleneck the multi-core curves
-// exposed (every added shard lengthened the serial section by a full
-// clones × bins fold).
-func (b *Bank) AbsorbGroup(others []*Bank) error {
-	// Lock in caller order: the fold goes toward a single primary bank
-	// (shard merges), so no cycle can form.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, o := range others {
-		if o == b {
-			return fmt.Errorf("detector: bank cannot absorb itself")
-		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if len(b.detectors) != len(o.detectors) {
-			return fmt.Errorf("detector: absorb across banks with %d and %d detectors",
-				len(b.detectors), len(o.detectors))
-		}
-	}
-	errs := make([]error, len(b.detectors))
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() {
-			for _, o := range others {
-				if err := b.detectors[i].Absorb(o.detectors[i]); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MergeDrained folds sibling drained clone sets into dst in sibling
-// order, one task per detector on the worker pool — AbsorbGroup's
-// counterpart for the pipelined close, operating on sets returned by
-// SwapInterval instead of live banks. Like FinishInterval it takes no
-// bank mutex: every set involved is private to the caller. The sibling
-// histograms keep their counts; the caller resets them when recycling.
-func (b *Bank) MergeDrained(dst [][]*histogram.Histogram, siblings [][][]*histogram.Histogram) {
-	b.runTasks(len(dst), func(i int) func() {
-		return func() {
-			for _, sib := range siblings {
-				for c, h := range sib[i] {
-					dst[i][c].Merge(h)
-				}
-			}
-		}
-	})
-}
-
-// Absorb folds other's in-progress interval into b — each detector
-// absorbs its counterpart's clone histograms — and resets other's
-// current interval (see Detector.Absorb). Both banks must monitor the
-// same features with the same detector parameters. It is the cross-shard
-// merge step: shard banks accumulate partitions of the stream, the
-// primary bank absorbs them at the interval boundary and runs detection
-// over the union, yielding exactly the unsharded detector state.
-func (b *Bank) Absorb(other *Bank) error {
+// Mergeable reports whether other's clone sets may be folded into b's:
+// distinct banks monitoring the same features with the same detector
+// parameters (see Detector.mergeable). Every merge entry point — Absorb,
+// AbsorbGroup, and core's interval close before MergeDrained — runs this
+// one check before touching any histogram. It reads only immutable
+// configuration and takes no lock.
+func (b *Bank) Mergeable(other *Bank) error {
 	if other == b {
 		return fmt.Errorf("detector: bank cannot absorb itself")
 	}
-	// Lock in caller order: Absorb is only ever fanned in toward a single
-	// primary bank (shard merges), so no cycle can form.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
 	if len(b.detectors) != len(other.detectors) {
 		return fmt.Errorf("detector: absorb across banks with %d and %d detectors",
 			len(b.detectors), len(other.detectors))
 	}
 	for i, d := range b.detectors {
-		if err := d.Absorb(other.detectors[i]); err != nil {
+		if err := d.mergeable(other.detectors[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// MergeDrained folds sibling clone sets into dst in sibling order and
+// resets the siblings, fanning one task per detector across the worker
+// pool — detector columns are independent, so the parallel merge is
+// byte-identical to folding each sibling in turn. This is the
+// cross-shard merge of the interval close; serializing it on the closing
+// goroutine was the scaling bottleneck the multi-core curves exposed
+// (every added shard lengthened the serial section by a full clones ×
+// bins fold). Only the open interval moves: no detection history is
+// consulted or modified. Like FinishInterval it takes no bank mutex:
+// every set involved must be private to the caller — drained by
+// SwapInterval, or live with observes excluded — and pass Mergeable.
+func (b *Bank) MergeDrained(dst [][]*histogram.Histogram, siblings [][][]*histogram.Histogram) {
+	if len(siblings) == 0 {
+		return
+	}
+	b.runTasks(len(dst), func(i int) func() {
+		return func() {
+			for _, sib := range siblings {
+				for c, h := range sib[i] {
+					dst[i][c].Merge(h)
+					h.Reset()
+				}
+			}
+		}
+	})
+}
+
+// AbsorbGroup folds every sibling bank's in-progress interval into b in
+// sibling order and leaves the siblings empty, ready to accumulate the
+// next interval: MergeDrained over the live clone sets, with every bank
+// locked.
+func (b *Bank) AbsorbGroup(others []*Bank) error {
+	// Validate before locking: absorbing b itself would self-deadlock.
+	for _, o := range others {
+		if err := b.Mergeable(o); err != nil {
+			return err
+		}
+	}
+	// Lock in caller order: the fold goes toward a single primary bank
+	// (shard merges), so no cycle can form.
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	siblings := make([][][]*histogram.Histogram, len(others))
+	for i, o := range others {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		siblings[i] = o.live()
+	}
+	b.MergeDrained(b.live(), siblings)
+	return nil
+}
+
+// Absorb is AbsorbGroup for a single sibling: shard banks accumulate
+// partitions of the stream, the primary bank absorbs them at the interval
+// boundary and runs detection over the union, yielding exactly the
+// unsharded detector state.
+func (b *Bank) Absorb(other *Bank) error { return b.AbsorbGroup([]*Bank{other}) }

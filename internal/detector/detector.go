@@ -216,33 +216,24 @@ func (d *Detector) observeClone(c int, recs []flow.Record) {
 	}
 }
 
-// Absorb folds other's in-progress interval into d and resets other's
-// current-interval histograms, leaving other ready to accumulate the
-// next interval. Only the open interval moves: other's interval history
-// (previous-interval reference, KL series, threshold samples) is neither
-// consulted nor modified, which is exactly the shard pattern — N
-// detectors accumulate partitions of the stream in parallel, one primary
-// detector absorbs the clones' histograms at the interval boundary and
-// owns the detection state. Both detectors must share Feature, Bins,
-// Clones and Seed (equal hash functions); Absorb returns an error
-// otherwise.
-func (d *Detector) Absorb(other *Detector) error {
+// mergeable reports whether other's clone sets may be folded into d's:
+// the two must be distinct detectors sharing Feature, Clones, Bins and
+// Seed (equal hash functions), or the per-bin sums of a merge mean
+// nothing. It reads only the immutable configuration, so it needs no
+// lock.
+func (d *Detector) mergeable(other *Detector) error {
 	if other == d {
 		return fmt.Errorf("detector: cannot absorb self")
 	}
 	if d.cfg.Feature != other.cfg.Feature {
 		return fmt.Errorf("detector: absorb across features %v and %v", d.cfg.Feature, other.cfg.Feature)
 	}
-	if len(d.cur) != len(other.cur) {
-		return fmt.Errorf("detector: absorb across clone counts %d and %d", len(d.cur), len(other.cur))
+	if d.cfg.Clones != other.cfg.Clones {
+		return fmt.Errorf("detector: absorb across clone counts %d and %d", d.cfg.Clones, other.cfg.Clones)
 	}
 	if d.cfg.Bins != other.cfg.Bins || d.cfg.Seed != other.cfg.Seed {
 		return fmt.Errorf("detector: absorb across bins/seed (%d,%d) and (%d,%d)",
 			d.cfg.Bins, d.cfg.Seed, other.cfg.Bins, other.cfg.Seed)
-	}
-	for c := range d.cur {
-		d.cur[c].Merge(other.cur[c])
-		other.cur[c].Reset()
 	}
 	return nil
 }

@@ -110,3 +110,99 @@ func TestBankConcurrentObserveBatch(t *testing.T) {
 		t.Fatalf("concurrent feed diverged from sequential feed\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
+
+// TestAbsorbGroupMatchesSingleBank: N banks fed partitions of a stream
+// and folded by AbsorbGroup close exactly like one bank fed the whole
+// stream (pooled and sequential alike), and the absorbed siblings are
+// left empty.
+func TestAbsorbGroupMatchesSingleBank(t *testing.T) {
+	tmpl := Config{Bins: 128, TrainIntervals: 2, Seed: 11}
+	for _, workers := range []int{1, 4} {
+		whole, err := NewBank(BankConfig{Template: tmpl, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer whole.Close()
+		parts := make([]*Bank, 3)
+		for i := range parts {
+			if parts[i], err = NewBank(BankConfig{Template: tmpl, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			defer parts[i].Close()
+		}
+		r := stats.NewRand(17)
+		for interval := 0; interval < 5; interval++ {
+			for i := range parts {
+				recs := testBatch(r, 600)
+				whole.ObserveBatch(recs)
+				parts[i].ObserveBatch(recs)
+			}
+			if err := parts[0].AbsorbGroup(parts[1:]); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := parts[0].EndInterval(), whole.EndInterval(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d interval %d: absorbed group diverged\ngot:  %+v\nwant: %+v", workers, interval, got, want)
+			}
+			for _, set := range parts[1].LiveInterval() {
+				for _, h := range set {
+					if h.Total() != 0 {
+						t.Fatalf("workers=%d interval %d: absorbed sibling still holds %d observations", workers, interval, h.Total())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAbsorbRejectsIncompatible: every merge entry point runs the one
+// compatibility check before touching a histogram — mismatched banks are
+// rejected and the primary's open interval is left as it was.
+func TestAbsorbRejectsIncompatible(t *testing.T) {
+	base := BankConfig{Template: Config{Bins: 64, Clones: 3, Seed: 5}, Workers: 1}
+	mk := func(mut func(*BankConfig)) *Bank {
+		cfg := base
+		if mut != nil {
+			mut(&cfg)
+		}
+		b, err := NewBank(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		return b
+	}
+	primary := mk(nil)
+	primary.ObserveBatch(testBatch(stats.NewRand(1), 300))
+	before := primary.Snapshot()
+	cases := map[string]*Bank{
+		"self":           primary,
+		"detector count": mk(func(c *BankConfig) { c.Features = []flow.FeatureKind{flow.SrcIP} }),
+		"features": mk(func(c *BankConfig) {
+			c.Features = []flow.FeatureKind{flow.DstIP, flow.SrcIP, flow.SrcPort, flow.DstPort, flow.Packets}
+		}),
+		"clones": mk(func(c *BankConfig) { c.Template.Clones, c.Template.Votes = 2, 2 }),
+		"bins":   mk(func(c *BankConfig) { c.Template.Bins = 128 }),
+		"seed":   mk(func(c *BankConfig) { c.Template.Seed = 6 }),
+	}
+	for name, other := range cases {
+		if other != primary {
+			other.ObserveBatch(testBatch(stats.NewRand(2), 300))
+		}
+		if err := primary.Mergeable(other); err == nil {
+			t.Errorf("%s: Mergeable accepted", name)
+		}
+		if err := primary.Absorb(other); err == nil {
+			t.Errorf("%s: Absorb accepted", name)
+		}
+		// A compatible sibling ahead of the bad one must not be merged
+		// either: the group is validated before any histogram moves.
+		good := mk(nil)
+		good.ObserveBatch(testBatch(stats.NewRand(3), 300))
+		if err := primary.AbsorbGroup([]*Bank{good, other}); err == nil {
+			t.Errorf("%s: AbsorbGroup accepted", name)
+		}
+		if !reflect.DeepEqual(primary.Snapshot(), before) {
+			t.Fatalf("%s: rejected absorb modified the primary's open interval", name)
+		}
+	}
+}

@@ -108,10 +108,10 @@ func TestDetectorSnapshotRejectsShape(t *testing.T) {
 	}
 }
 
-// TestResetIntervalKeepsHistory: ResetInterval clears only the open
+// TestDrainIntervalKeepsHistory: DrainInterval clears only the open
 // interval — the detection history (and therefore subsequent
-// thresholds) is untouched, while the cleared observations are gone.
-func TestResetIntervalKeepsHistory(t *testing.T) {
+// thresholds) is untouched, while the drained observations are gone.
+func TestDrainIntervalKeepsHistory(t *testing.T) {
 	cfg := Config{Feature: flow.DstPort, Bins: 64, TrainIntervals: 3, Seed: 5}
 	a, err := New(cfg)
 	if err != nil {
@@ -128,16 +128,16 @@ func TestResetIntervalKeepsHistory(t *testing.T) {
 		a.EndInterval()
 		b.EndInterval()
 	}
-	// b additionally accumulates garbage that ResetInterval must wipe.
+	// b additionally accumulates garbage that DrainInterval must wipe.
 	b.ObserveBatch(snapTestRecords(99, 400, true))
-	b.ResetInterval()
+	b.DrainInterval()
 	recs := snapTestRecords(5, 600, false)
 	a.ObserveBatch(recs)
 	b.ObserveBatch(recs)
 	want := fmt.Sprintf("%+v", a.EndInterval())
 	got := fmt.Sprintf("%+v", b.EndInterval())
 	if got != want {
-		t.Fatalf("ResetInterval leaked state:\n got %s\nwant %s", got, want)
+		t.Fatalf("DrainInterval leaked state:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -194,15 +194,15 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 		t.Error("restore across feature counts accepted")
 	}
 
-	// Bank-level ResetInterval wipes the open interval of every
-	// detector (history stays — see TestResetIntervalKeepsHistory): the
+	// Bank-level DrainInterval wipes the open interval of every
+	// detector (history stays — see TestDrainIntervalKeepsHistory): the
 	// re-snapshot shows empty clone histograms.
 	restored.ObserveBatch(snapTestRecords(50, 300, true))
-	restored.ResetInterval()
+	restored.DrainInterval()
 	for di, ds := range restored.Snapshot().Detectors {
 		for ci, hs := range ds.Clones {
 			if hs.Total != 0 {
-				t.Fatalf("detector %d clone %d still holds %d observations after ResetInterval",
+				t.Fatalf("detector %d clone %d still holds %d observations after DrainInterval",
 					di, ci, hs.Total)
 			}
 		}

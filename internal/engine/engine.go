@@ -421,44 +421,50 @@ func (e *Engine) run() {
 // process executes the record/cut stream: it groups single records into
 // batches, forwards pre-formed batches as-is, and closes an interval at
 // every cut marker; it returns the first pipeline error. Cut messages
-// carry the grid end of the first interval they close, so a BoundarySink
-// receives the absolute boundary of every closed interval.
+// carry the grid end of the first interval they close, so every close is
+// attributed to — and a BoundarySink receives — its absolute boundary.
+//
+// There is one loop; PipelineDepth and the sink type choose only how a
+// cut closes (see closer). Whatever the loop returns, join runs exactly
+// once after it, so the reports of completed closes are always emitted
+// before Reports closes, and a close error takes precedence over the
+// drain error that followed it.
 func (e *Engine) process() error {
-	if ps, ok := e.sink.(PipelinedSink); ok && e.cfg.PipelineDepth > 1 {
-		return e.processPipelined(ps)
+	cut, failed, join := e.closer()
+	err := e.consume(cut, failed)
+	if jerr := join(); jerr != nil {
+		return jerr
 	}
-	batch := make([]flow.Record, 0, e.cfg.BatchSize)
-	bs, _ := e.sink.(BoundarySink)
-	step := e.cfg.IntervalLen.Milliseconds()
+	return err
+}
 
+// consume is the message loop. It returns early on the first cut error,
+// or with nil once failed is closed — also watched while idle, so the
+// engine settles Err and closes Reports promptly even if producers go
+// quiet.
+func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{}) error {
+	batch := make([]flow.Record, 0, e.cfg.BatchSize)
+	step := e.cfg.IntervalLen.Milliseconds()
 	flushBatch := func() {
 		e.sink.ObserveBatch(batch)
 		batch = batch[:0]
 	}
-	endInterval := func(boundary int64) error {
-		flushBatch()
-		var rep *core.Report
-		var err error
-		if bs != nil {
-			rep, err = bs.EndIntervalAt(boundary)
-		} else {
-			rep, err = e.sink.EndInterval()
+	for {
+		var m msg
+		var ok bool
+		select {
+		case m, ok = <-e.in:
+		case <-failed:
+			return nil
 		}
-		if err != nil {
-			// Attribute the failure to its grid boundary: a distributed
-			// sink error ("collector unreachable") is actionable only
-			// with the interval it lost.
-			return fmt.Errorf("engine: closing interval at boundary %d: %w", boundary, err)
+		if !ok {
+			break
 		}
-		e.out <- rep
-		return nil
-	}
-
-	for m := range e.in {
 		switch {
 		case m.cuts > 0:
+			flushBatch()
 			for i := 0; i < m.cuts; i++ {
-				if err := endInterval(m.boundary + int64(i)*step); err != nil {
+				if err := cut(m.boundary + int64(i)*step); err != nil {
 					return err
 				}
 			}
@@ -481,7 +487,19 @@ func (e *Engine) process() error {
 	e.submitMu.Lock()
 	final := e.boundary
 	e.submitMu.Unlock()
-	return endInterval(final)
+	flushBatch()
+	return cut(final)
+}
+
+// emit delivers one finished close: the report goes to Reports; an error
+// comes back attributed to its grid boundary — a distributed sink error
+// ("collector unreachable") is actionable only with the interval it lost.
+func (e *Engine) emit(rep *core.Report, err error, boundary int64) error {
+	if err != nil {
+		return fmt.Errorf("engine: closing interval at boundary %d: %w", boundary, err)
+	}
+	e.out <- rep
+	return nil
 }
 
 // pendingClose pairs a drained interval close with the grid boundary it
@@ -491,23 +509,35 @@ type pendingClose struct {
 	boundary int64
 }
 
-// processPipelined is the PipelineDepth > 1 variant of process: cuts
-// drain the closing interval in O(1) via PipelinedSink.BeginClose and
-// hand it to a single close-worker goroutine, which finishes closes
+// closer picks how a cut closes an interval. At PipelineDepth 1, or
+// around a sink that cannot drain, the close runs inline: failed is nil
+// (never ready) and join has nothing to wait for. At depths > 1 over a
+// PipelinedSink, a cut drains the closing interval in O(1) via BeginClose
+// and hands it to a single close-worker goroutine, which finishes closes
 // strictly in drain order and emits their reports — the ordered
-// completion queue. Ingestion continues on this goroutine while up to
-// PipelineDepth-1 finishes are in flight; a full close queue blocks the
-// next cut, propagating backpressure to Submit. The final flush at Close
-// drains the last interval, then joins the worker so every in-flight
-// report is emitted before Reports closes.
-func (e *Engine) processPipelined(ps PipelinedSink) error {
-	batch := make([]flow.Record, 0, e.cfg.BatchSize)
-	step := e.cfg.IntervalLen.Milliseconds()
+// completion queue. Ingestion continues while up to PipelineDepth-1
+// finishes are in flight; a full close queue blocks the next cut,
+// propagating backpressure to Submit. The worker closes failed on its
+// first error; join stops it, waits for in-flight finishes, and returns
+// that error.
+func (e *Engine) closer() (cut func(boundary int64) error, failed <-chan struct{}, join func() error) {
+	ps, ok := e.sink.(PipelinedSink)
+	if !ok || e.cfg.PipelineDepth <= 1 {
+		end := func(int64) (*core.Report, error) { return e.sink.EndInterval() }
+		if bs, ok := e.sink.(BoundarySink); ok {
+			end = bs.EndIntervalAt
+		}
+		cut = func(boundary int64) error {
+			rep, err := end(boundary)
+			return e.emit(rep, err, boundary)
+		}
+		return cut, nil, func() error { return nil }
+	}
 
 	closeCh := make(chan pendingClose, e.cfg.PipelineDepth-1)
-	failed := make(chan struct{}) // closed by the worker on its first error
+	failedCh := make(chan struct{})
 	workerDone := make(chan struct{})
-	var workerErr error // written before failed closes, read after workerDone
+	var workerErr error // written before failedCh closes, read after workerDone
 	go func() {
 		defer close(workerDone)
 		for pc := range closeCh {
@@ -521,91 +551,32 @@ func (e *Engine) processPipelined(ps PipelinedSink) error {
 			// never cut the submit-latency line it exists to shorten.
 			runtime.Gosched()
 			rep, err := pc.pc.Finish()
-			if err != nil {
-				workerErr = fmt.Errorf("engine: closing interval at boundary %d: %w", pc.boundary, err)
-				close(failed)
-				continue
+			if workerErr = e.emit(rep, err, pc.boundary); workerErr != nil {
+				close(failedCh)
 			}
-			e.out <- rep
 		}
 	}()
-	// join stops the worker, waits for in-flight finishes, and returns
-	// the first worker error — every return path funnels through it so
-	// reports of completed closes are always emitted before Reports
-	// closes.
-	join := func() error {
-		close(closeCh)
-		<-workerDone
-		return workerErr
-	}
-
-	flushBatch := func() {
-		ps.ObserveBatch(batch)
-		batch = batch[:0]
-	}
-	beginClose := func(boundary int64) error {
-		flushBatch()
+	cut = func(boundary int64) error {
+		select {
+		case <-failedCh:
+			return nil // consume observes failed on its next receive
+		default:
+		}
 		pc, err := ps.BeginClose()
 		if err != nil {
 			return fmt.Errorf("engine: draining interval at boundary %d: %w", boundary, err)
 		}
 		select {
 		case closeCh <- pendingClose{pc, boundary}:
-		case <-failed:
-			// The worker has failed; drop this drain and let the caller
-			// observe failed on its next check.
+		case <-failedCh:
+			// The worker has failed; drop this drain.
 		}
 		return nil
 	}
-
-	for {
-		var m msg
-		var ok bool
-		// Also watch for worker failure while idle, so the engine settles
-		// Err and closes Reports promptly even if producers go quiet.
-		select {
-		case m, ok = <-e.in:
-		case <-failed:
-			return join()
-		}
-		if !ok {
-			break
-		}
-		switch {
-		case m.cuts > 0:
-			for i := 0; i < m.cuts; i++ {
-				select {
-				case <-failed:
-					return join()
-				default:
-				}
-				if err := beginClose(m.boundary + int64(i)*step); err != nil {
-					if werr := join(); werr != nil {
-						return werr
-					}
-					return err
-				}
-			}
-		case m.recs != nil:
-			flushBatch()
-			ps.ObserveBatch(m.recs)
-		default:
-			batch = append(batch, m.rec)
-			if len(batch) >= e.cfg.BatchSize {
-				flushBatch()
-			}
-		}
+	join = func() error {
+		close(closeCh)
+		<-workerDone
+		return workerErr
 	}
-	// Final flush, as in process: drain the in-progress interval at the
-	// submit side's settled grid end, then join the worker.
-	e.submitMu.Lock()
-	final := e.boundary
-	e.submitMu.Unlock()
-	if err := beginClose(final); err != nil {
-		if werr := join(); werr != nil {
-			return werr
-		}
-		return err
-	}
-	return join()
+	return cut, failedCh, join
 }

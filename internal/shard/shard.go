@@ -205,34 +205,16 @@ func (s *ShardedPipeline) ProcessInterval(recs []flow.Record) (*core.Report, err
 	return s.EndInterval()
 }
 
-// DrainSnapshot merges every sibling shard's open interval into the
-// primary (the same Absorb path EndInterval uses) and drains the
-// primary: the returned snapshot holds the whole sharded pipeline's open
-// interval — merged clone histograms plus the concatenated flow buffers
-// in shard order — and every shard is left empty, ready for the next
-// interval. No detection runs; this is the distributed agent's interval
-// close, where an agent machine runs a locally sharded pipeline and
-// ships the merged interval to a collector that owns detection. Callers
-// must not observe flows concurrently with a drain (the engine
-// serializes this, as it does for EndInterval).
-func (s *ShardedPipeline) DrainSnapshot() (core.PipelineSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	primary := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		if err := primary.Absorb(sh); err != nil {
-			return core.PipelineSnapshot{}, err
-		}
-	}
-	return primary.DrainSnapshot(), nil
-}
-
-// DrainOpenInterval is DrainSnapshot in the lean open-interval form: the
-// sibling shards merge into the primary exactly as above, but the drain
-// carries only the merged clone histograms and concatenated flow buffer
-// (core.OpenInterval), skipping the copy of detection history that an
-// agent — which never closes detection — keeps permanently empty. This
-// is the preferred distributed agent close.
+// DrainOpenInterval merges every sibling shard's open interval into the
+// primary (core.Pipeline.Absorb) and drains the primary: the returned
+// core.OpenInterval holds the whole sharded pipeline's open interval —
+// merged clone histograms plus the concatenated flow buffers in shard
+// order — and every shard is left empty, ready for the next interval. No
+// detection runs and no detection history is copied; this is the
+// distributed agent's interval close, where an agent machine runs a
+// locally sharded pipeline and ships the merged interval to a collector
+// that owns detection. Callers must not observe flows concurrently with
+// a drain (the engine serializes this, as it does for EndInterval).
 func (s *ShardedPipeline) DrainOpenInterval() (core.OpenInterval, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

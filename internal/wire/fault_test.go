@@ -321,11 +321,11 @@ func shipIntervals(t *testing.T, agent *wire.Agent, cfg core.Config, part [][]fl
 	defer sp.Close()
 	for i := from; i < to; i++ {
 		sp.ObserveBatch(part[i])
-		snap, err := sp.DrainSnapshot()
+		oi, err := sp.DrainOpenInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.Ship(bnd(i), snap, wire.KindOpenInterval); err != nil {
+		if err := agent.ShipOpenInterval(bnd(i), oi); err != nil {
 			t.Fatalf("ship interval %d: %v", i, err)
 		}
 	}

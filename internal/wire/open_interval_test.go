@@ -22,7 +22,7 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 	}
 	defer p.Close()
 	p.ObserveBatch(testTrace(1, 3000, 0)[0])
-	snap := p.DrainSnapshot()
+	snap := p.Snapshot()
 
 	lean, err := wire.EncodeOpenIntervalSnapshot(snap)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dec, snap) {
-		t.Fatal("decoded open-interval snapshot differs from the drained original")
+		t.Fatal("decoded open-interval snapshot differs from the original")
 	}
 	re, err := wire.EncodeOpenIntervalSnapshot(dec)
 	if err != nil {
@@ -81,11 +81,6 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal("open-interval encoding accepted a snapshot with detection history")
 	}
 
-	snap := p.DrainSnapshot() // drain keeps history: still refused
-	if _, err := wire.EncodeOpenIntervalSnapshot(snap); err == nil {
-		t.Fatal("open-interval encoding accepted a drained snapshot with history")
-	}
-
 	if _, err := wire.DecodeOpenIntervalSnapshot(nil); err == nil {
 		t.Fatal("decoder accepted empty input")
 	}
@@ -94,7 +89,7 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	lean, err := wire.EncodeOpenIntervalSnapshot(fresh.DrainSnapshot())
+	lean, err := wire.EncodeOpenIntervalSnapshot(fresh.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,8 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
 
-		snap := agent.DrainSnapshot()
+		snap := agent.Snapshot()
+		agent.DrainOpenInterval() // the agent never closes detection
 		dec, err := wire.DecodePipelineSnapshot(wire.EncodePipelineSnapshot(snap))
 		if err != nil {
 			t.Fatal(err)

@@ -304,8 +304,20 @@ func NewAgent(cfg EngineConfig, ac AgentConfig) (*AgentSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := NewAgentEngine(cfg, agent, ac.Shards)
+	shards := ac.Shards
+	if shards == 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	sp, err := shard.New(shard.Config{Shards: shards, Pipeline: cfg.Pipeline})
 	if err != nil {
+		agent.Close()
+		return nil, err
+	}
+	eng, err := engine.NewWithSink(cfg, wire.NewAgentSink(agent, sp))
+	if err != nil {
+		// Release the shards' detector-bank worker pools: the engine was
+		// never built, so nothing else will Close them.
+		sp.Close()
 		agent.Close()
 		return nil, err
 	}
@@ -313,9 +325,7 @@ func NewAgent(cfg EngineConfig, ac AgentConfig) (*AgentSession, error) {
 }
 
 // NewCollectorWithConfig builds the collector side from a
-// CollectorConfig; drive it with Serve on a TCP listener. (The name
-// differs from NewAgent's pattern because the original positional
-// NewCollector is kept compiling below.)
+// CollectorConfig; drive it with Serve on a TCP listener.
 func NewCollectorWithConfig(cfg Config, cc CollectorConfig) (*WireCollector, error) {
 	return wire.NewCollector(cfg, cc)
 }
@@ -328,55 +338,6 @@ func NewCollectorWithConfig(cfg Config, cc CollectorConfig) (*WireCollector, err
 // lose or duplicate an interval.
 func NewRelay(cfg Config, rc RelayConfig) (*WireRelay, error) {
 	return wire.NewRelay(cfg, rc)
-}
-
-// DialCollector connects to a collector and performs the handshake for
-// the given agent ID. cfg must match the collector's configuration (its
-// detection parameters are digested into the handshake).
-//
-// Deprecated: use NewAgent, which bundles the dial, the retry/replay
-// options, and the engine into one AgentSession; DialCollector is the
-// default-options dial alone.
-func DialCollector(addr string, agentID int, cfg Config) (*WireAgent, error) {
-	return wire.Dial(addr, agentID, cfg)
-}
-
-// NewCollector builds the collector side for the given agent count;
-// drive it with Serve on a TCP listener.
-//
-// Deprecated: use NewCollectorWithConfig, which exposes the partial-
-// interval policy, checkpoint/resume, and metrics options; NewCollector
-// is NewCollectorWithConfig with only the agent count set.
-func NewCollector(cfg Config, agents int) (*WireCollector, error) {
-	return wire.NewCollector(cfg, wire.CollectorConfig{Agents: agents})
-}
-
-// NewAgentEngine builds and starts a streaming engine whose interval
-// closes drain a locally sharded pipeline (shards as in
-// NewShardedEngine; 0 = GOMAXPROCS) and ship the drained snapshots
-// through agent instead of running detection locally. Close the engine
-// first, then the agent — the Bye frame must trail the final flushed
-// interval.
-//
-// Deprecated: use NewAgent, which owns the dial and the close ordering
-// in one AgentSession; NewAgentEngine remains for callers that manage
-// the wire stream themselves.
-func NewAgentEngine(cfg EngineConfig, agent *WireAgent, shards int) (*Engine, error) {
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sp, err := shard.New(shard.Config{Shards: shards, Pipeline: cfg.Pipeline})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.NewWithSink(cfg, wire.NewAgentSink(agent, sp))
-	if err != nil {
-		// Release the shards' detector-bank worker pools: the engine was
-		// never built, so nothing else will Close them.
-		sp.Close()
-		return nil, err
-	}
-	return eng, nil
 }
 
 // EncodePipelineSnapshot serializes a pipeline snapshot with the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -21,9 +22,15 @@ import (
 func FuzzAckResume(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// A v2 hello (no resume field) and a v3 hello with a resume offset.
-	f.Add(appendHello(nil, 2, 0, 0, 0x1234))
-	f.Add(appendHello(nil, 3, 7, 1196640900000, 0xdeadbeef))
+	// A v2 hello (no resume field; the checked-in hello_v2 seed), which
+	// is no longer spoken and must be refused by version, and a v3 hello
+	// with a resume offset.
+	v2 := binary.LittleEndian.AppendUint64(append([]byte("AXWP"), 2, 0), 0x1234) // version 2, agent 0
+	if _, err := decodeHello(v2); !errors.As(err, new(errBadHelloVersion)) {
+		f.Fatalf("v2 hello decoded with err = %v, want errBadHelloVersion", err)
+	}
+	f.Add(v2)
+	f.Add(appendHello(nil, 7, 1196640900000, 0xdeadbeef))
 	// Ack/HelloOK boundaries: a grid boundary and the -1 "nothing yet".
 	f.Add(appendBoundary(nil, 900000))
 	f.Add(appendBoundary(nil, -1))
@@ -42,7 +49,7 @@ func FuzzAckResume(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := decodeHello(data); err == nil {
-			re := appendHello(nil, h.version, h.agentID, h.resume, h.digest)
+			re := appendHello(nil, h.agentID, h.resume, h.digest)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("hello re-encode mismatch:\n in  %x\n out %x", data, re)
 			}
@@ -67,7 +74,7 @@ func FuzzAckResume(f *testing.F) {
 				t.Fatalf("config-mismatch rejection did not round-trip: %v -> %v", mismatch, again)
 			}
 		}
-		if c, err := decodeCheckpoint(data); err == nil {
+		if c, err := decodeCheckpoint(data, false); err == nil {
 			if re := appendCheckpoint(nil, c); !bytes.Equal(re, data) {
 				t.Fatalf("checkpoint re-encode mismatch:\n in  %x\n out %x", data, re)
 			}

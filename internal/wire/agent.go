@@ -13,21 +13,6 @@ import (
 	"anomalyx/internal/shard"
 )
 
-// FrameKind selects the encoding Ship uses for a drained interval.
-type FrameKind byte
-
-// The two interval encodings: the lean open-interval form agents ship
-// every boundary (clone histograms + flow buffer, no detection
-// history), and the full snapshot form for checkpoint-style transfers
-// where history matters.
-const (
-	// KindOpenInterval is the per-interval lean encoding; Ship refuses
-	// snapshots that carry detection history (an agent never does).
-	KindOpenInterval FrameKind = iota
-	// KindSnapshot is the full pipeline snapshot, history included.
-	KindSnapshot
-)
-
 // AgentOptions parameterizes the survivable agent session: the redial
 // policy and the replay-buffer bound. The zero value is a working
 // default (8 redials with jittered backoff, 64 buffered frames).
@@ -37,14 +22,12 @@ type AgentOptions struct {
 	Retry RetryConfig
 	// ReplayBuffer bounds how many shipped-but-unacked interval frames
 	// the agent retains for replay after a reconnect. When the buffer
-	// is full, Ship blocks until the collector acks (backpressure
+	// is full, shipping blocks until the collector acks (backpressure
 	// through the engine) — frames are never silently dropped. 0 takes
 	// the default (64).
 	ReplayBuffer int
 	// Dialer opens a new collector connection for the initial connect
-	// and every redial. DialAgent fills it with a TCP dial of its addr;
-	// leave it nil with NewAgent and the agent cannot redial (a lost
-	// connection is then a permanent error, the pre-v3 behavior).
+	// and every redial; nil dials DialAgent's addr over TCP.
 	Dialer func() (net.Conn, error)
 }
 
@@ -99,10 +82,10 @@ type Agent struct {
 	closed     bool
 	byeOK      bool // the collector confirmed our Bye
 
-	buf []byte // encode scratch, reused across snapshots
+	buf []byte // encode scratch, reused across frames
 }
 
-// DialAgent connects to a collector at addr, performs the v3 handshake
+// DialAgent connects to a collector at addr, performs the handshake
 // for the given agent ID, and returns the ready agent. cfg must be the
 // pipeline configuration the collector was started with (its detection
 // digest is what the handshake carries; a mismatch surfaces as a
@@ -112,46 +95,20 @@ func DialAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) (*A
 	if agentID < 0 {
 		return nil, fmt.Errorf("wire: negative agent ID %d", agentID)
 	}
+	a := newAgent(addr, agentID, cfg, opts)
+	if err := a.connect(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// newAgent builds an unconnected agent with opts' zero values resolved
+// (a nil Dialer dials addr over TCP); the caller connects.
+func newAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) *Agent {
 	opts = opts.withDefaults()
 	if opts.Dialer == nil {
 		opts.Dialer = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	a := newAgent(agentID, cfg, opts)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.reconnectLocked(max(1, a.redialAttempts())); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Dial connects to a collector with default options.
-//
-// Deprecated: use DialAgent, which exposes the retry and replay-buffer
-// options; Dial is DialAgent with the zero AgentOptions.
-func Dial(addr string, agentID int, cfg core.Config) (*Agent, error) {
-	return DialAgent(addr, agentID, cfg, AgentOptions{})
-}
-
-// NewAgent wraps an established connection, performing the v3
-// handshake on it. An agent built this way has no dialer: it still
-// buffers frames until acked, but a lost connection is a permanent
-// error (set AgentOptions.Dialer via DialAgent for redials).
-func NewAgent(conn net.Conn, agentID int, cfg core.Config) (*Agent, error) {
-	if agentID < 0 {
-		return nil, fmt.Errorf("wire: negative agent ID %d", agentID)
-	}
-	a := newAgent(agentID, cfg, AgentOptions{}.withDefaults())
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.handshakeLocked(conn); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// newAgent builds the shared state; the caller connects.
-func newAgent(agentID int, cfg core.Config, opts AgentOptions) *Agent {
 	a := &Agent{
 		id:     agentID,
 		digest: ConfigDigest(cfg),
@@ -171,7 +128,7 @@ func (a *Agent) redialAttempts() int {
 	return a.opts.Retry.MaxAttempts
 }
 
-// handshakeLocked performs the v3 handshake on conn — Hello carrying
+// handshakeLocked performs the handshake on conn — Hello carrying
 // the resume offset (the highest acked boundary), then the collector's
 // HelloOK or Error reply — trims the replay buffer to the collector's
 // resume line, resends the remaining unacked frames in boundary order,
@@ -179,7 +136,7 @@ func (a *Agent) redialAttempts() int {
 // a.mu must be held. On error the caller owns closing conn.
 func (a *Agent) handshakeLocked(conn net.Conn) error {
 	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, frameHello, appendHello(nil, protoVersion, a.id, a.acked, a.digest)); err != nil {
+	if err := writeFrame(w, frameHello, appendHello(nil, a.id, a.acked, a.digest)); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
@@ -219,11 +176,6 @@ func (a *Agent) handshakeLocked(conn net.Conn) error {
 // handshaking each new connection; it settles permErr when the budget
 // is exhausted or the collector rejects the stream. a.mu must be held.
 func (a *Agent) reconnectLocked(attempts int) error {
-	if a.opts.Dialer == nil {
-		a.permErr = fmt.Errorf("wire: agent %d: connection lost and no dialer configured", a.id)
-		a.cond.Broadcast()
-		return a.permErr
-	}
 	var lastErr error = fmt.Errorf("wire: agent %d: reconnection disabled", a.id)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if a.closed {
@@ -285,7 +237,7 @@ func (a *Agent) ackLocked(boundary int64) {
 
 // readLoop consumes the collector→agent side of one connection: Ack
 // frames advance the ack line, an Error frame kills the stream, and a
-// read failure marks the connection lost (the next Ship redials).
+// read failure marks the connection lost (the next ship redials).
 func (a *Agent) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
 	for {
@@ -325,50 +277,24 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 	}
 }
 
-// Ship sends one drained interval tagged with its absolute grid
-// boundary (Unix ms), in the encoding kind selects. The frame enters
-// the replay buffer first and leaves it only when the collector acks
-// the boundary, so a connection lost at any point is survivable: Ship
-// redials and replays per the retry policy, blocking (backpressure)
-// rather than dropping when the buffer is full. Boundaries must be
-// strictly increasing per agent. A permanent failure — retry budget
-// exhausted, config mismatch, no dialer — is returned and sticks.
-func (a *Agent) Ship(boundary int64, s core.PipelineSnapshot, kind FrameKind) error {
-	switch kind {
-	case KindOpenInterval:
-		if err := openIntervalOnly(s); err != nil {
-			return err
-		}
-		return a.shipFrame(boundary, frameOpenInterval, func(b []byte) []byte {
-			return appendOpenInterval(b, openIntervalOf(s))
-		})
-	case KindSnapshot:
-		return a.shipFrame(boundary, frameSnapshot, func(b []byte) []byte {
-			return AppendPipelineSnapshot(b, s)
-		})
-	default:
-		return fmt.Errorf("wire: unknown frame kind %d", kind)
-	}
-}
-
-// ShipOpenInterval ships a lean drained interval (see
-// Pipeline.DrainOpenInterval) with Ship's delivery semantics. This is
-// the preferred agent path: the lean drain never copies — and this
-// frame never carries — the detection history an agent keeps empty.
+// ShipOpenInterval sends one drained interval (see
+// Pipeline.DrainOpenInterval) tagged with its absolute grid boundary
+// (Unix ms). The frame enters the replay buffer first and leaves it
+// only when the collector acks the boundary, so a connection lost at
+// any point is survivable: the agent redials and replays per the retry
+// policy, blocking (backpressure) rather than dropping when the buffer
+// is full. Boundaries must be strictly increasing per agent. A
+// permanent failure — retry budget exhausted, config mismatch — is
+// returned and sticks.
 func (a *Agent) ShipOpenInterval(boundary int64, oi core.OpenInterval) error {
-	return a.shipFrame(boundary, frameOpenInterval, func(b []byte) []byte {
+	_, err := a.ship(boundary, frameOpenInterval, func(b []byte) []byte {
 		return appendOpenInterval(b, oi)
-	})
-}
-
-// shipFrame is the shared delivery path: encode under the lock, enter
-// the replay buffer, write or redial.
-func (a *Agent) shipFrame(boundary int64, typ byte, encodeBody func([]byte) []byte) error {
-	_, err := a.ship(boundary, typ, encodeBody, false)
+	}, false)
 	return err
 }
 
-// ship implements shipFrame, with one extra mode for relays: when
+// ship is the delivery path: encode under the lock, enter the replay
+// buffer, write or redial. It has one extra mode for relays: when
 // skipStale is set, a boundary at or below the collector's ack line (or
 // the replay-buffer tail) returns (false, nil) instead of an error — a
 // resumed relay legitimately re-closes boundaries its parent already
@@ -441,7 +367,8 @@ func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, s
 }
 
 // shipRelayInterval ships a relay's merged interval upstream as a
-// frameRelayInterval, with Ship's delivery semantics plus stale-skip:
+// frameRelayInterval, with ShipOpenInterval's delivery semantics plus
+// stale-skip:
 // the reported bool is false when the boundary was already settled
 // upstream (acked or still buffered from before a resume) and nothing
 // was sent. spanLo/spanLen describe the relay's global leaf span and
@@ -453,9 +380,7 @@ func (a *Agent) shipRelayInterval(boundary int64, spanLo, spanLen int, missing [
 	}, true)
 }
 
-// connect performs the initial dial-and-handshake for an agent built
-// with newAgent and an explicit dialer (the relay's upstream face);
-// DialAgent does the equivalent itself.
+// connect performs the initial dial-and-handshake.
 func (a *Agent) connect() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -578,11 +503,6 @@ func (a *Agent) Close() error {
 func (a *Agent) sendByeLocked() error {
 	for {
 		if a.conn == nil {
-			if a.opts.Dialer == nil && len(a.replay) == 0 {
-				// Nothing undelivered and no way to redial: end without
-				// the marker (the pre-v3 contract for wrapped conns).
-				return nil
-			}
 			if err := a.reconnectLocked(a.redialAttempts()); err != nil {
 				if errors.Is(err, errSessionEnded) {
 					return nil // the Bye landed; only its confirmation was lost

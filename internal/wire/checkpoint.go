@@ -3,33 +3,52 @@ package wire
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"anomalyx/internal/core"
 )
 
-// checkpointMagic starts every checkpoint file, so a collector pointed
-// at the wrong path fails with a clear error instead of a codec one.
-var checkpointMagic = [4]byte{'A', 'X', 'C', 'P'}
+// checkpointMagic starts every root collector checkpoint file and
+// relayCheckpointMagic every relay checkpoint file, so a session pointed
+// at the wrong path — or at the other role's file — fails with a clear
+// error instead of a codec one.
+var (
+	checkpointMagic      = [4]byte{'A', 'X', 'C', 'P'}
+	relayCheckpointMagic = [4]byte{'A', 'X', 'R', 'P'}
+)
 
-// checkpoint is a collector session's durable state: everything a
+// checkpoint is a session's durable state: the session table every
+// collector keeps (merge counters and the per-agent dedup lines and
+// statuses), followed by the one thing each role cannot rebuild from
+// its peers. At the root that is the pipeline snapshot — everything a
 // restarted collector needs to resume emitting the exact report stream
-// an unrestarted run would have produced from the next interval on.
-// Frames absorbed after the checkpoint was written are covered by the
-// ack protocol instead: acks are sent only after the checkpoint that
-// contains their boundary, so whatever a restart loses is still in
-// some agent's replay buffer.
+// an unrestarted run would have produced from the next interval on. At
+// a relay (whose pipeline is fully drained at every close) it is the
+// shipped-but-unacked upstream frames, re-offered on restart. Frames
+// absorbed after the checkpoint was written are covered by the ack
+// protocol instead: acks are sent only after the checkpoint that
+// contains their boundary, so whatever a restart loses is still in some
+// agent's replay buffer.
 type checkpoint struct {
 	lastClosed int64
 	emitted    int64
 	absorbed   []int64       // per-agent absorbed boundary, indexed by ID
 	statuses   []agentStatus // per-agent status at checkpoint time
-	snap       core.PipelineSnapshot
+
+	relay bool                  // selects the magic and which tail follows
+	snap  core.PipelineSnapshot // root tail
+	held  []replayEntry         // relay tail: unacked upstream frames, boundary ascending
 }
 
-// appendCheckpoint encodes a checkpoint: magic, codec version, session
-// counters, the per-agent table, then the full pipeline snapshot.
+// appendCheckpoint encodes a checkpoint: magic, codec version, the
+// session table, then the full pipeline snapshot (root) or the held
+// frames (relay).
 func appendCheckpoint(b []byte, c checkpoint) []byte {
-	b = append(b, checkpointMagic[:]...)
+	magic := checkpointMagic
+	if c.relay {
+		magic = relayCheckpointMagic
+	}
+	b = append(b, magic[:]...)
 	b = append(b, codecVersion)
 	b = appendVarint(b, c.lastClosed)
 	b = appendVarint(b, c.emitted)
@@ -38,23 +57,38 @@ func appendCheckpoint(b []byte, c checkpoint) []byte {
 		b = appendVarint(b, c.absorbed[i])
 		b = append(b, byte(c.statuses[i]))
 	}
-	return AppendPipelineSnapshot(b, c.snap)
+	if !c.relay {
+		return AppendPipelineSnapshot(b, c.snap)
+	}
+	b = appendUvarint(b, uint64(len(c.held)))
+	for _, e := range c.held {
+		b = append(b, e.typ)
+		b = appendVarint(b, e.boundary)
+		b = appendUvarint(b, uint64(len(e.payload)))
+		b = append(b, e.payload...)
+	}
+	return b
 }
 
-// decodeCheckpoint parses a checkpoint file's contents.
-func decodeCheckpoint(payload []byte) (checkpoint, error) {
+// decodeCheckpoint parses a checkpoint file's contents for the given
+// role; the other role's magic is rejected like any foreign file.
+func decodeCheckpoint(payload []byte, relay bool) (checkpoint, error) {
+	want := checkpointMagic
+	if relay {
+		want = relayCheckpointMagic
+	}
 	r := &reader{buf: payload}
 	var magic [4]byte
 	for i := range magic {
 		magic[i] = r.byte()
 	}
-	if r.err() == nil && magic != checkpointMagic {
-		return checkpoint{}, fmt.Errorf("wire: bad checkpoint magic %q", magic[:])
+	if r.err() == nil && magic != want {
+		return checkpoint{}, fmt.Errorf("wire: bad checkpoint magic %q (want %q)", magic[:], want[:])
 	}
 	if v := r.byte(); r.err() == nil && v != codecVersion {
 		r.fail("unsupported checkpoint codec version %d (want %d)", v, codecVersion)
 	}
-	var c checkpoint
+	c := checkpoint{relay: relay}
 	c.lastClosed = r.varint()
 	c.emitted = r.varint()
 	n := r.length(2)
@@ -68,7 +102,11 @@ func decodeCheckpoint(payload []byte) (checkpoint, error) {
 		}
 		c.statuses[i] = s
 	}
-	c.snap = decodePipelineBody(r)
+	if relay {
+		c.held = decodeHeldFrames(r)
+	} else {
+		c.snap = decodePipelineBody(r)
+	}
 	r.expectEOF()
 	if r.err() != nil {
 		return checkpoint{}, r.err()
@@ -76,25 +114,76 @@ func decodeCheckpoint(payload []byte) (checkpoint, error) {
 	return c, nil
 }
 
-// writeCheckpointFile atomically replaces path with the encoded
-// checkpoint: write to a sibling temp file, then rename over, so a
-// crash mid-write leaves the previous checkpoint intact.
+// decodeHeldFrames parses a relay checkpoint's tail. A relay ships
+// nothing upstream but merged relay frames, so that is the only type it
+// can hold.
+func decodeHeldFrames(r *reader) []replayEntry {
+	var held []replayEntry
+	n := r.length(3)
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		var e replayEntry
+		e.typ = r.byte()
+		if r.err() == nil && e.typ != frameRelayInterval {
+			r.fail("held frame %d has type %d, not a relay interval", i, e.typ)
+		}
+		e.boundary = r.varint()
+		if r.err() == nil && e.boundary <= prev {
+			r.fail("held frame boundary %d not after %d", e.boundary, prev)
+		}
+		prev = e.boundary
+		e.payload = r.bytes(r.length(1))
+		if e.payload == nil {
+			e.payload = []byte{}
+		}
+		held = append(held, e)
+	}
+	return held
+}
+
+// writeCheckpointFile durably and atomically replaces path with the
+// encoded checkpoint: write and fsync a sibling temp file, rename it
+// over, then fsync the directory. A crash mid-write leaves the previous
+// checkpoint intact, and once this returns the new one survives a power
+// loss — the condition under which its boundary may be acked.
 func writeCheckpointFile(path string, c checkpoint) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, appendCheckpoint(nil, c), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.Write(appendCheckpoint(nil, c)); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("wire: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err = os.Rename(tmp, path); err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		return fmt.Errorf("wire: committing checkpoint: %w", err)
 	}
 	return nil
 }
 
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 // loadCheckpointFile reads and decodes the checkpoint at path.
-func loadCheckpointFile(path string) (checkpoint, error) {
+func loadCheckpointFile(path string, relay bool) (checkpoint, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return checkpoint{}, fmt.Errorf("wire: reading checkpoint: %w", err)
 	}
-	return decodeCheckpoint(b)
+	return decodeCheckpoint(b, relay)
 }

@@ -55,12 +55,12 @@ type CollectorConfig struct {
 	// disconnected agent before closing without it. 0 holds forever.
 	HoldTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the collector write its
-	// durable state there (atomic temp+rename) after every closed
-	// interval, before acking the interval's frames.
+	// durable state there (fsynced temp + atomic rename) after every
+	// closed interval, before acking the interval's frames.
 	CheckpointPath string
-	// Resume makes Serve rehydrate from CheckpointPath before accepting
-	// connections: the pipeline state, interval numbering, and per-agent
-	// dedup lines continue where the checkpointed session stopped.
+	// Resume makes NewCollector load CheckpointPath and Serve continue
+	// from it: the pipeline state, interval numbering, and per-agent
+	// dedup lines pick up where the checkpointed session stopped.
 	Resume bool
 	// MetricsAddr, when non-empty, serves the session's expvar metrics
 	// over HTTP on that address for the lifetime of Serve.
@@ -92,13 +92,13 @@ const (
 	// (in-order delivery means the frame is coming or the connection
 	// will break).
 	statusLive
-	// statusDown: disconnected, expected back (v3, HoldWithTimeout).
-	// Blocks closes until it reconnects or the hold timer fires.
+	// statusDown: disconnected, expected back (HoldWithTimeout). Blocks
+	// closes until it reconnects or the hold timer fires.
 	statusDown
-	// statusDead: disconnected and not waited for — a v2 drop (cannot
-	// replay), a drop under CloseWithout, or a hold timeout. Never
-	// blocks; intervals close without it, flagged Partial. A v3 agent
-	// may still reconnect out of it.
+	// statusDead: disconnected and not waited for — a drop under
+	// CloseWithout, or a hold timeout. Never blocks; intervals close
+	// without it, flagged Partial. The agent may still reconnect out of
+	// it.
 	statusDead
 	// statusBye: ended its stream cleanly. Never blocks; a later hello
 	// for the same ID is rejected.
@@ -122,29 +122,31 @@ func (s agentStatus) metricsName() string {
 
 // Collector is the receiving half of the protocol. It merges the
 // agents' drained interval frames by absolute grid boundary, absorbing
-// each boundary's frames into its primary pipeline in agent-ID order
-// (the same Absorb merge path in-process sharding uses) and closing
-// detection there, so the merged report stream is byte-identical to a
-// single process having run all agent partitions as local shards.
+// each boundary's frames into its pipeline in agent-ID order (the same
+// additive merge in-process sharding uses) and closing detection
+// there, so the merged report stream is byte-identical to a single
+// process having run all agent partitions as local shards.
 //
-// Unlike the pre-v3 collector, a session survives its transports:
-// connections may drop and reconnect freely (agents replay unacked
-// frames; the collector deduplicates against its per-agent absorbed
-// line and queue tail), a replacement connection for an agent ID
-// supersedes the old one (newest wins — the legitimate owner of an ID
-// is whoever can still dial), and a permanently missing agent degrades
-// reports per the PartialPolicy instead of killing the session. Only
-// listener, pipeline, emit, checkpoint, and context errors are fatal.
+// A session survives its transports: connections may drop and reconnect
+// freely (agents replay unacked frames; the collector deduplicates
+// against its per-agent absorbed line and queue tail), a replacement
+// connection for an agent ID supersedes the old one (newest wins — the
+// legitimate owner of an ID is whoever can still dial), and a
+// permanently missing agent degrades reports per the PartialPolicy
+// instead of killing the session. Only listener, pipeline, emit,
+// checkpoint, and context errors are fatal.
 type Collector struct {
 	cc      CollectorConfig
 	digest  uint64
 	primary *core.Pipeline // owns all detection state
-	scratch *core.Pipeline // decode target, reused across snapshots
 	met     *metrics.Session
 	// fwd, when non-nil, puts the collector in forward mode: it is the
 	// child-facing half of a Relay, and every closed boundary is drained
 	// and shipped upstream instead of closing detection. See relay.go.
 	fwd *forwarder
+	// restored is the checkpoint a Resume collector was built from, until
+	// Serve has seeded its session table from it.
+	restored *checkpoint
 }
 
 // NewCollector builds a collector. cfg is the full pipeline
@@ -152,6 +154,15 @@ type Collector struct {
 // via the handshake digest), and the mining-side settings (miner,
 // support, prefilter) are the ones that actually run.
 func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
+	return newCollector(cfg, cc, nil)
+}
+
+// newCollector builds a root collector (fwd nil) or a relay's
+// child-facing half. With cc.Resume it loads the checkpoint and puts
+// its tail back where it came from — the pipeline snapshot into the
+// pipeline, or the held frames into the upstream agent's replay buffer,
+// ahead of that agent's first dial.
+func newCollector(cfg core.Config, cc CollectorConfig, fwd *forwarder) (*Collector, error) {
 	cc = cc.withDefaults()
 	if cc.Agents < 1 {
 		return nil, fmt.Errorf("wire: collector needs at least 1 agent, got %d", cc.Agents)
@@ -163,18 +174,39 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratch, err := core.New(cfg)
-	if err != nil {
-		primary.Close()
-		return nil, err
-	}
-	return &Collector{
+	c := &Collector{
 		cc:      cc,
 		digest:  ConfigDigest(cfg),
 		primary: primary,
-		scratch: scratch,
 		met:     metrics.NewSession(cc.Agents),
-	}, nil
+		fwd:     fwd,
+	}
+	if cc.Resume {
+		if err := c.loadCheckpoint(); err != nil {
+			primary.Close()
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// loadCheckpoint reads the checkpoint a Resume session continues from.
+func (c *Collector) loadCheckpoint() error {
+	cp, err := loadCheckpointFile(c.cc.CheckpointPath, c.fwd != nil)
+	if err != nil {
+		return err
+	}
+	if len(cp.absorbed) != c.cc.Agents {
+		return fmt.Errorf("wire: checkpoint has %d agents, session configured for %d",
+			len(cp.absorbed), c.cc.Agents)
+	}
+	if c.fwd != nil {
+		c.fwd.agent.preloadReplay(cp.held)
+	} else if err := c.primary.RestoreSnapshot(cp.snap); err != nil {
+		return fmt.Errorf("wire: restoring checkpoint pipeline: %w", err)
+	}
+	c.restored = &cp
+	return nil
 }
 
 // Metrics returns the session's metrics surface, for callers that want
@@ -182,12 +214,9 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 // latter in-process).
 func (c *Collector) Metrics() *metrics.Session { return c.met }
 
-// Close releases the collector's pipelines. It must not be called while
+// Close releases the collector's pipeline. It must not be called while
 // Serve is running.
-func (c *Collector) Close() {
-	c.primary.Close()
-	c.scratch.Close()
-}
+func (c *Collector) Close() { c.primary.Close() }
 
 // Event kinds of the merge loop. Everything that happens to a session —
 // handshakes, frames, disconnects, timeouts — is serialized into one
@@ -231,14 +260,10 @@ type helloReply struct {
 	credits chan struct{}
 }
 
-// queuedFrame is one received-but-unabsorbed interval frame: exactly
-// one of oi (the lean open-interval form, absorbed additively) and snap
-// (a full snapshot, restored into the scratch pipeline and merged) is
-// set.
+// queuedFrame is one received-but-unabsorbed interval frame.
 type queuedFrame struct {
 	boundary int64
-	oi       *core.OpenInterval
-	snap     *core.PipelineSnapshot
+	oi       core.OpenInterval
 	// Relay frames additionally carry the sender's global leaf span and
 	// the in-span leaf IDs its boundary closed without; spanLen is 0 for
 	// plain agent frames.
@@ -251,9 +276,8 @@ type agentState struct {
 	status   agentStatus
 	gen      int           // connection generation; stale events carry an older one
 	conn     net.Conn      // live connection, nil otherwise
-	ackCh    chan int64    // latest-wins ack channel to the connection's ack writer (v3 only)
+	ackCh    chan int64    // latest-wins ack channel to conn's ack writer; set and cleared with conn
 	credits  chan struct{} // ingest tokens the connection's reader consumes
-	v2       bool          // protocol v2: no acks, a drop is final
 	queue    []queuedFrame // pending frames, boundary ascending
 	absorbed int64         // highest boundary absorbed into the primary
 	// emittedAtAbsorb is the session's emitted count when the agent last
@@ -318,15 +342,10 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	for i := range s.ag {
 		s.ag[i] = &agentState{}
 	}
-	if c.cc.Resume {
-		if err := c.restore(s); err != nil {
-			return err
-		}
+	if c.restored != nil {
+		c.restore(s)
 	}
 	if c.fwd != nil {
-		if cp := c.fwd.restored; cp != nil {
-			c.restoreForward(s, cp)
-		}
 		go c.watchUpstreamAcks(s)
 	}
 
@@ -382,46 +401,38 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	return c.merge(ctx, s, emit)
 }
 
-// restore rehydrates the session from the last checkpoint.
-func (c *Collector) restore(s *session) error {
-	cp, err := loadCheckpointFile(c.cc.CheckpointPath)
-	if err != nil {
-		return err
-	}
-	if len(cp.absorbed) != len(s.ag) {
-		return fmt.Errorf("wire: checkpoint has %d agents, collector configured for %d",
-			len(cp.absorbed), len(s.ag))
-	}
-	if err := c.primary.RestoreSnapshot(cp.snap); err != nil {
-		return fmt.Errorf("wire: restoring checkpoint pipeline: %w", err)
-	}
+// restore seeds the session table from the checkpoint the collector was
+// built from, and lets go of it.
+func (c *Collector) restore(s *session) {
+	cp := c.restored
+	c.restored = nil
 	s.lastClosed = cp.lastClosed
 	s.emitted = cp.emitted
+	// Agents were settled through lastClosed when the checkpoint was
+	// written: a checkpointing session acks right after the write.
 	s.acked = cp.lastClosed
 	for id, st := range s.ag {
 		st.absorbed = cp.absorbed[id]
 		st.emittedAtAbsorb = cp.emitted
-		// Every agent is disconnected at restart: finished ones stay
-		// finished, everyone else is down (they will redial and resume).
-		switch cp.statuses[id] {
-		case statusBye:
-			st.status = statusBye
-		case statusDead:
-			st.status = statusDead
-		default:
+		// Every agent is disconnected at restart: finished and abandoned
+		// ones stay so, everyone else is down (they will redial and resume).
+		st.status = cp.statuses[id]
+		if st.status != statusBye && st.status != statusDead {
 			st.status = statusDown
 		}
 		c.met.Agent(id).SetStatus(st.status.metricsName())
 	}
 	c.met.SetLastClosed(s.lastClosed)
-	return nil
+	if c.fwd != nil {
+		c.met.SetFramesHeld(int64(c.fwd.agent.unackedFrames()))
+	}
 }
 
 // handleConn owns one accepted connection: it performs the handshake
 // against the merge loop, then decodes the agent→collector frame stream
 // into merge events, consuming one ingest credit per frame so a fast
 // agent cannot outrun the merge unboundedly. All collector→agent frames
-// on an accepted v3 connection are written by its ack writer; rejection
+// on an accepted connection are written by its ack writer; rejection
 // errors are written here, before any ack writer exists.
 func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan struct{}) {
 	typ, payload, err := readFrame(conn)
@@ -480,8 +491,8 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 			return
 		}
 		switch typ {
-		case frameSnapshot, frameOpenInterval, frameRelayInterval:
-			frame, err := decodeIntervalPayload(typ, payload, c.fwd != nil)
+		case frameOpenInterval, frameRelayInterval:
+			frame, err := decodeIntervalPayload(typ, payload)
 			if err == nil && frame.boundary <= last {
 				err = fmt.Errorf("wire: boundary %d not after %d on one connection", frame.boundary, last)
 			}
@@ -513,7 +524,7 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 // closed) when the merge loop applies the agent's Bye.
 const byeOKSentinel int64 = -1
 
-// ackWriter is the sole writer on an accepted v3 connection: first the
+// ackWriter is the sole writer on an accepted connection: first the
 // HelloOK reply carrying the agent's resume line, then an Ack frame per
 // value received on ch (or the ByeOK confirmation for the sentinel). It
 // exits on write error (the read side will notice the broken connection
@@ -594,7 +605,7 @@ func (c *Collector) merge(ctx context.Context, s *session, emit func(*core.Repor
 				break
 			}
 			s.stopHold()
-			if err := c.closeNext(s, b, emit); err != nil {
+			if err := c.closeBoundary(s, b, emit); err != nil {
 				return err
 			}
 		}
@@ -740,13 +751,10 @@ func (a *agentState) refund() {
 // retireConn drops the agent's current connection (if any), terminating
 // its ack writer and invalidating in-flight events from its reader.
 func (a *agentState) retireConn() {
-	if a.ackCh != nil {
-		close(a.ackCh)
-		a.ackCh = nil
-	}
 	if a.conn != nil {
+		close(a.ackCh)
 		a.conn.Close()
-		a.conn = nil
+		a.conn, a.ackCh = nil, nil
 	}
 	a.credits = nil
 	a.gen++
@@ -755,58 +763,35 @@ func (a *agentState) retireConn() {
 // finishConn ends the agent's connection after a Bye: the ack writer
 // emits the ByeOK confirmation, then exits and closes the connection
 // itself — closing here would race the confirmation off the wire and
-// leave the agent's Close redialing a session that already ended. v2
-// connections (no ack writer) close immediately; they never wait.
+// leave the agent's Close redialing a session that already ended.
 func (a *agentState) finishConn() {
-	if a.ackCh != nil {
+	if a.conn != nil {
 		pushLatest(a.ackCh, byeOKSentinel)
 		close(a.ackCh)
-		a.ackCh = nil
-		a.conn = nil // the ack writer owns closing it
-	} else if a.conn != nil {
-		a.conn.Close()
-		a.conn = nil
+		a.conn, a.ackCh = nil, nil // the ack writer owns closing conn
 	}
 	a.credits = nil
 	a.gen++
 }
 
-// closeNext closes boundary b on whichever path the collector runs:
-// the root's emit path or a relay's forward path.
-func (c *Collector) closeNext(s *session, b int64, emit func(*core.Report) error) error {
-	if c.fwd != nil {
-		return c.closeBoundaryForward(s, b)
-	}
-	return c.closeBoundary(s, b, emit)
-}
-
-// closeBoundary absorbs every agent's frame for boundary b in agent-ID
-// order, closes the interval on the primary pipeline, emits the report
-// (flagging agents the interval closed without), checkpoints when
-// configured, and only then acks b to the connected agents — so an
-// acked frame is never one a restarted collector would need again.
+// closeBoundary is the one interval close. It absorbs every agent's
+// frame for boundary b in agent-ID order and works out the leaf agents
+// the boundary closes without. Then the root closes detection on the
+// merged interval and emits the report, while a relay drains the merged
+// interval and ships it upstream. Either way the boundary is made as
+// durable as the session is configured to make it before the agents are
+// acked — so an acked frame is never one a restart would need again.
 func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) error) error {
 	var frameMissing []int
 	for id, st := range s.ag {
 		if len(st.queue) == 0 || st.queue[0].boundary != b {
 			continue
 		}
-		if fr := st.queue[0]; fr.oi != nil {
-			// Lean open-interval frame: fold the clone snapshots and flow
-			// buffer straight into the primary — no scratch restore, no
-			// history copy.
-			if err := c.primary.AbsorbOpenInterval(*fr.oi); err != nil {
-				return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
-			}
-			frameMissing = append(frameMissing, fr.missing...)
-		} else {
-			if err := c.scratch.RestoreSnapshot(*fr.snap); err != nil {
-				return fmt.Errorf("wire: agent %d snapshot: %w", id, err)
-			}
-			if err := c.primary.Absorb(c.scratch); err != nil {
-				return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
-			}
+		fr := st.queue[0]
+		if err := c.primary.AbsorbOpenInterval(fr.oi); err != nil {
+			return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
 		}
+		frameMissing = append(frameMissing, fr.missing...)
 		st.queue[0] = queuedFrame{}
 		st.queue = st.queue[1:]
 		st.absorbed = b
@@ -814,49 +799,70 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 		st.refund()
 		c.met.Agent(id).SetQueueDepth(int64(len(st.queue)))
 	}
-	rep, err := c.primary.EndInterval()
-	if err != nil {
-		return err
-	}
-	// Flag the leaf agents this interval closed without: the missing
-	// lists carried by relay frames, plus every disconnected agent whose
-	// frame for b is neither queued nor just absorbed (absorbed advances
-	// to b in the loop above for every contributor, so an agent that
-	// delivered b and then dropped is not flagged). A silent relay
-	// expands to its remembered leaf span.
-	rep.Partial = s.missingFor(b, frameMissing, 0)
-	if err := emit(rep); err != nil {
-		return err
+
+	if c.fwd == nil {
+		rep, err := c.primary.EndInterval()
+		if err != nil {
+			return err
+		}
+		rep.Partial = s.missingFor(b, frameMissing, 0)
+		if err := emit(rep); err != nil {
+			return err
+		}
+	} else {
+		missing := s.missingFor(b, frameMissing, c.fwd.spanLo)
+		oi := c.primary.DrainOpenInterval()
+		shipped, err := c.fwd.agent.shipRelayInterval(b, c.fwd.spanLo, c.fwd.spanLen, missing, oi)
+		if err != nil {
+			return fmt.Errorf("wire: forwarding boundary %d: %w", b, err)
+		}
+		if shipped {
+			c.met.IncFramesRelayed()
+		}
+		c.met.SetFramesHeld(int64(c.fwd.agent.unackedFrames()))
 	}
 	s.lastClosed = b
 	s.emitted++
 	c.met.SetLastClosed(b)
 	c.met.IncEmitted()
+	for id, st := range s.ag {
+		c.met.Agent(id).SetLag(s.emitted - st.emittedAtAbsorb)
+	}
+
+	// Settle the agents. A checkpoint makes b durable here; a root
+	// without one has nothing more durable to wait for; a relay without
+	// one may settle only what its parent has acked (ack-after-upstream),
+	// and evUpstreamAck catches the rest up.
+	s.acked = b
 	if c.cc.CheckpointPath != "" {
 		if err := c.writeCheckpoint(s); err != nil {
 			return err
 		}
+	} else if c.fwd != nil {
+		s.acked = min(c.fwd.agent.Acked(), b)
 	}
-	s.acked = b
 	c.ackChildren(s)
-	for id, st := range s.ag {
-		c.met.Agent(id).SetLag(s.emitted - st.emittedAtAbsorb)
-	}
 	return nil
 }
 
-// writeCheckpoint persists the session's durable state.
+// writeCheckpoint persists the session's durable state: the session
+// table, then the root's pipeline or the relay's unacked upstream
+// frames.
 func (c *Collector) writeCheckpoint(s *session) error {
 	cp := checkpoint{
 		lastClosed: s.lastClosed,
 		emitted:    s.emitted,
 		absorbed:   make([]int64, len(s.ag)),
 		statuses:   make([]agentStatus, len(s.ag)),
-		snap:       c.primary.Snapshot(),
 	}
 	for id, st := range s.ag {
 		cp.absorbed[id] = st.absorbed
 		cp.statuses[id] = st.status
+	}
+	if c.fwd != nil {
+		cp.relay, cp.held = true, c.fwd.agent.replayState()
+	} else {
+		cp.snap = c.primary.Snapshot()
 	}
 	return writeCheckpointFile(c.cc.CheckpointPath, cp)
 }
@@ -888,7 +894,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 				c.met.Agent(ev.id).IncDupDrops()
 			}
 			st.refund()
-			if st.ackCh != nil && s.acked > 0 {
+			if st.conn != nil && s.acked > 0 {
 				pushLatest(st.ackCh, s.acked)
 				c.met.Agent(ev.id).SetLastAcked(s.acked)
 			}
@@ -901,7 +907,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		if ev.gen != st.gen {
 			return nil
 		}
-		if st.conn != nil && st.ackCh != nil && s.forget != nil {
+		if st.conn != nil {
 			s.forget(st.conn) // the ack writer closes it after the ByeOK
 		}
 		st.finishConn()
@@ -913,7 +919,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 			return nil
 		}
 		st.retireConn()
-		if st.v2 || c.cc.Policy == CloseWithout {
+		if c.cc.Policy == CloseWithout {
 			st.status = statusDead
 		} else {
 			st.status = statusDown
@@ -937,7 +943,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		}
 	case evUpstreamAck:
 		c.met.SetFramesHeld(int64(c.fwd.agent.unackedFrames()))
-		if c.fwd.ckptPath == "" {
+		if c.cc.CheckpointPath == "" {
 			// Ack-after-upstream: children settle only once the merged
 			// frames containing their boundaries are acked by the parent.
 			if line := min(ev.boundary, s.lastClosed); line > s.acked {
@@ -983,23 +989,20 @@ func (c *Collector) handleHello(s *session, ev event) {
 	}
 	st.retireConn()
 	st.conn = ev.conn
-	st.v2 = h.version < 3
 	st.status = statusLive
 	st.credits = make(chan struct{}, c.cc.queueCap)
 	for i := 0; i < c.cc.queueCap; i++ {
 		st.credits <- struct{}{}
 	}
 	resume := st.tail()
-	if !st.v2 {
-		st.ackCh = make(chan int64, 1)
-		s.writers.Add(1)
-		ch := st.ackCh
-		go func() {
-			defer s.writers.Done()
-			ackWriter(ev.conn, ch, resume, s.done)
-		}()
-		c.met.Agent(h.agentID).SetLastAcked(resume)
-	}
+	st.ackCh = make(chan int64, 1)
+	s.writers.Add(1)
+	ch := st.ackCh
+	go func() {
+		defer s.writers.Done()
+		ackWriter(ev.conn, ch, resume, s.done)
+	}()
+	c.met.Agent(h.agentID).SetLastAcked(resume)
 	c.met.Agent(h.agentID).SetStatus(metrics.StatusLive)
 	ev.reply <- helloReply{gen: st.gen, credits: st.credits}
 }

@@ -21,7 +21,7 @@ import (
 // the traffic.
 func runAgent(t *testing.T, addr string, id, localShards int, cfg core.Config, part [][]flow.Record) {
 	t.Helper()
-	agent, err := wire.Dial(addr, id, cfg)
+	agent, err := wire.DialAgent(addr, id, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Errorf("agent %d: dial: %v", id, err)
 		return

@@ -190,6 +190,26 @@ func runEngineAgent(t *testing.T, addr string, id int, cfg core.Config, part [][
 	}
 }
 
+// dialMortal connects a hand-driven agent whose machine can die: it
+// never redials, and the returned raw connection lets the test close
+// the transport with no Bye and no replay.
+func dialMortal(t *testing.T, addr string, id int, cfg core.Config) (*wire.Agent, net.Conn) {
+	t.Helper()
+	var conn net.Conn
+	agent, err := wire.DialAgent(addr, id, cfg, wire.AgentOptions{
+		Retry: wire.RetryConfig{MaxAttempts: -1},
+		Dialer: func() (net.Conn, error) {
+			var err error
+			conn, err = net.Dial("tcp", addr)
+			return conn, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agent, conn
+}
+
 // bnd maps an interval ordinal to an absolute grid boundary for the
 // tests that drive agents by hand (15-minute grid in Unix ms, matching
 // what the engine would stamp).
@@ -383,19 +403,12 @@ func TestCloseWithoutFlagsDeadAgentPartial(t *testing.T) {
 
 	// Agent 1 ships its first intervals, then its machine dies: the raw
 	// connection closes with no Bye and no replay buffer left behind.
-	conn1, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := wire.NewAgent(conn1, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, conn1 := dialMortal(t, ln.Addr().String(), 1, cfg)
 	shipIntervals(t, a1, cfg, parts[1], 0, deadFrom)
 	conn1.Close()
 
 	// Agent 0 runs the whole trace and ends cleanly.
-	a0, err := wire.Dial(ln.Addr().String(), 0, cfg)
+	a0, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,18 +490,11 @@ func TestHoldTimeoutClosesPartial(t *testing.T) {
 		})
 	}()
 
-	conn1, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := wire.NewAgent(conn1, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, conn1 := dialMortal(t, ln.Addr().String(), 1, cfg)
 	shipIntervals(t, a1, cfg, parts[1], 0, deadFrom)
 	conn1.Close()
 
-	a0, err := wire.Dial(ln.Addr().String(), 0, cfg)
+	a0, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,20 +16,19 @@ const (
 	// frameHello opens a connection: magic, protocol version, agent ID,
 	// and the detection-config digest.
 	frameHello = 1
-	// frameSnapshot carries one drained interval: the absolute grid
-	// boundary (Unix ms) followed by a version-prefixed pipeline
-	// snapshot.
+	// frameSnapshot is reserved: it was the full-pipeline-snapshot
+	// interval frame, which nothing sends any more. readFrame rejects it
+	// at the header like any other frame a peer must not send.
 	frameSnapshot = 2
 	// frameBye announces a clean end of stream; the agent has already
 	// shipped its final partial interval as an ordinary open-interval
-	// (or snapshot) frame.
+	// frame.
 	frameBye = 3
-	// frameOpenInterval carries one drained interval in the lean
-	// open-interval-only encoding: the grid boundary followed by a
-	// version-prefixed open-interval body (clone histograms + flow
-	// buffer, no detection history — an agent never accumulates any).
-	// This is what agents ship each interval; frameSnapshot remains for
-	// full-state checkpoints.
+	// frameOpenInterval carries one drained interval: the absolute grid
+	// boundary (Unix ms) followed by a version-prefixed open-interval
+	// body (clone histograms + flow buffer, no detection history — an
+	// agent never accumulates any). This is what agents ship each
+	// interval.
 	frameOpenInterval = 4
 	// frameAck flows collector→agent: a varint boundary b meaning every
 	// interval frame with boundary <= b has been absorbed (and, when
@@ -37,7 +36,7 @@ const (
 	// from its replay buffer; acks are cumulative, so a lost ack is
 	// repaired by any later one.
 	frameAck = 5
-	// frameHelloOK flows collector→agent in reply to a v3 Hello: a
+	// frameHelloOK flows collector→agent in reply to a Hello: a
 	// varint boundary the agent must resume *after* (the collector's
 	// dedup line for this agent). The agent trims its replay buffer to
 	// frames beyond it before resending.
@@ -78,26 +77,46 @@ const (
 var errSessionEnded = errors.New("wire: collector already ended this agent's stream")
 
 // protoVersion is the framing/handshake version; bump together with any
-// protocol-shape change. Version 2 added the open-interval frame agents
-// now emit. Version 3 made the stream survivable and bidirectional:
-// Hello carries a resume boundary, and the collector answers with
-// HelloOK, per-boundary Acks, and Error frames. Collectors accept
-// minProtoVersion..protoVersion, so v2 agents still work (one-way,
-// crash-stop: a v2 connection that drops cannot replay, and the
-// collector marks its agent dead instead of aborting the session).
+// protocol-shape change. Version 3 is the survivable, bidirectional
+// stream: Hello carries a resume boundary, and the collector answers
+// with HelloOK, per-boundary Acks, and Error frames. Collectors accept
+// minProtoVersion..protoVersion, which today is version 3 alone; the
+// one-way v2 stream is rejected with errCodeBadVersion.
 const (
 	protoVersion    = 3
-	minProtoVersion = 2
+	minProtoVersion = 3
 )
 
 // helloMagic starts every Hello payload, so a collector fed a stray
 // connection fails with a clear error instead of a codec one.
 var helloMagic = [4]byte{'A', 'X', 'W', 'P'}
 
-// maxFrameLen bounds a frame payload (1 GiB). Snapshot frames carry a
+// maxFrameLen bounds an interval frame (1 GiB). Interval frames carry a
 // whole interval's flow buffer, so the bound is generous; anything
 // larger is treated as stream corruption.
 const maxFrameLen = 1 << 30
+
+// maxControlLen bounds every other frame (4 KiB): the control payloads
+// are a few varints, a digest, or a short error message, and they are
+// what a collector reads from a connection it knows nothing about yet.
+const maxControlLen = 4 << 10
+
+// frameLimit returns the largest length field (type byte included) a
+// frame of type typ may claim. readFrame checks it before allocating,
+// so only a peer that has passed the handshake and names an interval
+// frame can make the reader reserve more than maxControlLen.
+func frameLimit(typ byte) (uint32, error) {
+	switch typ {
+	case frameOpenInterval, frameRelayInterval:
+		return maxFrameLen, nil
+	case frameBye, frameByeOK:
+		return 1, nil // the type byte alone
+	case frameSnapshot:
+		return 0, fmt.Errorf("wire: unexpected frame type %d (reserved)", typ)
+	default:
+		return maxControlLen, nil
+	}
+}
 
 // writeFrame writes one length-prefixed frame: uint32 big-endian payload
 // length (including the type byte), the type byte, then the payload.
@@ -120,9 +139,13 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
+	limit, err := frameLimit(hdr[4])
+	if err != nil {
+		return 0, nil, err
+	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrameLen {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
+	if n == 0 || n > limit {
+		return 0, nil, fmt.Errorf("wire: frame length %d out of range for type %d", n, hdr[4])
 	}
 	payload = make([]byte, n-1)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -166,25 +189,21 @@ func ConfigDigest(cfg core.Config) uint64 {
 
 // hello is the decoded handshake.
 type hello struct {
-	version int
 	agentID int
-	// resume is the last boundary the agent knows to be acked (v3 only;
-	// 0 for none, and always 0 on a v2 hello). Frames the agent resends
-	// after a reconnect start beyond it.
+	// resume is the last boundary the agent knows to be acked (0 for
+	// none). Frames the agent resends after a reconnect start beyond it.
 	resume int64
 	digest uint64
 }
 
-// appendHello encodes the handshake payload for the given protocol
-// version: magic, version, agent ID, the v3 resume boundary, and the
-// config digest as the trailing 8 bytes.
-func appendHello(b []byte, version int, agentID int, resume int64, digest uint64) []byte {
+// appendHello encodes the handshake payload: magic, protocol version,
+// agent ID, the resume boundary, and the config digest as the trailing
+// 8 bytes.
+func appendHello(b []byte, agentID int, resume int64, digest uint64) []byte {
 	b = append(b, helloMagic[:]...)
-	b = appendUvarint(b, uint64(version))
+	b = appendUvarint(b, protoVersion)
 	b = appendUvarint(b, uint64(agentID))
-	if version >= 3 {
-		b = appendVarint(b, resume)
-	}
+	b = appendVarint(b, resume)
 	return binary.LittleEndian.AppendUint64(b, digest)
 }
 
@@ -199,7 +218,7 @@ func (v errBadHelloVersion) Error() string {
 		int(v), minProtoVersion, protoVersion)
 }
 
-// decodeHello parses a v2 or v3 Hello payload.
+// decodeHello parses a Hello payload.
 func decodeHello(payload []byte) (hello, error) {
 	r := &reader{buf: payload}
 	var magic [4]byte
@@ -213,10 +232,9 @@ func decodeHello(payload []byte) (hello, error) {
 	if r.err() == nil && (v < minProtoVersion || v > protoVersion) {
 		return hello{}, errBadHelloVersion(v)
 	}
-	h := hello{version: int(v), agentID: int(r.uvarint())}
-	if h.version >= 3 {
-		h.resume = r.varint()
-	}
+	var h hello
+	h.agentID = int(r.uvarint())
+	h.resume = r.varint()
 	if r.rem() != 8 {
 		r.fail("hello digest is not the trailing 8 bytes")
 	}

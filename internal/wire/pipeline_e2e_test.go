@@ -122,7 +122,7 @@ func TestDistributedPipelinedAgents(t *testing.T) {
 // back to the synchronous path and ship identical snapshots.
 func runPipelinedAgent(t *testing.T, addr string, id int, cfg core.Config, part [][]flow.Record) {
 	t.Helper()
-	agent, err := wire.Dial(addr, id, cfg)
+	agent, err := wire.DialAgent(addr, id, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Errorf("agent %d: dial: %v", id, err)
 		return

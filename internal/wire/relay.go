@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"os"
 	"slices"
 	"time"
 
@@ -82,43 +81,21 @@ func decodeRelayHeader(r *reader) (spanLo, spanLen int, missing []int) {
 }
 
 // decodeIntervalPayload parses the payload of one interval-bearing
-// frame (frameSnapshot, frameOpenInterval, or frameRelayInterval) into
-// the queued form the merge loop absorbs. In forward mode (a relay's
-// child-facing collector) a full snapshot is accepted only when it is
-// history-free, and is converted to the lean open-interval form — a
-// relay never closes detection, so it has nowhere to put history.
-func decodeIntervalPayload(typ byte, payload []byte, forward bool) (queuedFrame, error) {
+// frame (frameOpenInterval or frameRelayInterval) into the queued form
+// the merge loop absorbs.
+func decodeIntervalPayload(typ byte, payload []byte) (queuedFrame, error) {
 	rd := &reader{buf: payload}
-	boundary := rd.varint()
+	frame := queuedFrame{boundary: rd.varint()}
 	if v := rd.byte(); rd.err() == nil && v != codecVersion {
 		rd.fail("unsupported codec version %d (want %d)", v, codecVersion)
 	}
-	frame := queuedFrame{boundary: boundary}
-	switch typ {
-	case frameOpenInterval:
-		oi := decodeOpenIntervalBody(rd)
-		frame.oi = &oi
-	case frameRelayInterval:
+	if typ == frameRelayInterval {
 		frame.spanLo, frame.spanLen, frame.missing = decodeRelayHeader(rd)
-		oi := decodeOpenIntervalBody(rd)
-		frame.oi = &oi
-	default: // frameSnapshot
-		snap := decodePipelineBody(rd)
-		if forward {
-			if rd.err() == nil {
-				if err := openIntervalOnly(snap); err != nil {
-					return queuedFrame{}, err
-				}
-				oi := openIntervalOf(snap)
-				frame.oi = &oi
-			}
-		} else {
-			frame.snap = &snap
-		}
 	}
+	frame.oi = decodeOpenIntervalBody(rd)
 	rd.expectEOF()
-	if rd.err() == nil && boundary <= 0 {
-		rd.fail("non-positive snapshot boundary %d", boundary)
+	if rd.err() == nil && frame.boundary <= 0 {
+		rd.fail("non-positive snapshot boundary %d", frame.boundary)
 	}
 	if rd.err() != nil {
 		return queuedFrame{}, rd.err()
@@ -136,130 +113,13 @@ func appendRelayPayload(b []byte, boundary int64, spanLo, spanLen int, missing [
 	return appendOpenInterval(b, oi)
 }
 
-// relayCheckpointMagic starts every relay checkpoint file, distinct
-// from the collector's so the two cannot be confused by a bad path.
-var relayCheckpointMagic = [4]byte{'A', 'X', 'R', 'P'}
-
-// relayCheckpoint is a relay's durable state: the merge counters and
-// per-child table (as in a collector checkpoint, but with no pipeline
-// snapshot — a relay's primary is fully drained at every close), plus
-// the shipped-but-unacked upstream frames, re-offered on restart. A
-// relay checkpoints after shipping each merged frame and before acking
-// its children, so a crash between ship and upstream ack loses nothing.
-type relayCheckpoint struct {
-	lastClosed int64
-	emitted    int64
-	absorbed   []int64       // per-child absorbed boundary, indexed by local ID
-	statuses   []agentStatus // per-child status at checkpoint time
-	held       []replayEntry // upstream frames not yet acked, boundary ascending
-}
-
-// appendRelayCheckpoint encodes a relay checkpoint.
-func appendRelayCheckpoint(b []byte, c relayCheckpoint) []byte {
-	b = append(b, relayCheckpointMagic[:]...)
-	b = append(b, codecVersion)
-	b = appendVarint(b, c.lastClosed)
-	b = appendVarint(b, c.emitted)
-	b = appendUvarint(b, uint64(len(c.absorbed)))
-	for i := range c.absorbed {
-		b = appendVarint(b, c.absorbed[i])
-		b = append(b, byte(c.statuses[i]))
-	}
-	b = appendUvarint(b, uint64(len(c.held)))
-	for _, e := range c.held {
-		b = append(b, e.typ)
-		b = appendVarint(b, e.boundary)
-		b = appendUvarint(b, uint64(len(e.payload)))
-		b = append(b, e.payload...)
-	}
-	return b
-}
-
-// decodeRelayCheckpoint parses a relay checkpoint file's contents.
-func decodeRelayCheckpoint(payload []byte) (relayCheckpoint, error) {
-	r := &reader{buf: payload}
-	var magic [4]byte
-	for i := range magic {
-		magic[i] = r.byte()
-	}
-	if r.err() == nil && magic != relayCheckpointMagic {
-		return relayCheckpoint{}, fmt.Errorf("wire: bad relay checkpoint magic %q", magic[:])
-	}
-	if v := r.byte(); r.err() == nil && v != codecVersion {
-		r.fail("unsupported relay checkpoint codec version %d (want %d)", v, codecVersion)
-	}
-	var c relayCheckpoint
-	c.lastClosed = r.varint()
-	c.emitted = r.varint()
-	n := r.length(2)
-	c.absorbed = make([]int64, n)
-	c.statuses = make([]agentStatus, n)
-	for i := 0; i < n; i++ {
-		c.absorbed[i] = r.varint()
-		s := agentStatus(r.byte())
-		if r.err() == nil && s > statusBye {
-			r.fail("invalid agent status %d", s)
-		}
-		c.statuses[i] = s
-	}
-	held := r.length(3)
-	prev := int64(0)
-	for i := 0; i < held; i++ {
-		var e replayEntry
-		e.typ = r.byte()
-		if r.err() == nil && e.typ != frameSnapshot && e.typ != frameOpenInterval && e.typ != frameRelayInterval {
-			r.fail("held frame %d has non-interval type %d", i, e.typ)
-		}
-		e.boundary = r.varint()
-		if r.err() == nil && e.boundary <= prev {
-			r.fail("held frame boundary %d not after %d", e.boundary, prev)
-		}
-		prev = e.boundary
-		e.payload = r.bytes(r.length(1))
-		if e.payload == nil {
-			e.payload = []byte{}
-		}
-		c.held = append(c.held, e)
-	}
-	r.expectEOF()
-	if r.err() != nil {
-		return relayCheckpoint{}, r.err()
-	}
-	return c, nil
-}
-
-// writeRelayCheckpointFile atomically replaces path with the encoded
-// relay checkpoint (temp + rename, as writeCheckpointFile).
-func writeRelayCheckpointFile(path string, c relayCheckpoint) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, appendRelayCheckpoint(nil, c), 0o644); err != nil {
-		return fmt.Errorf("wire: writing relay checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("wire: committing relay checkpoint: %w", err)
-	}
-	return nil
-}
-
-// loadRelayCheckpointFile reads and decodes the relay checkpoint at
-// path.
-func loadRelayCheckpointFile(path string) (relayCheckpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return relayCheckpoint{}, fmt.Errorf("wire: reading relay checkpoint: %w", err)
-	}
-	return decodeRelayCheckpoint(b)
-}
-
 // forwarder is a collector's forward mode: instead of closing detection
 // and emitting reports, every closed boundary is drained and shipped
-// upstream through agent. Non-nil fwd switches the merge loop's close
-// path; see closeBoundaryForward.
+// upstream through agent, tagged with the relay's global leaf span. A
+// non-nil fwd switches closeBoundary's second half.
 type forwarder struct {
 	agent           *Agent
 	spanLo, spanLen int
-	ckptPath        string
-	restored        *relayCheckpoint
 }
 
 // RelayConfig parameterizes a relay node: its child-facing collector
@@ -314,7 +174,7 @@ type RelayConfig struct {
 // the same merge path a root collector uses, but instead of closing
 // detection it drains the merged open interval and ships it upstream —
 // the parent (ultimately the root) owns all detection state. Both faces
-// reuse the v3 ack/replay/redial machinery, with the relay's ack to a
+// reuse the ack/replay/redial machinery, with the relay's ack to a
 // child gated on the upstream ack of the merged frame (or on a durable
 // relay checkpoint), so no boundary is lost to a relay crash.
 type Relay struct {
@@ -335,9 +195,6 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 	if rc.Parent == "" && rc.Dialer == nil {
 		return nil, fmt.Errorf("wire: relay needs a parent address")
 	}
-	if rc.Resume && rc.CheckpointPath == "" {
-		return nil, fmt.Errorf("wire: Resume requires CheckpointPath")
-	}
 	if rc.LeafBase == 0 {
 		rc.LeafBase = rc.AgentID * rc.Children
 	}
@@ -345,45 +202,22 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 		return nil, fmt.Errorf("wire: relay leaf span [%d,%d) exceeds %d",
 			rc.LeafBase, rc.LeafBase+rc.Children, maxLeafSpan)
 	}
-	c, err := NewCollector(cfg, CollectorConfig{
-		Agents:      rc.Children,
-		Policy:      rc.Policy,
-		HoldTimeout: rc.HoldTimeout,
-		MetricsAddr: rc.MetricsAddr,
-		queueCap:    rc.queueCap,
-	})
-	if err != nil {
-		return nil, err
-	}
-	dialer := rc.Dialer
-	if dialer == nil {
-		addr := rc.Parent
-		dialer = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	up := newAgent(rc.AgentID, cfg, AgentOptions{
+	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{
 		Retry:        rc.Retry,
 		ReplayBuffer: rc.ReplayBuffer,
-		Dialer:       dialer,
-	}.withDefaults())
-	c.fwd = &forwarder{
-		agent:    up,
-		spanLo:   rc.LeafBase,
-		spanLen:  rc.Children,
-		ckptPath: rc.CheckpointPath,
-	}
-	if rc.Resume {
-		cp, err := loadRelayCheckpointFile(rc.CheckpointPath)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if len(cp.absorbed) != rc.Children {
-			c.Close()
-			return nil, fmt.Errorf("wire: relay checkpoint has %d children, relay configured for %d",
-				len(cp.absorbed), rc.Children)
-		}
-		up.preloadReplay(cp.held)
-		c.fwd.restored = &cp
+		Dialer:       rc.Dialer,
+	})
+	c, err := newCollector(cfg, CollectorConfig{
+		Agents:         rc.Children,
+		Policy:         rc.Policy,
+		HoldTimeout:    rc.HoldTimeout,
+		CheckpointPath: rc.CheckpointPath,
+		Resume:         rc.Resume,
+		MetricsAddr:    rc.MetricsAddr,
+		queueCap:       rc.queueCap,
+	}, &forwarder{agent: up, spanLo: rc.LeafBase, spanLen: rc.Children})
+	if err != nil {
+		return nil, err
 	}
 	return &Relay{c: c, rc: rc}, nil
 }
@@ -411,38 +245,11 @@ func (r *Relay) Serve(ctx context.Context, ln net.Listener) error {
 	return up.Close()
 }
 
-// Close releases the relay's pipelines and severs any upstream
+// Close releases the relay's pipeline and severs any upstream
 // connection that Serve left (it must not be called while Serve runs).
 func (r *Relay) Close() {
 	r.c.fwd.agent.abort()
 	r.c.Close()
-}
-
-// restoreForward rehydrates the child-facing session from a relay
-// checkpoint: merge counters and the per-child table, with no pipeline
-// restore — the relay's primary is empty between boundaries by
-// construction.
-func (c *Collector) restoreForward(s *session, cp *relayCheckpoint) {
-	s.lastClosed = cp.lastClosed
-	s.emitted = cp.emitted
-	// Children were settled through lastClosed when the checkpoint was
-	// written (checkpointed relays ack immediately after the write).
-	s.acked = cp.lastClosed
-	for id, st := range s.ag {
-		st.absorbed = cp.absorbed[id]
-		st.emittedAtAbsorb = cp.emitted
-		switch cp.statuses[id] {
-		case statusBye:
-			st.status = statusBye
-		case statusDead:
-			st.status = statusDead
-		default:
-			st.status = statusDown
-		}
-		c.met.Agent(id).SetStatus(st.status.metricsName())
-	}
-	c.met.SetLastClosed(s.lastClosed)
-	c.met.SetFramesHeld(int64(c.fwd.agent.unackedFrames()))
 }
 
 // watchUpstreamAcks runs beside a forwarding merge loop, turning the
@@ -463,59 +270,6 @@ func (c *Collector) watchUpstreamAcks(s *session) {
 			return
 		}
 	}
-}
-
-// closeBoundaryForward is the forward-mode close path: absorb every
-// child's frame for boundary b in child-ID order, compute the global
-// missing-leaf list (expanding silent child relays to their spans),
-// drain the merged open interval, ship it upstream, checkpoint when
-// configured, and settle the children — immediately after a durable
-// checkpoint, otherwise only up to the upstream ack line.
-func (c *Collector) closeBoundaryForward(s *session, b int64) error {
-	var frameMissing []int
-	for id, st := range s.ag {
-		if len(st.queue) == 0 || st.queue[0].boundary != b {
-			continue
-		}
-		fr := st.queue[0]
-		if err := c.primary.AbsorbOpenInterval(*fr.oi); err != nil {
-			return fmt.Errorf("wire: absorbing child %d: %w", id, err)
-		}
-		frameMissing = append(frameMissing, fr.missing...)
-		st.queue[0] = queuedFrame{}
-		st.queue = st.queue[1:]
-		st.absorbed = b
-		st.emittedAtAbsorb = s.emitted + 1
-		st.refund()
-		c.met.Agent(id).SetQueueDepth(int64(len(st.queue)))
-	}
-	missing := s.missingFor(b, frameMissing, c.fwd.spanLo)
-	oi := c.primary.DrainOpenInterval()
-	shipped, err := c.fwd.agent.shipRelayInterval(b, c.fwd.spanLo, c.fwd.spanLen, missing, oi)
-	if err != nil {
-		return fmt.Errorf("wire: forwarding boundary %d: %w", b, err)
-	}
-	s.lastClosed = b
-	s.emitted++
-	c.met.SetLastClosed(b)
-	c.met.IncEmitted()
-	if shipped {
-		c.met.IncFramesRelayed()
-	}
-	c.met.SetFramesHeld(int64(c.fwd.agent.unackedFrames()))
-	for id, st := range s.ag {
-		c.met.Agent(id).SetLag(s.emitted - st.emittedAtAbsorb)
-	}
-	if c.fwd.ckptPath != "" {
-		if err := c.writeRelayCheckpoint(s); err != nil {
-			return err
-		}
-		s.acked = b
-	} else {
-		s.acked = min(c.fwd.agent.Acked(), b)
-	}
-	c.ackChildren(s)
-	return nil
 }
 
 // missingFor computes the global leaf IDs boundary b closes without:
@@ -553,25 +307,9 @@ func (c *Collector) ackChildren(s *session) {
 		return
 	}
 	for id, st := range s.ag {
-		if st.ackCh != nil {
+		if st.conn != nil {
 			pushLatest(st.ackCh, s.acked)
 			c.met.Agent(id).SetLastAcked(s.acked)
 		}
 	}
-}
-
-// writeRelayCheckpoint persists the relay's durable state.
-func (c *Collector) writeRelayCheckpoint(s *session) error {
-	cp := relayCheckpoint{
-		lastClosed: s.lastClosed,
-		emitted:    s.emitted,
-		absorbed:   make([]int64, len(s.ag)),
-		statuses:   make([]agentStatus, len(s.ag)),
-		held:       c.fwd.agent.replayState(),
-	}
-	for id, st := range s.ag {
-		cp.absorbed[id] = st.absorbed
-		cp.statuses[id] = st.status
-	}
-	return writeRelayCheckpointFile(c.fwd.ckptPath, cp)
 }

@@ -385,14 +385,7 @@ func TestRelayLeafDeathPartialNamesLeaf(t *testing.T) {
 
 	// Leaf 3 (relay 1, local child 1) ships its first intervals, then its
 	// machine dies: the raw connection closes with no Bye.
-	conn3, err := net.Dial("tcp", relayLns[1].Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a3, err := wire.NewAgent(conn3, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a3, conn3 := dialMortal(t, relayLns[1].Addr().String(), 1, cfg)
 	shipIntervals(t, a3, cfg, parts[3], 0, deadFrom)
 	conn3.Close()
 
@@ -405,7 +398,7 @@ func TestRelayLeafDeathPartialNamesLeaf(t *testing.T) {
 		wg.Add(1)
 		go func(addr string, c, leaf int) {
 			defer wg.Done()
-			a, err := wire.Dial(addr, c, cfg)
+			a, err := wire.DialAgent(addr, c, cfg, wire.AgentOptions{})
 			if err != nil {
 				t.Errorf("leaf %d: dial: %v", leaf, err)
 				return

@@ -168,24 +168,6 @@ func decodeBank(r *reader) detector.BankSnapshot {
 // including TCP flags and both timestamps — so a restored buffer
 // prefilters and mines exactly like the original.
 
-// EncodeBankSnapshot serializes a bank snapshot, prefixed with the codec
-// version. The encoding is canonical: equal snapshots yield equal bytes.
-func EncodeBankSnapshot(s detector.BankSnapshot) []byte {
-	return appendBank([]byte{codecVersion}, s)
-}
-
-// DecodeBankSnapshot parses an EncodeBankSnapshot payload. It rejects
-// unknown codec versions, truncated input, and trailing bytes.
-func DecodeBankSnapshot(b []byte) (detector.BankSnapshot, error) {
-	r := &reader{buf: b}
-	if v := r.byte(); r.err() == nil && v != codecVersion {
-		return detector.BankSnapshot{}, fmt.Errorf("wire: unsupported codec version %d (want %d)", v, codecVersion)
-	}
-	s := decodeBank(r)
-	r.expectEOF()
-	return s, r.err()
-}
-
 // EncodePipelineSnapshot serializes a pipeline snapshot — bank state
 // plus the open interval's flow buffer — prefixed with the codec
 // version. The encoding is canonical: equal snapshots yield equal bytes.

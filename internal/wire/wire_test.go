@@ -72,7 +72,8 @@ func renderReport(rep *core.Report) string {
 // TestBankSnapshotRoundTrip pins the codec's lossless-checkpoint
 // guarantee at the bank level: snapshot a bank with real detection
 // history and a partially accumulated interval, push it through
-// encode/decode, restore into a fresh bank, and both banks must produce
+// encode/decode (as the bank section of a pipeline snapshot with an
+// empty flow buffer), restore into a fresh bank, and both banks must produce
 // byte-identical results for every subsequent interval. The decoded
 // snapshot must also be deeply equal to the original and re-encode to
 // identical bytes (the canonical-form property).
@@ -95,15 +96,16 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 	orig.ObserveBatch(trace[5][:900])
 
 	snap := orig.Snapshot()
-	enc := wire.EncodeBankSnapshot(snap)
-	dec, err := wire.DecodeBankSnapshot(enc)
+	enc := wire.EncodePipelineSnapshot(core.PipelineSnapshot{Bank: snap})
+	full, err := wire.DecodePipelineSnapshot(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	dec := full.Bank
 	if !reflect.DeepEqual(dec, snap) {
 		t.Fatal("decoded bank snapshot differs from the original")
 	}
-	if enc2 := wire.EncodeBankSnapshot(dec); !bytes.Equal(enc, enc2) {
+	if enc2 := wire.EncodePipelineSnapshot(full); !bytes.Equal(enc, enc2) {
 		t.Fatal("re-encoding the decoded snapshot changed the bytes")
 	}
 
@@ -334,11 +336,12 @@ func TestConfigDigest(t *testing.T) {
 // Protocol constants mirrored from the wire package (which keeps them
 // unexported); the error-path tests pin them as wire-format facts.
 const (
-	rawFrameHello   = 1
-	rawFrameBye     = 3
-	rawFrameHelloOK = 6
-	rawFrameError   = 7
-	rawFrameByeOK   = 8
+	rawFrameHello    = 1
+	rawFrameSnapshot = 2 // reserved; rejected
+	rawFrameBye      = 3
+	rawFrameHelloOK  = 6
+	rawFrameError    = 7
+	rawFrameByeOK    = 8
 )
 
 // writeRawFrame writes one length-prefixed frame: uint32 big-endian
@@ -489,6 +492,41 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 			silent: true,
 		},
 		{
+			name: "hello header claiming 512 MiB",
+			send: func(t *testing.T, conn net.Conn) {
+				// Five bytes and nothing more: a control frame's length is
+				// checked against its own small bound before anything is
+				// allocated or awaited, so the collector hangs up at once
+				// instead of reserving half a gigabyte for a stranger.
+				if _, err := conn.Write([]byte{0x20, 0, 0, 0, rawFrameHello}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			silent: true,
+		},
+		{
+			name: "reserved type-2 frame after a good handshake",
+			send: func(t *testing.T, conn net.Conn) {
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest))
+				if typ, _, err := readRawFrame(conn); err != nil || typ != rawFrameHelloOK {
+					t.Fatalf("hello reply: type %d, err %v; want HelloOK", typ, err)
+				}
+				// What a pre-v3 agent shipped each interval: boundary, codec
+				// version, full pipeline snapshot. No collector absorbs it
+				// any more; the connection fails ("unexpected frame type"),
+				// the session does not.
+				p, err := core.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				payload := binary.AppendVarint(nil, 900_000)
+				payload = append(payload, wire.EncodePipelineSnapshot(p.Snapshot())...)
+				writeRawFrame(t, conn, rawFrameSnapshot, payload)
+			},
+			silent: true,
+		},
+		{
 			name: "zero-length frame",
 			send: func(t *testing.T, conn net.Conn) {
 				if _, err := conn.Write([]byte{0, 0, 0, 0, 0}); err != nil {
@@ -545,7 +583,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 			// The rejection must not have hurt the session: a well-behaved
 			// agent connects, ends cleanly, and the session closes with the
 			// empty-stream parity report.
-			agent, err := wire.Dial(ln.Addr().String(), 0, cfg)
+			agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 			if err != nil {
 				t.Fatalf("well-behaved agent after rejection: %v", err)
 			}
@@ -612,10 +650,11 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 	}
 }
 
-// TestV2AgentStillAccepted pins backward compatibility: a protocol-v2
-// Hello (no resume offset, no reply expected) is accepted, and the v2
-// stream's Bye ends the session without any collector→agent traffic.
-func TestV2AgentStillAccepted(t *testing.T) {
+// TestV2HelloRejected pins the end of protocol v2: a v2 Hello (no resume
+// offset, no reply expected by its sender) is answered with a versioned
+// Error frame naming the one version spoken, and the rejection leaves
+// the session intact for a current agent.
+func TestV2HelloRejected(t *testing.T) {
 	cfg := testPipelineConfig()
 	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
 	defer coll.Close()
@@ -625,13 +664,26 @@ func TestV2AgentStillAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 2, 0, 0, wire.ConfigDigest(cfg)))
-	writeRawFrame(t, conn, rawFrameBye, nil)
-	// v2 is one-way: the collector applies the Bye and closes the
-	// connection without writing anything.
-	if typ, _, err := readRawFrame(conn); err == nil {
-		t.Fatalf("v2 connection received unexpected frame type %d", typ)
+	typ, payload, err := readRawFrame(conn)
+	if err != nil || typ != rawFrameError {
+		t.Fatalf("v2 hello reply: type %d, err %v; want an Error frame", typ, err)
+	}
+	code, n := binary.Uvarint(payload)
+	if n <= 0 || code != 3 { // errCodeBadVersion
+		t.Fatalf("error payload % x: code %d, want 3 (bad version)", payload, code)
+	}
+	if msg := string(payload[n:]); !strings.Contains(msg, "unsupported protocol version 2 (want 3..3)") {
+		t.Errorf("error message %q does not name version 2 and the accepted range 3..3", msg)
 	}
 	conn.Close()
+
+	agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
+	if err != nil {
+		t.Fatalf("current agent after the v2 rejection: %v", err)
+	}
+	if err := agent.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("collector: %v", err)
 	}

@@ -7,9 +7,11 @@
 // (randomized histogram clones, Kullback–Leibler distance against the
 // previous interval, a robust MAD threshold), consolidates alarm
 // meta-data by l-of-n voting and cross-detector union, prefilters the
-// suspicious flows, and summarizes them into maximal frequent item-sets
-// with a modified Apriori — the item-sets an operator inspects instead of
-// hundreds of thousands of raw flows.
+// suspicious flows, and summarizes them into the maximal frequent
+// item-sets of the paper's modified Apriori — the item-sets an operator
+// inspects instead of hundreds of thousands of raw flows. (By default
+// they are mined by a built-in columnar Eclat, item-sets identical to
+// the modified Apriori of §II-B; Config.Miner swaps the algorithm.)
 //
 // This package is the public facade: it re-exports the pipeline types so
 // that applications need a single import.
@@ -129,8 +131,11 @@ type (
 )
 
 // NewPipeline builds an extraction pipeline; zero-value Config fields take
-// the paper's defaults (five features, k=1024, n=l=3, alpha=3, modified
-// Apriori, union prefilter, minimum support 5% of the suspicious flows).
+// the paper's defaults (five features, k=1024, n=l=3, alpha=3, union
+// prefilter, minimum support 5% of the suspicious flows). A nil
+// Config.Miner — the default — mines with the built-in columnar Eclat,
+// item-sets identical to the modified Apriori of §II-B; Apriori, FPGrowth
+// and Eclat below are the injectable alternatives.
 // Set Config.Workers to run the detector bank's batched ingestion and the
 // extraction stage's prefilter scan on a worker pool (0 = GOMAXPROCS);
 // parallel reports are byte-identical to sequential ones.
@@ -169,17 +174,21 @@ func ExtractOffline(cfg Config, recs []Flow, meta MetaData) (*Report, error) {
 // NewMetaData returns an empty alarm annotation for offline extraction.
 func NewMetaData() MetaData { return detector.NewMetaData() }
 
-// Apriori returns the paper's modified level-wise miner (§II-B).
+// Apriori returns the paper's modified level-wise miner (§II-B) — the
+// reference the default miner's item-sets are pinned to, and several
+// times slower than it.
 func Apriori() Miner { return apriori.New() }
 
 // FPGrowth returns the FP-tree miner; same item-sets as Apriori.
 func FPGrowth() Miner { return fpgrowth.New() }
 
-// Eclat returns the vertical tid-list miner; same item-sets as Apriori.
+// Eclat returns the vertical tid-bitset miner over row-form transactions
+// — the search the default miner runs straight off the flow-buffer
+// columns; same item-sets as Apriori.
 func Eclat() Miner { return eclat.New() }
 
 // EclatParallel returns an Eclat miner that fans the depth-first
-// tid-list search out over first-item equivalence classes on a pool of
+// tid-bitset search out over first-item equivalence classes on a pool of
 // workers goroutines (0 = GOMAXPROCS, 1 = sequential). The mining
 // result is byte-identical to the sequential Eclat on every input.
 func EclatParallel(workers int) Miner { return eclat.New().Parallel(workers) }

@@ -19,6 +19,9 @@
 // close; with -workers N != 1 each pipeline additionally fans its
 // detector updates, prefilter scan, and (for -miner eclat) the miner's
 // equivalence-class search out over N goroutines (0 = GOMAXPROCS).
+// Without -miner the pipeline mines with its built-in columnar Eclat;
+// naming a miner routes the same suspicious flows through it instead,
+// for the same item-sets.
 // Reports are byte-identical to an unsharded single-worker run in every
 // combination. With -pipeline-depth N > 1 the engine additionally
 // overlaps each interval's close (detection + extraction) with the next
@@ -112,7 +115,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.interval, "interval", 15*time.Minute, "measurement interval length")
 	fs.IntVar(&o.minsup, "minsup", 0, "absolute minimum support (0 = use -relsup)")
 	fs.Float64Var(&o.relsup, "relsup", 0.05, "minimum support as a fraction of the suspicious flows")
-	fs.StringVar(&o.miner, "miner", "apriori", "mining algorithm: apriori, fp-growth, or eclat")
+	fs.StringVar(&o.miner, "miner", "", "mine through a named algorithm instead of the built-in columnar Eclat: apriori, fp-growth, or eclat (same item-sets, slower)")
 	fs.StringVar(&o.prefilt, "prefilter", "union", "prefilter strategy: union or intersection")
 	fs.IntVar(&o.bins, "bins", 1024, "histogram bins k")
 	fs.IntVar(&o.clones, "clones", 3, "histogram clones n")
@@ -203,6 +206,8 @@ func (o *options) engineConfig() (anomalyx.EngineConfig, error) {
 		Workers:         o.workers,
 	}
 	switch o.miner {
+	case "":
+		// The pipeline's built-in miner (Config.Miner nil).
 	case "apriori":
 		cfg.Miner = anomalyx.Apriori()
 	case "fp-growth":

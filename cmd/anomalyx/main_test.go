@@ -43,7 +43,7 @@ func TestParseArgsDefaultsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.shards != 1 || o.workers != 0 || o.miner != "apriori" || o.prefilt != "union" || o.depth != 1 {
+	if o.shards != 1 || o.workers != 0 || o.miner != "" || o.prefilt != "union" || o.depth != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if _, err := parseArgs(nil, io.Discard); err == nil {
@@ -68,9 +68,21 @@ func TestEngineConfigValidation(t *testing.T) {
 	for _, miner := range []string{"apriori", "fp-growth", "eclat"} {
 		o := base()
 		o.miner = miner
-		if _, err := o.engineConfig(); err != nil {
+		cfg, err := o.engineConfig()
+		if err != nil {
 			t.Fatalf("miner %q rejected: %v", miner, err)
 		}
+		if cfg.Pipeline.Miner == nil || cfg.Pipeline.Miner.Name() != miner {
+			t.Fatalf("-miner %s resolved to %v", miner, cfg.Pipeline.Miner)
+		}
+	}
+	// Without the flag the pipeline keeps its built-in miner.
+	cfg, err := base().engineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Pipeline.Miner != nil {
+		t.Fatalf("flag absent: miner pinned to %q", cfg.Pipeline.Miner.Name())
 	}
 	o := base()
 	o.miner = "magic"
@@ -138,7 +150,8 @@ func testTraceV5(t *testing.T, intervals, baseFlows, floodAt int) []byte {
 // TestRunShardsWorkersDeterminism runs the full CLI path — v5 decode,
 // streaming engine, sharded or not, parallel workers or not — and
 // requires byte-identical stdout for every (shards, workers)
-// combination, including an alarming interval.
+// combination, including an alarming interval, and for the built-in
+// miner (no -miner flag) against each named one.
 func TestRunShardsWorkersDeterminism(t *testing.T) {
 	trace := testTraceV5(t, 8, 1500, 6)
 	baseArgs := []string{
@@ -172,14 +185,19 @@ func TestRunShardsWorkersDeterminism(t *testing.T) {
 		{"-shards", "4", "-workers", "4"},
 		{"-shards", "2", "-workers", "0", "-miner", "eclat"},
 		{"-shards", "2", "-workers", "2", "-pipeline-depth", "3"},
+		{"-shards", "1", "-workers", "1", "-miner", "apriori"},
+		{"-shards", "1", "-workers", "1", "-miner", "fp-growth"},
+		{"-shards", "1", "-workers", "1", "-miner", "eclat"},
+		{"-shards", "2", "-workers", "2", "-pipeline-depth", "3", "-miner", "apriori"},
 	} {
 		got, intervals, alarms := runWith(combo...)
 		if intervals != wantIntervals || alarms != wantAlarms {
 			t.Fatalf("%v: counts (%d, %d) diverged from (%d, %d)",
 				combo, intervals, alarms, wantIntervals, wantAlarms)
 		}
-		// The eclat run mines the same item-sets by the cross-miner
-		// equivalence; all runs must render byte-identical reports.
+		// The named miners mine the same item-sets as the built-in one by
+		// the cross-miner equivalence; all runs must render byte-identical
+		// reports.
 		if got != want {
 			t.Fatalf("%v: output diverged\ngot:\n%s\nwant:\n%s", combo, got, want)
 		}

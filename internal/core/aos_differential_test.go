@@ -5,11 +5,56 @@ import (
 	"testing"
 
 	"anomalyx/internal/core"
+	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/itemset"
+	"anomalyx/internal/mining/apriori"
+	"anomalyx/internal/prefilter"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/tracegen"
 )
+
+// rowFormExtract is the retained row-form (AoS) extraction every
+// index-based path is pinned against, sharing none of its code: the
+// sequential prefilter.Filter over plain records, itemset.FromFlows, and
+// the paper's own Apriori. It fills the report fields ExtractOffline
+// does.
+func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta detector.MetaData) *core.Report {
+	t.Helper()
+	strategy := cfg.Prefilter
+	if strategy == nil {
+		strategy = prefilter.Union{}
+	}
+	suspicious := prefilter.Filter(strategy, meta, recs)
+	rep := &core.Report{TotalFlows: len(recs), Alarm: true, SuspiciousFlows: len(suspicious)}
+	if cfg.KeepSuspicious {
+		rep.Suspicious = suspicious
+	}
+	if len(suspicious) == 0 {
+		rep.CostReduction = cost.Reduction(len(recs), 0)
+		return rep
+	}
+	rep.MinSupport = cfg.MinSupport
+	if rep.MinSupport == 0 {
+		rel := cfg.RelativeSupport
+		if rel == 0 {
+			rel = 0.05
+		}
+		rep.MinSupport = max(1, int(rel*float64(len(suspicious))))
+	}
+	txs := itemset.FromFlows(suspicious)
+	if cfg.QuantizeSizes {
+		txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
+	}
+	res, err := apriori.New().Mine(txs, rep.MinSupport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Mining, rep.ItemSets = res, res.Maximal
+	rep.CostReduction = cost.Reduction(len(recs), len(res.Maximal))
+	return rep
+}
 
 // diffTrace is the differential harness's workload: seeded tracegen
 // traffic with an injected dstPort flood in interval floodAt, so the
@@ -40,9 +85,10 @@ func diffTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
 // columnar buffer: across the full (shards, workers) grid, every
 // alarming interval's extraction — run online over the pipeline's SoA
 // flow.Buffer through the columnar prefilter scan — must agree exactly
-// with core.ExtractOffline, the retained row-form (AoS) path that
-// filters a plain []flow.Record sequentially, given the same records
-// and the interval's voted meta-data. For the unsharded runs the
+// with rowFormExtract, the retained row-form (AoS) path that filters a
+// plain []flow.Record sequentially and mines it with Apriori, given the
+// same records and the interval's voted meta-data — and so must
+// core.ExtractOffline, field for field. For the unsharded runs the
 // KeepSuspicious forensic slice must match record for record, order
 // included (sharding regroups that one slice by shard; counts and
 // item-sets still pin it).
@@ -52,8 +98,6 @@ func TestPipelineMatchesAoSReference(t *testing.T) {
 		Detector:       detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
 		KeepSuspicious: true,
 	}
-	refCfg := pcfg
-	refCfg.Workers = 1 // the AoS reference stays sequential
 
 	alarmsChecked := 0
 	for _, shards := range []int{1, 2, 4} {
@@ -73,9 +117,14 @@ func TestPipelineMatchesAoSReference(t *testing.T) {
 					continue
 				}
 				alarmsChecked++
-				ref, err := core.ExtractOffline(refCfg, recs, rep.Detection.Meta)
+				ref := rowFormExtract(t, pcfg, recs, rep.Detection.Meta)
+				off, err := core.ExtractOffline(cfg, recs, rep.Detection.Meta)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(off, ref) {
+					t.Fatalf("workers=%d interval %d: ExtractOffline diverged from the AoS reference\ngot:  %+v\nwant: %+v",
+						workers, i, off, ref)
 				}
 				if rep.SuspiciousFlows != ref.SuspiciousFlows {
 					t.Fatalf("shards=%d workers=%d interval %d: SoA selected %d suspicious flows, AoS reference %d",

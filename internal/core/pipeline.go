@@ -22,7 +22,7 @@ import (
 	"anomalyx/internal/histogram"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
-	"anomalyx/internal/mining/apriori"
+	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/prefilter"
 )
 
@@ -41,8 +41,11 @@ type Config struct {
 	// count; the paper's guidance is 1–10% of the input flows (§II-E).
 	// Default 0.05.
 	RelativeSupport float64
-	// Miner is the frequent item-set algorithm (default: the modified
-	// Apriori of §II-B).
+	// Miner is the frequent item-set algorithm. Default (nil): the
+	// built-in columnar Eclat, which mines the suspicious rows in place
+	// in the interval's flow buffer; its item-sets are identical to the
+	// modified Apriori of §II-B. A non-nil Miner is handed the same
+	// rows as transactions instead.
 	Miner mining.Miner
 	// Prefilter selects the suspicious flows from the meta-data
 	// (default: union, the paper's choice).
@@ -67,9 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.RelativeSupport == 0 {
 		c.RelativeSupport = 0.05
-	}
-	if c.Miner == nil {
-		c.Miner = apriori.New()
 	}
 	if c.Prefilter == nil {
 		c.Prefilter = prefilter.Union{}
@@ -129,6 +129,12 @@ type Pipeline struct {
 	// selfGroup is the single-element group EndInterval and BeginClose
 	// close p as, built once so neither allocates it per close.
 	selfGroup []*Pipeline
+
+	// extract is the extraction stage's scratch, allocated by the first
+	// alarm close that has meta-data to extract by, so a pipeline that
+	// never extracts never pays for it. One per pipeline suffices: closes
+	// over one primary are serialized in interval order (see closeGroup).
+	extract *extraction
 
 	// spares is the freelist of reset interval states (clone histograms +
 	// flow buffers) cycled through pipelined closes; spareMu guards it
@@ -230,33 +236,72 @@ func (p *Pipeline) ProcessInterval(recs []flow.Record) (*Report, error) {
 	return p.EndInterval()
 }
 
-// finishExtract populates rep's extraction fields from an
-// already-prefiltered suspicious set: counts, resolved minimum support,
-// mining result, maximal item-sets, and cost reduction. Both extraction
+// extraction is the scratch of the extraction stage (prefilter + mining):
+// per shard the prefilter's survivor row indices, and the built-in
+// miner's tables and bitsets. The stage works on indices end to end — the
+// suspicious flows stay where they are in the interval's columnar
+// buffers — and everything here is grown on demand and kept, so from the
+// second same-shaped alarm on, a close allocates only its report.
+type extraction struct {
+	rows  [][]int32
+	eclat eclat.Scratch
+}
+
+// reset readies x to hold the survivor rows of shards buffers,
+// discarding the previous close's.
+func (x *extraction) reset(shards int) {
+	for len(x.rows) < shards {
+		x.rows = append(x.rows, nil)
+	}
+	x.rows = x.rows[:shards]
+	for i := range x.rows {
+		x.rows[i] = x.rows[i][:0]
+	}
+}
+
+// finish populates rep's extraction fields from the survivor rows
+// x.rows[i] of buffers[i]: counts, resolved minimum support, mining
+// result, maximal item-sets, and cost reduction. Transaction ids follow
+// the concatenation of the row lists in shard order. Both extraction
 // entry points — the interval close and the offline post-mortem — funnel
 // through here so their reports stay field-for-field comparable.
-func finishExtract(cfg Config, rep *Report, suspicious []flow.Record) error {
-	rep.SuspiciousFlows = len(suspicious)
-	if cfg.KeepSuspicious {
-		rep.Suspicious = suspicious
+func (x *extraction) finish(cfg Config, rep *Report, buffers []*flow.Buffer) error {
+	for _, rows := range x.rows {
+		rep.SuspiciousFlows += len(rows)
 	}
-	if len(suspicious) == 0 {
+	if cfg.KeepSuspicious && rep.SuspiciousFlows > 0 {
+		rep.Suspicious = make([]flow.Record, 0, rep.SuspiciousFlows)
+		for i, rows := range x.rows {
+			for _, r := range rows {
+				rep.Suspicious = append(rep.Suspicious, buffers[i].Record(int(r)))
+			}
+		}
+	}
+	if rep.SuspiciousFlows == 0 {
 		rep.CostReduction = cost.Reduction(rep.TotalFlows, 0)
 		return nil
 	}
-	minsup := supportFor(cfg, len(suspicious))
-	rep.MinSupport = minsup
+	rep.MinSupport = supportFor(cfg, rep.SuspiciousFlows)
 
-	txs := itemset.FromFlows(suspicious)
-	if cfg.QuantizeSizes {
-		txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
+	if cfg.Miner == nil {
+		rep.Mining = x.eclat.MineColumns(buffers, x.rows, cfg.QuantizeSizes, rep.MinSupport)
+	} else {
+		// The one fork: an injected miner takes row-form transactions,
+		// built from the columns by survivor index.
+		txs := make([]itemset.Transaction, 0, rep.SuspiciousFlows)
+		for i, rows := range x.rows {
+			txs = itemset.AppendRows(txs, buffers[i], rows)
+		}
+		if cfg.QuantizeSizes {
+			txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
+		}
+		res, err := cfg.Miner.Mine(txs, rep.MinSupport)
+		if err != nil {
+			return fmt.Errorf("core: mining interval %d: %w", rep.Interval, err)
+		}
+		rep.Mining = res
 	}
-	res, err := cfg.Miner.Mine(txs, minsup)
-	if err != nil {
-		return fmt.Errorf("core: mining interval %d: %w", rep.Interval, err)
-	}
-	rep.Mining = res
-	rep.ItemSets = res.Maximal
+	rep.ItemSets = rep.Mining.Maximal
 	rep.CostReduction = cost.Reduction(rep.TotalFlows, len(rep.ItemSets))
 	return nil
 }
@@ -277,13 +322,19 @@ func supportFor(cfg Config, suspicious int) int {
 // ExtractOffline runs the extraction stage alone — the post-mortem mode
 // of §II: given an interval's flows and the alarm meta-data an operator
 // wants to investigate, prefilter and mine without touching detector
-// state. Like the online path it fans the prefilter scan out over
-// cfg.Workers chunks with output identical to a sequential scan.
+// state. It is the online path over a call-local scratch: recs are
+// transposed into a flow.Buffer (far cheaper than the row-form scan it
+// replaces), the prefilter scans the columns — fanned out over
+// cfg.Workers chunks with output identical to a sequential scan — and
+// the survivors are mined in place.
 func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{TotalFlows: len(recs), Alarm: true}
-	suspicious := prefilter.FilterParallel(cfg.Prefilter, meta, recs, cfg.Workers)
-	if err := finishExtract(cfg, rep, suspicious); err != nil {
+	buf := flow.BufferOf(recs)
+	var x extraction
+	x.reset(1)
+	x.rows[0] = prefilter.SelectBuffer(cfg.Prefilter, meta, &buf, cfg.Workers, nil)
+	if err := x.finish(cfg, rep, []*flow.Buffer{&buf}); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -348,11 +399,12 @@ func checkGroup(group []*Pipeline) error {
 //     merged state against the primary bank's history;
 //  2. on an alarm, every shard's flow buffer is prefiltered concurrently
 //     (one goroutine per shard, each fanning further out over its
-//     pipeline's Workers), and the per-shard suspicious sets concatenate
-//     in shard order — the flows a scan of one merged buffer would find,
-//     in the same order, by one parallel pass over buffers that never
-//     leave their shard;
-//  3. the merged suspicious set is mined once.
+//     pipeline's Workers) to the row indices of its suspicious flows;
+//     the per-shard index lists, read in shard order, name the flows a
+//     scan of one merged buffer would find, in the same order, by one
+//     parallel pass over buffers that never leave their shard;
+//  3. the suspicious rows are mined once, where they lie (see
+//     extraction), in the primary's scratch.
 //
 // Every histogram and buffer is left reset, on the error path too:
 // detection history has rotated by the time mining can fail, so state
@@ -375,32 +427,24 @@ func closeGroup(group []*Pipeline, clones [][][]*histogram.Histogram, buffers []
 	}
 	var err error
 	if det.Alarm && det.Meta.Count() > 0 {
-		parts := make([][]flow.Record, len(group))
+		if primary.extract == nil {
+			primary.extract = &extraction{}
+		}
+		x := primary.extract
+		x.reset(len(group))
 		var wg sync.WaitGroup
 		for i, sh := range group {
 			if buffers[i].Len() == 0 {
 				continue
 			}
 			wg.Add(1)
-			go func(i int, sh *Pipeline) {
+			go func() {
 				defer wg.Done()
-				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, buffers[i], sh.cfg.Workers)
-			}(i, sh)
+				x.rows[i] = prefilter.SelectBuffer(sh.cfg.Prefilter, det.Meta, buffers[i], sh.cfg.Workers, x.rows[i])
+			}()
 		}
 		wg.Wait()
-		n := 0
-		for _, part := range parts {
-			n += len(part)
-		}
-		// Keep the no-match case nil, as the sequential Filter returns it.
-		var suspicious []flow.Record
-		if n > 0 {
-			suspicious = make([]flow.Record, 0, n)
-			for _, part := range parts {
-				suspicious = append(suspicious, part...)
-			}
-		}
-		err = finishExtract(primary.cfg, rep, suspicious)
+		err = x.finish(primary.cfg, rep, buffers)
 	}
 	for _, buf := range buffers {
 		buf.Reset()

@@ -234,9 +234,13 @@ func (m *failOnceMiner) Mine(txs []itemset.Transaction, minsup int) (*mining.Res
 
 // TestFailedMiningLeavesIntervalClean: detection history has rotated by
 // the time mining can fail, so every close entry point must still leave
-// its histograms and buffers reset — the close after a failed one reports
-// only its own flows — and a failed Finish must still recycle its drained
-// state (exactly two clone sets ever cycle through BeginClose).
+// its histograms, buffers and extraction scratch reset — every close
+// after a failed one, a second flood extraction over the failed one's
+// survivor indices included, reports exactly what a group that never
+// failed reports — and a failed Finish must still recycle its drained
+// state (exactly two clone sets ever cycle through BeginClose). The
+// failing group mines through an injected miner, the reference through
+// the built-in path, so the comparison spans the extraction fork too.
 func TestFailedMiningLeavesIntervalClean(t *testing.T) {
 	drained := make(map[*histogram.Histogram]int)
 	cases := []struct {
@@ -265,22 +269,35 @@ func TestFailedMiningLeavesIntervalClean(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			newGroup := func(cfg Config) []*Pipeline {
+				group := make([]*Pipeline, tc.shards)
+				for i := range group {
+					p, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(p.Close)
+					group[i] = p
+				}
+				return group
+			}
 			cfg := testConfig()
+			ref := newGroup(cfg)
 			cfg.Miner = &failOnceMiner{Miner: apriori.New()}
-			group := make([]*Pipeline, tc.shards)
-			for i := range group {
-				p, err := New(cfg)
+			group := newGroup(cfg)
+			r := stats.NewRand(9)
+			// feed gives both groups the same interval and closes the
+			// never-failing reference.
+			feed := func(nAnom int) *Report {
+				for i, rec := range closeInterval(r, 3000, nAnom) {
+					group[i%tc.shards].Observe(rec)
+					ref[i%tc.shards].Observe(rec)
+				}
+				want, err := EndIntervalGroup(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer p.Close()
-				group[i] = p
-			}
-			r := stats.NewRand(9)
-			feed := func(nAnom int) {
-				for i, rec := range closeInterval(r, 3000, nAnom) {
-					group[i%tc.shards].Observe(rec)
-				}
+				return want
 			}
 			for i := 0; i < 10; i++ {
 				feed(0)
@@ -292,22 +309,100 @@ func TestFailedMiningLeavesIntervalClean(t *testing.T) {
 			if _, err := tc.close(group); err == nil {
 				t.Fatal("flood interval closed without surfacing the mining failure")
 			}
-			// Two more closes: a state the failed finish dropped instead of
-			// recycling is replaced at the first and shows up at the second.
-			for i := 0; i < 2; i++ {
-				feed(0)
+			// More closes: a state the failed finish dropped instead of
+			// recycling is replaced at the first and shows up at the second;
+			// the flood among them extracts again, through the scratch the
+			// failed close left behind.
+			mined := false
+			for i, nAnom := range []int{0, 1500, 0} {
+				want := feed(nAnom)
 				rep, err := tc.close(group)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.TotalFlows != 3000 {
-					t.Errorf("close %d after the failed one reports %d flows, want its own 3000", i+1, rep.TotalFlows)
+				if !reflect.DeepEqual(rep, want) {
+					t.Errorf("close %d after the failed one diverged from a group that never failed\ngot:  %+v\nwant: %+v", i+1, rep, want)
 				}
+				mined = mined || rep.Mining != nil
+			}
+			if !mined {
+				t.Error("no close after the failed one extracted; the scratch was never reused")
 			}
 			if tc.check != nil {
 				tc.check(t, group)
 			}
 		})
+	}
+}
+
+// TestAlarmCloseAllocsIndependentOfSurvivors pins the extraction stage's
+// allocation discipline: once a pipeline has closed one alarm of a given
+// shape, closing another allocates the report — detection result, found
+// item-sets, mining.BuildResult — and nothing proportional to the
+// suspicious flows. Two pipelines see the same stream, the second with
+// every record repeated four times and four times the minimum support:
+// identical distributions, detection and item-sets, four times the
+// survivors. Their steady-state alarm closes must allocate exactly
+// alike, and far less than one allocation per survivor.
+func TestAlarmCloseAllocsIndependentOfSurvivors(t *testing.T) {
+	const minsup = 100
+	var allocs, survivors [2]float64
+	for k, repeat := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.MinSupport, cfg.Workers = minsup*repeat, 1
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		r := stats.NewRand(9)
+		interval := func(nAnom int) []flow.Record {
+			base := closeInterval(r, 3000, nAnom)
+			recs := make([]flow.Record, 0, len(base)*repeat)
+			for _, rec := range base {
+				for i := 0; i < repeat; i++ {
+					recs = append(recs, rec)
+				}
+			}
+			return recs
+		}
+		quiet, flood := interval(0), interval(1500)
+		for i := 0; i < 10; i++ {
+			if _, err := p.ProcessInterval(quiet); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One cycle is a flood close and three quiet ones, which keep the
+		// detector's history quiet enough for the next flood to alarm with
+		// the same meta-data — the same-shaped close — four times over.
+		cycle := func() {
+			rep, err := p.ProcessInterval(flood)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Mining == nil || (survivors[k] != 0 && float64(rep.SuspiciousFlows) != survivors[k]) {
+				t.Fatalf("flood interval extracted %d flows (mined: %v), want the first cycle's %v",
+					rep.SuspiciousFlows, rep.Mining != nil, survivors[k])
+			}
+			survivors[k] = float64(rep.SuspiciousFlows)
+			for i := 0; i < 3; i++ {
+				if _, err := p.ProcessInterval(quiet); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cycle() // the first alarm of this shape grows the scratch
+		allocs[k] = testing.AllocsPerRun(2, cycle)
+	}
+	if survivors[1] != 4*survivors[0] {
+		t.Fatalf("survivors %v: the repeated stream must select four times as many", survivors)
+	}
+	t.Logf("allocs per cycle %v, survivors %v", allocs, survivors)
+	if allocs[0] != allocs[1] {
+		t.Errorf("steady-state allocations grew with the survivors: %v allocs for %v survivors", allocs, survivors)
+	}
+	if allocs[0] > survivors[0]/4 {
+		t.Errorf("%v allocs per cycle for %v survivors: something allocates per survivor", allocs[0], survivors[0])
 	}
 }
 

@@ -57,11 +57,12 @@ func TestPipelineConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Config().Miner == nil || p.Config().Prefilter == nil {
+	if p.Config().Prefilter == nil || p.Config().RelativeSupport != 0.05 {
 		t.Error("defaults not applied")
 	}
-	if p.Config().Miner.Name() != "apriori" {
-		t.Errorf("default miner %q", p.Config().Miner.Name())
+	// A nil Miner is the default: it selects the built-in columnar Eclat.
+	if m := p.Config().Miner; m != nil {
+		t.Errorf("default miner %q, want none", m.Name())
 	}
 }
 

@@ -3,12 +3,12 @@
 // feature, and frequent item-set mining searches for sets of (feature,
 // value) pairs shared by at least a minimum-support number of flows.
 //
-// Ordering guarantees: FromFlows preserves flow order (transaction i is
-// flow i), NewSet canonicalizes a set's items into ascending
-// feature-kind order, and SortSets orders result slices by descending
-// support with size and lexicographic tiebreaks — the deterministic
-// shapes the cross-miner equivalence and byte-identical-report tests
-// rely on.
+// Ordering guarantees: FromFlows and AppendRows preserve flow order
+// (transaction i is flow i), NewSet canonicalizes a set's items into
+// ascending feature-kind order, and SortSets orders result slices by
+// descending support with size and lexicographic tiebreaks — the
+// deterministic shapes the cross-miner equivalence and
+// byte-identical-report tests rely on.
 package itemset
 
 import (
@@ -60,6 +60,20 @@ func FromFlows(recs []flow.Record) []Transaction {
 		out[i] = FromFlow(&recs[i])
 	}
 	return out
+}
+
+// AppendRows appends the transactions of the given rows of buf to dst,
+// in rows order — FromFlows without the intermediate row-form records.
+func AppendRows(dst []Transaction, buf *flow.Buffer, rows []int32) []Transaction {
+	for _, r := range rows {
+		dst = append(dst, Transaction{
+			flow.SrcIP: uint64(buf.SrcAddr[r]), flow.DstIP: uint64(buf.DstAddr[r]),
+			flow.SrcPort: uint64(buf.SrcPort[r]), flow.DstPort: uint64(buf.DstPort[r]),
+			flow.Proto: uint64(buf.Protocol[r]), flow.Packets: uint64(buf.Packets[r]),
+			flow.Bytes: buf.Bytes[r],
+		})
+	}
+	return dst
 }
 
 // Item returns the transaction's item of kind k.

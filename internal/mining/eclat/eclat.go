@@ -1,22 +1,25 @@
 // Package eclat implements the Eclat frequent item-set miner (vertical
-// tid-list intersection, Zaki [35] in the paper's bibliography) plus the
-// sliding-window variant sketched by Li and Deng [21] for monitoring
-// flows in motion. Both produce exactly the same frequent item-sets as
-// the Apriori and FP-Growth implementations.
+// tid-set intersection, Zaki [35] in the paper's bibliography) over tid
+// bitsets: every frequent item carries one bit per transaction, and the
+// support of a combination is the popcount of a word-wise AND. It is the
+// pipeline's built-in miner (Scratch.MineColumns mines prefilter survivor
+// rows straight off flow.Buffer columns), the row-form mining.Miner, and
+// the sliding-window variant sketched by Li and Deng [21] — three feeders
+// of one search. All produce exactly the frequent item-sets of the
+// Apriori and FP-Growth implementations.
 //
-// The miner optionally parallelizes over first-item equivalence classes
-// (Parallel): the depth-first search below each frequent 1-item prefix
-// touches only tid-list intersections of that prefix, so the classes
-// mine independently and their results concatenate in canonical item
-// order — the exact slice the sequential search produces.
+// Determinism: frequent items enter the search in canonical (kind, value)
+// order whatever order the transactions arrive in, and mining.BuildResult
+// sorts the output, so a Result depends only on the multiset of
+// transactions. The optional fan-out over first-item equivalence classes
+// (Parallel) concatenates class results in item order — the exact slice
+// the sequential search produces.
 package eclat
 
 import (
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
+	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 )
@@ -46,152 +49,72 @@ func (m *Miner) Parallel(workers int) *Miner {
 // Name implements mining.Miner.
 func (m *Miner) Name() string { return "eclat" }
 
-// vert is one item with its transaction-id list (always sorted).
-type vert struct {
-	item itemset.Item
-	tids []int32
-}
-
-// Mine implements mining.Miner.
+// Mine implements mining.Miner over a call-local Scratch, so one Miner
+// may serve concurrent callers.
 func (m *Miner) Mine(txs []itemset.Transaction, minsup int) (*mining.Result, error) {
 	if err := mining.ValidateInput(txs, minsup); err != nil {
 		return nil, err
 	}
-
-	lists := make(map[itemset.Item][]int32)
-	for i := range txs {
-		for _, it := range txs[i].Items() {
-			lists[it] = append(lists[it], int32(i))
+	var s Scratch
+	s.begin(len(txs), minsup)
+	for _, k := range flow.AllFeatures {
+		for i := range txs {
+			s.slot[i] = s.add(txs[i][k])
 		}
+		s.closeColumn(k)
 	}
-	var roots []vert
-	//detlint:ok maprange -- mineVertical sorts roots into canonical item order before the DFS (contract: mining is order-insensitive)
-	for it, tids := range lists {
-		if len(tids) >= minsup {
-			roots = append(roots, vert{item: it, tids: tids})
-		}
-	}
-	all := mineVertical(roots, minsup, m.workers)
-	return mining.BuildResult(all, len(txs), minsup), nil
+	return mining.BuildResult(s.mine(m.workers), len(txs), minsup), nil
 }
 
-// mineVertical runs the tid-list search from the given frequent 1-item
-// verticals: sorted into canonical order, then one equivalence class per
-// root, mined sequentially or over a worker pool. Class results always
-// concatenate in root order, so the output is independent of the worker
-// count.
-func mineVertical(roots []vert, minsup, workers int) []itemset.Set {
-	// Canonical order keeps the DFS deterministic.
-	sort.Slice(roots, func(i, j int) bool { return roots[i].item.Less(roots[j].item) })
-
-	if workers > len(roots) {
-		workers = len(roots)
+// MineColumns mines the transactions formed by rows[i] of bufs[i], for
+// every i in order: transaction ids follow the concatenation of the row
+// lists, and no transaction is materialized — each feature column is
+// counted and bit-marked in place. quantize buckets the packets and
+// bytes items to powers of two (itemset.Log2Bucket) as a value map on
+// those two columns. minsup must be positive. The Result is deeply equal
+// to what any mining.Miner returns for the same transactions; s is left
+// ready for the next call, keeping its memory.
+func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, quantize bool, minsup int) *mining.Result {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
 	}
-	if workers <= 1 {
-		var all []itemset.Set
-		for i := range roots {
-			all = mineClass(all, roots, i, minsup)
-		}
-		return all
-	}
-
-	// Parallel: classes are independent (class i only intersects
-	// roots[i].tids with roots[i+1:]), so a worker pool drains an atomic
-	// class counter and the per-class slices merge in class order.
-	results := make([][]itemset.Set, len(roots))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(roots) {
-					return
-				}
-				results[i] = mineClass(nil, roots, i, minsup)
+	s.begin(n, minsup)
+	for _, k := range flow.AllFeatures {
+		tid := 0
+		for i, b := range bufs {
+			switch k {
+			case flow.SrcIP:
+				count(s, b.SrcAddr, rows[i], tid, false)
+			case flow.DstIP:
+				count(s, b.DstAddr, rows[i], tid, false)
+			case flow.SrcPort:
+				count(s, b.SrcPort, rows[i], tid, false)
+			case flow.DstPort:
+				count(s, b.DstPort, rows[i], tid, false)
+			case flow.Proto:
+				count(s, b.Protocol, rows[i], tid, false)
+			case flow.Packets:
+				count(s, b.Packets, rows[i], tid, quantize)
+			case flow.Bytes:
+				count(s, b.Bytes, rows[i], tid, quantize)
 			}
-		}()
+			tid += len(rows[i])
+		}
+		s.closeColumn(k)
 	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	all := make([]itemset.Set, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	return all
+	return mining.BuildResult(s.mine(1), n, minsup)
 }
 
-// mineClass appends to out every frequent item-set of the equivalence
-// class rooted at roots[i] — the sets whose smallest item (in canonical
-// order) is roots[i].item — in depth-first order, and returns out.
-func mineClass(out []itemset.Set, roots []vert, i, minsup int) []itemset.Set {
-	prefix := []itemset.Item{roots[i].item}
-	out = append(out, itemset.NewSet(prefix, len(roots[i].tids)))
-	var next []vert
-	for j := i + 1; j < len(roots); j++ {
-		// Two items of the same feature kind never co-occur.
-		if roots[j].item.Kind == roots[i].item.Kind {
-			continue
+// count feeds the values of col at rows into the column being counted,
+// as transactions tid, tid+1, ...
+func count[T ~uint8 | ~uint16 | ~uint32 | ~uint64](s *Scratch, col []T, rows []int32, tid int, quantize bool) {
+	for _, r := range rows {
+		v := uint64(col[r])
+		if quantize {
+			v = itemset.Log2Bucket(v)
 		}
-		tids := intersect(roots[i].tids, roots[j].tids)
-		if len(tids) >= minsup {
-			next = append(next, vert{item: roots[j].item, tids: tids})
-		}
+		s.slot[tid] = s.add(v)
+		tid++
 	}
-	if len(next) > 0 {
-		out = dfs(out, prefix, next, minsup)
-	}
-	return out
-}
-
-// dfs extends prefix with every frequent combination of ext (ordered
-// candidate verticals whose tid-lists are already restricted to the
-// prefix), appending each discovered set to out in depth-first order.
-func dfs(out []itemset.Set, prefix []itemset.Item, ext []vert, minsup int) []itemset.Set {
-	for i := range ext {
-		withItem := append(prefix, ext[i].item)
-		out = append(out, itemset.NewSet(withItem, len(ext[i].tids)))
-
-		var next []vert
-		for j := i + 1; j < len(ext); j++ {
-			if ext[j].item.Kind == ext[i].item.Kind {
-				continue
-			}
-			tids := intersect(ext[i].tids, ext[j].tids)
-			if len(tids) >= minsup {
-				next = append(next, vert{item: ext[j].item, tids: tids})
-			}
-		}
-		if len(next) > 0 {
-			out = dfs(out, withItem, next, minsup)
-		}
-	}
-	return out
-}
-
-// intersect merges two sorted tid-lists.
-func intersect(a, b []int32) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	out := make([]int32, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -1,80 +1,49 @@
 package eclat
 
 import (
+	"reflect"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
 )
 
-func TestIntersect(t *testing.T) {
-	cases := []struct {
-		a, b, want []int32
-	}{
-		{[]int32{1, 2, 3}, []int32{2, 3, 4}, []int32{2, 3}},
-		{[]int32{1, 5, 9}, []int32{2, 6, 10}, []int32{}},
-		{nil, []int32{1}, []int32{}},
-		{[]int32{7}, []int32{7}, []int32{7}},
-		{[]int32{1, 2, 3, 4, 5}, []int32{3}, []int32{3}},
+func TestAnd(t *testing.T) {
+	a := []uint64{0b1110, ^uint64(0), 0}
+	b := []uint64{0b0111, 1 << 63, 5}
+	dst := []uint64{9, 9, 9}
+	if n := and(dst, a, b); n != 3 {
+		t.Errorf("and counted %d bits, want 3", n)
 	}
-	for _, c := range cases {
-		got := intersect(c.a, c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("intersect(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("intersect(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-			}
-		}
+	if want := []uint64{0b0110, 1 << 63, 0}; !slices.Equal(dst, want) {
+		t.Errorf("and stored %b, want %b", dst, want)
+	}
+	if n := and(nil, nil, nil); n != 0 {
+		t.Errorf("empty and counted %d bits", n)
 	}
 }
 
-func TestIntersectCommutative(t *testing.T) {
-	f := func(aRaw, bRaw []uint16) bool {
-		a := sortedTids(aRaw)
-		b := sortedTids(bRaw)
-		x := intersect(a, b)
-		y := intersect(b, a)
-		if len(x) != len(y) {
-			return false
+// searchOver builds a search over n transactions from (item, tids) roots
+// given in canonical order.
+func searchOver(n, minsup int, items []itemset.Item, tids [][]int) *search {
+	s := &search{}
+	s.begin(n, minsup)
+	for i, it := range items {
+		b := s.addRoot(it, len(tids[i]))
+		for _, t := range tids[i] {
+			b[t>>6] |= 1 << (t & 63)
 		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	return s
 }
 
-func sortedTids(raw []uint16) []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, v := range raw {
-		seen[int32(v)] = true
-	}
-	for v := int32(0); v < 65536; v++ {
-		if seen[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func TestMineVerticalDFS(t *testing.T) {
+func TestSearchDFS(t *testing.T) {
 	a := itemset.Item{Kind: flow.SrcIP, Value: 1}
 	b := itemset.Item{Kind: flow.DstIP, Value: 2}
-	roots := []vert{
-		{item: a, tids: []int32{0, 1, 2, 3}},
-		{item: b, tids: []int32{0, 1, 2}},
-	}
-	all := mineVertical(roots, 3, 1)
+	// Tids straddle a word boundary: n is not a multiple of 64.
+	s := searchOver(70, 3, []itemset.Item{a, b}, [][]int{{0, 1, 64, 69}, {0, 64, 69}})
+	all := s.mine(1)
 	// {a}:4, {b}:3, {a,b}:3.
 	if len(all) != 3 {
 		t.Fatalf("sets = %v", all)
@@ -83,22 +52,42 @@ func TestMineVerticalDFS(t *testing.T) {
 	for i := range all {
 		found[all[i].String()] = all[i].Support
 	}
-	if found["{srcIP=0.0.0.1} (support 4)"] != 4 {
-		t.Errorf("missing {a}: %v", found)
+	if found["{srcIP=0.0.0.1} (support 4)"] != 4 || found["{srcIP=0.0.0.1, dstIP=0.0.0.2} (support 3)"] != 3 {
+		t.Errorf("missing sets: %v", found)
 	}
 }
 
-func TestMineVerticalSkipsSameKind(t *testing.T) {
+func TestSearchSkipsSameKind(t *testing.T) {
 	p80 := itemset.Item{Kind: flow.DstPort, Value: 80}
 	p443 := itemset.Item{Kind: flow.DstPort, Value: 443}
-	roots := []vert{
-		{item: p80, tids: []int32{0, 1}},
-		{item: p443, tids: []int32{2, 3}},
-	}
-	all := mineVertical(roots, 2, 1)
+	all := searchOver(4, 2, []itemset.Item{p80, p443}, [][]int{{0, 1}, {2, 3}}).mine(1)
 	for i := range all {
 		if all[i].Size() > 1 {
 			t.Errorf("same-kind combination emitted: %v", all[i])
+		}
+	}
+}
+
+// TestScratchReuse: one Scratch mined over differently shaped inputs in
+// turn — growing, shrinking, empty — returns what a fresh one does, so no
+// table entry, slot or bitset leaks from one run into the next.
+func TestScratchReuse(t *testing.T) {
+	var shared Scratch
+	for _, n := range []int{300, 40, 0, 1, 65, 300} {
+		recs := make([]flow.Record, n)
+		rows := make([]int32, n)
+		for i := range recs {
+			recs[i] = flow.Record{SrcAddr: uint32(i % 3), DstPort: uint16(i % 2), Packets: uint32(i%5 + 2), Bytes: uint64(i)}
+			rows[i] = int32(i)
+		}
+		buf := flow.BufferOf(recs)
+		bufs, sel := []*flow.Buffer{&buf}, [][]int32{rows}
+		for _, quantize := range []bool{false, true} {
+			var fresh Scratch
+			want := fresh.MineColumns(bufs, sel, quantize, max(1, n/10))
+			if got := shared.MineColumns(bufs, sel, quantize, max(1, n/10)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d quantize=%v: reused scratch diverged\ngot:  %+v\nwant: %+v", n, quantize, got, want)
+			}
 		}
 	}
 }

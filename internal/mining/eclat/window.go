@@ -1,6 +1,8 @@
 package eclat
 
 import (
+	"sort"
+
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 )
@@ -80,23 +82,27 @@ func (w *Window) Mine(minsup int) (*mining.Result, error) {
 		return nil, err
 	}
 	min := w.minTid()
-	var roots []vert
-	//detlint:ok maprange -- mineVertical sorts roots into canonical item order before the DFS (contract: mining is order-insensitive)
-	for it, tids := range w.lists {
-		i := lowerBound(tids, min)
-		livePart := tids[i:]
-		if len(livePart) < minsup {
-			continue
-		}
-		// Re-base onto int32 offsets for the shared DFS.
-		rebased := make([]int32, len(livePart))
-		for j, t := range livePart {
-			rebased[j] = int32(t - min)
-		}
-		roots = append(roots, vert{item: it, tids: rebased})
+	type root struct {
+		item itemset.Item
+		tids []int64
 	}
-	all := mineVertical(roots, minsup, 1)
-	return mining.BuildResult(all, w.live, minsup), nil
+	var roots []root
+	for it, tids := range w.lists {
+		if live := tids[lowerBound(tids, min):]; len(live) >= minsup {
+			roots = append(roots, root{it, live})
+		}
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].item.Less(roots[j].item) })
+	var s search
+	s.begin(w.live, minsup)
+	for _, r := range roots {
+		// Re-base the live tids onto window offsets for the shared search.
+		b := s.addRoot(r.item, len(r.tids))
+		for _, t := range r.tids {
+			b[(t-min)>>6] |= 1 << ((t - min) & 63)
+		}
+	}
+	return mining.BuildResult(s.mine(1), w.live, minsup), nil
 }
 
 // lowerBound returns the first index whose tid is >= min.

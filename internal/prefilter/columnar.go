@@ -11,66 +11,68 @@ import (
 // scanning a flow.Buffer column by column instead of gathering rows. A
 // strategy that implements ColumnStrategy is driven one feature column
 // at a time — the scan touches only the columns the meta-data actually
-// annotates, cache-linear over each — and rows are materialized only
-// for the matches. Strategies without a columnar form fall back to a
-// row gather per record, preserving exact Match semantics.
+// annotates, cache-linear over each — and its outcome is the matching
+// rows' indices: SelectBuffer is the one scan, and the extraction stage
+// mines those indices without ever materializing a row. Strategies
+// without a columnar form fall back to a row gather per record,
+// preserving exact Match semantics.
 //
-// Ordering guarantee: like Filter/FilterParallel, the buffer variants
-// return matches in row order, and the parallel variant concatenates
-// per-chunk output in range order — byte-identical to the sequential
-// scan for every worker count, and element-identical to the row-form
-// Filter over the same records (the differential tests pin both).
+// Ordering guarantee: like Filter/FilterParallel, SelectBuffer and its
+// gathering views return matches in row order, and a parallel scan
+// concatenates per-chunk output in range order — byte-identical to the
+// sequential scan for every worker count, and element-identical to the
+// row-form Filter over the same records (the differential tests pin
+// both).
 
 // ColumnStrategy is implemented by strategies that can evaluate a
-// columnar chunk directly. MatchColumns must set matched[i-lo] to true
+// columnar chunk directly. MatchColumns must set matched[i-lo] non-zero
 // for exactly the rows i in [lo, hi) the strategy's Match would select,
-// and leave other entries false; matched arrives zeroed with length
+// and leave other entries zero; matched arrives zeroed with length
 // hi-lo.
 type ColumnStrategy interface {
 	Strategy
-	MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []bool)
+	MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32)
 }
 
-// featureColumns visits the annotated feature columns of buf[lo:hi] in
-// canonical feature order, calling mark with the annotated value set
-// and a typed column visitor. It is the shared traversal of both
-// columnar strategies.
-func markColumn(vals map[uint64]struct{}, buf *flow.Buffer, k flow.FeatureKind, lo, hi int, mark func(row int, in bool)) {
+// markColumn visits feature column k of buf[lo:hi]. With all unset it
+// marks the rows holding one of vals (the union step); with all set it
+// unmarks the still-marked rows holding none (the intersection step).
+func markColumn(vals map[uint64]struct{}, buf *flow.Buffer, k flow.FeatureKind, lo, hi int, matched []int32, all bool) {
 	switch k {
 	case flow.SrcIP:
-		for i, v := range buf.SrcAddr[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.SrcAddr[lo:hi], matched, all)
 	case flow.DstIP:
-		for i, v := range buf.DstAddr[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.DstAddr[lo:hi], matched, all)
 	case flow.SrcPort:
-		for i, v := range buf.SrcPort[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.SrcPort[lo:hi], matched, all)
 	case flow.DstPort:
-		for i, v := range buf.DstPort[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.DstPort[lo:hi], matched, all)
 	case flow.Proto:
-		for i, v := range buf.Protocol[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.Protocol[lo:hi], matched, all)
 	case flow.Packets:
-		for i, v := range buf.Packets[lo:hi] {
-			_, ok := vals[uint64(v)]
-			mark(i, ok)
-		}
+		markValues(vals, buf.Packets[lo:hi], matched, all)
 	case flow.Bytes:
-		for i, v := range buf.Bytes[lo:hi] {
-			_, ok := vals[v]
-			mark(i, ok)
+		markValues(vals, buf.Bytes[lo:hi], matched, all)
+	}
+}
+
+func markValues[T ~uint8 | ~uint16 | ~uint32 | ~uint64](vals map[uint64]struct{}, col []T, matched []int32, all bool) {
+	// Either way, only the rows this column can still change are looked up.
+	if all {
+		for i, v := range col {
+			if matched[i] != 0 {
+				if _, in := vals[uint64(v)]; !in {
+					matched[i] = 0
+				}
+			}
+		}
+		return
+	}
+	for i, v := range col {
+		if matched[i] == 0 {
+			if _, in := vals[uint64(v)]; in {
+				matched[i] = 1
+			}
 		}
 	}
 }
@@ -78,17 +80,11 @@ func markColumn(vals map[uint64]struct{}, buf *flow.Buffer, k flow.FeatureKind, 
 // MatchColumns implements ColumnStrategy: a row matches when any
 // annotated feature column holds an annotated value at it. Only the
 // annotated columns are read.
-func (Union) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []bool) {
+func (Union) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32) {
 	for _, k := range flow.AllFeatures {
-		vals := m[k]
-		if len(vals) == 0 {
-			continue
+		if vals := m[k]; len(vals) > 0 {
+			markColumn(vals, buf, k, lo, hi, matched, false)
 		}
-		markColumn(vals, buf, k, lo, hi, func(row int, in bool) {
-			if in {
-				matched[row] = true
-			}
-		})
 	}
 }
 
@@ -96,122 +92,113 @@ func (Union) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, mat
 // annotated feature column holds an annotated value at it (and at
 // least one feature is annotated, mirroring MatchesFlowAll on the
 // empty annotation).
-func (Intersection) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []bool) {
-	any := false
+func (Intersection) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32) {
+	if m.Count() == 0 {
+		return
+	}
+	for i := range matched {
+		matched[i] = 1
+	}
 	for _, k := range flow.AllFeatures {
-		vals := m[k]
-		if len(vals) == 0 {
-			continue
+		if vals := m[k]; len(vals) > 0 {
+			markColumn(vals, buf, k, lo, hi, matched, true)
 		}
-		if !any {
-			any = true
-			markColumn(vals, buf, k, lo, hi, func(row int, in bool) {
-				matched[row] = in
-			})
-			continue
-		}
-		markColumn(vals, buf, k, lo, hi, func(row int, in bool) {
-			if !in {
-				matched[row] = false
-			}
-		})
 	}
 }
 
-// scanBuffer is the columnar counterpart of scan: it evaluates strategy
-// s over rows [lo, hi) of buf, returning the match count and, when
-// collect is set, the matching rows gathered in row order (nil
-// otherwise, and nil on no matches).
-func scanBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer, lo, hi int, collect bool) ([]flow.Record, int) {
+// selectRange scans rows [lo, hi) of buf and writes the indices of the
+// rows strategy s selects, ascending, to the front of dst — which must
+// have length hi-lo and doubles as the scan's match-mark array — and
+// returns how many there are.
+func selectRange(s Strategy, m detector.MetaData, buf *flow.Buffer, lo, hi int, dst []int32) int {
+	n := 0
 	cs, columnar := s.(ColumnStrategy)
 	if !columnar {
 		// Row-gather fallback for strategies without a columnar form.
-		var out []flow.Record
-		n := 0
 		for i := lo; i < hi; i++ {
-			rec := buf.Record(i)
-			if s.Match(m, &rec) {
+			if rec := buf.Record(i); s.Match(m, &rec) {
+				dst[n] = int32(i)
 				n++
-				if collect {
-					out = append(out, rec)
-				}
 			}
 		}
-		return out, n
+		return n
 	}
-	matched := make([]bool, hi-lo)
-	cs.MatchColumns(m, buf, lo, hi, matched)
-	n := 0
-	for _, ok := range matched {
-		if ok {
+	clear(dst)
+	cs.MatchColumns(m, buf, lo, hi, dst)
+	// Compact in place: the write position never passes the read one.
+	for i, ok := range dst {
+		if ok != 0 {
+			dst[n] = int32(lo + i)
 			n++
 		}
 	}
-	if !collect || n == 0 {
-		return nil, n
+	return n
+}
+
+// SelectBuffer is the one columnar scan: it returns the indices of the
+// rows of buf that strategy s selects under meta-data m, ascending. The
+// result reuses dst's memory when its capacity covers buf.Len() (dst's
+// contents are ignored), so a caller that passes the previous result
+// back scans without allocating. workers follows the Config.Workers
+// convention (0 = GOMAXPROCS, <= 1 or small inputs run sequentially):
+// contiguous row ranges are scanned concurrently and their selections
+// concatenated in range order.
+func SelectBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer, workers int, dst []int32) []int32 {
+	n := buf.Len()
+	if cap(dst) < n {
+		dst = make([]int32, n)
 	}
-	out := make([]flow.Record, 0, n)
-	for i, ok := range matched {
-		if ok {
-			out = append(out, buf.Record(lo+i))
-		}
+	dst = dst[:n]
+	workers = resolveWorkers(workers, n)
+	if workers <= 1 || n < minParallelRecords {
+		return dst[:selectRange(s, m, buf, 0, n, dst)]
 	}
-	return out, n
+	counts := make([]int, workers)
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w*chunk < n; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[w] = selectRange(s, m, buf, lo, hi, dst[lo:hi])
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for w, c := range counts {
+		total += copy(dst[total:], dst[w*chunk:w*chunk+c])
+	}
+	return dst[:total]
+}
+
+// gather materializes rows of buf in row form; no rows gather to nil,
+// matching Filter's append-to-nil shape.
+func gather(buf *flow.Buffer, rows []int32) []flow.Record {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]flow.Record, len(rows))
+	for i, r := range rows {
+		out[i] = buf.Record(int(r))
+	}
+	return out
 }
 
 // FilterBuffer returns the rows of buf selected by strategy s under
 // meta-data m, in row order — Filter over the columnar buffer.
 func FilterBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer) []flow.Record {
-	out, _ := scanBuffer(s, m, buf, 0, buf.Len(), true)
-	return out
+	return gather(buf, SelectBuffer(s, m, buf, 1, nil))
 }
 
-// CountBuffer returns how many rows of buf strategy s selects, without
-// materializing them.
+// CountBuffer returns how many rows of buf strategy s selects.
 func CountBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer) int {
-	_, n := scanBuffer(s, m, buf, 0, buf.Len(), false)
-	return n
+	return len(SelectBuffer(s, m, buf, 1, nil))
 }
 
-// FilterBufferParallel is FilterBuffer over the chunked worker fan-out
-// of FilterParallel: contiguous row ranges scanned concurrently,
-// per-chunk output concatenated in range order — byte-identical to the
-// sequential FilterBuffer for every worker count. workers follows the
-// Config.Workers convention (0 = GOMAXPROCS, <= 1 or small inputs run
-// sequentially).
+// FilterBufferParallel is FilterBuffer over SelectBuffer's chunked
+// worker fan-out — byte-identical to the sequential FilterBuffer for
+// every worker count.
 func FilterBufferParallel(s Strategy, m detector.MetaData, buf *flow.Buffer, workers int) []flow.Record {
-	n := buf.Len()
-	workers = resolveWorkers(workers, n)
-	if workers <= 1 || n < minParallelRecords {
-		return FilterBuffer(s, m, buf)
-	}
-	parts := make([][]flow.Record, workers)
-	counts := make([]int, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w], counts[w] = scanBuffer(s, m, buf, lo, hi, true)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]flow.Record, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
+	return gather(buf, SelectBuffer(s, m, buf, workers, nil))
 }

@@ -47,9 +47,11 @@ func fuzzMeta(data []byte) detector.MetaData {
 	return m
 }
 
-// FuzzPrefilterParity fuzzes the two §II-A invariants at once: the
-// chunked parallel scan is byte-identical to the sequential one for both
-// strategies and any worker count, and the union selection contains the
+// FuzzPrefilterParity fuzzes the §II-A invariants at once: the chunked
+// parallel scan is byte-identical to the sequential one for both
+// strategies and any worker count, the columnar SelectBuffer's row
+// indices gather to exactly the row-form Filter's records (into fresh or
+// recycled index memory), and the union selection contains the
 // intersection selection pointwise (a flow matching every annotated
 // feature necessarily matches at least one).
 func FuzzPrefilterParity(f *testing.F) {
@@ -66,6 +68,8 @@ func FuzzPrefilterParity(f *testing.F) {
 		}
 		m := fuzzMeta(metaBytes)
 		recs := fuzzRecords(recBytes)
+		buf := flow.BufferOf(recs)
+		var rows []int32
 
 		for _, s := range []Strategy{Union{}, Intersection{}} {
 			want := Filter(s, m, recs)
@@ -73,8 +77,13 @@ func FuzzPrefilterParity(f *testing.F) {
 				t.Fatalf("%s workers=%d: FilterParallel diverged: %d vs %d records",
 					s.Name(), w, len(got), len(want))
 			}
-			if got, wantN := CountParallel(s, m, recs, w), len(want); got != wantN {
-				t.Fatalf("%s workers=%d: CountParallel = %d, want %d", s.Name(), w, got, wantN)
+			for _, workers := range []int{1, w} {
+				// rows carries the previous scan's indices back in.
+				rows = SelectBuffer(s, m, &buf, workers, rows)
+				if got := gather(&buf, rows); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s workers=%d: SelectBuffer named %d rows, Filter selected %d",
+						s.Name(), workers, len(rows), len(want))
+				}
 			}
 		}
 

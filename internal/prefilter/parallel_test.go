@@ -39,23 +39,37 @@ func syntheticMeta() detector.MetaData {
 // contract: for every worker count and input size — above and below the
 // parallel threshold, divisible by the worker count or not — the chunked
 // parallel scan returns byte-identical output to the sequential Filter,
-// in the same order.
+// in the same order, and the columnar SelectBuffer — into fresh and into
+// recycled index memory — names exactly those records.
 func TestFilterParallelMatchesSequential(t *testing.T) {
 	m := syntheticMeta()
 	for _, n := range []int{0, 1, 7, 100, minParallelRecords - 1, minParallelRecords, 5000, 8191} {
 		recs := syntheticRecs(uint64(n)+1, n)
 		for _, s := range []Strategy{Union{}, Intersection{}} {
 			want := Filter(s, m, recs)
-			wantN := Count(s, m, recs)
+			if gotN := Count(s, m, recs); gotN != len(want) {
+				t.Fatalf("%s n=%d: Count = %d, Filter selected %d", s.Name(), n, gotN, len(want))
+			}
+			buf := flow.BufferOf(recs)
+			dirty := make([]int32, n)
 			for _, workers := range []int{0, 1, 2, 3, 4, 8, 64} {
 				got := FilterParallel(s, m, recs, workers)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s n=%d workers=%d: FilterParallel diverged (got %d recs, want %d)",
 						s.Name(), n, workers, len(got), len(want))
 				}
-				if gotN := CountParallel(s, m, recs, workers); gotN != wantN {
-					t.Fatalf("%s n=%d workers=%d: CountParallel = %d, want %d",
-						s.Name(), n, workers, gotN, wantN)
+				for i := range dirty {
+					dirty[i] = int32(i) - 7 // stale contents must not leak into the scan
+				}
+				for _, dst := range [][]int32{nil, dirty} {
+					rows := SelectBuffer(s, m, &buf, workers, dst)
+					if got := gather(&buf, rows); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s n=%d workers=%d: SelectBuffer named %d rows, Filter selected %d",
+							s.Name(), n, workers, len(rows), len(want))
+					}
+					if dst != nil && n > 0 && &rows[:1][0] != &dst[0] {
+						t.Fatalf("%s n=%d workers=%d: SelectBuffer did not reuse dst", s.Name(), n, workers)
+					}
 				}
 			}
 		}
@@ -91,7 +105,8 @@ func TestParallelNoMatchesReturnsNil(t *testing.T) {
 	if got := FilterParallel(Union{}, m, recs, 4); got != nil {
 		t.Fatalf("expected nil for no matches, got %d records", len(got))
 	}
-	if n := CountParallel(Union{}, m, recs, 4); n != 0 {
-		t.Fatalf("CountParallel = %d, want 0", n)
+	buf := flow.BufferOf(recs)
+	if rows := SelectBuffer(Union{}, m, &buf, 4, nil); len(rows) != 0 {
+		t.Fatalf("SelectBuffer named %d rows, want 0", len(rows))
 	}
 }

@@ -14,6 +14,7 @@ package prefilter
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"anomalyx/internal/detector"
@@ -101,32 +102,6 @@ func resolveWorkers(workers, n int) int {
 	return workers
 }
 
-// parallelScan splits recs into workers contiguous ranges, scans them
-// concurrently, and returns the per-chunk results in range order plus
-// the total match count. Chunk boundaries only partition the traversal;
-// because the per-chunk outputs are kept in range order, concatenating
-// them reproduces the sequential scan exactly.
-func parallelScan(s Strategy, m detector.MetaData, recs []flow.Record, workers int, collect bool) ([][]flow.Record, []int) {
-	parts := make([][]flow.Record, workers)
-	counts := make([]int, workers)
-	chunk := (len(recs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(recs))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, part []flow.Record) {
-			defer wg.Done()
-			parts[w], counts[w] = scan(s, m, part, collect)
-		}(w, recs[lo:hi])
-	}
-	wg.Wait()
-	return parts, counts
-}
-
 // FilterParallel is Filter over a chunked worker fan-out: recs is split
 // into contiguous ranges matched concurrently, and the per-chunk
 // selections are concatenated in range order, so the output is
@@ -138,32 +113,17 @@ func FilterParallel(s Strategy, m detector.MetaData, recs []flow.Record, workers
 	if workers <= 1 || len(recs) < minParallelRecords {
 		return Filter(s, m, recs)
 	}
-	parts, counts := parallelScan(s, m, recs, workers, true)
-	total := 0
-	for _, n := range counts {
-		total += n
+	parts := make([][]flow.Record, workers)
+	chunk := (len(recs) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w*chunk < len(recs); w++ {
+		part := recs[w*chunk : min((w+1)*chunk, len(recs))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w] = Filter(s, m, part)
+		}()
 	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]flow.Record, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// CountParallel is Count over the same chunked fan-out as
-// FilterParallel, without materializing the selection.
-func CountParallel(s Strategy, m detector.MetaData, recs []flow.Record, workers int) int {
-	workers = resolveWorkers(workers, len(recs))
-	if workers <= 1 || len(recs) < minParallelRecords {
-		return Count(s, m, recs)
-	}
-	_, counts := parallelScan(s, m, recs, workers, false)
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total
+	wg.Wait()
+	return slices.Concat(parts...)
 }

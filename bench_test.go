@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"anomalyx"
+	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/experiments"
 	"anomalyx/internal/flow"
@@ -64,7 +65,8 @@ func quickRun(b *testing.B) *experiments.TraceRun {
 // BenchmarkTableII regenerates the §II-B worked example the way the
 // pipeline runs it: the 350 872-flow input prefiltered by the alarm's
 // dstPort meta-data and mined at minimum support 10 000 through
-// ExtractOffline's default path (columnar prefilter + built-in Eclat).
+// core.ExtractOffline's default path (columnar prefilter + built-in
+// Eclat; the facade's ExtractOffline still defaults to Apriori).
 // BenchmarkMinerApriori times the paper's own miner on the same input.
 func BenchmarkTableII(b *testing.B) {
 	_, data := tableIIFixture(b)
@@ -75,7 +77,7 @@ func BenchmarkTableII(b *testing.B) {
 	cfg := anomalyx.Config{MinSupport: data.MinSupport, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := anomalyx.ExtractOffline(cfg, data.Flows, meta)
+		rep, err := core.ExtractOffline(cfg, data.Flows, meta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,8 +219,8 @@ func BenchmarkPrefilterUnion(b *testing.B)        { benchPrefilter(b, prefilter.
 func BenchmarkPrefilterIntersection(b *testing.B) { benchPrefilter(b, prefilter.Intersection{}) }
 
 // BenchmarkExtract measures the extraction stage alone — chunked
-// parallel prefilter plus mining — via ExtractOffline over a 50k-flow
-// interval with an injected dstPort flood. workers=1 is the sequential
+// parallel prefilter plus the built-in miner — via core.ExtractOffline
+// over a 50k-flow interval with an injected dstPort flood. workers=1 is the sequential
 // baseline; workers=0 fans the prefilter scan out over GOMAXPROCS
 // chunks (the output is byte-identical, so the sweep measures pure
 // scan parallelism; run with -cpu 1,4 to contrast).
@@ -245,7 +247,7 @@ func BenchmarkExtract(b *testing.B) {
 			b.SetBytes(int64(len(recs)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := anomalyx.ExtractOffline(cfg, recs, meta)
+				rep, err := core.ExtractOffline(cfg, recs, meta)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -136,8 +136,8 @@ type Pipeline struct {
 	// over one primary are serialized in interval order (see closeGroup).
 	extract *extraction
 
-	// spares is the freelist of reset interval states (clone histograms +
-	// flow buffers) cycled through pipelined closes; spareMu guards it
+	// spares is the freelist of reset interval states (clone sets + flow
+	// buffers) cycled through pipelined closes; spareMu guards it
 	// because Finish recycles from the close worker while BeginClose pops
 	// from the ingest goroutine.
 	spareMu sync.Mutex
@@ -198,7 +198,7 @@ func (p *Pipeline) EndInterval() (*Report, error) { return EndIntervalGroup(p.se
 
 // Absorb folds other's in-progress interval into p: other's buffered
 // flows move to the end of p's flow buffer and other's detector-bank
-// clone histograms merge additively into p's (see detector.Bank.Absorb),
+// clone sets merge additively into p's (see detector.Bank.Absorb),
 // leaving other empty and ready for the next interval. Both pipelines
 // must share the detector configuration. This is the cross-shard merge:
 // because histogram clones with equal seeds are exact mergeable
@@ -357,14 +357,14 @@ func EndIntervalGroup(group []*Pipeline) (*Report, error) {
 	if err := checkGroup(group); err != nil {
 		return nil, err
 	}
-	clones := make([][][]*histogram.Histogram, len(group))
+	sets := make([][]*histogram.CloneSet, len(group))
 	buffers := make([]*flow.Buffer, len(group))
 	for i, p := range group {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		clones[i], buffers[i] = p.bank.LiveInterval(), &p.buffer
+		sets[i], buffers[i] = p.bank.LiveInterval(), &p.buffer
 	}
-	return closeGroup(group, clones, buffers)
+	return closeGroup(group, sets, buffers)
 }
 
 // checkGroup validates a group before any close entry point locks or
@@ -390,13 +390,14 @@ func checkGroup(group []*Pipeline) error {
 	return nil
 }
 
-// closeGroup is the one interval close (Fig. 3), over one clone-set
-// collection and one flow buffer per shard — the group's live state lent
+// closeGroup is the one interval close (Fig. 3), over one clone set per
+// detector and one flow buffer per shard — the group's live state lent
 // by a synchronous close, or the state a pipelined close drained earlier:
 //
-//  1. the sibling shards' clone histograms merge into the primary's
-//     (clones[0]; exact mergeable sketches) and detection closes over the
-//     merged state against the primary bank's history;
+//  1. the sibling shards' value tables merge into the primary's (sets[0];
+//     exact mergeable sketches, one fold per feature) and detection
+//     derives the clones' bins once, from the merged tables, and closes
+//     against the primary bank's history;
 //  2. on an alarm, every shard's flow buffer is prefiltered concurrently
 //     (one goroutine per shard, each fanning further out over its
 //     pipeline's Workers) to the row indices of its suspicious flows;
@@ -406,17 +407,17 @@ func checkGroup(group []*Pipeline) error {
 //  3. the suspicious rows are mined once, where they lie (see
 //     extraction), in the primary's scratch.
 //
-// Every histogram and buffer is left reset, on the error path too:
+// Every clone set and buffer is left reset, on the error path too:
 // detection history has rotated by the time mining can fail, so state
 // left behind would be counted into the next interval a second time.
 // Calls over the same primary must be serialized in interval order — the
 // KL scheme compares each interval against the previous one. The caller
 // must have validated the group (checkGroup) and must own every clone set
 // and buffer for the duration of the call.
-func closeGroup(group []*Pipeline, clones [][][]*histogram.Histogram, buffers []*flow.Buffer) (*Report, error) {
+func closeGroup(group []*Pipeline, sets [][]*histogram.CloneSet, buffers []*flow.Buffer) (*Report, error) {
 	primary := group[0]
-	primary.bank.MergeDrained(clones[0], clones[1:])
-	det := primary.bank.FinishInterval(clones[0])
+	primary.bank.MergeDrained(sets[0], sets[1:])
+	det := primary.bank.FinishInterval(sets[0])
 	rep := &Report{
 		Interval:  det.Interval,
 		Detection: det,

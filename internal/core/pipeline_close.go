@@ -6,13 +6,14 @@ import (
 )
 
 // intervalState is one pipeline's drained open interval: the detector
-// bank's clone histograms and the columnar flow buffer, in the reusable
-// containers they travel in. After a finish the histograms are reset
-// (their value-table arenas intact) and the buffer's columns keep their
-// capacity, so the state cycles through the pipeline's freelist and
-// steady-state closes allocate no new buffer or arena memory.
+// bank's clone sets — one value-table arena per feature — and the
+// columnar flow buffer, in the reusable containers they travel in. After
+// a finish the sets are reset (their arenas intact) and the buffer's
+// columns keep their capacity, so the state cycles through the
+// pipeline's freelist and steady-state closes allocate no new buffer or
+// arena memory.
 type intervalState struct {
-	clones [][]*histogram.Histogram
+	sets   []*histogram.CloneSet
 	buffer flow.Buffer
 }
 
@@ -38,8 +39,8 @@ func (p *Pipeline) pushSpare(st intervalState) {
 
 // PendingClose is one drained measurement interval awaiting its finish:
 // the cheap synchronous half of a pipelined interval close. BeginClose /
-// BeginIntervalGroup swap the open interval's state (clone histograms +
-// flow buffer) out of the hot path and return it here; Finish runs the
+// BeginIntervalGroup swap the open interval's state (clone sets + flow
+// buffer) out of the hot path and return it here; Finish runs the
 // expensive half — detection, prefilter, mining — against the drained
 // state while new records flow into the swapped-in replacements.
 //
@@ -64,7 +65,7 @@ func (p *Pipeline) BeginClose() (*PendingClose, error) {
 
 // BeginIntervalGroup drains one measurement interval in lockstep across
 // a group of shard pipelines — the pipelined counterpart of
-// EndIntervalGroup. Every shard's clone histograms and flow buffer are
+// EndIntervalGroup. Every shard's clone sets and flow buffer are
 // swapped for reset recycled ones under the shard's lock; the expensive
 // merge + detection + extraction runs later in Finish. Every pipeline
 // must share the detector configuration, and the pipelines must not
@@ -78,7 +79,7 @@ func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
 	for i, p := range group {
 		p.mu.Lock()
 		st, _ := p.popSpare()
-		st.clones = p.bank.SwapInterval(st.clones)
+		st.sets = p.bank.SwapInterval(st.sets)
 		st.buffer, p.buffer = p.buffer, st.buffer
 		pc.states[i] = st
 		p.mu.Unlock()
@@ -93,16 +94,16 @@ func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
 // pipelines' freelists before returning, whether or not mining failed.
 //
 // Finish never touches the pipelines' live state (buffers, current
-// histograms), so it may run concurrently with observes; it does touch
+// clone sets), so it may run concurrently with observes; it does touch
 // the primary bank's detection history, so Finish calls for successive
 // closes must be serialized in begin order.
 func (pc *PendingClose) Finish() (*Report, error) {
-	clones := make([][][]*histogram.Histogram, len(pc.states))
+	sets := make([][]*histogram.CloneSet, len(pc.states))
 	buffers := make([]*flow.Buffer, len(pc.states))
 	for i := range pc.states {
-		clones[i], buffers[i] = pc.states[i].clones, &pc.states[i].buffer
+		sets[i], buffers[i] = pc.states[i].sets, &pc.states[i].buffer
 	}
-	rep, err := closeGroup(pc.group, clones, buffers)
+	rep, err := closeGroup(pc.group, sets, buffers)
 	for i := range pc.states {
 		pc.group[i].pushSpare(pc.states[i])
 		pc.states[i] = intervalState{}

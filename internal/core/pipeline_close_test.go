@@ -178,7 +178,7 @@ func TestBeginIntervalGroupValidation(t *testing.T) {
 
 // TestPendingCloseRecyclesState proves the freelist claim: from the
 // second interval on, a close's drained containers are recycled ones —
-// the histograms cycling through BeginClose are pointer-identical to
+// the clone sets cycling through BeginClose are pointer-identical to
 // sets drained earlier, so steady-state closes allocate no new
 // buffer/arena memory.
 func TestPendingCloseRecyclesState(t *testing.T) {
@@ -194,7 +194,7 @@ func TestPendingCloseRecyclesState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets[pc.states[0].clones[0][0]]++
+		sets[pc.states[0].sets[0]]++
 		if _, err := pc.Finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func (m *failOnceMiner) Mine(txs []itemset.Transaction, minsup int) (*mining.Res
 // failing group mines through an injected miner, the reference through
 // the built-in path, so the comparison spans the extraction fork too.
 func TestFailedMiningLeavesIntervalClean(t *testing.T) {
-	drained := make(map[*histogram.Histogram]int)
+	drained := make(map[*histogram.CloneSet]int)
 	cases := []struct {
 		name   string
 		shards int
@@ -256,7 +256,7 @@ func TestFailedMiningLeavesIntervalClean(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			drained[pc.states[0].clones[0][0]]++
+			drained[pc.states[0].sets[0]]++
 			return pc.Finish()
 		}, func(t *testing.T, g []*Pipeline) {
 			if len(drained) != 2 {

@@ -21,13 +21,14 @@ type PipelineSnapshot struct {
 
 // OpenInterval is the lean drain of a pipeline's open interval: the
 // clone-histogram snapshots (one slice per detector in feature order,
-// as detector.Bank.DrainInterval returns them) plus the columnar flow
-// buffer — and nothing else. It is PipelineSnapshot minus the detection
-// history, which on the distributed agent path is dead weight: an agent
-// never closes detection, so its reference counts, KL series, and
-// threshold samples are permanently zero. The collector absorbs an
-// OpenInterval additively (AbsorbOpenInterval), so the drain/ship/absorb
-// cycle never touches history on either side.
+// one snapshot per clone, as detector.Bank.DrainInterval returns them —
+// each clone's grouping of the detector's one value table) plus the
+// columnar flow buffer — and nothing else. It is PipelineSnapshot minus
+// the detection history, which on the distributed agent path is dead
+// weight: an agent never closes detection, so its reference counts, KL
+// series, and threshold samples are permanently zero. The collector
+// absorbs an OpenInterval additively (AbsorbOpenInterval), so the
+// drain/ship/absorb cycle never touches history on either side.
 type OpenInterval struct {
 	Clones [][]histogram.Snapshot
 	Buffer flow.Buffer
@@ -77,12 +78,13 @@ func (p *Pipeline) DrainOpenInterval() OpenInterval {
 }
 
 // AbsorbOpenInterval folds a drained open interval into p additively:
-// clone snapshots merge into the bank's open histograms (the
+// clone snapshots merge into the bank's open clone sets (the
 // mergeable-sketch invariant — identical to having observed the flows
-// directly) and the buffered flows append to p's buffer. It is the
-// collector-side counterpart of DrainOpenInterval, replacing the former
-// restore-into-scratch-then-Absorb round trip. Both sides must share
-// the detector configuration and seed.
+// directly) and the buffered flows append to p's buffer. A malformed
+// interval is rejected before anything moves. It is the collector-side
+// counterpart of DrainOpenInterval, replacing the former
+// restore-into-scratch-then-Absorb round trip. Both sides must share the
+// detector configuration and seed.
 func (p *Pipeline) AbsorbOpenInterval(oi OpenInterval) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -239,6 +239,77 @@ func TestAbsorbOpenIntervalRejectsShape(t *testing.T) {
 	}
 }
 
+// TestRejectedOpenIntervalLeavesBankUntouched: an open interval whose
+// snapshots are malformed only at the last detector — so a
+// detector-by-detector merge would already have folded the first four —
+// is rejected whole. The collector's next report over the same traffic
+// equals a never-touched pipeline's, alarm interval included.
+func TestRejectedOpenIntervalLeavesBankUntouched(t *testing.T) {
+	const last = 4 // the fifth of the default five features
+	corrupt := map[string]func(oi *OpenInterval){
+		"detector count": func(oi *OpenInterval) { oi.Clones = oi.Clones[:last] },
+		"clone count":    func(oi *OpenInterval) { oi.Clones[last] = oi.Clones[last][:2] },
+		"bin count":      func(oi *OpenInterval) { oi.Clones[last][2].Counts = oi.Clones[last][2].Counts[:8] },
+		"untracked":      func(oi *OpenInterval) { oi.Clones[last][1].Values = nil },
+		"clone totals":   func(oi *OpenInterval) { oi.Clones[last][2].Total++ },
+		"value entries": func(oi *OpenInterval) {
+			vs := oi.Clones[last][1].Values
+			for b := range vs {
+				if len(vs[b]) > 0 {
+					vs[b] = vs[b][1:]
+					return
+				}
+			}
+		},
+	}
+	for name, mutate := range corrupt {
+		t.Run(name, func(t *testing.T) {
+			ref, err := New(snapConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			p, err := New(snapConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			agent, err := New(snapConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agent.Close()
+			for i := 0; i < 7; i++ {
+				recs := snapRecords(i, 900, i == 6)
+				ref.ObserveBatch(recs)
+				p.ObserveBatch(recs)
+				if i == 6 {
+					agent.ObserveBatch(snapRecords(50, 400, true))
+					oi := agent.DrainOpenInterval()
+					mutate(&oi)
+					if err := p.AbsorbOpenInterval(oi); err == nil {
+						t.Fatal("malformed open interval absorbed")
+					}
+				}
+				want, err := ref.EndInterval()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.EndInterval()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("interval %d: report after a rejected absorb differs:\n got %+v\nwant %+v", i, got, want)
+				}
+				if i == 6 && !want.Alarm {
+					t.Fatal("the compared interval did not alarm")
+				}
+			}
+		})
+	}
+}
+
 // TestPipelineRestoreRejectsShape: restoring across configurations
 // errors instead of corrupting state.
 func TestPipelineRestoreRejectsShape(t *testing.T) {

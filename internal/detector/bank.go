@@ -37,7 +37,6 @@ type BankConfig struct {
 type Bank struct {
 	mu        sync.Mutex
 	detectors []*Detector
-	units     []cloneUnit // the (detector, clone) fan-out tasks, fixed at construction
 	workers   int
 
 	// tasks feeds the persistent pool; nil when workers == 1 (sequential
@@ -50,13 +49,6 @@ type Bank struct {
 // minParallelBatch is the batch size below which the pool's handoff and
 // wait overhead exceeds the win and ObserveBatch stays sequential.
 const minParallelBatch = 256
-
-// cloneUnit is one schedulable unit of batch work: a single histogram
-// clone of a single feature detector.
-type cloneUnit struct {
-	d     *Detector
-	clone int
-}
 
 // BankResult is the outcome of one interval across all features.
 type BankResult struct {
@@ -89,9 +81,6 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 			return nil, err
 		}
 		b.detectors = append(b.detectors, d)
-		for c := range d.cur {
-			b.units = append(b.units, cloneUnit{d, c})
-		}
 	}
 	if workers > 1 {
 		b.tasks = make(chan func(), 4*workers)
@@ -156,9 +145,9 @@ func (b *Bank) Observe(rec *flow.Record) {
 }
 
 // ObserveBatch feeds a batch of flows into every feature detector,
-// fanning the (detector, clone) histogram updates out over the worker
-// pool. The result is identical to observing each record sequentially:
-// histogram updates commute and each clone is owned by one task.
+// fanning one task per detector out over the worker pool. The result is
+// identical to observing each record sequentially: value-table updates
+// commute and each detector's clone set is owned by one task.
 func (b *Bank) ObserveBatch(recs []flow.Record) {
 	if len(recs) == 0 {
 		return
@@ -171,9 +160,8 @@ func (b *Bank) ObserveBatch(recs []flow.Record) {
 		}
 		return
 	}
-	b.runTasks(len(b.units), func(i int) func() {
-		u := b.units[i]
-		return func() { u.d.observeClone(u.clone, recs) }
+	b.runTasks(len(b.detectors), func(i int) func() {
+		return func() { b.detectors[i].ObserveBatch(recs) }
 	})
 }
 
@@ -188,8 +176,8 @@ func (b *Bank) EndInterval() BankResult {
 
 // live returns the detectors' current-interval clone sets, index-aligned
 // with Detectors(). The bank mutex must be held.
-func (b *Bank) live() [][]*histogram.Histogram {
-	sets := make([][]*histogram.Histogram, len(b.detectors))
+func (b *Bank) live() []*histogram.CloneSet {
+	sets := make([]*histogram.CloneSet, len(b.detectors))
 	for i, d := range b.detectors {
 		sets[i] = d.cur
 	}
@@ -202,7 +190,7 @@ func (b *Bank) live() [][]*histogram.Histogram {
 // and hold no second interval state. The caller must keep every observe
 // and swap off the bank for as long as it uses the sets (core holds the
 // pipeline lock across the whole close).
-func (b *Bank) LiveInterval() [][]*histogram.Histogram {
+func (b *Bank) LiveInterval() []*histogram.CloneSet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.live()
@@ -233,11 +221,11 @@ func mergeResults(results []Result) BankResult {
 // allocates nothing. The swap takes the bank mutex and is therefore
 // atomic with respect to ObserveBatch; the expensive close math runs
 // later via FinishInterval.
-func (b *Bank) SwapInterval(repl [][]*histogram.Histogram) [][]*histogram.Histogram {
+func (b *Bank) SwapInterval(repl []*histogram.CloneSet) []*histogram.CloneSet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if repl == nil {
-		repl = make([][]*histogram.Histogram, len(b.detectors))
+		repl = make([]*histogram.CloneSet, len(b.detectors))
 	}
 	for i, d := range b.detectors {
 		repl[i] = d.SwapInterval(repl[i])
@@ -254,9 +242,9 @@ func (b *Bank) SwapInterval(repl [][]*histogram.Histogram) [][]*histogram.Histog
 // caller and each detector's interval history is touched only by finish
 // calls, so detection here may overlap ObserveBatch on swapped-in sets.
 // The caller must serialize FinishInterval calls in swap order — the KL
-// scheme compares each interval against the previous one. cur's
-// histograms are reset in place for recycling.
-func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
+// scheme compares each interval against the previous one. cur's sets
+// are reset in place for recycling.
+func (b *Bank) FinishInterval(cur []*histogram.CloneSet) BankResult {
 	results := make([]Result, len(b.detectors))
 	b.runTasks(len(b.detectors), func(i int) func() {
 		return func() { results[i] = b.detectors[i].FinishInterval(cur[i]) }
@@ -290,24 +278,22 @@ func (b *Bank) Mergeable(other *Bank) error {
 // resets the siblings, fanning one task per detector across the worker
 // pool — detector columns are independent, so the parallel merge is
 // byte-identical to folding each sibling in turn. This is the
-// cross-shard merge of the interval close; serializing it on the closing
-// goroutine was the scaling bottleneck the multi-core curves exposed
-// (every added shard lengthened the serial section by a full clones ×
-// bins fold). Only the open interval moves: no detection history is
-// consulted or modified. Like FinishInterval it takes no bank mutex:
-// every set involved must be private to the caller — drained by
-// SwapInterval, or live with observes excluded — and pass Mergeable.
-func (b *Bank) MergeDrained(dst [][]*histogram.Histogram, siblings [][][]*histogram.Histogram) {
+// cross-shard merge of the interval close: one value-table fold per
+// feature, whatever the clone count, with the bins derived once, on the
+// merged table, when detection reads them. Only the open interval moves:
+// no detection history is consulted or modified. Like FinishInterval it
+// takes no bank mutex: every set involved must be private to the caller
+// — drained by SwapInterval, or live with observes excluded — and pass
+// Mergeable.
+func (b *Bank) MergeDrained(dst []*histogram.CloneSet, siblings [][]*histogram.CloneSet) {
 	if len(siblings) == 0 {
 		return
 	}
 	b.runTasks(len(dst), func(i int) func() {
 		return func() {
 			for _, sib := range siblings {
-				for c, h := range sib[i] {
-					dst[i][c].Merge(h)
-					h.Reset()
-				}
+				dst[i].Merge(sib[i])
+				sib[i].Reset()
 			}
 		}
 	})
@@ -328,7 +314,7 @@ func (b *Bank) AbsorbGroup(others []*Bank) error {
 	// (shard merges), so no cycle can form.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	siblings := make([][][]*histogram.Histogram, len(others))
+	siblings := make([][]*histogram.CloneSet, len(others))
 	for i, o := range others {
 		o.mu.Lock()
 		defer o.mu.Unlock()

@@ -140,8 +140,8 @@ type Detector struct {
 	cfg    Config
 	metric histogram.Metric
 
-	cur  []*histogram.Histogram // current-interval histograms, value-tracked
-	prev [][]uint64             // previous-interval counts per clone
+	cur  *histogram.CloneSet // current-interval clones: one value table, n hashes
+	prev [][]uint64          // previous-interval counts per clone
 
 	klPrev   []float64 // previous KL per clone (for the first difference)
 	havePrev bool      // prev holds a complete interval
@@ -152,7 +152,7 @@ type Detector struct {
 
 	// binValues is the scratch buffer for the anomalous-bin → value
 	// mapping, reused across clones and intervals so the bin sweep
-	// (histogram.AppendValuesInBins) allocates only when an alarm needs
+	// (CloneSet.AppendValuesInBins) allocates only when an alarm needs
 	// more room than any previous one. Safe because the values are
 	// copied into the report before the next clone overwrites them.
 	binValues []uint64
@@ -173,46 +173,32 @@ func New(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// newCloneSet builds the per-clone value-tracked histograms for cfg. The
-// hash functions are derived from (Seed, Feature, clone) only, so two
-// sets built from the same effective Config are interchangeable — the
+// newCloneSet builds the value-tracked clone set for cfg. The hash
+// functions are derived from (Seed, Feature, clone) only, so two sets
+// built from the same effective Config are interchangeable — the
 // property the pipelined close's recycling freelist relies on.
-func newCloneSet(cfg Config) []*histogram.Histogram {
-	set := make([]*histogram.Histogram, cfg.Clones)
-	for c := range set {
-		fn := hash.New(cfg.Seed ^ uint64(cfg.Feature)<<32 ^ uint64(c)*0x9e3779b97f4a7c15)
-		set[c] = histogram.New(cfg.Bins, fn, true)
+func newCloneSet(cfg Config) *histogram.CloneSet {
+	fns := make([]hash.Func, cfg.Clones)
+	for c := range fns {
+		fns[c] = hash.New(cfg.Seed ^ uint64(cfg.Feature)<<32 ^ uint64(c)*0x9e3779b97f4a7c15)
 	}
-	return set
+	return histogram.NewCloneSet(cfg.Bins, fns)
 }
 
 // Config returns the detector's effective configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
 // Observe feeds one flow record into the current interval.
-func (d *Detector) Observe(rec *flow.Record) {
-	v := rec.Feature(d.cfg.Feature)
-	for _, h := range d.cur {
-		h.Add(v)
-	}
-}
+func (d *Detector) Observe(rec *flow.Record) { d.cur.Add(rec.Feature(d.cfg.Feature)) }
 
-// ObserveBatch feeds a batch of flow records into the current interval.
-// It is equivalent to calling Observe on each record but amortizes the
-// per-record call overhead.
+// ObserveBatch feeds a batch of flow records into the current interval:
+// one value-table insert per record, whatever the clone count. It is
+// equivalent to calling Observe on each record, and it is the unit of
+// work the parallel bank schedules on its worker pool.
 func (d *Detector) ObserveBatch(recs []flow.Record) {
-	for c := range d.cur {
-		d.observeClone(c, recs)
-	}
-}
-
-// observeClone feeds the batch into clone c's histogram only — the unit
-// of work the parallel bank schedules on its worker pool.
-func (d *Detector) observeClone(c int, recs []flow.Record) {
-	h := d.cur[c]
-	k := d.cfg.Feature
+	set, k := d.cur, d.cfg.Feature
 	for i := range recs {
-		h.Add(recs[i].Feature(k))
+		set.Add(recs[i].Feature(k))
 	}
 }
 
@@ -256,16 +242,16 @@ func (d *Detector) Threshold() (float64, bool) {
 // becomes the new reference (§II-C: no training or recalibration).
 func (d *Detector) EndInterval() Result { return d.FinishInterval(d.cur) }
 
-// SwapInterval exchanges the current-interval histograms for repl — a
-// reset clone set previously returned by SwapInterval (or nil, which
-// allocates a fresh set) — and returns the set that was accumulating.
-// This is the cheap synchronous half of a pipelined close: the caller
-// drains the open interval here and runs the expensive detection math
-// later via FinishInterval while new records flow into repl. The
-// returned set must be passed to exactly one FinishInterval call, and
-// FinishInterval calls must happen in swap order — the KL scheme is
-// sequential (each interval is compared against the previous one).
-func (d *Detector) SwapInterval(repl []*histogram.Histogram) []*histogram.Histogram {
+// SwapInterval exchanges the current-interval clone set for repl — a
+// reset set previously returned by SwapInterval (or nil, which allocates
+// a fresh set) — and returns the set that was accumulating. This is the
+// cheap synchronous half of a pipelined close: the caller drains the
+// open interval here and runs the expensive detection math later via
+// FinishInterval while new records flow into repl. The returned set must
+// be passed to exactly one FinishInterval call, and FinishInterval calls
+// must happen in swap order — the KL scheme is sequential (each interval
+// is compared against the previous one).
+func (d *Detector) SwapInterval(repl *histogram.CloneSet) *histogram.CloneSet {
 	if repl == nil {
 		repl = newCloneSet(d.cfg)
 	}
@@ -275,13 +261,14 @@ func (d *Detector) SwapInterval(repl []*histogram.Histogram) []*histogram.Histog
 }
 
 // FinishInterval runs the interval close against cur, a clone set drained
-// by SwapInterval (EndInterval passes the live set directly). It computes
-// the per-clone distances against the detector's history, rotates that
-// history, and resets cur in place so the caller can recycle it. Calls
-// must be sequential and in swap order; FinishInterval never touches
-// d.cur, so it may run concurrently with Observe/ObserveBatch on the
-// swapped-in set.
-func (d *Detector) FinishInterval(cur []*histogram.Histogram) Result {
+// by SwapInterval (EndInterval passes the live set directly). It derives
+// the clones' bin counts from cur's value table, computes the per-clone
+// distances against the detector's history, rotates that history, and
+// resets cur in place so the caller can recycle it. Calls must be
+// sequential and in swap order; FinishInterval never touches d.cur, so
+// it may run concurrently with Observe/ObserveBatch on the swapped-in
+// set.
+func (d *Detector) FinishInterval(cur *histogram.CloneSet) Result {
 	res := Result{
 		Feature:  d.cfg.Feature,
 		Interval: d.interval,
@@ -292,10 +279,11 @@ func (d *Detector) FinishInterval(cur []*histogram.Histogram) Result {
 	res.Trained = trained
 
 	votes := make(map[uint64]int)
-	for c, h := range cur {
+	for c := range res.Clones {
 		rep := &res.Clones[c]
+		counts := cur.Counts(c)
 		if d.havePrev {
-			rep.KL = d.metric(h.Counts(), d.prev[c])
+			rep.KL = d.metric(counts, d.prev[c])
 			if d.haveKL {
 				rep.Diff = rep.KL - d.klPrev[c]
 				// One-sided test: only positive spikes alarm (§II-C).
@@ -303,13 +291,13 @@ func (d *Detector) FinishInterval(cur []*histogram.Histogram) Result {
 					rep.Alarm = true
 					res.Alarm = true
 					rep.Identification = histogram.IdentifyAnomalousBinsMetric(
-						h.Counts(), d.prev[c], d.klPrev[c], threshold, d.cfg.MaxRemoveBins, d.metric)
+						counts, d.prev[c], d.klPrev[c], threshold, d.cfg.MaxRemoveBins, d.metric)
 					// One table sweep for all identified bins (grouped
 					// in identification order, values ascending per
 					// bin — the same concatenation the per-bin loop
 					// produced). A value lands in exactly one bin per
 					// clone, so each flagged value votes once here.
-					d.binValues = h.AppendValuesInBins(d.binValues[:0], rep.Identification.Bins)
+					d.binValues = cur.AppendValuesInBins(c, d.binValues[:0], rep.Identification.Bins)
 					rep.Values = append(rep.Values, d.binValues...)
 					for _, v := range d.binValues {
 						votes[v]++
@@ -335,18 +323,18 @@ func (d *Detector) FinishInterval(cur []*histogram.Histogram) Result {
 }
 
 // rotate archives the interval accumulated in cur and prepares the next
-// one, resetting cur's histograms in place.
-func (d *Detector) rotate(cur []*histogram.Histogram, res Result) {
-	for c, h := range cur {
-		copy(d.prev[c], h.Counts())
+// one, resetting cur in place.
+func (d *Detector) rotate(cur *histogram.CloneSet, res Result) {
+	for c, prev := range d.prev {
+		copy(prev, cur.Counts(c))
 		if d.havePrev {
 			if d.haveKL {
 				d.diffs = append(d.diffs, res.Clones[c].Diff)
 			}
 			d.klPrev[c] = res.Clones[c].KL
 		}
-		h.Reset()
 	}
+	cur.Reset()
 	if d.havePrev {
 		d.haveKL = true
 	}

@@ -144,10 +144,8 @@ func TestAbsorbGroupMatchesSingleBank(t *testing.T) {
 				t.Fatalf("workers=%d interval %d: absorbed group diverged\ngot:  %+v\nwant: %+v", workers, interval, got, want)
 			}
 			for _, set := range parts[1].LiveInterval() {
-				for _, h := range set {
-					if h.Total() != 0 {
-						t.Fatalf("workers=%d interval %d: absorbed sibling still holds %d observations", workers, interval, h.Total())
-					}
+				if set.Total() != 0 {
+					t.Fatalf("workers=%d interval %d: absorbed sibling still holds %d observations", workers, interval, set.Total())
 				}
 			}
 		}

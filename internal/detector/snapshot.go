@@ -23,7 +23,8 @@ import (
 // wire protocol enforces this with a config digest in its handshake.
 type Snapshot struct {
 	// Clones holds the open interval's histogram state, one per clone in
-	// construction order.
+	// construction order: the one value table, grouped by each clone's
+	// bins.
 	Clones []histogram.Snapshot
 	// Prev holds the previous interval's per-clone bin counts — the KL
 	// reference distributions.
@@ -46,16 +47,13 @@ type Snapshot struct {
 // memory with the detector.
 func (d *Detector) Snapshot() Snapshot {
 	s := Snapshot{
-		Clones:   make([]histogram.Snapshot, len(d.cur)),
+		Clones:   d.cur.Snapshots(),
 		Prev:     make([][]uint64, len(d.prev)),
 		KLPrev:   append([]float64(nil), d.klPrev...),
 		HavePrev: d.havePrev,
 		HaveKL:   d.haveKL,
 		Diffs:    append([]float64(nil), d.diffs...),
 		Interval: d.interval,
-	}
-	for c, h := range d.cur {
-		s.Clones[c] = h.Snapshot()
 	}
 	for c, prev := range d.prev {
 		s.Prev[c] = append([]uint64(nil), prev...)
@@ -65,21 +63,14 @@ func (d *Detector) Snapshot() Snapshot {
 
 // RestoreSnapshot replaces the detector's state with s. The detector
 // must have been constructed with the snapshot's clone and bin counts;
-// see Snapshot for the configuration-matching caveat.
+// see Snapshot for the configuration-matching caveat. A rejected
+// snapshot changes nothing.
 func (d *Detector) RestoreSnapshot(s Snapshot) error {
-	if len(s.Clones) != len(d.cur) || len(s.Prev) != len(d.prev) || len(s.KLPrev) != len(d.klPrev) {
-		return fmt.Errorf("detector: restore snapshot with %d/%d/%d clones into detector with %d",
-			len(s.Clones), len(s.Prev), len(s.KLPrev), len(d.cur))
+	if err := d.checkSnapshot(s); err != nil {
+		return err
 	}
-	for _, prev := range s.Prev {
-		if len(prev) != d.cfg.Bins {
-			return fmt.Errorf("detector: restore snapshot with %d reference bins into detector with %d", len(prev), d.cfg.Bins)
-		}
-	}
-	for c, hs := range s.Clones {
-		if err := d.cur[c].RestoreSnapshot(hs); err != nil {
-			return err
-		}
+	if err := d.cur.RestoreSnapshot(s.Clones); err != nil {
+		return err
 	}
 	for c, prev := range s.Prev {
 		copy(d.prev[c], prev)
@@ -92,37 +83,30 @@ func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	return nil
 }
 
-// DrainInterval snapshots the open interval's clone histograms and
-// resets them, without touching — or copying — the detection history.
-// It is Snapshot restricted to the fields an interval drain actually
-// moves: the distributed agent path drains every boundary, and paying a
-// deep copy of reference counts, KL series, and threshold samples that
-// are all zero on an agent (it never closes detection) was pure waste.
-func (d *Detector) DrainInterval() []histogram.Snapshot {
-	clones := make([]histogram.Snapshot, len(d.cur))
-	for c, h := range d.cur {
-		clones[c] = h.Snapshot()
-		h.Reset()
+// checkSnapshot validates s's shape against d without moving anything.
+func (d *Detector) checkSnapshot(s Snapshot) error {
+	if len(s.Prev) != len(d.prev) || len(s.KLPrev) != len(d.klPrev) {
+		return fmt.Errorf("detector: restore snapshot with %d/%d clone histories into detector with %d clones",
+			len(s.Prev), len(s.KLPrev), len(d.prev))
 	}
-	return clones
-}
-
-// AbsorbClones folds drained clone-histogram snapshots into the open
-// interval additively — Absorb with the sibling's state in snapshot
-// form, so a collector can merge a shipped interval without restoring
-// it into a scratch detector first. clones must be in clone order and
-// match the detector's clone count; the usual mergeable-sketch caveat
-// applies (both sides built from the same Config and Seed).
-func (d *Detector) AbsorbClones(clones []histogram.Snapshot) error {
-	if len(clones) != len(d.cur) {
-		return fmt.Errorf("detector: absorb %d clone snapshots into detector with %d clones", len(clones), len(d.cur))
-	}
-	for c, hs := range clones {
-		if err := d.cur[c].MergeSnapshot(hs); err != nil {
-			return err
+	for _, prev := range s.Prev {
+		if len(prev) != d.cfg.Bins {
+			return fmt.Errorf("detector: restore snapshot with %d reference bins into detector with %d", len(prev), d.cfg.Bins)
 		}
 	}
-	return nil
+	return d.cur.CheckSnapshots(s.Clones)
+}
+
+// DrainInterval snapshots the open interval's clones and resets them,
+// without touching — or copying — the detection history. It is Snapshot
+// restricted to the fields an interval drain actually moves: the
+// distributed agent path drains every boundary, and paying a deep copy
+// of reference counts, KL series, and threshold samples that are all
+// zero on an agent (it never closes detection) was pure waste.
+func (d *Detector) DrainInterval() []histogram.Snapshot {
+	clones := d.cur.Snapshots()
+	d.cur.Reset()
+	return clones
 }
 
 // BankSnapshot is the exported state of a Bank: one detector snapshot
@@ -146,13 +130,19 @@ func (b *Bank) Snapshot() BankSnapshot {
 
 // RestoreSnapshot replaces every detector's state with the snapshot's,
 // in feature order. The bank must monitor the same number of features
-// with the same detector parameters as the snapshot's source.
+// with the same detector parameters as the snapshot's source. The whole
+// snapshot is validated first, so a rejected one changes nothing.
 func (b *Bank) RestoreSnapshot(s BankSnapshot) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(s.Detectors) != len(b.detectors) {
 		return fmt.Errorf("detector: restore bank snapshot with %d detectors into bank with %d",
 			len(s.Detectors), len(b.detectors))
+	}
+	for i, d := range b.detectors {
+		if err := d.checkSnapshot(s.Detectors[i]); err != nil {
+			return err
+		}
 	}
 	for i, d := range b.detectors {
 		if err := d.RestoreSnapshot(s.Detectors[i]); err != nil {
@@ -177,7 +167,11 @@ func (b *Bank) DrainInterval() [][]histogram.Snapshot {
 
 // AbsorbInterval folds drained clone snapshots — one slice per detector
 // in feature order, as DrainInterval returns them — into the open
-// interval (see Detector.AbsorbClones).
+// interval additively: per detector, clone 0's values enter the one
+// value table and every clone's bins follow (the mergeable-sketch
+// invariant; both sides built from the same Config and Seed). Every
+// detector's snapshots are validated before any value moves, so a
+// malformed interval leaves the bank exactly as it was.
 func (b *Bank) AbsorbInterval(clones [][]histogram.Snapshot) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -186,7 +180,12 @@ func (b *Bank) AbsorbInterval(clones [][]histogram.Snapshot) error {
 			len(clones), len(b.detectors))
 	}
 	for i, d := range b.detectors {
-		if err := d.AbsorbClones(clones[i]); err != nil {
+		if err := d.cur.CheckSnapshots(clones[i]); err != nil {
+			return fmt.Errorf("detector %d: %w", i, err)
+		}
+	}
+	for i, d := range b.detectors {
+		if err := d.cur.MergeSnapshot(clones[i]); err != nil {
 			return err
 		}
 	}

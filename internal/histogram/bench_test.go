@@ -22,8 +22,9 @@ func benchValues(n int, width uint64) []uint64 {
 	return vals
 }
 
-// BenchmarkHistogramAddTracked measures steady-state tracked ingestion:
-// the first interval warms the value table's arena, Reset recycles it,
+// BenchmarkHistogramAddTracked measures steady-state tracked ingestion
+// (one table insert per add, whatever the clone count): the first
+// interval warms the value table's arena, Reset recycles it,
 // and every subsequent interval's adds must allocate nothing (0 B/op —
 // the acceptance bar for the arena refactor). The i%len wrap plus the
 // periodic Reset reproduce the per-interval lifecycle inside the timer.
@@ -46,29 +47,46 @@ func BenchmarkHistogramAddTracked(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore measures the canonical snapshot of a tracked
-// histogram (flatten + sort into the per-bin slab) and the bulk arena
-// restore, the two halves of the wire path's per-interval state copy.
+// BenchmarkSnapshotRestore measures the canonical per-clone snapshots of
+// a three-clone set (flatten + sort into each clone's per-bin slab) and
+// the bulk arena restore, the two halves of the wire path's per-interval
+// state copy.
 func BenchmarkSnapshotRestore(b *testing.B) {
-	h := New(1024, hash.New(1), true)
+	s := NewCloneSet(1024, testFns(3))
 	for _, v := range benchValues(20_000, 50_000) {
-		h.Add(v)
+		s.Add(v)
 	}
-	s := h.Snapshot()
+	ss := s.Snapshots()
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.Snapshot()
+			s.Snapshots()
 		}
 	})
 	b.Run("restore", func(b *testing.B) {
-		r := New(1024, hash.New(1), true)
+		r := NewCloneSet(1024, testFns(3))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := r.RestoreSnapshot(s); err != nil {
+			if err := r.RestoreSnapshot(ss); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkCloneSetBin measures the close-time derivation of three
+// clones' bin counts from one value table holding an interval's worth
+// of distinct values — the sweep that replaced per-record bin
+// increments on ingest.
+func BenchmarkCloneSetBin(b *testing.B) {
+	s := NewCloneSet(1024, testFns(3))
+	for _, v := range benchValues(20_000, 50_000) {
+		s.Add(v)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.stale = true
+		s.bin()
+	}
 }

@@ -3,6 +3,17 @@
 // seeded hash of the feature value, the Kullback–Leibler distance between
 // interval distributions, and the iterative identification of the bins
 // responsible for a KL spike.
+//
+// The paper keeps, per clone, bin counts plus "a map of bins and
+// corresponding feature values". A value's bin is a pure function of the
+// value, so the n clones of one feature hold the same value → count map
+// and differ only in how they bin it. A CloneSet therefore stores that
+// map once — one arena-backed value table per feature — and the clones'
+// bin counts are a view derived from it by one sweep over the distinct
+// values when they are first read after a change (at the interval
+// close). Ingest is one table insert per feature per record; merging
+// shards adds value counts once per feature. See docs/ARCHITECTURE.md,
+// "The mergeable-sketch invariant".
 package histogram
 
 import (
@@ -12,140 +23,102 @@ import (
 	"anomalyx/internal/hash"
 )
 
-// Histogram counts flows per hash bin for one feature over one
-// measurement interval, optionally remembering which feature values fell
-// into each bin (needed to map anomalous bins back to feature values —
-// §II-D "keeping a map of bins and corresponding feature values").
-//
-// Value tracking is backed by one arena-recycling valueTable per
-// histogram rather than a map per bin: a value's bin is a pure function
-// of the value, so the flat value → count table carries the same
-// information, and Reset recycles its arena instead of freeing it —
-// steady-state intervals add observations without allocating. See
-// docs/ARCHITECTURE.md, "Memory layout & allocation discipline".
-type Histogram struct {
-	fn     hash.Func
-	counts []uint64
+// CloneSet is the n randomized histograms of one feature over one
+// measurement interval: one value → flow-count table shared by all
+// clones, the clones' hash functions, and the per-clone bin counts
+// derived from the table. It is not safe for concurrent use — even
+// Counts may write, since it derives the bins on demand.
+type CloneSet struct {
+	fns    []hash.Func
+	k      int
+	values valueTable // value -> flow count: the set's whole state
+
+	// The derived view: per-clone bin counts and the observation total,
+	// valid unless stale (values changed since they were derived).
+	counts [][]uint64
 	total  uint64
-	track  bool       // value tracking enabled
-	values valueTable // value -> flow count; empty when not tracked
-	binPos []int32    // AppendValuesInBins scratch: bin -> list position
-	binCnt []int      // AppendValuesInBins scratch: per-position tallies
+	stale  bool
+
+	binPos []int32 // AppendValuesInBins scratch: bin -> list position
+	binCnt []int   // AppendValuesInBins scratch: per-position tallies
 }
 
-// New creates a histogram with k bins using hash function fn. When
-// trackValues is true the histogram records the feature values per bin.
-func New(k int, fn hash.Func, trackValues bool) *Histogram {
+// NewCloneSet creates a set of len(fns) clones with k bins each; clone c
+// bins with fns[c].
+func NewCloneSet(k int, fns []hash.Func) *CloneSet {
 	if k <= 0 {
 		panic("histogram: k must be positive")
 	}
-	return &Histogram{fn: fn, counts: make([]uint64, k), track: trackValues}
+	s := &CloneSet{fns: slices.Clone(fns), k: k, counts: make([][]uint64, len(fns))}
+	for c := range s.counts {
+		s.counts[c] = make([]uint64, k)
+	}
+	return s
 }
 
-// K returns the number of bins.
-func (h *Histogram) K() int { return len(h.counts) }
+// Add records one observation of feature value v in every clone.
+func (s *CloneSet) Add(v uint64) { s.AddN(v, 1) }
+
+// AddN records n observations of feature value v. On a warmed-up set
+// (second interval onward, similar traffic mix) it allocates nothing: the
+// value table's arena survives Reset.
+func (s *CloneSet) AddN(v, n uint64) {
+	s.values.add(v, n)
+	s.stale = true
+}
 
 // Total returns the number of observations added since the last Reset.
-func (h *Histogram) Total() uint64 { return h.total }
+func (s *CloneSet) Total() uint64 {
+	s.bin()
+	return s.total
+}
 
-// Bin returns the bin index value v maps to.
-func (h *Histogram) Bin(v uint64) int { return h.fn.Bin(v, len(h.counts)) }
+// Counts returns clone c's per-bin counts as a borrowed view: the caller
+// must not modify it or retain it past the set's next change.
+func (s *CloneSet) Counts(c int) []uint64 {
+	s.bin()
+	return s.counts[c]
+}
 
-// Add records one observation of feature value v.
-func (h *Histogram) Add(v uint64) { h.AddN(v, 1) }
-
-// AddN records n observations of feature value v. On a warmed-up
-// tracked histogram (second interval onward, similar traffic mix) it
-// allocates nothing: the value table's arena survives Reset.
-func (h *Histogram) AddN(v uint64, n uint64) {
-	h.counts[h.Bin(v)] += n
-	h.total += n
-	if h.track {
-		h.values.add(v, n)
+// bin derives every clone's bin counts and the total from the value
+// table, if it changed since the last derivation: one sweep over the
+// distinct values, n bin hashes each.
+func (s *CloneSet) bin() {
+	if !s.stale {
+		return
 	}
-}
-
-// Count returns the count of bin b.
-func (h *Histogram) Count(b int) uint64 { return h.counts[b] }
-
-// Counts returns the live backing count slice — a borrowed view, not a
-// copy. The caller must not modify it and must not retain it past the
-// next Add, Merge, Reset, or RestoreSnapshot: the slice aliases the
-// histogram's state, so a retained reference silently mutates under the
-// caller (Reset zeroes it in place). It exists for transient, read-only
-// hot-path use — computing a KL distance over the current bins without
-// an allocation. Any caller that stores the counts (interval rotation,
-// snapshots, reports) must use CountsCopy.
-func (h *Histogram) Counts() []uint64 { return h.counts }
-
-// CountsCopy returns a freshly allocated copy of the per-bin counts,
-// safe to retain and modify independently of the histogram. This is the
-// required accessor whenever the counts outlive the current interval —
-// see Counts for the borrowed-view alternative and its aliasing hazard.
-func (h *Histogram) CountsCopy() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// ValuesInBin returns the distinct feature values observed in bin b during
-// the current interval, in ascending order (deterministic regardless of
-// table iteration order — detector reports must be byte-identical across
-// runs and across the sequential/parallel bank paths). It returns nil
-// when value tracking is disabled or the bin saw no values. The result
-// is freshly allocated and safe to retain; hot-path callers that query
-// many bins should use AppendValuesInBin with a reused scratch buffer.
-func (h *Histogram) ValuesInBin(b int) []uint64 {
-	return h.AppendValuesInBin(nil, b)
-}
-
-// AppendValuesInBin appends bin b's distinct feature values to dst in
-// ascending order and returns the extended slice — the allocation-free
-// form of ValuesInBin for callers that sweep several bins (the
-// detector's anomalous-bin → value mapping reuses one scratch buffer
-// across bins and intervals). Only the appended region dst[len(dst):]
-// is sorted; existing elements are left untouched. The returned slice
-// aliases dst's backing array (like append), so a caller that retains
-// the result across calls must copy it — the usual append contract, in
-// contrast to ValuesInBin's always-fresh result.
-func (h *Histogram) AppendValuesInBin(dst []uint64, b int) []uint64 {
-	if !h.track || h.values.n == 0 {
-		return dst
+	for _, cs := range s.counts {
+		clear(cs)
 	}
-	start := len(dst)
-	k := len(h.counts)
-	h.values.forEach(func(v, _ uint64) {
-		if h.fn.Bin(v, k) == b {
-			dst = append(dst, v)
+	var total uint64
+	s.values.forEach(func(v, n uint64) {
+		total += n
+		for c, fn := range s.fns {
+			s.counts[c][fn.Bin(v, s.k)] += n
 		}
 	})
-	slices.Sort(dst[start:])
-	return dst
+	s.total, s.stale = total, false
 }
 
-// AppendValuesInBins appends the values of every listed bin to dst —
-// grouped in list order, each group ascending, exactly the
-// concatenation of AppendValuesInBin over bins — and returns the
-// extended slice. It passes over the value table a constant number of
-// times regardless of len(bins), where per-bin calls would rescan the
-// table per bin; this is the accessor for the detector's anomalous-bin
-// sweep, whose bin lists can reach MaxRemoveBins per clone. bins must
-// not repeat (the identification's removal sequence never does); a
-// repeated bin contributes its values once, at its first position. The
-// returned slice aliases dst's backing array — the same contract as
-// AppendValuesInBin — and the bin-position marks live in a scratch
-// buffer reused across calls, another reason the histogram is not safe
-// for concurrent use.
-func (h *Histogram) AppendValuesInBins(dst []uint64, bins []int) []uint64 {
-	if !h.track || h.values.n == 0 || len(bins) == 0 {
+// AppendValuesInBins appends to dst the distinct values clone c bins
+// into each listed bin — grouped in list order, each group ascending —
+// and returns the extended slice. It passes over the value table twice
+// regardless of len(bins); this is the accessor for the detector's
+// anomalous-bin → value mapping. bins must not repeat (the
+// identification's removal sequence never does); a repeated bin
+// contributes its values once, at its first position. Only the appended
+// region is written, and the returned slice aliases dst's backing array
+// like append.
+func (s *CloneSet) AppendValuesInBins(c int, dst []uint64, bins []int) []uint64 {
+	if s.values.n == 0 || len(bins) == 0 {
 		return dst
 	}
-	k := len(h.counts)
-	if h.binPos == nil {
-		h.binPos = make([]int32, k)
+	fn, k := s.fns[c], s.k
+	if s.binPos == nil {
+		s.binPos = make([]int32, k)
 	}
 	// pos maps bin -> 1 + its position in bins; 0 means unlisted.
-	pos := h.binPos
+	pos := s.binPos
 	for i, b := range bins {
 		if pos[b] == 0 {
 			pos[b] = int32(i + 1)
@@ -153,28 +126,24 @@ func (h *Histogram) AppendValuesInBins(dst []uint64, bins []int) []uint64 {
 	}
 	// Counting sort by list position: tally, prefix-sum, place, then
 	// sort each bin's range by plain value compare.
-	if cap(h.binCnt) < len(bins)+1 {
-		h.binCnt = make([]int, len(bins)+1)
+	if cap(s.binCnt) < len(bins)+1 {
+		s.binCnt = make([]int, len(bins)+1)
 	}
-	cnt := h.binCnt[:len(bins)+1]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	h.values.forEach(func(v, _ uint64) {
-		if p := pos[h.fn.Bin(v, k)]; p != 0 {
+	cnt := s.binCnt[:len(bins)+1]
+	clear(cnt)
+	s.values.forEach(func(v, _ uint64) {
+		if p := pos[fn.Bin(v, k)]; p != 0 {
 			cnt[p]++
 		}
 	})
 	total := 0
 	for i := 1; i < len(cnt); i++ {
-		c := cnt[i]
-		cnt[i] = total
-		total += c
+		cnt[i], total = total, total+cnt[i]
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, total)[:start+total]
-	h.values.forEach(func(v, _ uint64) {
-		if p := pos[h.fn.Bin(v, k)]; p != 0 {
+	s.values.forEach(func(v, _ uint64) {
+		if p := pos[fn.Bin(v, k)]; p != 0 {
 			dst[start+cnt[p]] = v
 			cnt[p]++
 		}
@@ -190,47 +159,57 @@ func (h *Histogram) AppendValuesInBins(dst []uint64, bins []int) []uint64 {
 	return dst
 }
 
-// Merge folds other's current-interval observations into h: per-bin
-// counts add and tracked value maps union (summing per-value counts).
-// Histograms are exact mergeable sketches — when both were built with
-// the same hash function, the merged state is identical to having added
-// every observation to h directly, which is what makes cross-shard
-// report merges byte-identical to an unsharded run. Merge panics when
-// the bin counts or hash functions differ, or when exactly one side
-// tracks values (the merged value map would silently lose observations).
-// other is left unchanged.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.counts) != len(other.counts) {
-		panic("histogram: Merge over different bin counts")
+// Merge folds other's observations into s: per-value counts add, once
+// per feature, and every clone's bins follow. Clone sets are exact
+// mergeable sketches — with equal hash functions the merged state is
+// identical to having added every observation to s directly, which is
+// what makes cross-shard merges byte-identical to an unsharded run.
+// Merge panics when the bin counts or hash functions differ. other is
+// left unchanged.
+func (s *CloneSet) Merge(other *CloneSet) {
+	if s.k != other.k || !slices.Equal(s.fns, other.fns) {
+		panic("histogram: Merge over different bin counts or hash functions")
 	}
-	if h.fn != other.fn {
-		panic("histogram: Merge over different hash functions")
-	}
-	if h.track != other.track {
-		panic("histogram: Merge with mismatched value tracking")
-	}
-	for b, n := range other.counts {
-		h.counts[b] += n
-	}
-	h.total += other.total
-	if !h.track {
-		return
-	}
-	other.values.forEach(func(v, n uint64) { h.values.add(v, n) })
+	other.values.forEach(func(v, n uint64) { s.values.add(v, n) })
+	s.stale = true
 }
 
-// Reset clears all counts and tracked values for the next interval. The
-// value table's arena is recycled, not freed: the next interval's adds
-// reuse its capacity, so steady-state ingestion does not allocate.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	if h.track {
-		h.values.reset()
-	}
+// Reset clears the set for the next interval. The value table's arena is
+// recycled, not freed: the next interval's adds reuse its capacity, so
+// steady-state ingestion does not allocate.
+func (s *CloneSet) Reset() {
+	s.values.reset()
+	s.stale = true
 }
+
+// Histogram is one randomized histogram over one interval: the
+// single-clone case of CloneSet.
+type Histogram struct {
+	set   *CloneSet
+	track bool
+}
+
+// New creates a histogram with k bins using hash function fn. When
+// trackValues is true its snapshots carry the feature values per bin.
+func New(k int, fn hash.Func, trackValues bool) *Histogram {
+	return &Histogram{set: NewCloneSet(k, []hash.Func{fn}), track: trackValues}
+}
+
+// Add records one observation of feature value v.
+func (h *Histogram) Add(v uint64) { h.set.Add(v) }
+
+// Snapshot captures the histogram's current-interval state (see
+// CloneSet.Snapshots); Values is nil unless the histogram tracks values.
+func (h *Histogram) Snapshot() Snapshot {
+	s := h.set.Snapshots()[0]
+	if !h.track {
+		s.Values = nil
+	}
+	return s
+}
+
+// Reset clears the histogram for the next interval (see CloneSet.Reset).
+func (h *Histogram) Reset() { h.set.Reset() }
 
 // smoothingAlpha is the Laplace pseudo-count used when normalizing bin
 // counts into distributions. The paper does not specify its zero-bin
@@ -269,6 +248,3 @@ func KL(p, q []uint64) float64 {
 	}
 	return d
 }
-
-// Distance returns D(h || ref) for two histograms of equal bin count.
-func Distance(h, ref *Histogram) float64 { return KL(h.counts, ref.counts) }

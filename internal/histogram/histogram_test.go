@@ -2,77 +2,96 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"anomalyx/internal/hash"
 )
 
-func newTestHist(k int, track bool) *Histogram {
-	return New(k, hash.New(1), track)
+// testFns returns n clone hash functions.
+func testFns(n int) []hash.Func {
+	fns := make([]hash.Func, n)
+	for c := range fns {
+		fns[c] = hash.New(uint64(c) + 1)
+	}
+	return fns
 }
 
 func TestAddAndCount(t *testing.T) {
-	h := newTestHist(16, false)
-	h.Add(5)
-	h.Add(5)
-	h.AddN(9, 3)
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
+	fns := testFns(3)
+	s := NewCloneSet(16, fns)
+	s.Add(5)
+	s.Add(5)
+	s.AddN(9, 3)
+	if s.Total() != 5 {
+		t.Errorf("Total = %d, want 5", s.Total())
 	}
-	if got := h.Count(h.Bin(5)); got < 2 {
-		t.Errorf("bin of 5 has %d, want >= 2", got)
+	for c, fn := range fns {
+		if got := s.Counts(c)[fn.Bin(5, 16)]; got < 2 {
+			t.Errorf("clone %d: bin of 5 has %d, want >= 2", c, got)
+		}
+		var sum uint64
+		for _, n := range s.Counts(c) {
+			sum += n
+		}
+		if sum != 5 {
+			t.Errorf("clone %d: bin sum %d, want 5", c, sum)
+		}
 	}
-	var sum uint64
-	for i := 0; i < h.K(); i++ {
-		sum += h.Count(i)
-	}
-	if sum != 5 {
-		t.Errorf("bin sum %d, want 5", sum)
+	s.Add(9) // counts are re-derived after a change
+	if s.Total() != 6 || s.Counts(1)[fns[1].Bin(9, 16)] < 4 {
+		t.Errorf("after another add: total %d, bin of 9 %d", s.Total(), s.Counts(1)[fns[1].Bin(9, 16)])
 	}
 }
 
 func TestValueTracking(t *testing.T) {
-	h := newTestHist(8, true)
+	fn := hash.New(1)
+	h := New(8, fn, true)
 	h.Add(100)
 	h.Add(100)
 	h.Add(200)
-	b := h.Bin(100)
-	vals := h.ValuesInBin(b)
-	found := false
-	for _, v := range vals {
-		if v == 100 {
-			found = true
-		}
-	}
-	if !found {
+	vals := h.Snapshot().Values[fn.Bin(100, 8)]
+	if !slices.Contains(vals, ValueCount{Value: 100, Count: 2}) {
 		t.Errorf("value 100 not tracked in its bin; got %v", vals)
 	}
 }
 
 func TestValueTrackingDisabled(t *testing.T) {
-	h := newTestHist(8, false)
+	h := New(8, hash.New(1), false)
 	h.Add(100)
-	if h.ValuesInBin(h.Bin(100)) != nil {
-		t.Error("untracked histogram returned values")
+	s := h.Snapshot()
+	if s.Values != nil {
+		t.Error("untracked histogram snapshot carries values")
+	}
+	if s.Total != 1 {
+		t.Errorf("untracked histogram total %d, want 1", s.Total)
 	}
 }
 
 func TestReset(t *testing.T) {
-	h := newTestHist(8, true)
-	h.Add(1)
-	h.Add(2)
-	h.Reset()
-	if h.Total() != 0 {
-		t.Errorf("Total after reset = %d", h.Total())
+	s := NewCloneSet(8, testFns(2))
+	s.Add(1)
+	s.Add(2)
+	s.Reset()
+	if s.Total() != 0 {
+		t.Errorf("Total after reset = %d", s.Total())
 	}
-	for i := 0; i < h.K(); i++ {
-		if h.Count(i) != 0 {
-			t.Errorf("bin %d non-zero after reset", i)
+	for c, hs := range s.Snapshots() {
+		for b := range hs.Counts {
+			if hs.Counts[b] != 0 || s.Counts(c)[b] != 0 {
+				t.Errorf("clone %d bin %d non-zero after reset", c, b)
+			}
+			if hs.Values[b] != nil {
+				t.Errorf("clone %d bin %d still has values after reset", c, b)
+			}
 		}
-		if h.ValuesInBin(i) != nil {
-			t.Errorf("bin %d still has values after reset", i)
-		}
+	}
+	h := New(8, hash.New(1), true)
+	h.Add(3)
+	h.Reset()
+	if h.Snapshot().Total != 0 {
+		t.Error("histogram not empty after reset")
 	}
 }
 
@@ -165,19 +184,17 @@ func TestKLPanicsOnLengthMismatch(t *testing.T) {
 }
 
 func TestDistance(t *testing.T) {
-	a := newTestHist(16, false)
-	b := newTestHist(16, false)
+	a := NewCloneSet(16, testFns(1))
+	b := NewCloneSet(16, testFns(1))
 	for v := uint64(0); v < 100; v++ {
 		a.Add(v)
 		b.Add(v)
 	}
-	if d := Distance(a, b); d != 0 {
+	if d := KL(a.Counts(0), b.Counts(0)); d != 0 {
 		t.Errorf("identical histograms: distance %v", d)
 	}
-	for i := 0; i < 1000; i++ {
-		a.Add(7777)
-	}
-	if d := Distance(a, b); d <= 0 {
+	a.AddN(7777, 1000)
+	if d := KL(a.Counts(0), b.Counts(0)); d <= 0 {
 		t.Errorf("spiked histogram: distance %v", d)
 	}
 }

@@ -13,13 +13,13 @@ type ValueCount struct {
 	Count uint64
 }
 
-// Snapshot is the exported, plain-data state of a Histogram: everything
+// Snapshot is the exported, plain-data state of one clone: everything
 // that accumulates between Resets, in a canonical form suitable for
 // serialization. Counts is always a private copy (never an alias of the
-// live histogram) and each bin's Values slice is sorted ascending by
-// Value, so two histograms holding the same observations always yield
-// deeply equal — and, once serialized, byte-identical — snapshots
-// regardless of insertion or table-iteration order.
+// live set) and each bin's Values slice is sorted ascending by Value, so
+// two sets holding the same observations always yield deeply equal —
+// and, once serialized, byte-identical — snapshots regardless of
+// insertion or table-iteration order.
 //
 // The per-bin Values slices share one backing array (they are adjacent
 // sub-slices of a single slab, capacity-clipped so appends cannot bleed
@@ -28,9 +28,9 @@ type ValueCount struct {
 // slab to stay intact — treat a Snapshot as immutable plain data.
 //
 // A Snapshot does not carry the hash function or bin count as
-// configuration: restoring requires a histogram already constructed with
-// the matching parameters (both sides of a wire transfer build their
-// histograms from the same detector Config and Seed).
+// configuration: restoring requires a set already constructed with the
+// matching parameters (both sides of a wire transfer build their sets
+// from the same detector Config and Seed).
 type Snapshot struct {
 	// Counts holds the per-bin counts; its length is the bin count K.
 	Counts []uint64
@@ -41,134 +41,147 @@ type Snapshot struct {
 	Values [][]ValueCount
 }
 
-// Snapshot captures the histogram's current-interval state. The result
-// shares no memory with the histogram: Counts is a copy (the CountsCopy
-// contract — snapshots outlive the interval) and tracked values are
-// flattened into one sorted slab, sub-sliced per bin (a handful of
-// allocations total, not one per bin). The flatten is a counting sort:
-// one table pass tallies entries per bin, the prefix sum carves the
-// slab into per-bin ranges, a second pass places entries, and each
-// (small) range sorts ascending by value — O(n + Σ_b n_b·log n_b),
-// the same sort work the per-bin maps paid, without their allocations.
-func (h *Histogram) Snapshot() Snapshot {
-	s := Snapshot{Counts: h.CountsCopy(), Total: h.total}
-	if !h.track {
-		return s
-	}
-	k := len(h.counts)
-	s.Values = make([][]ValueCount, k)
-	n := h.values.n
-	if n == 0 {
-		return s
-	}
-	offs := make([]int, k+1)
-	h.values.forEach(func(v, _ uint64) {
-		offs[h.fn.Bin(v, k)+1]++
+// Snapshots captures the set's current-interval state, one Snapshot per
+// clone, each grouping the one value table by that clone's bins. The
+// result shares no memory with the set. Each clone's flatten is a
+// counting sort that also sums the clone's bin counts: bin and tally
+// every entry, carve the clone's slab into per-bin ranges by prefix sum,
+// place, and sort each (small) range ascending by value.
+func (s *CloneSet) Snapshots() []Snapshot {
+	var total uint64
+	ents := make([]ValueCount, 0, s.values.n)
+	s.values.forEach(func(v, n uint64) {
+		ents = append(ents, ValueCount{v, n})
+		total += n
 	})
-	for b := 0; b < k; b++ {
-		offs[b+1] += offs[b]
-	}
-	slab := make([]ValueCount, n)
-	// offs[b] doubles as bin b's placement cursor; after this pass it
-	// holds bin b's end, and bin b-1's end is its start.
-	h.values.forEach(func(v, c uint64) {
-		b := h.fn.Bin(v, k)
-		slab[offs[b]] = ValueCount{Value: v, Count: c}
-		offs[b]++
-	})
-	for b := 0; b < k; b++ {
+	bins := make([]int32, len(ents))
+	offs := make([]int, s.k+1)
+	out := make([]Snapshot, len(s.fns))
+	for c, fn := range s.fns {
+		out[c] = Snapshot{Counts: make([]uint64, s.k), Total: total, Values: make([][]ValueCount, s.k)}
+		if len(ents) == 0 {
+			continue
+		}
+		clear(offs)
+		for i, e := range ents {
+			b := int32(fn.Bin(e.Value, s.k))
+			bins[i] = b
+			offs[b+1]++
+			out[c].Counts[b] += e.Count
+		}
+		for b := 0; b < s.k; b++ {
+			offs[b+1] += offs[b]
+		}
+		// offs[b] doubles as bin b's placement cursor; after this pass
+		// it holds bin b's end, and bin b-1's end is its start.
+		slab := make([]ValueCount, len(ents))
+		for i, e := range ents {
+			slab[offs[bins[i]]] = e
+			offs[bins[i]]++
+		}
 		start := 0
-		if b > 0 {
-			start = offs[b-1]
-		}
-		if end := offs[b]; end > start {
-			vs := slab[start:end:end]
-			slices.SortFunc(vs, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
-			s.Values[b] = vs
+		for b, end := range offs[:s.k] {
+			if end > start {
+				vs := slab[start:end:end]
+				slices.SortFunc(vs, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
+				out[c].Values[b] = vs
+			}
+			start = end
 		}
 	}
-	return s
+	return out
 }
 
-// MergeSnapshot folds a snapshot's observations into the histogram
-// additively — per-bin counts add, the total adds, and tracked values
-// accumulate into the value table. It is Merge with a Snapshot on the
-// right-hand side: when both sides were built with the same hash
-// function, merging a sibling's snapshot is identical to having added
-// every one of its observations directly (the mergeable-sketch
-// invariant), which lets a distributed collector absorb a shipped
-// interval without first restoring it into a scratch histogram. The
-// same configuration-matching caveat as RestoreSnapshot applies: bin
-// count and value-tracking mode are checked, the hash function cannot
-// be.
-func (h *Histogram) MergeSnapshot(s Snapshot) error {
-	if len(s.Counts) != len(h.counts) {
-		return fmt.Errorf("histogram: merge snapshot with %d bins into histogram with %d", len(s.Counts), len(h.counts))
+// CheckSnapshots reports whether ss can be merged into or restored over
+// s without an error, moving nothing: one snapshot per clone, each with
+// s's bin count and tracked values, and — because the clones of one
+// feature share one value table — all carrying the same Total, each
+// clone's counts summing to it, and the same number of value entries,
+// whose counts also sum to it. Callers that fold several sets validate
+// every one of them first, so a bad snapshot cannot leave a fold half
+// done.
+func (s *CloneSet) CheckSnapshots(ss []Snapshot) error {
+	if len(ss) != len(s.fns) {
+		return fmt.Errorf("histogram: %d clone snapshots for a set of %d clones", len(ss), len(s.fns))
 	}
-	if (s.Values != nil) != h.track {
-		return fmt.Errorf("histogram: merge snapshot with mismatched value tracking")
-	}
-	if s.Values != nil && len(s.Values) != len(h.counts) {
-		return fmt.Errorf("histogram: merge snapshot with %d value bins into histogram with %d", len(s.Values), len(h.counts))
-	}
-	for b, n := range s.Counts {
-		h.counts[b] += n
-	}
-	h.total += s.Total
-	if !h.track {
-		return nil
-	}
-	extra := 0
-	for _, vs := range s.Values {
-		extra += len(vs)
-	}
-	h.values.ensure(extra)
-	for _, vs := range s.Values {
-		for _, vc := range vs {
-			h.values.add(vc.Value, vc.Count)
+	entries := -1
+	for c, hs := range ss {
+		if len(hs.Counts) != s.k || hs.Values == nil || len(hs.Values) != s.k {
+			return fmt.Errorf("histogram: clone %d snapshot has %d bins (%d tracked), want %d tracked",
+				c, len(hs.Counts), len(hs.Values), s.k)
+		}
+		var sum uint64
+		for _, n := range hs.Counts {
+			sum += n
+		}
+		n := 0
+		var valSum uint64
+		for _, vs := range hs.Values {
+			n += len(vs)
+			for _, vc := range vs {
+				valSum += vc.Count
+			}
+		}
+		if entries < 0 {
+			entries = n
+		}
+		if hs.Total != ss[0].Total || sum != hs.Total || valSum != hs.Total || n != entries {
+			return fmt.Errorf("histogram: clone %d snapshot (total %d, %d values) disagrees with clone 0's (total %d, %d values)",
+				c, hs.Total, n, ss[0].Total, entries)
 		}
 	}
 	return nil
 }
 
-// RestoreSnapshot replaces the histogram's accumulated state with s,
-// discarding whatever the current interval held. The histogram must have
-// been constructed with the snapshot's bin count and the same
-// value-tracking mode; the hash function is not checked (it is not part
-// of a snapshot) — restoring into a histogram built from a different
-// seed silently yields a histogram whose future Adds disagree with its
-// restored past, so callers must guarantee matching construction
-// parameters (the wire protocol does so with a config digest).
-//
-// Because snapshots carry each bin's values pre-sorted, restore is a
-// single bulk fill of the value table: one reserve sized to the
-// snapshot's entry count (at most one arena allocation), then straight
-// inserts — no per-bin structures are rebuilt.
-func (h *Histogram) RestoreSnapshot(s Snapshot) error {
-	if len(s.Counts) != len(h.counts) {
-		return fmt.Errorf("histogram: restore snapshot with %d bins into histogram with %d", len(s.Counts), len(h.counts))
+// MergeSnapshot folds per-clone snapshots (as Snapshots returns them)
+// into the set additively: clone 0's values enter the one table, and
+// every clone's bins follow from it. It is Merge with the sibling in
+// snapshot form, so a distributed collector can absorb a shipped
+// interval without restoring it into a scratch set first. ss must pass
+// CheckSnapshots; the hash functions cannot be checked (see Snapshot).
+func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
+	if err := s.CheckSnapshots(ss); err != nil {
+		return err
 	}
-	if (s.Values != nil) != h.track {
-		return fmt.Errorf("histogram: restore snapshot with mismatched value tracking")
-	}
-	if s.Values != nil && len(s.Values) != len(h.counts) {
-		return fmt.Errorf("histogram: restore snapshot with %d value bins into histogram with %d", len(s.Values), len(h.counts))
-	}
-	copy(h.counts, s.Counts)
-	h.total = s.Total
-	if !h.track {
-		return nil
-	}
-	h.values.reset()
-	total := 0
-	for _, vs := range s.Values {
-		total += len(vs)
-	}
-	h.values.reserve(total)
-	for _, vs := range s.Values {
+	s.values.ensure(entryCount(ss[0]))
+	for _, vs := range ss[0].Values {
 		for _, vc := range vs {
-			h.values.set(vc.Value, vc.Count)
+			s.values.add(vc.Value, vc.Count)
 		}
 	}
+	s.stale = true
 	return nil
+}
+
+// RestoreSnapshot replaces the set's accumulated state with ss,
+// discarding whatever the current interval held: one bulk fill of the
+// value table from clone 0's values (at most one arena allocation), the
+// bins derived from it. ss must pass CheckSnapshots, and the set must
+// have been built with the snapshots' hash functions — restoring into a
+// set from a different seed silently yields one whose future adds
+// disagree with its restored past, so callers must guarantee matching
+// construction parameters (the wire protocol does so with a config
+// digest).
+func (s *CloneSet) RestoreSnapshot(ss []Snapshot) error {
+	if err := s.CheckSnapshots(ss); err != nil {
+		return err
+	}
+	s.values.reset()
+	s.values.reserve(entryCount(ss[0]))
+	for _, vs := range ss[0].Values {
+		for _, vc := range vs {
+			s.values.set(vc.Value, vc.Count)
+		}
+	}
+	s.stale = true
+	return nil
+}
+
+// entryCount returns the number of value entries in hs.
+func entryCount(hs Snapshot) int {
+	n := 0
+	for _, vs := range hs.Values {
+		n += len(vs)
+	}
+	return n
 }

@@ -3,62 +3,64 @@ package histogram
 import (
 	"reflect"
 	"testing"
-
-	"anomalyx/internal/hash"
 )
 
-// TestSnapshotRestoreRoundTrip: a restored histogram is indistinguishable
-// from the original — counts, total, tracked values, and subsequent
-// behaviour all match — and the snapshot shares no memory with either.
+// TestSnapshotRestoreRoundTrip: a restored set is indistinguishable from
+// the original — every clone's counts and values, the total, and
+// subsequent behaviour all match — and the snapshots share no memory
+// with either.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	fn := hash.New(7)
-	h := New(16, fn, true)
+	fns := testFns(3)
+	s := NewCloneSet(16, fns)
 	for v := uint64(0); v < 300; v++ {
-		h.AddN(v%37, v%5+1)
+		s.AddN(v%37, v%5+1)
 	}
-	s := h.Snapshot()
+	ss := s.Snapshots()
 
-	// The snapshot must be a private copy: mutating the histogram must
-	// not change it (the CountsCopy contract).
-	before := append([]uint64(nil), s.Counts...)
-	h.Add(1)
-	if !reflect.DeepEqual(s.Counts, before) {
-		t.Fatal("snapshot counts alias the live histogram")
+	// The snapshots must be private copies: changing the set must not
+	// change them.
+	before := append([]uint64(nil), ss[1].Counts...)
+	s.Add(1)
+	if !reflect.DeepEqual(ss[1].Counts, before) {
+		t.Fatal("snapshot counts alias the live set")
 	}
-	h.RestoreSnapshot(s) // undo the extra Add
-
-	r := New(16, fn, true)
-	if err := r.RestoreSnapshot(s); err != nil {
+	if err := s.RestoreSnapshot(ss); err != nil { // undo the extra Add
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Snapshot(), s) {
-		t.Fatal("restored histogram re-snapshots differently")
+
+	r := NewCloneSet(16, fns)
+	if err := r.RestoreSnapshot(ss); err != nil {
+		t.Fatal(err)
 	}
-	if r.Total() != h.Total() {
-		t.Fatalf("restored total %d != %d", r.Total(), h.Total())
+	if !reflect.DeepEqual(r.Snapshots(), ss) {
+		t.Fatal("restored set re-snapshots differently")
 	}
-	for b := 0; b < 16; b++ {
-		if r.Count(b) != h.Count(b) {
-			t.Fatalf("bin %d: restored %d != %d", b, r.Count(b), h.Count(b))
+	if r.Total() != s.Total() {
+		t.Fatalf("restored total %d != %d", r.Total(), s.Total())
+	}
+	for c := range fns {
+		if !reflect.DeepEqual(r.Counts(c), s.Counts(c)) {
+			t.Fatalf("clone %d: restored counts differ", c)
 		}
-		if !reflect.DeepEqual(r.ValuesInBin(b), h.ValuesInBin(b)) {
-			t.Fatalf("bin %d: restored values differ", b)
+		for b := 0; b < 16; b++ {
+			if got, want := r.AppendValuesInBins(c, nil, []int{b}), s.AppendValuesInBins(c, nil, []int{b}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("clone %d bin %d: restored values %v != %v", c, b, got, want)
+			}
 		}
 	}
 	// Subsequent adds agree too.
-	h.AddN(99, 3)
+	s.AddN(99, 3)
 	r.AddN(99, 3)
-	if !reflect.DeepEqual(r.Snapshot(), h.Snapshot()) {
-		t.Fatal("histograms diverge after post-restore adds")
+	if !reflect.DeepEqual(r.Snapshots(), s.Snapshots()) {
+		t.Fatal("sets diverge after post-restore adds")
 	}
 }
 
 // TestSnapshotCanonicalOrder: tracked values appear sorted ascending
 // per bin, regardless of insertion order.
 func TestSnapshotCanonicalOrder(t *testing.T) {
-	fn := hash.New(1)
-	a := New(4, fn, true)
-	b := New(4, fn, true)
+	a := NewCloneSet(4, testFns(2))
+	b := NewCloneSet(4, testFns(2))
 	vals := []uint64{9, 2, 700, 14, 3, 3, 9}
 	for _, v := range vals {
 		a.Add(v)
@@ -66,59 +68,115 @@ func TestSnapshotCanonicalOrder(t *testing.T) {
 	for i := len(vals) - 1; i >= 0; i-- {
 		b.Add(vals[i])
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
+	sa, sb := a.Snapshots(), b.Snapshots()
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatal("equal observation multisets snapshot differently")
 	}
-	for bin, vs := range sa.Values {
-		for i := 1; i < len(vs); i++ {
-			if vs[i-1].Value >= vs[i].Value {
-				t.Fatalf("bin %d values not strictly ascending: %v", bin, vs)
+	for c, hs := range sa {
+		for bin, vs := range hs.Values {
+			for i := 1; i < len(vs); i++ {
+				if vs[i-1].Value >= vs[i].Value {
+					t.Fatalf("clone %d bin %d values not strictly ascending: %v", c, bin, vs)
+				}
 			}
 		}
 	}
 }
 
-// TestRestoreSnapshotRejectsShape: bin-count and tracking-mode
-// mismatches error instead of silently corrupting state.
+// TestRestoreSnapshotRejectsShape: bin-count, clone-count and
+// tracking-mode mismatches, and clones that cannot share one value
+// table, error instead of silently corrupting state — and leave the
+// target exactly as it was.
 func TestRestoreSnapshotRejectsShape(t *testing.T) {
-	fn := hash.New(2)
-	tracked := New(8, fn, true)
-	tracked.Add(5)
-	s := tracked.Snapshot()
-
-	if err := New(16, fn, true).RestoreSnapshot(s); err == nil {
-		t.Error("restore across bin counts accepted")
+	fns := testFns(2)
+	src := NewCloneSet(8, fns)
+	for v := uint64(0); v < 40; v++ {
+		src.Add(v)
 	}
-	if err := New(8, fn, false).RestoreSnapshot(s); err == nil {
-		t.Error("restore of a tracked snapshot into an untracked histogram accepted")
-	}
-	untracked := New(8, fn, false)
+	ss := src.Snapshots()
+	untracked := New(8, fns[0], false)
 	untracked.Add(5)
-	if err := tracked.RestoreSnapshot(untracked.Snapshot()); err == nil {
-		t.Error("restore of an untracked snapshot into a tracked histogram accepted")
+
+	mutate := func(f func(ss []Snapshot) []Snapshot) []Snapshot {
+		cp := make([]Snapshot, len(ss))
+		for c, hs := range ss {
+			cp[c] = Snapshot{Counts: append([]uint64(nil), hs.Counts...), Total: hs.Total, Values: append([][]ValueCount(nil), hs.Values...)}
+		}
+		return f(cp)
 	}
-	bad := s
-	bad.Values = bad.Values[:4]
-	if err := New(8, fn, true).RestoreSnapshot(bad); err == nil {
-		t.Error("restore with truncated value bins accepted")
+	cases := map[string]struct {
+		k  int
+		ss []Snapshot
+	}{
+		"bin count":   {16, ss},
+		"clone count": {8, ss[:1]},
+		"untracked":   {8, []Snapshot{untracked.Snapshot(), untracked.Snapshot()}},
+		"truncated value bins": {8, mutate(func(ss []Snapshot) []Snapshot {
+			ss[1].Values = ss[1].Values[:4]
+			return ss
+		})},
+		"totals differ": {8, mutate(func(ss []Snapshot) []Snapshot {
+			ss[1].Total++
+			return ss
+		})},
+		"counts do not sum to total": {8, mutate(func(ss []Snapshot) []Snapshot {
+			ss[0].Counts[0]++
+			return ss
+		})},
+		"value counts do not sum to total": {8, mutate(func(ss []Snapshot) []Snapshot {
+			for b, vs := range ss[0].Values {
+				if len(vs) > 0 {
+					vs = append([]ValueCount(nil), vs...)
+					vs[0].Count++
+					ss[0].Values[b] = vs
+					return ss
+				}
+			}
+			return ss
+		})},
+		"value entries differ": {8, mutate(func(ss []Snapshot) []Snapshot {
+			for b, vs := range ss[1].Values {
+				if len(vs) > 0 {
+					ss[1].Values[b] = append(vs[:len(vs):len(vs)], ValueCount{Value: 1 << 40})
+					return ss
+				}
+			}
+			return ss
+		})},
+	}
+	for name, tc := range cases {
+		dst := NewCloneSet(tc.k, fns)
+		dst.Add(77)
+		want := dst.Snapshots()
+		if err := dst.CheckSnapshots(tc.ss); err == nil {
+			t.Errorf("%s: CheckSnapshots accepted", name)
+		}
+		if err := dst.RestoreSnapshot(tc.ss); err == nil {
+			t.Errorf("%s: RestoreSnapshot accepted", name)
+		}
+		if err := dst.MergeSnapshot(tc.ss); err == nil {
+			t.Errorf("%s: MergeSnapshot accepted", name)
+		}
+		if !reflect.DeepEqual(dst.Snapshots(), want) {
+			t.Errorf("%s: rejected snapshot changed the set", name)
+		}
 	}
 }
 
 // TestRestoreSnapshotOverwrites: restoring discards whatever the
-// current interval held, including stale value maps.
+// current interval held, including stale table entries.
 func TestRestoreSnapshotOverwrites(t *testing.T) {
-	fn := hash.New(3)
-	h := New(8, fn, true)
+	fns := testFns(3)
+	s := NewCloneSet(8, fns)
 	for v := uint64(0); v < 64; v++ {
-		h.Add(v)
+		s.Add(v)
 	}
-	fresh := New(8, fn, true)
+	fresh := NewCloneSet(8, fns)
 	fresh.Add(1)
-	if err := h.RestoreSnapshot(fresh.Snapshot()); err != nil {
+	if err := s.RestoreSnapshot(fresh.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(h.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(s.Snapshots(), fresh.Snapshots()) {
 		t.Fatal("restore left stale state behind")
 	}
 }

@@ -2,28 +2,30 @@ package histogram
 
 import "math/bits"
 
-// valueTable is the histogram's value-tracking store: a specialized
-// open-addressing hash table from feature value to observation count
-// (uint64 → uint64, linear probing, power-of-two capacity). It replaces
-// the literal per-bin map[uint64]uint64 of §II-D's "map of bins and
-// corresponding feature values": because a value's bin is a pure
-// function of the value (the clone's seeded hash), one flat value →
-// count table per histogram carries exactly the same information as a
-// map per bin, and per-bin views are recovered by filtering on
-// Histogram.Bin.
+// valueTable is a clone set's whole state: a specialized open-addressing
+// hash table from feature value to observation count (uint64 → uint64,
+// linear probing, power-of-two capacity). It replaces the literal
+// per-bin, per-clone map[uint64]uint64 of §II-D's "map of bins and
+// corresponding feature values": a value's bin is a pure function of the
+// value (each clone's seeded hash), so one flat value → count table per
+// feature carries exactly the information of a map per bin per clone —
+// each clone's bin counts and per-bin values are recovered by binning
+// the table's entries with that clone's hash (CloneSet.bin,
+// AppendValuesInBins, Snapshots).
 //
 // All storage lives in one arena — a single []uint64 allocation holding
 // the key slots, the count slots, and the occupancy bitmap. reset
-// clears only the bitmap and keeps the arena, so a histogram that has
-// seen one full interval allocates nothing on the next: steady-state
-// AddN is allocation-free, which is what removes the map churn from the
+// clears only the bitmap and keeps the arena, so a set that has seen one
+// full interval allocates nothing on the next: steady-state AddN is
+// allocation-free, which is what removes the map churn from the
 // ingestion hot path (every interval used to rebuild ~one map per
 // non-empty bin, each with its own growth reallocations).
 //
 // Determinism: the table's iteration order depends on insertion history
 // (like a map's, though it is at least stable), so it is never exposed.
-// Every reader that feeds report or snapshot bytes — AppendValuesInBin,
-// Snapshot — sorts before returning, exactly as the map-based code did.
+// Every reader that feeds report or snapshot bytes — AppendValuesInBins,
+// Snapshots — sorts before returning, and bin counts are sums, which do
+// not depend on order.
 type valueTable struct {
 	keys   []uint64 // arena[0:cap]; stale slots are masked by the bitmap
 	counts []uint64 // arena[cap:2cap]
@@ -39,7 +41,7 @@ type valueTable struct {
 }
 
 // tableMinSlots is the capacity of the first arena. Small, because many
-// histograms see few distinct values; the table doubles as needed and
+// features see few distinct values; the table doubles as needed and
 // keeps its capacity across Resets (the arena is the point), decaying
 // only after a sustained occupancy drop — see reset.
 const tableMinSlots = 16
@@ -49,7 +51,7 @@ const tableMinSlots = 16
 // reallocates down to fit the largest of those intervals (with 2x
 // headroom). A cardinality spike — a spoofed-source flood is exactly
 // the traffic this detector exists to flag — would otherwise pin its
-// worst-case arena in every clone forever; decay restores the
+// worst-case arena in every feature forever; decay restores the
 // transient-peak memory profile the per-bin maps had, while the
 // steady-state reset stays allocation-free (a stable traffic mix never
 // trips the fraction).
@@ -61,7 +63,7 @@ const (
 // tableSlot mixes a feature value into a slot hash. Feature values are
 // heavily structured (sequential ports, adjacent addresses), so linear
 // probing needs a finalizer with full avalanche to avoid clustering;
-// this is the murmur3 fmix64, the same mixer the histogram's bin hash
+// this is the murmur3 fmix64, the same mixer the clones' bin hash
 // builds on.
 func tableSlot(v uint64) uint64 {
 	v ^= v >> 33

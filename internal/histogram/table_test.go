@@ -9,12 +9,13 @@ import (
 	"anomalyx/internal/hash"
 )
 
-// mapHistogram is the reference model for the valueTable: the literal
-// map-per-bin implementation this package shipped before the arena
-// refactor. The differential tests drive a Histogram and a mapHistogram
+// mapHistogram is the reference model: the literal single-clone,
+// map-per-bin histogram this package shipped before the value table and
+// before the clones of a feature came to share one table. The
+// differential tests drive a CloneSet and one mapHistogram per clone
 // through the same program and require identical observable state —
-// snapshots, per-bin values, counts — so the table swap is proven
-// behaviour-preserving rather than assumed.
+// snapshots, totals, per-bin counts and values — so both refactors are
+// proven behaviour-preserving rather than assumed.
 type mapHistogram struct {
 	fn     hash.Func
 	k      int
@@ -88,42 +89,67 @@ func (m *mapHistogram) snapshot() Snapshot {
 	return s
 }
 
-// checkParity compares every observable of the histogram against the
-// model: canonical snapshot, totals, per-bin counts and values.
-func checkParity(t *testing.T, h *Histogram, m *mapHistogram) {
+// checkParity compares every observable of the set against one model per
+// clone: canonical snapshot, total, per-bin counts, and the multi-bin
+// value sweep over every bin in descending order (its reference is the
+// concatenation of the model's sorted per-bin values).
+func checkParity(t *testing.T, s *CloneSet, ms []*mapHistogram) {
 	t.Helper()
-	hs, ms := h.Snapshot(), m.snapshot()
-	if !reflect.DeepEqual(hs, ms) {
-		t.Fatalf("snapshot parity broken:\n table %+v\n model %+v", hs, ms)
-	}
-	if h.Total() != m.total {
-		t.Fatalf("total %d, model %d", h.Total(), m.total)
-	}
-	for b := 0; b < h.K(); b++ {
-		if h.Count(b) != m.counts[b] {
-			t.Fatalf("bin %d count %d, model %d", b, h.Count(b), m.counts[b])
+	ss := s.Snapshots()
+	for c, m := range ms {
+		if want := m.snapshot(); !reflect.DeepEqual(ss[c], want) {
+			t.Fatalf("clone %d snapshot parity broken:\n table %+v\n model %+v", c, ss[c], want)
 		}
+		if s.Total() != m.total {
+			t.Fatalf("total %d, clone %d model %d", s.Total(), c, m.total)
+		}
+		if !slices.Equal(s.Counts(c), m.counts) {
+			t.Fatalf("clone %d counts %v, model %v", c, s.Counts(c), m.counts)
+		}
+		var bins []int
 		var want []uint64
-		for v := range m.values[b] {
-			want = append(want, v)
+		for b := len(m.counts) - 1; b >= 0; b-- {
+			bins = append(bins, b)
+			start := len(want)
+			for v := range m.values[b] {
+				want = append(want, v)
+			}
+			slices.Sort(want[start:])
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if got := h.ValuesInBin(b); !reflect.DeepEqual(got, want) {
-			t.Fatalf("bin %d values %v, model %v", b, got, want)
+		if got := s.AppendValuesInBins(c, nil, bins); !slices.Equal(got, want) {
+			t.Fatalf("clone %d values in bins %v, model %v", c, got, want)
 		}
 	}
 }
 
-// runParityProgram interprets data as a program over two histograms and
-// their models: adds (including n=0, which must still create the
-// entry), merges between tables of mismatched occupancy, resets, and
+// runParityProgram interprets data as a program over two clone sets of
+// the given clone count and their per-clone models: adds (including
+// n=0, which must still create the entry), merges between tables of
+// mismatched occupancy, merges of the other set's snapshots, resets, and
 // snapshot/restore round trips. It is shared by the deterministic
-// differential test and FuzzValueTableParity.
-func runParityProgram(t *testing.T, data []byte) {
+// differential test, FuzzValueTableParity (one clone) and
+// FuzzCloneSetParity (several).
+func runParityProgram(t *testing.T, data []byte, clones int) {
 	const k = 16
-	fn := hash.New(42)
-	hs := [2]*Histogram{New(k, fn, true), New(k, fn, true)}
-	ms := [2]*mapHistogram{newMapHistogram(k, fn), newMapHistogram(k, fn)}
+	fns := make([]hash.Func, clones)
+	for c := range fns {
+		fns[c] = hash.New(42 + uint64(c))
+	}
+	newModels := func() []*mapHistogram {
+		ms := make([]*mapHistogram, clones)
+		for c, fn := range fns {
+			ms[c] = newMapHistogram(k, fn)
+		}
+		return ms
+	}
+	hs := [2]*CloneSet{NewCloneSet(k, fns), NewCloneSet(k, fns)}
+	ms := [2][]*mapHistogram{newModels(), newModels()}
+	addN := func(tgt int, v, n uint64) {
+		hs[tgt].AddN(v, n)
+		for _, m := range ms[tgt] {
+			m.addN(v, n)
+		}
+	}
 
 	next := func() byte {
 		if len(data) == 0 {
@@ -139,35 +165,44 @@ func runParityProgram(t *testing.T, data []byte) {
 		switch op % 5 {
 		case 0, 1: // add: small value space forces slot collisions
 			v := uint64(next()) % 64
-			n := uint64(next()) % 4 // n = 0 must still create the entry
-			hs[tgt].AddN(v, n)
-			ms[tgt].addN(v, n)
+			addN(tgt, v, uint64(next())%4) // n = 0 must still create the entry
 		case 2: // add a wide value (exercises high slot hashes)
-			v := uint64(next())<<56 | uint64(next())<<24 | uint64(next())
-			hs[tgt].AddN(v, 1)
-			ms[tgt].addN(v, 1)
+			addN(tgt, uint64(next())<<56|uint64(next())<<24|uint64(next()), 1)
 		case 3: // merge into tgt from the other table (occupancies differ)
 			hs[tgt].Merge(hs[1-tgt])
-			ms[tgt].merge(ms[1-tgt])
+			for c, m := range ms[tgt] {
+				m.merge(ms[1-tgt][c])
+			}
 		case 4:
-			switch next() % 3 {
+			switch next() % 4 {
 			case 0:
 				hs[tgt].Reset()
-				ms[tgt].reset()
-			case 1: // snapshot/restore into a fresh histogram
-				fresh := New(k, fn, true)
-				if err := fresh.RestoreSnapshot(hs[tgt].Snapshot()); err != nil {
+				for _, m := range ms[tgt] {
+					m.reset()
+				}
+			case 1: // snapshot/restore into a fresh set
+				fresh := NewCloneSet(k, fns)
+				if err := fresh.RestoreSnapshot(hs[tgt].Snapshots()); err != nil {
 					t.Fatal(err)
 				}
 				hs[tgt] = fresh
 			case 2: // restore over live state (stale entries must vanish)
-				if err := hs[tgt].RestoreSnapshot(hs[1-tgt].Snapshot()); err != nil {
+				if err := hs[tgt].RestoreSnapshot(hs[1-tgt].Snapshots()); err != nil {
 					t.Fatal(err)
 				}
 				// Model restore = rebuild from the source model (merge
 				// into a zeroed model deep-copies its maps).
-				*ms[tgt] = *newMapHistogram(k, fn)
-				ms[tgt].merge(ms[1-tgt])
+				ms[tgt] = newModels()
+				for c, m := range ms[tgt] {
+					m.merge(ms[1-tgt][c])
+				}
+			case 3: // merge the other set in snapshot form
+				if err := hs[tgt].MergeSnapshot(hs[1-tgt].Snapshots()); err != nil {
+					t.Fatal(err)
+				}
+				for c, m := range ms[tgt] {
+					m.merge(ms[1-tgt][c])
+				}
 			}
 		}
 	}
@@ -176,8 +211,9 @@ func runParityProgram(t *testing.T, data []byte) {
 }
 
 // TestValueTableParityVsMap drives long pseudo-random programs through
-// runParityProgram — the map-reference differential test locking down
-// the arena refactor.
+// runParityProgram, single-clone and three-clone — the map-reference
+// differential test locking down the arena table and the shared-table
+// clone set.
 func TestValueTableParityVsMap(t *testing.T) {
 	state := uint64(0x9e3779b97f4a7c15)
 	rnd := func() uint64 {
@@ -191,7 +227,8 @@ func TestValueTableParityVsMap(t *testing.T) {
 		for i := range prog {
 			prog[i] = byte(rnd())
 		}
-		runParityProgram(t, prog)
+		runParityProgram(t, prog, 1)
+		runParityProgram(t, prog, 3)
 	}
 }
 
@@ -282,18 +319,18 @@ func TestValueTableShrinkAfterSpike(t *testing.T) {
 }
 
 // TestAppendValuesInBinsMatchesPerBin: the one-pass multi-bin sweep is
-// exactly the concatenation of per-bin queries — grouped in list order,
-// ascending within each bin — for arbitrary bin lists, including bins
-// with no values.
+// exactly the concatenation of each listed bin's values in the clone's
+// snapshot — grouped in list order, ascending within each bin — for
+// every clone and arbitrary bin lists, including bins with no values.
 func TestAppendValuesInBinsMatchesPerBin(t *testing.T) {
 	const k = 32
-	h := New(k, hash.New(9), true)
+	s := NewCloneSet(k, testFns(3))
 	state := uint64(7)
 	for i := 0; i < 3000; i++ {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		h.AddN(state%700, state%3) // collisions, repeats, zero counts
+		s.AddN(state%700, state%3) // collisions, repeats, zero counts
 	}
 	binLists := [][]int{
 		nil,
@@ -302,20 +339,23 @@ func TestAppendValuesInBinsMatchesPerBin(t *testing.T) {
 		{5, 4, 3, 2, 1, 0},
 		{17, 16, 15, 30, 2, 9, 25, 11},
 	}
-	for _, bins := range binLists {
-		var want []uint64
-		for _, b := range bins {
-			want = h.AppendValuesInBin(want, b)
-		}
-		got := h.AppendValuesInBins(nil, bins)
-		if !slices.Equal(got, want) {
-			t.Fatalf("bins %v: sweep %v, per-bin %v", bins, got, want)
-		}
-		// Appending after existing content leaves it untouched.
-		pre := []uint64{999}
-		got = h.AppendValuesInBins(pre, bins)
-		if got[0] != 999 || !slices.Equal(got[1:], want) {
-			t.Fatalf("bins %v: sweep with prefix %v, want 999+%v", bins, got, want)
+	for c, hs := range s.Snapshots() {
+		for _, bins := range binLists {
+			var want []uint64
+			for _, b := range bins {
+				for _, vc := range hs.Values[b] {
+					want = append(want, vc.Value)
+				}
+			}
+			got := s.AppendValuesInBins(c, nil, bins)
+			if !slices.Equal(got, want) {
+				t.Fatalf("clone %d bins %v: sweep %v, per-bin %v", c, bins, got, want)
+			}
+			// Appending after existing content leaves it untouched.
+			got = s.AppendValuesInBins(c, []uint64{999}, bins)
+			if got[0] != 999 || !slices.Equal(got[1:], want) {
+				t.Fatalf("clone %d bins %v: sweep with prefix %v, want 999+%v", c, bins, got, want)
+			}
 		}
 	}
 }

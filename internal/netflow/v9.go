@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"anomalyx/internal/flow"
 )
@@ -99,14 +100,11 @@ func (d *V9Decoder) Decode(buf []byte) ([]flow.Record, error) {
 				return out, err
 			}
 		case setID >= 256: // data flowset
-			recs, skipped, err := d.parseData(sourceID, uint16(setID), body, bootMs)
-			if err != nil {
-				return out, err
-			}
+			var skipped bool
+			out, skipped = d.parseData(out, sourceID, uint16(setID), body, bootMs)
 			if skipped {
 				d.SkippedNoTemplate++
 			}
-			out = append(out, recs...)
 		}
 		// setID 1 (options templates) and 2..255 (reserved) are skipped.
 		off += setLen
@@ -144,24 +142,24 @@ func (d *V9Decoder) parseTemplates(sourceID uint32, body []byte) error {
 	return nil
 }
 
-func (d *V9Decoder) parseData(sourceID uint32, tid uint16, body []byte, bootMs int64) ([]flow.Record, bool, error) {
+// parseData appends a data flowset's records to out, growing it once by
+// the number of whole records the flowset's bytes hold — a one-byte
+// template makes that one 48-byte flow.Record per input byte, so the
+// slice must not also be grown by doubling and then copied.
+func (d *V9Decoder) parseData(out []flow.Record, sourceID uint32, tid uint16, body []byte, bootMs int64) ([]flow.Record, bool) {
 	t := d.templates[templateKey(sourceID, tid)]
 	if t == nil {
-		return nil, true, nil // template not yet seen: skip per RFC
+		return out, true // template not yet seen: skip per RFC
 	}
-	var out []flow.Record
+	out = slices.Grow(out, len(body)/t.width)
 	for off := 0; off+t.width <= len(body); off += t.width {
-		rec, err := t.decodeRecord(body[off:off+t.width], bootMs)
-		if err != nil {
-			return out, false, err
-		}
-		out = append(out, rec)
+		out = append(out, t.decodeRecord(body[off:off+t.width], bootMs))
 	}
 	// Remainder is padding (< template width).
-	return out, false, nil
+	return out, false
 }
 
-func (t *v9Template) decodeRecord(b []byte, bootMs int64) (flow.Record, error) {
+func (t *v9Template) decodeRecord(b []byte, bootMs int64) flow.Record {
 	var rec flow.Record
 	off := 0
 	for _, f := range t.fields {
@@ -192,7 +190,7 @@ func (t *v9Template) decodeRecord(b []byte, bootMs int64) (flow.Record, error) {
 		}
 		off += int(f.Length)
 	}
-	return rec, nil
+	return rec
 }
 
 // beUint reads a 1..8-byte big-endian unsigned value.

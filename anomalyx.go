@@ -114,17 +114,18 @@ type (
 	// interval, with interval sharding by flow start time and
 	// bounded-buffer backpressure.
 	Engine = engine.Engine
-	// EngineConfig parameterizes a streaming engine; set Shards > 1 for
-	// hash-partitioned multi-pipeline sharding behind the engine.
+	// EngineConfig parameterizes a streaming engine; set Shards > 1 to
+	// hash-partition the engine's pipeline.
 	EngineConfig = engine.Config
 )
 
 // Sharding types.
 type (
-	// ShardedPipeline hash-partitions flows across N independent
-	// pipelines by the stable flow key and closes intervals in lockstep
-	// with a deterministic cross-shard merge: reports are byte-identical
-	// to an unsharded pipeline over the same records.
+	// ShardedPipeline is a Pipeline whose intervals are hash-partitioned
+	// by the stable flow key: each partition ingests its share in
+	// parallel, and every close merges the partitions deterministically,
+	// so reports are byte-identical to one partition over the same
+	// records.
 	ShardedPipeline = shard.ShardedPipeline
 	// ShardConfig parameterizes a sharded pipeline.
 	ShardConfig = shard.Config
@@ -142,11 +143,11 @@ type (
 func NewPipeline(cfg Config) (*Pipeline, error) { return core.New(cfg) }
 
 // NewEngine builds and starts a streaming engine around a pipeline
-// (or, with cfg.Shards > 1, around a sharded pipeline).
+// (hash-partitioned when cfg.Shards > 1).
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // NewShardedEngine builds and starts a streaming engine around a
-// hash-partitioned ShardedPipeline of the given shard count (0 =
+// ShardedPipeline of the given partition count (0 =
 // GOMAXPROCS; negative counts are rejected, as everywhere in the
 // sharding API). It is NewEngine with cfg.Shards set.
 func NewShardedEngine(cfg EngineConfig, shards int) (*Engine, error) {
@@ -157,10 +158,11 @@ func NewShardedEngine(cfg EngineConfig, shards int) (*Engine, error) {
 	return engine.New(cfg)
 }
 
-// NewShardedPipeline builds a sharded pipeline: cfg.Shards independent
-// pipelines (default GOMAXPROCS) partitioned by flow key, merged
-// deterministically at every EndInterval. Call Close when done to
-// release the shards' worker pools.
+// NewShardedPipeline builds a pipeline of cfg.Shards partitions
+// (default GOMAXPROCS) keyed by flow key, merged deterministically at
+// every EndInterval; a zero cfg.Pipeline.Workers runs each partition's
+// detectors sequentially. Call Close when done to release the
+// partitions' worker pools.
 func NewShardedPipeline(cfg ShardConfig) (*ShardedPipeline, error) { return shard.New(cfg) }
 
 // ExtractOffline runs the extraction stage alone on a recorded interval:
@@ -275,8 +277,9 @@ type AgentConfig struct {
 	// Retry is the redial policy; the zero value means 8 attempts with
 	// 100ms-base jittered exponential backoff capped at 10s.
 	Retry RetryConfig
-	// Shards is the local shard count behind the engine (0 =
-	// GOMAXPROCS), as in NewShardedEngine.
+	// Shards is the partition count of the agent's local pipeline (0 =
+	// GOMAXPROCS), as in NewShardedPipeline; its partitions fold into
+	// one before every interval ships.
 	Shards int
 	// ReplayBuffer bounds the unacked-frame replay buffer (0 = 64);
 	// when full, interval closes block until the collector acks —
@@ -310,8 +313,9 @@ func (s *AgentSession) Close() error {
 }
 
 // NewAgent dials the collector and starts a distributed agent session:
-// a streaming engine draining a locally sharded pipeline into the wire
-// stream each interval. cfg.Pipeline must match the collector's
+// a streaming engine draining a local ShardedPipeline (ac.Shards
+// partitions, folded into one at each drain) into the wire stream each
+// interval. cfg.Pipeline must match the collector's
 // configuration (digest-checked in the handshake; a mismatch surfaces
 // as a *ConfigMismatchError). The session survives collector outages
 // per ac.Retry: unacked intervals are buffered and replayed after a
@@ -324,19 +328,15 @@ func NewAgent(cfg EngineConfig, ac AgentConfig) (*AgentSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := ac.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sp, err := shard.New(shard.Config{Shards: shards, Pipeline: cfg.Pipeline})
+	sp, err := shard.New(shard.Config{Shards: ac.Shards, Pipeline: cfg.Pipeline})
 	if err != nil {
 		agent.Close()
 		return nil, err
 	}
 	eng, err := engine.NewWithSink(cfg, wire.NewAgentSink(agent, sp))
 	if err != nil {
-		// Release the shards' detector-bank worker pools: the engine was
-		// never built, so nothing else will Close them.
+		// Release the partitions' detector-bank worker pools: the engine
+		// was never built, so nothing else will Close them.
 		sp.Close()
 		agent.Close()
 		return nil, err

@@ -14,9 +14,9 @@
 //	anomalyx -mode collector -listen :4711 -agents 2 ...
 //	anomalyx -mode relay -listen :4712 -connect root:4711 -agent-id 0 -agents 2 ...
 //
-// With -shards N > 1 the engine hash-partitions flows across N
-// independent pipelines and merges the per-shard state at every interval
-// close; with -workers N != 1 each pipeline additionally fans its
+// With -shards N > 1 the engine's pipeline hash-partitions flows across
+// N partitions and merges their state at every interval close; with
+// -workers N != 1 each partition additionally fans its
 // detector updates, prefilter scan, and (for -miner eclat) the miner's
 // equivalence-class search out over N goroutines (0 = GOMAXPROCS).
 // Without -miner the pipeline mines with its built-in columnar Eclat;

@@ -11,7 +11,6 @@ import (
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/prefilter"
-	"anomalyx/internal/shard"
 	"anomalyx/internal/tracegen"
 )
 
@@ -104,7 +103,7 @@ func TestPipelineMatchesAoSReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			cfg := pcfg
 			cfg.Workers = workers
-			sp, err := shard.New(shard.Config{Shards: shards, Pipeline: cfg})
+			sp, err := core.NewPartitioned(cfg, shards)
 			if err != nil {
 				t.Fatal(err)
 			}

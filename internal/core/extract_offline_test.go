@@ -119,11 +119,10 @@ func TestExtractOfflineMinerError(t *testing.T) {
 	}
 }
 
-// TestPipelineAbsorbMergesState pins the PR 2 merge contract of the
-// public Absorb API (the buffer-moving variant, still exposed via the
-// facade for caller-managed merges): absorbing a sibling and closing
-// the interval yields the report one pipeline over the combined stream
-// produces.
+// TestPipelineAbsorbMergesState pins the merge contract of the public
+// drain/absorb pair: absorbing a sibling's drained open interval and
+// closing yields the report one pipeline over the combined stream
+// produces, and leaves the sibling empty.
 func TestPipelineAbsorbMergesState(t *testing.T) {
 	cfg := Config{Detector: detector.Config{Bins: 128, Seed: 9}}
 	mk := func() *Pipeline {
@@ -146,7 +145,7 @@ func TestPipelineAbsorbMergesState(t *testing.T) {
 	defer b.Close()
 	a.ObserveBatch(recs[:len(recs)/2])
 	b.ObserveBatch(recs[len(recs)/2:])
-	if err := a.Absorb(b); err != nil {
+	if err := a.AbsorbOpenInterval(b.DrainOpenInterval()); err != nil {
 		t.Fatal(err)
 	}
 	gotRep, err := a.EndInterval()
@@ -156,51 +155,8 @@ func TestPipelineAbsorbMergesState(t *testing.T) {
 	if !reflect.DeepEqual(gotRep, wantRep) {
 		t.Fatalf("absorbed report diverged\ngot:  %+v\nwant: %+v", gotRep, wantRep)
 	}
-	// The absorbed sibling is drained and reusable.
+	// The drained sibling is empty and reusable.
 	if rep, err := b.EndInterval(); err != nil || rep.TotalFlows != 0 {
 		t.Fatalf("sibling not drained: %+v, %v", rep, err)
-	}
-	if err := a.Absorb(a); err == nil {
-		t.Fatal("self-absorb accepted")
-	}
-}
-
-func TestEndIntervalGroupValidation(t *testing.T) {
-	if _, err := EndIntervalGroup(nil); err == nil {
-		t.Fatal("empty group accepted")
-	}
-	p, err := New(Config{Detector: detector.Config{Bins: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	q, err := New(Config{Detector: detector.Config{Bins: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	// A duplicate entry must error, not self-deadlock on the second
-	// lock of the same pipeline.
-	if _, err := EndIntervalGroup([]*Pipeline{p, q, q}); err == nil {
-		t.Fatal("duplicate pipeline in group accepted")
-	}
-	// A sibling whose histograms cannot merge into the primary's must
-	// error before anything moves.
-	wide, err := New(Config{Detector: detector.Config{Bins: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wide.Close()
-	if _, err := EndIntervalGroup([]*Pipeline{p, wide}); err == nil {
-		t.Fatal("group across bin counts accepted")
-	}
-	// A singleton group is the plain interval close.
-	p.Observe(flow.Record{DstPort: 80})
-	rep, err := EndIntervalGroup([]*Pipeline{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalFlows != 1 {
-		t.Fatalf("TotalFlows = %d, want 1", rep.TotalFlows)
 	}
 }

@@ -13,15 +13,14 @@ import (
 	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/mining/fpgrowth"
 	"anomalyx/internal/prefilter"
-	"anomalyx/internal/shard"
 )
 
-// runTrace closes every interval of trace on a fresh sharded pipeline:
+// runTrace closes every interval of trace on a fresh partitioned pipeline:
 // inline at depth 1; at depth 2 the pipelined way, each interval's finish
 // running only after the next interval has been observed and drained.
 func runTrace(t *testing.T, cfg core.Config, shards, depth int, trace [][]flow.Record) []*core.Report {
 	t.Helper()
-	sp, err := shard.New(shard.Config{Shards: shards, Pipeline: cfg})
+	sp, err := core.NewPartitioned(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // item-sets an operator inspects.
 //
 // Determinism: a pipeline's reports are byte-identical for the same
-// input regardless of Workers, sharding, or agent/collector topology —
-// per-shard suspicious sets concatenate in shard order, report fields
-// are sorted at the boundary, and mining is order-insensitive (see
+// input regardless of Workers, partitions, or agent/collector topology —
+// per-partition suspicious sets concatenate in partition order, report
+// fields are sorted at the boundary, and mining is order-insensitive (see
 // docs/ARCHITECTURE.md "The determinism contract").
 package core
 
@@ -19,6 +19,7 @@ import (
 	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/hash"
 	"anomalyx/internal/histogram"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
@@ -116,24 +117,33 @@ type Report struct {
 // EndInterval linearizes the interval boundary, though callers that need
 // a well-defined flow-to-interval assignment must still serialize
 // observes against interval closes themselves (the engine package does).
+//
+// A pipeline owns n ≥ 1 partitions (NewPartitioned), each a detector
+// bank and a columnar flow buffer; every record goes to the partition
+// ShardOf names. All partitions are built from one Config, so their clone
+// sets are exact mergeable sketches of each other: the interval close
+// folds them into partition 0 and reports exactly what one partition
+// over the whole stream reports (see closeInterval).
 type Pipeline struct {
-	cfg  Config
-	bank *detector.Bank
+	cfg   Config
+	banks []*detector.Bank // one per partition; banks[0] closes detection
+	part  hash.Func        // the partitioner (ShardOf)
 
 	mu sync.Mutex
-	// buffer holds the open interval's flows in columnar (SoA) form; see
-	// flow.Buffer. Rows append in observation order, and every consumer —
-	// prefilter scan, snapshot, wire encode — walks it column-wise.
-	buffer flow.Buffer
-
-	// selfGroup is the single-element group EndInterval and BeginClose
-	// close p as, built once so neither allocates it per close.
-	selfGroup []*Pipeline
+	// buffers holds the open interval's flows in columnar (SoA) form, one
+	// flow.Buffer per partition. Rows append in observation order, and
+	// every consumer — prefilter scan, snapshot, wire encode — walks them
+	// column-wise. Each buffer is its own allocation: partitions append
+	// concurrently, and adjacent column headers would share cache lines.
+	buffers []*flow.Buffer
+	// batches is ObserveBatch's partition scratch: one sub-batch per
+	// partition, emptied and refilled by every partitioned batch.
+	batches [][]flow.Record
 
 	// extract is the extraction stage's scratch, allocated by the first
 	// alarm close that has meta-data to extract by, so a pipeline that
 	// never extracts never pays for it. One per pipeline suffices: closes
-	// over one primary are serialized in interval order (see closeGroup).
+	// are serialized in interval order (see closeInterval).
 	extract *extraction
 
 	// spares is the freelist of reset interval states (clone sets + flow
@@ -144,90 +154,220 @@ type Pipeline struct {
 	spares  []intervalState
 }
 
-// New builds a pipeline from cfg.
-func New(cfg Config) (*Pipeline, error) {
+// partitionSeed derives the partitioner's hash function. A fixed
+// constant keeps the record→partition assignment stable across runs and
+// processes — rebalancing would silently split a flow key's traffic
+// across partitions mid-stream.
+const partitionSeed = 0x5ca1ab1ec0ffee
+
+// minParallelBatch is the batch size below which a partitioned
+// ObserveBatch skips the partition + goroutine fan-out and routes records
+// one by one.
+const minParallelBatch = 128
+
+// New builds a one-partition pipeline from cfg.
+func New(cfg Config) (*Pipeline, error) { return NewPartitioned(cfg, 1) }
+
+// NewPartitioned builds a pipeline whose open interval is split across
+// n partitions by a stable hash of the flow key. Partitioned ingestion
+// runs one goroutine per partition, each fanning further out over its
+// bank's Workers; reports are byte-identical to New's for every n.
+func NewPartitioned(cfg Config, n int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
+	if n < 1 {
+		return nil, fmt.Errorf("core: %d partitions, need at least 1", n)
+	}
 	if cfg.MinSupport < 0 {
 		return nil, fmt.Errorf("core: negative minimum support %d", cfg.MinSupport)
 	}
 	if cfg.MinSupport == 0 && (cfg.RelativeSupport <= 0 || cfg.RelativeSupport > 1) {
 		return nil, fmt.Errorf("core: relative support %v out of (0,1]", cfg.RelativeSupport)
 	}
-	bank, err := detector.NewBank(detector.BankConfig{
-		Features: cfg.Features,
-		Template: cfg.Detector,
-		Workers:  cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
+	p := &Pipeline{cfg: cfg, part: hash.New(partitionSeed), batches: make([][]flow.Record, n)}
+	for range n {
+		p.buffers = append(p.buffers, new(flow.Buffer))
+		bank, err := detector.NewBank(detector.BankConfig{
+			Features: cfg.Features,
+			Template: cfg.Detector,
+			Workers:  cfg.Workers,
+		})
+		if err != nil {
+			p.Close()
+			return nil, err
+		}
+		p.banks = append(p.banks, bank)
 	}
-	p := &Pipeline{cfg: cfg, bank: bank}
-	p.selfGroup = []*Pipeline{p}
 	return p, nil
 }
 
 // Config returns the pipeline's effective configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
 
+// ShardOf returns the partition rec belongs to: the seeded hash of the
+// stable flow key, reduced to [0, n). All records of one flow key land
+// in one partition.
+func (p *Pipeline) ShardOf(rec *flow.Record) int { return p.part.Bin(rec.Key(), len(p.banks)) }
+
 // Observe feeds one flow of the current interval.
 func (p *Pipeline) Observe(rec flow.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buffer.Append(rec)
-	p.bank.Observe(&rec)
+	p.observeLocked(&rec)
+}
+
+// observeLocked routes one record to its partition. p.mu must be held.
+func (p *Pipeline) observeLocked(rec *flow.Record) {
+	i := 0
+	if len(p.banks) > 1 {
+		i = p.ShardOf(rec)
+	}
+	p.buffers[i].Append(*rec)
+	p.banks[i].Observe(rec)
 }
 
 // ObserveBatch feeds a batch of flows of the current interval. It
 // amortizes per-record overhead and fans the detector-bank updates out
-// over the configured worker pool; the resulting detector state is
-// identical to observing each record with Observe.
+// over the configured worker pool — and, over several partitions,
+// ingests each partition's share of the batch on its own goroutine. The
+// resulting state is identical to observing each record with Observe:
+// value-table updates commute, and each partition is owned by one
+// goroutine.
 func (p *Pipeline) ObserveBatch(recs []flow.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buffer.AppendRecords(recs)
-	p.bank.ObserveBatch(recs)
+	switch {
+	case len(p.banks) == 1:
+		p.observePart(0, recs)
+	case len(recs) < minParallelBatch:
+		// The fan-out costs more than it saves on small batches (the
+		// engine flushes a few pending records before every pre-formed
+		// batch, for example).
+		for i := range recs {
+			p.observeLocked(&recs[i])
+		}
+	default:
+		for i := range p.batches {
+			p.batches[i] = p.batches[i][:0]
+		}
+		for i := range recs {
+			s := p.ShardOf(&recs[i])
+			p.batches[s] = append(p.batches[s], recs[i])
+		}
+		var wg sync.WaitGroup
+		for i, part := range p.batches {
+			if len(part) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.observePart(i, part)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// observePart ingests recs into partition i. p.mu must be held.
+func (p *Pipeline) observePart(i int, recs []flow.Record) {
+	p.buffers[i].AppendRecords(recs)
+	p.banks[i].ObserveBatch(recs)
 }
 
 // EndInterval closes the current interval: runs detection and, on an
-// alarm, extraction (prefilter + mining). The flow buffer is cleared. It
-// is EndIntervalGroup over a group of one.
-func (p *Pipeline) EndInterval() (*Report, error) { return EndIntervalGroup(p.selfGroup) }
-
-// Absorb folds other's in-progress interval into p: other's buffered
-// flows move to the end of p's flow buffer and other's detector-bank
-// clone sets merge additively into p's (see detector.Bank.Absorb),
-// leaving other empty and ready for the next interval. Both pipelines
-// must share the detector configuration. This is the cross-shard merge:
-// because histogram clones with equal seeds are exact mergeable
-// sketches, a primary pipeline that absorbs N-1 siblings and then runs
-// EndInterval produces a report identical to one pipeline having
-// observed the whole stream — only the flow-buffer order differs (p's
-// records first, then other's), which no report field other than the
-// KeepSuspicious forensic slice depends on.
-func (p *Pipeline) Absorb(other *Pipeline) error {
-	if other == p {
-		return fmt.Errorf("core: pipeline cannot absorb itself")
-	}
-	// Lock in caller order; absorbs fan in toward one primary (the shard
-	// merge), so no cycle can form.
+// alarm, extraction (prefilter + mining) — closeInterval over the live
+// state, lent in place under the pipeline lock. Every flow buffer is
+// cleared.
+//
+// The synchronous close is deliberately not BeginClose + Finish: that
+// swap keeps a second interval state (clone sets, value-table arenas,
+// buffer columns) alive per partition, which a caller that never
+// overlaps closes with ingestion pays in resident memory for nothing.
+func (p *Pipeline) EndInterval() (*Report, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	if err := p.bank.Absorb(other.bank); err != nil {
-		return err
+	sets := make([][]*histogram.CloneSet, len(p.banks))
+	for i, b := range p.banks {
+		sets[i] = b.LiveInterval()
 	}
-	p.buffer.AppendBuffer(&other.buffer)
-	other.buffer.Reset()
-	return nil
+	return p.closeInterval(sets, p.buffers)
 }
 
-// Close releases the detector bank's worker pool. It is idempotent. The
-// pipeline must not observe flows or close intervals after Close.
-func (p *Pipeline) Close() { p.bank.Close() }
+// closeInterval is the one interval close (Fig. 3), over one clone set
+// per detector and one flow buffer per partition — the live state lent by
+// EndInterval, or the state BeginClose drained earlier:
+//
+//  1. the other partitions' value tables merge into partition 0's
+//     (sets[0]; exact mergeable sketches, one fold per feature) and
+//     detection derives the clones' bins once, from the merged tables,
+//     and closes against partition 0's history;
+//  2. on an alarm, every partition's flow buffer is prefiltered
+//     concurrently (one goroutine per partition, each fanning further
+//     out over Workers) to the row indices of its suspicious flows; the
+//     per-partition index lists, read in partition order, name the flows
+//     a scan of one merged buffer would find, in the same order;
+//  3. the suspicious rows are mined once, where they lie (see
+//     extraction).
+//
+// Every clone set and buffer is left reset, on the error path too:
+// detection history has rotated by the time mining can fail, so state
+// left behind would be counted into the next interval a second time.
+// Calls must be serialized in interval order — the KL scheme compares
+// each interval against the previous one — and the caller must own
+// every clone set and buffer for the duration of the call.
+func (p *Pipeline) closeInterval(sets [][]*histogram.CloneSet, buffers []*flow.Buffer) (*Report, error) {
+	primary := p.banks[0]
+	primary.MergeDrained(sets[0], sets[1:])
+	det := primary.FinishInterval(sets[0])
+	rep := &Report{
+		Interval:  det.Interval,
+		Detection: det,
+		Alarm:     det.Alarm,
+	}
+	for _, buf := range buffers {
+		rep.TotalFlows += buf.Len()
+	}
+	var err error
+	if det.Alarm && det.Meta.Count() > 0 {
+		if p.extract == nil {
+			p.extract = &extraction{}
+		}
+		x := p.extract
+		x.reset(len(buffers))
+		var wg sync.WaitGroup
+		for i, buf := range buffers {
+			if buf.Len() == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x.rows[i] = prefilter.SelectBuffer(p.cfg.Prefilter, det.Meta, buf, p.cfg.Workers, x.rows[i])
+			}()
+		}
+		wg.Wait()
+		err = x.finish(p.cfg, rep, buffers)
+	}
+	for _, buf := range buffers {
+		buf.Reset()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// Close releases every partition's detector-bank worker pool. It is
+// idempotent. The pipeline must not observe flows or close intervals
+// after Close.
+func (p *Pipeline) Close() {
+	for _, b := range p.banks {
+		b.Close()
+	}
+}
 
 // ProcessInterval is the batch convenience: ObserveBatch all recs, then
 // EndInterval.
@@ -237,7 +377,7 @@ func (p *Pipeline) ProcessInterval(recs []flow.Record) (*Report, error) {
 }
 
 // extraction is the scratch of the extraction stage (prefilter + mining):
-// per shard the prefilter's survivor row indices, and the built-in
+// per partition the prefilter's survivor row indices, and the built-in
 // miner's tables and bitsets. The stage works on indices end to end — the
 // suspicious flows stay where they are in the interval's columnar
 // buffers — and everything here is grown on demand and kept, so from the
@@ -247,13 +387,13 @@ type extraction struct {
 	eclat eclat.Scratch
 }
 
-// reset readies x to hold the survivor rows of shards buffers,
-// discarding the previous close's.
-func (x *extraction) reset(shards int) {
-	for len(x.rows) < shards {
+// reset readies x to hold the survivor rows of n buffers, discarding the
+// previous close's.
+func (x *extraction) reset(n int) {
+	for len(x.rows) < n {
 		x.rows = append(x.rows, nil)
 	}
-	x.rows = x.rows[:shards]
+	x.rows = x.rows[:n]
 	for i := range x.rows {
 		x.rows[i] = x.rows[i][:0]
 	}
@@ -262,7 +402,7 @@ func (x *extraction) reset(shards int) {
 // finish populates rep's extraction fields from the survivor rows
 // x.rows[i] of buffers[i]: counts, resolved minimum support, mining
 // result, maximal item-sets, and cost reduction. Transaction ids follow
-// the concatenation of the row lists in shard order. Both extraction
+// the concatenation of the row lists in partition order. Both extraction
 // entry points — the interval close and the offline post-mortem — funnel
 // through here so their reports stay field-for-field comparable.
 func (x *extraction) finish(cfg Config, rep *Report, buffers []*flow.Buffer) error {
@@ -335,122 +475,6 @@ func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Re
 	x.reset(1)
 	x.rows[0] = prefilter.SelectBuffer(cfg.Prefilter, meta, &buf, cfg.Workers, nil)
 	if err := x.finish(cfg, rep, []*flow.Buffer{&buf}); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// EndIntervalGroup closes one measurement interval in lockstep across a
-// group of shard pipelines (see closeGroup); a single pipeline is a
-// group of one. Every pipeline must share the detector configuration; the
-// pipelines must not observe flows concurrently with the group close (the
-// shard package serializes this). The report is byte-identical to a
-// single pipeline having observed the whole stream — only the
-// KeepSuspicious forensic slice regroups by shard.
-//
-// The synchronous close locks the group and lends its live state to the
-// close in place. It is deliberately not BeginIntervalGroup + Finish:
-// that swap keeps a second interval state (clone sets, value-table
-// arenas, buffer columns) alive per pipeline, which a caller that never
-// overlaps closes with ingestion pays in resident memory for nothing.
-func EndIntervalGroup(group []*Pipeline) (*Report, error) {
-	if err := checkGroup(group); err != nil {
-		return nil, err
-	}
-	sets := make([][]*histogram.CloneSet, len(group))
-	buffers := make([]*flow.Buffer, len(group))
-	for i, p := range group {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		sets[i], buffers[i] = p.bank.LiveInterval(), &p.buffer
-	}
-	return closeGroup(group, sets, buffers)
-}
-
-// checkGroup validates a group before any close entry point locks or
-// drains it: non-empty, no pipeline twice (locking one twice would
-// self-deadlock instead of erroring), and every sibling's detector bank
-// mergeable into the primary's.
-func checkGroup(group []*Pipeline) error {
-	if len(group) == 0 {
-		return fmt.Errorf("core: empty pipeline group")
-	}
-	for i, p := range group {
-		for _, q := range group[i+1:] {
-			if p == q {
-				return fmt.Errorf("core: duplicate pipeline in group")
-			}
-		}
-		if i > 0 {
-			if err := group[0].bank.Mergeable(p.bank); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// closeGroup is the one interval close (Fig. 3), over one clone set per
-// detector and one flow buffer per shard — the group's live state lent
-// by a synchronous close, or the state a pipelined close drained earlier:
-//
-//  1. the sibling shards' value tables merge into the primary's (sets[0];
-//     exact mergeable sketches, one fold per feature) and detection
-//     derives the clones' bins once, from the merged tables, and closes
-//     against the primary bank's history;
-//  2. on an alarm, every shard's flow buffer is prefiltered concurrently
-//     (one goroutine per shard, each fanning further out over its
-//     pipeline's Workers) to the row indices of its suspicious flows;
-//     the per-shard index lists, read in shard order, name the flows a
-//     scan of one merged buffer would find, in the same order, by one
-//     parallel pass over buffers that never leave their shard;
-//  3. the suspicious rows are mined once, where they lie (see
-//     extraction), in the primary's scratch.
-//
-// Every clone set and buffer is left reset, on the error path too:
-// detection history has rotated by the time mining can fail, so state
-// left behind would be counted into the next interval a second time.
-// Calls over the same primary must be serialized in interval order — the
-// KL scheme compares each interval against the previous one. The caller
-// must have validated the group (checkGroup) and must own every clone set
-// and buffer for the duration of the call.
-func closeGroup(group []*Pipeline, sets [][]*histogram.CloneSet, buffers []*flow.Buffer) (*Report, error) {
-	primary := group[0]
-	primary.bank.MergeDrained(sets[0], sets[1:])
-	det := primary.bank.FinishInterval(sets[0])
-	rep := &Report{
-		Interval:  det.Interval,
-		Detection: det,
-		Alarm:     det.Alarm,
-	}
-	for _, buf := range buffers {
-		rep.TotalFlows += buf.Len()
-	}
-	var err error
-	if det.Alarm && det.Meta.Count() > 0 {
-		if primary.extract == nil {
-			primary.extract = &extraction{}
-		}
-		x := primary.extract
-		x.reset(len(group))
-		var wg sync.WaitGroup
-		for i, sh := range group {
-			if buffers[i].Len() == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				x.rows[i] = prefilter.SelectBuffer(sh.cfg.Prefilter, det.Meta, buffers[i], sh.cfg.Workers, x.rows[i])
-			}()
-		}
-		wg.Wait()
-		err = x.finish(primary.cfg, rep, buffers)
-	}
-	for _, buf := range buffers {
-		buf.Reset()
-	}
-	if err != nil {
 		return nil, err
 	}
 	return rep, nil

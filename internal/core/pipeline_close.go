@@ -5,29 +5,31 @@ import (
 	"anomalyx/internal/histogram"
 )
 
-// intervalState is one pipeline's drained open interval: the detector
-// bank's clone sets — one value-table arena per feature — and the
-// columnar flow buffer, in the reusable containers they travel in. After
-// a finish the sets are reset (their arenas intact) and the buffer's
-// columns keep their capacity, so the state cycles through the
+// intervalState is a pipeline's drained open interval: per partition the
+// detector bank's clone sets — one value-table arena per feature — and
+// the columnar flow buffer, in the reusable containers they travel in.
+// After a finish the sets are reset (their arenas intact) and the
+// buffers' columns keep their capacity, so the state cycles through the
 // pipeline's freelist and steady-state closes allocate no new buffer or
 // arena memory.
 type intervalState struct {
-	sets   []*histogram.CloneSet
-	buffer flow.Buffer
+	sets    [][]*histogram.CloneSet
+	buffers []*flow.Buffer
 }
 
-// popSpare takes a recycled interval state off p's freelist, if any.
-func (p *Pipeline) popSpare() (intervalState, bool) {
+// popSpare takes a recycled interval state off p's freelist, or returns
+// the zero state when the freelist is empty.
+func (p *Pipeline) popSpare() intervalState {
 	p.spareMu.Lock()
 	defer p.spareMu.Unlock()
-	if n := len(p.spares); n > 0 {
-		st := p.spares[n-1]
-		p.spares[n-1] = intervalState{}
-		p.spares = p.spares[:n-1]
-		return st, true
+	n := len(p.spares)
+	if n == 0 {
+		return intervalState{}
 	}
-	return intervalState{}, false
+	st := p.spares[n-1]
+	p.spares[n-1] = intervalState{}
+	p.spares = p.spares[:n-1]
+	return st
 }
 
 // pushSpare returns a reset interval state to p's freelist.
@@ -38,75 +40,59 @@ func (p *Pipeline) pushSpare(st intervalState) {
 }
 
 // PendingClose is one drained measurement interval awaiting its finish:
-// the cheap synchronous half of a pipelined interval close. BeginClose /
-// BeginIntervalGroup swap the open interval's state (clone sets + flow
-// buffer) out of the hot path and return it here; Finish runs the
-// expensive half — detection, prefilter, mining — against the drained
-// state while new records flow into the swapped-in replacements.
+// the cheap synchronous half of a pipelined interval close. BeginClose
+// swaps the open interval's state (clone sets + flow buffers) out of the
+// hot path and returns it here; Finish runs the expensive half —
+// detection, prefilter, mining — against the drained state while new
+// records flow into the swapped-in replacements.
 //
 // Each PendingClose must be finished exactly once, and finishes of
-// successive closes over the same pipelines must run in begin order: the
+// successive closes over the same pipeline must run in begin order: the
 // detector's KL scheme is sequential (each interval is compared against
 // the previous one), so the engine serializes finishes on a single
 // close-worker goroutine. Reordering would change reports; ordering
 // makes them byte-identical to the synchronous path.
 type PendingClose struct {
-	group  []*Pipeline
-	states []intervalState
+	p     *Pipeline
+	state intervalState
 }
 
-// BeginClose drains p's open interval — atomically with respect to
-// observes — and returns it as a PendingClose whose Finish produces
-// exactly the report EndInterval would have. The drain is cheap:
-// pointer swaps plus a freelist pop, no detection math.
+// BeginClose drains p's open interval — every partition's clone sets and
+// flow buffer, swapped for reset recycled ones atomically with respect
+// to observes — and returns it as a PendingClose whose Finish produces
+// exactly the report EndInterval would have. The drain is cheap: pointer
+// swaps plus a freelist pop, no detection math. It cannot fail; the
+// error result is the engine's PipelinedSink signature.
 func (p *Pipeline) BeginClose() (*PendingClose, error) {
-	return BeginIntervalGroup(p.selfGroup)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.popSpare()
+	if st.sets == nil {
+		st.sets = make([][]*histogram.CloneSet, len(p.banks))
+		for range p.banks {
+			st.buffers = append(st.buffers, new(flow.Buffer))
+		}
+	}
+	for i, b := range p.banks {
+		st.sets[i] = b.SwapInterval(st.sets[i])
+	}
+	st.buffers, p.buffers = p.buffers, st.buffers
+	return &PendingClose{p: p, state: st}, nil
 }
 
-// BeginIntervalGroup drains one measurement interval in lockstep across
-// a group of shard pipelines — the pipelined counterpart of
-// EndIntervalGroup. Every shard's clone sets and flow buffer are
-// swapped for reset recycled ones under the shard's lock; the expensive
-// merge + detection + extraction runs later in Finish. Every pipeline
-// must share the detector configuration, and the pipelines must not
-// observe flows concurrently with the drain of the same boundary (the
-// shard package serializes this).
-func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
-	if err := checkGroup(group); err != nil {
-		return nil, err
-	}
-	pc := &PendingClose{group: group, states: make([]intervalState, len(group))}
-	for i, p := range group {
-		p.mu.Lock()
-		st, _ := p.popSpare()
-		st.sets = p.bank.SwapInterval(st.sets)
-		st.buffer, p.buffer = p.buffer, st.buffer
-		pc.states[i] = st
-		p.mu.Unlock()
-	}
-	return pc, nil
-}
-
-// Finish completes a drained interval close: closeGroup over the
+// Finish completes a drained interval close: closeInterval over the
 // drained state — the very function the synchronous close runs over the
-// live state, so the report is byte-identical to EndIntervalGroup's. The
-// drained containers, left reset by the close, are recycled onto their
-// pipelines' freelists before returning, whether or not mining failed.
+// live state, so the report is byte-identical to EndInterval's. The
+// drained containers, left reset by the close, are recycled onto the
+// pipeline's freelist before returning, whether or not mining failed.
 //
-// Finish never touches the pipelines' live state (buffers, current
+// Finish never touches the pipeline's live state (buffers, current
 // clone sets), so it may run concurrently with observes; it does touch
-// the primary bank's detection history, so Finish calls for successive
+// partition 0's detection history, so Finish calls for successive
 // closes must be serialized in begin order.
 func (pc *PendingClose) Finish() (*Report, error) {
-	sets := make([][]*histogram.CloneSet, len(pc.states))
-	buffers := make([]*flow.Buffer, len(pc.states))
-	for i := range pc.states {
-		sets[i], buffers[i] = pc.states[i].sets, &pc.states[i].buffer
-	}
-	rep, err := closeGroup(pc.group, sets, buffers)
-	for i := range pc.states {
-		pc.group[i].pushSpare(pc.states[i])
-		pc.states[i] = intervalState{}
-	}
+	rep, err := pc.p.closeInterval(pc.state.sets, pc.state.buffers)
+	pc.p.pushSpare(pc.state)
+	pc.state = intervalState{}
 	return rep, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -34,9 +35,9 @@ func closeInterval(r *stats.Rand, n, nAnom int) []flow.Record {
 	return recs
 }
 
-// twoPhase closes group's interval the pipelined way: drain, then finish.
-func twoPhase(group []*Pipeline) (*Report, error) {
-	pc, err := BeginIntervalGroup(group)
+// twoPhase closes p's interval the pipelined way: drain, then finish.
+func twoPhase(p *Pipeline) (*Report, error) {
+	pc, err := p.BeginClose()
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func TestBeginFinishMatchesEndInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := twoPhase(piped.selfGroup)
+		got, err := twoPhase(piped)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,45 +84,41 @@ func TestBeginFinishMatchesEndInterval(t *testing.T) {
 	}
 }
 
-// TestBeginFinishMatchesEndIntervalGroup pins the sharded two-phase
-// close: over shard pipelines fed identical partitions, an all-pipelined
-// group (BeginIntervalGroup+Finish every interval) and a group that
+// TestBeginFinishMatchesEndIntervalGroup pins the partitioned two-phase
+// close: over three-partition pipelines fed the same records, an
+// all-pipelined run (BeginClose+Finish every interval) and a run that
 // alternates synchronous and pipelined closes — one close lending live
-// state, the next swapping it out, as cmd/bench's shard twin does between
-// passes — must both equal an all-EndIntervalGroup run report for report.
+// state, the next swapping it out — must both equal an all-EndInterval
+// run report for report.
 func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
-	const shards = 3
-	newGroup := func() []*Pipeline {
-		group := make([]*Pipeline, shards)
-		for i := range group {
-			p, err := New(testConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			group[i] = p
+	const partitions = 3
+	newPartitioned := func() *Pipeline {
+		p, err := NewPartitioned(testConfig(), partitions)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return group
+		t.Cleanup(p.Close)
+		return p
 	}
-	gSync := newGroup()
+	pSync := newPartitioned()
 	variants := []struct {
 		name  string
-		group []*Pipeline
+		p     *Pipeline
 		rand  *stats.Rand
-		close func(interval int, group []*Pipeline) (*Report, error)
+		close func(interval int, p *Pipeline) (*Report, error)
 	}{
-		{"pipelined", newGroup(), stats.NewRand(21), func(_ int, g []*Pipeline) (*Report, error) { return twoPhase(g) }},
-		{"alternating", newGroup(), stats.NewRand(21), func(i int, g []*Pipeline) (*Report, error) {
+		{"pipelined", newPartitioned(), stats.NewRand(21), func(_ int, p *Pipeline) (*Report, error) { return twoPhase(p) }},
+		{"alternating", newPartitioned(), stats.NewRand(21), func(i int, p *Pipeline) (*Report, error) {
 			if i%2 == 0 {
-				return EndIntervalGroup(g)
+				return p.EndInterval()
 			}
-			return twoPhase(g)
+			return twoPhase(p)
 		}},
 	}
 	rs := stats.NewRand(21)
-	feed := func(group []*Pipeline, r *stats.Rand, nAnom int) {
-		recs := closeInterval(r, 3000, nAnom)
-		for i, rec := range recs {
-			group[i%shards].Observe(rec)
+	feed := func(p *Pipeline, r *stats.Rand, nAnom int) {
+		for _, rec := range closeInterval(r, 3000, nAnom) {
+			p.Observe(rec)
 		}
 	}
 	alarmed := false
@@ -130,14 +127,14 @@ func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 		if i == 10 {
 			nAnom = 1500
 		}
-		feed(gSync, rs, nAnom)
-		want, err := EndIntervalGroup(gSync)
+		feed(pSync, rs, nAnom)
+		want, err := pSync.EndInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range variants {
-			feed(v.group, v.rand, nAnom)
-			got, err := v.close(i, v.group)
+			feed(v.p, v.rand, nAnom)
+			got, err := v.close(i, v.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,30 +146,6 @@ func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 	}
 	if !alarmed {
 		t.Error("no alarm; extraction path not compared")
-	}
-}
-
-// TestBeginIntervalGroupValidation mirrors EndIntervalGroup's input
-// checks.
-func TestBeginIntervalGroupValidation(t *testing.T) {
-	if _, err := BeginIntervalGroup(nil); err == nil {
-		t.Error("empty group accepted")
-	}
-	p, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BeginIntervalGroup([]*Pipeline{p, p}); err == nil {
-		t.Error("duplicate pipeline accepted")
-	}
-	cfg := testConfig()
-	cfg.Detector.Seed++
-	q, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BeginIntervalGroup([]*Pipeline{p, q}); err == nil {
-		t.Error("group across hash seeds accepted")
 	}
 }
 
@@ -194,7 +167,7 @@ func TestPendingCloseRecyclesState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets[pc.states[0].sets[0]]++
+		sets[pc.state.sets[0][0]]++
 		if _, err := pc.Finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -236,100 +209,97 @@ func (m *failOnceMiner) Mine(txs []itemset.Transaction, minsup int) (*mining.Res
 // the time mining can fail, so every close entry point must still leave
 // its histograms, buffers and extraction scratch reset — every close
 // after a failed one, a second flood extraction over the failed one's
-// survivor indices included, reports exactly what a group that never
+// survivor indices included, reports exactly what a pipeline that never
 // failed reports — and a failed Finish must still recycle its drained
-// state (exactly two clone sets ever cycle through BeginClose). The
-// failing group mines through an injected miner, the reference through
-// the built-in path, so the comparison spans the extraction fork too.
+// state (exactly two clone sets ever cycle through BeginClose). Both
+// entries run over one and two partitions. The failing pipeline mines
+// through an injected miner, the reference through the built-in path, so
+// the comparison spans the extraction fork too.
 func TestFailedMiningLeavesIntervalClean(t *testing.T) {
-	drained := make(map[*histogram.CloneSet]int)
 	cases := []struct {
-		name   string
-		shards int
-		close  func(group []*Pipeline) (*Report, error)
-		check  func(t *testing.T, group []*Pipeline)
+		name  string
+		close func(p *Pipeline, drained map[*histogram.CloneSet]int) (*Report, error)
+		check func(t *testing.T, p *Pipeline, drained map[*histogram.CloneSet]int)
 	}{
-		{"EndInterval", 1, func(g []*Pipeline) (*Report, error) { return g[0].EndInterval() }, nil},
-		{"EndIntervalGroup", 2, EndIntervalGroup, nil},
-		{"BeginClose+Finish", 1, func(g []*Pipeline) (*Report, error) {
-			pc, err := g[0].BeginClose()
+		{"EndInterval", func(p *Pipeline, _ map[*histogram.CloneSet]int) (*Report, error) { return p.EndInterval() }, nil},
+		{"BeginClose+Finish", func(p *Pipeline, drained map[*histogram.CloneSet]int) (*Report, error) {
+			pc, err := p.BeginClose()
 			if err != nil {
 				return nil, err
 			}
-			drained[pc.states[0].sets[0]]++
+			drained[pc.state.sets[0][0]]++
 			return pc.Finish()
-		}, func(t *testing.T, g []*Pipeline) {
+		}, func(t *testing.T, p *Pipeline, drained map[*histogram.CloneSet]int) {
 			if len(drained) != 2 {
 				t.Errorf("%d distinct clone sets drained, want 2 (failed finish must recycle)", len(drained))
 			}
-			if got := len(g[0].spares); got != 1 {
+			if got := len(p.spares); got != 1 {
 				t.Errorf("freelist holds %d states, want 1", got)
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newGroup := func(cfg Config) []*Pipeline {
-				group := make([]*Pipeline, tc.shards)
-				for i := range group {
-					p, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
+			for _, parts := range []int{1, 2} {
+				t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+					newPipeline := func(cfg Config) *Pipeline {
+						p, err := NewPartitioned(cfg, parts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(p.Close)
+						return p
 					}
-					t.Cleanup(p.Close)
-					group[i] = p
-				}
-				return group
-			}
-			cfg := testConfig()
-			ref := newGroup(cfg)
-			cfg.Miner = &failOnceMiner{Miner: apriori.New()}
-			group := newGroup(cfg)
-			r := stats.NewRand(9)
-			// feed gives both groups the same interval and closes the
-			// never-failing reference.
-			feed := func(nAnom int) *Report {
-				for i, rec := range closeInterval(r, 3000, nAnom) {
-					group[i%tc.shards].Observe(rec)
-					ref[i%tc.shards].Observe(rec)
-				}
-				want, err := EndIntervalGroup(ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return want
-			}
-			for i := 0; i < 10; i++ {
-				feed(0)
-				if _, err := tc.close(group); err != nil {
-					t.Fatal(err)
-				}
-			}
-			feed(1500)
-			if _, err := tc.close(group); err == nil {
-				t.Fatal("flood interval closed without surfacing the mining failure")
-			}
-			// More closes: a state the failed finish dropped instead of
-			// recycling is replaced at the first and shows up at the second;
-			// the flood among them extracts again, through the scratch the
-			// failed close left behind.
-			mined := false
-			for i, nAnom := range []int{0, 1500, 0} {
-				want := feed(nAnom)
-				rep, err := tc.close(group)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(rep, want) {
-					t.Errorf("close %d after the failed one diverged from a group that never failed\ngot:  %+v\nwant: %+v", i+1, rep, want)
-				}
-				mined = mined || rep.Mining != nil
-			}
-			if !mined {
-				t.Error("no close after the failed one extracted; the scratch was never reused")
-			}
-			if tc.check != nil {
-				tc.check(t, group)
+					cfg := testConfig()
+					ref := newPipeline(cfg)
+					cfg.Miner = &failOnceMiner{Miner: apriori.New()}
+					p := newPipeline(cfg)
+					drained := make(map[*histogram.CloneSet]int)
+					r := stats.NewRand(9)
+					// feed gives both pipelines the same interval and closes
+					// the never-failing reference.
+					feed := func(nAnom int) *Report {
+						recs := closeInterval(r, 3000, nAnom)
+						p.ObserveBatch(recs)
+						want, err := ref.ProcessInterval(recs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return want
+					}
+					for i := 0; i < 10; i++ {
+						feed(0)
+						if _, err := tc.close(p, drained); err != nil {
+							t.Fatal(err)
+						}
+					}
+					feed(1500)
+					if _, err := tc.close(p, drained); err == nil {
+						t.Fatal("flood interval closed without surfacing the mining failure")
+					}
+					// More closes: a state the failed finish dropped instead
+					// of recycling is replaced at the first and shows up at
+					// the second; the flood among them extracts again,
+					// through the scratch the failed close left behind.
+					mined := false
+					for i, nAnom := range []int{0, 1500, 0} {
+						want := feed(nAnom)
+						rep, err := tc.close(p, drained)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(rep, want) {
+							t.Errorf("close %d after the failed one diverged from a pipeline that never failed\ngot:  %+v\nwant: %+v", i+1, rep, want)
+						}
+						mined = mined || rep.Mining != nil
+					}
+					if !mined {
+						t.Error("no close after the failed one extracted; the scratch was never reused")
+					}
+					if tc.check != nil {
+						tc.check(t, p, drained)
+					}
+				})
 			}
 		})
 	}
@@ -440,6 +410,6 @@ func BenchmarkPipelinedClose(b *testing.B) {
 		run(b, func(p *Pipeline) (*Report, error) { return p.EndInterval() })
 	})
 	b.Run("two-phase", func(b *testing.B) {
-		run(b, func(p *Pipeline) (*Report, error) { return twoPhase(p.selfGroup) })
+		run(b, twoPhase)
 	})
 }

@@ -34,63 +34,88 @@ type OpenInterval struct {
 	Buffer flow.Buffer
 }
 
-// Snapshot captures the pipeline's full state: bank history plus the
-// open interval's flow buffer. The result shares no memory with the
-// pipeline.
-func (p *Pipeline) Snapshot() PipelineSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PipelineSnapshot{
-		Bank:   p.bank.Snapshot(),
-		Buffer: p.buffer.Clone(),
+// foldLocked moves the open interval of partitions 1..n-1 into
+// partition 0: their clone sets merge into partition 0's (exact, see
+// Bank.MergeDrained) and their buffers append to partition 0's in
+// partition order, leaving them empty. Reports are unchanged by a fold;
+// only the KeepSuspicious forensic slice, which follows buffer order,
+// regroups. p.mu must be held.
+func (p *Pipeline) foldLocked() {
+	if len(p.banks) == 1 {
+		return
+	}
+	siblings := make([][]*histogram.CloneSet, len(p.banks)-1)
+	for i, b := range p.banks[1:] {
+		siblings[i] = b.LiveInterval()
+	}
+	p.banks[0].MergeDrained(p.banks[0].LiveInterval(), siblings)
+	for _, buf := range p.buffers[1:] {
+		p.buffers[0].AppendBuffer(buf)
+		buf.Reset()
 	}
 }
 
-// RestoreSnapshot replaces the pipeline's state with s. The pipeline
-// must share the snapshot source's configuration (features, detector
-// parameters).
+// Snapshot captures the pipeline's full state — bank history plus the
+// open interval's flow buffer — after folding every partition into
+// partition 0. The result shares no memory with the pipeline.
+func (p *Pipeline) Snapshot() PipelineSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.foldLocked()
+	return PipelineSnapshot{
+		Bank:   p.banks[0].Snapshot(),
+		Buffer: p.buffers[0].Clone(),
+	}
+}
+
+// RestoreSnapshot replaces the pipeline's state with s, written into
+// partition 0 (the other partitions are folded in first, which empties
+// them). The pipeline must share the snapshot source's configuration
+// (features, detector parameters).
 func (p *Pipeline) RestoreSnapshot(s PipelineSnapshot) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.bank.RestoreSnapshot(s.Bank); err != nil {
+	p.foldLocked()
+	if err := p.banks[0].RestoreSnapshot(s.Bank); err != nil {
 		return err
 	}
-	p.buffer.Reset()
-	p.buffer.AppendBuffer(&s.Buffer)
+	p.buffers[0].Reset()
+	p.buffers[0].AppendBuffer(&s.Buffer)
 	return nil
 }
 
 // DrainOpenInterval captures the open interval — clone-histogram
-// snapshots and the flow buffer — and clears it, leaving detection
-// history untouched and uncopied. This is the distributed agent step:
-// the agent drains at each interval boundary and ships the result to
-// the collector, which folds it into the primary pipeline with
+// snapshots and the flow buffer, every partition folded into one, the
+// buffers concatenated in partition order — and clears it, leaving
+// detection history untouched and uncopied. This is the distributed
+// agent step: the agent drains at each interval boundary and ships the
+// result to the collector, which folds it into its pipeline with
 // AbsorbOpenInterval. The result shares no memory with the pipeline.
 func (p *Pipeline) DrainOpenInterval() OpenInterval {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.foldLocked()
 	oi := OpenInterval{
-		Clones: p.bank.DrainInterval(),
-		Buffer: p.buffer.Clone(),
+		Clones: p.banks[0].DrainInterval(),
+		Buffer: p.buffers[0].Clone(),
 	}
-	p.buffer.Reset()
+	p.buffers[0].Reset()
 	return oi
 }
 
-// AbsorbOpenInterval folds a drained open interval into p additively:
-// clone snapshots merge into the bank's open clone sets (the
+// AbsorbOpenInterval folds a drained open interval into partition 0
+// additively: clone snapshots merge into the bank's open clone sets (the
 // mergeable-sketch invariant — identical to having observed the flows
-// directly) and the buffered flows append to p's buffer. A malformed
-// interval is rejected before anything moves. It is the collector-side
-// counterpart of DrainOpenInterval, replacing the former
-// restore-into-scratch-then-Absorb round trip. Both sides must share the
-// detector configuration and seed.
+// directly) and the buffered flows append to the partition's buffer. A
+// malformed interval is rejected before anything moves. It is the
+// collector-side counterpart of DrainOpenInterval. Both sides must share
+// the detector configuration and seed.
 func (p *Pipeline) AbsorbOpenInterval(oi OpenInterval) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.bank.AbsorbInterval(oi.Clones); err != nil {
+	if err := p.banks[0].AbsorbInterval(oi.Clones); err != nil {
 		return err
 	}
-	p.buffer.AppendBuffer(&oi.Buffer)
+	p.buffers[0].AppendBuffer(&oi.Buffer)
 	return nil
 }

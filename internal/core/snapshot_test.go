@@ -93,8 +93,8 @@ func TestPipelineSnapshotRestore(t *testing.T) {
 }
 
 // TestPipelineRestoreThenAbsorb: the full-snapshot hand-off — Snapshot
-// an agent's open interval, restore it into a scratch pipeline, Absorb
-// the scratch into a primary — reproduces a direct run.
+// an agent's open interval, restore it into a scratch pipeline, drain the
+// scratch into a primary — reproduces a direct run.
 func TestPipelineRestoreThenAbsorb(t *testing.T) {
 	direct, err := New(snapConfig())
 	if err != nil {
@@ -137,7 +137,7 @@ func TestPipelineRestoreThenAbsorb(t *testing.T) {
 		if err := scratch.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := primary.Absorb(scratch); err != nil {
+		if err := primary.AbsorbOpenInterval(scratch.DrainOpenInterval()); err != nil {
 			t.Fatal(err)
 		}
 		want, err := direct.EndInterval()

@@ -252,13 +252,12 @@ func (b *Bank) FinishInterval(cur []*histogram.CloneSet) BankResult {
 	return mergeResults(results)
 }
 
-// Mergeable reports whether other's clone sets may be folded into b's:
+// mergeable reports whether other's clone sets may be folded into b's:
 // distinct banks monitoring the same features with the same detector
-// parameters (see Detector.mergeable). Every merge entry point — Absorb,
-// AbsorbGroup, and core's interval close before MergeDrained — runs this
-// one check before touching any histogram. It reads only immutable
-// configuration and takes no lock.
-func (b *Bank) Mergeable(other *Bank) error {
+// parameters (see Detector.mergeable). AbsorbGroup runs this one check
+// on every sibling before touching any histogram. It reads only
+// immutable configuration and takes no lock.
+func (b *Bank) mergeable(other *Bank) error {
 	if other == b {
 		return fmt.Errorf("detector: bank cannot absorb itself")
 	}
@@ -278,13 +277,14 @@ func (b *Bank) Mergeable(other *Bank) error {
 // resets the siblings, fanning one task per detector across the worker
 // pool — detector columns are independent, so the parallel merge is
 // byte-identical to folding each sibling in turn. This is the
-// cross-shard merge of the interval close: one value-table fold per
+// cross-partition merge of the interval close: one value-table fold per
 // feature, whatever the clone count, with the bins derived once, on the
 // merged table, when detection reads them. Only the open interval moves:
 // no detection history is consulted or modified. Like FinishInterval it
 // takes no bank mutex: every set involved must be private to the caller
-// — drained by SwapInterval, or live with observes excluded — and pass
-// Mergeable.
+// — drained by SwapInterval, or live with observes excluded — and come
+// from banks built from one configuration (core's partitions are, by
+// construction; AbsorbGroup checks).
 func (b *Bank) MergeDrained(dst []*histogram.CloneSet, siblings [][]*histogram.CloneSet) {
 	if len(siblings) == 0 {
 		return
@@ -302,16 +302,17 @@ func (b *Bank) MergeDrained(dst []*histogram.CloneSet, siblings [][]*histogram.C
 // AbsorbGroup folds every sibling bank's in-progress interval into b in
 // sibling order and leaves the siblings empty, ready to accumulate the
 // next interval: MergeDrained over the live clone sets, with every bank
-// locked.
+// locked. Every sibling is validated before any histogram moves, so a
+// rejected group leaves every bank as it was.
 func (b *Bank) AbsorbGroup(others []*Bank) error {
 	// Validate before locking: absorbing b itself would self-deadlock.
 	for _, o := range others {
-		if err := b.Mergeable(o); err != nil {
+		if err := b.mergeable(o); err != nil {
 			return err
 		}
 	}
 	// Lock in caller order: the fold goes toward a single primary bank
-	// (shard merges), so no cycle can form.
+	// (partition merges), so no cycle can form.
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	siblings := make([][]*histogram.CloneSet, len(others))
@@ -323,9 +324,3 @@ func (b *Bank) AbsorbGroup(others []*Bank) error {
 	b.MergeDrained(b.live(), siblings)
 	return nil
 }
-
-// Absorb is AbsorbGroup for a single sibling: shard banks accumulate
-// partitions of the stream, the primary bank absorbs them at the interval
-// boundary and runs detection over the union, yielding exactly the
-// unsharded detector state.
-func (b *Bank) Absorb(other *Bank) error { return b.AbsorbGroup([]*Bank{other}) }

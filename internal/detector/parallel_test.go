@@ -152,8 +152,8 @@ func TestAbsorbGroupMatchesSingleBank(t *testing.T) {
 	}
 }
 
-// TestAbsorbRejectsIncompatible: every merge entry point runs the one
-// compatibility check before touching a histogram — mismatched banks are
+// TestAbsorbRejectsIncompatible: AbsorbGroup runs the one compatibility
+// check on every sibling before touching a histogram — mismatched banks are
 // rejected and the primary's open interval is left as it was.
 func TestAbsorbRejectsIncompatible(t *testing.T) {
 	base := BankConfig{Template: Config{Bins: 64, Clones: 3, Seed: 5}, Workers: 1}
@@ -186,11 +186,11 @@ func TestAbsorbRejectsIncompatible(t *testing.T) {
 		if other != primary {
 			other.ObserveBatch(testBatch(stats.NewRand(2), 300))
 		}
-		if err := primary.Mergeable(other); err == nil {
-			t.Errorf("%s: Mergeable accepted", name)
+		if err := primary.mergeable(other); err == nil {
+			t.Errorf("%s: mergeable accepted", name)
 		}
-		if err := primary.Absorb(other); err == nil {
-			t.Errorf("%s: Absorb accepted", name)
+		if err := primary.AbsorbGroup([]*Bank{other}); err == nil {
+			t.Errorf("%s: AbsorbGroup of one accepted", name)
 		}
 		// A compatible sibling ahead of the bad one must not be merged
 		// either: the group is validated before any histogram moves.

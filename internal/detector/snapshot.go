@@ -61,15 +61,17 @@ func (d *Detector) Snapshot() Snapshot {
 	return s
 }
 
-// RestoreSnapshot replaces the detector's state with s. The detector
-// must have been constructed with the snapshot's clone and bin counts;
-// see Snapshot for the configuration-matching caveat. A rejected
+// RestoreSnapshot replaces the detector's state with s: the open
+// interval is emptied and the snapshot's clones merged into it. The
+// detector must have been constructed with the snapshot's clone and bin
+// counts; see Snapshot for the configuration-matching caveat. A rejected
 // snapshot changes nothing.
 func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	if err := d.checkSnapshot(s); err != nil {
 		return err
 	}
-	if err := d.cur.RestoreSnapshot(s.Clones); err != nil {
+	d.cur.Reset()
+	if err := d.cur.MergeSnapshot(s.Clones); err != nil {
 		return err
 	}
 	for c, prev := range s.Prev {

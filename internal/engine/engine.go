@@ -13,10 +13,10 @@
 // per-record pipeline overhead via ObserveBatch, and each cut closes an
 // interval (detection + extraction). Both channels are bounded, so a
 // slow consumer exerts backpressure all the way back to Submit instead
-// of growing an unbounded queue. With Config.Shards > 1 the engine
-// drives a hash-partitioned shard.ShardedPipeline instead of a single
-// pipeline, parallelizing ingestion across shards with a deterministic
-// cross-shard merge at each interval close.
+// of growing an unbounded queue. With Config.Shards > 1 the engine's
+// pipeline is hash-partitioned (built by shard.New), parallelizing
+// ingestion across partitions with a deterministic cross-partition merge
+// at each interval close.
 //
 //	eng, _ := engine.New(engine.Config{IntervalLen: 15 * time.Minute})
 //	go func() {
@@ -48,20 +48,16 @@ type Config struct {
 	// Pipeline configures the underlying extraction pipeline; zero-value
 	// fields take the paper's defaults (see core.Config).
 	Pipeline core.Config
-	// Shards selects hash-partitioned multi-pipeline sharding: when > 1
-	// the engine drives a shard.ShardedPipeline of that many pipelines
-	// (flows partitioned by the stable hash of the flow key, reports
-	// merged deterministically at each interval close). 0 or 1 runs a
-	// single pipeline.
+	// Shards selects hash partitioning: when > 1 the engine's pipeline
+	// splits every interval across that many partitions (shard.New:
+	// flows partitioned by the stable hash of the flow key, merged
+	// deterministically at each interval close). 0 or 1 runs one
+	// partition.
 	Shards int
 	// IntervalLen is the measurement-interval length Delta (default the
 	// paper's 15 minutes). Interval boundaries are aligned to multiples
 	// of IntervalLen from the epoch, seeded by the first record.
 	IntervalLen time.Duration
-	// BatchSize is the number of Submit records grouped into one
-	// ObserveBatch call (default 512). SubmitBatch batches bypass this
-	// grouping — they are already batches.
-	BatchSize int
 	// Buffer is the input-channel capacity — the backpressure bound.
 	// Submit blocks once Buffer messages are queued (default 8192).
 	Buffer int
@@ -78,17 +74,14 @@ type Config struct {
 	// PipelineDepth-1 closes are in flight, the next cut blocks — close
 	// backpressure propagates to Submit exactly like full input buffers.
 	// Depths > 1 require a sink implementing PipelinedSink (the built-in
-	// pipeline and sharded backends do); for other sinks the engine falls
-	// back to the synchronous close.
+	// pipeline does, at any partition count); for other sinks the engine
+	// falls back to the synchronous close.
 	PipelineDepth int
 }
 
 func (c Config) withDefaults() Config {
 	if c.IntervalLen <= 0 {
 		c.IntervalLen = 15 * time.Minute
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 512
 	}
 	if c.Buffer <= 0 {
 		c.Buffer = 8192
@@ -99,12 +92,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sink is the extraction backend an engine drives: a single
-// core.Pipeline, a hash-partitioned shard.ShardedPipeline, or a custom
-// backend injected with NewWithSink (the wire package's distributed
-// agent, which ships each interval to a remote collector instead of
-// closing detection locally). All accumulate observed flows into the
-// current measurement interval and close it on EndInterval.
+// batchSize is the number of Submit records grouped into one
+// ObserveBatch call. SubmitBatch batches bypass this grouping — they are
+// already batches.
+const batchSize = 512
+
+// Sink is the extraction backend an engine drives: a core.Pipeline (of
+// one or more partitions), or a custom backend injected with NewWithSink
+// (the wire package's distributed agent, which ships each interval to a
+// remote collector instead of closing detection locally). All accumulate
+// observed flows into the current measurement interval and close it on
+// EndInterval.
 type Sink interface {
 	ObserveBatch([]flow.Record)
 	EndInterval() (*core.Report, error)
@@ -133,8 +131,8 @@ type BoundarySink interface {
 // expensive detection + extraction — while the next interval's records
 // keep flowing. Finishes run strictly in drain order on one worker, the
 // ordering the sequential KL scheme requires, so reports stay
-// byte-identical to the synchronous path. core.Pipeline and
-// shard.ShardedPipeline implement it; the engine uses it only when
+// byte-identical to the synchronous path. core.Pipeline implements it,
+// whatever its partition count; the engine uses it only when
 // Config.PipelineDepth > 1.
 type PipelinedSink interface {
 	Sink
@@ -167,7 +165,6 @@ type msg struct {
 type Engine struct {
 	cfg  Config
 	sink Sink
-	p    *core.Pipeline // the unsharded pipeline; nil when Shards > 1
 
 	// submitMu guards the boundary grid and orders messages from
 	// concurrent producers into the input channel.
@@ -194,19 +191,16 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	var p *core.Pipeline
 	if cfg = e.cfg; cfg.Shards > 1 {
-		sp, err := shard.New(shard.Config{Shards: cfg.Shards, Pipeline: cfg.Pipeline})
-		if err != nil {
-			return nil, err
-		}
-		e.sink = sp
+		p, err = shard.New(shard.Config{Shards: cfg.Shards, Pipeline: cfg.Pipeline})
 	} else {
-		p, err := core.New(cfg.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		e.p, e.sink = p, p
+		p, err = core.New(cfg.Pipeline)
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.sink = p
 	go e.run()
 	return e, nil
 }
@@ -218,7 +212,7 @@ func New(cfg Config) (*Engine, error) {
 // the wire package's distributed agent injects a sink that drains its
 // pipeline's open interval and ships it to a collector. cfg.Pipeline and
 // cfg.Shards are ignored (the sink already embodies them); the engine
-// Closes the sink when it is Closed, and Pipeline() returns nil.
+// Closes the sink when it is Closed.
 func NewWithSink(cfg Config, sink Sink) (*Engine, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: nil sink")
@@ -274,16 +268,6 @@ func (e *Engine) BoundaryAfter(ms int64) int64 {
 	}
 	return ms - rem + step
 }
-
-// Sink exposes the extraction backend (read-only use; mutating it
-// concurrently with a running engine races with the processing
-// goroutine).
-func (e *Engine) Sink() Sink { return e.sink }
-
-// Pipeline exposes the underlying unsharded extraction pipeline; it is
-// nil when the engine runs sharded (Config.Shards > 1) or around an
-// injected sink (NewWithSink) — use Sink then.
-func (e *Engine) Pipeline() *core.Pipeline { return e.p }
 
 // maxGapIntervals bounds how many empty intervals one timestamp gap may
 // close. A single corrupt or far-future flow timestamp would otherwise
@@ -443,7 +427,7 @@ func (e *Engine) process() error {
 // engine settles Err and closes Reports promptly even if producers go
 // quiet.
 func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{}) error {
-	batch := make([]flow.Record, 0, e.cfg.BatchSize)
+	batch := make([]flow.Record, 0, batchSize)
 	step := e.cfg.IntervalLen.Milliseconds()
 	flushBatch := func() {
 		e.sink.ObserveBatch(batch)
@@ -475,7 +459,7 @@ func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{})
 			e.sink.ObserveBatch(m.recs)
 		default:
 			batch = append(batch, m.rec)
-			if len(batch) >= e.cfg.BatchSize {
+			if len(batch) >= batchSize {
 				flushBatch()
 			}
 		}

@@ -86,7 +86,7 @@ func TestEngineMatchesManualLoop(t *testing.T) {
 	}
 	want = append(want, rep)
 
-	eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen, BatchSize: 700})
+	eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 
 	collect := func(submit func(*Engine)) []*core.Report {
 		t.Helper()
-		eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen, BatchSize: 700})
+		eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/flow"
@@ -182,5 +184,51 @@ func TestPipelinedFallsBackForPlainSink(t *testing.T) {
 	}
 	if sink.flows != len(stream) {
 		t.Fatalf("sink observed %d flows, want %d", sink.flows, len(stream))
+	}
+}
+
+// TestCloseLeavesNoGoroutines: once Close returns, every goroutine the
+// engine started — the processing loop, the close worker, the bank
+// worker pools, the per-partition ingest and prefilter fan-out — has
+// exited, for partitions {1, 2, 4} × depth {1, 2}, after a clean stream
+// and after a close whose miner failed. The count is polled with a
+// deadline: exiting goroutines may lag Close by a scheduler tick.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	stream := makeStream(14, 8, 1200, 7)
+	for _, parts := range []int{1, 2, 4} {
+		for _, depth := range []int{1, 2} {
+			for _, failing := range []bool{false, true} {
+				t.Run(fmt.Sprintf("partitions=%d/depth=%d/failing=%v", parts, depth, failing), func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					cfg := testConfig(2)
+					if failing {
+						cfg.Miner = errMiner{}
+					}
+					eng, err := New(Config{Pipeline: cfg, Shards: parts, IntervalLen: intervalLen, PipelineDepth: depth})
+					if err != nil {
+						t.Fatal(err)
+					}
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						for range eng.Reports() {
+						}
+					}()
+					eng.SubmitBatch(stream)
+					if err := eng.Close(); (err != nil) != failing {
+						t.Fatalf("Close error %v, want failure %v", err, failing)
+					}
+					<-done
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+						if time.Now().After(deadline) {
+							buf := make([]byte, 1<<16)
+							t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+								runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+						}
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+		}
 	}
 }

@@ -68,7 +68,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := r.RestoreSnapshot(ss); err != nil {
+			if err := restore(r, ss); err != nil {
 				b.Fatal(err)
 			}
 		}

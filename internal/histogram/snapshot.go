@@ -92,9 +92,9 @@ func (s *CloneSet) Snapshots() []Snapshot {
 	return out
 }
 
-// CheckSnapshots reports whether ss can be merged into or restored over
-// s without an error, moving nothing: one snapshot per clone, each with
-// s's bin count and tracked values, and — because the clones of one
+// CheckSnapshots reports whether ss can be merged into s without an
+// error, moving nothing: one snapshot per clone, each with s's bin count
+// and tracked values, and — because the clones of one
 // feature share one value table — all carrying the same Total, each
 // clone's counts summing to it, and the same number of value entries,
 // whose counts also sum to it. Callers that fold several sets validate
@@ -137,8 +137,9 @@ func (s *CloneSet) CheckSnapshots(ss []Snapshot) error {
 // into the set additively: clone 0's values enter the one table, and
 // every clone's bins follow from it. It is Merge with the sibling in
 // snapshot form, so a distributed collector can absorb a shipped
-// interval without restoring it into a scratch set first. ss must pass
-// CheckSnapshots; the hash functions cannot be checked (see Snapshot).
+// interval without restoring it into a scratch set first; a restore is
+// Reset then MergeSnapshot. ss must pass CheckSnapshots; the hash
+// functions cannot be checked (see Snapshot).
 func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
 	if err := s.CheckSnapshots(ss); err != nil {
 		return err
@@ -147,30 +148,6 @@ func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
 	for _, vs := range ss[0].Values {
 		for _, vc := range vs {
 			s.values.add(vc.Value, vc.Count)
-		}
-	}
-	s.stale = true
-	return nil
-}
-
-// RestoreSnapshot replaces the set's accumulated state with ss,
-// discarding whatever the current interval held: one bulk fill of the
-// value table from clone 0's values (at most one arena allocation), the
-// bins derived from it. ss must pass CheckSnapshots, and the set must
-// have been built with the snapshots' hash functions — restoring into a
-// set from a different seed silently yields one whose future adds
-// disagree with its restored past, so callers must guarantee matching
-// construction parameters (the wire protocol does so with a config
-// digest).
-func (s *CloneSet) RestoreSnapshot(ss []Snapshot) error {
-	if err := s.CheckSnapshots(ss); err != nil {
-		return err
-	}
-	s.values.reset()
-	s.values.reserve(entryCount(ss[0]))
-	for _, vs := range ss[0].Values {
-		for _, vc := range vs {
-			s.values.set(vc.Value, vc.Count)
 		}
 	}
 	s.stale = true

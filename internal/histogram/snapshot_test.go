@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// restore is the restore the detector builds on: validate, Reset, then
+// MergeSnapshot — so a rejected snapshot changes nothing.
+func restore(s *CloneSet, ss []Snapshot) error {
+	if err := s.CheckSnapshots(ss); err != nil {
+		return err
+	}
+	s.Reset()
+	return s.MergeSnapshot(ss)
+}
+
 // TestSnapshotRestoreRoundTrip: a restored set is indistinguishable from
 // the original — every clone's counts and values, the total, and
 // subsequent behaviour all match — and the snapshots share no memory
@@ -24,12 +34,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(ss[1].Counts, before) {
 		t.Fatal("snapshot counts alias the live set")
 	}
-	if err := s.RestoreSnapshot(ss); err != nil { // undo the extra Add
+	if err := restore(s, ss); err != nil { // undo the extra Add
 		t.Fatal(err)
 	}
 
 	r := NewCloneSet(16, fns)
-	if err := r.RestoreSnapshot(ss); err != nil {
+	if err := restore(r, ss); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r.Snapshots(), ss) {
@@ -151,8 +161,8 @@ func TestRestoreSnapshotRejectsShape(t *testing.T) {
 		if err := dst.CheckSnapshots(tc.ss); err == nil {
 			t.Errorf("%s: CheckSnapshots accepted", name)
 		}
-		if err := dst.RestoreSnapshot(tc.ss); err == nil {
-			t.Errorf("%s: RestoreSnapshot accepted", name)
+		if err := restore(dst, tc.ss); err == nil {
+			t.Errorf("%s: restore accepted", name)
 		}
 		if err := dst.MergeSnapshot(tc.ss); err == nil {
 			t.Errorf("%s: MergeSnapshot accepted", name)
@@ -173,7 +183,7 @@ func TestRestoreSnapshotOverwrites(t *testing.T) {
 	}
 	fresh := NewCloneSet(8, fns)
 	fresh.Add(1)
-	if err := s.RestoreSnapshot(fresh.Snapshots()); err != nil {
+	if err := restore(s, fresh.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s.Snapshots(), fresh.Snapshots()) {

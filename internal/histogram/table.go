@@ -151,22 +151,6 @@ func (t *valueTable) add(v, n uint64) {
 	t.n++
 }
 
-// set inserts v with count n, or overwrites v's existing count — the
-// restore primitive (m[v] = n in the map code), so restoring a snapshot
-// that repeats a value keeps the last occurrence, exactly as before.
-func (t *valueTable) set(v, n uint64) {
-	t.ensure(1)
-	i, found := t.slot(v)
-	if found {
-		t.counts[i] = n
-		return
-	}
-	t.keys[i] = v
-	t.counts[i] = n
-	t.bits[i>>6] |= 1 << (i & 63)
-	t.n++
-}
-
 // get returns v's count and whether v is present.
 func (t *valueTable) get(v uint64) (uint64, bool) {
 	if t.n == 0 {
@@ -222,14 +206,5 @@ func (t *valueTable) forEach(f func(v, n uint64)) {
 			i := uint64(w<<6) + uint64(bits.TrailingZeros64(word))
 			f(t.keys[i], t.counts[i])
 		}
-	}
-}
-
-// reserve grows the arena (if needed) to hold total entries within the
-// load-factor bound, so a bulk fill of known size — RestoreSnapshot —
-// performs at most one allocation and no mid-fill rehash.
-func (t *valueTable) reserve(total int) {
-	if total > t.n {
-		t.ensure(total - t.n)
 	}
 }

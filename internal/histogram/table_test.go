@@ -182,12 +182,12 @@ func runParityProgram(t *testing.T, data []byte, clones int) {
 				}
 			case 1: // snapshot/restore into a fresh set
 				fresh := NewCloneSet(k, fns)
-				if err := fresh.RestoreSnapshot(hs[tgt].Snapshots()); err != nil {
+				if err := restore(fresh, hs[tgt].Snapshots()); err != nil {
 					t.Fatal(err)
 				}
 				hs[tgt] = fresh
 			case 2: // restore over live state (stale entries must vanish)
-				if err := hs[tgt].RestoreSnapshot(hs[1-tgt].Snapshots()); err != nil {
+				if err := restore(hs[tgt], hs[1-tgt].Snapshots()); err != nil {
 					t.Fatal(err)
 				}
 				// Model restore = rebuild from the source model (merge
@@ -270,14 +270,10 @@ func TestValueTableGrowthAndReset(t *testing.T) {
 	if len(vt.keys) != capBefore {
 		t.Fatalf("refill grew the arena: %d -> %d", capBefore, len(vt.keys))
 	}
-	// set overwrites; add accumulates.
-	vt.set(7, 5)
-	vt.set(7, 9)
+	// add accumulates.
+	vt.add(7, 5)
+	vt.add(7, 4)
 	if c, _ := vt.get(7); c != 9 {
-		t.Fatalf("set did not overwrite: %d", c)
-	}
-	vt.add(7, 1)
-	if c, _ := vt.get(7); c != 10 {
 		t.Fatalf("add did not accumulate: %d", c)
 	}
 }
@@ -360,19 +356,20 @@ func TestAppendValuesInBinsMatchesPerBin(t *testing.T) {
 	}
 }
 
-// TestValueTableReserve pins the bulk-fill contract: after reserve(n),
-// n inserts perform no further allocation (observed via capacity).
+// TestValueTableReserve pins the bulk-fill contract MergeSnapshot relies
+// on: after ensure(n), n inserts perform no further allocation (observed
+// via capacity).
 func TestValueTableReserve(t *testing.T) {
 	var vt valueTable
-	vt.reserve(1000)
+	vt.ensure(1000)
 	capBefore := len(vt.keys)
 	if capBefore == 0 {
-		t.Fatal("reserve allocated nothing")
+		t.Fatal("ensure allocated nothing")
 	}
 	for i := uint64(0); i < 1000; i++ {
-		vt.set(i*0x9e3779b9, i)
+		vt.add(i*0x9e3779b9, i)
 	}
 	if len(vt.keys) != capBefore {
-		t.Fatalf("inserts after reserve grew the arena: %d -> %d", capBefore, len(vt.keys))
+		t.Fatalf("inserts after ensure grew the arena: %d -> %d", capBefore, len(vt.keys))
 	}
 }

@@ -24,7 +24,6 @@ var Goroutines = &Analyzer{
 var auditedConcurrency = []string{
 	"internal/engine",
 	"internal/detector",
-	"internal/shard",
 	"internal/prefilter",
 	"internal/mining/eclat",
 	"internal/wire",
@@ -41,7 +40,7 @@ func runGoroutines(pkg *Package, report ReportFunc) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				report(n.Go, "go statement outside the audited concurrency packages; fan-out belongs in engine/detector/shard/prefilter/mining/eclat/wire/core where the merge order is pinned by tests")
+				report(n.Go, "go statement outside the audited concurrency packages; fan-out belongs in engine/detector/prefilter/mining/eclat/wire/core where the merge order is pinned by tests")
 			case *ast.CallExpr:
 				id, ok := n.Fun.(*ast.Ident)
 				if !ok || id.Name != "make" || len(n.Args) == 0 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,10 +65,9 @@ func renderReport(rep *core.Report) string {
 	return b.String()
 }
 
-// TestShardedDeterminism pins the tentpole contract over the full
-// (Workers, shards) grid: for shards ∈ {1, 2, 4} and per-shard Workers
-// ∈ {1, 2, 4, 8}, a ShardedPipeline — with its distributed per-shard
-// prefilter and shard-order suspicious-set merge — produces reports
+// TestShardedDeterminism pins the contract over the full (Workers,
+// shards) grid as built by this package's constructor: for shards ∈
+// {1, 2, 4} and Workers ∈ {1, 2, 4, 8}, a ShardedPipeline produces reports
 // byte-identical to a plain sequential core.Pipeline, interval for
 // interval.
 func TestShardedDeterminism(t *testing.T) {
@@ -102,8 +102,8 @@ func TestShardedDeterminism(t *testing.T) {
 			}
 			for i, recs := range trace {
 				// Feed in alternating small and large chunks so both the
-				// sequential small-batch route and the partition + fan-out
-				// route contribute to the same interval.
+				// record-by-record route and the partition + fan-out route
+				// contribute to the same interval.
 				for j, small := 0, true; j < len(recs); small = !small {
 					n := 700
 					if small {
@@ -137,7 +137,7 @@ func TestShardOfStableAndSpread(t *testing.T) {
 	}
 	defer sp.Close()
 	trace := testTrace(1, 4000, -1)
-	counts := make([]int, sp.NumShards())
+	counts := make([]int, 4)
 	for i := range trace[0] {
 		rec := trace[0][i]
 		sh := sp.ShardOf(&rec)
@@ -207,8 +207,40 @@ func TestShardedConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsNegative covers config validation and the absorb
-// mismatch path.
+// TestNewDefaults pins the defaulting the sharded entry points rely on:
+// Shards 0 means GOMAXPROCS partitions, and Pipeline.Workers 0 means
+// sequential detector banks — at one shard too, which an agent session
+// at its default worker count builds.
+func TestNewDefaults(t *testing.T) {
+	recs := testTrace(1, 4000, -1)[0]
+	for _, tc := range []struct{ shards, want int }{{0, runtime.GOMAXPROCS(0)}, {1, 1}, {3, 3}} {
+		sp, err := New(Config{Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[int]bool)
+		for i := range recs {
+			seen[sp.ShardOf(&recs[i])] = true
+		}
+		if len(seen) != tc.want || !seen[tc.want-1] {
+			t.Errorf("Shards %d: records spread over partitions %v, want 0..%d", tc.shards, seen, tc.want-1)
+		}
+		if w := sp.Config().Workers; w != 1 {
+			t.Errorf("Shards %d: Workers %d, want 1", tc.shards, w)
+		}
+		sp.Close()
+	}
+	sp, err := New(Config{Shards: 2, Pipeline: core.Config{Workers: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if w := sp.Config().Workers; w != 3 {
+		t.Errorf("explicit Workers 3 became %d", w)
+	}
+}
+
+// TestShardedRejectsNegative covers config validation.
 func TestShardedRejectsNegative(t *testing.T) {
 	if _, err := New(Config{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
@@ -271,15 +303,12 @@ func TestShardedDrainOpenInterval(t *testing.T) {
 		direct.ObserveBatch(recs)
 		sharded.ObserveBatch(recs)
 
-		oi, err := sharded.DrainOpenInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
+		oi := sharded.DrainOpenInterval()
 		if oi.Buffer.Len() != len(recs) {
 			t.Fatalf("interval %d: drained %d records, want %d", i, oi.Buffer.Len(), len(recs))
 		}
-		if redrain, err := sharded.DrainOpenInterval(); err != nil || redrain.Buffer.Len() != 0 {
-			t.Fatalf("interval %d: re-drain returned %d records, err %v", i, redrain.Buffer.Len(), err)
+		if redrain := sharded.DrainOpenInterval(); redrain.Buffer.Len() != 0 {
+			t.Fatalf("interval %d: re-drain returned %d records", i, redrain.Buffer.Len())
 		}
 		if err := primary.AbsorbOpenInterval(oi); err != nil {
 			t.Fatal(err)

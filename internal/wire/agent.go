@@ -10,7 +10,6 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/shard"
 )
 
 // AgentOptions parameterizes the survivable agent session: the redial
@@ -528,29 +527,29 @@ func (a *Agent) sendByeLocked() error {
 	}
 }
 
-// AgentSink adapts an agent and a local sharded pipeline into an
-// engine.Sink: ObserveBatch accumulates into the pipeline, and each
-// interval close drains the open interval (merging local shards) and
-// ships it to the collector instead of running detection. The engine
-// invokes the BoundarySink form, so every shipped snapshot carries the
-// interval's absolute grid boundary. The stub reports it emits locally
-// carry only the interval ordinal and flow count — detection happens at
-// the collector.
+// AgentSink adapts an agent and a local pipeline into an engine.Sink:
+// ObserveBatch accumulates into the pipeline, and each interval close
+// drains the open interval (its partitions folded into one) and ships it
+// to the collector instead of running detection. The engine invokes the
+// BoundarySink form, so every shipped snapshot carries the interval's
+// absolute grid boundary. The stub reports it emits locally carry only
+// the interval ordinal and flow count — detection happens at the
+// collector.
 type AgentSink struct {
 	agent    *Agent
-	sp       *shard.ShardedPipeline
+	p        *core.Pipeline
 	interval int
 }
 
-// NewAgentSink builds the sink. The sink takes ownership of sp (Close
+// NewAgentSink builds the sink. The sink takes ownership of p (Close
 // closes it) but not of agent — callers close the agent after the
 // engine, so the Bye frame follows the final flushed snapshot.
-func NewAgentSink(agent *Agent, sp *shard.ShardedPipeline) *AgentSink {
-	return &AgentSink{agent: agent, sp: sp}
+func NewAgentSink(agent *Agent, p *core.Pipeline) *AgentSink {
+	return &AgentSink{agent: agent, p: p}
 }
 
 // ObserveBatch feeds a batch into the local pipeline.
-func (s *AgentSink) ObserveBatch(recs []flow.Record) { s.sp.ObserveBatch(recs) }
+func (s *AgentSink) ObserveBatch(recs []flow.Record) { s.p.ObserveBatch(recs) }
 
 // EndIntervalAt drains the open interval — the lean drain, which never
 // copies the detection history an agent keeps empty — and ships it
@@ -558,10 +557,7 @@ func (s *AgentSink) ObserveBatch(recs []flow.Record) { s.sp.ObserveBatch(recs) }
 // records at all) ships nothing — there is no grid slot to merge it
 // into, and the drained interval is empty by construction.
 func (s *AgentSink) EndIntervalAt(boundary int64) (*core.Report, error) {
-	oi, err := s.sp.DrainOpenInterval()
-	if err != nil {
-		return nil, err
-	}
+	oi := s.p.DrainOpenInterval()
 	rep := &core.Report{Interval: s.interval, TotalFlows: oi.Buffer.Len()}
 	s.interval++
 	if boundary == 0 {
@@ -583,4 +579,4 @@ func (s *AgentSink) EndInterval() (*core.Report, error) {
 // Close releases the local pipeline's worker pools. The agent
 // connection stays open — close it after the engine, so Bye trails the
 // final snapshot.
-func (s *AgentSink) Close() { s.sp.Close() }
+func (s *AgentSink) Close() { s.p.Close() }

@@ -341,11 +341,7 @@ func shipIntervals(t *testing.T, agent *wire.Agent, cfg core.Config, part [][]fl
 	defer sp.Close()
 	for i := from; i < to; i++ {
 		sp.ObserveBatch(part[i])
-		oi, err := sp.DrainOpenInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.ShipOpenInterval(bnd(i), oi); err != nil {
+		if err := agent.ShipOpenInterval(bnd(i), sp.DrainOpenInterval()); err != nil {
 			t.Fatalf("ship interval %d: %v", i, err)
 		}
 	}

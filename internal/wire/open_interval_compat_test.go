@@ -43,11 +43,7 @@ func openIntervalFrame(t *testing.T) []byte {
 	}
 	defer sp.Close()
 	sp.ObserveBatch(trace[fixtureIntervals-1])
-	oi, err := sp.DrainOpenInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(oi))
+	frame, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(sp.DrainOpenInterval()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@ import (
 
 // appendHistogram encodes one histogram snapshot: bin count, per-bin
 // counts, total, and — when value tracking is on — each bin's tracked
-// values. The snapshot's canonical form (values ascending per bin) is
-// written verbatim, which is what makes the encoding deterministic.
+// values. The snapshot's canonical form (values strictly ascending per
+// bin) is written verbatim, which is what makes the encoding
+// deterministic; decodeHistogram refuses anything else.
 func appendHistogram(b []byte, s histogram.Snapshot) []byte {
 	b = appendUvarint(b, uint64(len(s.Counts)))
 	for _, c := range s.Counts {
@@ -71,7 +72,16 @@ func decodeHistogram(r *reader) histogram.Snapshot {
 	for b := 0; b < k; b++ {
 		n := r.length(2)
 		for i := 0; i < n; i++ {
-			slab = append(slab, histogram.ValueCount{Value: r.uvarint(), Count: r.uvarint()})
+			at := r.off
+			vc := histogram.ValueCount{Value: r.uvarint(), Count: r.uvarint()}
+			// The encoder writes each bin's values strictly ascending; a
+			// repeated or out-of-order value is bytes it never produces, so
+			// decode refuses it like any other non-canonical form.
+			if i > 0 && vc.Value <= slab[len(slab)-1].Value {
+				r.fail("histogram bin %d value %d at byte %d not above %d; values must be strictly ascending",
+					b, vc.Value, at, slab[len(slab)-1].Value)
+			}
+			slab = append(slab, vc)
 		}
 		offs[b+1] = len(slab)
 	}

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/tracegen"
 	"anomalyx/internal/wire"
 )
@@ -242,7 +244,7 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 		if err := scratch.RestoreSnapshot(dec); err != nil {
 			t.Fatal(err)
 		}
-		if err := primary.Absorb(scratch); err != nil {
+		if err := primary.AbsorbOpenInterval(scratch.DrainOpenInterval()); err != nil {
 			t.Fatal(err)
 		}
 
@@ -299,6 +301,85 @@ func TestDecodeRejects(t *testing.T) {
 	// encode produces — the FuzzWireRoundTrip re-encode invariant.
 	if _, err := wire.DecodePipelineSnapshot([]byte{1, 0x80, 0x00, 0x00}); err == nil {
 		t.Error("decoding a non-minimal uvarint succeeded")
+	}
+}
+
+// withBinValues returns a copy of s whose detector-0 clones each have
+// the bin holding value v (or, for v < 0, the first bin with two values)
+// rewritten by edit; every other bin is shared with s.
+func withBinValues(s core.PipelineSnapshot, v int64, edit func([]histogram.ValueCount) []histogram.ValueCount) core.PipelineSnapshot {
+	out := s
+	out.Bank.Detectors = append([]detector.Snapshot(nil), s.Bank.Detectors...)
+	ds := &out.Bank.Detectors[0]
+	ds.Clones = append([]histogram.Snapshot(nil), ds.Clones...)
+	for c := range ds.Clones {
+		hs := &ds.Clones[c]
+		hs.Values = append([][]histogram.ValueCount(nil), hs.Values...)
+		for b, vs := range hs.Values {
+			if (v < 0 && len(vs) >= 2) || (v >= 0 && slices.ContainsFunc(vs, func(vc histogram.ValueCount) bool { return vc.Value == uint64(v) })) {
+				hs.Values[b] = edit(slices.Clone(vs))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestDecodeRejectsNonCanonicalHistogramValues: a bin whose values repeat
+// or descend is bytes the encoder never writes, and decode refuses it,
+// naming the byte. Both payloads keep every clone's totals and entry
+// counts consistent, so only the value order gives them away — before
+// the check, a repeat decoded, counted twice toward the Total it was
+// validated against, and restored to a table holding only its last
+// occurrence: a checkpoint that re-snapshotted differently.
+func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
+	cfg := testPipelineConfig()
+	p, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.ObserveBatch(testTrace(1, 400, -1)[0])
+	snap := p.Snapshot()
+	// A source address seen at least twice: split its entry in two.
+	heavy := int64(-1)
+	for _, vs := range snap.Bank.Detectors[0].Clones[0].Values {
+		for _, vc := range vs {
+			if vc.Count >= 2 {
+				heavy = int64(vc.Value)
+			}
+		}
+	}
+	if heavy < 0 {
+		t.Fatal("no value observed twice")
+	}
+	cases := map[string]core.PipelineSnapshot{
+		"repeated value": withBinValues(snap, heavy, func(vs []histogram.ValueCount) []histogram.ValueCount {
+			i := slices.IndexFunc(vs, func(vc histogram.ValueCount) bool { return vc.Value == uint64(heavy) })
+			vs[i].Count--
+			return slices.Insert(vs, i, histogram.ValueCount{Value: vs[i].Value, Count: 1})
+		}),
+		"descending values": withBinValues(snap, -1, func(vs []histogram.ValueCount) []histogram.ValueCount {
+			vs[0], vs[1] = vs[1], vs[0]
+			return vs
+		}),
+	}
+	for name, bad := range cases {
+		dec, err := wire.DecodePipelineSnapshot(wire.EncodePipelineSnapshot(bad))
+		if err == nil {
+			restored, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			err = restored.RestoreSnapshot(dec)
+			t.Errorf("%s: decoded; restore error %v, restored state re-snapshots equal: %v",
+				name, err, reflect.DeepEqual(restored.Snapshot(), dec))
+			continue
+		}
+		if !strings.Contains(err.Error(), "strictly ascending") || !strings.Contains(err.Error(), "at byte") {
+			t.Errorf("%s: error %q does not name the order violation and its position", name, err)
+		}
 	}
 }
 

@@ -108,11 +108,10 @@ const (
 
 // Streaming engine types.
 type (
-	// Engine is the channel-based streaming front end: submit flows
-	// (Submit or the batched SubmitBatch, which returns how many
-	// intervals the batch closed), receive one Report per measurement
-	// interval, with interval sharding by flow start time and
-	// bounded-buffer backpressure.
+	// Engine is the channel-based streaming front end: submit flows in
+	// batches (SubmitBatch, which returns how many intervals the batch
+	// closed), receive one Report per measurement interval, with interval
+	// sharding by flow start time and bounded-buffer backpressure.
 	Engine = engine.Engine
 	// EngineConfig parameterizes a streaming engine; set Shards > 1 to
 	// hash-partition the engine's pipeline.
@@ -297,10 +296,6 @@ type AgentSession struct {
 	agent *WireAgent
 }
 
-// Agent exposes the underlying wire stream (for Acked-boundary
-// inspection; closing it is Close's job).
-func (s *AgentSession) Agent() *WireAgent { return s.agent }
-
 // Close flushes and stops the engine (shipping the final partial
 // interval), then closes the wire stream so the Bye frame trails the
 // final snapshot. It returns the first error.
@@ -313,13 +308,16 @@ func (s *AgentSession) Close() error {
 }
 
 // NewAgent dials the collector and starts a distributed agent session:
-// a streaming engine draining a local ShardedPipeline (ac.Shards
-// partitions, folded into one at each drain) into the wire stream each
-// interval. cfg.Pipeline must match the collector's
-// configuration (digest-checked in the handshake; a mismatch surfaces
-// as a *ConfigMismatchError). The session survives collector outages
-// per ac.Retry: unacked intervals are buffered and replayed after a
-// redial.
+// a shipping engine (engine.NewShipping) that drains a local
+// ShardedPipeline (ac.Shards partitions, folded into one at each drain)
+// into the wire stream each interval. Shipping closes run inline, so
+// cfg.PipelineDepth > 1 is rejected. cfg.Pipeline must match the
+// collector's configuration (digest-checked in the handshake; a mismatch
+// surfaces as a *ConfigMismatchError). The wire protocol carries
+// positive grid boundaries only: a stream whose first interval ends at
+// or before the epoch fails its first close instead of dropping it. The
+// session survives collector outages per ac.Retry: unacked intervals are
+// buffered and replayed after a redial.
 func NewAgent(cfg EngineConfig, ac AgentConfig) (*AgentSession, error) {
 	agent, err := wire.DialAgent(ac.Addr, ac.AgentID, cfg.Pipeline, wire.AgentOptions{
 		Retry:        ac.Retry,
@@ -333,7 +331,7 @@ func NewAgent(cfg EngineConfig, ac AgentConfig) (*AgentSession, error) {
 		agent.Close()
 		return nil, err
 	}
-	eng, err := engine.NewWithSink(cfg, wire.NewAgentSink(agent, sp))
+	eng, err := engine.NewShipping(cfg, sp, agent.ShipOpenInterval)
 	if err != nil {
 		// Release the partitions' detector-bank worker pools: the engine
 		// was never built, so nothing else will Close them.

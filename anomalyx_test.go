@@ -2,8 +2,12 @@ package anomalyx_test
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"anomalyx"
 	"anomalyx/internal/core"
@@ -213,5 +217,70 @@ func TestFacadeEntropyMetricPipeline(t *testing.T) {
 	}
 	if len(rep.ItemSets) == 0 {
 		t.Fatal("no item-sets extracted")
+	}
+}
+
+// TestAgentRejectsBoundaryZero: a pre-epoch stream whose first interval
+// ends exactly at grid boundary 0 must not lose that interval in agent
+// mode. The wire protocol carries positive grid boundaries only, so the
+// agent session has to fail loudly; a local engine over the same records
+// would report both flows.
+func TestAgentRejectsBoundaryZero(t *testing.T) {
+	cfg := anomalyx.Config{Detector: anomalyx.DetectorConfig{Bins: 64, TrainIntervals: 2}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	coll, err := anomalyx.NewCollectorWithConfig(cfg, anomalyx.CollectorConfig{Agents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	collected := make(chan int, 16)
+	serveErr := make(chan error, 1)
+	go func() {
+		defer close(collected)
+		serveErr <- coll.Serve(context.Background(), ln, func(rep *anomalyx.Report) error {
+			collected <- rep.TotalFlows
+			return nil
+		})
+	}()
+
+	sess, err := anomalyx.NewAgent(
+		anomalyx.EngineConfig{Pipeline: cfg, IntervalLen: time.Second},
+		anomalyx.AgentConfig{Addr: ln.Addr().String(), Shards: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range sess.Reports() {
+		}
+	}()
+	_, submitErr := sess.SubmitBatch([]anomalyx.Flow{
+		{DstPort: 1, Start: -500}, // first interval ends at boundary 0
+		{DstPort: 2, Start: 200},  // crosses 0: that interval closes
+	})
+	closeErr := sess.Close()
+
+	flows := 0
+	select {
+	case <-serveErr:
+		for n := range collected {
+			flows += n
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("collector did not finish after the agent closed")
+	}
+	err = closeErr
+	if submitErr != nil {
+		err = submitErr
+	}
+	if err == nil {
+		t.Fatalf("agent session reported no error; the collector's reports account for %d of 2 flows", flows)
+	}
+	if !strings.Contains(err.Error(), "positive grid boundaries") {
+		t.Fatalf("error %q does not name the positive-boundary rule", err)
 	}
 }

@@ -27,6 +27,7 @@
 // overlaps each interval's close (detection + extraction) with the next
 // interval's ingestion, keeping up to N intervals open at once; reports
 // still arrive in interval order, byte-identical to -pipeline-depth 1.
+// Agents ship each interval inline and reject -pipeline-depth > 1.
 //
 // The agent and collector modes split that same computation across
 // machines: each agent streams its own trace partition through a local
@@ -124,7 +125,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.train, "train", 12, "training intervals before alarms may fire")
 	fs.IntVar(&o.shards, "shards", 1, "hash-partitioned pipeline shards (0 = GOMAXPROCS)")
 	fs.IntVar(&o.workers, "workers", 0, "per-pipeline worker goroutines for detector, prefilter, and eclat fan-out (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&o.depth, "pipeline-depth", 1, "measurement intervals open at once: 1 closes intervals inline, N > 1 overlaps up to N-1 interval closes with ingestion (reports stay byte-identical)")
+	fs.IntVar(&o.depth, "pipeline-depth", 1, "measurement intervals open at once: 1 closes intervals inline, N > 1 overlaps up to N-1 interval closes with ingestion (reports stay byte-identical) (run mode)")
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
 	fs.StringVar(&o.metricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector mode)")
@@ -154,6 +155,10 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		}
 		if o.agentID < 0 {
 			return nil, fmt.Errorf("anomalyx: agent mode requires -agent-id >= 0")
+		}
+		if o.depth > 1 {
+			// An agent ships each interval inline; there is no close to overlap.
+			return nil, fmt.Errorf("anomalyx: agent mode closes intervals inline; -pipeline-depth must be 1, got %d", o.depth)
 		}
 	case "collector":
 		if o.listen == "" {

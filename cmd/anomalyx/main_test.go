@@ -253,8 +253,10 @@ func TestParseArgsModes(t *testing.T) {
 		{"-mode", "agent", "-connect", "h:1", "-agent-id", "0"}, // no -in
 		{"-mode", "agent", "-in", "x", "-agent-id", "0"},        // no -connect
 		{"-mode", "agent", "-in", "x", "-connect", "h:1"},       // no -agent-id
-		{"-mode", "collector", "-agents", "2"},                  // no -listen
-		{"-mode", "collector", "-listen", ":1"},                 // no -agents
+		{"-mode", "agent", "-in", "x", "-connect", "h:1", "-agent-id", "0",
+			"-pipeline-depth", "2"}, // agents close inline
+		{"-mode", "collector", "-agents", "2"},  // no -listen
+		{"-mode", "collector", "-listen", ":1"}, // no -agents
 		{"-mode", "collector", "-listen", ":1", "-agents", "2",
 			"-partial", "sometimes"}, // bogus partial policy
 		{"-mode", "collector", "-listen", ":1", "-agents", "2", "-resume"},       // -resume without -checkpoint

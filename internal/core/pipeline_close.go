@@ -62,7 +62,8 @@ type PendingClose struct {
 // to observes — and returns it as a PendingClose whose Finish produces
 // exactly the report EndInterval would have. The drain is cheap: pointer
 // swaps plus a freelist pop, no detection math. It cannot fail; the
-// error result is the engine's PipelinedSink signature.
+// error result survives only because cmd/bench calls it with this
+// signature.
 func (p *Pipeline) BeginClose() (*PendingClose, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -9,14 +9,18 @@
 // side, so SubmitBatch can synchronously return how many intervals a
 // batch closed (lockstep consumers need no boundary arithmetic of their
 // own), while the processing goroutine just executes the resulting
-// record/cut stream: records are grouped into batches to amortize
-// per-record pipeline overhead via ObserveBatch, and each cut closes an
-// interval (detection + extraction). Both channels are bounded, so a
-// slow consumer exerts backpressure all the way back to Submit instead
-// of growing an unbounded queue. With Config.Shards > 1 the engine's
-// pipeline is hash-partitioned (built by shard.New), parallelizing
-// ingestion across partitions with a deterministic cross-partition merge
-// at each interval close.
+// batch/cut stream: each batch goes to the pipeline's ObserveBatch, and
+// each cut closes an interval (detection + extraction). Both channels
+// are bounded, so a slow consumer exerts backpressure all the way back
+// to SubmitBatch instead of growing an unbounded queue. With
+// Config.Shards > 1 the engine's pipeline is hash-partitioned (built by
+// shard.New), parallelizing ingestion across partitions with a
+// deterministic cross-partition merge at each interval close.
+//
+// The engine drives exactly one core.Pipeline. A shipping engine
+// (NewShipping, the distributed agent) differs only in where a closed
+// interval goes: the cut drains the open interval and hands it to a
+// ship function instead of running detection locally.
 //
 //	eng, _ := engine.New(engine.Config{IntervalLen: 15 * time.Minute})
 //	go func() {
@@ -59,7 +63,7 @@ type Config struct {
 	// of IntervalLen from the epoch, seeded by the first record.
 	IntervalLen time.Duration
 	// Buffer is the input-channel capacity — the backpressure bound.
-	// Submit blocks once Buffer messages are queued (default 8192).
+	// SubmitBatch blocks once Buffer messages are queued (default 8192).
 	Buffer int
 	// PipelineDepth is the maximum number of measurement intervals the
 	// engine may have open at once: the interval accumulating records,
@@ -70,12 +74,11 @@ type Config struct {
 	// the next interval's ingestion: each cut swaps the closed interval's
 	// state out of the hot path in O(1) and hands it to the worker, which
 	// finishes closes strictly in boundary order, so reports are
-	// byte-identical to the synchronous path (see PipelinedSink). Once
+	// byte-identical to the synchronous path (see core.PendingClose). Once
 	// PipelineDepth-1 closes are in flight, the next cut blocks — close
-	// backpressure propagates to Submit exactly like full input buffers.
-	// Depths > 1 require a sink implementing PipelinedSink (the built-in
-	// pipeline does, at any partition count); for other sinks the engine
-	// falls back to the synchronous close.
+	// backpressure propagates to SubmitBatch exactly like full input
+	// buffers. A shipping engine (NewShipping) has no detection to defer:
+	// it runs depth 1 and rejects more.
 	PipelineDepth int
 }
 
@@ -92,79 +95,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// batchSize is the number of Submit records grouped into one
-// ObserveBatch call. SubmitBatch batches bypass this grouping — they are
-// already batches.
-const batchSize = 512
-
-// Sink is the extraction backend an engine drives: a core.Pipeline (of
-// one or more partitions), or a custom backend injected with NewWithSink
-// (the wire package's distributed agent, which ships each interval to a
-// remote collector instead of closing detection locally). All accumulate
-// observed flows into the current measurement interval and close it on
-// EndInterval.
-type Sink interface {
-	ObserveBatch([]flow.Record)
-	EndInterval() (*core.Report, error)
-	Close()
-}
-
-// BoundarySink is an optional Sink extension for backends that need to
-// know *which* interval is closing: EndIntervalAt receives the grid end
-// of the closing interval (Unix milliseconds — the boundary the records
-// crossed, or the in-progress interval's boundary for the final flush at
-// Close; 0 when the stream held no records at all). The engine calls
-// EndIntervalAt instead of EndInterval when the sink implements it. The
-// distributed agent uses this to tag shipped snapshots with an absolute
-// boundary, so a collector can merge intervals from agents whose streams
-// started or ended at different times.
-type BoundarySink interface {
-	Sink
-	EndIntervalAt(boundary int64) (*core.Report, error)
-}
-
-// PipelinedSink is an optional Sink extension for backends whose
-// interval close splits into a cheap synchronous drain and a deferred
-// finish. BeginClose atomically swaps the open interval's state (clone
-// histograms + flow buffer) out of the hot path and returns a
-// core.PendingClose; the engine's close worker calls Finish — the
-// expensive detection + extraction — while the next interval's records
-// keep flowing. Finishes run strictly in drain order on one worker, the
-// ordering the sequential KL scheme requires, so reports stay
-// byte-identical to the synchronous path. core.Pipeline implements it,
-// whatever its partition count; the engine uses it only when
-// Config.PipelineDepth > 1.
-type PipelinedSink interface {
-	Sink
-	BeginClose() (*core.PendingClose, error)
-}
-
-// msg is one unit of the submit→process stream: a single record, a
-// pre-formed batch, or an interval-cut marker. Cuts are generated on the
-// submit side, so their position in the channel order is authoritative —
-// the processor closes intervals exactly where the submitters crossed
-// the boundary grid. Consecutive cuts collapse into one counted message:
+// msg is one unit of the submit→process stream: a batch of records or
+// an interval-cut marker. Cuts are generated on the submit side, so
+// their position in the channel order is authoritative — the processor
+// closes intervals exactly where the submitters crossed the boundary
+// grid. Consecutive cuts collapse into one counted message:
 // a quiet gap spanning thousands of empty intervals costs one channel
 // slot, so a lockstep consumer (submit, then read the returned number of
 // reports) cannot wedge the input buffer no matter how long the gap.
 type msg struct {
-	rec      flow.Record
-	recs     []flow.Record // batch; nil for single-record and cut messages
+	recs     []flow.Record // batch; nil for cut messages
 	cuts     int           // close this many intervals; no payload
 	boundary int64         // grid end of the first closed interval (cut messages only)
 }
 
-// Engine is the streaming front end. Submit and SubmitBatch may be
-// called from multiple goroutines; Reports delivers interval reports in
-// interval order.
+// Engine is the streaming front end. SubmitBatch may be called from
+// multiple goroutines; Reports delivers interval reports in interval
+// order.
 //
 // On a pipeline error the engine settles Err, closes Reports
 // immediately — even while producers are still submitting — and
 // silently discards further input until Close, so a consumer on a live
 // stream learns about the failure right away.
 type Engine struct {
-	cfg  Config
-	sink Sink
+	cfg Config
+	p   *core.Pipeline
+	// ship, when set, makes this a shipping engine: every cut drains the
+	// open interval and hands it to ship instead of closing it locally.
+	ship func(boundary int64, oi core.OpenInterval) error
 
 	// submitMu guards the boundary grid and orders messages from
 	// concurrent producers into the input channel.
@@ -173,7 +131,10 @@ type Engine struct {
 	// seeded records whether the first record has seeded the boundary
 	// grid. It is an explicit flag rather than a boundary==0 sentinel
 	// because 0 is a legitimate grid boundary: a pre-epoch stream (e.g.
-	// starting at -500 ms) has its first interval end exactly at 0.
+	// starting at -500 ms) has its first interval end exactly at 0. It is
+	// written once, before the first message is enqueued, so the
+	// processing goroutine may read it after any receive (or, at the
+	// final flush, after taking submitMu).
 	seeded bool
 
 	in   chan msg
@@ -185,49 +146,60 @@ type Engine struct {
 	err       error // settled before fin closes
 }
 
-// New builds an engine and starts its processing goroutine.
+// New builds an engine around a pipeline of cfg.Shards partitions and
+// starts its processing goroutine.
 func New(cfg Config) (*Engine, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var p *core.Pipeline
 	if cfg = e.cfg; cfg.Shards > 1 {
-		p, err = shard.New(shard.Config{Shards: cfg.Shards, Pipeline: cfg.Pipeline})
+		e.p, err = shard.New(shard.Config{Shards: cfg.Shards, Pipeline: cfg.Pipeline})
 	} else {
-		p, err = core.New(cfg.Pipeline)
+		e.p, err = core.New(cfg.Pipeline)
 	}
 	if err != nil {
 		return nil, err
 	}
-	e.sink = p
 	go e.run()
 	return e, nil
 }
 
-// NewWithSink builds an engine around a caller-provided extraction
-// backend and starts its processing goroutine. The engine owns the
-// stream mechanics — interval sharding by flow start time, batching,
-// backpressure — while the sink decides what an interval close means;
-// the wire package's distributed agent injects a sink that drains its
-// pipeline's open interval and ships it to a collector. cfg.Pipeline and
-// cfg.Shards are ignored (the sink already embodies them); the engine
-// Closes the sink when it is Closed.
-func NewWithSink(cfg Config, sink Sink) (*Engine, error) {
-	if sink == nil {
-		return nil, fmt.Errorf("engine: nil sink")
+// NewShipping builds a shipping engine over p and starts its processing
+// goroutine. The engine owns the stream mechanics — interval sharding by
+// flow start time, backpressure — and accumulates records into p; each
+// interval close drains p's open interval (DrainOpenInterval, its
+// partitions folded into one) and calls ship with the interval's grid
+// end instead of running detection, which happens wherever ship sends
+// it (wire.Agent.ShipOpenInterval: a remote collector). Reports carries
+// one local stub per close: the close ordinal and the drained flow
+// count. An empty stream ships nothing — it has no grid slot — but
+// still emits its stub.
+//
+// cfg.Pipeline and cfg.Shards are ignored (p already embodies them), and
+// a shipping close cannot be deferred, so PipelineDepth > 1 is an error.
+// On success the engine owns p and Closes it when it is Closed; on error
+// p is left to the caller.
+func NewShipping(cfg Config, p *core.Pipeline, ship func(boundary int64, oi core.OpenInterval) error) (*Engine, error) {
+	switch {
+	case p == nil:
+		return nil, fmt.Errorf("engine: nil pipeline")
+	case ship == nil:
+		return nil, fmt.Errorf("engine: nil ship function")
+	case cfg.PipelineDepth > 1:
+		return nil, fmt.Errorf("engine: a shipping engine closes intervals inline; PipelineDepth %d > 1", cfg.PipelineDepth)
 	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.sink = sink
+	e.p, e.ship = p, ship
 	go e.run()
 	return e, nil
 }
 
 // newEngine validates cfg and builds the channel plumbing; the caller
-// sets the sink and starts run.
+// sets the pipeline and starts run.
 func newEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.IntervalLen < time.Millisecond {
@@ -249,9 +221,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		done: make(chan struct{}),
 	}, nil
 }
-
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // BoundaryAfter returns the end of the measurement interval containing
 // timestamp ms (Unix milliseconds) on the engine's boundary grid —
@@ -304,25 +273,16 @@ func (e *Engine) advanceLocked(ts int64) int {
 	return int(n)
 }
 
-// Submit queues one flow record, blocking when the input buffer is full
-// (backpressure). It must not be called after Close.
-func (e *Engine) Submit(rec flow.Record) {
-	e.submitMu.Lock()
-	defer e.submitMu.Unlock()
-	e.advanceLocked(rec.Start)
-	e.in <- msg{rec: rec}
-}
-
-// SubmitBatch queues a batch of flow records in one step — collectors
-// that already batch skip the per-record channel overhead — and returns
-// the number of measurement intervals the batch closed: boundary
+// SubmitBatch queues a batch of flow records — the engine's one ingest
+// call; a caller with single records submits batches of one — and
+// returns the number of measurement intervals the batch closed: boundary
 // crossings are detected here, on the submit side, so lockstep consumers
 // can read exactly that many reports without mirroring the engine's
 // boundary arithmetic. The records are copied; the caller may reuse
-// recs. Like Submit it blocks for backpressure and must not be called
-// after Close. The returned error is the pipeline error that has
-// terminated the engine, if any (further input is discarded once it is
-// set); the cut count is still returned for bookkeeping.
+// recs. It blocks for backpressure and must not be called after Close.
+// The returned error is the pipeline error that has terminated the
+// engine, if any (further input is discarded once it is set); the cut
+// count is still returned for bookkeeping.
 //
 // A lockstep consumer may read exactly intervalsClosed reports after
 // each call from the same goroutine: SubmitBatch enqueues at most two
@@ -369,7 +329,7 @@ func (e *Engine) Reports() <-chan *core.Report { return e.out }
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() { close(e.in) })
 	<-e.done
-	e.sink.Close()
+	e.p.Close()
 	return e.err
 }
 
@@ -402,14 +362,14 @@ func (e *Engine) run() {
 	}
 }
 
-// process executes the record/cut stream: it groups single records into
-// batches, forwards pre-formed batches as-is, and closes an interval at
-// every cut marker; it returns the first pipeline error. Cut messages
-// carry the grid end of the first interval they close, so every close is
-// attributed to — and a BoundarySink receives — its absolute boundary.
+// process executes the batch/cut stream: it observes every batch and
+// closes an interval at every cut marker; it returns the first pipeline
+// error. Cut messages carry the grid end of the first interval they
+// close, so every close is attributed to — and a shipping engine ships
+// — its absolute boundary.
 //
-// There is one loop; PipelineDepth and the sink type choose only how a
-// cut closes (see closer). Whatever the loop returns, join runs exactly
+// There is one loop; PipelineDepth and ship choose only how a cut
+// closes (see closer). Whatever the loop returns, join runs exactly
 // once after it, so the reports of completed closes are always emitted
 // before Reports closes, and a close error takes precedence over the
 // drain error that followed it.
@@ -427,12 +387,7 @@ func (e *Engine) process() error {
 // engine settles Err and closes Reports promptly even if producers go
 // quiet.
 func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{}) error {
-	batch := make([]flow.Record, 0, batchSize)
 	step := e.cfg.IntervalLen.Milliseconds()
-	flushBatch := func() {
-		e.sink.ObserveBatch(batch)
-		batch = batch[:0]
-	}
 	for {
 		var m msg
 		var ok bool
@@ -444,39 +399,28 @@ func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{})
 		if !ok {
 			break
 		}
-		switch {
-		case m.cuts > 0:
-			flushBatch()
-			for i := 0; i < m.cuts; i++ {
-				if err := cut(m.boundary + int64(i)*step); err != nil {
-					return err
-				}
-			}
-		case m.recs != nil:
-			// Pre-formed batch: flush pending singles first to preserve
-			// submission order, then observe it whole.
-			flushBatch()
-			e.sink.ObserveBatch(m.recs)
-		default:
-			batch = append(batch, m.rec)
-			if len(batch) >= batchSize {
-				flushBatch()
+		if m.cuts == 0 {
+			e.p.ObserveBatch(m.recs)
+			continue
+		}
+		for i := 0; i < m.cuts; i++ {
+			if err := cut(m.boundary + int64(i)*step); err != nil {
+				return err
 			}
 		}
 	}
 	// Final flush: close the in-progress interval. Its boundary is the
 	// submit side's current grid end — settled, since Close forbids
 	// further submits before closing the input channel (taking submitMu
-	// also orders this read after any straggling Submit returned).
+	// also orders this read after any straggling SubmitBatch returned).
 	e.submitMu.Lock()
 	final := e.boundary
 	e.submitMu.Unlock()
-	flushBatch()
 	return cut(final)
 }
 
 // emit delivers one finished close: the report goes to Reports; an error
-// comes back attributed to its grid boundary — a distributed sink error
+// comes back attributed to its grid boundary — a ship error
 // ("collector unreachable") is actionable only with the interval it lost.
 func (e *Engine) emit(rep *core.Report, err error, boundary int64) error {
 	if err != nil {
@@ -493,29 +437,38 @@ type pendingClose struct {
 	boundary int64
 }
 
-// closer picks how a cut closes an interval. At PipelineDepth 1, or
-// around a sink that cannot drain, the close runs inline: failed is nil
-// (never ready) and join has nothing to wait for. At depths > 1 over a
-// PipelinedSink, a cut drains the closing interval in O(1) via BeginClose
-// and hands it to a single close-worker goroutine, which finishes closes
-// strictly in drain order and emits their reports — the ordered
-// completion queue. Ingestion continues while up to PipelineDepth-1
-// finishes are in flight; a full close queue blocks the next cut,
-// propagating backpressure to Submit. The worker closes failed on its
-// first error; join stops it, waits for in-flight finishes, and returns
-// that error.
+// closer picks how a cut closes an interval, from the engine's own
+// fields. A shipping engine drains the open interval inline and ships
+// it; at PipelineDepth 1 the pipeline closes it inline with EndInterval.
+// Both run on the processing goroutine: failed is nil (never ready) and
+// join has nothing to wait for. At depths > 1 a cut drains the closing
+// interval in O(1) via BeginClose and hands it to a single close-worker
+// goroutine, which finishes closes strictly in drain order and emits
+// their reports — the ordered completion queue. Ingestion continues
+// while up to PipelineDepth-1 finishes are in flight; a full close queue
+// blocks the next cut, propagating backpressure to SubmitBatch. The
+// worker closes failed on its first error; join stops it, waits for
+// in-flight finishes, and returns that error.
 func (e *Engine) closer() (cut func(boundary int64) error, failed <-chan struct{}, join func() error) {
-	ps, ok := e.sink.(PipelinedSink)
-	if !ok || e.cfg.PipelineDepth <= 1 {
-		end := func(int64) (*core.Report, error) { return e.sink.EndInterval() }
-		if bs, ok := e.sink.(BoundarySink); ok {
-			end = bs.EndIntervalAt
-		}
-		cut = func(boundary int64) error {
-			rep, err := end(boundary)
+	inline := func() error { return nil }
+	if e.ship != nil {
+		closes := 0
+		return func(boundary int64) error {
+			oi := e.p.DrainOpenInterval()
+			rep := &core.Report{Interval: closes, TotalFlows: oi.Buffer.Len()}
+			closes++
+			var err error
+			if e.seeded {
+				err = e.ship(boundary, oi)
+			}
 			return e.emit(rep, err, boundary)
-		}
-		return cut, nil, func() error { return nil }
+		}, nil, inline
+	}
+	if e.cfg.PipelineDepth <= 1 {
+		return func(boundary int64) error {
+			rep, err := e.p.EndInterval()
+			return e.emit(rep, err, boundary)
+		}, nil, inline
 	}
 
 	closeCh := make(chan pendingClose, e.cfg.PipelineDepth-1)
@@ -546,10 +499,7 @@ func (e *Engine) closer() (cut func(boundary int64) error, failed <-chan struct{
 			return nil // consume observes failed on its next receive
 		default:
 		}
-		pc, err := ps.BeginClose()
-		if err != nil {
-			return fmt.Errorf("engine: draining interval at boundary %d: %w", boundary, err)
-		}
+		pc, _ := e.p.BeginClose() // cannot fail; see core.Pipeline.BeginClose
 		select {
 		case closeCh <- pendingClose{pc, boundary}:
 		case <-failedCh:

@@ -98,8 +98,8 @@ func TestEngineMatchesManualLoop(t *testing.T) {
 			got = append(got, rep)
 		}
 	}()
-	for _, rec := range stream {
-		eng.Submit(rec)
+	if _, err := eng.SubmitBatch(stream); err != nil {
+		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -151,12 +151,18 @@ func TestEngineConcurrentProducers(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			r := stats.NewRand(seed)
+			// Small batches, so the producers interleave finely.
+			buf := make([]flow.Record, 0, 25)
 			for j := 0; j < perProducer; j++ {
-				eng.Submit(flow.Record{
+				buf = append(buf, flow.Record{
 					SrcAddr: uint32(r.IntN(10000)), DstPort: uint16(r.IntN(1000)),
 					Protocol: 6, Packets: 1, Bytes: 100,
 					Start: base + int64(j)%intervalLen.Milliseconds(),
 				})
+				if len(buf) == cap(buf) {
+					eng.SubmitBatch(buf)
+					buf = buf[:0]
+				}
 			}
 		}(uint64(i + 1))
 	}
@@ -185,8 +191,8 @@ func (errMiner) Name() string { return "err" }
 
 // TestEngineErrorSurfacesOnLiveStream injects a failing miner and keeps
 // submitting after the failure, as a live collector would: the Reports
-// channel must close early with Err settled, Submit must never block on
-// the dead pipeline, and Close must return the error.
+// channel must close early with Err settled, SubmitBatch must never
+// block on the dead pipeline, and Close must return the error.
 func TestEngineErrorSurfacesOnLiveStream(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Miner = errMiner{}
@@ -206,7 +212,7 @@ func TestEngineErrorSurfacesOnLiveStream(t *testing.T) {
 	// A stream whose flood sits one interval before the end: mining
 	// fails when the boundary after it is crossed, records keep coming.
 	for _, rec := range makeStream(2, 8, 3000, 6) {
-		eng.Submit(rec) // must not block after the pipeline dies
+		eng.SubmitBatch([]flow.Record{rec}) // must not block after the pipeline dies
 	}
 
 	if err := eng.Close(); err == nil || err.Error() == "" {
@@ -253,14 +259,15 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit verifies the batch path end to end:
-// chunked SubmitBatch produces exactly the reports of per-record Submit
-// over the same stream, and the returned intervals-closed counts sum to
-// the number of boundary crossings.
+// TestSubmitBatchMatchesSubmit pins batch-size invariance: the same
+// stream submitted in batches of 1, 7 and 512 records — batches that
+// straddle interval boundaries at every size — produces identical
+// reports, and the returned intervals-closed counts sum to the number
+// of boundary crossings.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	stream := makeStream(3, 8, 3000, 6)
 
-	collect := func(submit func(*Engine)) []*core.Report {
+	collect := func(chunk int) []*core.Report {
 		t.Helper()
 		eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen})
 		if err != nil {
@@ -274,47 +281,36 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 				got = append(got, rep)
 			}
 		}()
-		submit(eng)
+		closedTotal := 0
+		for i := 0; i < len(stream); i += chunk {
+			n, err := eng.SubmitBatch(stream[i:min(i+chunk, len(stream))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			closedTotal += n
+		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
 		<-done
+		// Every report except the Close flush corresponds to one returned cut.
+		if closedTotal != len(got)-1 {
+			t.Fatalf("batches of %d counted %d closed intervals, want %d", chunk, closedTotal, len(got)-1)
+		}
 		return got
 	}
 
-	want := collect(func(eng *Engine) {
-		for _, rec := range stream {
-			eng.Submit(rec)
+	want := collect(1)
+	for _, chunk := range []int{7, 512} {
+		got := collect(chunk)
+		if len(got) != len(want) {
+			t.Fatalf("batches of %d emitted %d reports, want %d", chunk, len(got), len(want))
 		}
-	})
-
-	var closedTotal int
-	got := collect(func(eng *Engine) {
-		// Deliberately awkward chunk size so batches straddle interval
-		// boundaries and single records interleave with batches.
-		const chunk = 1217
-		for i := 0; i < len(stream); i += chunk {
-			end := min(i+chunk, len(stream))
-			n, err := eng.SubmitBatch(stream[i:end])
-			if err != nil {
-				t.Error(err)
-				return
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("batches of %d, interval %d: report diverged\ngot:  %+v\nwant: %+v", chunk, i, got[i], want[i])
 			}
-			closedTotal += n
 		}
-	})
-
-	if len(got) != len(want) {
-		t.Fatalf("batch path emitted %d reports, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("interval %d: batch-path report diverged\ngot:  %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
-	// Every report except the Close flush corresponds to one returned cut.
-	if closedTotal != len(want)-1 {
-		t.Fatalf("SubmitBatch counted %d closed intervals, want %d", closedTotal, len(want)-1)
 	}
 }
 
@@ -487,32 +483,9 @@ func benchStream(n int) []flow.Record {
 	return recs
 }
 
-// BenchmarkEngineSubmit measures the per-record channel path.
-func BenchmarkEngineSubmit(b *testing.B) {
-	recs := benchStream(20000)
-	eng, err := New(Config{Pipeline: testConfig(1), IntervalLen: intervalLen})
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for range eng.Reports() {
-		}
-	}()
-	b.SetBytes(int64(len(recs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range recs {
-			eng.Submit(recs[j])
-		}
-	}
-	b.StopTimer()
-	if err := eng.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkEngineSubmitBatch measures the batched submit path over the
-// same stream (one copy + a handful of channel messages per batch).
+// BenchmarkEngineSubmitBatch measures the submit path over a
+// single-interval stream in 512-record batches (one copy + a handful of
+// channel messages per batch).
 func BenchmarkEngineSubmitBatch(b *testing.B) {
 	recs := benchStream(20000)
 	eng, err := New(Config{Pipeline: testConfig(1), IntervalLen: intervalLen})
@@ -557,7 +530,9 @@ func TestEngineClockJump(t *testing.T) {
 		}
 	}()
 	base := int64(1_700_000_000_000)
-	eng.Submit(flow.Record{DstPort: 1, Start: base})
+	if _, err := eng.SubmitBatch([]flow.Record{{DstPort: 1, Start: base}}); err != nil {
+		t.Fatal(err)
+	}
 	// ~136 years ahead — far beyond maxGapIntervals at any sane length.
 	jump := base + int64(4_300_000_000)*1000
 	n, err := eng.SubmitBatch([]flow.Record{{DstPort: 2, Start: jump}})
@@ -581,99 +556,154 @@ func TestEngineClockJump(t *testing.T) {
 	}
 }
 
-// boundarySink records every interval close it is handed — the
-// boundary values are the engine's contract with distributed sinks
-// (the wire package's agent ships snapshots keyed by them).
-type boundarySink struct {
+// shipRecorder is a recording ship function: the boundaries it is
+// handed are the engine's contract with distributed agents (the wire
+// package ships snapshots keyed by them).
+type shipRecorder struct {
 	mu         sync.Mutex
 	boundaries []int64
-	batches    int
+	flows      int
 }
 
-func (s *boundarySink) ObserveBatch(recs []flow.Record) {
-	s.mu.Lock()
-	s.batches++
-	s.mu.Unlock()
+func (r *shipRecorder) ship(boundary int64, oi core.OpenInterval) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.boundaries = append(r.boundaries, boundary)
+	r.flows += oi.Buffer.Len()
+	return nil
 }
 
-func (s *boundarySink) EndIntervalAt(boundary int64) (*core.Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.boundaries = append(s.boundaries, boundary)
-	return &core.Report{Interval: len(s.boundaries) - 1}, nil
-}
-
-func (s *boundarySink) EndInterval() (*core.Report, error) {
-	return nil, errors.New("engine must prefer EndIntervalAt for a BoundarySink")
-}
-
-func (s *boundarySink) Close() {}
-
-// TestNewWithSinkBoundaries: an injected BoundarySink receives the
-// absolute grid end of every closed interval — for plain cuts, for
-// counted multi-interval gaps, and for the final flush at Close.
-func TestNewWithSinkBoundaries(t *testing.T) {
-	sink := &boundarySink{}
-	eng, err := NewWithSink(Config{IntervalLen: intervalLen}, sink)
+// runShipping streams batches through a shipping engine over a fresh
+// one-partition pipeline and returns the local stub reports and the
+// recorder; each batch's closed count is checked against wantClosed
+// when it is non-nil.
+func runShipping(t *testing.T, cfg Config, batches [][]flow.Record, wantClosed []int) ([]*core.Report, *shipRecorder) {
+	t.Helper()
+	p, err := core.New(testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := &shipRecorder{}
+	eng, err := NewShipping(cfg, p, rec.ship)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stubs []*core.Report
+	done := make(chan struct{})
 	go func() {
-		for range eng.Reports() {
+		defer close(done)
+		for rep := range eng.Reports() {
+			stubs = append(stubs, rep)
 		}
 	}()
+	for i, b := range batches {
+		n, err := eng.SubmitBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantClosed != nil && n != wantClosed[i] {
+			t.Fatalf("batch %d closed %d intervals, want %d", i, n, wantClosed[i])
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	return stubs, rec
+}
 
+// checkStubs asserts the local stub reports of a shipping engine: one
+// per close, numbered 0..n-1, each carrying its drained flow count.
+func checkStubs(t *testing.T, stubs []*core.Report, flows []int) {
+	t.Helper()
+	if len(stubs) != len(flows) {
+		t.Fatalf("%d stub reports, want %d", len(stubs), len(flows))
+	}
+	for i, rep := range stubs {
+		if want := (core.Report{Interval: i, TotalFlows: flows[i]}); !reflect.DeepEqual(*rep, want) {
+			t.Fatalf("stub %d = %+v, want %+v", i, *rep, want)
+		}
+	}
+}
+
+// TestNewWithSinkBoundaries: a shipping engine ships the absolute grid
+// end of every closed interval — for plain cuts, for counted
+// multi-interval gaps, and for the final flush at Close.
+func TestNewWithSinkBoundaries(t *testing.T) {
 	step := intervalLen.Milliseconds()
 	base := int64(1_700_000_000_000)
 	base -= base % step
 	// Interval 0: two records; then a gap straight to interval 3 (the
 	// cut message carries 3 counted cuts); then Close flushes interval 3.
-	eng.Submit(flow.Record{DstPort: 1, Start: base + 10})
-	eng.Submit(flow.Record{DstPort: 2, Start: base + 20})
-	n, err := eng.SubmitBatch([]flow.Record{{DstPort: 3, Start: base + 3*step + 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("gap closed %d intervals, want 3", n)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	stubs, rec := runShipping(t, Config{IntervalLen: intervalLen}, [][]flow.Record{
+		{{DstPort: 1, Start: base + 10}},
+		{{DstPort: 2, Start: base + 20}},
+		{{DstPort: 3, Start: base + 3*step + 5}},
+	}, []int{0, 0, 3})
 	want := []int64{base + step, base + 2*step, base + 3*step, base + 4*step}
-	if !reflect.DeepEqual(sink.boundaries, want) {
-		t.Fatalf("sink saw boundaries %v, want %v", sink.boundaries, want)
+	if !reflect.DeepEqual(rec.boundaries, want) {
+		t.Fatalf("shipped boundaries %v, want %v", rec.boundaries, want)
 	}
-	if sink.batches == 0 {
-		t.Fatal("sink never observed a batch")
+	if rec.flows != 3 {
+		t.Fatalf("shipped %d flows, want 3", rec.flows)
 	}
+	checkStubs(t, stubs, []int{2, 0, 0, 1})
 }
 
-// TestNewWithSinkEmptyStream: with no records at all the final flush
-// reports boundary 0 (unseeded grid) — the documented "no grid slot"
-// sentinel distributed sinks rely on.
+// TestNewWithSinkEmptyStream: with no records at all the grid is never
+// seeded, so the final flush ships nothing — there is no grid slot for
+// it — but still emits its one stub.
 func TestNewWithSinkEmptyStream(t *testing.T) {
-	sink := &boundarySink{}
-	eng, err := NewWithSink(Config{IntervalLen: intervalLen}, sink)
+	stubs, rec := runShipping(t, Config{IntervalLen: intervalLen}, nil, nil)
+	if len(rec.boundaries) != 0 {
+		t.Fatalf("empty stream shipped boundaries %v", rec.boundaries)
+	}
+	checkStubs(t, stubs, []int{0})
+}
+
+// TestNewWithSinkRejectsNil: a nil pipeline or ship function is a
+// construction error.
+func TestNewWithSinkRejectsNil(t *testing.T) {
+	p, err := core.New(testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range eng.Reports() {
-		}
-	}()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
+	defer p.Close()
+	if _, err := NewShipping(Config{}, nil, (&shipRecorder{}).ship); err == nil {
+		t.Fatal("nil pipeline accepted")
 	}
-	if want := []int64{0}; !reflect.DeepEqual(sink.boundaries, want) {
-		t.Fatalf("sink saw boundaries %v, want %v", sink.boundaries, want)
+	if _, err := NewShipping(Config{}, p, nil); err == nil {
+		t.Fatal("nil ship function accepted")
 	}
 }
 
-// TestNewWithSinkRejectsNil: a nil sink is a construction error.
-func TestNewWithSinkRejectsNil(t *testing.T) {
-	if _, err := NewWithSink(Config{}, nil); err == nil {
-		t.Fatal("nil sink accepted")
+// TestNewShippingRejectsPipelineDepth: a shipping close is a drain plus a
+// ship on the processing goroutine, with nothing to defer, so a depth
+// above 1 is refused rather than silently run at depth 1.
+func TestNewShippingRejectsPipelineDepth(t *testing.T) {
+	p, err := core.New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	rec := &shipRecorder{}
+	for _, depth := range []int{2, 4} {
+		if _, err := NewShipping(Config{PipelineDepth: depth}, p, rec.ship); err == nil {
+			t.Fatalf("PipelineDepth %d accepted", depth)
+		}
+	}
+	for _, depth := range []int{0, 1} {
+		eng, err := NewShipping(Config{PipelineDepth: depth}, p, rec.ship)
+		if err != nil {
+			t.Fatalf("PipelineDepth %d rejected: %v", depth, err)
+		}
+		go func() {
+			for range eng.Reports() {
+			}
+		}()
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -717,60 +747,37 @@ func TestBoundaryAfter(t *testing.T) {
 // 1000 instead of 0, so the stream below closed one interval instead of
 // two — and the misalignment doubled as a boundary==0 sentinel
 // collision, since the correct first boundary here *is* 0.
+//
+// The seeded boundary 0 is shipped like any other: the engine keeps the
+// seeded flag, so no boundary value doubles as "no records".
 func TestEnginePreEpochStream(t *testing.T) {
-	sink := &boundarySink{}
-	eng, err := NewWithSink(Config{IntervalLen: time.Second}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for range eng.Reports() {
-		}
-	}()
-	closed, err := eng.SubmitBatch([]flow.Record{
+	stubs, rec := runShipping(t, Config{IntervalLen: time.Second}, [][]flow.Record{{
 		{DstPort: 1, Start: -500}, // seeds the grid: first boundary 0
 		{DstPort: 2, Start: 600},  // crosses 0, lands in (0, 1000]
 		{DstPort: 3, Start: 1200}, // crosses 1000
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if closed != 2 {
-		t.Fatalf("pre-epoch stream closed %d intervals, want 2", closed)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	}}, []int{2})
 	want := []int64{0, 1000, 2000}
-	if !reflect.DeepEqual(sink.boundaries, want) {
-		t.Fatalf("sink saw boundaries %v, want %v", sink.boundaries, want)
+	if !reflect.DeepEqual(rec.boundaries, want) {
+		t.Fatalf("shipped boundaries %v, want %v", rec.boundaries, want)
 	}
+	checkStubs(t, stubs, []int{1, 1, 1})
 }
 
 // TestNewWithSinkClockJump: past the maxGapIntervals bound the engine
-// re-seeds the grid, and the sink sees the pre-jump boundary once, then
-// boundaries on the new grid.
+// re-seeds the grid, and the ship function sees the pre-jump boundary
+// once, then boundaries on the new grid.
 func TestNewWithSinkClockJump(t *testing.T) {
-	sink := &boundarySink{}
-	eng, err := NewWithSink(Config{IntervalLen: intervalLen}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for range eng.Reports() {
-		}
-	}()
 	step := intervalLen.Milliseconds()
 	base := int64(1_700_000_000_000)
 	base -= base % step
 	jump := base + (maxGapIntervals+10)*step
-	eng.Submit(flow.Record{DstPort: 1, Start: base})
-	eng.Submit(flow.Record{DstPort: 2, Start: jump + 5})
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	stubs, rec := runShipping(t, Config{IntervalLen: intervalLen}, [][]flow.Record{
+		{{DstPort: 1, Start: base}},
+		{{DstPort: 2, Start: jump + 5}},
+	}, []int{0, 1})
 	want := []int64{base + step, jump + step}
-	if !reflect.DeepEqual(sink.boundaries, want) {
-		t.Fatalf("sink saw boundaries %v, want %v", sink.boundaries, want)
+	if !reflect.DeepEqual(rec.boundaries, want) {
+		t.Fatalf("shipped boundaries %v, want %v", rec.boundaries, want)
 	}
+	checkStubs(t, stubs, []int{1, 1})
 }

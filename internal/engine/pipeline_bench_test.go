@@ -80,11 +80,12 @@ func BenchmarkSubmitDuringClose(b *testing.B) {
 				// the bulk ObserveBatch is done and the processor is idle
 				// but for a couple of single-record appends — the measured
 				// section starts with an (almost) idle engine.
-				sentinel := bulk[0]
-				eng.Submit(sentinel)
-				eng.Submit(sentinel)
-				eng.Submit(sentinel)
-				eng.Submit(sentinel)
+				sentinel := bulk[:1]
+				for i := 0; i < 4; i++ {
+					if _, err := eng.SubmitBatch(sentinel); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.StartTimer()
 				// The measured op: a submit whose record crosses the
 				// boundary. It enqueues the cut marker and then its record,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/shard"
 )
 
 // runEngine streams recs through one engine built from cfg and returns
@@ -133,7 +135,7 @@ func TestPipelinedErrorSurfacesOnLiveStream(t *testing.T) {
 		errAtClose <- eng.Err()
 	}()
 	for _, rec := range makeStream(2, 8, 3000, 6) {
-		eng.Submit(rec) // must not block after the close worker dies
+		eng.SubmitBatch([]flow.Record{rec}) // must not block after the close worker dies
 	}
 	if err := eng.Close(); err == nil {
 		t.Fatal("Close error = nil, want the mining failure")
@@ -143,92 +145,76 @@ func TestPipelinedErrorSurfacesOnLiveStream(t *testing.T) {
 	}
 }
 
-// countingSink is a minimal non-pipelined Sink: PipelineDepth > 1 with a
-// sink that cannot split its close must fall back to the synchronous
-// path rather than fail or change behavior.
-type countingSink struct {
-	flows  int
-	closes int
-}
-
-func (s *countingSink) ObserveBatch(recs []flow.Record) { s.flows += len(recs) }
-func (s *countingSink) EndInterval() (*core.Report, error) {
-	s.closes++
-	return &core.Report{Interval: s.closes - 1}, nil
-}
-func (s *countingSink) Close() {}
-
-func TestPipelinedFallsBackForPlainSink(t *testing.T) {
-	sink := &countingSink{}
-	eng, err := NewWithSink(Config{IntervalLen: intervalLen, PipelineDepth: 4}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range eng.Reports() {
-			n++
-		}
-		done <- n
-	}()
-	stream := makeStream(3, 4, 50, -1)
-	if _, err := eng.SubmitBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; got != 4 || sink.closes != 4 {
-		t.Fatalf("got %d reports / %d closes, want 4 / 4", got, sink.closes)
-	}
-	if sink.flows != len(stream) {
-		t.Fatalf("sink observed %d flows, want %d", sink.flows, len(stream))
-	}
-}
-
 // TestCloseLeavesNoGoroutines: once Close returns, every goroutine the
 // engine started — the processing loop, the close worker, the bank
 // worker pools, the per-partition ingest and prefilter fan-out — has
-// exited, for partitions {1, 2, 4} × depth {1, 2}, after a clean stream
-// and after a close whose miner failed. The count is polled with a
-// deadline: exiting goroutines may lag Close by a scheduler tick.
+// exited: for partitions {1, 2, 4} × depth {1, 2}, after a clean stream
+// and after a close whose miner failed; and for shipping engines over
+// partitions {1, 2}, after a clean stream and after a ship that failed.
+// The count is polled with a deadline: exiting goroutines may lag Close
+// by a scheduler tick.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	stream := makeStream(14, 8, 1200, 7)
+	check := func(t *testing.T, newEngine func() (*Engine, error), failing bool) {
+		t.Helper()
+		base := runtime.NumGoroutine()
+		eng, err := newEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for range eng.Reports() {
+			}
+		}()
+		eng.SubmitBatch(stream)
+		if err := eng.Close(); (err != nil) != failing {
+			t.Fatalf("Close error %v, want failure %v", err, failing)
+		}
+		<-done
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	for _, parts := range []int{1, 2, 4} {
 		for _, depth := range []int{1, 2} {
 			for _, failing := range []bool{false, true} {
 				t.Run(fmt.Sprintf("partitions=%d/depth=%d/failing=%v", parts, depth, failing), func(t *testing.T) {
-					base := runtime.NumGoroutine()
 					cfg := testConfig(2)
 					if failing {
 						cfg.Miner = errMiner{}
 					}
-					eng, err := New(Config{Pipeline: cfg, Shards: parts, IntervalLen: intervalLen, PipelineDepth: depth})
-					if err != nil {
-						t.Fatal(err)
-					}
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						for range eng.Reports() {
-						}
-					}()
-					eng.SubmitBatch(stream)
-					if err := eng.Close(); (err != nil) != failing {
-						t.Fatalf("Close error %v, want failure %v", err, failing)
-					}
-					<-done
-					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-						if time.Now().After(deadline) {
-							buf := make([]byte, 1<<16)
-							t.Fatalf("%d goroutines after Close, %d before New:\n%s",
-								runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-						}
-						time.Sleep(time.Millisecond)
-					}
+					check(t, func() (*Engine, error) {
+						return New(Config{Pipeline: cfg, Shards: parts, IntervalLen: intervalLen, PipelineDepth: depth})
+					}, failing)
 				})
 			}
+		}
+	}
+	for _, parts := range []int{1, 2} {
+		for _, failing := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shipping/partitions=%d/failing=%v", parts, failing), func(t *testing.T) {
+				ships := 0
+				ship := func(int64, core.OpenInterval) error {
+					if ships++; failing && ships == 3 {
+						return errors.New("collector unreachable")
+					}
+					return nil
+				}
+				check(t, func() (*Engine, error) {
+					p, err := shard.New(shard.Config{Shards: parts, Pipeline: testConfig(2)})
+					if err != nil {
+						return nil, err
+					}
+					return NewShipping(Config{IntervalLen: intervalLen}, p, ship)
+				}, failing)
+			})
 		}
 	}
 }

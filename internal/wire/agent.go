@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/flow"
 )
 
 // AgentOptions parameterizes the survivable agent session: the redial
@@ -282,9 +281,9 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 // only when the collector acks the boundary, so a connection lost at
 // any point is survivable: the agent redials and replays per the retry
 // policy, blocking (backpressure) rather than dropping when the buffer
-// is full. Boundaries must be strictly increasing per agent. A
-// permanent failure — retry budget exhausted, config mismatch — is
-// returned and sticks.
+// is full. Boundaries must be positive and strictly increasing per
+// agent. A permanent failure — retry budget exhausted, config mismatch
+// — is returned and sticks.
 func (a *Agent) ShipOpenInterval(boundary int64, oi core.OpenInterval) error {
 	_, err := a.ship(boundary, frameOpenInterval, func(b []byte) []byte {
 		return appendOpenInterval(b, oi)
@@ -310,6 +309,9 @@ func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, s
 	if boundary <= a.acked {
 		if skipStale {
 			return false, nil
+		}
+		if boundary <= 0 {
+			return false, fmt.Errorf("wire: agent %d boundary %d: the protocol carries positive grid boundaries only", a.id, boundary)
 		}
 		return false, fmt.Errorf("wire: agent %d boundary %d not after acked %d", a.id, boundary, a.acked)
 	}
@@ -465,8 +467,8 @@ func (a *Agent) Acked() int64 {
 
 // Close ends the stream: it sends the Bye frame, waits for the
 // collector's ByeOK confirmation, and closes the connection. The final
-// partial interval must already have been shipped (the engine's Close
-// flushes it through the sink before the sink's Close runs). Delivery
+// partial interval must already have been shipped (a shipping engine's
+// Close flushes it, so close the agent after the engine). Delivery
 // is at-least-once end to end: a connection that dies before the
 // confirmation — unacked frames included — is redialed per the retry
 // policy and the Bye resent, so a collector holding the session open
@@ -526,57 +528,3 @@ func (a *Agent) sendByeLocked() error {
 		a.dropConnLocked()
 	}
 }
-
-// AgentSink adapts an agent and a local pipeline into an engine.Sink:
-// ObserveBatch accumulates into the pipeline, and each interval close
-// drains the open interval (its partitions folded into one) and ships it
-// to the collector instead of running detection. The engine invokes the
-// BoundarySink form, so every shipped snapshot carries the interval's
-// absolute grid boundary. The stub reports it emits locally carry only
-// the interval ordinal and flow count — detection happens at the
-// collector.
-type AgentSink struct {
-	agent    *Agent
-	p        *core.Pipeline
-	interval int
-}
-
-// NewAgentSink builds the sink. The sink takes ownership of p (Close
-// closes it) but not of agent — callers close the agent after the
-// engine, so the Bye frame follows the final flushed snapshot.
-func NewAgentSink(agent *Agent, p *core.Pipeline) *AgentSink {
-	return &AgentSink{agent: agent, p: p}
-}
-
-// ObserveBatch feeds a batch into the local pipeline.
-func (s *AgentSink) ObserveBatch(recs []flow.Record) { s.p.ObserveBatch(recs) }
-
-// EndIntervalAt drains the open interval — the lean drain, which never
-// copies the detection history an agent keeps empty — and ships it
-// tagged with the grid boundary. A boundary of 0 (stream held no
-// records at all) ships nothing — there is no grid slot to merge it
-// into, and the drained interval is empty by construction.
-func (s *AgentSink) EndIntervalAt(boundary int64) (*core.Report, error) {
-	oi := s.p.DrainOpenInterval()
-	rep := &core.Report{Interval: s.interval, TotalFlows: oi.Buffer.Len()}
-	s.interval++
-	if boundary == 0 {
-		return rep, nil
-	}
-	if err := s.agent.ShipOpenInterval(boundary, oi); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// EndInterval exists to satisfy engine.Sink; the engine always uses
-// EndIntervalAt (the sink implements BoundarySink) and a shipped
-// snapshot is meaningless without its boundary.
-func (s *AgentSink) EndInterval() (*core.Report, error) {
-	return nil, fmt.Errorf("wire: agent sink requires a boundary; drive it through the engine")
-}
-
-// Close releases the local pipeline's worker pools. The agent
-// connection stays open — close it after the engine, so Bye trails the
-// final snapshot.
-func (s *AgentSink) Close() { s.p.Close() }

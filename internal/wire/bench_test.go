@@ -130,7 +130,7 @@ func BenchmarkLoopbackInterval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := engine.NewWithSink(engine.Config{IntervalLen: 15 * time.Minute}, wire.NewAgentSink(a, sp))
+		eng, err := engine.NewShipping(engine.Config{IntervalLen: 15 * time.Minute}, sp, a.ShipOpenInterval)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 )
 
 // runAgent drives one agent over its partition of the trace: a local
-// sharded pipeline behind a streaming engine whose sink drains and
-// ships every interval to the collector. The partition is submitted in
+// sharded pipeline behind a shipping engine that drains and ships every
+// interval to the collector. The partition is submitted in
 // interval order, mirroring a collector socket replaying its slice of
 // the traffic.
 func runAgent(t *testing.T, addr string, id, localShards int, cfg core.Config, part [][]flow.Record) {
@@ -32,9 +32,10 @@ func runAgent(t *testing.T, addr string, id, localShards int, cfg core.Config, p
 		agent.Close()
 		return
 	}
-	eng, err := engine.NewWithSink(engine.Config{IntervalLen: 15 * time.Minute}, wire.NewAgentSink(agent, sp))
+	eng, err := engine.NewShipping(engine.Config{IntervalLen: 15 * time.Minute}, sp, agent.ShipOpenInterval)
 	if err != nil {
 		t.Errorf("agent %d: %v", id, err)
+		sp.Close()
 		agent.Close()
 		return
 	}

@@ -149,7 +149,7 @@ func partition(t *testing.T, trace [][]flow.Record, n int, cfg core.Config) [][]
 }
 
 // runEngineAgent drives one agent end to end — local sharded pipeline,
-// streaming engine, wire sink — exactly like production, but through
+// shipping engine, wire stream — exactly like production, but through
 // DialAgent so the test controls the retry policy and dial target.
 func runEngineAgent(t *testing.T, addr string, id int, cfg core.Config, part [][]flow.Record, opts wire.AgentOptions) {
 	t.Helper()
@@ -164,9 +164,10 @@ func runEngineAgent(t *testing.T, addr string, id int, cfg core.Config, part [][
 		agent.Close()
 		return
 	}
-	eng, err := engine.NewWithSink(engine.Config{IntervalLen: 15 * time.Minute}, wire.NewAgentSink(agent, sp))
+	eng, err := engine.NewShipping(engine.Config{IntervalLen: 15 * time.Minute}, sp, agent.ShipOpenInterval)
 	if err != nil {
 		t.Errorf("agent %d: %v", id, err)
+		sp.Close()
 		agent.Close()
 		return
 	}

@@ -14,13 +14,12 @@ import (
 	"anomalyx/internal/wire"
 )
 
-// TestDistributedPipelinedAgents pins the pipelined close across the
-// wire: agent engines run with PipelineDepth > 1 — which falls back to
-// the synchronous close because AgentSink drains-and-ships inline — and
-// the collector's merged reports must be byte-identical to a local
-// pipelined engine (same shard count, same depth) consuming the whole
-// trace in one process. This ties all three closing modes together:
-// local sync, local pipelined, and distributed.
+// TestDistributedPipelinedAgents pins the pipelined close against the
+// wire: the agents' shipping engines close inline (depth 1 — they have
+// no detection to defer), and the collector's merged reports must be
+// byte-identical to a local pipelined engine (same shard count, depth 3)
+// consuming the whole trace in one process. This ties all three closing
+// modes together: local sync, local pipelined, and distributed.
 func TestDistributedPipelinedAgents(t *testing.T) {
 	const agents = 2
 	trace := testTrace(10, 3000, 8)
@@ -97,7 +96,7 @@ func TestDistributedPipelinedAgents(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			runPipelinedAgent(t, ln.Addr().String(), id, cfg, parts[id])
+			runAgent(t, ln.Addr().String(), id, 1, cfg, parts[id])
 		}(id)
 	}
 	wg.Wait()
@@ -114,50 +113,5 @@ func TestDistributedPipelinedAgents(t *testing.T) {
 			t.Fatalf("interval %d: collector report differs from local pipelined run:\n got %s\nwant %s",
 				i, got[i], want[i])
 		}
-	}
-}
-
-// runPipelinedAgent is runAgent with PipelineDepth set on the agent
-// engine: the AgentSink cannot split its close, so the engine must fall
-// back to the synchronous path and ship identical snapshots.
-func runPipelinedAgent(t *testing.T, addr string, id int, cfg core.Config, part [][]flow.Record) {
-	t.Helper()
-	agent, err := wire.DialAgent(addr, id, cfg, wire.AgentOptions{})
-	if err != nil {
-		t.Errorf("agent %d: dial: %v", id, err)
-		return
-	}
-	sp, err := shard.New(shard.Config{Shards: 1, Pipeline: cfg})
-	if err != nil {
-		t.Errorf("agent %d: %v", id, err)
-		agent.Close()
-		return
-	}
-	eng, err := engine.NewWithSink(
-		engine.Config{IntervalLen: 15 * time.Minute, PipelineDepth: 3},
-		wire.NewAgentSink(agent, sp),
-	)
-	if err != nil {
-		t.Errorf("agent %d: %v", id, err)
-		agent.Close()
-		return
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for range eng.Reports() {
-		}
-	}()
-	for _, recs := range part {
-		if _, err := eng.SubmitBatch(recs); err != nil {
-			t.Errorf("agent %d: submit: %v", id, err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Errorf("agent %d: engine close: %v", id, err)
-	}
-	<-drained
-	if err := agent.Close(); err != nil {
-		t.Errorf("agent %d: close: %v", id, err)
 	}
 }

@@ -3,6 +3,7 @@ package anomalyx_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -282,5 +283,120 @@ func TestAgentRejectsBoundaryZero(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "positive grid boundaries") {
 		t.Fatalf("error %q does not name the positive-boundary rule", err)
+	}
+}
+
+// TestAgentRecyclingDisjointIntervals: an agent session reuses the
+// memory of each drained interval for the next one (the engine gives it
+// back after the ship), and the collector decodes every frame into the
+// memory of an absorbed one. Two consecutive intervals over disjoint
+// value sets — the first larger, so that stale entries would outlast a
+// shorter second — must yield exactly an in-process engine's reports:
+// nothing of interval 1 may leak into interval 2's frame or absorb.
+func TestAgentRecyclingDisjointIntervals(t *testing.T) {
+	cfg := anomalyx.Config{Detector: anomalyx.DetectorConfig{Bins: 64, TrainIntervals: 2}}
+	var batches [][]anomalyx.Flow
+	for iv, n := range []int{300, 90} {
+		batch := make([]anomalyx.Flow, n)
+		for i := range batch {
+			// Interval 0 draws every feature from one range, interval 1
+			// from a disjoint one.
+			base := uint32(iv * 50_000)
+			batch[i] = anomalyx.Flow{
+				SrcAddr: 0x0a000000 + base + uint32(i), DstAddr: 0xc0a80000 + base + uint32(i%40),
+				SrcPort: uint16(1024 + base/4 + uint32(i)), DstPort: uint16(80 + base/4 + uint32(i%7)),
+				Protocol: 6, Packets: base + uint32(1+i%9), Bytes: 40,
+				Start: int64(iv*1000 + i), End: int64(iv*1000 + i + 1),
+			}
+		}
+		batches = append(batches, batch)
+	}
+	render := func(reps []*anomalyx.Report) []string {
+		var out []string
+		for _, rep := range reps {
+			out = append(out, fmt.Sprintf("%+v", *rep))
+		}
+		return out
+	}
+
+	eng, err := anomalyx.NewEngine(anomalyx.EngineConfig{Pipeline: cfg, IntervalLen: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local []*anomalyx.Report
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for rep := range eng.Reports() {
+			local = append(local, rep)
+		}
+	}()
+	for _, b := range batches {
+		if _, err := eng.SubmitBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+
+	for _, parts := range []int{1, 2} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll, err := anomalyx.NewCollectorWithConfig(cfg, anomalyx.CollectorConfig{Agents: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wired []*anomalyx.Report
+		serveErr := make(chan error, 1)
+		go func() {
+			serveErr <- coll.Serve(context.Background(), ln, func(rep *anomalyx.Report) error {
+				wired = append(wired, rep)
+				return nil
+			})
+		}()
+		sess, err := anomalyx.NewAgent(
+			anomalyx.EngineConfig{Pipeline: cfg, IntervalLen: time.Second},
+			anomalyx.AgentConfig{Addr: ln.Addr().String(), Shards: parts, ReplayBuffer: 1},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range sess.Reports() {
+			}
+		}()
+		// A frame the collector refuses is replayed on every redial, and
+		// the session never ends: bound the wait instead of hanging.
+		finished := make(chan error, 1)
+		go func() {
+			for _, b := range batches {
+				if _, err := sess.SubmitBatch(b); err != nil {
+					finished <- err
+					return
+				}
+			}
+			if err := sess.Close(); err != nil {
+				finished <- err
+				return
+			}
+			finished <- <-serveErr
+		}()
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("partitions=%d: the session did not finish", parts)
+		}
+		coll.Close()
+		if len(wired) != 2 || !reflect.DeepEqual(wired, local) {
+			t.Fatalf("partitions=%d: collector reports differ from the in-process run:\n%q\nvs\n%q",
+				parts, render(wired), render(local))
+		}
 	}
 }

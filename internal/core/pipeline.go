@@ -152,6 +152,11 @@ type Pipeline struct {
 	// from the ingest goroutine.
 	spareMu sync.Mutex
 	spares  []intervalState
+
+	// drainLent is the memory of the last DrainOpenInterval result, until
+	// RecycleOpenInterval gives it back and it becomes drainSpare, which
+	// the next drain reuses. Both are guarded by mu.
+	drainLent, drainSpare *drainMemory
 }
 
 // partitionSeed derives the partitioner's hash function. A fixed

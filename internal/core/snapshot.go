@@ -90,17 +90,66 @@ func (p *Pipeline) RestoreSnapshot(s PipelineSnapshot) error {
 // detection history untouched and uncopied. This is the distributed
 // agent step: the agent drains at each interval boundary and ships the
 // result to the collector, which folds it into its pipeline with
-// AbsorbOpenInterval. The result shares no memory with the pipeline.
+// AbsorbOpenInterval. The result shares no memory with the pipeline and
+// belongs to the caller — unless the caller gives it back with
+// RecycleOpenInterval, after which the next drain reuses its memory.
 func (p *Pipeline) DrainOpenInterval() OpenInterval {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.foldLocked()
-	oi := OpenInterval{
-		Clones: p.banks[0].DrainInterval(),
-		Buffer: p.buffers[0].Clone(),
+	m := p.drainSpare
+	p.drainSpare = nil
+	if m == nil {
+		m = &drainMemory{snaps: make([]histogram.SnapshotMemory, len(p.banks[0].Detectors()))}
 	}
-	p.buffers[0].Reset()
+	m.clones = p.banks[0].DrainIntervalInto(m.clones, m.snaps)
+	oi := OpenInterval{Clones: m.clones}
+	live := p.buffers[0]
+	switch {
+	case live.Len() == 0:
+		// The zero-row buffer drains to the zero Buffer, like Clone.
+	case cap(m.buf.SrcAddr) > 0:
+		// Swap, not copy: the drained rows leave with the interval and
+		// the recycled buffer, capacity intact, takes their place.
+		oi.Buffer, *live = *live, m.buf
+		m.buf = flow.Buffer{}
+	default:
+		oi.Buffer = live.Clone()
+	}
+	live.Reset()
+	p.drainLent = m
 	return oi
+}
+
+// drainMemory is the memory one drained OpenInterval lives in: the
+// per-detector snapshot memory, the detector slice, and — once given
+// back — the drained flow buffer, emptied, for the next drain to swap in.
+type drainMemory struct {
+	snaps  []histogram.SnapshotMemory
+	clones [][]histogram.Snapshot
+	buf    flow.Buffer
+}
+
+// RecycleOpenInterval gives back the interval the last DrainOpenInterval
+// returned, once the caller is done with it (a shipping engine, after
+// the ship hook has encoded it): the next drain reuses its snapshot
+// memory and swaps its flow buffer in instead of copying the rows out,
+// so the steady-state drain allocates nothing. The caller must not touch
+// oi afterwards. Any other value — an older drain, a decoded frame — is
+// ignored and stays the caller's.
+func (p *Pipeline) RecycleOpenInterval(oi OpenInterval) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.drainLent
+	if m == nil || len(oi.Clones) == 0 || len(m.clones) == 0 || &oi.Clones[0] != &m.clones[0] {
+		return
+	}
+	p.drainLent = nil
+	if cap(oi.Buffer.SrcAddr) > 0 { // an empty drain kept m.buf
+		m.buf = oi.Buffer
+		m.buf.Reset()
+	}
+	p.drainSpare = m
 }
 
 // AbsorbOpenInterval folds a drained open interval into partition 0
@@ -109,7 +158,9 @@ func (p *Pipeline) DrainOpenInterval() OpenInterval {
 // directly) and the buffered flows append to the partition's buffer. A
 // malformed interval is rejected before anything moves. It is the
 // collector-side counterpart of DrainOpenInterval. Both sides must share
-// the detector configuration and seed.
+// the detector configuration and seed. Everything is copied in: oi is
+// neither kept nor recycled, so the caller may reuse its memory as soon
+// as the call returns (the collector decodes the next frame into it).
 func (p *Pipeline) AbsorbOpenInterval(oi OpenInterval) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

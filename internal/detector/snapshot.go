@@ -106,7 +106,13 @@ func (d *Detector) checkSnapshot(s Snapshot) error {
 // of reference counts, KL series, and threshold samples that are all
 // zero on an agent (it never closes detection) was pure waste.
 func (d *Detector) DrainInterval() []histogram.Snapshot {
-	clones := d.cur.Snapshots()
+	return d.drainInto(new(histogram.SnapshotMemory))
+}
+
+// drainInto is DrainInterval writing into m (see
+// histogram.CloneSet.SnapshotsInto).
+func (d *Detector) drainInto(m *histogram.SnapshotMemory) []histogram.Snapshot {
+	clones := d.cur.SnapshotsInto(m)
 	d.cur.Reset()
 	return clones
 }
@@ -158,13 +164,23 @@ func (b *Bank) RestoreSnapshot(s BankSnapshot) error {
 // feature order (see Detector.DrainInterval), leaving detection history
 // untouched and uncopied.
 func (b *Bank) DrainInterval() [][]histogram.Snapshot {
+	return b.DrainIntervalInto(nil, make([]histogram.SnapshotMemory, len(b.detectors)))
+}
+
+// DrainIntervalInto is DrainInterval writing into caller-held memory:
+// detector i's snapshots live in mem[i] (len(mem) must be the detector
+// count) and the per-detector slices are appended to dst[:0]. The
+// result stays valid until mem is drained into again, so a caller that
+// drains every interval and is done with each result before the next
+// one allocates nothing in steady state.
+func (b *Bank) DrainIntervalInto(dst [][]histogram.Snapshot, mem []histogram.SnapshotMemory) [][]histogram.Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([][]histogram.Snapshot, len(b.detectors))
+	dst = dst[:0]
 	for i, d := range b.detectors {
-		out[i] = d.DrainInterval()
+		dst = append(dst, d.drainInto(&mem[i]))
 	}
-	return out
+	return dst
 }
 
 // AbsorbInterval folds drained clone snapshots — one slice per detector
@@ -187,9 +203,7 @@ func (b *Bank) AbsorbInterval(clones [][]histogram.Snapshot) error {
 		}
 	}
 	for i, d := range b.detectors {
-		if err := d.cur.MergeSnapshot(clones[i]); err != nil {
-			return err
-		}
+		d.cur.MergeChecked(clones[i])
 	}
 	return nil
 }

@@ -176,6 +176,12 @@ func New(cfg Config) (*Engine, error) {
 // count. An empty stream ships nothing — it has no grid slot — but
 // still emits its stub.
 //
+// ship borrows oi for the duration of the call: when it returns, the
+// engine gives oi back to p (RecycleOpenInterval) and the next close
+// drains into the same memory. A hook that needs the interval later —
+// queued, compared, sent from another goroutine — must copy it, or
+// encode it before returning as wire.Agent.ShipOpenInterval does.
+//
 // cfg.Pipeline and cfg.Shards are ignored (p already embodies them), and
 // a shipping close cannot be deferred, so PipelineDepth > 1 is an error.
 // On success the engine owns p and Closes it when it is Closed; on error
@@ -461,6 +467,9 @@ func (e *Engine) closer() (cut func(boundary int64) error, failed <-chan struct{
 			if e.seeded {
 				err = e.ship(boundary, oi)
 			}
+			// The hook only borrowed oi: hand its memory back so the next
+			// drain reuses it.
+			e.p.RecycleOpenInterval(oi)
 			return e.emit(rep, err, boundary)
 		}, nil, inline
 	}

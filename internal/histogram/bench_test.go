@@ -48,9 +48,10 @@ func BenchmarkHistogramAddTracked(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore measures the canonical per-clone snapshots of
-// a three-clone set (flatten + sort into each clone's per-bin slab) and
-// the bulk arena restore, the two halves of the wire path's per-interval
-// state copy.
+// a three-clone set (one value sort, then each clone's stable grouping by
+// bin) — into fresh memory, and into memory reused call to call as an
+// agent's drain does — and the bulk arena restore, the two halves of the
+// wire path's per-interval state copy.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	s := NewCloneSet(1024, testFns(3))
 	for _, v := range benchValues(20_000, 50_000) {
@@ -61,6 +62,13 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Snapshots()
+		}
+	})
+	b.Run("snapshot-into", func(b *testing.B) {
+		var m SnapshotMemory
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.SnapshotsInto(&m)
 		}
 	})
 	b.Run("restore", func(b *testing.B) {

@@ -1,10 +1,6 @@
 package histogram
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ValueCount is one (feature value, observation count) pair of a bin's
 // tracked values.
@@ -21,11 +17,12 @@ type ValueCount struct {
 // and, once serialized, byte-identical — snapshots regardless of
 // insertion or table-iteration order.
 //
-// The per-bin Values slices share one backing array (they are adjacent
-// sub-slices of a single slab, capacity-clipped so appends cannot bleed
-// across bins). That is invisible to readers and to DeepEqual; it only
-// means a caller must not grow one bin's slice in place and expect the
-// slab to stay intact — treat a Snapshot as immutable plain data.
+// The per-bin Values slices share backing arrays (adjacent sub-slices of
+// one arena, capacity-clipped so appends cannot bleed across bins), and
+// so do the Counts and Values of the clones of one set. That is
+// invisible to readers and to DeepEqual; it only means a caller must not
+// grow one slice in place and expect the arena to stay intact — treat a
+// Snapshot as immutable plain data.
 //
 // A Snapshot does not carry the hash function or bin count as
 // configuration: restoring requires a set already constructed with the
@@ -41,55 +38,133 @@ type Snapshot struct {
 	Values [][]ValueCount
 }
 
+// SnapshotMemory is reusable backing memory for CloneSet.SnapshotsInto:
+// the result's snapshot headers, one arena each for every clone's bin
+// counts, bin headers and value entries, and the sort scratch. A caller
+// that drains a set every interval keeps one SnapshotMemory per set and
+// hands it back once it is done with the previous result, so the
+// steady-state drain allocates nothing. The zero value is ready to use.
+type SnapshotMemory struct {
+	snaps  []Snapshot
+	counts []uint64
+	heads  [][]ValueCount
+	ents   []ValueCount
+
+	sorted, tmp []ValueCount // value-ordered entries and the radix ping-pong buffer
+	bins        []int32      // per sorted entry: its bin in the current clone
+	offs        []int        // per bin: placement cursor
+}
+
 // Snapshots captures the set's current-interval state, one Snapshot per
 // clone, each grouping the one value table by that clone's bins. The
-// result shares no memory with the set. Each clone's flatten is a
-// counting sort that also sums the clone's bin counts: bin and tally
-// every entry, carve the clone's slab into per-bin ranges by prefix sum,
-// place, and sort each (small) range ascending by value.
+// result shares no memory with the set or with any other call's result.
 func (s *CloneSet) Snapshots() []Snapshot {
+	return s.SnapshotsInto(new(SnapshotMemory))
+}
+
+// SnapshotsInto is Snapshots writing into m's memory: the result stays
+// valid until m is passed to SnapshotsInto again, and shares no memory
+// with the set. The distinct values are put in ascending order once, by
+// a radix sort; each clone is then a stable counting sort of that order
+// by bin — tally, prefix-sum, place — so every bin comes out ascending
+// with no per-bin sort, and the clones share one allocation each for
+// counts, bin headers and entries.
+func (s *CloneSet) SnapshotsInto(m *SnapshotMemory) []Snapshot {
+	n, k, nc := s.values.n, s.k, len(s.fns)
 	var total uint64
-	ents := make([]ValueCount, 0, s.values.n)
-	s.values.forEach(func(v, n uint64) {
-		ents = append(ents, ValueCount{v, n})
-		total += n
+	sorted := resize(m.sorted, n)[:0]
+	s.values.forEach(func(v, c uint64) {
+		sorted = append(sorted, ValueCount{v, c})
+		total += c
 	})
-	bins := make([]int32, len(ents))
-	offs := make([]int, s.k+1)
-	out := make([]Snapshot, len(s.fns))
+	m.tmp = resize(m.tmp, n)
+	m.sorted = sorted
+	sorted = sortByValue(sorted, m.tmp)
+
+	m.counts = resize(m.counts, nc*k)
+	clear(m.counts)
+	m.heads = resize(m.heads, nc*k)
+	clear(m.heads)
+	m.ents = resize(m.ents, nc*n)
+	m.bins = resize(m.bins, n)
+	m.offs = resize(m.offs, k+1)
+	m.snaps = resize(m.snaps, nc)
 	for c, fn := range s.fns {
-		out[c] = Snapshot{Counts: make([]uint64, s.k), Total: total, Values: make([][]ValueCount, s.k)}
-		if len(ents) == 0 {
+		counts := m.counts[c*k : (c+1)*k : (c+1)*k]
+		heads := m.heads[c*k : (c+1)*k : (c+1)*k]
+		m.snaps[c] = Snapshot{Counts: counts, Total: total, Values: heads}
+		if n == 0 {
 			continue
 		}
+		offs, bins := m.offs, m.bins
 		clear(offs)
-		for i, e := range ents {
-			b := int32(fn.Bin(e.Value, s.k))
+		for i, e := range sorted {
+			b := int32(fn.Bin(e.Value, k))
 			bins[i] = b
 			offs[b+1]++
-			out[c].Counts[b] += e.Count
+			counts[b] += e.Count
 		}
-		for b := 0; b < s.k; b++ {
+		for b := 0; b < k; b++ {
 			offs[b+1] += offs[b]
 		}
+		ents := m.ents[c*n : (c+1)*n]
 		// offs[b] doubles as bin b's placement cursor; after this pass
 		// it holds bin b's end, and bin b-1's end is its start.
-		slab := make([]ValueCount, len(ents))
-		for i, e := range ents {
-			slab[offs[bins[i]]] = e
+		for i, e := range sorted {
+			ents[offs[bins[i]]] = e
 			offs[bins[i]]++
 		}
 		start := 0
-		for b, end := range offs[:s.k] {
+		for b, end := range offs[:k] {
 			if end > start {
-				vs := slab[start:end:end]
-				slices.SortFunc(vs, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
-				out[c].Values[b] = vs
+				heads[b] = ents[start:end:end]
 			}
 			start = end
 		}
 	}
-	return out
+	return m.snaps
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// sortByValue orders ents ascending by Value with an LSD radix sort
+// over only the key bytes that vary across ents — one or two passes for
+// ports, four for addresses — and returns the sorted slice, which is
+// ents or tmp (len(tmp) >= len(ents)).
+func sortByValue(ents, tmp []ValueCount) []ValueCount {
+	var diff uint64
+	for _, e := range ents {
+		diff |= e.Value ^ ents[0].Value
+	}
+	src, dst := ents, tmp[:len(ents)]
+	var offs [256]int
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		clear(offs[:])
+		for _, e := range src {
+			offs[byte(e.Value>>shift)]++
+		}
+		sum := 0
+		for d, c := range offs {
+			offs[d], sum = sum, sum+c
+		}
+		for _, e := range src {
+			d := byte(e.Value >> shift)
+			dst[offs[d]] = e
+			offs[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // CheckSnapshots reports whether ss can be merged into s without an
@@ -144,6 +219,15 @@ func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
 	if err := s.CheckSnapshots(ss); err != nil {
 		return err
 	}
+	s.MergeChecked(ss)
+	return nil
+}
+
+// MergeChecked is MergeSnapshot for snapshots the caller has already
+// validated with CheckSnapshots against this set: a caller folding
+// several sets validates them all first and then merges each without
+// paying the validation twice. Unvalidated input is a caller bug.
+func (s *CloneSet) MergeChecked(ss []Snapshot) {
 	s.values.ensure(entryCount(ss[0]))
 	for _, vs := range ss[0].Values {
 		for _, vc := range vs {
@@ -151,7 +235,6 @@ func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
 		}
 	}
 	s.stale = true
-	return nil
 }
 
 // entryCount returns the number of value entries in hs.

@@ -67,6 +67,12 @@ type Agent struct {
 	opts   AgentOptions
 	rng    *rand.Rand // seeded jitter source; never influences report bytes
 
+	// shipMu serializes ship calls. A ship encodes its frame without
+	// holding mu, so acks and reconnects proceed meanwhile; enc is the
+	// encoder scratch, owned by whoever holds shipMu.
+	shipMu sync.Mutex
+	enc    encoder
+
 	mu   sync.Mutex
 	cond *sync.Cond // signals ack progress and connection-state changes
 	conn net.Conn   // nil while disconnected
@@ -79,9 +85,15 @@ type Agent struct {
 	permErr    error // the stream is dead after it
 	closed     bool
 	byeOK      bool // the collector confirmed our Bye
-
-	buf []byte // encode scratch, reused across frames
+	// free holds the payloads of acked frames for the next ships to
+	// encode into, at most maxFreePayloads of them.
+	free [][]byte
 }
+
+// maxFreePayloads bounds the agent's free list of frame payloads. Two
+// cover the steady state of a one-frame replay buffer: one in flight
+// awaiting its ack while the next is encoded into the other.
+const maxFreePayloads = 2
 
 // DialAgent connects to a collector at addr, performs the handshake
 // for the given agent ID, and returns the ready agent. cfg must be the
@@ -225,10 +237,15 @@ func (a *Agent) ackLocked(boundary int64) {
 	a.acked = boundary
 	n := 0
 	for n < len(a.replay) && a.replay[n].boundary <= boundary {
+		if len(a.free) < maxFreePayloads {
+			a.free = append(a.free, a.replay[n].payload[:0])
+		}
 		n++
 	}
 	if n > 0 {
-		a.replay = append(a.replay[:0], a.replay[n:]...)
+		m := copy(a.replay, a.replay[n:])
+		clear(a.replay[m:])
+		a.replay = a.replay[:m]
 	}
 	a.cond.Broadcast()
 }
@@ -238,8 +255,10 @@ func (a *Agent) ackLocked(boundary int64) {
 // read failure marks the connection lost (the next ship redials).
 func (a *Agent) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
+	var buf []byte // payload buffer, reused ack to ack
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrameInto(br, buf)
+		buf = payload
 		a.mu.Lock()
 		if gen != a.gen || a.closed {
 			a.mu.Unlock()
@@ -283,23 +302,98 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 // policy, blocking (backpressure) rather than dropping when the buffer
 // is full. Boundaries must be positive and strictly increasing per
 // agent. A permanent failure — retry budget exhausted, config mismatch
-// — is returned and sticks.
+// — is returned and sticks. oi is encoded before ShipOpenInterval
+// returns and not referenced afterwards, so the caller may reuse its
+// memory at once.
 func (a *Agent) ShipOpenInterval(boundary int64, oi core.OpenInterval) error {
 	_, err := a.ship(boundary, frameOpenInterval, func(b []byte) []byte {
-		return appendOpenInterval(b, oi)
+		return a.enc.appendOpenInterval(b, oi)
 	}, false)
 	return err
 }
 
-// ship is the delivery path: encode under the lock, enter the replay
-// buffer, write or redial. It has one extra mode for relays: when
-// skipStale is set, a boundary at or below the collector's ack line (or
-// the replay-buffer tail) returns (false, nil) instead of an error — a
-// resumed relay legitimately re-closes boundaries its parent already
-// holds, and must settle its children for them without resending.
+// ship is the delivery path: check the boundary, encode, wait for replay
+// space, enter the replay buffer, write or redial. The frame is encoded
+// into a recycled payload before the wait and without holding a.mu, so
+// with a full replay buffer frame k+1 is encoded while the collector is
+// still closing frame k; it is still written only once k's ack has made
+// room. It has one extra mode for relays: when skipStale is set, a
+// boundary at or below the collector's ack line (or the replay-buffer
+// tail) returns (false, nil) instead of an error — a resumed relay
+// legitimately re-closes boundaries its parent already holds, and must
+// settle its children for them without resending.
 func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, skipStale bool) (bool, error) {
+	a.shipMu.Lock()
+	defer a.shipMu.Unlock()
+	a.mu.Lock()
+	if ok, err := a.shippableLocked(boundary, skipStale); !ok {
+		a.mu.Unlock()
+		return false, err
+	}
+	var payload []byte
+	if n := len(a.free); n > 0 {
+		payload, a.free[n-1] = a.free[n-1], nil
+		a.free = a.free[:n-1]
+	}
+	a.mu.Unlock()
+
+	payload = appendVarint(payload, boundary)
+	payload = append(payload, codecVersion)
+	payload = encodeBody(payload)
+
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	// Wait for replay space; acks free it, a dead connection has to be
+	// redialed first for them to arrive.
+	for {
+		if a.closed {
+			return false, fmt.Errorf("wire: agent %d closed", a.id)
+		}
+		if a.permErr != nil {
+			return false, a.permErr
+		}
+		if len(a.replay) < a.opts.ReplayBuffer {
+			break
+		}
+		if a.conn == nil {
+			if err := a.reconnectLocked(a.redialAttempts()); err != nil {
+				return false, err
+			}
+			continue
+		}
+		a.cond.Wait()
+	}
+	if skipStale && boundary <= a.acked {
+		// The ack line moved past this boundary while waiting for replay
+		// space (a reconnect handshake can advance it): already settled.
+		return false, nil
+	}
+
+	entry := replayEntry{typ: typ, boundary: boundary, payload: payload}
+	a.replay = append(a.replay, entry)
+
+	if a.conn == nil {
+		// The reconnect handshake replays the whole buffer, the new
+		// entry included.
+		return true, a.reconnectLocked(a.redialAttempts())
+	}
+	if err := writeFrame(a.w, entry.typ, entry.payload); err == nil {
+		if err = a.w.Flush(); err == nil {
+			return true, nil
+		}
+	}
+	// The write broke the connection; the entry is safe in the replay
+	// buffer, so redialing both repairs the stream and resends it.
+	a.dropConnLocked()
+	return true, a.reconnectLocked(a.redialAttempts())
+}
+
+// shippableLocked applies ship's entry checks: the agent is open and
+// healthy, and boundary lies beyond both the ack line and the replay
+// tail. With skipStale a stale boundary reports (false, nil). a.mu must
+// be held; ship serializes on shipMu, so nothing but acks moves the
+// lines between this check and the frame's entry.
+func (a *Agent) shippableLocked(boundary int64, skipStale bool) (bool, error) {
 	if a.closed {
 		return false, fmt.Errorf("wire: agent %d closed", a.id)
 	}
@@ -321,50 +415,7 @@ func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, s
 		}
 		return false, fmt.Errorf("wire: agent %d boundary %d not after %d", a.id, boundary, a.replay[n-1].boundary)
 	}
-
-	// Wait for replay space; acks free it, a dead connection has to be
-	// redialed first for them to arrive.
-	for len(a.replay) >= a.opts.ReplayBuffer {
-		if a.permErr != nil {
-			return false, a.permErr
-		}
-		if a.closed {
-			return false, fmt.Errorf("wire: agent %d closed", a.id)
-		}
-		if a.conn == nil {
-			if err := a.reconnectLocked(a.redialAttempts()); err != nil {
-				return false, err
-			}
-			continue
-		}
-		a.cond.Wait()
-	}
-	if skipStale && boundary <= a.acked {
-		// The ack line moved past this boundary while waiting for replay
-		// space (a reconnect handshake can advance it): already settled.
-		return false, nil
-	}
-
-	a.buf = appendVarint(a.buf[:0], boundary)
-	a.buf = append(a.buf, codecVersion)
-	a.buf = encodeBody(a.buf)
-	entry := replayEntry{typ: typ, boundary: boundary, payload: append([]byte(nil), a.buf...)}
-	a.replay = append(a.replay, entry)
-
-	if a.conn == nil {
-		// The reconnect handshake replays the whole buffer, the new
-		// entry included.
-		return true, a.reconnectLocked(a.redialAttempts())
-	}
-	if err := writeFrame(a.w, entry.typ, entry.payload); err == nil {
-		if err = a.w.Flush(); err == nil {
-			return true, nil
-		}
-	}
-	// The write broke the connection; the entry is safe in the replay
-	// buffer, so redialing both repairs the stream and resends it.
-	a.dropConnLocked()
-	return true, a.reconnectLocked(a.redialAttempts())
+	return true, nil
 }
 
 // shipRelayInterval ships a relay's merged interval upstream as a
@@ -377,7 +428,7 @@ func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, s
 func (a *Agent) shipRelayInterval(boundary int64, spanLo, spanLen int, missing []int, oi core.OpenInterval) (bool, error) {
 	return a.ship(boundary, frameRelayInterval, func(b []byte) []byte {
 		b = appendRelayHeader(b, spanLo, spanLen, missing)
-		return appendOpenInterval(b, oi)
+		return a.enc.appendOpenInterval(b, oi)
 	}, true)
 }
 
@@ -410,11 +461,16 @@ func (a *Agent) unackedFrames() int {
 
 // replayState copies the unacked replay entries, boundary ascending —
 // what a relay checkpoint must persist so a restart can re-offer them.
-// Payload slices are shared; entries are immutable once buffered.
+// The payloads are copied too: once acked, a payload is recycled into
+// a later frame.
 func (a *Agent) replayState() []replayEntry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]replayEntry(nil), a.replay...)
+	out := append([]replayEntry(nil), a.replay...)
+	for i := range out {
+		out[i].payload = append([]byte(nil), out[i].payload...)
+	}
+	return out
 }
 
 // preloadReplay seeds the replay buffer from a relay checkpoint before

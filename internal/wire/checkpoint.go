@@ -132,7 +132,7 @@ func decodeHeldFrames(r *reader) []replayEntry {
 			r.fail("held frame boundary %d not after %d", e.boundary, prev)
 		}
 		prev = e.boundary
-		e.payload = r.bytes(r.length(1))
+		e.payload = r.bytes(r.length(1), nil)
 		if e.payload == nil {
 			e.payload = []byte{}
 		}

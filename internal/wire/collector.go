@@ -258,12 +258,16 @@ type helloReply struct {
 	code    uint64
 	gen     int
 	credits chan struct{}
+	free    chan *intervalDecoder
 }
 
 // queuedFrame is one received-but-unabsorbed interval frame.
 type queuedFrame struct {
 	boundary int64
 	oi       core.OpenInterval
+	// dec is the decoder whose memory oi lives in, returned to the
+	// agent's free list once oi is absorbed or dropped.
+	dec *intervalDecoder
 	// Relay frames additionally carry the sender's global leaf span and
 	// the in-span leaf IDs its boundary closed without; spanLen is 0 for
 	// plain agent frames.
@@ -273,11 +277,16 @@ type queuedFrame struct {
 
 // agentState is the merge loop's per-agent record.
 type agentState struct {
-	status   agentStatus
-	gen      int           // connection generation; stale events carry an older one
-	conn     net.Conn      // live connection, nil otherwise
-	ackCh    chan int64    // latest-wins ack channel to conn's ack writer; set and cleared with conn
-	credits  chan struct{} // ingest tokens the connection's reader consumes
+	status  agentStatus
+	gen     int           // connection generation; stale events carry an older one
+	conn    net.Conn      // live connection, nil otherwise
+	ackCh   chan int64    // latest-wins ack channel to conn's ack writer; set and cleared with conn
+	credits chan struct{} // ingest tokens the connection's reader consumes
+	// free is the agent's free list of decoders whose frames have been
+	// absorbed or dropped; its connections decode into them. It outlives
+	// connections, and the ingest credits bound how many decoders one
+	// connection has in flight.
+	free     chan *intervalDecoder
 	queue    []queuedFrame // pending frames, boundary ascending
 	absorbed int64         // highest boundary absorbed into the primary
 	// emittedAtAbsorb is the session's emitted count when the agent last
@@ -340,7 +349,7 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	}
 	s.ag = make([]*agentState, c.cc.Agents)
 	for i := range s.ag {
-		s.ag[i] = &agentState{}
+		s.ag[i] = &agentState{free: make(chan *intervalDecoder, c.cc.queueCap+1)}
 	}
 	if c.restored != nil {
 		c.restore(s)
@@ -446,8 +455,7 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 		if _, ok := err.(errBadHelloVersion); ok {
 			code = errCodeBadVersion
 		}
-		writeFrame(conn, frameError, appendError(nil, code, err.Error()))
-		conn.Close()
+		reject(conn, code, err)
 		return
 	}
 	reply := make(chan helloReply, 1)
@@ -465,8 +473,7 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 		return
 	}
 	if r.err != nil {
-		writeFrame(conn, frameError, appendError(nil, r.code, r.err.Error()))
-		conn.Close()
+		reject(conn, r.code, r.err)
 		return
 	}
 
@@ -479,20 +486,28 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 	}
 	br := bufio.NewReader(conn)
 	var last int64
+	var buf []byte // the connection's payload buffer, reused frame to frame
 	for {
 		select {
 		case <-r.credits:
 		case <-done:
 			return
 		}
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrameInto(br, buf)
 		if err != nil {
 			fail(err)
 			return
 		}
+		buf = payload
 		switch typ {
 		case frameOpenInterval, frameRelayInterval:
-			frame, err := decodeIntervalPayload(typ, payload)
+			var d *intervalDecoder
+			select {
+			case d = <-r.free:
+			default:
+				d = new(intervalDecoder)
+			}
+			frame, err := d.decodePayload(typ, payload)
 			if err == nil && frame.boundary <= last {
 				err = fmt.Errorf("wire: boundary %d not after %d on one connection", frame.boundary, last)
 			}
@@ -519,6 +534,16 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 	}
 }
 
+// reject answers a refused handshake with an Error frame, best effort,
+// and closes the connection.
+func reject(conn net.Conn, code uint64, err error) {
+	w := bufio.NewWriter(conn)
+	if writeFrame(w, frameError, appendError(nil, code, err.Error())) == nil {
+		w.Flush()
+	}
+	conn.Close()
+}
+
 // byeOKSentinel on the ack channel makes the ack writer emit a ByeOK
 // confirmation instead of an Ack; it is pushed (then the channel
 // closed) when the merge loop applies the agent's Bye.
@@ -542,13 +567,15 @@ func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{
 	if err := w.Flush(); err != nil {
 		return
 	}
+	var ack []byte // Ack payload scratch
 	write := func(b int64) bool {
 		typ := byte(frameAck)
 		var payload []byte
 		if b == byeOKSentinel {
 			typ = frameByeOK
 		} else {
-			payload = appendBoundary(nil, b)
+			ack = appendBoundary(ack[:0], b)
+			payload = ack
 		}
 		if err := writeFrame(w, typ, payload); err != nil {
 			return false
@@ -737,6 +764,15 @@ func (c *Collector) armHold(s *session) {
 	})
 }
 
+// recycle puts a decoder whose frame was absorbed or dropped on the
+// agent's free list.
+func (a *agentState) recycle(d *intervalDecoder) {
+	select {
+	case a.free <- d:
+	default:
+	}
+}
+
 // refund returns one ingest credit to the agent's current connection.
 func (a *agentState) refund() {
 	if a.credits == nil {
@@ -792,6 +828,7 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 			return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
 		}
 		frameMissing = append(frameMissing, fr.missing...)
+		st.recycle(fr.dec) // the absorb copied everything out of it
 		st.queue[0] = queuedFrame{}
 		st.queue = st.queue[1:]
 		st.absorbed = b
@@ -813,6 +850,7 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 		missing := s.missingFor(b, frameMissing, c.fwd.spanLo)
 		oi := c.primary.DrainOpenInterval()
 		shipped, err := c.fwd.agent.shipRelayInterval(b, c.fwd.spanLo, c.fwd.spanLen, missing, oi)
+		c.primary.RecycleOpenInterval(oi) // the ship encoded it
 		if err != nil {
 			return fmt.Errorf("wire: forwarding boundary %d: %w", b, err)
 		}
@@ -877,6 +915,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 	case evFrame:
 		st := s.ag[ev.id]
 		if ev.gen != st.gen {
+			st.recycle(ev.frame.dec)
 			return nil // stale connection; its frames replay on the new one
 		}
 		if ev.frame.spanLen > 0 {
@@ -893,6 +932,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 			} else {
 				c.met.Agent(ev.id).IncDupDrops()
 			}
+			st.recycle(ev.frame.dec)
 			st.refund()
 			if st.conn != nil && s.acked > 0 {
 				pushLatest(st.ackCh, s.acked)
@@ -1004,5 +1044,5 @@ func (c *Collector) handleHello(s *session, ev event) {
 	}()
 	c.met.Agent(h.agentID).SetLastAcked(resume)
 	c.met.Agent(h.agentID).SetStatus(metrics.StatusLive)
-	ev.reply <- helloReply{gen: st.gen, credits: st.credits}
+	ev.reply <- helloReply{gen: st.gen, credits: st.credits, free: st.free}
 }

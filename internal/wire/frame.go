@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/flow"
@@ -119,12 +121,12 @@ func frameLimit(typ byte) (uint32, error) {
 }
 
 // writeFrame writes one length-prefixed frame: uint32 big-endian payload
-// length (including the type byte), the type byte, then the payload.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+// length (including the type byte), the type byte, then the payload. The
+// header is built in w's free buffer space, so a frame costs no
+// allocation; the caller flushes.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)+1))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return fmt.Errorf("wire: writing frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -133,25 +135,52 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame, returning its type and payload.
+// frameGrowStep bounds how far a frame's payload buffer may grow ahead
+// of the bytes actually received. The length field is the peer's claim,
+// not a fact: a peer that names a maxFrameLen frame and then sends ten
+// bytes costs one step of memory, not the gigabyte it claimed.
+const frameGrowStep = 1 << 20
+
+// readFrame reads one frame into a fresh payload, returning its type and
+// payload.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto reads one frame, returning its type and payload. The
+// payload is read into buf's memory while it fits, then into memory
+// grown in steps of at most frameGrowStep as the bytes arrive; a caller
+// that passes the previous payload back reads a steady stream of frames
+// without allocating.
+func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
+	// The header is read into buf too: a local array would escape
+	// through the io.Reader call and cost an allocation per frame.
+	hdr := append(buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	limit, err := frameLimit(hdr[4])
+	typ = hdr[4]
+	limit, err := frameLimit(typ)
 	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 || n > limit {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range for type %d", n, hdr[4])
+		return 0, nil, fmt.Errorf("wire: frame length %d out of range for type %d", n, typ)
 	}
-	payload = make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: reading frame payload: %w", err)
+	buf = hdr
+	need := int(n - 1)
+	payload = buf[:min(need, cap(buf))]
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return 0, nil, fmt.Errorf("wire: reading frame payload: %w", err)
+		}
+		if read = len(payload); read == need {
+			return typ, payload, nil
+		}
+		payload = slices.Grow(payload, min(need-read, frameGrowStep))
+		payload = payload[:min(need, cap(payload))]
 	}
-	return hdr[4], payload, nil
 }
 
 // ConfigDigest hashes the detection-relevant configuration — the

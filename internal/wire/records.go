@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math"
-	"slices"
 
 	"anomalyx/internal/flow"
 )
@@ -38,19 +37,36 @@ import (
 // the row-wise codec this replaces silently truncated a SrcPort of
 // 0x1FFFF to 65535 instead of failing.
 
+// encoder is the interval encoder's reusable scratch: the dictionary
+// columns' sort keys, their radix ping-pong buffer, and the per-row
+// dictionary indices. An Agent keeps one across frames, so the
+// steady-state encode allocates nothing beyond its output; the zero
+// value is ready to use.
+type encoder struct {
+	keys, tmp []uint64
+	idx       []uint32
+	out       []byte // EncodeOpenIntervalSnapshot's output scratch
+}
+
+// appendRecordSection appends the columnar encoding of buf with fresh
+// scratch; see encoder.appendRecordSection.
+func appendRecordSection(b []byte, buf *flow.Buffer) []byte {
+	return new(encoder).appendRecordSection(b, buf)
+}
+
 // appendRecordSection appends the columnar encoding of buf: the row
 // count, then each column in the fixed order above. The empty buffer is
 // just a zero count.
-func appendRecordSection(b []byte, buf *flow.Buffer) []byte {
+func (e *encoder) appendRecordSection(b []byte, buf *flow.Buffer) []byte {
 	n := buf.Len()
 	b = appendUvarint(b, uint64(n))
 	if n == 0 {
 		return b
 	}
-	b = appendDictColumn(b, buf.SrcAddr)
-	b = appendDictColumn(b, buf.DstAddr)
-	b = appendDictColumn(b, buf.SrcPort)
-	b = appendDictColumn(b, buf.DstPort)
+	b = appendDictColumn(b, buf.SrcAddr, e)
+	b = appendDictColumn(b, buf.DstAddr, e)
+	b = appendDictColumn(b, buf.SrcPort, e)
+	b = appendDictColumn(b, buf.DstPort, e)
 	b = append(b, buf.Protocol...)
 	b = append(b, buf.TCPFlags...)
 	for _, v := range buf.Packets {
@@ -74,35 +90,97 @@ func appendRecordSection(b []byte, buf *flow.Buffer) []byte {
 // size, the sorted distinct values as gap uvarints, then — unless the
 // dictionary is a single value, which already determines every row —
 // one dictionary index per row.
-func appendDictColumn[V uint16 | uint32](b []byte, col []V) []byte {
-	dict := make([]V, len(col))
-	copy(dict, col)
-	slices.Sort(dict)
-	dict = slices.Compact(dict)
-	b = appendUvarint(b, uint64(len(dict)))
-	prev := uint64(0)
-	for i, v := range dict {
-		if i == 0 {
-			b = appendUvarint(b, uint64(v))
-		} else {
-			b = appendUvarint(b, uint64(v)-prev-1)
-		}
-		prev = uint64(v)
+//
+// One argsort yields both halves. Each row becomes the key
+// value<<32 | row, radix-sorted by its value bits; a walk over the
+// sorted keys then meets the distinct values in ascending order and
+// hands every row its dictionary index on the way. No column copy, no
+// comparison sort, no per-row search.
+func appendDictColumn[V uint16 | uint32](b []byte, col []V, e *encoder) []byte {
+	n := len(col)
+	if n == 0 {
+		return appendUvarint(b, 0)
 	}
-	if len(dict) == 1 {
+	e.keys, e.tmp = resize(e.keys, n), resize(e.tmp, n)
+	for i, v := range col {
+		e.keys[i] = uint64(v)<<32 | uint64(i)
+	}
+	keys := sortKeysByValue(e.keys, e.tmp)
+	e.idx = resize(e.idx, n)
+	idx := e.idx
+	d := uint32(0)
+	prev := keys[0] >> 32
+	for _, k := range keys {
+		if v := k >> 32; v != prev {
+			d++
+			prev = v
+		}
+		idx[uint32(k)] = d
+	}
+	b = appendUvarint(b, uint64(d)+1)
+	prev = keys[0] >> 32
+	b = appendUvarint(b, prev)
+	for _, k := range keys[1:] {
+		if v := k >> 32; v != prev {
+			b = appendUvarint(b, v-prev-1)
+			prev = v
+		}
+	}
+	if d == 0 {
 		return b
 	}
-	for _, v := range col {
-		idx, _ := slices.BinarySearch(dict, v)
-		b = appendUvarint(b, uint64(idx))
+	for _, x := range idx {
+		b = appendUvarint(b, uint64(x))
 	}
 	return b
 }
 
+// sortKeysByValue orders keys by their upper 32 bits (the column value)
+// with an LSD radix sort over only the value bytes that vary across the
+// column — one or two passes for ports, at most four for addresses —
+// and returns the sorted slice, which is keys or tmp (len(tmp) >=
+// len(keys)).
+func sortKeysByValue(keys, tmp []uint64) []uint64 {
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	src, dst := keys, tmp[:len(keys)]
+	var offs [256]int
+	for shift := uint(32); shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		clear(offs[:])
+		for _, k := range src {
+			offs[byte(k>>shift)]++
+		}
+		sum := 0
+		for d, c := range offs {
+			offs[d], sum = sum, sum+c
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[offs[d]] = k
+			offs[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// recordScratch is the record decoder's reusable scratch: one
+// dictionary's values and its entries' used marks.
+type recordScratch struct {
+	dict []uint32
+	used []bool
+}
+
 // decodeDictColumn parses one dictionary-coded column of n rows whose
 // values must fit in max (the field's range — the overflow range check
-// decodeRecord lacked). field names the column in errors.
-func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field string) []V {
+// decodeRecord lacked) into dst's memory when it is large enough. field
+// names the column in errors.
+func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field string, dst []V, sc *recordScratch) []V {
 	d := r.length(1)
 	if r.err() != nil {
 		return nil
@@ -111,7 +189,8 @@ func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field str
 		r.fail("%s dictionary size %d out of [1,%d]", field, d, n)
 		return nil
 	}
-	dict := make([]V, d)
+	sc.dict = resize(sc.dict, d)
+	dict := sc.dict
 	prev := uint64(0)
 	for i := range dict {
 		at := r.off
@@ -130,17 +209,19 @@ func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field str
 			r.fail("%s value %d overflows %d at byte %d", field, v, max, at)
 			return nil
 		}
-		dict[i] = V(v)
+		dict[i] = uint32(v)
 		prev = v
 	}
-	col := make([]V, n)
+	col := resize(dst, n)
 	if d == 1 {
 		for i := range col {
-			col[i] = dict[0]
+			col[i] = V(dict[0])
 		}
 		return col
 	}
-	used := make([]bool, d)
+	sc.used = resize(sc.used, d)
+	used := sc.used
+	clear(used)
 	for i := range col {
 		at := r.off
 		idx := r.uvarint()
@@ -151,7 +232,7 @@ func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field str
 			r.fail("%s index %d out of dictionary range %d at byte %d", field, idx, d, at)
 			return nil
 		}
-		col[i] = dict[idx]
+		col[i] = V(dict[idx])
 		used[idx] = true
 	}
 	// A dictionary entry no row references cannot come from the encoder
@@ -166,28 +247,41 @@ func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field str
 	return col
 }
 
-// decodeRecordSection parses a columnar record section into a buffer.
-// Failures — truncation, range overflows, non-canonical dictionaries —
-// land in the reader's error as usual.
+// decodeRecordSection parses a columnar record section into a fresh
+// buffer; see decodeRecordsInto.
 func decodeRecordSection(r *reader) flow.Buffer {
 	var buf flow.Buffer
+	decodeRecordsInto(r, &buf, new(recordScratch))
+	if r.err() != nil {
+		return flow.Buffer{}
+	}
+	return buf
+}
+
+// decodeRecordsInto parses a columnar record section into buf, reusing
+// its columns' memory. Failures — truncation, range overflows,
+// non-canonical dictionaries — land in the reader's error as usual, and
+// leave buf's contents unspecified. A zero-row section leaves buf with
+// zero-length columns (nil ones for a fresh buf).
+func decodeRecordsInto(r *reader, buf *flow.Buffer, sc *recordScratch) {
 	// Each row costs at least 6 bytes in the fixed-width columns alone
 	// (Protocol, TCPFlags, and one byte each for Packets, Bytes, Start,
 	// End), which bounds a forged row count.
 	n := r.length(6)
 	if n == 0 || r.err() != nil {
-		return buf
+		buf.Reset()
+		return
 	}
-	buf.SrcAddr = decodeDictColumn[uint32](r, n, math.MaxUint32, "SrcAddr")
-	buf.DstAddr = decodeDictColumn[uint32](r, n, math.MaxUint32, "DstAddr")
-	buf.SrcPort = decodeDictColumn[uint16](r, n, math.MaxUint16, "SrcPort")
-	buf.DstPort = decodeDictColumn[uint16](r, n, math.MaxUint16, "DstPort")
-	buf.Protocol = r.bytes(n)
-	buf.TCPFlags = r.bytes(n)
+	buf.SrcAddr = decodeDictColumn(r, n, math.MaxUint32, "SrcAddr", buf.SrcAddr, sc)
+	buf.DstAddr = decodeDictColumn(r, n, math.MaxUint32, "DstAddr", buf.DstAddr, sc)
+	buf.SrcPort = decodeDictColumn(r, n, math.MaxUint16, "SrcPort", buf.SrcPort, sc)
+	buf.DstPort = decodeDictColumn(r, n, math.MaxUint16, "DstPort", buf.DstPort, sc)
+	buf.Protocol = r.bytes(n, buf.Protocol)
+	buf.TCPFlags = r.bytes(n, buf.TCPFlags)
 	if r.err() != nil {
-		return flow.Buffer{}
+		return
 	}
-	buf.Packets = make([]uint32, n)
+	buf.Packets = resize(buf.Packets, n)
 	for i := range buf.Packets {
 		at := r.off
 		v := r.uvarint()
@@ -195,26 +289,22 @@ func decodeRecordSection(r *reader) flow.Buffer {
 			r.fail("Packets value %d overflows %d at byte %d", v, uint64(math.MaxUint32), at)
 		}
 		if r.err() != nil {
-			return flow.Buffer{}
+			return
 		}
 		buf.Packets[i] = uint32(v)
 	}
-	buf.Bytes = make([]uint64, n)
+	buf.Bytes = resize(buf.Bytes, n)
 	for i := range buf.Bytes {
 		buf.Bytes[i] = r.uvarint()
 	}
-	buf.Start = make([]int64, n)
+	buf.Start = resize(buf.Start, n)
 	prev := int64(0)
 	for i := range buf.Start {
 		prev += r.varint()
 		buf.Start[i] = prev
 	}
-	buf.End = make([]int64, n)
+	buf.End = resize(buf.End, n)
 	for i := range buf.End {
 		buf.End[i] = buf.Start[i] + r.varint()
 	}
-	if r.err() != nil {
-		return flow.Buffer{}
-	}
-	return buf
 }

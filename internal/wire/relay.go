@@ -80,19 +80,21 @@ func decodeRelayHeader(r *reader) (spanLo, spanLen int, missing []int) {
 	return spanLo, spanLen, missing
 }
 
-// decodeIntervalPayload parses the payload of one interval-bearing
-// frame (frameOpenInterval or frameRelayInterval) into the queued form
-// the merge loop absorbs.
-func decodeIntervalPayload(typ byte, payload []byte) (queuedFrame, error) {
+// decodePayload parses the payload of one interval-bearing frame
+// (frameOpenInterval or frameRelayInterval) into the queued form the
+// merge loop absorbs. The frame's interval lives in d's memory, and the
+// frame carries d so the merge loop can recycle it once absorbed.
+func (d *intervalDecoder) decodePayload(typ byte, payload []byte) (queuedFrame, error) {
 	rd := &reader{buf: payload}
-	frame := queuedFrame{boundary: rd.varint()}
+	frame := queuedFrame{boundary: rd.varint(), dec: d}
 	if v := rd.byte(); rd.err() == nil && v != codecVersion {
 		rd.fail("unsupported codec version %d (want %d)", v, codecVersion)
 	}
 	if typ == frameRelayInterval {
 		frame.spanLo, frame.spanLen, frame.missing = decodeRelayHeader(rd)
 	}
-	frame.oi = decodeOpenIntervalBody(rd)
+	d.decodeOpenInterval(rd)
+	frame.oi = d.oi
 	rd.expectEOF()
 	if rd.err() == nil && frame.boundary <= 0 {
 		rd.fail("non-positive snapshot boundary %d", frame.boundary)

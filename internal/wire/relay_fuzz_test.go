@@ -46,7 +46,7 @@ func FuzzRelayFrame(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fr, err := decodeIntervalPayload(frameRelayInterval, data); err == nil {
+		if fr, err := new(intervalDecoder).decodePayload(frameRelayInterval, data); err == nil {
 			if fr.spanLen < 1 {
 				t.Fatalf("accepted relay frame with empty span [%d,+%d)", fr.spanLo, fr.spanLen)
 			}

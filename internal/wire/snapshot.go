@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
@@ -33,10 +35,62 @@ func appendHistogram(b []byte, s histogram.Snapshot) []byte {
 	return b
 }
 
-func decodeHistogram(r *reader) histogram.Snapshot {
+// intervalDecoder is the memory decoded snapshots live in: arenas for
+// every histogram's snapshot header, bin counts, bin headers and value
+// entries, the open interval the lean decode fills, and the record
+// section's scratch. Each histogram's slices are carved from the arenas
+// as it is parsed, capacity-clipped so an append through one cannot
+// reach the next; reflect.DeepEqual cannot tell them from individually
+// allocated ones, so round-trip equality holds. The collector keeps a
+// free list of decoders per agent and decodes every frame into a
+// recycled one, so a warmed decode allocates nothing; a fresh decoder
+// holds exactly one decode's memory, which then belongs to the caller.
+type intervalDecoder struct {
+	oi     core.OpenInterval
+	snaps  []histogram.Snapshot
+	counts []uint64
+	heads  [][]histogram.ValueCount
+	ents   []histogram.ValueCount
+	rec    recordScratch
+}
+
+// reset empties the arenas for the next decode, keeping their memory.
+// Empty arenas are non-nil so that carving zero elements yields the same
+// non-nil empty slice a make would.
+func (d *intervalDecoder) reset() {
+	d.snaps, d.counts, d.heads, d.ents = emptied(d.snaps), emptied(d.counts), emptied(d.heads), emptied(d.ents)
+}
+
+// emptied returns s truncated to length zero, or a non-nil empty slice
+// for nil.
+func emptied[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s[:0]
+}
+
+// carve takes the next n elements of *arena and returns them,
+// capacity-clipped, with unspecified contents the caller overwrites.
+// When the arena cannot fit them it moves on to a fresh chunk of at
+// least max(n, atLeast) and twice its old capacity, leaving the slices
+// carved so far where they are: nothing is copied, and a decoder's
+// arenas settle after a few decodes at one chunk that holds everything.
+func carve[T any](arena *[]T, n, atLeast int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, max(n, atLeast, 2*cap(a)))
+	}
+	a = a[:len(a)+n]
+	*arena = a
+	return a[len(a)-n : len(a) : len(a)]
+}
+
+// histogram parses one histogram snapshot into the decoder's arenas.
+func (d *intervalDecoder) histogram(r *reader) histogram.Snapshot {
 	var s histogram.Snapshot
 	k := r.length(1)
-	s.Counts = make([]uint64, k)
+	s.Counts = carve(&d.counts, k, 0)
 	for i := range s.Counts {
 		s.Counts[i] = r.uvarint()
 	}
@@ -49,49 +103,34 @@ func decodeHistogram(r *reader) histogram.Snapshot {
 		r.fail("invalid value-tracking flag %d", tracked)
 		return s
 	}
-	s.Values = make([][]histogram.ValueCount, k)
-	// All bins parse into one slab in a single pass — a handful of
-	// allocations per histogram instead of one per non-empty bin, which
-	// used to dominate decode's allocation profile (~12k allocs per
-	// paper-shaped pipeline snapshot). Total is the sum of the entry
-	// counts, so it upper-bounds the distinct-value count on anything
-	// the encoder produced (only corrupt inputs carry zero-count
-	// entries in bulk, and those merely pay append growth); the bound
-	// is clamped by the remaining input so a forged Total cannot force
-	// a huge allocation. Bin boundaries are recorded as offsets and
-	// sub-sliced once the slab stops moving, capacity-clipped so an
-	// append through one bin cannot reach the next bin's entries.
-	// reflect.DeepEqual cannot tell slab sub-slices from individually
-	// allocated ones, so round-trip equality holds.
+	s.Values = carve(&d.heads, k, 0)
+	// Total is the sum of the entry counts, so it upper-bounds the
+	// distinct-value count on anything the encoder produced, which makes
+	// it the size of a fresh entry chunk; it is clamped by the remaining
+	// input so a forged Total cannot force a huge allocation.
 	hint := r.rem() / 2 // a value entry is at least two bytes
 	if s.Total < uint64(hint) {
 		hint = int(s.Total)
 	}
-	slab := make([]histogram.ValueCount, 0, hint)
-	offs := make([]int, k+1)
 	for b := 0; b < k; b++ {
 		n := r.length(2)
-		for i := 0; i < n; i++ {
+		if n == 0 {
+			s.Values[b] = nil
+			continue
+		}
+		vs := carve(&d.ents, n, hint)
+		for i := range vs {
 			at := r.off
-			vc := histogram.ValueCount{Value: r.uvarint(), Count: r.uvarint()}
+			vs[i] = histogram.ValueCount{Value: r.uvarint(), Count: r.uvarint()}
 			// The encoder writes each bin's values strictly ascending; a
 			// repeated or out-of-order value is bytes it never produces, so
 			// decode refuses it like any other non-canonical form.
-			if i > 0 && vc.Value <= slab[len(slab)-1].Value {
+			if i > 0 && vs[i].Value <= vs[i-1].Value {
 				r.fail("histogram bin %d value %d at byte %d not above %d; values must be strictly ascending",
-					b, vc.Value, at, slab[len(slab)-1].Value)
+					b, vs[i].Value, at, vs[i-1].Value)
 			}
-			slab = append(slab, vc)
 		}
-		offs[b+1] = len(slab)
-	}
-	if r.err() != nil {
-		return s
-	}
-	for b := 0; b < k; b++ {
-		if offs[b+1] > offs[b] {
-			s.Values[b] = slab[offs[b]:offs[b+1]:offs[b+1]]
-		}
+		s.Values[b] = vs
 	}
 	return s
 }
@@ -123,11 +162,11 @@ func appendDetector(b []byte, s detector.Snapshot) []byte {
 	return appendUvarint(b, uint64(s.Interval))
 }
 
-func decodeDetector(r *reader) detector.Snapshot {
+func (d *intervalDecoder) detector(r *reader) detector.Snapshot {
 	var s detector.Snapshot
-	s.Clones = make([]histogram.Snapshot, r.length(3))
+	s.Clones = carve(&d.snaps, r.length(3), 0)
 	for i := range s.Clones {
-		s.Clones[i] = decodeHistogram(r)
+		s.Clones[i] = d.histogram(r)
 	}
 	s.Prev = make([][]uint64, r.length(1))
 	for i := range s.Prev {
@@ -164,11 +203,11 @@ func appendBank(b []byte, s detector.BankSnapshot) []byte {
 	return b
 }
 
-func decodeBank(r *reader) detector.BankSnapshot {
+func (d *intervalDecoder) bank(r *reader) detector.BankSnapshot {
 	var s detector.BankSnapshot
 	s.Detectors = make([]detector.Snapshot, r.length(8))
 	for i := range s.Detectors {
-		s.Detectors[i] = decodeDetector(r)
+		s.Detectors[i] = d.detector(r)
 	}
 	return s
 }
@@ -208,7 +247,9 @@ func DecodePipelineSnapshot(b []byte) (core.PipelineSnapshot, error) {
 // byte).
 func decodePipelineBody(r *reader) core.PipelineSnapshot {
 	var s core.PipelineSnapshot
-	s.Bank = decodeBank(r)
+	d := new(intervalDecoder)
+	d.reset()
+	s.Bank = d.bank(r)
 	s.Buffer = decodeRecordSection(r)
 	return s
 }
@@ -255,9 +296,15 @@ func openIntervalOnly(s core.PipelineSnapshot) error {
 	return nil
 }
 
+// appendOpenInterval appends the lean body with fresh encoder scratch;
+// see encoder.appendOpenInterval.
+func appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
+	return new(encoder).appendOpenInterval(b, oi)
+}
+
 // appendOpenInterval appends the lean body: per detector the clone
 // histograms only, then the buffered flows.
-func appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
+func (e *encoder) appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
 	b = appendUvarint(b, uint64(len(oi.Clones)))
 	for _, clones := range oi.Clones {
 		b = appendUvarint(b, uint64(len(clones)))
@@ -265,23 +312,23 @@ func appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
 			b = appendHistogram(b, hs)
 		}
 	}
-	return appendRecordSection(b, &oi.Buffer)
+	return e.appendRecordSection(b, &oi.Buffer)
 }
 
-// decodeOpenIntervalBody parses a lean body into the drained
-// open-interval form the collector absorbs additively.
-func decodeOpenIntervalBody(r *reader) core.OpenInterval {
-	var oi core.OpenInterval
-	oi.Clones = make([][]histogram.Snapshot, r.length(8))
-	for i := range oi.Clones {
-		clones := make([]histogram.Snapshot, r.length(3))
+// decodeOpenInterval parses a lean body into d.oi, the drained
+// open-interval form the collector absorbs additively, reusing the
+// memory of d's previous decode.
+func (d *intervalDecoder) decodeOpenInterval(r *reader) {
+	d.reset()
+	d.oi.Clones = resize(emptied(d.oi.Clones), r.length(8))
+	for i := range d.oi.Clones {
+		clones := carve(&d.snaps, r.length(3), 0)
 		for c := range clones {
-			clones[c] = decodeHistogram(r)
+			clones[c] = d.histogram(r)
 		}
-		oi.Clones[i] = clones
+		d.oi.Clones[i] = clones
 	}
-	oi.Buffer = decodeRecordSection(r)
-	return oi
+	decodeRecordsInto(r, &d.oi.Buffer, &d.rec)
 }
 
 // openIntervalOf projects a history-free pipeline snapshot onto the
@@ -299,18 +346,27 @@ func openIntervalOf(s core.PipelineSnapshot) core.OpenInterval {
 
 // expandOpenInterval reconstructs the full snapshot shape from the lean
 // form, with canonical empty history sized from the decoded clones (the
-// bin count travels inside each histogram).
+// bin count travels inside each histogram). The history is carved from
+// three allocations — reference-count headers, their zeros, KL values —
+// however many detectors and clones there are.
 func expandOpenInterval(oi core.OpenInterval) core.PipelineSnapshot {
+	clones, bins := 0, 0
+	for _, cs := range oi.Clones {
+		clones += len(cs)
+		for _, hs := range cs {
+			bins += len(hs.Counts)
+		}
+	}
+	prev, zeros, kl := make([][]uint64, clones), make([]uint64, bins), make([]float64, clones)
 	var s core.PipelineSnapshot
 	s.Bank.Detectors = make([]detector.Snapshot, len(oi.Clones))
-	for i, clones := range oi.Clones {
-		ds := detector.Snapshot{
-			Clones: clones,
-			Prev:   make([][]uint64, len(clones)),
-			KLPrev: make([]float64, len(clones)),
-		}
-		for c := range clones {
-			ds.Prev[c] = make([]uint64, len(clones[c].Counts))
+	for i, cs := range oi.Clones {
+		n := len(cs)
+		ds := detector.Snapshot{Clones: cs, Prev: prev[:n:n], KLPrev: kl[:n:n]}
+		prev, kl = prev[n:], kl[n:]
+		for c := range cs {
+			k := len(cs[c].Counts)
+			ds.Prev[c], zeros = zeros[:k:k], zeros[k:]
 		}
 		s.Bank.Detectors[i] = ds
 	}
@@ -326,8 +382,17 @@ func EncodeOpenIntervalSnapshot(s core.PipelineSnapshot) ([]byte, error) {
 	if err := openIntervalOnly(s); err != nil {
 		return nil, err
 	}
-	return appendOpenInterval([]byte{codecVersion}, openIntervalOf(s)), nil
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.appendOpenInterval(append(e.out[:0], codecVersion), openIntervalOf(s))
+	return bytes.Clone(e.out), nil
 }
+
+// encoders recycles encoder scratch, output buffer included, across
+// EncodeOpenIntervalSnapshot calls: the frame is built in the pooled
+// buffer and copied out once at its exact size, instead of growing a
+// fresh slice append by append.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // DecodeOpenIntervalSnapshot parses an EncodeOpenIntervalSnapshot
 // payload into a full pipeline snapshot with canonical empty history.
@@ -338,9 +403,10 @@ func DecodeOpenIntervalSnapshot(b []byte) (core.PipelineSnapshot, error) {
 	if v := r.byte(); r.err() == nil && v != codecVersion {
 		return core.PipelineSnapshot{}, fmt.Errorf("wire: unsupported codec version %d (want %d)", v, codecVersion)
 	}
-	oi := decodeOpenIntervalBody(r)
+	d := new(intervalDecoder)
+	d.decodeOpenInterval(r)
 	r.expectEOF()
-	return expandOpenInterval(oi), r.err()
+	return expandOpenInterval(d.oi), r.err()
 }
 
 func boolByte(v bool) byte {

@@ -56,7 +56,12 @@ const codecVersion = 2
 // appendUvarint, appendVarint, and appendFloat64 are the codec's three
 // primitive writers. Floats are stored as their IEEE-754 bit pattern in
 // little-endian order — bit-exact round trips, no formatting ambiguity.
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+func appendUvarint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, v)
+}
 
 func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
@@ -101,6 +106,12 @@ func (r *reader) uvarint() uint64 {
 	if r.e != nil {
 		return 0
 	}
+	// Most fields — dictionary indices, small counts and gaps — fit in
+	// one byte, and a one-byte form is always minimal.
+	if off := r.off; off < len(r.buf) && r.buf[off] < 0x80 {
+		r.off = off + 1
+		return uint64(r.buf[off])
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail("malformed uvarint at byte %d", r.off)
@@ -109,23 +120,14 @@ func (r *reader) uvarint() uint64 {
 	// Reject non-minimal encodings (e.g. 0x80 0x00 for 0): the codec is
 	// canonical — every value has exactly one byte form — so decode must
 	// only accept what encode produces, or decode∘encode would not be
-	// the identity on accepted inputs.
-	if n != uvarintLen(v) {
+	// the identity on accepted inputs. A multi-byte form is minimal
+	// exactly when its last byte, the highest 7-bit group, is not zero.
+	if r.buf[r.off+n-1] == 0 {
 		r.fail("non-minimal uvarint at byte %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
-}
-
-// uvarintLen returns the length of the minimal uvarint encoding of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 func (r *reader) varint() int64 {
@@ -139,8 +141,9 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-// bytes reads n raw bytes into a fresh slice.
-func (r *reader) bytes(n int) []byte {
+// bytes reads n raw bytes into dst's memory when it is large enough,
+// else into a fresh slice.
+func (r *reader) bytes(n int, dst []byte) []byte {
 	if r.e != nil {
 		return nil
 	}
@@ -148,10 +151,19 @@ func (r *reader) bytes(n int) []byte {
 		r.fail("truncated %d-byte column at byte %d", n, r.off)
 		return nil
 	}
-	out := make([]byte, n)
+	out := resize(dst, n)
 	copy(out, r.buf[r.off:])
 	r.off += n
 	return out
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (r *reader) float64() float64 {
@@ -179,7 +191,9 @@ func (r *reader) length(minBytes int) int {
 	if minBytes < 1 {
 		minBytes = 1
 	}
-	if n > uint64(r.rem()/minBytes) {
+	// n > rem/minBytes, without a division per call: n <= rem rules out
+	// overflow in the product.
+	if rem := uint64(r.rem()); n > rem || n*uint64(minBytes) > rem {
 		r.fail("length %d exceeds remaining input (%d bytes)", n, r.rem())
 		return 0
 	}

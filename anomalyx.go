@@ -229,9 +229,6 @@ type (
 	// WireCollector merges N agents' interval frames and owns all
 	// detection state.
 	WireCollector = wire.Collector
-	// PipelineSnapshot is a pipeline's exported state — a lossless,
-	// canonically-encoded checkpoint.
-	PipelineSnapshot = core.PipelineSnapshot
 	// RetryConfig parameterizes an agent's redial backoff (capped
 	// exponential with seeded jitter).
 	RetryConfig = wire.RetryConfig
@@ -358,34 +355,6 @@ func NewRelay(cfg Config, rc RelayConfig) (*WireRelay, error) {
 	return wire.NewRelay(cfg, rc)
 }
 
-// EncodePipelineSnapshot serializes a pipeline snapshot with the
-// canonical versioned codec; DecodePipelineSnapshot is its inverse.
-func EncodePipelineSnapshot(s PipelineSnapshot) []byte { return wire.EncodePipelineSnapshot(s) }
-
-// DecodePipelineSnapshot parses an EncodePipelineSnapshot payload.
-func DecodePipelineSnapshot(b []byte) (PipelineSnapshot, error) {
-	return wire.DecodePipelineSnapshot(b)
-}
-
-// EncodeOpenIntervalSnapshot serializes a drained open interval in the
-// lean form agents ship every interval boundary — clone histograms and
-// flow buffer only. It errors on snapshots carrying detection history;
-// use EncodePipelineSnapshot for full checkpoints.
-func EncodeOpenIntervalSnapshot(s PipelineSnapshot) ([]byte, error) {
-	return wire.EncodeOpenIntervalSnapshot(s)
-}
-
-// DecodeOpenIntervalSnapshot parses an EncodeOpenIntervalSnapshot
-// payload into a full snapshot with canonical empty history.
-func DecodeOpenIntervalSnapshot(b []byte) (PipelineSnapshot, error) {
-	return wire.DecodeOpenIntervalSnapshot(b)
-}
-
-// ConfigDigest hashes the detection-relevant configuration — what both
-// ends of a wire connection must agree on for snapshots to merge
-// meaningfully.
-func ConfigDigest(cfg Config) uint64 { return wire.ConfigDigest(cfg) }
-
 // NetFlow I/O.
 type (
 	// FlowReader streams flow records from concatenated NetFlow v5
@@ -410,5 +379,7 @@ var NewV9Encoder = netflow.NewV9Encoder
 var NewFlowReader = netflow.NewReader
 
 // NewFlowWriter wraps an io.Writer; bootMs is the simulated exporter boot
-// time in Unix milliseconds.
+// time in Unix milliseconds. Write rejects a flow whose times the v5
+// packets cannot carry: before bootMs, 2^32 ms or more after it, or
+// ending outside the header's uint32 export seconds.
 var NewFlowWriter = netflow.NewWriter

@@ -329,9 +329,7 @@ func BenchmarkDetectorInterval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range recs {
-			d.Observe(&recs[j])
-		}
+		d.ObserveBatch(recs)
 		d.EndInterval()
 	}
 }

@@ -14,18 +14,24 @@ import (
 	"anomalyx/internal/tracegen"
 )
 
-// rowFormExtract is the retained row-form (AoS) extraction every
-// index-based path is pinned against, sharing none of its code: the
-// sequential prefilter.Filter over plain records, itemset.FromFlows, and
-// the paper's own Apriori. It fills the report fields ExtractOffline
-// does.
+// rowFormExtract is the row-form (AoS) extraction every index-based
+// path is pinned against, sharing none of its code: the MetaData
+// predicate of the configured strategy applied record by record
+// (MatchesFlowAll for the intersection, MatchesFlow otherwise),
+// itemset.FromFlows, and the paper's own Apriori. It fills the report
+// fields ExtractOffline does.
 func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta detector.MetaData) *core.Report {
 	t.Helper()
-	strategy := cfg.Prefilter
-	if strategy == nil {
-		strategy = prefilter.Union{}
+	match := meta.MatchesFlow
+	if _, all := cfg.Prefilter.(prefilter.Intersection); all {
+		match = meta.MatchesFlowAll
 	}
-	suspicious := prefilter.Filter(strategy, meta, recs)
+	var suspicious []flow.Record
+	for i := range recs {
+		if match(&recs[i]) {
+			suspicious = append(suspicious, recs[i])
+		}
+	}
 	rep := &core.Report{TotalFlows: len(recs), Alarm: true, SuspiciousFlows: len(suspicious)}
 	if cfg.KeepSuspicious {
 		rep.Suspicious = suspicious
@@ -84,8 +90,9 @@ func diffTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
 // columnar buffer: across the full (shards, workers) grid, every
 // alarming interval's extraction — run online over the pipeline's SoA
 // flow.Buffer through the columnar prefilter scan — must agree exactly
-// with rowFormExtract, the retained row-form (AoS) path that filters a
-// plain []flow.Record sequentially and mines it with Apriori, given the
+// with rowFormExtract, the row-form (AoS) path that applies the
+// MetaData predicate to a plain []flow.Record record by record and
+// mines the survivors with Apriori, given the
 // same records and the interval's voted meta-data — and so must
 // core.ExtractOffline, field for field. For the unsharded runs the
 // KeepSuspicious forensic slice must match record for record, order

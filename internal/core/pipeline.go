@@ -136,9 +136,11 @@ type Pipeline struct {
 	// column-wise. Each buffer is its own allocation: partitions append
 	// concurrently, and adjacent column headers would share cache lines.
 	buffers []*flow.Buffer
-	// batches is ObserveBatch's partition scratch: one sub-batch per
+	// batches is the ingest's partition scratch: one sub-batch per
 	// partition, emptied and refilled by every partitioned batch.
 	batches [][]flow.Record
+	// one is Observe's one-record batch.
+	one [1]flow.Record
 
 	// extract is the extraction stage's scratch, allocated by the first
 	// alarm close that has meta-data to extract by, so a pipeline that
@@ -165,9 +167,9 @@ type Pipeline struct {
 // across partitions mid-stream.
 const partitionSeed = 0x5ca1ab1ec0ffee
 
-// minParallelBatch is the batch size below which a partitioned
-// ObserveBatch skips the partition + goroutine fan-out and routes records
-// one by one.
+// minParallelBatch is the batch size below which a partitioned ingest
+// feeds its partitions one after another on the calling goroutine
+// instead of fanning them out.
 const minParallelBatch = 128
 
 // New builds a one-partition pipeline from cfg.
@@ -213,28 +215,20 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // in one partition.
 func (p *Pipeline) ShardOf(rec *flow.Record) int { return p.part.Bin(rec.Key(), len(p.banks)) }
 
-// Observe feeds one flow of the current interval.
+// Observe feeds one flow of the current interval: a one-record
+// ObserveBatch, through a scratch batch that adds no allocation.
 func (p *Pipeline) Observe(rec flow.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.observeLocked(&rec)
-}
-
-// observeLocked routes one record to its partition. p.mu must be held.
-func (p *Pipeline) observeLocked(rec *flow.Record) {
-	i := 0
-	if len(p.banks) > 1 {
-		i = p.ShardOf(rec)
-	}
-	p.buffers[i].Append(*rec)
-	p.banks[i].Observe(rec)
+	p.one[0] = rec
+	p.ingest(p.one[:])
 }
 
 // ObserveBatch feeds a batch of flows of the current interval. It
 // amortizes per-record overhead and fans the detector-bank updates out
 // over the configured worker pool — and, over several partitions,
 // ingests each partition's share of the batch on its own goroutine. The
-// resulting state is identical to observing each record with Observe:
+// resulting state does not depend on how the records are batched:
 // value-table updates commute, and each partition is owned by one
 // goroutine.
 func (p *Pipeline) ObserveBatch(recs []flow.Record) {
@@ -243,37 +237,41 @@ func (p *Pipeline) ObserveBatch(recs []flow.Record) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch {
-	case len(p.banks) == 1:
+	p.ingest(recs)
+}
+
+// ingest is the one ingest route: it scatters recs to their partitions
+// by ShardOf and feeds each partition its share, concurrently unless the
+// batch is small. p.mu must be held.
+func (p *Pipeline) ingest(recs []flow.Record) {
+	if len(p.banks) == 1 {
 		p.observePart(0, recs)
-	case len(recs) < minParallelBatch:
-		// The fan-out costs more than it saves on small batches (the
-		// engine flushes a few pending records before every pre-formed
-		// batch, for example).
-		for i := range recs {
-			p.observeLocked(&recs[i])
-		}
-	default:
-		for i := range p.batches {
-			p.batches[i] = p.batches[i][:0]
-		}
-		for i := range recs {
-			s := p.ShardOf(&recs[i])
-			p.batches[s] = append(p.batches[s], recs[i])
-		}
-		var wg sync.WaitGroup
-		for i, part := range p.batches {
-			if len(part) == 0 {
-				continue
-			}
+		return
+	}
+	for i := range p.batches {
+		p.batches[i] = p.batches[i][:0]
+	}
+	for i := range recs {
+		s := p.ShardOf(&recs[i])
+		p.batches[s] = append(p.batches[s], recs[i])
+	}
+	// The fan-out costs more than it saves on small batches.
+	inline := len(recs) < minParallelBatch
+	var wg sync.WaitGroup
+	for i, part := range p.batches {
+		switch {
+		case len(part) == 0:
+		case inline:
+			p.observePart(i, part)
+		default:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				p.observePart(i, part)
 			}()
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 }
 
 // observePart ingests recs into partition i. p.mu must be held.

@@ -135,15 +135,6 @@ func (b *Bank) runTasks(n int, gen func(i int) func()) {
 	wg.Wait()
 }
 
-// Observe feeds one flow into every feature detector.
-func (b *Bank) Observe(rec *flow.Record) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, d := range b.detectors {
-		d.Observe(rec)
-	}
-}
-
 // ObserveBatch feeds a batch of flows into every feature detector,
 // fanning one task per detector out over the worker pool. The result is
 // identical to observing each record sequentially: value-table updates

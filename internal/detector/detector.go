@@ -188,13 +188,10 @@ func newCloneSet(cfg Config) *histogram.CloneSet {
 // Config returns the detector's effective configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Observe feeds one flow record into the current interval.
-func (d *Detector) Observe(rec *flow.Record) { d.cur.Add(rec.Feature(d.cfg.Feature)) }
-
 // ObserveBatch feeds a batch of flow records into the current interval:
-// one value-table insert per record, whatever the clone count. It is
-// equivalent to calling Observe on each record, and it is the unit of
-// work the parallel bank schedules on its worker pool.
+// one value-table insert per record, whatever the clone count. Batching
+// does not change the result — the inserts commute — and a batch is the
+// unit of work the parallel bank schedules on its worker pool.
 func (d *Detector) ObserveBatch(recs []flow.Record) {
 	set, k := d.cur, d.cfg.Feature
 	for i := range recs {

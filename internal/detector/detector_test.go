@@ -10,11 +10,11 @@ import (
 // feedInterval feeds n flows with feature values drawn by gen, then closes
 // the interval.
 func feedInterval(d *Detector, n int, gen func(i int) uint64) Result {
-	for i := 0; i < n; i++ {
-		rec := flow.Record{}
-		rec.SetFeature(d.Config().Feature, gen(i))
-		d.Observe(&rec)
+	recs := make([]flow.Record, n)
+	for i := range recs {
+		recs[i].SetFeature(d.Config().Feature, gen(i))
 	}
+	d.ObserveBatch(recs)
 	return d.EndInterval()
 }
 
@@ -323,17 +323,18 @@ func TestBankUnionAcrossFeatures(t *testing.T) {
 	}
 	r := stats.NewRand(9)
 	feed := func(n int, anomalous bool) BankResult {
-		for i := 0; i < n; i++ {
-			rec := flow.Record{
+		recs := make([]flow.Record, n)
+		for i := range recs {
+			recs[i] = flow.Record{
 				DstPort: uint16(r.IntN(2000)),
 				Packets: uint32(1 + r.IntN(30)),
 			}
 			if anomalous && i < n/3 {
-				rec.DstPort = 31337
-				rec.Packets = 2
+				recs[i].DstPort = 31337
+				recs[i].Packets = 2
 			}
-			bank.Observe(&rec)
 		}
+		bank.ObserveBatch(recs)
 		return bank.EndInterval()
 	}
 	for i := 0; i < 20; i++ {

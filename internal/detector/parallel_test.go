@@ -54,8 +54,8 @@ func TestBankParallelMatchesSequential(t *testing.T) {
 			}
 			recs = append(recs, flood...)
 		}
-		for _, rec := range recs {
-			seq.Observe(&rec)
+		for i := range recs {
+			seq.ObserveBatch(recs[i : i+1])
 		}
 		par.ObserveBatch(recs)
 		sres := seq.EndInterval()

@@ -178,9 +178,7 @@ func VotingAblation(tr *TraceRun) (*VotingAblationResult, error) {
 		var res detector.BankResult
 		for idx := 0; idx <= target; idx++ {
 			recs := tr.Gen.Interval(idx)
-			for i := range recs {
-				bank.Observe(&recs[i])
-			}
+			bank.ObserveBatch(recs)
 			res = bank.EndInterval()
 		}
 		bank.Close()

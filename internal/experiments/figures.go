@@ -108,9 +108,7 @@ func Fig5(tr *TraceRun) (*Fig5Result, error) {
 	var res detector.Result
 	for idx := 0; idx <= target.Start; idx++ {
 		recs := tr.Gen.Interval(idx)
-		for i := range recs {
-			det.Observe(&recs[i])
-		}
+		det.ObserveBatch(recs)
 		res = det.EndInterval()
 	}
 	out := &Fig5Result{Interval: target.Start, Feature: flow.DstIP}

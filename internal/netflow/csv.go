@@ -2,7 +2,6 @@ package netflow
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -44,94 +43,4 @@ func WriteCSV(w io.Writer, records []flow.Record) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses records written by WriteCSV. It tolerates a missing
-// header row only if the first line parses as data.
-func ReadCSV(r io.Reader) ([]flow.Record, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(CSVHeader)
-	var out []flow.Record
-	first := true
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		if first {
-			first = false
-			if row[0] == CSVHeader[0] {
-				continue // header row
-			}
-		}
-		rec, err := parseCSVRow(row)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-func parseCSVRow(row []string) (flow.Record, error) {
-	var r flow.Record
-	var err error
-	fail := func(col string, e error) (flow.Record, error) {
-		return flow.Record{}, fmt.Errorf("netflow: csv column %s: %w", col, e)
-	}
-	if r.Start, err = strconv.ParseInt(row[0], 10, 64); err != nil {
-		return fail("start_ms", err)
-	}
-	if r.End, err = strconv.ParseInt(row[1], 10, 64); err != nil {
-		return fail("end_ms", err)
-	}
-	src, err := parseIPv4(row[2])
-	if err != nil {
-		return fail("src_ip", err)
-	}
-	r.SrcAddr = src
-	dst, err := parseIPv4(row[3])
-	if err != nil {
-		return fail("dst_ip", err)
-	}
-	r.DstAddr = dst
-	sp, err := strconv.ParseUint(row[4], 10, 16)
-	if err != nil {
-		return fail("src_port", err)
-	}
-	r.SrcPort = uint16(sp)
-	dp, err := strconv.ParseUint(row[5], 10, 16)
-	if err != nil {
-		return fail("dst_port", err)
-	}
-	r.DstPort = uint16(dp)
-	pr, err := strconv.ParseUint(row[6], 10, 8)
-	if err != nil {
-		return fail("proto", err)
-	}
-	r.Protocol = uint8(pr)
-	fl, err := strconv.ParseUint(row[7], 10, 8)
-	if err != nil {
-		return fail("tcp_flags", err)
-	}
-	r.TCPFlags = uint8(fl)
-	pk, err := strconv.ParseUint(row[8], 10, 32)
-	if err != nil {
-		return fail("packets", err)
-	}
-	r.Packets = uint32(pk)
-	if r.Bytes, err = strconv.ParseUint(row[9], 10, 64); err != nil {
-		return fail("bytes", err)
-	}
-	return r, nil
-}
-
-func parseIPv4(s string) (uint32, error) {
-	var a, b, c, d uint8
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad IPv4 %q: %w", s, err)
-	}
-	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d), nil
 }

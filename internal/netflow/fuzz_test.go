@@ -3,6 +3,7 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -26,27 +27,22 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzNetflowV5 feeds hostile bytes to the v5 decoder and the stream
-// reader: truncated headers, counts larger than the payload, bad
-// versions, garbage after valid packets. Neither may panic, neither may
-// allocate beyond allocBound, a decoded packet never claims more records
-// than its bytes hold, and re-encoding a decoded packet decodes to the
-// same packet.
+// FuzzNetflowV5 feeds hostile bytes to the v5 stream reader: truncated
+// headers, counts larger than the payload, bad versions, garbage after
+// valid packets. It may not panic or allocate beyond allocBound, it
+// never yields more records than the bytes hold, and the records of
+// every packet it accepts, rewritten by a Writer at that packet's boot
+// time, read back equal — unless their times lie outside what a
+// packet's header can carry, which the Writer must then refuse.
 func FuzzNetflowV5(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, HeaderLen-1))
-	valid, err := samplePacket().Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := samplePacket()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var pkt *Packet
-		var derr error
 		var recs int
 		n := allocated(func() {
-			pkt, derr = DecodePacket(data)
 			out, _ := NewReader(bytes.NewReader(data)).ReadAll()
 			recs = len(out)
 		})
@@ -56,19 +52,44 @@ func FuzzNetflowV5(f *testing.F) {
 		if recs*RecordLen > len(data) {
 			t.Fatalf("reader yielded %d records from %d bytes", recs, len(data))
 		}
-		if derr != nil {
-			return
+
+		// Split the accepted records by packet: a packet's first record
+		// is the one read when the reader's index is back at 1.
+		var pkts [][]flow.Record
+		var boots []int64
+		r := NewReader(bytes.NewReader(data))
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				break
+			}
+			if r.next == 1 {
+				pkts, boots = append(pkts, nil), append(boots, r.bootMs)
+			}
+			pkts[len(pkts)-1] = append(pkts[len(pkts)-1], rec)
 		}
-		if len(pkt.Records) != int(pkt.Header.Count) || HeaderLen+len(pkt.Records)*RecordLen > len(data) {
-			t.Fatalf("packet of %d bytes decoded to %d records (count %d)", len(data), len(pkt.Records), pkt.Header.Count)
-		}
-		enc, err := pkt.Encode()
-		if err != nil {
-			t.Fatalf("re-encoding a decoded packet: %v", err)
-		}
-		again, err := DecodePacket(enc)
-		if err != nil || !reflect.DeepEqual(again, pkt) {
-			t.Fatalf("decoded packet does not survive a round trip (err %v)", err)
+		for i, pkt := range pkts {
+			var buf bytes.Buffer
+			w := NewWriter(&buf, boots[i])
+			var werr error
+			for _, rec := range pkt {
+				if werr = w.Write(rec); werr != nil {
+					break
+				}
+			}
+			if werr != nil {
+				if !errors.Is(werr, errTimeRange) {
+					t.Fatalf("packet %d: rewriting: %v", i, werr)
+				}
+				continue
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := NewReader(&buf).ReadAll()
+			if err != nil || !reflect.DeepEqual(back, pkt) {
+				t.Fatalf("packet %d: %d records rewritten at boot %d read back as %d (err %v)", i, len(pkt), boots[i], len(back), err)
+			}
 		}
 	})
 }

@@ -302,7 +302,7 @@ func (e *V9Encoder) Encode(recs []flow.Record) ([]byte, error) {
 		buf[off+12] = r.Protocol
 		buf[off+13] = r.TCPFlags
 		be.PutUint32(buf[off+14:], r.Packets)
-		be.PutUint32(buf[off+18:], uint32(min64(r.Bytes, 0xffffffff)))
+		be.PutUint32(buf[off+18:], uint32(min(r.Bytes, 0xffffffff)))
 		be.PutUint32(buf[off+22:], uint32(r.Start-e.bootMs))
 		be.PutUint32(buf[off+26:], uint32(r.End-e.bootMs))
 		off += recordWidth

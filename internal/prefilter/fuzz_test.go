@@ -47,11 +47,11 @@ func fuzzMeta(data []byte) detector.MetaData {
 	return m
 }
 
-// FuzzPrefilterParity fuzzes the §II-A invariants at once: the chunked
-// parallel scan is byte-identical to the sequential one for both
-// strategies and any worker count, the columnar SelectBuffer's row
-// indices gather to exactly the row-form Filter's records (into fresh or
-// recycled index memory), and the union selection contains the
+// FuzzPrefilterParity fuzzes the §II-A invariants at once: for both
+// strategies and any worker count, every entry point — Filter,
+// FilterParallel, and SelectBuffer's row indices (into fresh or recycled
+// index memory) — selects exactly the records the MetaData predicate
+// selects record by record, and the union selection contains the
 // intersection selection pointwise (a flow matching every annotated
 // feature necessarily matches at least one).
 func FuzzPrefilterParity(f *testing.F) {
@@ -72,7 +72,10 @@ func FuzzPrefilterParity(f *testing.F) {
 		var rows []int32
 
 		for _, s := range []Strategy{Union{}, Intersection{}} {
-			want := Filter(s, m, recs)
+			want := reference(s, m, recs)
+			if got := Filter(s, m, recs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Filter diverged: %d vs %d records", s.Name(), len(got), len(want))
+			}
 			if got := FilterParallel(s, m, recs, w); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: FilterParallel diverged: %d vs %d records",
 					s.Name(), w, len(got), len(want))
@@ -81,7 +84,7 @@ func FuzzPrefilterParity(f *testing.F) {
 				// rows carries the previous scan's indices back in.
 				rows = SelectBuffer(s, m, &buf, workers, rows)
 				if got := gather(&buf, rows); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s workers=%d: SelectBuffer named %d rows, Filter selected %d",
+					t.Fatalf("%s workers=%d: SelectBuffer named %d rows, the predicate selected %d",
 						s.Name(), workers, len(rows), len(want))
 				}
 			}

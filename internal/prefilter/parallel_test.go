@@ -38,17 +38,17 @@ func syntheticMeta() detector.MetaData {
 // TestFilterParallelMatchesSequential is the prefilter determinism
 // contract: for every worker count and input size — above and below the
 // parallel threshold, divisible by the worker count or not — the chunked
-// parallel scan returns byte-identical output to the sequential Filter,
-// in the same order, and the columnar SelectBuffer — into fresh and into
+// parallel scan returns byte-identical output to the record-by-record
+// reference, in the same order, and SelectBuffer — into fresh and into
 // recycled index memory — names exactly those records.
 func TestFilterParallelMatchesSequential(t *testing.T) {
 	m := syntheticMeta()
 	for _, n := range []int{0, 1, 7, 100, minParallelRecords - 1, minParallelRecords, 5000, 8191} {
 		recs := syntheticRecs(uint64(n)+1, n)
 		for _, s := range []Strategy{Union{}, Intersection{}} {
-			want := Filter(s, m, recs)
+			want := reference(s, m, recs)
 			if gotN := Count(s, m, recs); gotN != len(want) {
-				t.Fatalf("%s n=%d: Count = %d, Filter selected %d", s.Name(), n, gotN, len(want))
+				t.Fatalf("%s n=%d: Count = %d, the predicate selected %d", s.Name(), n, gotN, len(want))
 			}
 			buf := flow.BufferOf(recs)
 			dirty := make([]int32, n)
@@ -64,7 +64,7 @@ func TestFilterParallelMatchesSequential(t *testing.T) {
 				for _, dst := range [][]int32{nil, dirty} {
 					rows := SelectBuffer(s, m, &buf, workers, dst)
 					if got := gather(&buf, rows); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s n=%d workers=%d: SelectBuffer named %d rows, Filter selected %d",
+						t.Fatalf("%s n=%d workers=%d: SelectBuffer named %d rows, the predicate selected %d",
 							s.Name(), n, workers, len(rows), len(want))
 					}
 					if dst != nil && n > 0 && &rows[:1][0] != &dst[0] {
@@ -96,8 +96,8 @@ func TestFilterParallelPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestParallelNoMatchesReturnsNil mirrors the sequential Filter's nil
-// return on an empty selection.
+// TestParallelNoMatchesReturnsNil: an empty parallel selection is nil,
+// as an empty sequential one is.
 func TestParallelNoMatchesReturnsNil(t *testing.T) {
 	recs := syntheticRecs(3, 3*minParallelRecords)
 	m := detector.NewMetaData()

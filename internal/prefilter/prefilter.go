@@ -6,88 +6,57 @@
 // union covers every stage. Both strategies are provided; Intersection
 // exists as the DoWitcher-style comparison baseline (§IV).
 //
-// Ordering guarantee: Filter returns the matching flows in input order,
-// and FilterParallel chunks the scan across workers but concatenates
-// the per-chunk output in range order, so both are byte-identical for
-// every worker count — the property FuzzPrefilterParity pins down.
+// There is one scan: SelectBuffer walks a columnar flow.Buffer one
+// annotated feature column at a time and returns the matching rows'
+// indices, which the extraction stage mines in place. Filter,
+// FilterParallel, FilterBufferParallel and Count are adapters over it
+// that gather rows or count them. detector.MetaData's MatchesFlow and MatchesFlowAll state the
+// two strategies' predicates record by record; the tests hold the scan to
+// them.
+//
+// Ordering guarantee: every entry point returns matches in row order,
+// and a parallel scan concatenates per-chunk output in range order, so
+// the output is byte-identical for every worker count — the property
+// FuzzPrefilterParity pins down.
 package prefilter
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
 )
 
-// Strategy selects flows given meta-data.
+// Strategy selects flows given meta-data, scanning a columnar chunk
+// directly.
 type Strategy interface {
-	// Match reports whether rec belongs to the suspicious set under m.
-	Match(m detector.MetaData, rec *flow.Record) bool
 	// Name identifies the strategy.
 	Name() string
+	// MatchColumns sets matched[i-lo] non-zero for exactly the rows i in
+	// [lo, hi) of buf the strategy selects under m, and leaves the other
+	// entries zero; matched arrives zeroed with length hi-lo.
+	MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32)
 }
 
 // Union keeps flows matching at least one meta-data value — the paper's
-// choice.
+// choice, m.MatchesFlow record by record.
 type Union struct{}
-
-// Match implements Strategy.
-func (Union) Match(m detector.MetaData, rec *flow.Record) bool {
-	return m.MatchesFlow(rec)
-}
 
 // Name implements Strategy.
 func (Union) Name() string { return "union" }
 
 // Intersection keeps flows matching a meta-data value in every annotated
-// feature — the baseline the paper shows can miss anomalies entirely.
+// feature — the baseline the paper shows can miss anomalies entirely;
+// m.MatchesFlowAll record by record.
 type Intersection struct{}
-
-// Match implements Strategy.
-func (Intersection) Match(m detector.MetaData, rec *flow.Record) bool {
-	return m.MatchesFlowAll(rec)
-}
 
 // Name implements Strategy.
 func (Intersection) Name() string { return "intersection" }
 
-// scan is the single match traversal every Filter/Count variant funnels
-// through: it walks recs, returns how many records strategy s selects
-// and, when collect is set, the selected records themselves in input
-// order (nil otherwise).
-func scan(s Strategy, m detector.MetaData, recs []flow.Record, collect bool) ([]flow.Record, int) {
-	var out []flow.Record
-	n := 0
-	for i := range recs {
-		if s.Match(m, &recs[i]) {
-			n++
-			if collect {
-				out = append(out, recs[i])
-			}
-		}
-	}
-	return out, n
-}
-
-// Filter returns the flows of recs selected by strategy s under
-// meta-data m, preserving input order.
-func Filter(s Strategy, m detector.MetaData, recs []flow.Record) []flow.Record {
-	out, _ := scan(s, m, recs, true)
-	return out
-}
-
-// Count returns how many flows of recs strategy s selects, without
-// materializing them.
-func Count(s Strategy, m detector.MetaData, recs []flow.Record) int {
-	_, n := scan(s, m, recs, false)
-	return n
-}
-
-// minParallelRecords is the input size below which the parallel variants
-// fall back to the sequential scan: the chunk bookkeeping and goroutine
-// fan-out cost more than they save on small inputs.
+// minParallelRecords is the input size below which the parallel scan
+// runs sequentially: the chunk bookkeeping and goroutine fan-out cost
+// more than they save on small inputs.
 const minParallelRecords = 2048
 
 // resolveWorkers maps the Config.Workers convention (0 = GOMAXPROCS,
@@ -102,28 +71,167 @@ func resolveWorkers(workers, n int) int {
 	return workers
 }
 
-// FilterParallel is Filter over a chunked worker fan-out: recs is split
-// into contiguous ranges matched concurrently, and the per-chunk
-// selections are concatenated in range order, so the output is
-// byte-identical to the sequential Filter. workers follows the
-// Config.Workers convention (0 = GOMAXPROCS, <= 1 or small inputs run
-// sequentially).
-func FilterParallel(s Strategy, m detector.MetaData, recs []flow.Record, workers int) []flow.Record {
-	workers = resolveWorkers(workers, len(recs))
-	if workers <= 1 || len(recs) < minParallelRecords {
-		return Filter(s, m, recs)
+// markColumn visits feature column k of buf[lo:hi]. With all unset it
+// marks the rows holding one of vals (the union step); with all set it
+// unmarks the still-marked rows holding none (the intersection step).
+func markColumn(vals map[uint64]struct{}, buf *flow.Buffer, k flow.FeatureKind, lo, hi int, matched []int32, all bool) {
+	switch k {
+	case flow.SrcIP:
+		markValues(vals, buf.SrcAddr[lo:hi], matched, all)
+	case flow.DstIP:
+		markValues(vals, buf.DstAddr[lo:hi], matched, all)
+	case flow.SrcPort:
+		markValues(vals, buf.SrcPort[lo:hi], matched, all)
+	case flow.DstPort:
+		markValues(vals, buf.DstPort[lo:hi], matched, all)
+	case flow.Proto:
+		markValues(vals, buf.Protocol[lo:hi], matched, all)
+	case flow.Packets:
+		markValues(vals, buf.Packets[lo:hi], matched, all)
+	case flow.Bytes:
+		markValues(vals, buf.Bytes[lo:hi], matched, all)
 	}
-	parts := make([][]flow.Record, workers)
-	chunk := (len(recs) + workers - 1) / workers
+}
+
+func markValues[T ~uint8 | ~uint16 | ~uint32 | ~uint64](vals map[uint64]struct{}, col []T, matched []int32, all bool) {
+	// Either way, only the rows this column can still change are looked up.
+	if all {
+		for i, v := range col {
+			if matched[i] != 0 {
+				if _, in := vals[uint64(v)]; !in {
+					matched[i] = 0
+				}
+			}
+		}
+		return
+	}
+	for i, v := range col {
+		if matched[i] == 0 {
+			if _, in := vals[uint64(v)]; in {
+				matched[i] = 1
+			}
+		}
+	}
+}
+
+// MatchColumns implements Strategy: a row matches when any annotated
+// feature column holds an annotated value at it. Only the annotated
+// columns are read.
+func (Union) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32) {
+	for _, k := range flow.AllFeatures {
+		if vals := m[k]; len(vals) > 0 {
+			markColumn(vals, buf, k, lo, hi, matched, false)
+		}
+	}
+}
+
+// MatchColumns implements Strategy: a row matches when every annotated
+// feature column holds an annotated value at it (and at least one
+// feature is annotated, mirroring MatchesFlowAll on the empty
+// annotation).
+func (Intersection) MatchColumns(m detector.MetaData, buf *flow.Buffer, lo, hi int, matched []int32) {
+	if m.Count() == 0 {
+		return
+	}
+	for i := range matched {
+		matched[i] = 1
+	}
+	for _, k := range flow.AllFeatures {
+		if vals := m[k]; len(vals) > 0 {
+			markColumn(vals, buf, k, lo, hi, matched, true)
+		}
+	}
+}
+
+// selectRange scans rows [lo, hi) of buf and writes the indices of the
+// rows strategy s selects, ascending, to the front of dst — which must
+// have length hi-lo and doubles as the scan's match-mark array — and
+// returns how many there are.
+func selectRange(s Strategy, m detector.MetaData, buf *flow.Buffer, lo, hi int, dst []int32) int {
+	clear(dst)
+	s.MatchColumns(m, buf, lo, hi, dst)
+	// Compact in place: the write position never passes the read one.
+	n := 0
+	for i, ok := range dst {
+		if ok != 0 {
+			dst[n] = int32(lo + i)
+			n++
+		}
+	}
+	return n
+}
+
+// SelectBuffer is the one scan: it returns the indices of the rows of
+// buf that strategy s selects under meta-data m, ascending. The result
+// reuses dst's memory when its capacity covers buf.Len() (dst's
+// contents are ignored), so a caller that passes the previous result
+// back scans without allocating. workers follows the Config.Workers
+// convention (0 = GOMAXPROCS, <= 1 or small inputs run sequentially):
+// contiguous row ranges are scanned concurrently and their selections
+// concatenated in range order.
+func SelectBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer, workers int, dst []int32) []int32 {
+	n := buf.Len()
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	workers = resolveWorkers(workers, n)
+	if workers <= 1 || n < minParallelRecords {
+		return dst[:selectRange(s, m, buf, 0, n, dst)]
+	}
+	counts := make([]int, workers)
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w*chunk < len(recs); w++ {
-		part := recs[w*chunk : min((w+1)*chunk, len(recs))]
+	for w := 0; w*chunk < n; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[w] = Filter(s, m, part)
+			counts[w] = selectRange(s, m, buf, lo, hi, dst[lo:hi])
 		}()
 	}
 	wg.Wait()
-	return slices.Concat(parts...)
+	total := 0
+	for w, c := range counts {
+		total += copy(dst[total:], dst[w*chunk:w*chunk+c])
+	}
+	return dst[:total]
+}
+
+// gather materializes rows of buf in row form; no rows gather to nil.
+func gather(buf *flow.Buffer, rows []int32) []flow.Record {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]flow.Record, len(rows))
+	for i, r := range rows {
+		out[i] = buf.Record(int(r))
+	}
+	return out
+}
+
+// FilterBufferParallel returns the rows of buf strategy s selects under
+// meta-data m, in row order, scanning over workers as SelectBuffer does.
+func FilterBufferParallel(s Strategy, m detector.MetaData, buf *flow.Buffer, workers int) []flow.Record {
+	return gather(buf, SelectBuffer(s, m, buf, workers, nil))
+}
+
+// FilterParallel returns the flows of recs strategy s selects under
+// meta-data m, in input order: recs are transposed into a flow.Buffer
+// and scanned over workers as SelectBuffer does.
+func FilterParallel(s Strategy, m detector.MetaData, recs []flow.Record, workers int) []flow.Record {
+	buf := flow.BufferOf(recs)
+	return FilterBufferParallel(s, m, &buf, workers)
+}
+
+// Filter is FilterParallel on one worker.
+func Filter(s Strategy, m detector.MetaData, recs []flow.Record) []flow.Record {
+	return FilterParallel(s, m, recs, 1)
+}
+
+// Count returns how many flows of recs strategy s selects, without
+// materializing them.
+func Count(s Strategy, m detector.MetaData, recs []flow.Record) int {
+	buf := flow.BufferOf(recs)
+	return len(SelectBuffer(s, m, &buf, 1, nil))
 }

@@ -10,12 +10,23 @@ import (
 	"anomalyx/internal/tracegen"
 )
 
-// rowOnly wraps a strategy while hiding its ColumnStrategy face, forcing
-// scanBuffer down the row-gather fallback.
-type rowOnly struct{ s Strategy }
-
-func (r rowOnly) Name() string                                     { return r.s.Name() }
-func (r rowOnly) Match(m detector.MetaData, rec *flow.Record) bool { return r.s.Match(m, rec) }
+// reference applies strategy s's predicate — detector.MetaData's
+// MatchesFlow for the union, MatchesFlowAll for the intersection — to
+// recs one record at a time: the paper's definition, independent of the
+// columnar scan every entry point runs.
+func reference(s Strategy, m detector.MetaData, recs []flow.Record) []flow.Record {
+	match := m.MatchesFlow
+	if _, all := s.(Intersection); all {
+		match = m.MatchesFlowAll
+	}
+	var out []flow.Record
+	for i := range recs {
+		if match(&recs[i]) {
+			out = append(out, recs[i])
+		}
+	}
+	return out
+}
 
 // randomMeta draws a meta-data annotation from the records themselves
 // (so some rows match) plus a few absent values (so some do not).
@@ -37,10 +48,10 @@ func randomMeta(rng *rand.Rand, recs []flow.Record) detector.MetaData {
 
 // TestFilterBufferMatchesFilter is the prefilter half of the AoS/SoA
 // differential harness: over seeded tracegen traffic and randomized
-// meta-data, the columnar scan of a flow.Buffer — both strategies'
-// MatchColumns fast path and the row-gather fallback — returns exactly
-// the records (values and order) the retained row-form Filter selects,
-// and FilterBufferParallel matches for every worker count.
+// meta-data, every entry point — the columnar FilterBufferParallel for
+// every worker count, and the row-form adapters Filter, FilterParallel
+// and Count — selects exactly the records (values and order) the
+// record-by-record reference predicate does.
 func TestFilterBufferMatchesFilter(t *testing.T) {
 	d := tracegen.SasserScenario(1, 2500)
 	recs := d.Flows
@@ -53,25 +64,20 @@ func TestFilterBufferMatchesFilter(t *testing.T) {
 	}
 	for mi, m := range metas {
 		for _, s := range []Strategy{Union{}, Intersection{}} {
-			want := Filter(s, m, recs)
-			for _, scan := range []struct {
-				name string
-				got  []flow.Record
-			}{
-				{"columnar", FilterBuffer(s, m, &buf)},
-				{"fallback", FilterBuffer(rowOnly{s}, m, &buf)},
-			} {
-				if !reflect.DeepEqual(scan.got, want) {
-					t.Fatalf("meta %d %s %s: %d records, row-form Filter selected %d",
-						mi, s.Name(), scan.name, len(scan.got), len(want))
-				}
+			want := reference(s, m, recs)
+			if got := Filter(s, m, recs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("meta %d %s: Filter selected %d records, the predicate %d", mi, s.Name(), len(got), len(want))
 			}
-			if n := CountBuffer(s, m, &buf); n != len(want) {
-				t.Fatalf("meta %d %s: CountBuffer %d, want %d", mi, s.Name(), n, len(want))
+			if n := Count(s, m, recs); n != len(want) {
+				t.Fatalf("meta %d %s: Count %d, want %d", mi, s.Name(), n, len(want))
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				if got := FilterBufferParallel(s, m, &buf, workers); !reflect.DeepEqual(got, want) {
-					t.Fatalf("meta %d %s workers=%d: parallel buffer scan diverged (%d vs %d records)",
+					t.Fatalf("meta %d %s workers=%d: buffer scan selected %d records, the predicate %d",
+						mi, s.Name(), workers, len(got), len(want))
+				}
+				if got := FilterParallel(s, m, recs, workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("meta %d %s workers=%d: FilterParallel selected %d records, the predicate %d",
 						mi, s.Name(), workers, len(got), len(want))
 				}
 			}
@@ -79,15 +85,18 @@ func TestFilterBufferMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestFilterBufferEmpty: the no-match and no-row cases return nil,
-// matching Filter's append-to-nil shape.
+// TestFilterBufferEmpty: the no-match and no-row cases return nil, the
+// shape of the reference's append-to-nil.
 func TestFilterBufferEmpty(t *testing.T) {
 	var empty flow.Buffer
-	if got := FilterBuffer(Union{}, detector.NewMetaData(), &empty); got != nil {
+	if got := FilterBufferParallel(Union{}, detector.NewMetaData(), &empty, 1); got != nil {
 		t.Fatalf("empty buffer filtered to %v, want nil", got)
 	}
 	buf := flow.BufferOf([]flow.Record{{SrcAddr: 1}, {SrcAddr: 2}})
 	if got := FilterBufferParallel(Union{}, detector.NewMetaData(), &buf, 4); got != nil {
 		t.Fatalf("empty meta filtered to %v, want nil", got)
+	}
+	if got := Filter(Intersection{}, detector.NewMetaData(), nil); got != nil {
+		t.Fatalf("no records filtered to %v, want nil", got)
 	}
 }

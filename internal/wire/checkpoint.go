@@ -58,7 +58,7 @@ func appendCheckpoint(b []byte, c checkpoint) []byte {
 		b = append(b, byte(c.statuses[i]))
 	}
 	if !c.relay {
-		return AppendPipelineSnapshot(b, c.snap)
+		return appendPipelineSnapshot(b, c.snap)
 	}
 	b = appendUvarint(b, uint64(len(c.held)))
 	for _, e := range c.held {

@@ -221,12 +221,12 @@ func (d *intervalDecoder) bank(r *reader) detector.BankSnapshot {
 // plus the open interval's flow buffer — prefixed with the codec
 // version. The encoding is canonical: equal snapshots yield equal bytes.
 func EncodePipelineSnapshot(s core.PipelineSnapshot) []byte {
-	return AppendPipelineSnapshot([]byte{codecVersion}, s)
+	return appendPipelineSnapshot([]byte{codecVersion}, s)
 }
 
-// AppendPipelineSnapshot appends the body of a pipeline snapshot
+// appendPipelineSnapshot appends the body of a pipeline snapshot
 // (without the version byte) to b and returns the extended slice.
-func AppendPipelineSnapshot(b []byte, s core.PipelineSnapshot) []byte {
+func appendPipelineSnapshot(b []byte, s core.PipelineSnapshot) []byte {
 	b = appendBank(b, s.Bank)
 	return appendRecordSection(b, &s.Buffer)
 }

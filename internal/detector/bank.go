@@ -38,6 +38,7 @@ type Bank struct {
 	mu        sync.Mutex
 	detectors []*Detector
 	workers   int
+	sets      []*histogram.CloneSet // live's result, refilled on every call
 
 	// tasks feeds the persistent pool; nil when workers == 1 (sequential
 	// bank, no goroutines).
@@ -114,22 +115,21 @@ func (b *Bank) Close() {
 	})
 }
 
-// runTasks executes n tasks produced by gen(i) on the pool and waits for
+// runTasks executes task(0), ..., task(n-1) on the pool and waits for
 // all of them; with a sequential bank it just runs them inline.
-func (b *Bank) runTasks(n int, gen func(i int) func()) {
+func (b *Bank) runTasks(n int, task func(i int)) {
 	if b.tasks == nil {
 		for i := 0; i < n; i++ {
-			gen(i)()
+			task(i)
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		fn := gen(i)
 		b.tasks <- func() {
 			defer wg.Done()
-			fn()
+			task(i)
 		}
 	}
 	wg.Wait()
@@ -151,9 +151,7 @@ func (b *Bank) ObserveBatch(recs []flow.Record) {
 		}
 		return
 	}
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() { b.detectors[i].ObserveBatch(recs) }
-	})
+	b.runTasks(len(b.detectors), func(i int) { b.detectors[i].ObserveBatch(recs) })
 }
 
 // EndInterval closes the interval on every detector and merges their
@@ -166,13 +164,14 @@ func (b *Bank) EndInterval() BankResult {
 }
 
 // live returns the detectors' current-interval clone sets, index-aligned
-// with Detectors(). The bank mutex must be held.
+// with Detectors(), in a slice the bank owns and refills on the next
+// call. The bank mutex must be held.
 func (b *Bank) live() []*histogram.CloneSet {
-	sets := make([]*histogram.CloneSet, len(b.detectors))
-	for i, d := range b.detectors {
-		sets[i] = d.cur
+	b.sets = b.sets[:0]
+	for _, d := range b.detectors {
+		b.sets = append(b.sets, d.cur)
 	}
-	return sets
+	return b.sets
 }
 
 // LiveInterval returns the detectors' current-interval clone sets in
@@ -180,7 +179,8 @@ func (b *Bank) live() []*histogram.CloneSet {
 // synchronous close can run MergeDrained and FinishInterval over them
 // and hold no second interval state. The caller must keep every observe
 // and swap off the bank for as long as it uses the sets (core holds the
-// pipeline lock across the whole close).
+// pipeline lock across the whole close). The slice is the bank's own:
+// the next LiveInterval or EndInterval refills it.
 func (b *Bank) LiveInterval() []*histogram.CloneSet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -188,12 +188,11 @@ func (b *Bank) LiveInterval() []*histogram.CloneSet {
 }
 
 // mergeResults consolidates per-detector interval results in feature
-// order (union across detectors, §II-A).
+// order (union across detectors, §II-A); results becomes PerFeature.
 func mergeResults(results []Result) BankResult {
-	res := BankResult{Meta: NewMetaData()}
+	res := BankResult{PerFeature: results, Meta: NewMetaData()}
 	for _, r := range results {
 		res.Interval = r.Interval
-		res.PerFeature = append(res.PerFeature, r)
 		if r.Alarm {
 			res.Alarm = true
 			for _, v := range r.Meta {
@@ -237,9 +236,7 @@ func (b *Bank) SwapInterval(repl []*histogram.CloneSet) []*histogram.CloneSet {
 // are reset in place for recycling.
 func (b *Bank) FinishInterval(cur []*histogram.CloneSet) BankResult {
 	results := make([]Result, len(b.detectors))
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() { results[i] = b.detectors[i].FinishInterval(cur[i]) }
-	})
+	b.runTasks(len(b.detectors), func(i int) { results[i] = b.detectors[i].FinishInterval(cur[i]) })
 	return mergeResults(results)
 }
 
@@ -280,12 +277,10 @@ func (b *Bank) MergeDrained(dst []*histogram.CloneSet, siblings [][]*histogram.C
 	if len(siblings) == 0 {
 		return
 	}
-	b.runTasks(len(dst), func(i int) func() {
-		return func() {
-			for _, sib := range siblings {
-				dst[i].Merge(sib[i])
-				sib[i].Reset()
-			}
+	b.runTasks(len(dst), func(i int) {
+		for _, sib := range siblings {
+			dst[i].Merge(sib[i])
+			sib[i].Reset()
 		}
 	})
 }

@@ -2,6 +2,8 @@ package detector
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"anomalyx/internal/flow"
@@ -10,9 +12,13 @@ import (
 
 // benchIntervals generates n quiet tracegen intervals of ~6 000 flows —
 // the benchmark harness's interval size.
-func benchIntervals(n int) [][]flow.Record {
+func benchIntervals(n int) [][]flow.Record { return quietIntervals(n, 6000) }
+
+// quietIntervals generates n tracegen intervals of about flows flows
+// each, with no scheduled events and no diurnal swing.
+func quietIntervals(n, flows int) [][]flow.Record {
 	cfg := tracegen.DefaultConfig()
-	cfg.Intervals, cfg.BaseFlows = n, 6000
+	cfg.Intervals, cfg.BaseFlows = n, flows
 	cfg.DiurnalAmplitude, cfg.Events = 0, nil
 	gen := tracegen.New(cfg)
 	out := make([][]flow.Record, n)
@@ -59,6 +65,90 @@ func BenchmarkBankObserveBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 		})
+	}
+}
+
+// trainedBank returns a bank built from cfg that has closed ivs, over
+// and over, until its first-difference window (HistoryWindow intervals
+// x clones) is full.
+func trainedBank(tb testing.TB, cfg BankConfig, ivs [][]flow.Record) *Bank {
+	bank, err := NewBank(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := bank.Detectors()[0].Config().HistoryWindow
+	for i := 0; i < w+2; i++ {
+		observeInterval(bank, ivs[i%len(ivs)])
+		bank.EndInterval()
+	}
+	return bank
+}
+
+// BenchmarkQuietClose times Bank.EndInterval alone — deriving the clone
+// bins, the KL distances, the MAD threshold and the history rotation —
+// on a default bank trained past its full 576-sample window, with the
+// interval's ingest outside the timer. BenchmarkBankObserveBatch mixes
+// the two.
+func BenchmarkQuietClose(b *testing.B) {
+	ivs := benchIntervals(8)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			bank := trainedBank(b, BankConfig{Workers: workers}, ivs)
+			defer bank.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				observeInterval(bank, ivs[i%len(ivs)])
+				b.StartTimer()
+				if res := bank.EndInterval(); res.Alarm {
+					b.Fatalf("interval %d alarmed on quiet traffic", res.Interval)
+				}
+			}
+		})
+	}
+}
+
+// TestQuietCloseAllocs pins the quiet close's garbage: once a bank has
+// filled its first-difference window, a close without an alarm
+// allocates only its result — per-feature results, per-clone reports,
+// the empty meta-data — and nothing that grows with the window. Each
+// count is the least over three windows of eight closes, so a stray
+// runtime allocation in one window does not flake the pin, and is taken
+// at HistoryWindow 192 (the default) and 1920, whose bytes must match.
+func TestQuietCloseAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ivs := quietIntervals(8, 300)
+	var bytes [2]float64
+	for k, window := range []int{192, 1920} {
+		bank := trainedBank(t, BankConfig{Workers: 1, Template: Config{HistoryWindow: window}}, ivs)
+		defer bank.Close()
+		allocs := math.Inf(1)
+		bytes[k] = math.Inf(1)
+		var ms runtime.MemStats
+		for range 3 {
+			var mallocs, total uint64
+			for i := range len(ivs) {
+				observeInterval(bank, ivs[i])
+				runtime.ReadMemStats(&ms)
+				m0, b0 := ms.Mallocs, ms.TotalAlloc
+				if res := bank.EndInterval(); res.Alarm {
+					t.Fatalf("window %d: interval %d alarmed on quiet traffic", window, res.Interval)
+				}
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - m0
+				total += ms.TotalAlloc - b0
+			}
+			allocs = min(allocs, float64(mallocs)/float64(len(ivs)))
+			bytes[k] = min(bytes[k], float64(total)/float64(len(ivs)))
+		}
+		t.Logf("HistoryWindow %d: %.0f allocs, %.0f B per quiet close", window, allocs, bytes[k])
+		if allocs > 17 {
+			t.Errorf("HistoryWindow %d: a quiet close allocated %.0f times, want at most 17", window, allocs)
+		}
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("a quiet close allocated %v B at HistoryWindow 192 and 1920: it grows with the window", bytes)
 	}
 }
 

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"anomalyx/internal/flow"
@@ -147,7 +148,8 @@ type Detector struct {
 	havePrev bool      // prev holds a complete interval
 	haveKL   bool      // klPrev holds a valid KL (needs two intervals)
 
-	diffs    []float64 // history of first differences (all clones pooled)
+	diffs    []float64 // history of first differences (all clones pooled), oldest first
+	sorted   []float64 // diffs in ascending order (slices.Sort's): Threshold reads it
 	interval int
 
 	// binValues is the scratch buffer for the anomalous-bin → value
@@ -229,7 +231,75 @@ func (d *Detector) Threshold() (float64, bool) {
 	if len(d.diffs) < d.cfg.TrainIntervals*d.cfg.Clones {
 		return 0, false
 	}
-	return d.cfg.Alpha * stats.RobustSigma(d.diffs), true
+	// stats.RobustSigma(d.diffs) is MADScale * stats.MAD(d.diffs); keep
+	// that product's operands and order so the threshold is bit-identical.
+	return d.cfg.Alpha * (stats.MADScale * d.mad()), true
+}
+
+// mad returns stats.MAD(d.diffs), read off the sorted copy instead of
+// sorting two fresh copies: the median is the middle of d.sorted, and
+// the deviations |x - median| of the samples below the median ascend
+// walking down from it, those of the samples at or above it walking up,
+// so merging the two runs yields the sorted deviations, of which the
+// median is the MAD. Every value is computed by the same expression as
+// in stats, so the result is bit-identical. A window holding a NaN or an
+// infinity, which only a restored snapshot can carry, takes stats.MAD
+// itself: the merge's ordering argument needs finite samples.
+func (d *Detector) mad() float64 {
+	s := d.sorted
+	n := len(s)
+	if n == 0 || math.IsNaN(s[0]) || math.IsInf(s[0], -1) || math.IsInf(s[n-1], 1) {
+		return stats.MAD(d.diffs)
+	}
+	h := n / 2
+	m := s[h]
+	if n%2 == 0 {
+		m = (s[h-1] + s[h]) / 2
+	}
+	j, _ := slices.BinarySearch(s, m) // s[:j] < m <= s[j:]
+	i := j - 1
+	var prev, cur float64 // the last two deviations taken, in ascending order
+	for range h + 1 {
+		prev = cur
+		if j == n || i >= 0 && math.Abs(s[i]-m) <= math.Abs(s[j]-m) {
+			cur = math.Abs(s[i] - m)
+			i--
+		} else {
+			cur = math.Abs(s[j] - m)
+			j++
+		}
+	}
+	if n%2 == 1 {
+		return cur
+	}
+	return (prev + cur) / 2
+}
+
+// pushDiff appends x to the first-difference history and inserts it
+// into the sorted copy.
+func (d *Detector) pushDiff(x float64) {
+	d.diffs = append(d.diffs, x)
+	i, _ := slices.BinarySearch(d.sorted, x)
+	d.sorted = slices.Insert(d.sorted, i, x)
+}
+
+// trimDiffs drops the oldest samples until at most w remain, from the
+// history (copied down in place, so its backing array is kept) and from
+// the sorted copy (the sample with the same bits, among those comparing
+// equal to it).
+func (d *Detector) trimDiffs(w int) {
+	drop := len(d.diffs) - w
+	if drop <= 0 {
+		return
+	}
+	for _, x := range d.diffs[:drop] {
+		i, _ := slices.BinarySearch(d.sorted, x)
+		for math.Float64bits(d.sorted[i]) != math.Float64bits(x) {
+			i++
+		}
+		d.sorted = slices.Delete(d.sorted, i, i+1)
+	}
+	d.diffs = d.diffs[:copy(d.diffs, d.diffs[drop:])]
 }
 
 // EndInterval closes the current interval: computes per-clone KL
@@ -275,7 +345,7 @@ func (d *Detector) FinishInterval(cur *histogram.CloneSet) Result {
 	res.Threshold = threshold
 	res.Trained = trained
 
-	votes := make(map[uint64]int)
+	var votes map[uint64]int // allocated by the first alarming clone
 	for c := range res.Clones {
 		rep := &res.Clones[c]
 		counts := cur.Counts(c)
@@ -296,6 +366,9 @@ func (d *Detector) FinishInterval(cur *histogram.CloneSet) Result {
 					// clone, so each flagged value votes once here.
 					d.binValues = cur.AppendValuesInBins(c, d.binValues[:0], rep.Identification.Bins)
 					rep.Values = append(rep.Values, d.binValues...)
+					if votes == nil {
+						votes = make(map[uint64]int)
+					}
 					for _, v := range d.binValues {
 						votes[v]++
 					}
@@ -326,7 +399,7 @@ func (d *Detector) rotate(cur *histogram.CloneSet, res Result) {
 		copy(prev, cur.Counts(c))
 		if d.havePrev {
 			if d.haveKL {
-				d.diffs = append(d.diffs, res.Clones[c].Diff)
+				d.pushDiff(res.Clones[c].Diff)
 			}
 			d.klPrev[c] = res.Clones[c].KL
 		}
@@ -336,8 +409,6 @@ func (d *Detector) rotate(cur *histogram.CloneSet, res Result) {
 		d.haveKL = true
 	}
 	d.havePrev = true
-	if w := d.cfg.HistoryWindow * d.cfg.Clones; len(d.diffs) > w {
-		d.diffs = d.diffs[len(d.diffs)-w:]
-	}
+	d.trimDiffs(d.cfg.HistoryWindow * d.cfg.Clones)
 	d.interval++
 }

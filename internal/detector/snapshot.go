@@ -2,6 +2,7 @@ package detector
 
 import (
 	"fmt"
+	"slices"
 
 	"anomalyx/internal/histogram"
 )
@@ -81,6 +82,8 @@ func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	d.havePrev = s.HavePrev
 	d.haveKL = s.HaveKL
 	d.diffs = append(d.diffs[:0], s.Diffs...)
+	d.sorted = append(d.sorted[:0], s.Diffs...)
+	slices.Sort(d.sorted)
 	d.interval = s.Interval
 	return nil
 }

@@ -2,10 +2,12 @@ package detector
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/tracegen"
 )
 
 // snapTestRecords deterministically synthesizes one interval's records:
@@ -205,6 +207,65 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("detector %d clone %d still holds %d observations after DrainInterval",
 					di, ci, hs.Total)
 			}
+		}
+	}
+}
+
+// TestRestoredThresholdsBitIdentical: the sorted copy of the
+// first-difference window is not in the snapshot; RestoreSnapshot
+// rebuilds it. A detector restored from a snapshot taken before its
+// window filled, and one restored from a snapshot taken after, must
+// each produce the original's thresholds, bit for bit, over the next 50
+// intervals of traffic with scheduled anomalies.
+func TestRestoredThresholdsBitIdentical(t *testing.T) {
+	gcfg := tracegen.DefaultConfig()
+	gcfg.Intervals, gcfg.BaseFlows = 90, 1500
+	gcfg.Events = tracegen.Schedule(gcfg.Intervals, gcfg.BaseFlows)
+	gen := tracegen.New(gcfg)
+	ivs := make([][]flow.Record, gcfg.Intervals)
+	for i := range ivs {
+		ivs[i] = gen.Interval(i)
+	}
+	cfg := Config{Feature: flow.DstPort, TrainIntervals: 4, HistoryWindow: 16, Seed: 3}
+	for _, at := range []int{8, 30} { // the window holds 16 intervals' samples from interval 18 on
+		orig, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < at; i++ {
+			orig.ObserveBatch(ivs[i])
+			orig.EndInterval()
+		}
+		half := len(ivs[at]) / 2
+		orig.ObserveBatch(ivs[at][:half])
+		restored, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.RestoreSnapshot(orig.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		alarms := 0
+		for i := at; i < at+50; i++ {
+			recs := ivs[i]
+			if i == at {
+				recs = recs[half:]
+			}
+			orig.ObserveBatch(recs)
+			restored.ObserveBatch(recs)
+			want, got := orig.EndInterval(), restored.EndInterval()
+			if math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) {
+				t.Fatalf("snapshot at %d, interval %d: threshold %v, original %v", at, i, got.Threshold, want.Threshold)
+			}
+			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+				t.Fatalf("snapshot at %d, interval %d diverged:\n got %s\nwant %s", at, i, g, w)
+			}
+			if want.Alarm {
+				alarms++
+			}
+		}
+		if alarms == 0 {
+			t.Errorf("snapshot at %d: no alarm in 50 intervals; the comparison never reached identification", at)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package histogram
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 // FuzzValueTableParity feeds arbitrary op programs to the
 // table-vs-map differential harness (see runParityProgram) over
@@ -33,4 +37,100 @@ func addParitySeeds(f *testing.F) {
 	f.Add([]byte{3, 19, 3, 19, 0, 7, 1, 16, 2, 40, 41, 42, 3, 19, 3})
 	// Reset/restore churn with interleaved adds.
 	f.Add([]byte{4, 0, 0, 5, 2, 4, 3, 1, 9, 3, 4, 6, 20, 4, 3, 4, 0, 0, 3})
+}
+
+// klPlain is KL as it was before the log memo: the reference FuzzKLExact
+// holds KL to, bit for bit.
+func klPlain(p, q []uint64) float64 {
+	k := float64(len(p))
+	var np, nq float64
+	for i := range p {
+		np += float64(p[i])
+		nq += float64(q[i])
+	}
+	np += smoothingAlpha * k
+	nq += smoothingAlpha * k
+	var d float64
+	for i := range p {
+		pi := (float64(p[i]) + smoothingAlpha) / np
+		qi := (float64(q[i]) + smoothingAlpha) / nq
+		d += pi * math.Log2(pi/qi)
+	}
+	if d < 0 {
+		d = 0
+	}
+	return d
+}
+
+// fuzzCounts fills a k-bin count vector. Each bin's shape byte picks its
+// magnitude — zero, a count just below or above klMemoBound, a count far
+// past it, or a count near 2^64 — and seed's splitmix64 stream the rest.
+func fuzzCounts(k int, seed uint64, shape []byte) []uint64 {
+	out := make([]uint64, k)
+	for i := range out {
+		seed += 0x9e3779b97f4a7c15
+		r := seed
+		r = (r ^ r>>30) * 0xbf58476d1ce4e5b9
+		r = (r ^ r>>27) * 0x94d049bb133111eb
+		r ^= r >> 31
+		var b byte
+		if len(shape) > 0 {
+			b = shape[i%len(shape)]
+		}
+		switch b % 5 {
+		case 0:
+			out[i] = 0
+		case 1:
+			out[i] = r % klMemoBound
+		case 2:
+			out[i] = klMemoBound - 2 + r%4
+		case 3:
+			out[i] = r % (1 << 20)
+		default:
+			out[i] = r >> (r & 7)
+		}
+	}
+	return out
+}
+
+// FuzzKLExact holds the memoized KL, and the KL series the anomalous-bin
+// identification records with it, bit-identical to the plain loop over
+// k in {2, 1000, 1024} and counts on both sides of the memo bound.
+func FuzzKLExact(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint64(2), []byte{0, 1}, []byte{1, 0})
+	f.Add(uint8(1), uint64(7), uint64(7), []byte{1, 2, 1, 1, 0}, []byte{1, 1, 2, 1, 3})
+	f.Add(uint8(2), uint64(3), uint64(4), []byte{1}, []byte{1, 1, 1, 3})
+	f.Add(uint8(2), uint64(5), uint64(6), []byte{2}, []byte{2, 0})
+	f.Add(uint8(2), uint64(8), uint64(9), []byte{4, 1, 0}, []byte{1, 4})
+	f.Add(uint8(1), uint64(10), uint64(11), []byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, kSel uint8, pSeed, qSeed uint64, pShape, qShape []byte) {
+		k := []int{2, 1000, 1024}[kSel%3]
+		p, q := fuzzCounts(k, pSeed, pShape), fuzzCounts(k, qSeed, qShape)
+		want := klPlain(p, q)
+		if got := KL(p, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("KL = %v (%#x), plain loop %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		// With every memo claimed, KL runs without one.
+		var held []*klMemo
+		for m := claimKLMemo(); m != nil; m = claimKLMemo() {
+			held = append(held, m)
+		}
+		got := KL(p, q)
+		for _, m := range held {
+			m.claimed.Store(false)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("KL without a memo = %v, plain loop %v", got, want)
+		}
+		id := IdentifyAnomalousBins(p, q, 0, 0, 8)
+		plain := IdentifyAnomalousBinsMetric(p, q, 0, 0, 8, klPlain)
+		if !slices.Equal(id.Bins, plain.Bins) || len(id.KLSeries) != len(plain.KLSeries) {
+			t.Fatalf("identification %v, plain loop %v", id, plain)
+		}
+		for i := range id.KLSeries {
+			if math.Float64bits(id.KLSeries[i]) != math.Float64bits(plain.KLSeries[i]) {
+				t.Fatalf("KLSeries[%d] = %v, plain loop %v", i, id.KLSeries[i], plain.KLSeries[i])
+			}
+		}
+	})
 }

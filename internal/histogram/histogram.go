@@ -19,6 +19,7 @@ package histogram
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"anomalyx/internal/hash"
 )
@@ -225,6 +226,14 @@ const smoothingAlpha = 0.5
 //
 // Coinciding distributions give 0; deviations give positive values
 // (§II-C). The logarithm is base 2, so the distance is in bits.
+//
+// Within one call the smoothed p_i and q_i, and so log2(p_i/q_i), are
+// functions of the bin counts (p[i], q[i]) alone, and a quiet interval's
+// 1 024 bins hold only a few hundred distinct small pairs. The log is
+// therefore memoized per pair of counts below klMemoBound; everything
+// else — each p_i, each product and the bin-order sum — is computed as
+// if there were no memo, so the result is bit-identical to the plain
+// loop (see docs/ARCHITECTURE.md, "The quiet close").
 func KL(p, q []uint64) float64 {
 	if len(p) != len(q) {
 		panic("histogram: KL over different bin counts")
@@ -237,14 +246,79 @@ func KL(p, q []uint64) float64 {
 	}
 	np += smoothingAlpha * k
 	nq += smoothingAlpha * k
+	m := claimKLMemo()
+	var epoch uint32
+	if m != nil {
+		epoch = m.next()
+	}
 	var d float64
 	for i := range p {
 		pi := (float64(p[i]) + smoothingAlpha) / np
-		qi := (float64(q[i]) + smoothingAlpha) / nq
-		d += pi * math.Log2(pi/qi)
+		var l float64
+		if m != nil && p[i] < klMemoBound && q[i] < klMemoBound {
+			e := &m.slots[p[i]*klMemoBound+q[i]]
+			if e.epoch == epoch {
+				l = e.log
+			} else {
+				qi := (float64(q[i]) + smoothingAlpha) / nq
+				l = math.Log2(pi / qi)
+				e.epoch, e.log = epoch, l
+			}
+		} else {
+			qi := (float64(q[i]) + smoothingAlpha) / nq
+			l = math.Log2(pi / qi)
+		}
+		d += pi * l
+	}
+	if m != nil {
+		m.claimed.Store(false)
 	}
 	if d < 0 {
 		d = 0 // numerical floor; KL is non-negative
 	}
 	return d
+}
+
+// klMemoBound bounds the bin counts whose log ratio KL memoizes: each
+// pair with both counts below it has its own klMemo slot.
+const klMemoBound = 32
+
+// klMemo is a log cache for one KL call at a time, indexed by
+// p*klMemoBound+q. A slot is valid only in the call whose epoch it
+// carries, so a call starts by advancing the epoch instead of clearing
+// the table.
+type klMemo struct {
+	claimed atomic.Bool
+	epoch   uint32
+	slots   [klMemoBound * klMemoBound]struct {
+		epoch uint32
+		log   float64
+	}
+}
+
+// klMemos are the caches KL calls take turns on. They are fixed, not
+// pooled, so KL never allocates: an allocation count stays exact, even
+// under the race detector, which makes sync.Pool drop entries at random.
+var klMemos [8]klMemo
+
+// claimKLMemo claims the first free memo, or returns nil when every one
+// is in use (more concurrent KL calls than memos): that call runs the
+// plain loop, which changes its speed, not its result.
+func claimKLMemo() *klMemo {
+	for i := range klMemos {
+		if m := &klMemos[i]; m.claimed.CompareAndSwap(false, true) {
+			return m
+		}
+	}
+	return nil
+}
+
+// next starts a call: it advances the epoch and returns it, clearing the
+// slots only when the epoch wraps (once per 2^32 calls).
+func (m *klMemo) next() uint32 {
+	if m.epoch++; m.epoch == 0 {
+		clear(m.slots[:])
+		m.epoch = 1
+	}
+	return m.epoch
 }

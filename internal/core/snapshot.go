@@ -6,27 +6,24 @@ import (
 	"anomalyx/internal/histogram"
 )
 
-// PipelineSnapshot is the exported state of a Pipeline: the detector
-// bank's full state plus the current interval's buffered flows in
-// columnar form. Restoring it into a pipeline built from the same
-// Config reproduces the original exactly — subsequent reports are
-// byte-identical — which is the invariant the wire codec's round-trip
-// tests pin down. Like the bank and histogram snapshots it carries
-// state only; configuration matching is the caller's contract (the wire
-// handshake digests it).
+// PipelineSnapshot is an open interval in the argument shape of the wire
+// package's exported open-interval codec (EncodeOpenIntervalSnapshot /
+// DecodeOpenIntervalSnapshot): per detector the clone histograms in
+// detector.Snapshot.Clones beside canonical all-zero history, plus the
+// interval's buffered flows. It is not a checkpoint: a pipeline's
+// durable state is its detection history alone (Pipeline.Snapshot), and
+// the in-process drain/absorb path uses OpenInterval.
 type PipelineSnapshot struct {
 	Bank   detector.BankSnapshot
 	Buffer flow.Buffer
 }
 
-// OpenInterval is the lean drain of a pipeline's open interval: the
+// OpenInterval is the drain of a pipeline's open interval: the
 // clone-histogram snapshots (one slice per detector in feature order,
-// one snapshot per clone, as detector.Bank.DrainInterval returns them —
-// each clone's grouping of the detector's one value table) plus the
-// columnar flow buffer — and nothing else. It is PipelineSnapshot minus
-// the detection history, which on the distributed agent path is dead
-// weight: an agent never closes detection, so its reference counts, KL
-// series, and threshold samples are permanently zero. The collector
+// one snapshot per clone, as detector.Bank.DrainIntervalInto returns
+// them — each clone's grouping of the detector's one value table) plus
+// the columnar flow buffer — and nothing else. Detection history never
+// travels with it: an agent never closes detection, and the collector
 // absorbs an OpenInterval additively (AbsorbOpenInterval), so the
 // drain/ship/absorb cycle never touches history on either side.
 type OpenInterval struct {
@@ -55,33 +52,23 @@ func (p *Pipeline) foldLocked() {
 	}
 }
 
-// Snapshot captures the pipeline's full state — bank history plus the
-// open interval's flow buffer — after folding every partition into
-// partition 0. The result shares no memory with the pipeline.
-func (p *Pipeline) Snapshot() PipelineSnapshot {
+// Snapshot captures the pipeline's detection history: partition 0's
+// bank, the only one that closes detection. The open interval is not
+// part of it (see detector.Snapshot). The result shares no memory with
+// the pipeline.
+func (p *Pipeline) Snapshot() detector.BankSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.foldLocked()
-	return PipelineSnapshot{
-		Bank:   p.banks[0].Snapshot(),
-		Buffer: p.buffers[0].Clone(),
-	}
+	return p.banks[0].Snapshot()
 }
 
-// RestoreSnapshot replaces the pipeline's state with s, written into
-// partition 0 (the other partitions are folded in first, which empties
-// them). The pipeline must share the snapshot source's configuration
-// (features, detector parameters).
-func (p *Pipeline) RestoreSnapshot(s PipelineSnapshot) error {
+// RestoreSnapshot replaces the pipeline's detection history with s,
+// leaving the open interval as it is. The pipeline must share the
+// snapshot source's configuration (features, detector parameters).
+func (p *Pipeline) RestoreSnapshot(s detector.BankSnapshot) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.foldLocked()
-	if err := p.banks[0].RestoreSnapshot(s.Bank); err != nil {
-		return err
-	}
-	p.buffers[0].Reset()
-	p.buffers[0].AppendBuffer(&s.Buffer)
-	return nil
+	return p.banks[0].RestoreSnapshot(s)
 }
 
 // DrainOpenInterval captures the open interval — clone-histogram

@@ -35,11 +35,14 @@ func snapConfig() Config {
 }
 
 // TestPipelineSnapshotRestore: a restored pipeline carries the full
-// detection history and the open interval's flow buffer, so subsequent
-// reports — including an alarming interval's extraction — match the
-// original exactly.
+// detection history, so subsequent reports — including an alarming
+// interval's extraction — match the original exactly. The snapshot is
+// history only: the restored pipeline keeps the open interval it holds
+// (here the same partial interval the original observed), and history
+// lives in partition 0 alone, so a two-partition original restores into
+// a one-partition pipeline.
 func TestPipelineSnapshotRestore(t *testing.T) {
-	orig, err := New(snapConfig())
+	orig, err := NewPartitioned(snapConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +52,22 @@ func TestPipelineSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	orig.ObserveBatch(snapRecords(6, 400, false))
+	partial := snapRecords(6, 900, false)[:400]
+	orig.ObserveBatch(partial)
 
 	s := orig.Snapshot()
-	if s.Buffer.Len() != 400 {
-		t.Fatalf("snapshot buffer has %d records, want 400", s.Buffer.Len())
+	for i, ds := range s.Detectors {
+		if ds.Clones != nil || ds.Interval != 6 {
+			t.Fatalf("detector %d snapshot: %d clone histograms at interval %d; want history only at 6",
+				i, len(ds.Clones), ds.Interval)
+		}
 	}
 	restored, err := New(snapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	restored.ObserveBatch(partial)
 	if err := restored.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +100,12 @@ func TestPipelineSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestPipelineRestoreThenAbsorb: the full-snapshot hand-off — Snapshot
-// an agent's open interval, restore it into a scratch pipeline, drain the
-// scratch into a primary — reproduces a direct run.
+// TestPipelineRestoreThenAbsorb: the collector's resume — a primary
+// absorbs an agent's drained intervals, its history is snapshotted at a
+// boundary and restored into a fresh pipeline, which goes on absorbing
+// the agent's intervals — reproduces a direct run.
 func TestPipelineRestoreThenAbsorb(t *testing.T) {
+	const cut = 3 // intervals the first primary closes before the snapshot
 	direct, err := New(snapConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -111,33 +121,23 @@ func TestPipelineRestoreThenAbsorb(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	scratch, err := New(snapConfig())
+	resumed, err := New(snapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer scratch.Close()
+	defer resumed.Close()
 
 	for i := 0; i < 7; i++ {
 		recs := snapRecords(i, 900, i == 5)
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
-
-		snap := agent.Snapshot()
-		agent.DrainOpenInterval() // the agent never closes detection
-		if snap.Buffer.Len() != len(recs) {
-			t.Fatalf("interval %d: snapshot holds %d records, want %d", i, snap.Buffer.Len(), len(recs))
-		}
-		for _, ds := range snap.Bank.Detectors {
-			for _, hs := range ds.Clones {
-				if hs.Total == 0 {
-					t.Fatalf("interval %d: snapshot has empty clone", i)
-				}
+		if i == cut {
+			if err := resumed.RestoreSnapshot(primary.Snapshot()); err != nil {
+				t.Fatal(err)
 			}
+			primary = resumed
 		}
-		if err := scratch.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := primary.AbsorbOpenInterval(scratch.DrainOpenInterval()); err != nil {
+		if err := primary.AbsorbOpenInterval(agent.DrainOpenInterval()); err != nil {
 			t.Fatal(err)
 		}
 		want, err := direct.EndInterval()
@@ -149,8 +149,11 @@ func TestPipelineRestoreThenAbsorb(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: absorb-of-restore diverged from direct run:\n got %+v\nwant %+v",
+			t.Fatalf("interval %d: absorb after restore diverged from direct run:\n got %+v\nwant %+v",
 				i, got, want)
+		}
+		if i == 5 && !want.Alarm {
+			t.Fatal("the flood interval did not alarm; extraction not compared")
 		}
 	}
 }

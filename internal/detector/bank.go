@@ -3,6 +3,7 @@ package detector
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"anomalyx/internal/flow"
@@ -291,10 +292,14 @@ func (b *Bank) MergeDrained(dst []*histogram.CloneSet, siblings [][]*histogram.C
 // locked. Every sibling is validated before any histogram moves, so a
 // rejected group leaves every bank as it was.
 func (b *Bank) AbsorbGroup(others []*Bank) error {
-	// Validate before locking: absorbing b itself would self-deadlock.
-	for _, o := range others {
+	// Validate before locking: absorbing b itself, or one sibling
+	// twice, would self-deadlock.
+	for i, o := range others {
 		if err := b.mergeable(o); err != nil {
 			return err
+		}
+		if slices.Contains(others[:i], o) {
+			return fmt.Errorf("detector: sibling bank %d repeats an earlier sibling", i)
 		}
 	}
 	// Lock in caller order: the fold goes toward a single primary bank

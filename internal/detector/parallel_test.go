@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/stats"
 )
 
@@ -171,7 +173,7 @@ func TestAbsorbRejectsIncompatible(t *testing.T) {
 	}
 	primary := mk(nil)
 	primary.ObserveBatch(testBatch(stats.NewRand(1), 300))
-	before := primary.Snapshot()
+	before := openInterval(primary)
 	cases := map[string]*Bank{
 		"self":           primary,
 		"detector count": mk(func(c *BankConfig) { c.Features = []flow.FeatureKind{flow.SrcIP} }),
@@ -199,8 +201,50 @@ func TestAbsorbRejectsIncompatible(t *testing.T) {
 		if err := primary.AbsorbGroup([]*Bank{good, other}); err == nil {
 			t.Errorf("%s: AbsorbGroup accepted", name)
 		}
-		if !reflect.DeepEqual(primary.Snapshot(), before) {
+		if !reflect.DeepEqual(openInterval(primary), before) {
 			t.Fatalf("%s: rejected absorb modified the primary's open interval", name)
 		}
+	}
+}
+
+// openInterval snapshots b's open interval without draining it.
+func openInterval(b *Bank) [][]histogram.Snapshot {
+	var out [][]histogram.Snapshot
+	for _, set := range b.LiveInterval() {
+		out = append(out, set.Snapshots())
+	}
+	return out
+}
+
+// TestAbsorbGroupRejectsRepeatedSibling: a sibling listed twice is
+// refused before any bank is locked — locking it twice would deadlock —
+// and nothing moves. The call runs under a timeout so a deadlock fails
+// the test instead of hanging it.
+func TestAbsorbGroupRejectsRepeatedSibling(t *testing.T) {
+	mk := func(seed uint64) *Bank {
+		b, err := NewBank(BankConfig{Template: Config{Bins: 64, Clones: 3, Seed: 5}, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		b.ObserveBatch(testBatch(stats.NewRand(seed), 300))
+		return b
+	}
+	primary, a, o := mk(1), mk(2), mk(3)
+	beforePrimary, beforeO := openInterval(primary), openInterval(o)
+	for _, group := range [][]*Bank{{o, o}, {o, a, o}} {
+		done := make(chan error, 1)
+		go func() { done <- primary.AbsorbGroup(group) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("group of %d with a repeated sibling accepted", len(group))
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("AbsorbGroup with a repeated sibling did not return within 2 s (deadlock)")
+		}
+	}
+	if !reflect.DeepEqual(openInterval(primary), beforePrimary) || !reflect.DeepEqual(openInterval(o), beforeO) {
+		t.Fatal("rejected absorb moved histograms")
 	}
 }

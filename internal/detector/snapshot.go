@@ -7,26 +7,22 @@ import (
 	"anomalyx/internal/histogram"
 )
 
-// Snapshot is the exported, plain-data state of a Detector: the open
-// interval's clone histograms plus the full detection history (reference
-// counts, KL series, first-difference samples, interval counter).
-// Restoring a snapshot into a detector constructed from the same Config
-// reproduces the original exactly — its subsequent reports are
-// byte-identical to the original's, the wire package's round-trip
-// guarantee. The snapshot shares no memory with the detector, and every
-// slice is in a canonical order (clones in construction order, tracked
-// values sorted ascending), so equal detector states yield deeply equal
-// snapshots.
+// Snapshot is the exported, plain-data detection history of a Detector:
+// what carries across an interval boundary under §II-C — each clone's
+// previous-interval bin counts (the KL reference) and KL distance, the
+// pooled first-difference window behind the MAD threshold, and the
+// interval counter. The open interval is not part of it; its histograms
+// are rebuilt from flows every interval. A detector built from the same
+// Config and restored from a snapshot reports byte-identically to the
+// original from the next interval on. Like histogram.Snapshot it carries
+// state, not configuration: the wire protocol checks a config digest in
+// its handshake and in its checkpoint files.
 //
-// Like histogram.Snapshot, a Snapshot carries state, not configuration:
-// the receiving detector must be built from the same Config (features,
-// bins, clones, seed, thresholds) for the restore to be meaningful. The
-// wire protocol enforces this with a config digest in its handshake.
+// Clones is not history: it is only the argument shape of the wire
+// package's exported open-interval codec. Detector.Snapshot leaves it
+// nil and RestoreSnapshot refuses it.
 type Snapshot struct {
-	// Clones holds the open interval's histogram state, one per clone in
-	// construction order: the one value table, grouped by each clone's
-	// bins.
-	Clones []histogram.Snapshot
+	Clones []histogram.Snapshot // an open interval's clones; see above
 	// Prev holds the previous interval's per-clone bin counts — the KL
 	// reference distributions.
 	Prev [][]uint64
@@ -44,11 +40,10 @@ type Snapshot struct {
 	Interval int
 }
 
-// Snapshot captures the detector's full state. The result shares no
-// memory with the detector.
+// Snapshot captures the detector's detection history. The result shares
+// no memory with the detector.
 func (d *Detector) Snapshot() Snapshot {
 	s := Snapshot{
-		Clones:   d.cur.Snapshots(),
 		Prev:     make([][]uint64, len(d.prev)),
 		KLPrev:   append([]float64(nil), d.klPrev...),
 		HavePrev: d.havePrev,
@@ -62,19 +57,21 @@ func (d *Detector) Snapshot() Snapshot {
 	return s
 }
 
-// RestoreSnapshot replaces the detector's state with s: the open
-// interval is emptied and the snapshot's clones merged into it. The
-// detector must have been constructed with the snapshot's clone and bin
-// counts; see Snapshot for the configuration-matching caveat. A rejected
-// snapshot changes nothing.
+// RestoreSnapshot replaces the detector's detection history with s,
+// leaving the open interval as it is. The detector must have been
+// constructed with the snapshot's clone and bin counts; see Snapshot for
+// the configuration-matching caveat. A rejected snapshot changes
+// nothing.
 func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	if err := d.checkSnapshot(s); err != nil {
 		return err
 	}
-	d.cur.Reset()
-	if err := d.cur.MergeSnapshot(s.Clones); err != nil {
-		return err
-	}
+	d.restore(s)
+	return nil
+}
+
+// restore is RestoreSnapshot for a snapshot checkSnapshot accepted.
+func (d *Detector) restore(s Snapshot) {
 	for c, prev := range s.Prev {
 		copy(d.prev[c], prev)
 	}
@@ -85,11 +82,13 @@ func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	d.sorted = append(d.sorted[:0], s.Diffs...)
 	slices.Sort(d.sorted)
 	d.interval = s.Interval
-	return nil
 }
 
 // checkSnapshot validates s's shape against d without moving anything.
 func (d *Detector) checkSnapshot(s Snapshot) error {
+	if s.Clones != nil {
+		return fmt.Errorf("detector: restore snapshot carries %d clone histograms; a snapshot is history only", len(s.Clones))
+	}
 	if len(s.Prev) != len(d.prev) || len(s.KLPrev) != len(d.klPrev) {
 		return fmt.Errorf("detector: restore snapshot with %d/%d clone histories into detector with %d clones",
 			len(s.Prev), len(s.KLPrev), len(d.prev))
@@ -99,36 +98,17 @@ func (d *Detector) checkSnapshot(s Snapshot) error {
 			return fmt.Errorf("detector: restore snapshot with %d reference bins into detector with %d", len(prev), d.cfg.Bins)
 		}
 	}
-	return d.cur.CheckSnapshots(s.Clones)
+	return nil
 }
 
-// DrainInterval snapshots the open interval's clones and resets them,
-// without touching — or copying — the detection history. It is Snapshot
-// restricted to the fields an interval drain actually moves: the
-// distributed agent path drains every boundary, and paying a deep copy
-// of reference counts, KL series, and threshold samples that are all
-// zero on an agent (it never closes detection) was pure waste.
-func (d *Detector) DrainInterval() []histogram.Snapshot {
-	return d.drainInto(new(histogram.SnapshotMemory))
-}
-
-// drainInto is DrainInterval writing into m (see
-// histogram.CloneSet.SnapshotsInto).
-func (d *Detector) drainInto(m *histogram.SnapshotMemory) []histogram.Snapshot {
-	clones := d.cur.SnapshotsInto(m)
-	d.cur.Reset()
-	return clones
-}
-
-// BankSnapshot is the exported state of a Bank: one detector snapshot
-// per monitored feature, in the bank's feature order.
+// BankSnapshot is the exported detection history of a Bank: one
+// detector snapshot per monitored feature, in the bank's feature order.
 type BankSnapshot struct {
 	Detectors []Snapshot
 }
 
-// Snapshot captures every detector's state, in feature order. It locks
-// the bank, so it must not run concurrently with an in-flight
-// ObserveBatch from the same goroutine chain that would deadlock.
+// Snapshot captures every detector's detection history, in feature
+// order. It takes the bank mutex.
 func (b *Bank) Snapshot() BankSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -139,10 +119,11 @@ func (b *Bank) Snapshot() BankSnapshot {
 	return s
 }
 
-// RestoreSnapshot replaces every detector's state with the snapshot's,
-// in feature order. The bank must monitor the same number of features
-// with the same detector parameters as the snapshot's source. The whole
-// snapshot is validated first, so a rejected one changes nothing.
+// RestoreSnapshot replaces every detector's detection history with the
+// snapshot's, in feature order, leaving the open interval as it is. The
+// bank must monitor the same number of features with the same detector
+// parameters as the snapshot's source. The whole snapshot is validated
+// first, so a rejected one changes nothing.
 func (b *Bank) RestoreSnapshot(s BankSnapshot) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -156,38 +137,32 @@ func (b *Bank) RestoreSnapshot(s BankSnapshot) error {
 		}
 	}
 	for i, d := range b.detectors {
-		if err := d.RestoreSnapshot(s.Detectors[i]); err != nil {
-			return err
-		}
+		d.restore(s.Detectors[i])
 	}
 	return nil
 }
 
-// DrainInterval snapshots and resets every detector's open interval in
-// feature order (see Detector.DrainInterval), leaving detection history
-// untouched and uncopied.
-func (b *Bank) DrainInterval() [][]histogram.Snapshot {
-	return b.DrainIntervalInto(nil, make([]histogram.SnapshotMemory, len(b.detectors)))
-}
-
-// DrainIntervalInto is DrainInterval writing into caller-held memory:
-// detector i's snapshots live in mem[i] (len(mem) must be the detector
-// count) and the per-detector slices are appended to dst[:0]. The
-// result stays valid until mem is drained into again, so a caller that
-// drains every interval and is done with each result before the next
-// one allocates nothing in steady state.
+// DrainIntervalInto snapshots every detector's open interval in feature
+// order and resets it, leaving detection history untouched and
+// uncopied: detector i's snapshots live in mem[i] (len(mem) must be the
+// detector count; see histogram.CloneSet.SnapshotsInto) and the
+// per-detector slices are appended to dst[:0]. The result stays valid
+// until mem is drained into again, so a caller that drains every
+// interval and is done with each result before the next one allocates
+// nothing in steady state.
 func (b *Bank) DrainIntervalInto(dst [][]histogram.Snapshot, mem []histogram.SnapshotMemory) [][]histogram.Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	dst = dst[:0]
 	for i, d := range b.detectors {
-		dst = append(dst, d.drainInto(&mem[i]))
+		dst = append(dst, d.cur.SnapshotsInto(&mem[i]))
+		d.cur.Reset()
 	}
 	return dst
 }
 
 // AbsorbInterval folds drained clone snapshots — one slice per detector
-// in feature order, as DrainInterval returns them — into the open
+// in feature order, as DrainIntervalInto returns them — into the open
 // interval additively: per detector, clone 0's values enter the one
 // value table and every clone's bins follow (the mergeable-sketch
 // invariant; both sides built from the same Config and Seed). Every

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/tracegen"
 )
 
@@ -40,8 +41,10 @@ func snapTestBankConfig() BankConfig {
 
 // TestDetectorSnapshotRoundTrip: restoring a mid-stream snapshot into a
 // fresh same-config detector reproduces its subsequent results exactly,
-// including thresholds and alarms (the full history — prev counts, KL
-// series, diff samples — must survive the trip).
+// including thresholds and alarms (the history — prev counts, KL series,
+// diff samples — must survive the trip). The snapshot carries no open
+// interval, and the restore keeps the one the restored detector already
+// holds: here it observed the same partial interval before the restore.
 func TestDetectorSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{Feature: flow.DstPort, Bins: 64, TrainIntervals: 3, Seed: 5}
 	orig, err := New(cfg)
@@ -52,13 +55,19 @@ func TestDetectorSnapshotRoundTrip(t *testing.T) {
 		orig.ObserveBatch(snapTestRecords(i, 800, false))
 		orig.EndInterval()
 	}
-	orig.ObserveBatch(snapTestRecords(6, 300, false)) // partial open interval
+	partial := snapTestRecords(6, 300, false)
+	orig.ObserveBatch(partial)
 
 	s := orig.Snapshot()
+	if s.Clones != nil || s.Interval != 6 || !s.HaveKL {
+		t.Fatalf("snapshot: %d clone histograms, interval %d, HaveKL %v; want none, 6, true",
+			len(s.Clones), s.Interval, s.HaveKL)
+	}
 	restored, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored.ObserveBatch(partial)
 	if err := restored.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +117,30 @@ func TestDetectorSnapshotRejectsShape(t *testing.T) {
 	if err := d.RestoreSnapshot(bad); err == nil {
 		t.Error("restore with malformed reference counts accepted")
 	}
+	// A snapshot is history only: one carrying clone histograms — the
+	// open-interval codec's argument shape — is refused, even empty ones.
+	withClones := s
+	withClones.Clones = []histogram.Snapshot{}
+	if err := d.RestoreSnapshot(withClones); err == nil {
+		t.Error("restore of a snapshot carrying clone histograms accepted")
+	}
 }
 
-// TestDrainIntervalKeepsHistory: DrainInterval clears only the open
+// TestDrainIntervalKeepsHistory: DrainIntervalInto clears only the open
 // interval — the detection history (and therefore subsequent
 // thresholds) is untouched, while the drained observations are gone.
 func TestDrainIntervalKeepsHistory(t *testing.T) {
-	cfg := Config{Feature: flow.DstPort, Bins: 64, TrainIntervals: 3, Seed: 5}
-	a, err := New(cfg)
+	cfg := BankConfig{Features: []flow.FeatureKind{flow.DstPort}, Template: snapTestBankConfig().Template, Workers: 1}
+	a, err := NewBank(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg)
+	defer a.Close()
+	b, err := NewBank(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	for i := 0; i < 5; i++ {
 		recs := snapTestRecords(i, 600, false)
 		a.ObserveBatch(recs)
@@ -130,9 +148,9 @@ func TestDrainIntervalKeepsHistory(t *testing.T) {
 		a.EndInterval()
 		b.EndInterval()
 	}
-	// b additionally accumulates garbage that DrainInterval must wipe.
+	// b additionally accumulates garbage that the drain must wipe.
 	b.ObserveBatch(snapTestRecords(99, 400, true))
-	b.DrainInterval()
+	b.DrainIntervalInto(nil, make([]histogram.SnapshotMemory, 1))
 	recs := snapTestRecords(5, 600, false)
 	a.ObserveBatch(recs)
 	b.ObserveBatch(recs)
@@ -155,7 +173,8 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 		orig.ObserveBatch(snapTestRecords(i, 700, false))
 		orig.EndInterval()
 	}
-	orig.ObserveBatch(snapTestRecords(5, 250, false))
+	partial := snapTestRecords(5, 250, false)
+	orig.ObserveBatch(partial)
 
 	s := orig.Snapshot()
 	if len(s.Detectors) != len(orig.Detectors()) {
@@ -166,6 +185,7 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	restored.ObserveBatch(partial)
 	if err := restored.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +215,26 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 	if err := small.RestoreSnapshot(s); err == nil {
 		t.Error("restore across feature counts accepted")
 	}
+	// One bad detector anywhere rejects the whole snapshot before any
+	// history moves.
+	before := restored.Snapshot()
+	bad := BankSnapshot{Detectors: append([]Snapshot(nil), before.Detectors...)}
+	bad.Detectors[0].HavePrev = !bad.Detectors[0].HavePrev
+	bad.Detectors[len(bad.Detectors)-1].Prev = nil
+	if err := restored.RestoreSnapshot(bad); err == nil {
+		t.Error("restore with a malformed last detector accepted")
+	}
+	if !reflect.DeepEqual(restored.Snapshot(), before) {
+		t.Error("rejected restore moved history")
+	}
 
-	// Bank-level DrainInterval wipes the open interval of every
-	// detector (history stays — see TestDrainIntervalKeepsHistory): the
-	// re-snapshot shows empty clone histograms.
+	// Bank-level DrainIntervalInto wipes the open interval of every
+	// detector (history stays — see TestDrainIntervalKeepsHistory).
 	restored.ObserveBatch(snapTestRecords(50, 300, true))
-	restored.DrainInterval()
-	for di, ds := range restored.Snapshot().Detectors {
-		for ci, hs := range ds.Clones {
-			if hs.Total != 0 {
-				t.Fatalf("detector %d clone %d still holds %d observations after DrainInterval",
-					di, ci, hs.Total)
-			}
+	restored.DrainIntervalInto(nil, make([]histogram.SnapshotMemory, len(restored.Detectors())))
+	for di, set := range restored.LiveInterval() {
+		if n := set.Total(); n != 0 {
+			t.Fatalf("detector %d still holds %d observations after the drain", di, n)
 		}
 	}
 }
@@ -242,6 +270,7 @@ func TestRestoredThresholdsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		restored.ObserveBatch(ivs[at][:half])
 		if err := restored.RestoreSnapshot(orig.Snapshot()); err != nil {
 			t.Fatal(err)
 		}

@@ -208,25 +208,15 @@ func (s *CloneSet) CheckSnapshots(ss []Snapshot) error {
 	return nil
 }
 
-// MergeSnapshot folds per-clone snapshots (as Snapshots returns them)
+// MergeChecked folds per-clone snapshots (as Snapshots returns them)
 // into the set additively: clone 0's values enter the one table, and
 // every clone's bins follow from it. It is Merge with the sibling in
-// snapshot form, so a distributed collector can absorb a shipped
-// interval without restoring it into a scratch set first; a restore is
-// Reset then MergeSnapshot. ss must pass CheckSnapshots; the hash
-// functions cannot be checked (see Snapshot).
-func (s *CloneSet) MergeSnapshot(ss []Snapshot) error {
-	if err := s.CheckSnapshots(ss); err != nil {
-		return err
-	}
-	s.MergeChecked(ss)
-	return nil
-}
-
-// MergeChecked is MergeSnapshot for snapshots the caller has already
-// validated with CheckSnapshots against this set: a caller folding
-// several sets validates them all first and then merges each without
-// paying the validation twice. Unvalidated input is a caller bug.
+// snapshot form, so a collector absorbs a shipped interval without
+// restoring it into a scratch set first. ss must already have passed
+// CheckSnapshots against this set — a caller folding several sets
+// validates them all first, so a bad snapshot cannot leave a fold half
+// done; unvalidated input is a caller bug. The hash functions cannot be
+// checked (see Snapshot).
 func (s *CloneSet) MergeChecked(ss []Snapshot) {
 	s.values.ensure(entryCount(ss[0]))
 	for _, vs := range ss[0].Values {

@@ -5,14 +5,25 @@ import (
 	"testing"
 )
 
-// restore is the restore the detector builds on: validate, Reset, then
-// MergeSnapshot — so a rejected snapshot changes nothing.
+// restore validates ss, then resets s and merges ss in — so a rejected
+// snapshot changes nothing.
 func restore(s *CloneSet, ss []Snapshot) error {
 	if err := s.CheckSnapshots(ss); err != nil {
 		return err
 	}
 	s.Reset()
-	return s.MergeSnapshot(ss)
+	s.MergeChecked(ss)
+	return nil
+}
+
+// mergeSnapshot is the collector's absorb of one set: validate, then
+// merge additively.
+func mergeSnapshot(s *CloneSet, ss []Snapshot) error {
+	if err := s.CheckSnapshots(ss); err != nil {
+		return err
+	}
+	s.MergeChecked(ss)
+	return nil
 }
 
 // TestSnapshotRestoreRoundTrip: a restored set is indistinguishable from
@@ -164,8 +175,8 @@ func TestRestoreSnapshotRejectsShape(t *testing.T) {
 		if err := restore(dst, tc.ss); err == nil {
 			t.Errorf("%s: restore accepted", name)
 		}
-		if err := dst.MergeSnapshot(tc.ss); err == nil {
-			t.Errorf("%s: MergeSnapshot accepted", name)
+		if err := mergeSnapshot(dst, tc.ss); err == nil {
+			t.Errorf("%s: merge accepted", name)
 		}
 		if !reflect.DeepEqual(dst.Snapshots(), want) {
 			t.Errorf("%s: rejected snapshot changed the set", name)

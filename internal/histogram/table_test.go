@@ -197,7 +197,7 @@ func runParityProgram(t *testing.T, data []byte, clones int) {
 					m.merge(ms[1-tgt][c])
 				}
 			case 3: // merge the other set in snapshot form
-				if err := hs[tgt].MergeSnapshot(hs[1-tgt].Snapshots()); err != nil {
+				if err := mergeSnapshot(hs[tgt], hs[1-tgt].Snapshots()); err != nil {
 					t.Fatal(err)
 				}
 				for c, m := range ms[tgt] {
@@ -356,7 +356,7 @@ func TestAppendValuesInBinsMatchesPerBin(t *testing.T) {
 	}
 }
 
-// TestValueTableReserve pins the bulk-fill contract MergeSnapshot relies
+// TestValueTableReserve pins the bulk-fill contract MergeChecked relies
 // on: after ensure(n), n inserts perform no further allocation (observed
 // via capacity).
 func TestValueTableReserve(t *testing.T) {

@@ -45,10 +45,11 @@ var (
 	ErrBadCount   = errors.New("netflow: record count out of range or inconsistent with length")
 )
 
-// errTimeRange is the Writer's error for a flow its packets cannot
-// carry: a timestamp outside the uint32 uptime range of the device's
-// boot time, or an export time outside the header's uint32 seconds.
-var errTimeRange = errors.New("netflow: flow time outside the v5 range")
+// errTimeRange is the v5 Writer's and the v9 Encoder's error for a flow
+// their packets cannot carry: a timestamp outside the uint32 uptime
+// range of the device's boot time, or an export time outside the
+// header's uint32 fields.
+var errTimeRange = errors.New("netflow: flow time outside the exporter's uptime range")
 
 // The v5 header layout, big-endian: version(2) count(2) sysUptime(4)
 // unixSecs(4) unixNsecs(4) flowSequence(4) engineType(1) engineID(1)
@@ -221,7 +222,7 @@ func NewWriter(w io.Writer, bootMs int64) *Writer {
 // pending. It returns an error, and queues nothing, for a flow whose
 // timestamps the packets cannot carry (see NewWriter).
 func (w *Writer) Write(f flow.Record) error {
-	if !w.inUptime(f.Start) || !w.inUptime(f.End) {
+	if !inUptime(w.bootMs, f.Start) || !inUptime(w.bootMs, f.End) {
 		return fmt.Errorf("%w: flow [%d, %d] ms, device booted at %d ms", errTimeRange, f.Start, f.End, w.bootMs)
 	}
 	// The packet's export time is its latest flow end (or the boot time,
@@ -240,11 +241,11 @@ func (w *Writer) Write(f flow.Record) error {
 	return nil
 }
 
-// inUptime reports whether ms lies in [w.bootMs, w.bootMs+2^32), the
-// uint32 uptime milliseconds a record's First and Last carry. The
-// unsigned difference is exact for any ms >= w.bootMs.
-func (w *Writer) inUptime(ms int64) bool {
-	return ms >= w.bootMs && uint64(ms)-uint64(w.bootMs) <= math.MaxUint32
+// inUptime reports whether ms lies in [bootMs, bootMs+2^32), the uint32
+// uptime milliseconds a record's First and Last carry. The unsigned
+// difference is exact for any ms >= bootMs.
+func inUptime(bootMs, ms int64) bool {
+	return ms >= bootMs && uint64(ms)-uint64(bootMs) <= math.MaxUint32
 }
 
 // Flush writes any partially filled packet and flushes the buffered

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"anomalyx/internal/flow"
@@ -236,9 +237,16 @@ func NewV9Encoder(bootMs int64, sourceID uint32) *V9Encoder {
 	return &V9Encoder{bootMs: bootMs, sourceID: sourceID}
 }
 
-// Encode builds one export packet carrying recs (at most ~1300 records
-// fit a jumbo buffer; callers batch as needed). The export timestamp is
-// the latest flow end.
+// errV9Overflow is Encode's error for more records than one data
+// flowset's 16-bit length can count.
+var errV9Overflow = errors.New("netflow: too many records for one v9 packet")
+
+// Encode builds one export packet carrying recs: at most 2184 records,
+// what one data flowset's 16-bit length counts at the export template;
+// callers batch as needed. The export timestamp is the latest flow end.
+// Like the v5 Writer, it returns an error and encodes nothing for a flow
+// whose Start or End lies outside [bootMs, bootMs+2^32) ms, the uint32
+// uptime the record carries, or an export time the header cannot carry.
 func (e *V9Encoder) Encode(recs []flow.Record) ([]byte, error) {
 	if len(recs) == 0 {
 		return nil, errors.New("netflow: empty v9 packet")
@@ -246,15 +254,20 @@ func (e *V9Encoder) Encode(recs []flow.Record) ([]byte, error) {
 	be := binary.BigEndian
 	latest := e.bootMs
 	for i := range recs {
-		if recs[i].End > latest {
-			latest = recs[i].End
+		r := &recs[i]
+		if !inUptime(e.bootMs, r.Start) || !inUptime(e.bootMs, r.End) {
+			return nil, fmt.Errorf("%w: flow %d [%d, %d] ms, exporter booted at %d ms", errTimeRange, i, r.Start, r.End, e.bootMs)
 		}
+		latest = max(latest, r.End)
 	}
 	// The v9 header timestamps the export with second resolution
 	// (unixSecs) plus a millisecond uptime. Rounding the export instant
 	// up to a whole second keeps bootMs = unixSecs*1000 - sysUptime
 	// exactly recoverable, so flow timestamps survive a round trip.
 	exportMs := ((latest + 999) / 1000) * 1000
+	if !inUptime(e.bootMs, exportMs) || exportMs < 0 || exportMs/1000 > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: export time %d ms", errTimeRange, exportMs)
+	}
 
 	recordWidth := 0
 	for _, f := range v9ExportTemplate {
@@ -264,6 +277,9 @@ func (e *V9Encoder) Encode(recs []flow.Record) ([]byte, error) {
 	dataLen := 4 + len(recs)*recordWidth
 	pad := (4 - dataLen%4) % 4
 	dataLen += pad
+	if dataLen > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d records", errV9Overflow, len(recs))
+	}
 
 	buf := make([]byte, v9HeaderLen+tmplLen+dataLen)
 	// Header.

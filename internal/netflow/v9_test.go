@@ -2,6 +2,7 @@ package netflow
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,7 +144,10 @@ func TestV9DecodeErrors(t *testing.T) {
 		t.Errorf("wrong version: %v", err)
 	}
 	// Flowset length running past the packet.
-	pkt, _ := NewV9Encoder(0, 1).Encode(v9SampleFlows())
+	pkt, err := NewV9Encoder(1700000000000, 1).Encode(v9SampleFlows())
+	if err != nil {
+		t.Fatal(err)
+	}
 	trunc := pkt[:len(pkt)-8]
 	if _, err := NewV9Decoder().Decode(trunc); !errors.Is(err, ErrV9Truncated) {
 		t.Errorf("truncated flowset: %v", err)
@@ -156,8 +160,64 @@ func TestV9EncodeEmpty(t *testing.T) {
 	}
 }
 
+// TestV9EncodeRefusesWhatOnePacketCannotCarry: Encode returns an error
+// and no bytes for more records than one data flowset's 16-bit length
+// counts, and for a flow or export time outside the uint32 uptime range
+// of the exporter's boot time. Without the checks the flowset length
+// wraps (Decode returns no records, or 815 of 3000) and a flow that
+// starts before boot decodes 2^32 ms late. Everything accepted
+// round-trips.
+func TestV9EncodeRefusesWhatOnePacketCannotCarry(t *testing.T) {
+	const bootMs = int64(1700000000000)
+	const uptime = int64(1) << 32
+	flows := func(n int, start, end int64) []flow.Record {
+		recs := make([]flow.Record, n)
+		for i := range recs {
+			recs[i] = flow.Record{SrcAddr: uint32(i), DstPort: 80, Protocol: 6, Packets: 1, Bytes: 40,
+				Start: start, End: end}
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name string
+		recs []flow.Record
+		want error // nil: must round-trip
+	}{
+		{"2184 records", flows(2184, bootMs+10, bootMs+20), nil},
+		{"2185 records", flows(2185, bootMs+10, bootMs+20), errV9Overflow},
+		{"3000 records", flows(3000, bootMs+10, bootMs+20), errV9Overflow},
+		{"starts at boot", flows(1, bootMs, bootMs+20), nil},
+		{"starts 5 s before boot", flows(1, bootMs-5000, bootMs+20), errTimeRange},
+		{"ends before boot", flows(1, bootMs-9000, bootMs-5000), errTimeRange},
+		{"last whole second of uptime", flows(1, bootMs, bootMs+uptime-1000), nil},
+		{"export second past the uptime", flows(1, bootMs, bootMs+uptime-1), errTimeRange},
+		{"ends at 2^32 ms", flows(1, bootMs, bootMs+uptime), errTimeRange},
+		{"one bad flow among good", append(flows(5, bootMs+10, bootMs+20), flows(1, bootMs+uptime, bootMs+uptime)...), errTimeRange},
+	} {
+		enc := NewV9Encoder(bootMs, 3)
+		pkt, err := enc.Encode(tc.recs)
+		if tc.want != nil {
+			if !errors.Is(err, tc.want) || pkt != nil {
+				t.Errorf("%s: Encode returned %d bytes and %v, want no bytes and %v", tc.name, len(pkt), err, tc.want)
+			}
+			if enc.seq != 0 {
+				t.Errorf("%s: a refused packet advanced the sequence number", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		got, err := NewV9Decoder().Decode(pkt)
+		if err != nil || !slices.Equal(got, tc.recs) {
+			t.Errorf("%s: decoded %d of %d records (err %v), or different ones", tc.name, len(got), len(tc.recs), err)
+		}
+	}
+}
+
 func TestV9SequenceIncrements(t *testing.T) {
-	enc := NewV9Encoder(0, 1)
+	enc := NewV9Encoder(1700000000000, 1)
 	p1, _ := enc.Encode(v9SampleFlows()[:1])
 	p2, _ := enc.Encode(v9SampleFlows()[:1])
 	s1 := uint32(p1[12])<<24 | uint32(p1[13])<<16 | uint32(p1[14])<<8 | uint32(p1[15])

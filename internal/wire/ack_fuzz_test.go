@@ -38,13 +38,14 @@ func FuzzAckResume(f *testing.F) {
 	f.Add(appendError(nil, errCodeConfigMismatch, "config mismatch: agent=1234 collector=beef"))
 	f.Add(appendError(nil, errCodeSessionEnded, "stream already ended"))
 	f.Add(appendError(nil, errCodeBadVersion, "unsupported protocol version 1"))
-	// A checkpoint for a 2-agent session over an empty pipeline.
+	// A checkpoint for a 2-agent session over a fresh pipeline's history.
 	f.Add(appendCheckpoint(nil, checkpoint{
+		digest:     configDigest(core.Config{}),
 		lastClosed: 900000,
 		emitted:    1,
 		absorbed:   []int64{900000, 0},
 		statuses:   []agentStatus{statusLive, statusDead},
-		snap:       mustSnapshot(core.Config{}),
+		hist:       freshPipeline(core.Config{}).Snapshot(),
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,12 +83,11 @@ func FuzzAckResume(f *testing.F) {
 	})
 }
 
-// mustSnapshot builds a snapshot of a fresh pipeline under cfg for use
-// as fuzz-seed material.
-func mustSnapshot(cfg core.Config) core.PipelineSnapshot {
+// freshPipeline builds a pipeline under cfg for fuzz-seed material.
+func freshPipeline(cfg core.Config) *core.Pipeline {
 	p, err := core.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return p.Snapshot()
+	return p
 }

@@ -121,7 +121,7 @@ func newAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) *Age
 	}
 	a := &Agent{
 		id:     agentID,
-		digest: ConfigDigest(cfg),
+		digest: configDigest(cfg),
 		opts:   opts,
 		rng:    rand.New(rand.NewSource(opts.Retry.Seed)),
 	}

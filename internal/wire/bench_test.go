@@ -13,76 +13,6 @@ import (
 	"anomalyx/internal/wire"
 )
 
-// benchSnapshot builds a paper-default pipeline (5 features x 3 clones
-// x 1024 bins, value tracking on) holding one partially accumulated
-// interval of nFlows records — the state an agent drains and ships
-// every interval.
-func benchSnapshot(b *testing.B, nFlows int) core.PipelineSnapshot {
-	b.Helper()
-	p, err := core.New(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	trace := testTrace(1, nFlows, 0)[0]
-	p.ObserveBatch(trace)
-	return p.Snapshot()
-}
-
-// BenchmarkWireSnapshot measures the codec on a drained interval of
-// 20k flows: encode, decode, and the bytes produced (reported as
-// B/op via SetBytes, so ns/op divided by MB/s is directly comparable).
-func BenchmarkWireSnapshot(b *testing.B) {
-	snap := benchSnapshot(b, 20000)
-	enc := wire.EncodePipelineSnapshot(snap)
-	b.Logf("snapshot size: %d bytes (%d buffered flows)", len(enc), snap.Buffer.Len())
-
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			wire.EncodePipelineSnapshot(snap)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.DecodePipelineSnapshot(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// The lean open-interval form — what an agent actually ships each
-	// boundary (the bench pipeline never closed an interval, so its
-	// snapshot qualifies). Logged sizes give the full-vs-lean delta.
-	lean, err := wire.EncodeOpenIntervalSnapshot(snap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("open-interval size: %d bytes (full: %d, %.1f%% saved)",
-		len(lean), len(enc), 100*float64(len(enc)-len(lean))/float64(len(enc)))
-	b.Run("encode-open", func(b *testing.B) {
-		b.SetBytes(int64(len(lean)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.EncodeOpenIntervalSnapshot(snap); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-open", func(b *testing.B) {
-		b.SetBytes(int64(len(lean)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.DecodeOpenIntervalSnapshot(lean); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkLoopbackInterval measures the distributed interval close end
 // to end over loopback TCP: two agents each drain and ship a ~2k-flow
 // interval, the collector merges both snapshots in agent-ID order and

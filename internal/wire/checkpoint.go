@@ -1,11 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"anomalyx/internal/core"
+	"anomalyx/internal/detector"
 )
 
 // checkpointMagic starts every root collector checkpoint file and
@@ -17,39 +18,47 @@ var (
 	relayCheckpointMagic = [4]byte{'A', 'X', 'R', 'P'}
 )
 
-// checkpoint is a session's durable state: the session table every
-// collector keeps (merge counters and the per-agent dedup lines and
-// statuses), followed by the one thing each role cannot rebuild from
-// its peers. At the root that is the pipeline snapshot — everything a
-// restarted collector needs to resume emitting the exact report stream
-// an unrestarted run would have produced from the next interval on. At
-// a relay (whose pipeline is fully drained at every close) it is the
-// shipped-but-unacked upstream frames, re-offered on restart. Frames
-// absorbed after the checkpoint was written are covered by the ack
-// protocol instead: acks are sent only after the checkpoint that
-// contains their boundary, so whatever a restart loses is still in some
-// agent's replay buffer.
+// checkpointVersion is the checkpoint format's version, apart from the
+// frames' codecVersion; readers refuse every other. Version 3 made the
+// root's tail detection history only and added the config digest;
+// versions 1 and 2 shared the frame codec's version byte.
+const checkpointVersion = 3
+
+// checkpoint is a session's durable state: the config digest, the
+// session table every collector keeps (merge counters and the per-agent
+// dedup lines and statuses), and the one thing each role cannot rebuild
+// from its peers. At the root that is the pipeline's detection history,
+// written right after a close empties the open interval: everything a
+// restarted collector needs to emit, from the next interval on, the
+// exact reports an unrestarted run would have. At a relay (whose
+// pipeline is fully drained at every close) it is the shipped-but-
+// unacked upstream frames, re-offered on restart. Frames absorbed after
+// the checkpoint was written are covered by the ack protocol instead:
+// acks are sent only after the checkpoint that contains their boundary,
+// so whatever a restart loses is still in some agent's replay buffer.
 type checkpoint struct {
+	digest     uint64 // configDigest of the session's pipeline configuration
 	lastClosed int64
 	emitted    int64
 	absorbed   []int64       // per-agent absorbed boundary, indexed by ID
 	statuses   []agentStatus // per-agent status at checkpoint time
+	relay      bool          // selects the magic and which tail follows
 
-	relay bool                  // selects the magic and which tail follows
-	snap  core.PipelineSnapshot // root tail
-	held  []replayEntry         // relay tail: unacked upstream frames, boundary ascending
+	hist detector.BankSnapshot // root tail: the pipeline's detection history
+	held []replayEntry         // relay tail: unacked upstream frames, boundary ascending
 }
 
-// appendCheckpoint encodes a checkpoint: magic, codec version, the
-// session table, then the full pipeline snapshot (root) or the held
-// frames (relay).
+// appendCheckpoint encodes a checkpoint: magic, checkpoint version,
+// config digest (8 bytes, little-endian), the session table, then the
+// detection history (root) or the held frames (relay).
 func appendCheckpoint(b []byte, c checkpoint) []byte {
 	magic := checkpointMagic
 	if c.relay {
 		magic = relayCheckpointMagic
 	}
 	b = append(b, magic[:]...)
-	b = append(b, codecVersion)
+	b = append(b, checkpointVersion)
+	b = binary.LittleEndian.AppendUint64(b, c.digest)
 	b = appendVarint(b, c.lastClosed)
 	b = appendVarint(b, c.emitted)
 	b = appendUvarint(b, uint64(len(c.absorbed)))
@@ -58,7 +67,7 @@ func appendCheckpoint(b []byte, c checkpoint) []byte {
 		b = append(b, byte(c.statuses[i]))
 	}
 	if !c.relay {
-		return appendPipelineSnapshot(b, c.snap)
+		return appendHistory(b, c.hist)
 	}
 	b = appendUvarint(b, uint64(len(c.held)))
 	for _, e := range c.held {
@@ -85,10 +94,11 @@ func decodeCheckpoint(payload []byte, relay bool) (checkpoint, error) {
 	if r.err() == nil && magic != want {
 		return checkpoint{}, fmt.Errorf("wire: bad checkpoint magic %q (want %q)", magic[:], want[:])
 	}
-	if v := r.byte(); r.err() == nil && v != codecVersion {
-		r.fail("unsupported checkpoint codec version %d (want %d)", v, codecVersion)
+	if v := r.byte(); r.err() == nil && v != checkpointVersion {
+		r.fail("unsupported checkpoint version %d (want %d)", v, checkpointVersion)
 	}
 	c := checkpoint{relay: relay}
+	c.digest = r.uint64()
 	c.lastClosed = r.varint()
 	c.emitted = r.varint()
 	n := r.length(2)
@@ -105,13 +115,93 @@ func decodeCheckpoint(payload []byte, relay bool) (checkpoint, error) {
 	if relay {
 		c.held = decodeHeldFrames(r)
 	} else {
-		c.snap = decodePipelineBody(r)
+		c.hist = decodeHistory(r)
 	}
 	r.expectEOF()
 	if r.err() != nil {
 		return checkpoint{}, r.err()
 	}
 	return c, nil
+}
+
+// appendHistory encodes a bank's detection history: per detector in
+// feature order, the reference counts, the KL series, the two validity
+// flags, the pooled first differences and the interval counter.
+func appendHistory(b []byte, s detector.BankSnapshot) []byte {
+	b = appendUvarint(b, uint64(len(s.Detectors)))
+	for _, ds := range s.Detectors {
+		b = appendUvarint(b, uint64(len(ds.Prev)))
+		for _, prev := range ds.Prev {
+			b = appendUvarint(b, uint64(len(prev)))
+			for _, c := range prev {
+				b = appendUvarint(b, c)
+			}
+		}
+		b = appendUvarint(b, uint64(len(ds.KLPrev)))
+		for _, kl := range ds.KLPrev {
+			b = appendFloat64(b, kl)
+		}
+		b = append(b, boolByte(ds.HavePrev), boolByte(ds.HaveKL))
+		b = appendUvarint(b, uint64(len(ds.Diffs)))
+		for _, d := range ds.Diffs {
+			b = appendFloat64(b, d)
+		}
+		b = appendUvarint(b, uint64(ds.Interval))
+	}
+	return b
+}
+
+// decodeHistory parses an appendHistory body.
+func decodeHistory(r *reader) detector.BankSnapshot {
+	// A detector's history takes at least six bytes: four counts and
+	// two flags.
+	s := detector.BankSnapshot{Detectors: make([]detector.Snapshot, r.length(6))}
+	for i := range s.Detectors {
+		ds := &s.Detectors[i]
+		ds.Prev = make([][]uint64, r.length(1))
+		for c := range ds.Prev {
+			prev := make([]uint64, r.length(1))
+			for j := range prev {
+				prev[j] = r.uvarint()
+			}
+			ds.Prev[c] = prev
+		}
+		ds.KLPrev = make([]float64, r.length(8))
+		for c := range ds.KLPrev {
+			ds.KLPrev[c] = r.float64()
+		}
+		ds.HavePrev = decodeBool(r)
+		ds.HaveKL = decodeBool(r)
+		// nil for empty, matching Detector.Snapshot's append-to-nil shape,
+		// so decode(encode(s)) is deeply equal to s, not just equivalent.
+		if n := r.length(8); n > 0 {
+			ds.Diffs = make([]float64, n)
+			for j := range ds.Diffs {
+				ds.Diffs[j] = r.float64()
+			}
+		}
+		ds.Interval = int(r.uvarint())
+	}
+	return s
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func decodeBool(r *reader) bool {
+	switch b := r.byte(); b {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.fail("invalid bool byte %d", b)
+		return false
+	}
 }
 
 // decodeHeldFrames parses a relay checkpoint's tail. A relay ships

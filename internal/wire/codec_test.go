@@ -401,7 +401,7 @@ func TestCollectorDecodeAbsorbSteadyStateAllocs(t *testing.T) {
 	oi := agentInterval(t, 3200)
 	payload := appendVarint(nil, 1)
 	payload = append(payload, codecVersion)
-	payload = appendOpenInterval(payload, oi)
+	payload = new(encoder).appendOpenInterval(payload, oi)
 	primary, err := core.New(core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +446,7 @@ func TestDecodeRejectsUnusedEntryAfterFullColumn(t *testing.T) {
 		b = appendUvarint(b, v) // Packets, Bytes, Start deltas, End durations
 	}
 	r := &reader{buf: b}
-	decodeRecordSection(r)
+	decodeRecordsInto(r, new(flow.Buffer), new(recordScratch))
 	if err := r.err(); err == nil || !strings.Contains(err.Error(), "DstAddr dictionary entry 1 unused") {
 		t.Fatalf("got %v, want DstAddr's unused entry refused", err)
 	}

@@ -59,8 +59,10 @@ type CollectorConfig struct {
 	// closed interval, before acking the interval's frames.
 	CheckpointPath string
 	// Resume makes NewCollector load CheckpointPath and Serve continue
-	// from it: the pipeline state, interval numbering, and per-agent
-	// dedup lines pick up where the checkpointed session stopped.
+	// from it: the detection history, interval numbering, and per-agent
+	// dedup lines pick up where the checkpointed session stopped. A
+	// checkpoint written under another detection configuration (see the
+	// handshake digest) is refused.
 	Resume bool
 	// MetricsAddr, when non-empty, serves the session's expvar metrics
 	// over HTTP on that address for the lifetime of Serve.
@@ -158,10 +160,11 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 }
 
 // newCollector builds a root collector (fwd nil) or a relay's
-// child-facing half. With cc.Resume it loads the checkpoint and puts
-// its tail back where it came from — the pipeline snapshot into the
-// pipeline, or the held frames into the upstream agent's replay buffer,
-// ahead of that agent's first dial.
+// child-facing half. With cc.Resume it loads the checkpoint, refuses
+// one written under another configuration digest, and puts its tail
+// back where it came from — the detection history into the pipeline, or
+// the held frames into the upstream agent's replay buffer, ahead of
+// that agent's first dial.
 func newCollector(cfg core.Config, cc CollectorConfig, fwd *forwarder) (*Collector, error) {
 	cc = cc.withDefaults()
 	if cc.Agents < 1 {
@@ -176,7 +179,7 @@ func newCollector(cfg core.Config, cc CollectorConfig, fwd *forwarder) (*Collect
 	}
 	c := &Collector{
 		cc:      cc,
-		digest:  ConfigDigest(cfg),
+		digest:  configDigest(cfg),
 		primary: primary,
 		met:     metrics.NewSession(cc.Agents),
 		fwd:     fwd,
@@ -196,14 +199,18 @@ func (c *Collector) loadCheckpoint() error {
 	if err != nil {
 		return err
 	}
+	if cp.digest != c.digest {
+		return fmt.Errorf("wire: checkpoint written under config digest %x, session configured with %x",
+			cp.digest, c.digest)
+	}
 	if len(cp.absorbed) != c.cc.Agents {
 		return fmt.Errorf("wire: checkpoint has %d agents, session configured for %d",
 			len(cp.absorbed), c.cc.Agents)
 	}
 	if c.fwd != nil {
 		c.fwd.agent.preloadReplay(cp.held)
-	} else if err := c.primary.RestoreSnapshot(cp.snap); err != nil {
-		return fmt.Errorf("wire: restoring checkpoint pipeline: %w", err)
+	} else if err := c.primary.RestoreSnapshot(cp.hist); err != nil {
+		return fmt.Errorf("wire: restoring checkpoint history: %w", err)
 	}
 	c.restored = &cp
 	return nil
@@ -883,11 +890,12 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 	return nil
 }
 
-// writeCheckpoint persists the session's durable state: the session
-// table, then the root's pipeline or the relay's unacked upstream
-// frames.
+// writeCheckpoint persists the session's durable state: the config
+// digest and the session table, then the root's detection history or
+// the relay's unacked upstream frames.
 func (c *Collector) writeCheckpoint(s *session) error {
 	cp := checkpoint{
+		digest:     c.digest,
 		lastClosed: s.lastClosed,
 		emitted:    s.emitted,
 		absorbed:   make([]int64, len(s.ag)),
@@ -900,7 +908,7 @@ func (c *Collector) writeCheckpoint(s *session) error {
 	if c.fwd != nil {
 		cp.relay, cp.held = true, c.fwd.agent.replayState()
 	} else {
-		cp.snap = c.primary.Snapshot()
+		cp.hist = c.primary.Snapshot()
 	}
 	return writeCheckpointFile(c.cc.CheckpointPath, cp)
 }

@@ -183,7 +183,7 @@ func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error
 	}
 }
 
-// ConfigDigest hashes the detection-relevant configuration — the
+// configDigest hashes the detection-relevant configuration — the
 // monitored feature list and the *defaulted* detector template — into a
 // 64-bit value both ends of a connection must agree on. Two processes
 // with equal digests build histogram clones over the same feature
@@ -191,7 +191,7 @@ func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error
 // precondition for the Absorb merge path to be meaningful; mining-side
 // settings (miner choice, support, prefilter strategy) are deliberately
 // excluded, since only the collector's copies of those ever run.
-func ConfigDigest(cfg core.Config) uint64 {
+func configDigest(cfg core.Config) uint64 {
 	feats := cfg.Features
 	if len(feats) == 0 {
 		feats = flow.DetectorFeatures[:]
@@ -329,7 +329,7 @@ const configMismatchFormat = "config mismatch: agent=%x collector=%x"
 // operator can diff the configurations; cmd/anomalyx maps it to a
 // distinct exit code.
 type ConfigMismatchError struct {
-	// Agent and Collector are the two ConfigDigest values that differed.
+	// Agent and Collector are the two configuration digest values that differed.
 	Agent, Collector uint64
 }
 

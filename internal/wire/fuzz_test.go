@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 import (
 	"bytes"
@@ -8,23 +8,20 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/wire"
 )
 
-// FuzzWireRoundTrip drives a small pipeline from arbitrary bytes —
-// records, interval closes, and a drain are all derived from the input
-// — then checks the codec's two standing invariants on the resulting
-// snapshot:
+// FuzzWireRoundTrip holds the checkpoint codec to the wire codec's
+// standing invariants. The raw input is fed to both roles' checkpoint
+// readers, which must reject or accept it without panicking; an accepted
+// parse must re-encode byte-identically (decode is the codec's inverse
+// on its own image and total everywhere else). The input also drives a
+// small pipeline — records and interval closes are derived from it —
+// and a root checkpoint of the resulting detection history must
 //
-//  1. canonical round trip: decode(encode(s)) is deeply equal to s and
+//  1. round-trip canonically: decode(encode(c)) is deeply equal to c and
 //     re-encodes byte-identically;
-//  2. lossless restore: a fresh pipeline restored from the decoded
-//     snapshot re-snapshots to the same canonical bytes.
-//
-// The raw input is also fed to the decoder directly, which must reject
-// or accept it without panicking, and accepted parses must re-encode
-// byte-identically (decode is the codec's inverse on its own image and
-// total everywhere else).
+//  2. restore losslessly: a fresh pipeline restored from the decoded
+//     history re-snapshots to the same bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 250, 251, 252, 253, 254, 255})
@@ -37,11 +34,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes must never panic the decoder; valid parses
-		// must re-encode to the same bytes.
-		if s, err := wire.DecodePipelineSnapshot(data); err == nil {
-			if enc := wire.EncodePipelineSnapshot(s); !bytes.Equal(enc, data) {
-				t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", data, enc)
+		for _, relay := range []bool{false, true} {
+			if c, err := decodeCheckpoint(data, relay); err == nil {
+				if re := appendCheckpoint(nil, c); !bytes.Equal(re, data) {
+					t.Fatalf("accepted input (relay %v) re-encodes differently:\n in %x\nout %x", relay, data, re)
+				}
 			}
 		}
 
@@ -52,7 +49,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		defer p.Close()
 		// Interpret the input as a little op program: every 8 bytes form
 		// one record, and op bytes ending in 0x0 close the interval so
-		// the snapshot carries detection history, not just open state.
+		// the checkpoint carries detection history.
+		closed := int64(0)
 		for len(data) >= 8 {
 			op, chunk := data[0], data[1:8]
 			data = data[8:]
@@ -60,6 +58,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				if _, err := p.EndInterval(); err != nil {
 					t.Fatal(err)
 				}
+				closed++
 				continue
 			}
 			rec := flow.Record{
@@ -75,17 +74,24 @@ func FuzzWireRoundTrip(f *testing.F) {
 			p.ObserveBatch([]flow.Record{rec})
 		}
 
-		snap := p.Snapshot()
-		enc := wire.EncodePipelineSnapshot(snap)
-		dec, err := wire.DecodePipelineSnapshot(enc)
+		c := checkpoint{
+			digest:     configDigest(cfg),
+			lastClosed: closed * 900000,
+			emitted:    closed,
+			absorbed:   []int64{closed * 900000},
+			statuses:   []agentStatus{statusLive},
+			hist:       p.Snapshot(),
+		}
+		enc := appendCheckpoint(nil, c)
+		dec, err := decodeCheckpoint(enc, false)
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
 		}
-		if !reflect.DeepEqual(dec, snap) {
-			t.Fatal("decoded snapshot differs from the original")
+		if !reflect.DeepEqual(dec, c) {
+			t.Fatalf("decoded checkpoint differs from the original:\n got %+v\nwant %+v", dec, c)
 		}
-		if enc2 := wire.EncodePipelineSnapshot(dec); !bytes.Equal(enc, enc2) {
-			t.Fatal("re-encoding the decoded snapshot changed the bytes")
+		if enc2 := appendCheckpoint(nil, dec); !bytes.Equal(enc, enc2) {
+			t.Fatal("re-encoding the decoded checkpoint changed the bytes")
 		}
 
 		restored, err := core.New(cfg)
@@ -93,10 +99,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer restored.Close()
-		if err := restored.RestoreSnapshot(dec); err != nil {
+		if err := restored.RestoreSnapshot(dec.hist); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		if enc3 := wire.EncodePipelineSnapshot(restored.Snapshot()); !bytes.Equal(enc, enc3) {
+		c.hist = restored.Snapshot()
+		if enc3 := appendCheckpoint(nil, c); !bytes.Equal(enc, enc3) {
 			t.Fatal("restored pipeline re-snapshots to different bytes")
 		}
 	})

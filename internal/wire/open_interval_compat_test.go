@@ -69,11 +69,7 @@ func closeFixtureInterval(t *testing.T, frame []byte) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oi := core.OpenInterval{Buffer: dec.Buffer}
-	for _, ds := range dec.Bank.Detectors {
-		oi.Clones = append(oi.Clones, ds.Clones)
-	}
-	if err := p.AbsorbOpenInterval(oi); err != nil {
+	if err := p.AbsorbOpenInterval(openIntervalOf(dec)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := p.EndInterval()
@@ -95,6 +91,16 @@ func pipelineSnapshotOf(oi core.OpenInterval) core.PipelineSnapshot {
 		s.Bank.Detectors = append(s.Bank.Detectors, ds)
 	}
 	return s
+}
+
+// openIntervalOf is pipelineSnapshotOf's inverse: the decoded
+// interval, as AbsorbOpenInterval takes it.
+func openIntervalOf(s core.PipelineSnapshot) core.OpenInterval {
+	oi := core.OpenInterval{Buffer: s.Buffer}
+	for _, ds := range s.Bank.Detectors {
+		oi.Clones = append(oi.Clones, ds.Clones)
+	}
+	return oi
 }
 
 // TestParentOpenIntervalFrame: the drain of a seeded two-shard interval

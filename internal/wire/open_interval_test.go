@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"anomalyx/internal/core"
+	"anomalyx/internal/detector"
 	"anomalyx/internal/wire"
 )
 
-// TestOpenIntervalRoundTrip pins the lean codec's contract: the
-// encoding of a drained interval is smaller than the full form, decodes
-// deeply equal to the drained snapshot (canonical empty history
-// reconstructed), re-encodes byte-identically, and restores into a
-// pipeline that re-snapshots to the same full-codec bytes as one
-// restored from the full encoding.
+// TestOpenIntervalRoundTrip pins the exported open-interval codec's
+// contract: the encoding of a drained interval decodes deeply equal to
+// the drained interval in PipelineSnapshot form (canonical empty history
+// reconstructed), re-encodes byte-identically, and absorbs into a fresh
+// pipeline that drains to the same bytes again.
 func TestOpenIntervalRoundTrip(t *testing.T) {
 	p, err := core.New(core.Config{})
 	if err != nil {
@@ -22,20 +22,13 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 	}
 	defer p.Close()
 	p.ObserveBatch(testTrace(1, 3000, 0)[0])
-	snap := p.Snapshot()
+	snap := pipelineSnapshotOf(p.DrainOpenInterval())
 
-	lean, err := wire.EncodeOpenIntervalSnapshot(snap)
+	frame, err := wire.EncodeOpenIntervalSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := wire.EncodePipelineSnapshot(snap)
-	if len(lean) >= len(full) {
-		t.Fatalf("lean frame (%d bytes) not smaller than full (%d bytes)", len(lean), len(full))
-	}
-	t.Logf("lean %d bytes vs full %d bytes (%.1f%% saved)",
-		len(lean), len(full), 100*float64(len(full)-len(lean))/float64(len(full)))
-
-	dec, err := wire.DecodeOpenIntervalSnapshot(lean)
+	dec, err := wire.DecodeOpenIntervalSnapshot(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,26 +39,30 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(re, lean) {
+	if !bytes.Equal(re, frame) {
 		t.Fatal("re-encoding the decoded snapshot changed the bytes")
 	}
 
-	restored, err := core.New(core.Config{})
+	absorbed, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	if err := restored.RestoreSnapshot(dec); err != nil {
+	defer absorbed.Close()
+	if err := absorbed.AbsorbOpenInterval(openIntervalOf(dec)); err != nil {
 		t.Fatal(err)
 	}
-	if got := wire.EncodePipelineSnapshot(restored.Snapshot()); !bytes.Equal(got, full) {
-		t.Fatal("pipeline restored from the lean form re-snapshots differently from the full form")
+	got, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(absorbed.DrainOpenInterval()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, frame) {
+		t.Fatal("pipeline that absorbed the decoded interval drains to different bytes")
 	}
 }
 
-// TestOpenIntervalRejectsHistory: the lean form refuses snapshots that
-// carry detection history (it would silently discard them), and refuses
-// corrupt payloads.
+// TestOpenIntervalRejectsHistory: the open-interval form refuses
+// snapshots that carry detection history (it would silently discard
+// them), and refuses corrupt payloads.
 func TestOpenIntervalRejectsHistory(t *testing.T) {
 	p, err := core.New(core.Config{})
 	if err != nil {
@@ -77,8 +74,17 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ObserveBatch(testTrace(1, 200, 0)[0])
-	if _, err := wire.EncodeOpenIntervalSnapshot(p.Snapshot()); err == nil {
-		t.Fatal("open-interval encoding accepted a snapshot with detection history")
+	hist := p.Snapshot().Detectors[0]
+	for name, carry := range map[string]func(ds *detector.Snapshot){
+		"flags":     func(ds *detector.Snapshot) { ds.HavePrev = hist.HavePrev },
+		"interval":  func(ds *detector.Snapshot) { ds.Interval = hist.Interval },
+		"reference": func(ds *detector.Snapshot) { ds.Prev = hist.Prev },
+	} {
+		withHistory := pipelineSnapshotOf(p.DrainOpenInterval())
+		carry(&withHistory.Bank.Detectors[0])
+		if _, err := wire.EncodeOpenIntervalSnapshot(withHistory); err == nil {
+			t.Errorf("%s: open-interval encoding accepted a snapshot with detection history", name)
+		}
 	}
 
 	if _, err := wire.DecodeOpenIntervalSnapshot(nil); err == nil {
@@ -89,7 +95,7 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	lean, err := wire.EncodeOpenIntervalSnapshot(fresh.Snapshot())
+	lean, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(fresh.DrainOpenInterval()))
 	if err != nil {
 		t.Fatal(err)
 	}

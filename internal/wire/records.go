@@ -32,10 +32,10 @@ import (
 // indices, and dictionary entries no row references. Together with the
 // wrapping-arithmetic delta chains (encode and decode are exact
 // inverses over all of int64), decode∘encode remains the identity on
-// every accepted byte string, the FuzzWireRoundTrip/FuzzColumnarRecords
-// invariant. The range rejections are load-bearing beyond canonicality:
-// the row-wise codec this replaces silently truncated a SrcPort of
-// 0x1FFFF to 65535 instead of failing.
+// every accepted byte string, the FuzzColumnarRecords invariant. The
+// range rejections are load-bearing beyond canonicality: the row-wise
+// codec this replaces silently truncated a SrcPort of 0x1FFFF to 65535
+// instead of failing.
 
 // encoder is the interval encoder's reusable scratch: the dictionary
 // columns' sort keys, their radix ping-pong buffer, and the per-row
@@ -46,12 +46,6 @@ type encoder struct {
 	keys, tmp []uint64
 	idx       []uint32
 	out       []byte // EncodeOpenIntervalSnapshot's output scratch
-}
-
-// appendRecordSection appends the columnar encoding of buf with fresh
-// scratch; see encoder.appendRecordSection.
-func appendRecordSection(b []byte, buf *flow.Buffer) []byte {
-	return new(encoder).appendRecordSection(b, buf)
 }
 
 // appendRecordSection appends the columnar encoding of buf: the row
@@ -245,17 +239,6 @@ func decodeDictColumn[V uint16 | uint32](r *reader, n int, max uint64, field str
 		}
 	}
 	return col
-}
-
-// decodeRecordSection parses a columnar record section into a fresh
-// buffer; see decodeRecordsInto.
-func decodeRecordSection(r *reader) flow.Buffer {
-	var buf flow.Buffer
-	decodeRecordsInto(r, &buf, new(recordScratch))
-	if r.err() != nil {
-		return flow.Buffer{}
-	}
-	return buf
 }
 
 // decodeRecordsInto parses a columnar record section into buf, reusing

@@ -34,9 +34,15 @@ func sectionRecords() []flow.Record {
 // it to consume everything.
 func decodeSection(b []byte) (flow.Buffer, error) {
 	r := &reader{buf: b}
-	buf := decodeRecordSection(r)
+	var buf flow.Buffer
+	decodeRecordsInto(r, &buf, new(recordScratch))
 	r.expectEOF()
 	return buf, r.err()
+}
+
+// encodeSection runs the columnar encoder over buf with fresh scratch.
+func encodeSection(buf *flow.Buffer) []byte {
+	return new(encoder).appendRecordSection(nil, buf)
 }
 
 // TestRecordSectionRoundTrip: decode∘encode is the identity on the
@@ -51,7 +57,7 @@ func TestRecordSectionRoundTrip(t *testing.T) {
 		nil,
 	} {
 		buf := flow.BufferOf(recs)
-		enc := appendRecordSection(nil, &buf)
+		enc := encodeSection(&buf)
 		dec, err := decodeSection(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +65,7 @@ func TestRecordSectionRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(dec, buf) {
 			t.Fatalf("decoded buffer differs:\n got %+v\nwant %+v", dec, buf)
 		}
-		if re := appendRecordSection(nil, &dec); !bytes.Equal(re, enc) {
+		if re := encodeSection(&dec); !bytes.Equal(re, enc) {
 			t.Fatal("re-encoding the decoded buffer changed the bytes")
 		}
 	}
@@ -104,10 +110,10 @@ func TestDecodeRejectsRangeOverflow(t *testing.T) {
 		}
 	}
 
-	// The overflow must also surface through the public snapshot decoder
-	// (an empty bank section is a zero detector count).
+	// The overflow must also surface through the exported open-interval
+	// decoder (an interval with no detectors is a zero count).
 	payload := append([]byte{codecVersion, 0}, overflowSection(0x1FFFF)...)
-	if _, err := DecodePipelineSnapshot(payload); err == nil ||
+	if _, err := DecodeOpenIntervalSnapshot(payload); err == nil ||
 		!strings.Contains(err.Error(), "SrcPort") {
 		t.Fatalf("public decode of overflow payload: %v", err)
 	}
@@ -205,7 +211,7 @@ func TestRecordSectionCompression(t *testing.T) {
 	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
 	recs := tracegen.New(cfg).Interval(0)
 	buf := flow.BufferOf(recs)
-	col := len(appendRecordSection(nil, &buf))
+	col := len(encodeSection(&buf))
 	row := 0
 	for i := range recs {
 		row += len(appendRowRecord(nil, &recs[i]))
@@ -239,11 +245,11 @@ func appendRowRecord(b []byte, rec *flow.Record) []byte {
 // decoded buffer must be internally consistent (equal column lengths).
 func FuzzColumnarRecords(f *testing.F) {
 	empty := flow.Buffer{}
-	f.Add(appendRecordSection(nil, &empty))
+	f.Add(encodeSection(&empty))
 	few := flow.BufferOf(sectionRecords()[:5])
-	f.Add(appendRecordSection(nil, &few))
+	f.Add(encodeSection(&few))
 	many := flow.BufferOf(sectionRecords())
-	f.Add(appendRecordSection(nil, &many))
+	f.Add(encodeSection(&many))
 	f.Add(overflowSection(0x1FFFF)) // the truncation-bug payload: must stay rejected
 	f.Add(overflowSection(65535))
 
@@ -260,7 +266,7 @@ func FuzzColumnarRecords(f *testing.F) {
 				t.Fatalf("decoded buffer has ragged columns: %d vs %d", l, n)
 			}
 		}
-		if re := appendRecordSection(nil, &buf); !bytes.Equal(re, data) {
+		if re := encodeSection(&buf); !bytes.Equal(re, data) {
 			t.Fatalf("accepted input re-encodes differently:\n in  %x\n out %x", data, re)
 		}
 	})

@@ -112,7 +112,7 @@ func appendRelayPayload(b []byte, boundary int64, spanLo, spanLen int, missing [
 	b = appendVarint(b, boundary)
 	b = append(b, codecVersion)
 	b = appendRelayHeader(b, spanLo, spanLen, missing)
-	return appendOpenInterval(b, oi)
+	return new(encoder).appendOpenInterval(b, oi)
 }
 
 // forwarder is a collector's forward mode: instead of closing detection
@@ -153,6 +153,8 @@ type RelayConfig struct {
 	// Resume makes Serve rehydrate from CheckpointPath before accepting
 	// children: merge counters, per-child dedup lines, and the held
 	// upstream frames continue where the checkpointed relay stopped.
+	// NewRelay refuses a checkpoint written under another detection
+	// configuration.
 	Resume bool
 	// MetricsAddr, when non-empty, serves the relay's expvar metrics
 	// over HTTP on that address for the lifetime of Serve.

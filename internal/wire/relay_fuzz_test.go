@@ -17,7 +17,7 @@ import (
 // itself from an accepted parse, so garbage either dies at the decoder
 // or round-trips to something well-formed.
 func FuzzRelayFrame(f *testing.F) {
-	oi := openIntervalOf(mustSnapshot(core.Config{}))
+	oi := freshPipeline(core.Config{}).DrainOpenInterval()
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	// Well-formed relay payloads: a full span, and a shifted span with a
@@ -37,6 +37,7 @@ func FuzzRelayFrame(f *testing.F) {
 	f.Add(appendUvarint(appendUvarint(append(appendUvarint(head[:len(head):len(head)], 0), 2), 1), 9))
 	// A relay checkpoint holding one unacked upstream frame.
 	f.Add(appendCheckpoint(nil, checkpoint{
+		digest:     configDigest(core.Config{}),
 		lastClosed: 900000,
 		emitted:    1,
 		absorbed:   []int64{900000, 0},

@@ -14,7 +14,7 @@ import (
 // counts, total, and — when value tracking is on — each bin's tracked
 // values. The snapshot's canonical form (values strictly ascending per
 // bin) is written verbatim, which is what makes the encoding
-// deterministic; decodeHistogram refuses anything else.
+// deterministic; intervalDecoder.histogram refuses anything else.
 func appendHistogram(b []byte, s histogram.Snapshot) []byte {
 	b = appendUvarint(b, uint64(len(s.Counts)))
 	for _, c := range s.Counts {
@@ -35,9 +35,9 @@ func appendHistogram(b []byte, s histogram.Snapshot) []byte {
 	return b
 }
 
-// intervalDecoder is the memory decoded snapshots live in: arenas for
-// every histogram's snapshot header, bin counts, bin headers and value
-// entries, the open interval the lean decode fills, and the record
+// intervalDecoder is the memory decoded open intervals live in: arenas
+// for every histogram's snapshot header, bin counts, bin headers and
+// value entries, the open interval the decode fills, and the record
 // section's scratch. Each histogram's slices are carved from the arenas
 // as it is parsed, capacity-clipped so an append through one cannot
 // reach the next; reflect.DeepEqual cannot tell them from individually
@@ -135,143 +135,20 @@ func (d *intervalDecoder) histogram(r *reader) histogram.Snapshot {
 	return s
 }
 
-// appendDetector encodes one detector snapshot: the open interval's
-// clone histograms, then the detection history (reference counts, KL
-// series, pooled first differences, interval counter).
-func appendDetector(b []byte, s detector.Snapshot) []byte {
-	b = appendUvarint(b, uint64(len(s.Clones)))
-	for _, hs := range s.Clones {
-		b = appendHistogram(b, hs)
-	}
-	b = appendUvarint(b, uint64(len(s.Prev)))
-	for _, prev := range s.Prev {
-		b = appendUvarint(b, uint64(len(prev)))
-		for _, c := range prev {
-			b = appendUvarint(b, c)
-		}
-	}
-	b = appendUvarint(b, uint64(len(s.KLPrev)))
-	for _, kl := range s.KLPrev {
-		b = appendFloat64(b, kl)
-	}
-	b = append(b, boolByte(s.HavePrev), boolByte(s.HaveKL))
-	b = appendUvarint(b, uint64(len(s.Diffs)))
-	for _, d := range s.Diffs {
-		b = appendFloat64(b, d)
-	}
-	return appendUvarint(b, uint64(s.Interval))
-}
-
-func (d *intervalDecoder) detector(r *reader) detector.Snapshot {
-	var s detector.Snapshot
-	s.Clones = carve(&d.snaps, r.length(3), 0)
-	for i := range s.Clones {
-		s.Clones[i] = d.histogram(r)
-	}
-	s.Prev = make([][]uint64, r.length(1))
-	for i := range s.Prev {
-		prev := make([]uint64, r.length(1))
-		for j := range prev {
-			prev[j] = r.uvarint()
-		}
-		s.Prev[i] = prev
-	}
-	s.KLPrev = make([]float64, r.length(8))
-	for i := range s.KLPrev {
-		s.KLPrev[i] = r.float64()
-	}
-	s.HavePrev = decodeBool(r)
-	s.HaveKL = decodeBool(r)
-	// nil for empty, matching Detector.Snapshot's append-to-nil shape, so
-	// decode(encode(s)) is deeply equal to s, not just equivalent.
-	if n := r.length(8); n > 0 {
-		s.Diffs = make([]float64, n)
-		for i := range s.Diffs {
-			s.Diffs[i] = r.float64()
-		}
-	}
-	s.Interval = int(r.uvarint())
-	return s
-}
-
-// appendBank encodes a bank snapshot: the detectors in feature order.
-func appendBank(b []byte, s detector.BankSnapshot) []byte {
-	b = appendUvarint(b, uint64(len(s.Detectors)))
-	for _, ds := range s.Detectors {
-		b = appendDetector(b, ds)
-	}
-	return b
-}
-
-func (d *intervalDecoder) bank(r *reader) detector.BankSnapshot {
-	var s detector.BankSnapshot
-	s.Detectors = make([]detector.Snapshot, r.length(8))
-	for i := range s.Detectors {
-		s.Detectors[i] = d.detector(r)
-	}
-	return s
-}
-
-// The record section is columnar — see records.go for the per-column
-// schemes and the canonicality argument. Every field is carried —
-// including TCP flags and both timestamps — so a restored buffer
-// prefilters and mines exactly like the original.
-
-// EncodePipelineSnapshot serializes a pipeline snapshot — bank state
-// plus the open interval's flow buffer — prefixed with the codec
-// version. The encoding is canonical: equal snapshots yield equal bytes.
-func EncodePipelineSnapshot(s core.PipelineSnapshot) []byte {
-	return appendPipelineSnapshot([]byte{codecVersion}, s)
-}
-
-// appendPipelineSnapshot appends the body of a pipeline snapshot
-// (without the version byte) to b and returns the extended slice.
-func appendPipelineSnapshot(b []byte, s core.PipelineSnapshot) []byte {
-	b = appendBank(b, s.Bank)
-	return appendRecordSection(b, &s.Buffer)
-}
-
-// DecodePipelineSnapshot parses an EncodePipelineSnapshot payload. It
-// rejects unknown codec versions, truncated input, and trailing bytes.
-func DecodePipelineSnapshot(b []byte) (core.PipelineSnapshot, error) {
-	r := &reader{buf: b}
-	if v := r.byte(); r.err() == nil && v != codecVersion {
-		return core.PipelineSnapshot{}, fmt.Errorf("wire: unsupported codec version %d (want %d)", v, codecVersion)
-	}
-	s := decodePipelineBody(r)
-	r.expectEOF()
-	return s, r.err()
-}
-
-// decodePipelineBody parses a pipeline snapshot body (after the version
-// byte).
-func decodePipelineBody(r *reader) core.PipelineSnapshot {
-	var s core.PipelineSnapshot
-	d := new(intervalDecoder)
-	d.reset()
-	s.Bank = d.bank(r)
-	s.Buffer = decodeRecordSection(r)
-	return s
-}
-
-// The lean open-interval form. An agent's pipeline never closes
-// detection, so of a full pipeline snapshot only the open interval
-// carries information: the reference counts are all zero, the KL series
-// empty, the interval counter zero. The open-interval encoding is
-// exactly core.OpenInterval — per detector the clone histograms alone,
-// then the flow buffer — matching the lean drain
+// The open-interval form: per detector the clone histograms alone, then
+// the flow buffer — exactly core.OpenInterval, matching the drain
 // (Pipeline.DrainOpenInterval) on the agent side and the additive
-// absorb (Pipeline.AbsorbOpenInterval) on the collector side, so the
-// dead history is never copied, encoded, or restored anywhere on the
-// per-interval path. Full snapshots remain the format for true
-// checkpoints, where history is the point.
+// absorb (Pipeline.AbsorbOpenInterval) on the collector side. Detection
+// history never travels in it; the root collector's checkpoint carries
+// history alone (checkpoint.go), so each kind of state has one byte
+// format.
 
-// openIntervalOnly guards the lean form: encoding a snapshot that
+// openIntervalOnly guards the open-interval form: encoding a snapshot that
 // carries history would silently discard it, so it is refused instead.
 func openIntervalOnly(s core.PipelineSnapshot) error {
 	for i, ds := range s.Bank.Detectors {
 		if ds.HavePrev || ds.HaveKL || len(ds.Diffs) != 0 || ds.Interval != 0 {
-			return fmt.Errorf("wire: detector %d carries detection history; ship a full snapshot frame", i)
+			return fmt.Errorf("wire: detector %d carries detection history, which an open interval cannot", i)
 		}
 		if len(ds.Prev) != len(ds.Clones) || len(ds.KLPrev) != len(ds.Clones) {
 			return fmt.Errorf("wire: detector %d history shape does not match its %d clones", i, len(ds.Clones))
@@ -283,27 +160,21 @@ func openIntervalOnly(s core.PipelineSnapshot) error {
 			}
 			for _, n := range prev {
 				if n != 0 {
-					return fmt.Errorf("wire: detector %d carries a reference interval; ship a full snapshot frame", i)
+					return fmt.Errorf("wire: detector %d carries a reference interval, which an open interval cannot", i)
 				}
 			}
 		}
 		for _, kl := range ds.KLPrev {
 			if kl != 0 {
-				return fmt.Errorf("wire: detector %d carries a KL history; ship a full snapshot frame", i)
+				return fmt.Errorf("wire: detector %d carries a KL history, which an open interval cannot", i)
 			}
 		}
 	}
 	return nil
 }
 
-// appendOpenInterval appends the lean body with fresh encoder scratch;
-// see encoder.appendOpenInterval.
-func appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
-	return new(encoder).appendOpenInterval(b, oi)
-}
-
-// appendOpenInterval appends the lean body: per detector the clone
-// histograms only, then the buffered flows.
+// appendOpenInterval appends the open-interval body: per detector the
+// clone histograms, then the buffered flows.
 func (e *encoder) appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
 	b = appendUvarint(b, uint64(len(oi.Clones)))
 	for _, clones := range oi.Clones {
@@ -315,9 +186,9 @@ func (e *encoder) appendOpenInterval(b []byte, oi core.OpenInterval) []byte {
 	return e.appendRecordSection(b, &oi.Buffer)
 }
 
-// decodeOpenInterval parses a lean body into d.oi, the drained
-// open-interval form the collector absorbs additively, reusing the
-// memory of d's previous decode.
+// decodeOpenInterval parses an open-interval body into d.oi, the form
+// the collector absorbs additively, reusing the memory of d's previous
+// decode.
 func (d *intervalDecoder) decodeOpenInterval(r *reader) {
 	d.reset()
 	d.oi.Clones = resize(emptied(d.oi.Clones), r.length(8))
@@ -331,8 +202,8 @@ func (d *intervalDecoder) decodeOpenInterval(r *reader) {
 	decodeRecordsInto(r, &d.oi.Buffer, &d.rec)
 }
 
-// openIntervalOf projects a history-free pipeline snapshot onto the
-// lean form. Callers must have checked openIntervalOnly.
+// openIntervalOf projects a history-free pipeline snapshot onto
+// core.OpenInterval. Callers must have checked openIntervalOnly.
 func openIntervalOf(s core.PipelineSnapshot) core.OpenInterval {
 	oi := core.OpenInterval{
 		Clones: make([][]histogram.Snapshot, len(s.Bank.Detectors)),
@@ -344,11 +215,12 @@ func openIntervalOf(s core.PipelineSnapshot) core.OpenInterval {
 	return oi
 }
 
-// expandOpenInterval reconstructs the full snapshot shape from the lean
-// form, with canonical empty history sized from the decoded clones (the
-// bin count travels inside each histogram). The history is carved from
-// three allocations — reference-count headers, their zeros, KL values —
-// however many detectors and clones there are.
+// expandOpenInterval puts an open interval into the PipelineSnapshot
+// shape the exported codec takes, with canonical empty history sized
+// from the decoded clones (the bin count travels inside each
+// histogram). The history is carved from three allocations —
+// reference-count headers, their zeros, KL values — however many
+// detectors and clones there are.
 func expandOpenInterval(oi core.OpenInterval) core.PipelineSnapshot {
 	clones, bins := 0, 0
 	for _, cs := range oi.Clones {
@@ -374,10 +246,11 @@ func expandOpenInterval(oi core.OpenInterval) core.PipelineSnapshot {
 	return s
 }
 
-// EncodeOpenIntervalSnapshot serializes a drained open interval in the
-// lean form, prefixed with the codec version. It errors if the snapshot
+// EncodeOpenIntervalSnapshot serializes a drained open interval, given
+// in the PipelineSnapshot shape, prefixed with the codec version: the
+// bytes of an open-interval frame's body. It errors if the snapshot
 // carries detection history (reference counts, KL series, closed
-// intervals) — use EncodePipelineSnapshot for checkpoints.
+// intervals), which the open-interval form cannot hold.
 func EncodeOpenIntervalSnapshot(s core.PipelineSnapshot) ([]byte, error) {
 	if err := openIntervalOnly(s); err != nil {
 		return nil, err
@@ -395,7 +268,7 @@ func EncodeOpenIntervalSnapshot(s core.PipelineSnapshot) ([]byte, error) {
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // DecodeOpenIntervalSnapshot parses an EncodeOpenIntervalSnapshot
-// payload into a full pipeline snapshot with canonical empty history.
+// payload into the PipelineSnapshot shape, with canonical empty history.
 // It rejects unknown codec versions, truncated input, and trailing
 // bytes.
 func DecodeOpenIntervalSnapshot(b []byte) (core.PipelineSnapshot, error) {
@@ -407,23 +280,4 @@ func DecodeOpenIntervalSnapshot(b []byte) (core.PipelineSnapshot, error) {
 	d.decodeOpenInterval(r)
 	r.expectEOF()
 	return expandOpenInterval(d.oi), r.err()
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func decodeBool(r *reader) bool {
-	switch b := r.byte(); b {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("invalid bool byte %d", b)
-		return false
-	}
 }

@@ -1,32 +1,34 @@
-// Package wire is the cross-process snapshot protocol: a versioned,
-// length-prefixed binary codec for the pipeline's mergeable detector
-// state, and the agent/collector roles that ship that state over TCP so
+// Package wire is the cross-process protocol: a versioned binary codec
+// for the pipeline's mergeable open interval and its detection history,
+// and the agent/collector roles that ship the interval over TCP so
 // shards can live on separate machines.
 //
-// The codec serializes the exported snapshot types of the state-owning
-// packages — histogram.Snapshot, detector.Snapshot/BankSnapshot,
-// core.PipelineSnapshot — into a canonical byte form: varint-packed
-// counts, IEEE-754 bit-exact floats, and tracked feature values in
-// ascending order. Canonical means deterministic: two equal snapshot
-// values always encode to the same bytes, and decode(encode(s))
-// re-encodes byte-identically (the FuzzWireRoundTrip invariant). A
-// snapshot restored into a pipeline built from the same configuration
-// reproduces the original's state exactly, so its subsequent reports are
-// byte-identical to the original's — snapshots are lossless checkpoints,
-// not approximations.
+// Each kind of state has one canonical byte form: varint-packed counts,
+// IEEE-754 bit-exact floats, tracked feature values in ascending order.
+// Canonical means deterministic: equal values always encode to the same
+// bytes, and every accepted parse re-encodes byte-identically (the
+// FuzzWireRoundTrip and FuzzColumnarRecords invariants). The open
+// interval — per detector the clone histograms (histogram.Snapshot),
+// plus the buffered flows in columnar form — travels in open-interval
+// frames (core.OpenInterval; the exported EncodeOpenIntervalSnapshot
+// and DecodeOpenIntervalSnapshot take it in core.PipelineSnapshot
+// shape). Detection history —
+// per detector the KL reference counts, KL series, first-difference
+// window and interval counter (detector.BankSnapshot) — is written only
+// to the root collector's checkpoint file, after a close has emptied
+// the open interval. Restoring that history into a pipeline built from
+// the same configuration reproduces the original's reports byte for
+// byte: checkpoints are lossless, not approximations.
 //
 // On top of the codec sit the distributed roles. An Agent runs a local
 // (optionally sharded) pipeline as an accumulator: at each measurement
-// interval close it drains the open interval — merged clone histograms
-// plus the buffered flows — and ships it as one open-interval frame
-// tagged with the interval's absolute grid boundary. The open-interval
-// form is the full snapshot minus the detection history an agent never
-// accumulates (all-zero reference counts, empty KL series); the full
-// snapshot encoding remains for collector checkpoint files, so one
-// codec serves both at the right sizes. A Collector accepts N
-// agent connections, groups frames by boundary, absorbs each group into
-// its pipeline in agent-ID order via the same additive merge the
-// in-process shard package uses, and closes detection there. Because
+// interval close it drains the open interval and ships it as one
+// open-interval frame tagged with the interval's absolute grid
+// boundary. An agent never closes detection, so it has no history to
+// ship. A Collector accepts N agent connections, groups frames by
+// boundary, absorbs each group into its pipeline in agent-ID order via
+// the same additive merge the in-process shard package uses, and closes
+// detection there. Because
 // equal-seed histogram clones are exact mergeable sketches, the
 // collector's reports are byte-identical to a single process having run
 // all N partitions as local shards — the property the loopback
@@ -35,10 +37,11 @@
 // Framing is length-prefixed (uint32 big-endian length, one type byte,
 // payload) with a Hello handshake carrying the protocol version and a
 // digest of the detection configuration, so mismatched histogram spaces
-// fail fast instead of merging garbage. The protocol is trusted-network
-// plumbing: it authenticates nothing and assumes agents and collector
-// were launched with the same configuration, as a deployment script
-// would.
+// fail fast instead of merging garbage; checkpoint files carry the same
+// digest, so a session never resumes history under another
+// configuration. The protocol is trusted-network plumbing: it
+// authenticates nothing and assumes agents and collector were launched
+// with the same configuration, as a deployment script would.
 package wire
 
 import (
@@ -47,10 +50,11 @@ import (
 	"math"
 )
 
-// codecVersion is the snapshot encoding version; bump it on any change
-// to the byte layout. Decoders reject other versions. Version 2
-// replaced the row-wise record section with the columnar encoding of
-// records.go.
+// codecVersion is the open-interval encoding version; bump it on any
+// change to the frame byte layout. Decoders reject other versions.
+// Version 2 replaced the row-wise record section with the columnar
+// encoding of records.go. Checkpoint files have their own version
+// (checkpointVersion).
 const codecVersion = 2
 
 // appendUvarint, appendVarint, and appendFloat64 are the codec's three
@@ -166,18 +170,22 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (r *reader) float64() float64 {
+// uint64 reads a fixed 8-byte little-endian word: a float's bit pattern
+// or a config digest.
+func (r *reader) uint64() uint64 {
 	if r.e != nil {
 		return 0
 	}
 	if r.rem() < 8 {
-		r.fail("truncated float64 at byte %d", r.off)
+		r.fail("truncated 8-byte word at byte %d", r.off)
 		return 0
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return f
+	return v
 }
+
+func (r *reader) float64() float64 { return math.Float64frombits(r.uint64()) }
 
 // length reads a uvarint element count and bounds it by the remaining
 // input, assuming each element occupies at least minBytes bytes — a

@@ -1,7 +1,6 @@
 package wire_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -71,141 +70,11 @@ func renderReport(rep *core.Report) string {
 	return b.String()
 }
 
-// TestBankSnapshotRoundTrip pins the codec's lossless-checkpoint
-// guarantee at the bank level: snapshot a bank with real detection
-// history and a partially accumulated interval, push it through
-// encode/decode (as the bank section of a pipeline snapshot with an
-// empty flow buffer), restore into a fresh bank, and both banks must produce
-// byte-identical results for every subsequent interval. The decoded
-// snapshot must also be deeply equal to the original and re-encode to
-// identical bytes (the canonical-form property).
-func TestBankSnapshotRoundTrip(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	bcfg := detector.BankConfig{Template: cfg.Detector, Workers: 1}
-
-	orig, err := detector.NewBank(bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	// Build history over five intervals, then leave a sixth partially
-	// accumulated so the open-interval state is non-trivial too.
-	for i := 0; i < 5; i++ {
-		orig.ObserveBatch(trace[i])
-		orig.EndInterval()
-	}
-	orig.ObserveBatch(trace[5][:900])
-
-	snap := orig.Snapshot()
-	enc := wire.EncodePipelineSnapshot(core.PipelineSnapshot{Bank: snap})
-	full, err := wire.DecodePipelineSnapshot(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	dec := full.Bank
-	if !reflect.DeepEqual(dec, snap) {
-		t.Fatal("decoded bank snapshot differs from the original")
-	}
-	if enc2 := wire.EncodePipelineSnapshot(full); !bytes.Equal(enc, enc2) {
-		t.Fatal("re-encoding the decoded snapshot changed the bytes")
-	}
-
-	restored, err := detector.NewBank(bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.RestoreSnapshot(dec); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	// Subsequent reports must be byte-identical, interval for interval.
-	for i := 5; i < len(trace); i++ {
-		rest := trace[i]
-		if i == 5 {
-			rest = trace[i][900:] // the first 900 are already in both banks
-		}
-		orig.ObserveBatch(rest)
-		restored.ObserveBatch(rest)
-		want := fmt.Sprintf("%+v", orig.EndInterval())
-		got := fmt.Sprintf("%+v", restored.EndInterval())
-		if got != want {
-			t.Fatalf("interval %d diverged after restore:\n got %s\nwant %s", i, got, want)
-		}
-	}
-}
-
-// TestPipelineSnapshotRoundTrip is the pipeline-level version: the
-// snapshot additionally carries the interval's flow buffer, so the
-// restored pipeline's extraction stage (prefilter + mining) must also
-// match byte for byte.
-func TestPipelineSnapshotRoundTrip(t *testing.T) {
-	trace := testTrace(10, 2000, 8)
-	cfg := testPipelineConfig()
-
-	orig, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	for i := 0; i < 7; i++ {
-		if _, err := orig.ProcessInterval(trace[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	orig.ObserveBatch(trace[7][:1200])
-
-	snap := orig.Snapshot()
-	enc := wire.EncodePipelineSnapshot(snap)
-	dec, err := wire.DecodePipelineSnapshot(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(dec, snap) {
-		t.Fatal("decoded pipeline snapshot differs from the original")
-	}
-	if enc2 := wire.EncodePipelineSnapshot(dec); !bytes.Equal(enc, enc2) {
-		t.Fatal("re-encoding the decoded snapshot changed the bytes")
-	}
-
-	restored, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.RestoreSnapshot(dec); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	alarmed := false
-	for i := 7; i < len(trace); i++ {
-		rest := trace[i]
-		if i == 7 {
-			rest = trace[i][1200:]
-		}
-		orig.ObserveBatch(rest)
-		restored.ObserveBatch(rest)
-		wantRep, err := orig.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotRep, err := restored.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		alarmed = alarmed || wantRep.Alarm
-		if got, want := renderReport(gotRep), renderReport(wantRep); got != want {
-			t.Fatalf("interval %d diverged after restore:\n got %s\nwant %s", i, got, want)
-		}
-	}
-	if !alarmed {
-		t.Fatal("post-restore intervals never alarmed; extraction path was not compared")
-	}
-}
-
 // TestDrainAbsorbEquivalence pins the agent-side primitive: draining a
-// pipeline's open interval and absorbing the (decoded) snapshot into a
-// second pipeline leaves the second exactly as if it had observed the
-// flows itself, and leaves the drained pipeline empty.
+// pipeline's open interval, pushing it through the exported
+// open-interval codec and absorbing the decoded interval into a second
+// pipeline leaves the second exactly as if it had observed the flows
+// itself, and leaves the drained pipeline empty.
 func TestDrainAbsorbEquivalence(t *testing.T) {
 	trace := testTrace(6, 1500, 4)
 	cfg := testPipelineConfig()
@@ -225,26 +94,20 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agent.Close()
-	scratch, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scratch.Close()
 
 	for i, recs := range trace {
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
 
-		snap := agent.Snapshot()
-		agent.DrainOpenInterval() // the agent never closes detection
-		dec, err := wire.DecodePipelineSnapshot(wire.EncodePipelineSnapshot(snap))
+		frame, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(agent.DrainOpenInterval()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := scratch.RestoreSnapshot(dec); err != nil {
+		dec, err := wire.DecodeOpenIntervalSnapshot(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := primary.AbsorbOpenInterval(scratch.DrainOpenInterval()); err != nil {
+		if err := primary.AbsorbOpenInterval(openIntervalOf(dec)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -271,8 +134,13 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecodeRejects exercises the codec's corruption handling: version
-// mismatches, truncation, and trailing bytes must all fail cleanly.
+// wireCodecVersion mirrors the wire package's unexported frame codec
+// version, the first byte of an EncodeOpenIntervalSnapshot payload.
+const wireCodecVersion = 2
+
+// TestDecodeRejects exercises the open-interval codec's corruption
+// handling: version mismatches, truncation, trailing bytes and
+// non-minimal varints must all fail cleanly.
 func TestDecodeRejects(t *testing.T) {
 	p, err := core.New(testPipelineConfig())
 	if err != nil {
@@ -280,27 +148,38 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	defer p.Close()
 	p.ObserveBatch(testTrace(1, 200, 0)[0])
-	enc := wire.EncodePipelineSnapshot(p.Snapshot())
+	enc, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(p.DrainOpenInterval()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc[0] != wireCodecVersion {
+		t.Fatalf("payload starts with version %d, want %d", enc[0], wireCodecVersion)
+	}
 
-	if _, err := wire.DecodePipelineSnapshot(nil); err == nil {
+	if _, err := wire.DecodeOpenIntervalSnapshot(nil); err == nil {
 		t.Error("decoding empty input succeeded")
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = 99
-	if _, err := wire.DecodePipelineSnapshot(bad); err == nil {
+	if _, err := wire.DecodeOpenIntervalSnapshot(bad); err == nil {
 		t.Error("decoding a wrong codec version succeeded")
 	}
-	if _, err := wire.DecodePipelineSnapshot(enc[:len(enc)/2]); err == nil {
+	if _, err := wire.DecodeOpenIntervalSnapshot(enc[:len(enc)/2]); err == nil {
 		t.Error("decoding truncated input succeeded")
 	}
-	if _, err := wire.DecodePipelineSnapshot(append(append([]byte(nil), enc...), 0)); err == nil {
+	if _, err := wire.DecodeOpenIntervalSnapshot(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("decoding input with trailing bytes succeeded")
 	}
 	// Non-minimal varints (0x80 0x00 encodes 0 in two bytes) must be
 	// rejected: the codec is canonical, so decode accepts exactly what
-	// encode produces — the FuzzWireRoundTrip re-encode invariant.
-	if _, err := wire.DecodePipelineSnapshot([]byte{1, 0x80, 0x00, 0x00}); err == nil {
-		t.Error("decoding a non-minimal uvarint succeeded")
+	// encode produces. Here it is the detector count, after a valid
+	// version byte; the minimal form {version, 0, 0} is an empty interval.
+	if _, err := wire.DecodeOpenIntervalSnapshot([]byte{wireCodecVersion, 0, 0}); err != nil {
+		t.Errorf("decoding the empty interval failed: %v", err)
+	}
+	if _, err := wire.DecodeOpenIntervalSnapshot([]byte{wireCodecVersion, 0x80, 0x00, 0x00}); err == nil ||
+		!strings.Contains(err.Error(), "non-minimal") {
+		t.Errorf("decoding a non-minimal uvarint: %v, want the non-minimal error", err)
 	}
 }
 
@@ -326,12 +205,12 @@ func withBinValues(s core.PipelineSnapshot, v int64, edit func([]histogram.Value
 }
 
 // TestDecodeRejectsNonCanonicalHistogramValues: a bin whose values repeat
-// or descend is bytes the encoder never writes, and decode refuses it,
-// naming the byte. Both payloads keep every clone's totals and entry
-// counts consistent, so only the value order gives them away — before
-// the check, a repeat decoded, counted twice toward the Total it was
-// validated against, and restored to a table holding only its last
-// occurrence: a checkpoint that re-snapshotted differently.
+// or descend is bytes the encoder never writes, and the open-interval
+// decoder refuses it, naming the byte. Both payloads keep every clone's
+// totals and entry counts consistent, so only the value order gives
+// them away — without the check, a repeat decoded, counted twice toward
+// the Total it was validated against, and absorbed into a table holding
+// it once: an interval that re-drained differently.
 func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
 	cfg := testPipelineConfig()
 	p, err := core.New(cfg)
@@ -340,7 +219,7 @@ func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
 	}
 	defer p.Close()
 	p.ObserveBatch(testTrace(1, 400, -1)[0])
-	snap := p.Snapshot()
+	snap := pipelineSnapshotOf(p.DrainOpenInterval())
 	// A source address seen at least twice: split its entry in two.
 	heavy := int64(-1)
 	for _, vs := range snap.Bank.Detectors[0].Clones[0].Values {
@@ -365,46 +244,24 @@ func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
 		}),
 	}
 	for name, bad := range cases {
-		dec, err := wire.DecodePipelineSnapshot(wire.EncodePipelineSnapshot(bad))
+		frame, err := wire.EncodeOpenIntervalSnapshot(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := wire.DecodeOpenIntervalSnapshot(frame)
 		if err == nil {
-			restored, err := core.New(cfg)
+			absorbed, err := core.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer restored.Close()
-			err = restored.RestoreSnapshot(dec)
-			t.Errorf("%s: decoded; restore error %v, restored state re-snapshots equal: %v",
-				name, err, reflect.DeepEqual(restored.Snapshot(), dec))
+			defer absorbed.Close()
+			err = absorbed.AbsorbOpenInterval(openIntervalOf(dec))
+			t.Errorf("%s: decoded; absorb error %v, re-drains equal: %v",
+				name, err, reflect.DeepEqual(pipelineSnapshotOf(absorbed.DrainOpenInterval()), dec))
 			continue
 		}
 		if !strings.Contains(err.Error(), "strictly ascending") || !strings.Contains(err.Error(), "at byte") {
 			t.Errorf("%s: error %q does not name the order violation and its position", name, err)
-		}
-	}
-}
-
-// TestConfigDigest pins the handshake contract: implicit defaults and
-// their explicit spellings digest identically, while any change to the
-// histogram space (seed, bins, features) digests differently.
-func TestConfigDigest(t *testing.T) {
-	implicit := core.Config{}
-	explicit := core.Config{
-		Features: flow.DetectorFeatures[:],
-		Detector: detector.Config{}.WithDefaults(),
-	}
-	if wire.ConfigDigest(implicit) != wire.ConfigDigest(explicit) {
-		t.Error("defaulted and explicit configurations digest differently")
-	}
-	base := testPipelineConfig()
-	variants := []core.Config{
-		{Detector: detector.Config{Bins: 512, TrainIntervals: 4, Seed: 3}},
-		{Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 4}},
-		{Detector: detector.Config{Bins: 256, TrainIntervals: 5, Seed: 3}},
-		{Features: []flow.FeatureKind{flow.SrcIP}, Detector: base.Detector},
-	}
-	for i, v := range variants {
-		if wire.ConfigDigest(v) == wire.ConfigDigest(base) {
-			t.Errorf("variant %d digests equal to base", i)
 		}
 	}
 }
@@ -592,17 +449,13 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 				if typ, _, err := readRawFrame(conn); err != nil || typ != rawFrameHelloOK {
 					t.Fatalf("hello reply: type %d, err %v; want HelloOK", typ, err)
 				}
-				// What a pre-v3 agent shipped each interval: boundary, codec
-				// version, full pipeline snapshot. No collector absorbs it
-				// any more; the connection fails ("unexpected frame type"),
-				// the session does not.
-				p, err := core.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer p.Close()
+				// The retired full-snapshot frame type a pre-v3 agent
+				// shipped each interval. The type alone decides: whatever
+				// the payload (here a boundary and an empty open interval),
+				// no collector absorbs it any more; the connection fails
+				// ("unexpected frame type"), the session does not.
 				payload := binary.AppendVarint(nil, 900_000)
-				payload = append(payload, wire.EncodePipelineSnapshot(p.Snapshot())...)
+				payload = append(payload, wireCodecVersion, 0, 0)
 				writeRawFrame(t, conn, rawFrameSnapshot, payload)
 			},
 			silent: true,

@@ -85,16 +85,6 @@ type (
 	Miner = mining.Miner
 )
 
-// MetricKind selects the detector's distribution-change measure.
-type MetricKind = detector.MetricKind
-
-// Detector metrics: the paper's KL distance and the entropy distance of
-// Table I's entropy-based detectors.
-const (
-	MetricKL      = detector.MetricKL
-	MetricEntropy = detector.MetricEntropy
-)
-
 // The seven transaction features.
 const (
 	SrcIP   = flow.SrcIP

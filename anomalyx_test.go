@@ -173,54 +173,6 @@ func TestFacadeV9RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeEntropyMetricPipeline(t *testing.T) {
-	p, err := anomalyx.NewPipeline(anomalyx.Config{
-		Detector: anomalyx.DetectorConfig{
-			Bins: 256, TrainIntervals: 6, Metric: anomalyx.MetricEntropy,
-		},
-		RelativeSupport: 0.05,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	r := stats.NewRand(21)
-	benign := func() anomalyx.Flow {
-		return anomalyx.Flow{
-			SrcAddr: uint32(r.IntN(3000)), DstAddr: uint32(r.IntN(300)),
-			SrcPort: uint16(r.IntN(60000)), DstPort: uint16(r.IntN(800)),
-			Protocol: 6, Packets: uint32(1 + r.IntN(20)), Bytes: uint64(100 + r.IntN(2000)),
-		}
-	}
-	for i := 0; i < 14; i++ {
-		for j := 0; j < 6000; j++ {
-			p.Observe(benign())
-		}
-		if _, err := p.EndInterval(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for j := 0; j < 6000; j++ {
-		p.Observe(benign())
-	}
-	for j := 0; j < 3000; j++ {
-		p.Observe(anomalyx.Flow{
-			SrcAddr: uint32(r.IntN(1 << 28)), DstAddr: 777, DstPort: 7777,
-			SrcPort: uint16(r.IntN(60000)), Protocol: 6, Packets: 1, Bytes: 40,
-		})
-	}
-	rep, err := p.EndInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Alarm {
-		t.Fatal("entropy-metric pipeline missed the flood")
-	}
-	if len(rep.ItemSets) == 0 {
-		t.Fatal("no item-sets extracted")
-	}
-}
-
 // TestAgentRejectsBoundaryZero: a pre-epoch stream whose first interval
 // ends exactly at grid boundary 0 must not lose that interval in agent
 // mode. The wire protocol carries positive grid boundaries only, so the

@@ -141,6 +141,9 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	if o.depth < 1 {
 		return nil, fmt.Errorf("anomalyx: -pipeline-depth must be >= 1, got %d", o.depth)
 	}
+	if o.top < 0 {
+		return nil, fmt.Errorf("anomalyx: -top must be >= 0, got %d", o.top)
+	}
 	switch o.mode {
 	case "run":
 		if o.in == "" {

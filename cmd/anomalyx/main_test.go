@@ -55,6 +55,12 @@ func TestParseArgsDefaultsAndErrors(t *testing.T) {
 	if _, err := parseArgs([]string{"-in", "x", "-pipeline-depth", "0"}, io.Discard); err == nil {
 		t.Fatal("-pipeline-depth 0 accepted")
 	}
+	if _, err := parseArgs([]string{"-in", "x", "-top", "-1"}, io.Discard); err == nil {
+		t.Fatal("-top -1 accepted")
+	}
+	if o, err := parseArgs([]string{"-in", "x", "-top", "0"}, io.Discard); err != nil || o.top != 0 {
+		t.Fatalf("-top 0: %v", err)
+	}
 }
 
 func TestEngineConfigValidation(t *testing.T) {

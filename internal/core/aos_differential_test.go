@@ -48,11 +48,7 @@ func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta dete
 		}
 		rep.MinSupport = max(1, int(rel*float64(len(suspicious))))
 	}
-	txs := itemset.FromFlows(suspicious)
-	if cfg.QuantizeSizes {
-		txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
-	}
-	res, err := apriori.New().Mine(txs, rep.MinSupport)
+	res, err := apriori.New().Mine(itemset.FromFlows(suspicious), rep.MinSupport)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,21 +73,26 @@ func TestExtractOfflineMinesSuspiciousSet(t *testing.T) {
 }
 
 func TestExtractOfflineAbsoluteSupportAndQuantize(t *testing.T) {
-	rep, err := ExtractOffline(Config{MinSupport: 50, QuantizeSizes: true}, offlineRecs(), meta445())
+	rep, err := ExtractOffline(Config{MinSupport: 50}, offlineRecs(), meta445())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.MinSupport != 50 {
 		t.Fatalf("MinSupport = %d, want the absolute 50", rep.MinSupport)
 	}
-	// Quantization buckets packets=3 to the 2..3 power-of-two bucket, so
-	// the mined values must be bucket representatives, not raw sizes.
-	for i := range rep.ItemSets {
-		for _, it := range rep.ItemSets[i].Items {
-			if it.Kind == flow.Packets && it.Value == 3 {
-				t.Fatalf("unquantized packets item in %v", rep.ItemSets[i])
-			}
+	// Sizes are mined as exact values, never bucketed: the one maximal
+	// set carries packets=3 and bytes=144 as the flows do.
+	if len(rep.ItemSets) != 1 {
+		t.Fatalf("item-sets %v, want one", rep.ItemSets)
+	}
+	sizes := 0
+	for _, it := range rep.ItemSets[0].Items {
+		if it.Kind == flow.Packets && it.Value == 3 || it.Kind == flow.Bytes && it.Value == 144 {
+			sizes++
 		}
+	}
+	if sizes != 2 {
+		t.Fatalf("exact size items missing from %v", rep.ItemSets[0])
 	}
 }
 

@@ -63,42 +63,39 @@ func runTrace(t *testing.T, cfg core.Config, shards, depth int, trace [][]flow.R
 // (nil Miner: bitset Eclat straight off the buffer columns) and the
 // compatibility path (an injected Apriori, FP-Growth or row-form Eclat
 // fed transactions built by survivor index) must produce deeply equal
-// reports — Report.Mining included — for both prefilter strategies, with
-// and without size quantization, across shard counts and close depths.
+// reports — Report.Mining included — for both prefilter strategies,
+// across shard counts and close depths.
 func TestBuiltinMinerMatchesInjected(t *testing.T) {
 	trace := diffTrace(10, 3000, 8)
 	injected := []mining.Miner{apriori.New(), fpgrowth.New(), eclat.New()}
 	for _, strategy := range []prefilter.Strategy{prefilter.Union{}, prefilter.Intersection{}} {
-		for _, quantize := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 4} {
-				for _, depth := range []int{1, 2} {
-					name := fmt.Sprintf("%s/quantize=%v/shards=%d/depth=%d", strategy.Name(), quantize, shards, depth)
-					cfg := core.Config{
-						Detector:      detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
-						Prefilter:     strategy,
-						QuantizeSizes: quantize,
-						Workers:       1,
+		for _, shards := range []int{1, 2, 4} {
+			for _, depth := range []int{1, 2} {
+				name := fmt.Sprintf("%s/shards=%d/depth=%d", strategy.Name(), shards, depth)
+				cfg := core.Config{
+					Detector:  detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
+					Prefilter: strategy,
+					Workers:   1,
+				}
+				want := runTrace(t, cfg, shards, depth, trace)
+				mined := 0
+				for _, rep := range want {
+					if rep.Mining != nil {
+						mined++
 					}
-					want := runTrace(t, cfg, shards, depth, trace)
-					mined := 0
-					for _, rep := range want {
-						if rep.Mining != nil {
-							mined++
+				}
+				if mined == 0 {
+					t.Fatalf("%s: no interval was mined; the paths were never compared", name)
+				}
+				for _, m := range injected {
+					cfg.Miner = m
+					got := runTrace(t, cfg, shards, depth, trace)
+					for i := range want {
+						if !reflect.DeepEqual(got[i].Mining, want[i].Mining) {
+							t.Fatalf("%s interval %d: %s mined\n%+v\nbuilt-in path mined\n%+v", name, i, m.Name(), got[i].Mining, want[i].Mining)
 						}
-					}
-					if mined == 0 {
-						t.Fatalf("%s: no interval was mined; the paths were never compared", name)
-					}
-					for _, m := range injected {
-						cfg.Miner = m
-						got := runTrace(t, cfg, shards, depth, trace)
-						for i := range want {
-							if !reflect.DeepEqual(got[i].Mining, want[i].Mining) {
-								t.Fatalf("%s interval %d: %s mined\n%+v\nbuilt-in path mined\n%+v", name, i, m.Name(), got[i].Mining, want[i].Mining)
-							}
-							if !reflect.DeepEqual(got[i], want[i]) {
-								t.Fatalf("%s interval %d: report diverged under %s", name, i, m.Name())
-							}
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("%s interval %d: report diverged under %s", name, i, m.Name())
 						}
 					}
 				}
@@ -123,8 +120,7 @@ func TestExtractDegenerateInputs(t *testing.T) {
 		}
 		return recs
 	}
-	// Packets 4..7 and bytes 64..127 are distinct exact items, but one
-	// power-of-two bucket each.
+	// Packets 4..7 and bytes 64..127: no size value reaches support 20.
 	buckets := flood(40, 40)
 	for i := range buckets {
 		buckets[i].Packets, buckets[i].Bytes = uint32(4+i%4), uint64(64+i%64)
@@ -146,7 +142,6 @@ func TestExtractDegenerateInputs(t *testing.T) {
 		{"minsup above n", core.Config{MinSupport: 200}, flood(130, 3)},
 		{"minsup 1, all rows distinct", core.Config{MinSupport: 1}, flood(70, 70)},
 		{"exact sizes fragment", core.Config{MinSupport: 20}, buckets},
-		{"quantized sizes merge", core.Config{MinSupport: 20, QuantizeSizes: true}, buckets},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,22 +155,15 @@ func TestExtractDegenerateInputs(t *testing.T) {
 			}
 		})
 	}
-	// The quantized case must actually have merged: a packets item and a
-	// bytes item appear only once their values share a bucket.
-	sized := func(quantize bool) int {
-		rep, err := core.ExtractOffline(core.Config{MinSupport: 20, QuantizeSizes: quantize}, buckets, meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, set := range rep.Mining.All {
-			if set.Size() == 1 && (set.Items[0].Kind == flow.Packets || set.Items[0].Kind == flow.Bytes) {
-				n++
-			}
-		}
-		return n
+	// Sizes are mined as exact values: the fragmented ones stay below
+	// the support.
+	rep, err := core.ExtractOffline(core.Config{MinSupport: 20}, buckets, meta)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if exact, merged := sized(false), sized(true); exact != 0 || merged != 2 {
-		t.Errorf("frequent size items: %d exact, %d quantized; want 0 and 2", exact, merged)
+	for _, set := range rep.Mining.All {
+		if set.Size() == 1 && (set.Items[0].Kind == flow.Packets || set.Items[0].Kind == flow.Bytes) {
+			t.Errorf("fragmented size item %v reached the support", set)
+		}
 	}
 }

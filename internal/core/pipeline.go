@@ -54,11 +54,6 @@ type Config struct {
 	// KeepSuspicious retains the suspicious flows in each report (for
 	// forensics and tests; costs memory on big intervals).
 	KeepSuspicious bool
-	// QuantizeSizes buckets the packets and bytes items to powers of two
-	// before mining (§V's quantitative-features extension): flow-size
-	// anomalies with slightly varying sizes then aggregate into one
-	// item-set instead of fragmenting below the minimum support.
-	QuantizeSizes bool
 	// Workers bounds the detector bank's worker pool for ObserveBatch
 	// and EndInterval, and the chunked parallel prefilter scan of the
 	// extraction stage. 0 means GOMAXPROCS — resolved when the bank's
@@ -427,16 +422,13 @@ func (x *extraction) finish(cfg Config, rep *Report, buffers []*flow.Buffer) err
 	rep.MinSupport = supportFor(cfg, rep.SuspiciousFlows)
 
 	if cfg.Miner == nil {
-		rep.Mining = x.eclat.MineColumns(buffers, x.rows, cfg.QuantizeSizes, rep.MinSupport)
+		rep.Mining = x.eclat.MineColumns(buffers, x.rows, rep.MinSupport)
 	} else {
 		// The one fork: an injected miner takes row-form transactions,
 		// built from the columns by survivor index.
 		txs := make([]itemset.Transaction, 0, rep.SuspiciousFlows)
 		for i, rows := range x.rows {
 			txs = itemset.AppendRows(txs, buffers[i], rows)
-		}
-		if cfg.QuantizeSizes {
-			txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
 		}
 		res, err := cfg.Miner.Mine(txs, rep.MinSupport)
 		if err != nil {

@@ -305,45 +305,6 @@ func TestExtractOfflineEmptyMeta(t *testing.T) {
 	}
 }
 
-func TestQuantizeSizesAggregatesFragmentedSupport(t *testing.T) {
-	// 900 flows of a size-varying anomaly (packets 33..40): exact-value
-	// mining fragments them below minsup 300; quantized mining buckets
-	// them all into packets=32 and finds the item-set.
-	meta := detector.NewMetaData()
-	meta.Add(flow.DstPort, 4444)
-	var flows []flow.Record
-	for i := 0; i < 900; i++ {
-		flows = append(flows, flow.Record{
-			SrcAddr: uint32(i), DstAddr: 7, DstPort: 4444, Protocol: 6,
-			Packets: uint32(33 + i%8), Bytes: uint64(5000 + i),
-		})
-	}
-	exact, err := ExtractOffline(Config{MinSupport: 300}, flows, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quantized, err := ExtractOffline(Config{MinSupport: 300, QuantizeSizes: true}, flows, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasPacketsItem := func(rep *Report, val uint64) bool {
-		for i := range rep.ItemSets {
-			for _, it := range rep.ItemSets[i].Items {
-				if it.Kind == flow.Packets && it.Value == val {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if hasPacketsItem(exact, 32) {
-		t.Error("exact mining should not produce the bucket item")
-	}
-	if !hasPacketsItem(quantized, 32) {
-		t.Errorf("quantized mining missing packets=32: %v", quantized.ItemSets)
-	}
-}
-
 func TestPipelineEmptyIntervals(t *testing.T) {
 	// Intervals with zero flows must not panic or produce NaN state;
 	// detection over empty histograms is a no-op.

@@ -28,7 +28,8 @@ type Config struct {
 	// standard deviation of the KL first difference (default 3).
 	Alpha float64
 	// TrainIntervals is the minimum number of first-difference samples
-	// required before the detector may raise alarms (default 12).
+	// required before the detector may raise alarms (default 12; at most
+	// HistoryWindow).
 	TrainIntervals int
 	// HistoryWindow caps the number of first-difference samples kept for
 	// the MAD estimate (default 192 = two days of 15-minute intervals).
@@ -38,29 +39,6 @@ type Config struct {
 	MaxRemoveBins int
 	// Seed derives the clones' independent hash functions.
 	Seed uint64
-	// Metric selects the distribution-change measure: the paper's KL
-	// distance (default) or the entropy distance of Table I's
-	// entropy-based detectors.
-	Metric MetricKind
-}
-
-// MetricKind selects the detector's distribution-change measure.
-type MetricKind uint8
-
-const (
-	// MetricKL is the Kullback–Leibler distance of §II-C (default).
-	MetricKL MetricKind = iota
-	// MetricEntropy is the absolute entropy difference — the measure of
-	// entropy-based detectors (Table I, [33]).
-	MetricEntropy
-)
-
-// metricFunc resolves the configured measure.
-func (c Config) metricFunc() histogram.Metric {
-	if c.Metric == MetricEntropy {
-		return histogram.EntropyDistance
-	}
-	return histogram.KL
 }
 
 // WithDefaults returns c with unset fields filled with the paper's
@@ -109,6 +87,12 @@ func (c Config) validate() error {
 	if c.Votes < 1 || c.Votes > c.Clones {
 		return fmt.Errorf("detector: votes l=%d out of range [1,%d]", c.Votes, c.Clones)
 	}
+	// The window must hold the training samples, or Threshold never
+	// reports a trained detector and no alarm is ever raised.
+	if c.TrainIntervals < 0 || c.HistoryWindow < 0 || c.TrainIntervals > c.HistoryWindow {
+		return fmt.Errorf("detector: training intervals %d out of range [0,%d] (the history window)",
+			c.TrainIntervals, c.HistoryWindow)
+	}
 	return nil
 }
 
@@ -138,8 +122,7 @@ type Result struct {
 // previous-interval KL scheme of §II-C. It is not safe for concurrent
 // use.
 type Detector struct {
-	cfg    Config
-	metric histogram.Metric
+	cfg Config
 
 	cur  *histogram.CloneSet // current-interval clones: one value table, n hashes
 	prev [][]uint64          // previous-interval counts per clone
@@ -166,7 +149,7 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: cfg, metric: cfg.metricFunc()}
+	d := &Detector{cfg: cfg}
 	d.cur = newCloneSet(cfg)
 	for c := 0; c < cfg.Clones; c++ {
 		d.prev = append(d.prev, make([]uint64, cfg.Bins))
@@ -350,15 +333,15 @@ func (d *Detector) FinishInterval(cur *histogram.CloneSet) Result {
 		rep := &res.Clones[c]
 		counts := cur.Counts(c)
 		if d.havePrev {
-			rep.KL = d.metric(counts, d.prev[c])
+			rep.KL = histogram.KL(counts, d.prev[c])
 			if d.haveKL {
 				rep.Diff = rep.KL - d.klPrev[c]
 				// One-sided test: only positive spikes alarm (§II-C).
 				if trained && rep.Diff > threshold {
 					rep.Alarm = true
 					res.Alarm = true
-					rep.Identification = histogram.IdentifyAnomalousBinsMetric(
-						counts, d.prev[c], d.klPrev[c], threshold, d.cfg.MaxRemoveBins, d.metric)
+					rep.Identification = histogram.IdentifyAnomalousBins(
+						counts, d.prev[c], d.klPrev[c], threshold, d.cfg.MaxRemoveBins)
 					// One table sweep for all identified bins (grouped
 					// in identification order, values ascending per
 					// bin — the same concatenation the per-bin loop

@@ -1,9 +1,11 @@
 package detector
 
 import (
+	"slices"
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/stats"
 )
 
@@ -59,6 +61,32 @@ func TestConfigValidation(t *testing.T) {
 	cfg := d.Config()
 	if cfg.Bins != 1024 || cfg.Clones != 3 || cfg.Votes != 3 || cfg.Alpha != 3 {
 		t.Errorf("defaults wrong: %+v", cfg)
+	}
+}
+
+// TestTrainingWindowValidation holds New to a history window that can
+// hold the training samples: a longer training never ends, so the
+// detector could never alarm, and a negative window panics at the
+// first close.
+func TestTrainingWindowValidation(t *testing.T) {
+	for _, tc := range []struct {
+		train, window int
+		ok            bool
+	}{
+		{0, 0, true},       // defaults: 12 of 192
+		{192, 0, true},     // the whole default window
+		{193, 0, false},    // one interval more than the default window
+		{200, 0, false},    // -train 200 at the default window
+		{8, 8, true},       // equal
+		{9, 8, false},      // one more than the window
+		{-1, 0, false},     // negative training
+		{0, -1, false},     // negative window
+		{1, 1 << 20, true}, // a window far beyond training
+	} {
+		_, err := New(Config{Feature: flow.SrcIP, TrainIntervals: tc.train, HistoryWindow: tc.window})
+		if (err == nil) != tc.ok {
+			t.Errorf("TrainIntervals %d, HistoryWindow %d: err = %v, want ok %v", tc.train, tc.window, err, tc.ok)
+		}
 	}
 }
 
@@ -380,73 +408,32 @@ func TestBankPropagatesConfigError(t *testing.T) {
 	}
 }
 
-func TestEntropyMetricDetectsScan(t *testing.T) {
-	// A scan disperses the dstIP distribution: entropy rises. The
-	// entropy-metric detector must catch it just like the KL detector.
-	cfg := Config{Feature: flow.DstIP, Bins: 256, Clones: 3, Votes: 2,
-		TrainIntervals: 8, Metric: MetricEntropy}
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRand(11)
-	// Baseline: concentrated on few servers.
-	gen := func(i int) uint64 { return uint64(r.IntN(50)) }
-	for i := 0; i < 20; i++ {
-		feedInterval(d, 4000, gen)
-	}
-	// Scan interval: 2000 extra flows to random addresses.
-	res := feedInterval(d, 6000, func(i int) uint64 {
-		if i < 2000 {
-			return uint64(1e6 + r.IntN(1<<20))
-		}
-		return gen(i)
-	})
-	if !res.Alarm {
-		t.Fatal("entropy detector missed the dispersion")
-	}
-}
-
-func TestEntropyMetricDetectsFlood(t *testing.T) {
-	// A flood concentrates the distribution: entropy falls, and the
-	// absolute entropy distance still spikes.
-	cfg := Config{Feature: flow.DstIP, Bins: 256, Clones: 3, Votes: 3,
-		TrainIntervals: 8, Metric: MetricEntropy}
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRand(12)
-	gen := func(i int) uint64 { return uint64(r.IntN(5000)) }
-	for i := 0; i < 20; i++ {
-		feedInterval(d, 4000, gen)
-	}
-	res := feedInterval(d, 7000, func(i int) uint64 {
-		if i < 3000 {
-			return 424242 // the victim
-		}
-		return gen(i)
-	})
-	if !res.Alarm {
-		t.Fatal("entropy detector missed the concentration")
-	}
-	found := false
-	for _, v := range res.Meta {
-		if v == 424242 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("victim not in meta-data: %d values", len(res.Meta))
-	}
-}
-
+// TestMetricDefaultIsKL: every clone's distance is the KL distance of
+// the interval's bin counts against the previous interval's, the one
+// measure of §II-C.
 func TestMetricDefaultIsKL(t *testing.T) {
-	d, err := New(Config{Feature: flow.SrcIP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Config().Metric != MetricKL {
-		t.Error("default metric should be KL")
+	d := newTestDetector(t, Config{Bins: 64})
+	gen := steadyGen(stats.NewRand(5))
+	var prev [][]uint64
+	for i := 0; i < 3; i++ {
+		recs := make([]flow.Record, 2000)
+		ref := newCloneSet(d.Config())
+		for j := range recs {
+			v := gen(j)
+			recs[j].SetFeature(d.Config().Feature, v)
+			ref.Add(v)
+		}
+		counts := make([][]uint64, d.Config().Clones)
+		for c := range counts {
+			counts[c] = slices.Clone(ref.Counts(c))
+		}
+		d.ObserveBatch(recs)
+		res := d.EndInterval()
+		for c := range prev {
+			if want := histogram.KL(counts[c], prev[c]); res.Clones[c].KL != want {
+				t.Fatalf("interval %d clone %d: distance %v, KL %v", i, c, res.Clones[c].KL, want)
+			}
+		}
+		prev = counts
 	}
 }

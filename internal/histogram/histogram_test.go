@@ -256,6 +256,19 @@ func TestIdentifyMultipleSpikesInOrder(t *testing.T) {
 	}
 }
 
+func TestIdentifyDelegatesToKL(t *testing.T) {
+	// The series is the KL distance before and after each removal.
+	ref := []uint64{100, 100, 100, 100}
+	cur := []uint64{100, 100, 100, 5000}
+	id := IdentifyAnomalousBins(cur, ref, 0, 0.01, 0)
+	if !id.Converged || len(id.Bins) != 1 || id.Bins[0] != 3 {
+		t.Fatalf("identification %+v, want bin 3 converged", id)
+	}
+	if id.KLSeries[0] != KL(cur, ref) || id.KLSeries[1] != KL(ref, ref) {
+		t.Errorf("series %v, want [KL(cur,ref) KL(ref,ref)]", id.KLSeries)
+	}
+}
+
 func TestIdentifyNoAlarmNeedsNoRemoval(t *testing.T) {
 	ref := []uint64{10, 10, 10, 10}
 	cur := []uint64{11, 9, 10, 10}

@@ -27,7 +27,44 @@ type Identification struct {
 // where klPrev is the KL distance observed at the previous interval.
 // maxRounds bounds the number of removed bins (≤ 0 means no bound).
 func IdentifyAnomalousBins(cur, ref []uint64, klPrev, threshold float64, maxRounds int) Identification {
-	return IdentifyAnomalousBinsMetric(cur, ref, klPrev, threshold, maxRounds, KL)
+	if len(cur) != len(ref) {
+		panic("histogram: IdentifyAnomalousBins over different bin counts")
+	}
+	k := len(cur)
+	if maxRounds <= 0 || maxRounds > k {
+		maxRounds = k
+	}
+	work := make([]uint64, k)
+	copy(work, cur)
+
+	id := Identification{KLSeries: []float64{KL(work, ref)}}
+	removed := make([]bool, k)
+
+	for len(id.Bins) < maxRounds {
+		if id.KLSeries[len(id.KLSeries)-1]-klPrev <= threshold {
+			id.Converged = true
+			return id
+		}
+		best, bestDiff := -1, uint64(0)
+		for i := 0; i < k; i++ {
+			if removed[i] {
+				continue
+			}
+			d := absDiff(work[i], ref[i])
+			if best == -1 || d > bestDiff {
+				best, bestDiff = i, d
+			}
+		}
+		if best == -1 || bestDiff == 0 {
+			return id
+		}
+		removed[best] = true
+		work[best] = ref[best]
+		id.Bins = append(id.Bins, best)
+		id.KLSeries = append(id.KLSeries, KL(work, ref))
+	}
+	id.Converged = id.KLSeries[len(id.KLSeries)-1]-klPrev <= threshold
+	return id
 }
 
 func absDiff(a, b uint64) uint64 {

@@ -69,12 +69,10 @@ func (m *Miner) Mine(txs []itemset.Transaction, minsup int) (*mining.Result, err
 // MineColumns mines the transactions formed by rows[i] of bufs[i], for
 // every i in order: transaction ids follow the concatenation of the row
 // lists, and no transaction is materialized — each feature column is
-// counted and bit-marked in place. quantize buckets the packets and
-// bytes items to powers of two (itemset.Log2Bucket) as a value map on
-// those two columns. minsup must be positive. The Result is deeply equal
-// to what any mining.Miner returns for the same transactions; s is left
-// ready for the next call, keeping its memory.
-func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, quantize bool, minsup int) *mining.Result {
+// counted and bit-marked in place. minsup must be positive. The Result
+// is deeply equal to what any mining.Miner returns for the same
+// transactions; s is left ready for the next call, keeping its memory.
+func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, minsup int) *mining.Result {
 	n := 0
 	for _, r := range rows {
 		n += len(r)
@@ -85,19 +83,19 @@ func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, quantize bool
 		for i, b := range bufs {
 			switch k {
 			case flow.SrcIP:
-				count(s, b.SrcAddr, rows[i], tid, false)
+				count(s, b.SrcAddr, rows[i], tid)
 			case flow.DstIP:
-				count(s, b.DstAddr, rows[i], tid, false)
+				count(s, b.DstAddr, rows[i], tid)
 			case flow.SrcPort:
-				count(s, b.SrcPort, rows[i], tid, false)
+				count(s, b.SrcPort, rows[i], tid)
 			case flow.DstPort:
-				count(s, b.DstPort, rows[i], tid, false)
+				count(s, b.DstPort, rows[i], tid)
 			case flow.Proto:
-				count(s, b.Protocol, rows[i], tid, false)
+				count(s, b.Protocol, rows[i], tid)
 			case flow.Packets:
-				count(s, b.Packets, rows[i], tid, quantize)
+				count(s, b.Packets, rows[i], tid)
 			case flow.Bytes:
-				count(s, b.Bytes, rows[i], tid, quantize)
+				count(s, b.Bytes, rows[i], tid)
 			}
 			tid += len(rows[i])
 		}
@@ -108,13 +106,9 @@ func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, quantize bool
 
 // count feeds the values of col at rows into the column being counted,
 // as transactions tid, tid+1, ...
-func count[T ~uint8 | ~uint16 | ~uint32 | ~uint64](s *Scratch, col []T, rows []int32, tid int, quantize bool) {
+func count[T ~uint8 | ~uint16 | ~uint32 | ~uint64](s *Scratch, col []T, rows []int32, tid int) {
 	for _, r := range rows {
-		v := uint64(col[r])
-		if quantize {
-			v = itemset.Log2Bucket(v)
-		}
-		s.slot[tid] = s.add(v)
+		s.slot[tid] = s.add(uint64(col[r]))
 		tid++
 	}
 }

@@ -82,12 +82,10 @@ func TestScratchReuse(t *testing.T) {
 		}
 		buf := flow.BufferOf(recs)
 		bufs, sel := []*flow.Buffer{&buf}, [][]int32{rows}
-		for _, quantize := range []bool{false, true} {
-			var fresh Scratch
-			want := fresh.MineColumns(bufs, sel, quantize, max(1, n/10))
-			if got := shared.MineColumns(bufs, sel, quantize, max(1, n/10)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d quantize=%v: reused scratch diverged\ngot:  %+v\nwant: %+v", n, quantize, got, want)
-			}
+		var fresh Scratch
+		want := fresh.MineColumns(bufs, sel, max(1, n/10))
+		if got := shared.MineColumns(bufs, sel, max(1, n/10)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: reused scratch diverged\ngot:  %+v\nwant: %+v", n, got, want)
 		}
 	}
 }

@@ -84,23 +84,19 @@ func fuzzColumns(data []byte) ([]*flow.Buffer, [][]int32) {
 }
 
 // FuzzColumnMinerParity pins the built-in miner to the paper's: for any
-// column contents, survivor selection, shard split, minimum support and
-// size quantization, the bitset Eclat over buffer columns — through a
-// Scratch an unrelated run has already dirtied — returns a Result deeply
-// equal to Apriori's over the same rows as transactions, and so does the
-// row-form Miner.
+// column contents, survivor selection, shard split and minimum support,
+// the bitset Eclat over buffer columns — through a Scratch an unrelated
+// run has already dirtied — returns a Result deeply equal to Apriori's
+// over the same rows as transactions, and so does the row-form Miner.
 func FuzzColumnMinerParity(f *testing.F) {
-	f.Add([]byte{}, byte(1), false)
-	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 2, 1, 2, 3, 0, 1, 3, 0, 3, 1, 2, 3, 0, 1, 7, 3, 6, 9, 9, 9, 9, 9, 9, 1, 0}, byte(2), true)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 2, 4, 7, 7, 7, 7, 7, 7, 3, 5}, byte(0), false)
-	f.Fuzz(func(t *testing.T, data []byte, minsupRaw byte, quantize bool) {
+	f.Add([]byte{}, byte(1))
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 2, 1, 2, 3, 0, 1, 3, 0, 3, 1, 2, 3, 0, 1, 7, 3, 6, 9, 9, 9, 9, 9, 9, 1, 0}, byte(2))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 2, 4, 7, 7, 7, 7, 7, 7, 3, 5}, byte(0))
+	f.Fuzz(func(t *testing.T, data []byte, minsupRaw byte) {
 		bufs, rows := fuzzColumns(data)
 		var txs []itemset.Transaction
 		for i := range bufs {
 			txs = itemset.AppendRows(txs, bufs[i], rows[i])
-		}
-		if quantize {
-			txs = itemset.QuantizeAll(txs, itemset.SizeKinds...)
 		}
 		minsup := 1 + int(minsupRaw)%(len(txs)+1)
 		want, err := apriori.New().Mine(txs, minsup)
@@ -109,10 +105,9 @@ func FuzzColumnMinerParity(f *testing.F) {
 		}
 
 		var s Scratch
-		s.MineColumns(bufs[:1], rows[:1], !quantize, minsup+1)
-		if got := s.MineColumns(bufs, rows, quantize, minsup); !reflect.DeepEqual(got, want) {
-			t.Fatalf("minsup=%d quantize=%v: columnar result diverged from Apriori\ngot:  %+v\nwant: %+v",
-				minsup, quantize, got, want)
+		s.MineColumns(bufs[:1], rows[:1], minsup+1)
+		if got := s.MineColumns(bufs, rows, minsup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minsup=%d: columnar result diverged from Apriori\ngot:  %+v\nwant: %+v", minsup, got, want)
 		}
 		got, err := New().Mine(txs, minsup)
 		if err != nil {

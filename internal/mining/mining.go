@@ -85,46 +85,6 @@ func BuildResult(all []itemset.Set, transactions, minsup int) *Result {
 	}
 }
 
-// FilterClosed returns the closed sets of a complete frequent
-// collection: those with no frequent superset of *equal support*. Closed
-// item-sets are the §V extension between "all" and "maximal": they lose
-// no support information (every frequent set's support is derivable from
-// its smallest closed superset) while still pruning redundancy. By
-// support monotonicity it suffices to compare immediate supersets.
-func FilterClosed(all []itemset.Set) []itemset.Set {
-	support := make(map[itemset.Key]int, len(all))
-	for i := range all {
-		support[all[i].Key()] = all[i].Support
-	}
-	closedOut := make(map[itemset.Key]bool, len(all))
-	for i := range all {
-		s := &all[i]
-		n := s.Size()
-		if n < 2 {
-			continue
-		}
-		for drop := 0; drop < n; drop++ {
-			var k itemset.Key
-			for j, it := range s.Items {
-				if j != drop {
-					k = k.Add(it)
-				}
-			}
-			if sub, ok := support[k]; ok && sub == s.Support {
-				closedOut[k] = true // subset absorbed by equal-support superset
-			}
-		}
-	}
-	var out []itemset.Set
-	for i := range all {
-		if !closedOut[all[i].Key()] {
-			out = append(out, all[i])
-		}
-	}
-	itemset.SortSets(out)
-	return out
-}
-
 // FilterMaximal returns the maximal sets of a complete frequent
 // collection: those that are not a subset of any other frequent set. By
 // downward closure it suffices to check immediate (size+1) supersets,

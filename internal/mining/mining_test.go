@@ -130,49 +130,3 @@ func TestEqual(t *testing.T) {
 		t.Error("different sizes must differ")
 	}
 }
-
-func TestFilterClosed(t *testing.T) {
-	a := itemset.Item{Kind: flow.SrcIP, Value: 1}
-	b := itemset.Item{Kind: flow.DstIP, Value: 2}
-	c := itemset.Item{Kind: flow.DstPort, Value: 3}
-	// {a}:10 is closed (superset has lower support); {b}:7 is NOT closed
-	// ({a,b}:7 has equal support); {a,b}:7 closed; {a,b,c}:4 closed.
-	all := []itemset.Set{
-		set(10, a), set(7, b), set(7, a, b), set(4, a, b, c),
-		set(4, a, c), set(4, c),
-	}
-	closed := FilterClosed(all)
-	want := map[string]bool{}
-	for i := range closed {
-		want[closed[i].String()] = true
-	}
-	if len(closed) != 3 {
-		t.Fatalf("closed = %v", closed)
-	}
-	for _, s := range []itemset.Set{set(10, a), set(7, a, b), set(4, a, b, c)} {
-		if !want[s.String()] {
-			t.Errorf("missing closed set %v", s.String())
-		}
-	}
-}
-
-func TestClosedSupersetOfMaximal(t *testing.T) {
-	// Every maximal set is closed (no superset at all, hence none with
-	// equal support).
-	a := itemset.Item{Kind: flow.SrcIP, Value: 1}
-	b := itemset.Item{Kind: flow.DstIP, Value: 2}
-	all := []itemset.Set{set(9, a), set(9, b), set(9, a, b), set(3, a)}
-	_ = all
-	all = []itemset.Set{set(9, a), set(8, b), set(7, a, b)}
-	maximal := FilterMaximal(all)
-	closed := FilterClosed(all)
-	closedKeys := map[itemset.Key]bool{}
-	for i := range closed {
-		closedKeys[closed[i].Key()] = true
-	}
-	for i := range maximal {
-		if !closedKeys[maximal[i].Key()] {
-			t.Errorf("maximal %v not closed", maximal[i])
-		}
-	}
-}

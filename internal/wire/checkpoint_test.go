@@ -266,6 +266,25 @@ func TestConfigDigest(t *testing.T) {
 	}
 }
 
+// TestConfigDigestStable pins configDigest's values, recorded before
+// the detector's metric field was removed: the slot it filled hashes a
+// constant zero, so handshakes with older peers and the version-3
+// checkpoints in testdata still match.
+func TestConfigDigestStable(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  core.Config
+		want string
+	}{
+		{core.Config{}, "705308322aa944c8"},
+		{core.Config{Detector: detector.Config{Bins: 256}}, "79cdf915e8fee5c6"},
+		{core.Config{Detector: detector.Config{Seed: 42}}, "70ab64322af456f2"},
+	} {
+		if got := fmt.Sprintf("%016x", configDigest(tc.cfg)); got != tc.want {
+			t.Errorf("configDigest(%+v) = %s, want %s", tc.cfg.Detector, got, tc.want)
+		}
+	}
+}
+
 // historyCheckpoint runs a paper-default pipeline (5 features x 3
 // clones x 1024 bins) over intervals generated intervals of about
 // nFlows records each and returns a one-agent root checkpoint of its

@@ -210,7 +210,10 @@ func configDigest(cfg core.Config) uint64 {
 	b = appendUvarint(b, uint64(d.HistoryWindow))
 	b = appendVarint(b, int64(d.MaxRemoveBins))
 	b = appendUvarint(b, d.Seed)
-	b = appendUvarint(b, uint64(d.Metric))
+	// The former detector-metric slot, always KL: kept so every digest,
+	// and the version-3 checkpoints and live handshakes carrying one,
+	// stays the same.
+	b = appendUvarint(b, 0)
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()

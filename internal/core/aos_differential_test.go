@@ -8,10 +8,10 @@ import (
 	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/prefilter"
-	"anomalyx/internal/tracegen"
 )
 
 // rowFormExtract is the row-form (AoS) extraction every index-based
@@ -57,31 +57,6 @@ func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta dete
 	return rep
 }
 
-// diffTrace is the differential harness's workload: seeded tracegen
-// traffic with an injected dstPort flood in interval floodAt, so the
-// extraction stage actually runs on some intervals.
-func diffTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
-	cfg := tracegen.SmallConfig()
-	cfg.Intervals = intervals
-	cfg.BaseFlows = baseFlows
-	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
-	gen := tracegen.New(cfg)
-	out := make([][]flow.Record, intervals)
-	for i := range out {
-		recs := gen.Interval(i)
-		if i == floodAt {
-			for j := range recs {
-				if j%3 == 0 {
-					recs[j].DstAddr, recs[j].DstPort = 42, 31337
-					recs[j].Packets, recs[j].Bytes = 1, 40
-				}
-			}
-		}
-		out[i] = recs
-	}
-	return out
-}
-
 // TestPipelineMatchesAoSReference is the differential harness for the
 // columnar buffer: across the full (shards, workers) grid, every
 // alarming interval's extraction — run online over the pipeline's SoA
@@ -95,11 +70,9 @@ func diffTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
 // included (sharding regroups that one slice by shard; counts and
 // item-sets still pin it).
 func TestPipelineMatchesAoSReference(t *testing.T) {
-	trace := diffTrace(10, 3000, 8)
-	pcfg := core.Config{
-		Detector:       detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
-		KeepSuspicious: true,
-	}
+	trace := gridtest.Trace(10, 3000, 8)
+	pcfg := gridtest.Config()
+	pcfg.KeepSuspicious = true
 
 	alarmsChecked := 0
 	for _, shards := range []int{1, 2, 4} {
@@ -153,5 +126,35 @@ func TestPipelineMatchesAoSReference(t *testing.T) {
 	}
 	if alarmsChecked == 0 {
 		t.Fatal("no interval alarmed; the differential never compared extraction")
+	}
+}
+
+// TestExtractOfflineWorkersDeterminism pins the post-mortem entry point
+// to the same contract: parallel prefiltering returns a report deeply
+// equal to the sequential one for every worker count.
+func TestExtractOfflineWorkersDeterminism(t *testing.T) {
+	recs := gridtest.Trace(1, 5000, 0)[0]
+	meta := detector.NewMetaData()
+	meta.Add(flow.DstPort, 31337)
+	meta.Add(flow.DstIP, 42)
+	meta.Add(flow.DstPort, 7)
+
+	cfg := core.Config{KeepSuspicious: true, Workers: 1}
+	want, err := core.ExtractOffline(cfg, recs, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.SuspiciousFlows == 0 {
+		t.Fatal("meta selected nothing; parallel path not exercised")
+	}
+	for _, workers := range []int{0, 2, 4, 8} {
+		cfg.Workers = workers
+		got, err := core.ExtractOffline(cfg, recs, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: offline report diverged\ngot:  %+v\nwant: %+v", workers, got, want)
+		}
 	}
 }

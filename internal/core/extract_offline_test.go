@@ -124,6 +124,35 @@ func TestExtractOfflineMinerError(t *testing.T) {
 	}
 }
 
+// TestExtractOfflineConfigValidation: the offline entry point accepts
+// exactly the support settings the pipeline constructor accepts. A
+// negative absolute support or a relative support outside (0,1] is an
+// error from both, not a silent 5%, an empty mining or a support of 1;
+// an absolute support, as large as the Table II example's, passes both.
+func TestExtractOfflineConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"negative absolute support", Config{MinSupport: -1}, false},
+		{"relative support above 1", Config{RelativeSupport: 2}, false},
+		{"negative relative support", Config{RelativeSupport: -0.5}, false},
+		{"defaults", Config{}, true},
+		{"absolute support", Config{MinSupport: 10000}, true},
+		{"absolute support beside an unused relative one", Config{MinSupport: 50, RelativeSupport: 2}, true},
+	} {
+		p, errNew := New(tc.cfg)
+		if errNew == nil {
+			p.Close()
+		}
+		_, errOffline := ExtractOffline(tc.cfg, offlineRecs(), meta445())
+		if (errNew == nil) != tc.ok || (errOffline == nil) != tc.ok {
+			t.Errorf("%s: New error %v, ExtractOffline error %v; want accepted %v by both", tc.name, errNew, errOffline, tc.ok)
+		}
+	}
+}
+
 // TestPipelineAbsorbMergesState pins the merge contract of the public
 // drain/absorb pair: absorbing a sibling's drained open interval and
 // closing yields the report one pipeline over the combined stream

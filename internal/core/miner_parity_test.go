@@ -1,108 +1,13 @@
 package core_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/mining"
-	"anomalyx/internal/mining/apriori"
-	"anomalyx/internal/mining/eclat"
-	"anomalyx/internal/mining/fpgrowth"
-	"anomalyx/internal/prefilter"
 )
-
-// runTrace closes every interval of trace on a fresh partitioned pipeline:
-// inline at depth 1; at depth 2 the pipelined way, each interval's finish
-// running only after the next interval has been observed and drained.
-func runTrace(t *testing.T, cfg core.Config, shards, depth int, trace [][]flow.Record) []*core.Report {
-	t.Helper()
-	sp, err := core.NewPartitioned(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	var reps []*core.Report
-	var pending *core.PendingClose
-	finish := func() {
-		if pending == nil {
-			return
-		}
-		rep, err := pending.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps, pending = append(reps, rep), nil
-	}
-	for _, recs := range trace {
-		if depth == 1 {
-			rep, err := sp.ProcessInterval(recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, rep)
-			continue
-		}
-		sp.ObserveBatch(recs)
-		pc, err := sp.BeginClose()
-		if err != nil {
-			t.Fatal(err)
-		}
-		finish()
-		pending = pc
-	}
-	finish()
-	return reps
-}
-
-// TestBuiltinMinerMatchesInjected is the differential test for the one
-// fork in the extraction stage: over a seeded trace, the built-in path
-// (nil Miner: bitset Eclat straight off the buffer columns) and the
-// compatibility path (an injected Apriori, FP-Growth or row-form Eclat
-// fed transactions built by survivor index) must produce deeply equal
-// reports — Report.Mining included — for both prefilter strategies,
-// across shard counts and close depths.
-func TestBuiltinMinerMatchesInjected(t *testing.T) {
-	trace := diffTrace(10, 3000, 8)
-	injected := []mining.Miner{apriori.New(), fpgrowth.New(), eclat.New()}
-	for _, strategy := range []prefilter.Strategy{prefilter.Union{}, prefilter.Intersection{}} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, depth := range []int{1, 2} {
-				name := fmt.Sprintf("%s/shards=%d/depth=%d", strategy.Name(), shards, depth)
-				cfg := core.Config{
-					Detector:  detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
-					Prefilter: strategy,
-					Workers:   1,
-				}
-				want := runTrace(t, cfg, shards, depth, trace)
-				mined := 0
-				for _, rep := range want {
-					if rep.Mining != nil {
-						mined++
-					}
-				}
-				if mined == 0 {
-					t.Fatalf("%s: no interval was mined; the paths were never compared", name)
-				}
-				for _, m := range injected {
-					cfg.Miner = m
-					got := runTrace(t, cfg, shards, depth, trace)
-					for i := range want {
-						if !reflect.DeepEqual(got[i].Mining, want[i].Mining) {
-							t.Fatalf("%s interval %d: %s mined\n%+v\nbuilt-in path mined\n%+v", name, i, m.Name(), got[i].Mining, want[i].Mining)
-						}
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Fatalf("%s interval %d: report diverged under %s", name, i, m.Name())
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestExtractDegenerateInputs holds the built-in path to the row-form
 // reference on the inputs the bitset core newly owns the edges of.

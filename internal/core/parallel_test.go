@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -9,160 +8,6 @@ import (
 	"anomalyx/internal/flow"
 	"anomalyx/internal/stats"
 )
-
-// makeIntervals synthesizes a deterministic multi-interval stream: benign
-// background everywhere plus a dstPort flood in the final interval.
-func makeIntervals(seed uint64, intervals, perInterval int) [][]flow.Record {
-	r := stats.NewRand(seed)
-	out := make([][]flow.Record, intervals)
-	for i := range out {
-		recs := make([]flow.Record, 0, perInterval*3/2)
-		for j := 0; j < perInterval; j++ {
-			recs = append(recs, flow.Record{
-				SrcAddr: uint32(r.IntN(50000)), DstAddr: uint32(r.IntN(2000)),
-				SrcPort: uint16(r.IntN(60000)), DstPort: uint16(r.IntN(1500)),
-				Protocol: 6, Packets: uint32(1 + r.IntN(20)), Bytes: uint64(100 + r.IntN(2000)),
-			})
-		}
-		if i == intervals-1 {
-			for j := 0; j < perInterval/2; j++ {
-				recs = append(recs, flow.Record{
-					SrcAddr: uint32(r.IntN(1 << 28)), DstAddr: 42,
-					SrcPort: uint16(r.IntN(60000)), DstPort: 31337,
-					Protocol: 6, Packets: 1, Bytes: 40,
-				})
-			}
-		}
-		out[i] = recs
-	}
-	return out
-}
-
-// TestParallelPipelineMatchesSequential is the tentpole's determinism
-// contract: ObserveBatch on a parallel bank yields reports identical to
-// per-record Observe on a sequential bank — including the alarming
-// interval's extraction output.
-func TestParallelPipelineMatchesSequential(t *testing.T) {
-	mk := func(workers int) *Pipeline {
-		p, err := New(Config{
-			Detector:       detector.Config{Bins: 256, TrainIntervals: 4, Seed: 5},
-			KeepSuspicious: true,
-			Workers:        workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	seq := mk(1)
-	par := mk(8)
-
-	stream := makeIntervals(9, 8, 4000)
-	alarmed := false
-	for i, recs := range stream {
-		for _, rec := range recs {
-			seq.Observe(rec)
-		}
-		par.ObserveBatch(recs)
-		srep, err := seq.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		prep, err := par.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(srep, prep) {
-			t.Fatalf("interval %d: reports diverged\nseq: %+v\npar: %+v", i, srep, prep)
-		}
-		if srep.Alarm {
-			alarmed = true
-		}
-	}
-	if !alarmed {
-		t.Error("no alarm raised; extraction path not compared")
-	}
-}
-
-// TestExtractionWorkersDeterminism sweeps Config.Workers over the
-// extraction stage: for every worker count the alarming interval's
-// report — including the parallel prefilter scan and the KeepSuspicious
-// forensic slice — is deeply equal to the sequential pipeline's. The
-// final interval exceeds the prefilter's parallel threshold, so the
-// chunked scan really runs.
-func TestExtractionWorkersDeterminism(t *testing.T) {
-	stream := makeIntervals(9, 8, 4000)
-	mk := func(workers int) *Pipeline {
-		p, err := New(Config{
-			Detector:       detector.Config{Bins: 256, TrainIntervals: 4, Seed: 5},
-			KeepSuspicious: true,
-			Workers:        workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	seq := mk(1)
-	defer seq.Close()
-	want := make([]*Report, len(stream))
-	alarmed := false
-	for i, recs := range stream {
-		rep, err := seq.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rep
-		alarmed = alarmed || rep.Alarm
-	}
-	if !alarmed {
-		t.Fatal("sequential run never alarmed; extraction not covered")
-	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		par := mk(workers)
-		for i, recs := range stream {
-			rep, err := par.ProcessInterval(recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rep, want[i]) {
-				t.Fatalf("workers=%d interval %d: report diverged\ngot:  %+v\nwant: %+v",
-					workers, i, rep, want[i])
-			}
-		}
-		par.Close()
-	}
-}
-
-// TestExtractOfflineWorkersDeterminism pins the post-mortem entry point
-// to the same contract: parallel prefiltering returns a report deeply
-// equal to the sequential one for every worker count.
-func TestExtractOfflineWorkersDeterminism(t *testing.T) {
-	recs := makeIntervals(11, 1, 5000)[0]
-	meta := detector.NewMetaData()
-	meta.Add(flow.DstPort, 31337)
-	meta.Add(flow.DstIP, 42)
-	meta.Add(flow.DstPort, 7)
-
-	cfg := Config{KeepSuspicious: true, Workers: 1}
-	want, err := ExtractOffline(cfg, recs, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.SuspiciousFlows == 0 {
-		t.Fatal("meta selected nothing; parallel path not exercised")
-	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		cfg.Workers = workers
-		got, err := ExtractOffline(cfg, recs, meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: offline report diverged\ngot:  %+v\nwant: %+v", workers, got, want)
-		}
-	}
-}
 
 // TestPipelineConcurrentObserveBatch drives ObserveBatch from many
 // goroutines on one pipeline (run under -race) and checks the interval

@@ -73,6 +73,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects the support settings no extraction can use; both
+// entry points, NewPartitioned and ExtractOffline, call it after
+// withDefaults.
+func (c Config) validate() error {
+	if c.MinSupport < 0 {
+		return fmt.Errorf("core: negative minimum support %d", c.MinSupport)
+	}
+	if c.MinSupport == 0 && (c.RelativeSupport <= 0 || c.RelativeSupport > 1) {
+		return fmt.Errorf("core: relative support %v out of (0,1]", c.RelativeSupport)
+	}
+	return nil
+}
+
 // Report is the outcome of one measurement interval.
 type Report struct {
 	Interval int
@@ -179,11 +192,8 @@ func NewPartitioned(cfg Config, n int) (*Pipeline, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: %d partitions, need at least 1", n)
 	}
-	if cfg.MinSupport < 0 {
-		return nil, fmt.Errorf("core: negative minimum support %d", cfg.MinSupport)
-	}
-	if cfg.MinSupport == 0 && (cfg.RelativeSupport <= 0 || cfg.RelativeSupport > 1) {
-		return nil, fmt.Errorf("core: relative support %v out of (0,1]", cfg.RelativeSupport)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	p := &Pipeline{cfg: cfg, part: hash.New(partitionSeed), batches: make([][]flow.Record, n)}
 	for range n {
@@ -464,6 +474,9 @@ func supportFor(cfg Config, suspicious int) int {
 // the survivors are mined in place.
 func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Report, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	rep := &Report{TotalFlows: len(recs), Alarm: true}
 	buf := flow.BufferOf(recs)
 	var x extraction

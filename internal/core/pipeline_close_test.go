@@ -46,111 +46,6 @@ func twoPhase(p *Pipeline) (*Report, error) {
 	return pc.Finish()
 }
 
-// TestBeginFinishMatchesEndInterval pins the two-phase close to the
-// synchronous one on a single pipeline: every interval's Begin+Finish
-// report must equal EndInterval's, through training, a flood alarm, and
-// the intervals after it.
-func TestBeginFinishMatchesEndInterval(t *testing.T) {
-	sync, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	piped, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, rp := stats.NewRand(9), stats.NewRand(9)
-	alarmed := false
-	for i := 0; i < 12; i++ {
-		nAnom := 0
-		if i == 10 {
-			nAnom = 1500
-		}
-		sync.ObserveBatch(closeInterval(rs, 3000, nAnom))
-		piped.ObserveBatch(closeInterval(rp, 3000, nAnom))
-		want, err := sync.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := twoPhase(piped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: two-phase report diverged\ngot:  %+v\nwant: %+v", i, got, want)
-		}
-		alarmed = alarmed || want.Alarm
-	}
-	if !alarmed {
-		t.Error("no alarm; extraction path not compared")
-	}
-}
-
-// TestBeginFinishMatchesEndIntervalGroup pins the partitioned two-phase
-// close: over three-partition pipelines fed the same records, an
-// all-pipelined run (BeginClose+Finish every interval) and a run that
-// alternates synchronous and pipelined closes — one close lending live
-// state, the next swapping it out — must both equal an all-EndInterval
-// run report for report.
-func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
-	const partitions = 3
-	newPartitioned := func() *Pipeline {
-		p, err := NewPartitioned(testConfig(), partitions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
-	}
-	pSync := newPartitioned()
-	variants := []struct {
-		name  string
-		p     *Pipeline
-		rand  *stats.Rand
-		close func(interval int, p *Pipeline) (*Report, error)
-	}{
-		{"pipelined", newPartitioned(), stats.NewRand(21), func(_ int, p *Pipeline) (*Report, error) { return twoPhase(p) }},
-		{"alternating", newPartitioned(), stats.NewRand(21), func(i int, p *Pipeline) (*Report, error) {
-			if i%2 == 0 {
-				return p.EndInterval()
-			}
-			return twoPhase(p)
-		}},
-	}
-	rs := stats.NewRand(21)
-	feed := func(p *Pipeline, r *stats.Rand, nAnom int) {
-		for _, rec := range closeInterval(r, 3000, nAnom) {
-			p.Observe(rec)
-		}
-	}
-	alarmed := false
-	for i := 0; i < 12; i++ {
-		nAnom := 0
-		if i == 10 {
-			nAnom = 1500
-		}
-		feed(pSync, rs, nAnom)
-		want, err := pSync.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range variants {
-			feed(v.p, v.rand, nAnom)
-			got, err := v.close(i, v.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("interval %d: %s close diverged\ngot:  %+v\nwant: %+v", i, v.name, got, want)
-			}
-		}
-		alarmed = alarmed || want.Alarm
-	}
-	if !alarmed {
-		t.Error("no alarm; extraction path not compared")
-	}
-}
-
 // TestPendingCloseRecyclesState proves the freelist claim: from the
 // second interval on, a close's drained containers are recycled ones —
 // the clone sets cycling through BeginClose are pointer-identical to

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 	"anomalyx/internal/stats"
@@ -18,108 +20,10 @@ import (
 
 const intervalLen = time.Minute
 
-// makeStream synthesizes a timestamped stream spanning several
-// measurement intervals, with a dstPort flood in interval floodAt.
-func makeStream(seed uint64, intervals, perInterval, floodAt int) []flow.Record {
-	r := stats.NewRand(seed)
-	base := int64(1_700_000_000_000)
-	base -= base % intervalLen.Milliseconds() // align so intervals split evenly
-	var out []flow.Record
-	for i := 0; i < intervals; i++ {
-		start := base + int64(i)*intervalLen.Milliseconds()
-		for j := 0; j < perInterval; j++ {
-			rec := flow.Record{
-				SrcAddr: uint32(r.IntN(50000)), DstAddr: uint32(r.IntN(2000)),
-				SrcPort: uint16(r.IntN(60000)), DstPort: uint16(r.IntN(1500)),
-				Protocol: 6, Packets: uint32(1 + r.IntN(20)), Bytes: uint64(100 + r.IntN(2000)),
-			}
-			if i == floodAt && j%3 == 0 {
-				rec.DstAddr, rec.DstPort, rec.Packets, rec.Bytes = 42, 31337, 1, 40
-			}
-			rec.Start = start + int64(j)%intervalLen.Milliseconds()
-			rec.End = rec.Start
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 func testConfig(workers int) core.Config {
 	return core.Config{
 		Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
 		Workers:  workers,
-	}
-}
-
-// TestEngineMatchesManualLoop verifies the engine's interval sharding:
-// submitting a timestamped stream produces exactly the reports a manual
-// Observe/EndInterval loop over the same boundary grid produces.
-func TestEngineMatchesManualLoop(t *testing.T) {
-	stream := makeStream(1, 8, 3000, 7)
-
-	// Manual reference: per-record loop with the cmd/anomalyx boundary
-	// arithmetic on a sequential pipeline.
-	ref, err := core.New(testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	intervalMs := intervalLen.Milliseconds()
-	var want []*core.Report
-	var boundary int64
-	for _, rec := range stream {
-		if boundary == 0 {
-			boundary = rec.Start - rec.Start%intervalMs + intervalMs
-		}
-		for rec.Start >= boundary {
-			rep, err := ref.EndInterval()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, rep)
-			boundary += intervalMs
-		}
-		ref.Observe(rec)
-	}
-	rep, err := ref.EndInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, rep)
-
-	eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*core.Report
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rep := range eng.Reports() {
-			got = append(got, rep)
-		}
-	}()
-	if _, err := eng.SubmitBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-
-	if len(got) != len(want) {
-		t.Fatalf("engine emitted %d reports, want %d", len(got), len(want))
-	}
-	alarmed := false
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("interval %d: engine report diverged\ngot:  %+v\nwant: %+v", i, got[i], want[i])
-		}
-		if want[i].Alarm {
-			alarmed = true
-		}
-	}
-	if !alarmed {
-		t.Error("no alarm in the stream; extraction path not compared")
 	}
 }
 
@@ -196,7 +100,7 @@ func (errMiner) Name() string { return "err" }
 func TestEngineErrorSurfacesOnLiveStream(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Miner = errMiner{}
-	eng, err := New(Config{Pipeline: cfg, IntervalLen: intervalLen, Buffer: 64})
+	eng, err := New(Config{Pipeline: cfg, IntervalLen: gridtest.IntervalLen, Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +113,9 @@ func TestEngineErrorSurfacesOnLiveStream(t *testing.T) {
 		errAtClose <- eng.Err()
 	}()
 
-	// A stream whose flood sits one interval before the end: mining
+	// A stream whose first mined interval sits two before the end: mining
 	// fails when the boundary after it is crossed, records keep coming.
-	for _, rec := range makeStream(2, 8, 3000, 6) {
+	for _, rec := range slices.Concat(gridtest.Trace(10, 1000, 8)...) {
 		eng.SubmitBatch([]flow.Record{rec}) // must not block after the pipeline dies
 	}
 
@@ -256,61 +160,6 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	<-done
 	if n != 1 {
 		t.Fatalf("empty stream emitted %d reports, want 1", n)
-	}
-}
-
-// TestSubmitBatchMatchesSubmit pins batch-size invariance: the same
-// stream submitted in batches of 1, 7 and 512 records — batches that
-// straddle interval boundaries at every size — produces identical
-// reports, and the returned intervals-closed counts sum to the number
-// of boundary crossings.
-func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	stream := makeStream(3, 8, 3000, 6)
-
-	collect := func(chunk int) []*core.Report {
-		t.Helper()
-		eng, err := New(Config{Pipeline: testConfig(0), IntervalLen: intervalLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []*core.Report
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for rep := range eng.Reports() {
-				got = append(got, rep)
-			}
-		}()
-		closedTotal := 0
-		for i := 0; i < len(stream); i += chunk {
-			n, err := eng.SubmitBatch(stream[i:min(i+chunk, len(stream))])
-			if err != nil {
-				t.Fatal(err)
-			}
-			closedTotal += n
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		// Every report except the Close flush corresponds to one returned cut.
-		if closedTotal != len(got)-1 {
-			t.Fatalf("batches of %d counted %d closed intervals, want %d", chunk, closedTotal, len(got)-1)
-		}
-		return got
-	}
-
-	want := collect(1)
-	for _, chunk := range []int{7, 512} {
-		got := collect(chunk)
-		if len(got) != len(want) {
-			t.Fatalf("batches of %d emitted %d reports, want %d", chunk, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("batches of %d, interval %d: report diverged\ngot:  %+v\nwant: %+v", chunk, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -412,58 +261,6 @@ func TestSubmitBatchConcurrentProducers(t *testing.T) {
 	}
 	if want := int(closed.Load()) + 1; reports != want {
 		t.Fatalf("engine emitted %d reports, want %d (sum of closed counts + final flush)", reports, want)
-	}
-}
-
-// TestShardedEngineMatchesUnsharded runs the same stream through an
-// unsharded and a 4-shard engine: the report sequences must be
-// identical (the cross-shard merge determinism contract at the engine
-// level).
-func TestShardedEngineMatchesUnsharded(t *testing.T) {
-	stream := makeStream(5, 8, 3000, 6)
-
-	run := func(shards int) []*core.Report {
-		t.Helper()
-		eng, err := New(Config{Pipeline: testConfig(1), Shards: shards, IntervalLen: intervalLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []*core.Report
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for rep := range eng.Reports() {
-				got = append(got, rep)
-			}
-		}()
-		for i := 0; i < len(stream); i += 900 {
-			end := min(i+900, len(stream))
-			if _, err := eng.SubmitBatch(stream[i:end]); err != nil {
-				t.Error(err)
-				break
-			}
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		return got
-	}
-
-	want := run(1)
-	got := run(4)
-	if len(got) != len(want) {
-		t.Fatalf("sharded engine emitted %d reports, want %d", len(got), len(want))
-	}
-	alarmed := false
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("interval %d: sharded report diverged\ngot:  %+v\nwant: %+v", i, got[i], want[i])
-		}
-		alarmed = alarmed || want[i].Alarm
-	}
-	if !alarmed {
-		t.Error("no alarm in the stream; extraction path not compared")
 	}
 }
 

@@ -3,140 +3,24 @@ package shard
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/tracegen"
+	"anomalyx/internal/gridtest"
 )
-
-// testTrace generates a seeded tracegen trace (with the proportionally
-// compressed ground-truth schedule) plus an injected dstPort flood in
-// interval floodAt, so the extraction stage is exercised even at
-// test-friendly volumes.
-func testTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
-	cfg := tracegen.SmallConfig()
-	cfg.Intervals = intervals
-	cfg.BaseFlows = baseFlows
-	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
-	gen := tracegen.New(cfg)
-	out := make([][]flow.Record, intervals)
-	for i := range out {
-		recs := gen.Interval(i)
-		if i == floodAt {
-			for j := range recs {
-				if j%3 == 0 {
-					recs[j].DstAddr, recs[j].DstPort = 42, 31337
-					recs[j].Packets, recs[j].Bytes = 1, 40
-				}
-			}
-		}
-		out[i] = recs
-	}
-	return out
-}
-
-func testPipelineConfig() core.Config {
-	return core.Config{
-		Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
-	}
-}
-
-// renderReport serializes every deterministic report field — detection
-// state, voted meta-data, counts, item-sets, cost reduction — so two
-// reports can be compared for byte identity. The KeepSuspicious forensic
-// slice is the one field deliberately excluded: sharding regroups it by
-// shard.
-func renderReport(rep *core.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "interval=%d alarm=%v total=%d suspicious=%d minsup=%d R=%v\n",
-		rep.Interval, rep.Alarm, rep.TotalFlows, rep.SuspiciousFlows,
-		rep.MinSupport, rep.CostReduction)
-	fmt.Fprintf(&b, "detection=%+v\n", rep.Detection)
-	if rep.Mining != nil {
-		fmt.Fprintf(&b, "mining=%+v\n", *rep.Mining)
-	}
-	for i := range rep.ItemSets {
-		fmt.Fprintf(&b, "set %s sup=%d\n", rep.ItemSets[i].String(), rep.ItemSets[i].Support)
-	}
-	return b.String()
-}
-
-// TestShardedDeterminism pins the contract over the full (Workers,
-// shards) grid as built by this package's constructor: for shards ∈
-// {1, 2, 4} and Workers ∈ {1, 2, 4, 8}, a ShardedPipeline produces reports
-// byte-identical to a plain sequential core.Pipeline, interval for
-// interval.
-func TestShardedDeterminism(t *testing.T) {
-	trace := testTrace(10, 3000, 8)
-
-	ref, err := core.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := make([]string, len(trace))
-	alarmed := false
-	for i, recs := range trace {
-		rep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = renderReport(rep)
-		alarmed = alarmed || rep.Alarm
-	}
-	if !alarmed {
-		t.Fatal("reference run never alarmed; determinism test would not cover extraction")
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			cfg := testPipelineConfig()
-			cfg.Workers = workers
-			sp, err := New(Config{Shards: shards, Pipeline: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, recs := range trace {
-				// Feed in alternating small and large chunks so both the
-				// record-by-record route and the partition + fan-out route
-				// contribute to the same interval.
-				for j, small := 0, true; j < len(recs); small = !small {
-					n := 700
-					if small {
-						n = 45
-					}
-					end := min(j+n, len(recs))
-					sp.ObserveBatch(recs[j:end])
-					j = end
-				}
-				rep, err := sp.EndInterval()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := renderReport(rep); got != want[i] {
-					t.Fatalf("shards=%d workers=%d interval %d: report diverged from plain pipeline\ngot:  %s\nwant: %s",
-						shards, workers, i, got, want[i])
-				}
-			}
-			sp.Close()
-		}
-	}
-}
 
 // TestShardOfStableAndSpread verifies the partitioner: equal flow keys
 // always land in the same shard, and a realistic trace actually spreads
 // across all shards (no degenerate hashing).
 func TestShardOfStableAndSpread(t *testing.T) {
-	sp, err := New(Config{Shards: 4, Pipeline: testPipelineConfig()})
+	sp, err := New(Config{Shards: 4, Pipeline: gridtest.Config()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	trace := testTrace(1, 4000, -1)
+	trace := gridtest.Trace(1, 4000, -1)
 	counts := make([]int, 4)
 	for i := range trace[0] {
 		rec := trace[0][i]
@@ -162,25 +46,16 @@ func TestShardOfStableAndSpread(t *testing.T) {
 // sequential reference (detection and extraction are ingestion-order
 // insensitive). Run with -race.
 func TestShardedConcurrentProducers(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
+	trace := gridtest.Trace(10, 1500, 8)
 
-	ref, err := core.New(testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	sp, err := New(Config{Shards: 4, Pipeline: testPipelineConfig()})
+	sp, err := New(Config{Shards: 4, Pipeline: gridtest.Config()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
 
-	for i, recs := range trace {
-		wantRep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+	var got []*core.Report
+	for _, recs := range trace {
 		const producers = 4
 		var wg sync.WaitGroup
 		chunk := (len(recs) + producers - 1) / producers
@@ -197,14 +72,13 @@ func TestShardedConcurrentProducers(t *testing.T) {
 			}(recs[lo:hi])
 		}
 		wg.Wait()
-		gotRep, err := sp.EndInterval()
+		rep, err := sp.EndInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := renderReport(gotRep), renderReport(wantRep); got != want {
-			t.Fatalf("interval %d: concurrent sharded report diverged\ngot:  %s\nwant: %s", i, got, want)
-		}
+		got = append(got, rep)
 	}
+	gridtest.Equal(t, got, gridtest.Reference(t, gridtest.Config(), trace), 4)
 }
 
 // TestNewDefaults pins the defaulting the sharded entry points rely on:
@@ -212,7 +86,7 @@ func TestShardedConcurrentProducers(t *testing.T) {
 // sequential detector banks — at one shard too, which an agent session
 // at its default worker count builds.
 func TestNewDefaults(t *testing.T) {
-	recs := testTrace(1, 4000, -1)[0]
+	recs := gridtest.Trace(1, 4000, -1)[0]
 	for _, tc := range []struct{ shards, want int }{{0, runtime.GOMAXPROCS(0)}, {1, 1}, {3, 3}} {
 		sp, err := New(Config{Shards: tc.shards})
 		if err != nil {
@@ -255,11 +129,11 @@ func TestShardedRejectsNegative(t *testing.T) {
 // scales with shards until the cores are saturated; -cpu sweeps contrast
 // the fan-out with the single-threaded baseline.
 func BenchmarkShardedPipeline(b *testing.B) {
-	trace := testTrace(1, 20000, -1)
+	trace := gridtest.Trace(1, 20000, -1)
 	recs := trace[0]
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sp, err := New(Config{Shards: shards, Pipeline: testPipelineConfig()})
+			sp, err := New(Config{Shards: shards, Pipeline: gridtest.Config()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -280,14 +154,8 @@ func BenchmarkShardedPipeline(b *testing.B) {
 // plain pipeline's report over the same records — and leaves all shards
 // empty for the next interval.
 func TestShardedDrainOpenInterval(t *testing.T) {
-	trace := testTrace(6, 2000, 4)
-	cfg := testPipelineConfig()
-
-	direct, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
+	trace := gridtest.Trace(10, 1500, 8)
+	cfg := gridtest.Config()
 	sharded, err := New(Config{Shards: 3, Pipeline: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -299,10 +167,9 @@ func TestShardedDrainOpenInterval(t *testing.T) {
 	}
 	defer primary.Close()
 
+	var got []*core.Report
 	for i, recs := range trace {
-		direct.ObserveBatch(recs)
 		sharded.ObserveBatch(recs)
-
 		oi := sharded.DrainOpenInterval()
 		if oi.Buffer.Len() != len(recs) {
 			t.Fatalf("interval %d: drained %d records, want %d", i, oi.Buffer.Len(), len(recs))
@@ -313,16 +180,11 @@ func TestShardedDrainOpenInterval(t *testing.T) {
 		if err := primary.AbsorbOpenInterval(oi); err != nil {
 			t.Fatal(err)
 		}
-		wantRep, err := direct.EndInterval()
+		rep, err := primary.EndInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRep, err := primary.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := renderReport(gotRep), renderReport(wantRep); got != want {
-			t.Fatalf("interval %d: drained shard report diverged:\n got %s\nwant %s", i, got, want)
-		}
+		got = append(got, rep)
 	}
+	gridtest.Equal(t, got, gridtest.Reference(t, cfg, trace), 3)
 }

@@ -9,6 +9,7 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/engine"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -22,7 +23,7 @@ import (
 func BenchmarkLoopbackInterval(b *testing.B) {
 	const agents = 2
 	cfg := core.Config{} // paper defaults
-	trace := testTrace(1, 4000, -1)[0]
+	trace := gridtest.Trace(1, 4000, -1)[0]
 	parts := make([][]flow.Record, agents)
 	for i := range trace {
 		parts[i%agents] = append(parts[i%agents], trace[i])

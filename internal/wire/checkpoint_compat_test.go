@@ -11,6 +11,7 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -24,9 +25,9 @@ import (
 // cuts, so the restored state is what decides it.
 func TestResumeFromParentCheckpoints(t *testing.T) {
 	// The trace and configuration the files were generated under.
-	trace := testTrace(6, 120, 4)
+	trace := gridtest.Trace(6, 120, 4)
 	cfg := core.Config{Detector: detector.Config{Bins: 32, TrainIntervals: 2, Seed: 3}}
-	parts := partition(t, trace, 2, cfg)
+	parts := gridtest.Partition(trace, 2)
 
 	ref, err := shard.New(shard.Config{Shards: 2, Pipeline: cfg})
 	if err != nil {

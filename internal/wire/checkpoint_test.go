@@ -12,7 +12,7 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/tracegen"
+	"anomalyx/internal/gridtest"
 )
 
 // TestParentCheckpointsReencode holds the checkpoint codec to the
@@ -83,33 +83,6 @@ func TestV2CheckpointsRefused(t *testing.T) {
 	}
 }
 
-// checkpointTrace generates a seeded tracegen trace whose interval
-// floodAt (none when out of range) carries an injected dstPort flood, so
-// detection, prefiltering and mining are all exercised.
-func checkpointTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
-	gcfg := tracegen.SmallConfig()
-	gcfg.Intervals, gcfg.BaseFlows = intervals, baseFlows
-	gcfg.Events = tracegen.Schedule(gcfg.Intervals, gcfg.BaseFlows)
-	gen := tracegen.New(gcfg)
-	out := make([][]flow.Record, intervals)
-	for i := range out {
-		out[i] = gen.Interval(i)
-		if i == floodAt {
-			for j := range out[i] {
-				if j%3 == 0 {
-					out[i][j].DstAddr, out[i][j].DstPort = 42, 31337
-					out[i][j].Packets, out[i][j].Bytes = 1, 40
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkpointConfig is the detection configuration of the round-trip
-// tests below.
-var checkpointConfig = core.Config{Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3}}
-
 // TestBankSnapshotRoundTrip pins the history codec's lossless-checkpoint
 // guarantee at the bank level: snapshot a bank with real detection
 // history, push it through encode/decode, restore into a fresh bank that
@@ -118,8 +91,8 @@ var checkpointConfig = core.Config{Detector: detector.Config{Bins: 256, TrainInt
 // decoded history must also be deeply equal to the original and
 // re-encode to identical bytes (the canonical-form property).
 func TestBankSnapshotRoundTrip(t *testing.T) {
-	trace := checkpointTrace(8, 2000, 6)
-	bcfg := detector.BankConfig{Template: checkpointConfig.Detector, Workers: 1}
+	trace := gridtest.Trace(8, 2000, 6)
+	bcfg := detector.BankConfig{Template: gridtest.Config().Detector, Workers: 1}
 
 	orig, err := detector.NewBank(bcfg)
 	if err != nil {
@@ -177,8 +150,8 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 // re-encodes byte-identically, and a pipeline restored from it matches
 // the original's reports, extraction (prefilter + mining) included.
 func TestPipelineSnapshotRoundTrip(t *testing.T) {
-	trace := checkpointTrace(10, 2000, 8)
-	orig, err := core.New(checkpointConfig)
+	trace := gridtest.Trace(10, 2000, 8)
+	orig, err := core.New(gridtest.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +163,7 @@ func TestPipelineSnapshotRoundTrip(t *testing.T) {
 	}
 
 	c := checkpoint{
-		digest:     configDigest(checkpointConfig),
+		digest:     configDigest(gridtest.Config()),
 		lastClosed: 7 * 900000,
 		emitted:    7,
 		absorbed:   []int64{7 * 900000, 6 * 900000},
@@ -209,7 +182,7 @@ func TestPipelineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("re-encoding the decoded checkpoint changed the bytes")
 	}
 
-	restored, err := core.New(checkpointConfig)
+	restored, err := core.New(gridtest.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +223,7 @@ func TestConfigDigest(t *testing.T) {
 	if configDigest(implicit) != configDigest(explicit) {
 		t.Error("defaulted and explicit configurations digest differently")
 	}
-	base := checkpointConfig
+	base := gridtest.Config()
 	variants := []core.Config{
 		{Detector: detector.Config{Bins: 512, TrainIntervals: 4, Seed: 3}},
 		{Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 4}},
@@ -296,7 +269,7 @@ func historyCheckpoint(tb testing.TB, intervals, nFlows int) checkpoint {
 		tb.Fatal(err)
 	}
 	defer p.Close()
-	for _, recs := range checkpointTrace(intervals, nFlows, -1) {
+	for _, recs := range gridtest.Trace(intervals, nFlows, -1) {
 		p.ObserveBatch(recs)
 		if _, err := p.EndInterval(); err != nil {
 			tb.Fatal(err)

@@ -18,7 +18,7 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/engine"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/tracegen"
+	"anomalyx/internal/gridtest"
 )
 
 // agentInterval drains one paper-default pipeline (5 features x 3
@@ -31,10 +31,7 @@ func agentInterval(tb testing.TB, nFlows int) core.OpenInterval {
 		tb.Fatal(err)
 	}
 	defer p.Close()
-	cfg := tracegen.SmallConfig()
-	cfg.Intervals, cfg.BaseFlows = 2, nFlows
-	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
-	p.ObserveBatch(tracegen.New(cfg).Interval(1))
+	p.ObserveBatch(gridtest.Trace(2, nFlows, -1)[1])
 	return p.DrainOpenInterval()
 }
 
@@ -358,10 +355,7 @@ func TestShippingCloseSteadyStateAllocs(t *testing.T) {
 	}
 	defer eng.Close()
 
-	tc := tracegen.SmallConfig()
-	tc.Intervals, tc.BaseFlows = 2, 3200
-	tc.Events = tracegen.Schedule(tc.Intervals, tc.BaseFlows)
-	recs := tracegen.New(tc).Interval(1)
+	recs := gridtest.Trace(2, 3200, -1)[1]
 	const warm, tries = 4, 3
 	batches := make([][]flow.Record, warm+tries+1)
 	for i := range batches {

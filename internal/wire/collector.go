@@ -349,6 +349,19 @@ type session struct {
 // replacements — and closes ln on return. Cancelling ctx shuts the
 // session down and returns ctx.Err().
 func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.Report) error) error {
+	// Bind the metrics listener first: failing here must leave nothing
+	// started and the resume checkpoint unconsumed.
+	if c.cc.MetricsAddr != "" {
+		mln, err := net.Listen("tcp", c.cc.MetricsAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("wire: metrics listener: %w", err)
+		}
+		msrv := &http.Server{Handler: c.met.Handler()}
+		go msrv.Serve(mln)
+		defer msrv.Close()
+	}
+
 	s := &session{
 		events:  make(chan event, 16),
 		done:    make(chan struct{}),
@@ -363,16 +376,6 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	}
 	if c.fwd != nil {
 		go c.watchUpstreamAcks(s)
-	}
-
-	if c.cc.MetricsAddr != "" {
-		mln, err := net.Listen("tcp", c.cc.MetricsAddr)
-		if err != nil {
-			return fmt.Errorf("wire: metrics listener: %w", err)
-		}
-		msrv := &http.Server{Handler: c.met.Handler()}
-		go msrv.Serve(mln)
-		defer msrv.Close()
 	}
 
 	// Track every accepted connection so session teardown can unblock

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/engine"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -125,72 +125,6 @@ func (p *chaosProxy) pipe(client net.Conn, idx int) {
 	}
 }
 
-// partition splits a trace across n agents with the same hash router
-// in-process sharding uses, so distributed runs are comparable to an
-// n-shard single process.
-func partition(t *testing.T, trace [][]flow.Record, n int, cfg core.Config) [][][]flow.Record {
-	t.Helper()
-	router, err := shard.New(shard.Config{Shards: n, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	parts := make([][][]flow.Record, n)
-	for id := range parts {
-		parts[id] = make([][]flow.Record, len(trace))
-	}
-	for i, recs := range trace {
-		for j := range recs {
-			id := router.ShardOf(&recs[j])
-			parts[id][i] = append(parts[id][i], recs[j])
-		}
-	}
-	return parts
-}
-
-// runEngineAgent drives one agent end to end — local sharded pipeline,
-// shipping engine, wire stream — exactly like production, but through
-// DialAgent so the test controls the retry policy and dial target.
-func runEngineAgent(t *testing.T, addr string, id int, cfg core.Config, part [][]flow.Record, opts wire.AgentOptions) {
-	t.Helper()
-	agent, err := wire.DialAgent(addr, id, cfg, opts)
-	if err != nil {
-		t.Errorf("agent %d: dial: %v", id, err)
-		return
-	}
-	sp, err := shard.New(shard.Config{Shards: 1, Pipeline: cfg})
-	if err != nil {
-		t.Errorf("agent %d: %v", id, err)
-		agent.Close()
-		return
-	}
-	eng, err := engine.NewShipping(engine.Config{IntervalLen: 15 * time.Minute}, sp, agent.ShipOpenInterval)
-	if err != nil {
-		t.Errorf("agent %d: %v", id, err)
-		sp.Close()
-		agent.Close()
-		return
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for range eng.Reports() {
-		}
-	}()
-	for _, recs := range part {
-		if _, err := eng.SubmitBatch(recs); err != nil {
-			t.Errorf("agent %d: submit: %v", id, err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Errorf("agent %d: engine close: %v", id, err)
-	}
-	<-drained
-	if err := agent.Close(); err != nil {
-		t.Errorf("agent %d: close: %v", id, err)
-	}
-}
-
 // dialMortal connects a hand-driven agent whose machine can die: it
 // never redials, and the returned raw connection lets the test close
 // the transport with no Bye and no replay.
@@ -242,30 +176,13 @@ func decodeMetrics(t *testing.T, coll *wire.Collector) sessionMetrics {
 // immediately after the handshake, and twice more between interval
 // frames — forcing redials and replay, and the collector's report
 // stream must still be byte-identical to an undisturbed single-process
-// two-shard run, with no interval flagged Partial.
+// run, with no interval flagged Partial.
 func TestReconnectReplayByteIdentical(t *testing.T) {
-	trace := testTrace(10, 2000, 7)
-	cfg := testPipelineConfig()
+	trace := gridtest.Trace(10, 2000, 7)
+	cfg := gridtest.Config()
 
-	ref, err := shard.New(shard.Config{Shards: 2, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(trace))
-	alarmed := false
-	for i, recs := range trace {
-		rep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = renderReport(rep)
-		alarmed = alarmed || rep.Alarm
-	}
-	ref.Close()
-	if !alarmed {
-		t.Fatal("reference run never alarmed; the test would not cover extraction")
-	}
-	parts := partition(t, trace, 2, cfg)
+	want := gridtest.Reference(t, cfg, trace)
+	parts := gridtest.Partition(trace, 2)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -276,14 +193,11 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coll.Close()
-	var got []string
+	var got []*core.Report
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- coll.Serve(context.Background(), ln, func(rep *core.Report) error {
-			if len(rep.Partial) != 0 {
-				t.Errorf("interval %d flagged Partial %v; no agent was abandoned", rep.Interval, rep.Partial)
-			}
-			got = append(got, renderReport(rep))
+			got = append(got, rep)
 			return nil
 		})
 	}()
@@ -298,11 +212,11 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		runEngineAgent(t, proxy.addr(), 0, cfg, parts[0], wire.AgentOptions{Retry: fastRetry(1)})
+		runAgent(t, proxy.addr(), 0, 1, cfg, parts[0], wire.AgentOptions{Retry: fastRetry(1)})
 	}()
 	go func() {
 		defer wg.Done()
-		runEngineAgent(t, ln.Addr().String(), 1, cfg, parts[1], wire.AgentOptions{Retry: fastRetry(2)})
+		runAgent(t, ln.Addr().String(), 1, 1, cfg, parts[1], wire.AgentOptions{Retry: fastRetry(2)})
 	}()
 	wg.Wait()
 	if err := <-serveErr; err != nil {
@@ -312,15 +226,7 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	if proxy.accepted() < 2 {
 		t.Fatalf("proxy saw %d connections; the scripted cut never forced a redial", proxy.accepted())
 	}
-	if len(got) != len(want) {
-		t.Fatalf("collector closed %d intervals, reference closed %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interval %d: report differs from undisturbed run after reconnects:\n got %s\nwant %s",
-				i, got[i], want[i])
-		}
-	}
+	gridtest.Equal(t, got, want, 2)
 	m := decodeMetrics(t, coll)
 	if m.Agents[0].Reconnects < 1 {
 		t.Errorf("agent 0 reconnects = %d, want >= 1", m.Agents[0].Reconnects)
@@ -354,9 +260,9 @@ func shipIntervals(t *testing.T, agent *wire.Agent, cfg core.Config, part [][]fl
 // agent's ID — and the reports must equal a reference run that simply
 // never saw the dead agent's remaining partition.
 func TestCloseWithoutFlagsDeadAgentPartial(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 2, cfg)
+	trace := gridtest.Trace(8, 2000, 6)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 2)
 	const deadFrom = 4 // agent 1's last shipped interval is deadFrom-1
 
 	single, err := core.New(cfg)
@@ -439,9 +345,9 @@ func TestCloseWithoutFlagsDeadAgentPartial(t *testing.T) {
 // the timer fires, then declares the agent dead and closes the rest of
 // the trace Partial — the session must still terminate on its own.
 func TestHoldTimeoutClosesPartial(t *testing.T) {
-	trace := testTrace(6, 1500, 5)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 2, cfg)
+	trace := gridtest.Trace(6, 1500, 5)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 2)
 	const deadFrom = 2
 
 	single, err := core.New(cfg)
@@ -521,9 +427,9 @@ func TestHoldTimeoutClosesPartial(t *testing.T) {
 // redial, resume, and the concatenated report stream must be
 // byte-identical to an undisturbed run.
 func TestCollectorRestartResumesFromCheckpoint(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 2, cfg)
+	trace := gridtest.Trace(8, 2000, 6)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 2)
 	const crashAfter = 3 // reports emitted before the injected crash
 	const barrierAt = 4  // agents pause after shipping this many intervals
 

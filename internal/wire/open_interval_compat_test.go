@@ -9,6 +9,7 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -28,7 +29,9 @@ const (
 )
 
 // fixtureTrace is the trace the fixtures were written from.
-func fixtureTrace() [][]flow.Record { return testTrace(fixtureIntervals, 2000, fixtureIntervals-1) }
+func fixtureTrace() [][]flow.Record {
+	return gridtest.Trace(fixtureIntervals, 2000, fixtureIntervals-1)
+}
 
 // openIntervalFrame drains the final interval of the fixture trace from
 // a two-shard pipeline (the drain merges the sibling's clone histograms
@@ -37,7 +40,7 @@ func fixtureTrace() [][]flow.Record { return testTrace(fixtureIntervals, 2000, f
 func openIntervalFrame(t *testing.T) []byte {
 	t.Helper()
 	trace := fixtureTrace()
-	sp, err := shard.New(shard.Config{Shards: 2, Pipeline: testPipelineConfig()})
+	sp, err := shard.New(shard.Config{Shards: 2, Pipeline: gridtest.Config()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func openIntervalFrame(t *testing.T) []byte {
 func closeFixtureInterval(t *testing.T, frame []byte) *core.Report {
 	t.Helper()
 	trace := fixtureTrace()
-	p, err := core.New(testPipelineConfig())
+	p, err := core.New(gridtest.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

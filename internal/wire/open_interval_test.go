@@ -7,6 +7,7 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/wire"
 )
 
@@ -21,7 +22,7 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.ObserveBatch(testTrace(1, 3000, 0)[0])
+	p.ObserveBatch(gridtest.Trace(1, 3000, 0)[0])
 	snap := pipelineSnapshotOf(p.DrainOpenInterval())
 
 	frame, err := wire.EncodeOpenIntervalSnapshot(snap)
@@ -69,11 +70,11 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.ObserveBatch(testTrace(1, 200, 0)[0])
+	p.ObserveBatch(gridtest.Trace(1, 200, 0)[0])
 	if _, err := p.EndInterval(); err != nil {
 		t.Fatal(err)
 	}
-	p.ObserveBatch(testTrace(1, 200, 0)[0])
+	p.ObserveBatch(gridtest.Trace(1, 200, 0)[0])
 	hist := p.Snapshot().Detectors[0]
 	for name, carry := range map[string]func(ds *detector.Snapshot){
 		"flags":     func(ds *detector.Snapshot) { ds.HavePrev = hist.HavePrev },

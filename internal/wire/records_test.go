@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"anomalyx/internal/flow"
-	"anomalyx/internal/tracegen"
+	"anomalyx/internal/gridtest"
 )
 
 func sectionRecords() []flow.Record {
@@ -205,11 +205,7 @@ func TestDecodeRejectsNonCanonicalDictionaries(t *testing.T) {
 // paper-shaped traffic: the columnar record section is at least 1.5×
 // smaller than the row-wise encoding it replaced.
 func TestRecordSectionCompression(t *testing.T) {
-	cfg := tracegen.SmallConfig()
-	cfg.Intervals = 1
-	cfg.BaseFlows = 6000
-	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
-	recs := tracegen.New(cfg).Interval(0)
+	recs := gridtest.Trace(1, 6000, -1)[0]
 	buf := flow.BufferOf(recs)
 	col := len(encodeSection(&buf))
 	row := 0

@@ -11,142 +11,10 @@ import (
 	"time"
 
 	"anomalyx/internal/core"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
-
-// TestThreeTierRelayTreeByteIdentical is the deferred deeper-than-two
-// e2e: leaf → relay → relay → root. Four leaves hang off two mid-tier
-// relays, both mid relays feed one top relay, and the top relay is the
-// root collector's only agent. A relay's parent can itself be a relay
-// by construction (its child-facing collector absorbs
-// frameRelayInterval like any other interval frame); this pins that the
-// double merge tier still reproduces the single-process 4-shard run
-// byte for byte.
-func TestThreeTierRelayTreeByteIdentical(t *testing.T) {
-	trace := testTrace(10, 2500, 8)
-	cfg := testPipelineConfig()
-
-	// Reference: single-process 4-shard run.
-	ref, err := shard.New(shard.Config{Shards: 4, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(trace))
-	alarmed := false
-	for i, recs := range trace {
-		rep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = renderReport(rep)
-		alarmed = alarmed || rep.Alarm
-	}
-	ref.Close()
-	if !alarmed {
-		t.Fatal("reference run never alarmed; the test would not cover extraction")
-	}
-	parts := shardParts(t, cfg, trace, 4)
-
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Close()
-	var got []string
-	rootErr := make(chan error, 1)
-	go func() {
-		rootErr <- root.Serve(context.Background(), rootLn, func(rep *core.Report) error {
-			if len(rep.Partial) != 0 {
-				t.Errorf("interval %d flagged Partial %v; no leaf was lost", rep.Interval, rep.Partial)
-			}
-			got = append(got, renderReport(rep))
-			return nil
-		})
-	}()
-
-	// Top tier: one relay whose two children are the mid relays.
-	topLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := wire.NewRelay(cfg, wire.RelayConfig{
-		Children: 2,
-		AgentID:  0,
-		Parent:   rootLn.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topErr := make(chan error, 1)
-	go func() { topErr <- top.Serve(context.Background(), topLn) }()
-
-	// Mid tier: two relays of two leaves each, parented on the top relay.
-	midLns := make([]net.Listener, 2)
-	mids := make([]*wire.Relay, 2)
-	midErr := make(chan error, 2)
-	for r := 0; r < 2; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := wire.NewRelay(cfg, wire.RelayConfig{
-			Children: 2,
-			AgentID:  r,
-			Parent:   topLn.Addr().String(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		midLns[r], mids[r] = ln, rel
-		go func(rel *wire.Relay, ln net.Listener) {
-			midErr <- rel.Serve(context.Background(), ln)
-		}(rel, ln)
-	}
-
-	var wg sync.WaitGroup
-	for leaf := 0; leaf < 4; leaf++ {
-		r, c := leaf/2, leaf%2
-		wg.Add(1)
-		go func(addr string, c, leaf int) {
-			defer wg.Done()
-			runAgent(t, addr, c, 1, cfg, parts[leaf])
-		}(midLns[r].Addr().String(), c, leaf)
-	}
-	wg.Wait()
-	// Joins cascade tier by tier: leaves Bye the mid relays, the mid
-	// Serves return after Byeing the top relay, whose Serve returns after
-	// Byeing the root.
-	for r := 0; r < 2; r++ {
-		if err := <-midErr; err != nil {
-			t.Fatalf("mid relay: %v", err)
-		}
-	}
-	for _, rel := range mids {
-		rel.Close()
-	}
-	if err := <-topErr; err != nil {
-		t.Fatalf("top relay: %v", err)
-	}
-	top.Close()
-	if err := <-rootErr; err != nil {
-		t.Fatalf("root collector: %v", err)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("root closed %d intervals, single-process run closed %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interval %d: three-tier tree differs from single-process run:\n got %s\nwant %s",
-				i, got[i], want[i])
-		}
-	}
-}
 
 // TestThreeTierMidRelayCrashResume kills the middle tier of a
 // leaf→mid→top→root chain mid-session and restarts it from its
@@ -157,9 +25,9 @@ func TestThreeTierRelayTreeByteIdentical(t *testing.T) {
 // stream is byte-identical to an undisturbed run with no boundary lost,
 // duplicated, or flagged Partial.
 func TestThreeTierMidRelayCrashResume(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 2, cfg)
+	trace := gridtest.Trace(8, 2000, 6)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 2)
 	const barrierAt = 4
 
 	ref, err := shard.New(shard.Config{Shards: 2, Pipeline: cfg})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"anomalyx/internal/core"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -20,30 +21,13 @@ import (
 // and relay 1's connection to the root are each cut at scripted frame
 // positions mid-stream. Every tier redials and replays, and the root's
 // report stream must still be byte-identical to an undisturbed
-// single-process 4-shard run, with no interval flagged Partial.
+// single-process run, with no interval flagged Partial.
 func TestRelayTierCutsByteIdentical(t *testing.T) {
-	trace := testTrace(10, 2000, 7)
-	cfg := testPipelineConfig()
+	trace := gridtest.Trace(10, 2000, 7)
+	cfg := gridtest.Config()
 
-	ref, err := shard.New(shard.Config{Shards: 4, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(trace))
-	alarmed := false
-	for i, recs := range trace {
-		rep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = renderReport(rep)
-		alarmed = alarmed || rep.Alarm
-	}
-	ref.Close()
-	if !alarmed {
-		t.Fatal("reference run never alarmed; the test would not cover extraction")
-	}
-	parts := partition(t, trace, 4, cfg)
+	want := gridtest.Reference(t, cfg, trace)
+	parts := gridtest.Partition(trace, 4)
 
 	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -54,14 +38,11 @@ func TestRelayTierCutsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	var got []string
+	var got []*core.Report
 	rootErr := make(chan error, 1)
 	go func() {
 		rootErr <- root.Serve(context.Background(), rootLn, func(rep *core.Report) error {
-			if len(rep.Partial) != 0 {
-				t.Errorf("interval %d flagged Partial %v; no leaf was abandoned", rep.Interval, rep.Partial)
-			}
-			got = append(got, renderReport(rep))
+			got = append(got, rep)
 			return nil
 		})
 	}()
@@ -114,7 +95,7 @@ func TestRelayTierCutsByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(addr string, c, leaf int) {
 			defer wg.Done()
-			runEngineAgent(t, addr, c, cfg, parts[leaf], wire.AgentOptions{Retry: fastRetry(int64(1 + leaf))})
+			runAgent(t, addr, c, 1, cfg, parts[leaf], wire.AgentOptions{Retry: fastRetry(int64(1 + leaf))})
 		}(addr, c, leaf)
 	}
 	wg.Wait()
@@ -136,15 +117,7 @@ func TestRelayTierCutsByteIdentical(t *testing.T) {
 	if upProxy.accepted() < 2 {
 		t.Fatalf("upstream proxy saw %d connections; the relay→root cut never forced a redial", upProxy.accepted())
 	}
-	if len(got) != len(want) {
-		t.Fatalf("root closed %d intervals, reference closed %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interval %d: report differs from undisturbed run after relay-tier cuts:\n got %s\nwant %s",
-				i, got[i], want[i])
-		}
-	}
+	gridtest.Equal(t, got, want, 4)
 }
 
 // TestRelayCrashResumeFromCheckpoint kills a checkpointed relay
@@ -157,9 +130,9 @@ func TestRelayTierCutsByteIdentical(t *testing.T) {
 // byte-identical to an undisturbed run with no boundary lost or
 // duplicated.
 func TestRelayCrashResumeFromCheckpoint(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 2, cfg)
+	trace := gridtest.Trace(8, 2000, 6)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 2)
 	const barrierAt = 4 // leaves pause after shipping this many intervals
 
 	ref, err := shard.New(shard.Config{Shards: 2, Pipeline: cfg})
@@ -314,9 +287,9 @@ func TestRelayCrashResumeFromCheckpoint(t *testing.T) {
 // it sat behind, matching a reference run that simply never saw that
 // leaf's remaining partition.
 func TestRelayLeafDeathPartialNamesLeaf(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-	parts := partition(t, trace, 4, cfg)
+	trace := gridtest.Trace(8, 2000, 6)
+	cfg := gridtest.Config()
+	parts := gridtest.Partition(trace, 4)
 	const deadFrom = 4 // leaf 3's last shipped interval is deadFrom-1
 
 	single, err := core.New(cfg)

@@ -3,248 +3,12 @@ package wire_test
 import (
 	"context"
 	"net"
-	"sync"
 	"testing"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/flow"
-	"anomalyx/internal/shard"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/wire"
 )
-
-// shardParts hash-partitions the trace into n per-leaf partitions using
-// the same ShardOf placement an in-process n-shard run uses, so
-// distributed runs are comparable to the local reference shard by
-// shard.
-func shardParts(t *testing.T, cfg core.Config, trace [][]flow.Record, n int) [][][]flow.Record {
-	t.Helper()
-	ref, err := shard.New(shard.Config{Shards: n, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	parts := make([][][]flow.Record, n)
-	for id := range parts {
-		parts[id] = make([][]flow.Record, len(trace))
-	}
-	for i, recs := range trace {
-		for j := range recs {
-			id := ref.ShardOf(&recs[j])
-			parts[id][i] = append(parts[id][i], recs[j])
-		}
-	}
-	return parts
-}
-
-// runRelayTree runs a two-level tree on loopback TCP — a root collector
-// over `relays` relay nodes, each fanning in `children` leaf agents —
-// and returns the root's rendered reports. parts is indexed by global
-// leaf ID (relay·children + child); leading empty intervals of a
-// partition are dropped so a late leaf seeds its grid at its first real
-// record, as a live deployment would.
-func runRelayTree(t *testing.T, cfg core.Config, parts [][][]flow.Record, relays, children int) []string {
-	t.Helper()
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: relays})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Close()
-	var got []string
-	rootErr := make(chan error, 1)
-	go func() {
-		rootErr <- root.Serve(context.Background(), rootLn, func(rep *core.Report) error {
-			got = append(got, renderReport(rep))
-			return nil
-		})
-	}()
-
-	relayLns := make([]net.Listener, relays)
-	relayObjs := make([]*wire.Relay, relays)
-	relayErr := make(chan error, relays)
-	for r := 0; r < relays; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := wire.NewRelay(cfg, wire.RelayConfig{
-			Children: children,
-			AgentID:  r,
-			Parent:   rootLn.Addr().String(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		relayLns[r], relayObjs[r] = ln, rel
-		go func(rel *wire.Relay, ln net.Listener) {
-			relayErr <- rel.Serve(context.Background(), ln)
-		}(rel, ln)
-	}
-
-	var wg sync.WaitGroup
-	for leaf := 0; leaf < relays*children; leaf++ {
-		r, c := leaf/children, leaf%children
-		part := parts[leaf]
-		for len(part) > 0 && len(part[0]) == 0 {
-			part = part[1:]
-		}
-		localShards := 1
-		if leaf == 0 {
-			localShards = 2 // cover the locally-sharded drain through the relay path
-		}
-		wg.Add(1)
-		go func(addr string, c, localShards int, part [][]flow.Record) {
-			defer wg.Done()
-			runAgent(t, addr, c, localShards, cfg, part)
-		}(relayLns[r].Addr().String(), c, localShards, part)
-	}
-	wg.Wait()
-	for r := 0; r < relays; r++ {
-		if err := <-relayErr; err != nil {
-			t.Fatalf("relay: %v", err)
-		}
-	}
-	for _, rel := range relayObjs {
-		rel.Close()
-	}
-	if err := <-rootErr; err != nil {
-		t.Fatalf("root collector: %v", err)
-	}
-	return got
-}
-
-// TestRelayTreeByteIdentical is the federation tentpole check: the same
-// 4 leaf partitions run three ways — a single process with 4 local
-// shards, a flat 4-agent collector, and a 2×2 relay tree — and all
-// three report streams must be byte-identical. The tree adds two merge
-// tiers (leaf → relay → root) to the frame path, so equality here pins
-// the associativity of the open-interval absorb end to end.
-func TestRelayTreeByteIdentical(t *testing.T) {
-	trace := testTrace(10, 3000, 8)
-	cfg := testPipelineConfig()
-
-	// Reference: single-process 4-shard run.
-	ref, err := shard.New(shard.Config{Shards: 4, Pipeline: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(trace))
-	alarmed := false
-	for i, recs := range trace {
-		rep, err := ref.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = renderReport(rep)
-		alarmed = alarmed || rep.Alarm
-	}
-	ref.Close()
-	if !alarmed {
-		t.Fatal("reference run never alarmed; the test would not cover extraction")
-	}
-	parts := shardParts(t, cfg, trace, 4)
-
-	// Flat: one collector, 4 direct agents.
-	flatLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flatGot []string
-	flatErr := make(chan error, 1)
-	go func() {
-		flatErr <- flat.Serve(context.Background(), flatLn, func(rep *core.Report) error {
-			flatGot = append(flatGot, renderReport(rep))
-			return nil
-		})
-	}()
-	var wg sync.WaitGroup
-	for id := 0; id < 4; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			runAgent(t, flatLn.Addr().String(), id, 1, cfg, parts[id])
-		}(id)
-	}
-	wg.Wait()
-	if err := <-flatErr; err != nil {
-		t.Fatalf("flat collector: %v", err)
-	}
-	flat.Close()
-
-	// Tree: 2 relays × 2 leaves each.
-	treeGot := runRelayTree(t, cfg, parts, 2, 2)
-
-	if len(flatGot) != len(want) || len(treeGot) != len(want) {
-		t.Fatalf("closed intervals differ: single=%d flat=%d tree=%d", len(want), len(flatGot), len(treeGot))
-	}
-	for i := range want {
-		if flatGot[i] != want[i] {
-			t.Fatalf("interval %d: flat run differs from single-process run:\n got %s\nwant %s", i, flatGot[i], want[i])
-		}
-		if treeGot[i] != want[i] {
-			t.Fatalf("interval %d: relay tree differs from single-process run:\n got %s\nwant %s", i, treeGot[i], want[i])
-		}
-	}
-}
-
-// TestRelayTreeLateAndEarlyLeaves pushes the grid-alignment cases of
-// TestDistributedLateAndEarlyAgents through a relay tier: one leaf's
-// partition is withheld from the first two intervals (it seeds its grid
-// late) and another leaf's from the last two (it Byes early), each
-// behind a different relay. The root must still line every interval up
-// by absolute boundary and match a single pipeline over the union —
-// with no Partial flags, since a late or early leaf is never
-// disconnected, just silent.
-func TestRelayTreeLateAndEarlyLeaves(t *testing.T) {
-	trace := testTrace(8, 2000, 6)
-	cfg := testPipelineConfig()
-
-	parts := shardParts(t, cfg, trace, 4)
-	// Leaf 0 (relay 0, child 0) misses intervals 0-1; leaf 3 (relay 1,
-	// child 1) misses the last two.
-	for i := range trace {
-		if i < 2 {
-			parts[0][i] = nil
-		}
-		if i >= len(trace)-2 {
-			parts[3][i] = nil
-		}
-	}
-
-	single, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	want := make([]string, 0, len(trace))
-	for i := range trace {
-		for leaf := range parts {
-			single.ObserveBatch(parts[leaf][i])
-		}
-		rep, err := single.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, renderReport(rep))
-	}
-
-	got := runRelayTree(t, cfg, parts, 2, 2)
-	if len(got) != len(want) {
-		t.Fatalf("root closed %d intervals, single-process run closed %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interval %d: relay tree differs from single-process run:\n got %s\nwant %s", i, got[i], want[i])
-		}
-	}
-}
 
 // rawFrameRelayInterval mirrors the wire package's unexported relay
 // frame type, pinned as a wire-format fact like the rawFrame* set in
@@ -257,8 +21,8 @@ const rawFrameRelayInterval = 9
 // anything upstream, and a well-formed agent can then take over the
 // same child slot and complete the stream.
 func TestRelayRejectsMalformedChildFrame(t *testing.T) {
-	trace := testTrace(4, 1500, 2)
-	cfg := testPipelineConfig()
+	trace := gridtest.Trace(4, 1500, 2)
+	cfg := gridtest.Config()
 
 	// Reference over the whole trace (the single leaf carries it all).
 	single, err := core.New(cfg)
@@ -327,7 +91,7 @@ func TestRelayRejectsMalformedChildFrame(t *testing.T) {
 	conn.Close()
 
 	// A legitimate agent takes over the slot and delivers the stream.
-	runAgent(t, relayLn.Addr().String(), 0, 1, cfg, trace)
+	runAgent(t, relayLn.Addr().String(), 0, 1, cfg, trace, wire.AgentOptions{})
 
 	if err := <-relayErr; err != nil {
 		t.Fatalf("relay: %v", err)
@@ -360,7 +124,7 @@ func drainUntilClosed(conn net.Conn) {
 // TestNewRelayValidation pins the relay constructor's contract: the
 // rejections, the derived LeafBase numbering, and the metrics surface.
 func TestNewRelayValidation(t *testing.T) {
-	cfg := testPipelineConfig()
+	cfg := gridtest.Config()
 	for _, tc := range []struct {
 		name string
 		rc   wire.RelayConfig

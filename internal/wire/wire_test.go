@@ -13,48 +13,15 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
-	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 	"anomalyx/internal/histogram"
-	"anomalyx/internal/tracegen"
 	"anomalyx/internal/wire"
 )
 
-// testTrace generates a seeded tracegen trace with an injected dstPort
-// flood in interval floodAt so detection, prefiltering, and mining are
-// all exercised. Records keep their tracegen timestamps, which fall
-// inside aligned 15-minute interval windows — the engine's boundary
-// grid therefore reproduces the tracegen interval structure exactly.
-func testTrace(intervals, baseFlows, floodAt int) [][]flow.Record {
-	cfg := tracegen.SmallConfig()
-	cfg.Intervals = intervals
-	cfg.BaseFlows = baseFlows
-	cfg.Events = tracegen.Schedule(cfg.Intervals, cfg.BaseFlows)
-	gen := tracegen.New(cfg)
-	out := make([][]flow.Record, intervals)
-	for i := range out {
-		recs := gen.Interval(i)
-		if i == floodAt {
-			for j := range recs {
-				if j%3 == 0 {
-					recs[j].DstAddr, recs[j].DstPort = 42, 31337
-					recs[j].Packets, recs[j].Bytes = 1, 40
-				}
-			}
-		}
-		out[i] = recs
-	}
-	return out
-}
-
-func testPipelineConfig() core.Config {
-	return core.Config{
-		Detector: detector.Config{Bins: 256, TrainIntervals: 4, Seed: 3},
-	}
-}
-
-// renderReport serializes every deterministic report field so two
-// reports can be compared for byte identity (the KeepSuspicious
-// forensic slice is excluded, as in the shard determinism tests).
+// renderReport serializes every deterministic report field, Partial
+// included, so two reports can be compared for byte identity; the
+// open-interval fixtures store reports in this form. The KeepSuspicious
+// forensic slice is excluded: partitioning regroups it.
 func renderReport(rep *core.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "interval=%d alarm=%v total=%d suspicious=%d minsup=%d R=%v partial=%v\n",
@@ -76,8 +43,8 @@ func renderReport(rep *core.Report) string {
 // pipeline leaves the second exactly as if it had observed the flows
 // itself, and leaves the drained pipeline empty.
 func TestDrainAbsorbEquivalence(t *testing.T) {
-	trace := testTrace(6, 1500, 4)
-	cfg := testPipelineConfig()
+	trace := gridtest.Trace(6, 1500, 4)
+	cfg := gridtest.Config()
 
 	direct, err := core.New(cfg)
 	if err != nil {
@@ -142,12 +109,12 @@ const wireCodecVersion = 2
 // handling: version mismatches, truncation, trailing bytes and
 // non-minimal varints must all fail cleanly.
 func TestDecodeRejects(t *testing.T) {
-	p, err := core.New(testPipelineConfig())
+	p, err := core.New(gridtest.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.ObserveBatch(testTrace(1, 200, 0)[0])
+	p.ObserveBatch(gridtest.Trace(1, 200, 0)[0])
 	enc, err := wire.EncodeOpenIntervalSnapshot(pipelineSnapshotOf(p.DrainOpenInterval()))
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +179,13 @@ func withBinValues(s core.PipelineSnapshot, v int64, edit func([]histogram.Value
 // the Total it was validated against, and absorbed into a table holding
 // it once: an interval that re-drained differently.
 func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
-	cfg := testPipelineConfig()
+	cfg := gridtest.Config()
 	p, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.ObserveBatch(testTrace(1, 400, -1)[0])
+	p.ObserveBatch(gridtest.Trace(1, 400, -1)[0])
 	snap := pipelineSnapshotOf(p.DrainOpenInterval())
 	// A source address seen at least twice: split its entry in two.
 	heavy := int64(-1)
@@ -355,7 +322,7 @@ func errorPathCollector(t *testing.T, cfg core.Config) (net.Listener, *wire.Coll
 // protocol defines one, a silent close otherwise — WITHOUT killing the
 // session, which a well-behaved agent then finishes normally.
 func TestCollectorRejectsMalformedStreams(t *testing.T) {
-	cfg := testPipelineConfig()
+	cfg := gridtest.Config()
 	digest := wire.ConfigDigest(cfg)
 
 	cases := []struct {
@@ -539,7 +506,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 // over the stream (the legitimate owner of an ID is whoever can still
 // dial), and the collector closes the superseded connection.
 func TestDuplicateAgentIDNewestWins(t *testing.T) {
-	cfg := testPipelineConfig()
+	cfg := gridtest.Config()
 	digest := wire.ConfigDigest(cfg)
 	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
 	defer coll.Close()
@@ -589,7 +556,7 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 // Error frame naming the one version spoken, and the rejection leaves
 // the session intact for a current agent.
 func TestV2HelloRejected(t *testing.T) {
-	cfg := testPipelineConfig()
+	cfg := gridtest.Config()
 	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
 	defer coll.Close()
 
@@ -623,5 +590,62 @@ func TestV2HelloRejected(t *testing.T) {
 	}
 	if n := <-emitted; n != 1 {
 		t.Fatalf("session emitted %d reports, want 1 parity report", n)
+	}
+}
+
+// TestServeMetricsBindFailureClosesListener: when the metrics address
+// cannot be bound, Serve fails before it starts the session — it closes
+// the session listener, as its doc promises, and leaves no goroutine
+// behind. The relay serves its children through the same code, after
+// it has connected upstream.
+func TestServeMetricsBindFailureClosesListener(t *testing.T) {
+	cfg := gridtest.Config()
+	busy := listen(t)
+	defer busy.Close()
+	for _, tc := range []struct {
+		name  string
+		serve func(t *testing.T, ln net.Listener) error
+	}{
+		{"collector", func(t *testing.T, ln net.Listener) error {
+			coll, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1, MetricsAddr: busy.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coll.Close()
+			return coll.Serve(context.Background(), ln, func(*core.Report) error { return nil })
+		}},
+		{"relay", func(t *testing.T, ln net.Listener) error {
+			parentLn := listen(t)
+			parent, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			parentErr := make(chan error, 1)
+			go func() { parentErr <- parent.Serve(ctx, parentLn, func(*core.Report) error { return nil }) }()
+			defer func() {
+				cancel()
+				<-parentErr
+				parent.Close()
+			}()
+			rel, err := wire.NewRelay(cfg, wire.RelayConfig{Children: 1, Parent: parentLn.Addr().String(), MetricsAddr: busy.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rel.Close()
+			return rel.Serve(context.Background(), ln)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gridtest.NoLeak(t)
+			ln := listen(t)
+			if err := tc.serve(t, ln); err == nil || !strings.Contains(err.Error(), "metrics listener") {
+				t.Fatalf("Serve returned %v, want the metrics bind error", err)
+			}
+			if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+				conn.Close()
+				t.Fatal("Serve returned with its listener still accepting")
+			}
+		})
 	}
 }

@@ -149,9 +149,10 @@ func NewShardedEngine(cfg EngineConfig, shards int) (*Engine, error) {
 
 // NewShardedPipeline builds a pipeline of cfg.Shards partitions
 // (default GOMAXPROCS) keyed by flow key, merged deterministically at
-// every EndInterval; a zero cfg.Pipeline.Workers runs each partition's
-// detectors sequentially. Call Close when done to release the
-// partitions' worker pools.
+// every EndInterval; a zero cfg.Pipeline.Workers gives each partition
+// max(1, GOMAXPROCS / partitions) workers, as in every partitioned
+// entry point. Call Close when done to release the partitions' worker
+// pools.
 func NewShardedPipeline(cfg ShardConfig) (*ShardedPipeline, error) { return shard.New(cfg) }
 
 // ExtractOffline runs the extraction stage alone on a recorded interval:
@@ -264,8 +265,10 @@ type AgentConfig struct {
 	// 100ms-base jittered exponential backoff capped at 10s.
 	Retry RetryConfig
 	// Shards is the partition count of the agent's local pipeline (0 =
-	// GOMAXPROCS), as in NewShardedPipeline; its partitions fold into
-	// one before every interval ships.
+	// GOMAXPROCS), as in NewShardedPipeline, with the same Workers rule:
+	// a zero Pipeline.Workers means max(1, GOMAXPROCS / Shards) per
+	// partition. The partitions fold into one before every interval
+	// ships.
 	Shards int
 	// ReplayBuffer bounds the unacked-frame replay buffer (0 = 64);
 	// when full, interval closes block until the collector acks —

@@ -18,7 +18,8 @@
 // N partitions and merges their state at every interval close; with
 // -workers N != 1 each partition additionally fans its
 // detector updates, prefilter scan, and (for -miner eclat) the miner's
-// equivalence-class search out over N goroutines (0 = GOMAXPROCS).
+// equivalence-class search out over N goroutines. -workers 0 means
+// GOMAXPROCS divided by the shard count, at least 1, in every mode.
 // Without -miner the pipeline mines with its built-in columnar Eclat;
 // naming a miner routes the same suspicious flows through it instead,
 // for the same item-sets.
@@ -124,17 +125,17 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.Float64Var(&o.alpha, "alpha", 3, "MAD threshold multiplier")
 	fs.IntVar(&o.train, "train", 12, "training intervals before alarms may fire")
 	fs.IntVar(&o.shards, "shards", 1, "hash-partitioned pipeline shards (0 = GOMAXPROCS)")
-	fs.IntVar(&o.workers, "workers", 0, "per-pipeline worker goroutines for detector, prefilter, and eclat fan-out (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&o.workers, "workers", 0, "per-pipeline worker goroutines for detector, prefilter, and eclat fan-out (0 = GOMAXPROCS / shards, at least 1; 1 = sequential)")
 	fs.IntVar(&o.depth, "pipeline-depth", 1, "measurement intervals open at once: 1 closes intervals inline, N > 1 overlaps up to N-1 interval closes with ingestion (reports stay byte-identical) (run mode)")
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
-	fs.StringVar(&o.metricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector mode)")
-	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent is down: hold (wait up to -hold-timeout) or close (close without it) (collector mode)")
-	fs.DurationVar(&o.holdTimeout, "hold-timeout", 0, "how long -partial hold waits for a disconnected agent before closing without it (0 = forever) (collector mode)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector mode)")
-	fs.BoolVar(&o.resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector mode)")
-	fs.IntVar(&o.retryMax, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent mode)")
-	fs.DurationVar(&o.retryBase, "retry-base", 0, "base redial backoff delay (0 = default 100ms) (agent mode)")
+	fs.StringVar(&o.metricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector and relay modes)")
+	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent is down: hold (wait up to -hold-timeout) or close (close without it) (collector and relay modes)")
+	fs.DurationVar(&o.holdTimeout, "hold-timeout", 0, "how long -partial hold waits for a disconnected agent before closing without it (0 = forever) (collector and relay modes)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector and relay modes)")
+	fs.BoolVar(&o.resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector and relay modes)")
+	fs.IntVar(&o.retryMax, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent and relay modes)")
+	fs.DurationVar(&o.retryBase, "retry-base", 0, "base redial backoff delay (0 = default 100ms) (agent and relay modes)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -194,6 +195,9 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		}
 		if o.resume && o.checkpoint == "" {
 			return nil, fmt.Errorf("anomalyx: -resume requires -checkpoint")
+		}
+		if o.leafBase < 0 {
+			return nil, fmt.Errorf("anomalyx: -leaf-base must be >= 0, got %d", o.leafBase)
 		}
 	default:
 		return nil, fmt.Errorf("anomalyx: unknown mode %q", o.mode)

@@ -274,6 +274,8 @@ func TestParseArgsModes(t *testing.T) {
 			"-agents", "2", "-partial", "maybe"}, // bogus partial policy
 		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0",
 			"-agents", "2", "-resume"}, // -resume without -checkpoint
+		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0",
+			"-agents", "2", "-leaf-base", "-1"}, // negative leaf base
 		{"-mode", "swarm", "-in", "x"}, // unknown mode
 	} {
 		if _, err := parseArgs(bad, io.Discard); err == nil {

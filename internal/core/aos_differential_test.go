@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
 	"anomalyx/internal/gridtest"
@@ -37,7 +36,7 @@ func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta dete
 		rep.Suspicious = suspicious
 	}
 	if len(suspicious) == 0 {
-		rep.CostReduction = cost.Reduction(len(recs), 0)
+		rep.CostReduction = core.CostReduction(len(recs), 0)
 		return rep
 	}
 	rep.MinSupport = cfg.MinSupport
@@ -53,7 +52,7 @@ func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta dete
 		t.Fatal(err)
 	}
 	rep.Mining, rep.ItemSets = res, res.Maximal
-	rep.CostReduction = cost.Reduction(len(recs), len(res.Maximal))
+	rep.CostReduction = core.CostReduction(len(recs), len(res.Maximal))
 	return rep
 }
 

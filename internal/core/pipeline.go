@@ -14,9 +14,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
-	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
 	"anomalyx/internal/hash"
@@ -54,11 +54,11 @@ type Config struct {
 	// KeepSuspicious retains the suspicious flows in each report (for
 	// forensics and tests; costs memory on big intervals).
 	KeepSuspicious bool
-	// Workers bounds the detector bank's worker pool for ObserveBatch
-	// and EndInterval, and the chunked parallel prefilter scan of the
-	// extraction stage. 0 means GOMAXPROCS — resolved when the bank's
-	// pool is created at construction, and at call time for the
-	// prefilter scan; 1 forces the sequential path. The parallel paths
+	// Workers bounds each partition's detector-bank worker pool for
+	// ObserveBatch and EndInterval, and the chunked parallel prefilter
+	// scan of the extraction stage. 0 means max(1, GOMAXPROCS /
+	// partitions), resolved once by NewPartitioned and reported by
+	// Pipeline.Config; 1 forces the sequential path. The parallel paths
 	// produce reports byte-identical to the sequential ones.
 	Workers int
 }
@@ -186,11 +186,15 @@ func New(cfg Config) (*Pipeline, error) { return NewPartitioned(cfg, 1) }
 // NewPartitioned builds a pipeline whose open interval is split across
 // n partitions by a stable hash of the flow key. Partitioned ingestion
 // runs one goroutine per partition, each fanning further out over its
-// bank's Workers; reports are byte-identical to New's for every n.
+// bank's Workers, so a zero Workers splits GOMAXPROCS over the n
+// partitions; reports are byte-identical to New's for every n.
 func NewPartitioned(cfg Config, n int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	if n < 1 {
 		return nil, fmt.Errorf("core: %d partitions, need at least 1", n)
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = max(1, runtime.GOMAXPROCS(0)/n)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -426,7 +430,7 @@ func (x *extraction) finish(cfg Config, rep *Report, buffers []*flow.Buffer) err
 		}
 	}
 	if rep.SuspiciousFlows == 0 {
-		rep.CostReduction = cost.Reduction(rep.TotalFlows, 0)
+		rep.CostReduction = CostReduction(rep.TotalFlows, 0)
 		return nil
 	}
 	rep.MinSupport = supportFor(cfg, rep.SuspiciousFlows)
@@ -447,7 +451,7 @@ func (x *extraction) finish(cfg Config, rep *Report, buffers []*flow.Buffer) err
 		rep.Mining = res
 	}
 	rep.ItemSets = rep.Mining.Maximal
-	rep.CostReduction = cost.Reduction(rep.TotalFlows, len(rep.ItemSets))
+	rep.CostReduction = CostReduction(rep.TotalFlows, len(rep.ItemSets))
 	return nil
 }
 

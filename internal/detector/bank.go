@@ -38,7 +38,6 @@ type BankConfig struct {
 type Bank struct {
 	mu        sync.Mutex
 	detectors []*Detector
-	workers   int
 	sets      []*histogram.CloneSet // live's result, refilled on every call
 
 	// tasks feeds the persistent pool; nil when workers == 1 (sequential
@@ -74,7 +73,7 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	b := &Bank{workers: workers}
+	b := &Bank{}
 	for _, f := range feats {
 		dcfg := cfg.Template
 		dcfg.Feature = f
@@ -101,9 +100,6 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 
 // Detectors exposes the underlying per-feature detectors (read-only use).
 func (b *Bank) Detectors() []*Detector { return b.detectors }
-
-// Workers returns the effective worker-pool size (1 = sequential).
-func (b *Bank) Workers() int { return b.workers }
 
 // Close shuts the worker pool down and waits for its goroutines to
 // exit. It is idempotent. The bank must not be used after Close.

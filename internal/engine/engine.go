@@ -13,9 +13,9 @@
 // each cut closes an interval (detection + extraction). Both channels
 // are bounded, so a slow consumer exerts backpressure all the way back
 // to SubmitBatch instead of growing an unbounded queue. With
-// Config.Shards > 1 the engine's pipeline is hash-partitioned (built by
-// shard.New), parallelizing ingestion across partitions with a
-// deterministic cross-partition merge at each interval close.
+// Config.Shards > 1 the engine's pipeline is hash-partitioned
+// (core.NewPartitioned), parallelizing ingestion across partitions with
+// a deterministic cross-partition merge at each interval close.
 //
 // The engine drives exactly one core.Pipeline. A shipping engine
 // (NewShipping, the distributed agent) differs only in where a closed
@@ -44,7 +44,6 @@ import (
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/shard"
 )
 
 // Config parameterizes a streaming engine.
@@ -53,10 +52,11 @@ type Config struct {
 	// fields take the paper's defaults (see core.Config).
 	Pipeline core.Config
 	// Shards selects hash partitioning: when > 1 the engine's pipeline
-	// splits every interval across that many partitions (shard.New:
-	// flows partitioned by the stable hash of the flow key, merged
-	// deterministically at each interval close). 0 or 1 runs one
-	// partition.
+	// splits every interval across that many partitions
+	// (core.NewPartitioned: flows partitioned by the stable hash of the
+	// flow key, merged deterministically at each interval close). 0 or 1
+	// runs one partition. A zero Pipeline.Workers then means max(1,
+	// GOMAXPROCS / partitions) worker goroutines per partition.
 	Shards int
 	// IntervalLen is the measurement-interval length Delta (default the
 	// paper's 15 minutes). Interval boundaries are aligned to multiples
@@ -153,12 +153,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg = e.cfg; cfg.Shards > 1 {
-		e.p, err = shard.New(shard.Config{Shards: cfg.Shards, Pipeline: cfg.Pipeline})
-	} else {
-		e.p, err = core.New(cfg.Pipeline)
-	}
-	if err != nil {
+	if e.p, err = core.NewPartitioned(e.cfg.Pipeline, max(1, e.cfg.Shards)); err != nil {
 		return nil, err
 	}
 	go e.run()
@@ -214,9 +209,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: interval length %v below 1ms resolution", cfg.IntervalLen)
 	}
 	if cfg.Shards < 0 {
-		// Reject rather than silently running unsharded: shard.New
-		// errors on the same input, and the two entry points should
-		// agree.
+		// Reject rather than silently running unsharded:
+		// core.NewPartitioned errors on the same input, and the two
+		// entry points should agree.
 		return nil, fmt.Errorf("engine: negative shard count %d", cfg.Shards)
 	}
 	return &Engine{

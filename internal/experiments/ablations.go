@@ -11,7 +11,6 @@ import (
 	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/mining/fpgrowth"
 	"anomalyx/internal/prefilter"
-	"anomalyx/internal/report"
 	"anomalyx/internal/tracegen"
 )
 
@@ -25,7 +24,7 @@ type SasserResult struct {
 	// StagesExtracted counts worm stages represented in the union's
 	// item-sets (the paper's point: all three; the intersection: none).
 	StagesExtracted int
-	Report          report.Table
+	Report          Table
 }
 
 // Sasser runs the §II-A experiment: prefilter the worm interval with both
@@ -64,12 +63,12 @@ func Sasser(seed uint64, benignFlows, minsup int) (*SasserResult, error) {
 		_ = s
 	}
 
-	out.Report = report.Table{
+	out.Report = Table{
 		Title:   "§II-A: union vs intersection on a multistage (Sasser-like) worm",
 		Headers: []string{"strategy", "suspicious flows", "stages covered"},
 	}
-	out.Report.AddRow("union", out.UnionFlows, out.StagesExtracted)
-	out.Report.AddRow("intersection", out.IntersectionFlows, 0)
+	out.Report.addRow("union", out.UnionFlows, out.StagesExtracted)
+	out.Report.addRow("intersection", out.IntersectionFlows, 0)
 	return out, nil
 }
 
@@ -85,7 +84,7 @@ type MinerTiming struct {
 // MinerComparisonResult is the §III-E computational-overhead comparison.
 type MinerComparisonResult struct {
 	Timings []MinerTiming
-	Report  report.Table
+	Report  Table
 }
 
 // MinerComparison mines prefixes of the Table II input with all three
@@ -104,7 +103,7 @@ func MinerComparison(seed uint64, sizes []int, minsupFrac float64) (*MinerCompar
 	miners := []mining.Miner{apriori.New(), fpgrowth.New(), eclat.New()}
 
 	out := &MinerComparisonResult{}
-	out.Report = report.Table{
+	out.Report = Table{
 		Title:   "§III-E: miner wall-clock comparison (Table II workload)",
 		Headers: []string{"transactions", "minsup", "miner", "elapsed", "frequent sets"},
 	}
@@ -119,11 +118,13 @@ func MinerComparison(seed uint64, sizes []int, minsupFrac float64) (*MinerCompar
 		}
 		var ref *mining.Result
 		for _, m := range miners {
+			//detlint:ok wallclock -- wall time is what this ablation measures; it never reaches a pipeline report
 			t0 := time.Now()
 			res, err := m.Mine(in, minsup)
 			if err != nil {
 				return nil, err
 			}
+			//detlint:ok wallclock -- closes the miner timing above
 			el := time.Since(t0)
 			if ref == nil {
 				ref = res
@@ -134,7 +135,7 @@ func MinerComparison(seed uint64, sizes []int, minsupFrac float64) (*MinerCompar
 				Miner: m.Name(), Transactions: size, MinSupport: minsup,
 				Elapsed: el, FrequentSets: len(res.All),
 			})
-			out.Report.AddRow(size, minsup, m.Name(), el.Round(time.Millisecond).String(), len(res.All))
+			out.Report.addRow(size, minsup, m.Name(), el.Round(time.Millisecond).String(), len(res.All))
 		}
 	}
 	return out, nil
@@ -145,7 +146,7 @@ func MinerComparison(seed uint64, sizes []int, minsupFrac float64) (*MinerCompar
 type VotingAblationResult struct {
 	L         []int
 	MetaCount []int
-	Report    report.Table
+	Report    Table
 }
 
 // VotingAblation reruns detection on the trace prefix up to the first
@@ -161,7 +162,7 @@ func VotingAblation(tr *TraceRun) (*VotingAblationResult, error) {
 		n = 3
 	}
 	out := &VotingAblationResult{}
-	out.Report = report.Table{
+	out.Report = Table{
 		Title:   "Voting ablation: meta-data size vs votes l (first anomalous interval)",
 		Headers: []string{"l", "meta-data values"},
 	}
@@ -185,7 +186,7 @@ func VotingAblation(tr *TraceRun) (*VotingAblationResult, error) {
 		count := res.Meta.Count()
 		out.L = append(out.L, l)
 		out.MetaCount = append(out.MetaCount, count)
-		out.Report.AddRow(l, count)
+		out.Report.addRow(l, count)
 	}
 	return out, nil
 }

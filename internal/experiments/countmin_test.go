@@ -1,4 +1,4 @@
-package sketch
+package experiments
 
 import (
 	"testing"
@@ -7,16 +7,16 @@ import (
 )
 
 func TestNeverUnderestimates(t *testing.T) {
-	cm := New(256, 4, 1)
+	cm := newCountMin(256, 4, 1)
 	truth := map[uint64]uint64{}
 	r := stats.NewRand(1)
 	for i := 0; i < 20000; i++ {
 		v := uint64(r.IntN(2000))
-		cm.Add(v, 1)
+		cm.add(v, 1)
 		truth[v]++
 	}
 	for v, want := range truth {
-		if got := cm.Estimate(v); got < want {
+		if got := cm.estimate(v); got < want {
 			t.Fatalf("underestimate for %d: %d < %d", v, got, want)
 		}
 	}
@@ -24,12 +24,12 @@ func TestNeverUnderestimates(t *testing.T) {
 
 func TestExactWhenSparse(t *testing.T) {
 	// Few distinct values, wide sketch: estimates are exact.
-	cm := New(4096, 4, 2)
+	cm := newCountMin(4096, 4, 2)
 	for v := uint64(0); v < 10; v++ {
-		cm.Add(v, (v+1)*100)
+		cm.add(v, (v+1)*100)
 	}
 	for v := uint64(0); v < 10; v++ {
-		if got := cm.Estimate(v); got != (v+1)*100 {
+		if got := cm.estimate(v); got != (v+1)*100 {
 			t.Errorf("Estimate(%d) = %d, want %d", v, got, (v+1)*100)
 		}
 	}
@@ -38,19 +38,19 @@ func TestExactWhenSparse(t *testing.T) {
 func TestErrorBound(t *testing.T) {
 	// Additive error should stay within ~2N/w for most queries.
 	const w, d = 512, 5
-	cm := New(w, d, 3)
+	cm := newCountMin(w, d, 3)
 	r := stats.NewRand(4)
 	truth := map[uint64]uint64{}
 	const n = 100000
 	for i := 0; i < n; i++ {
 		v := uint64(r.IntN(50000))
-		cm.Add(v, 1)
+		cm.add(v, 1)
 		truth[v]++
 	}
 	bound := uint64(2 * n / w)
 	bad := 0
 	for v, want := range truth {
-		if cm.Estimate(v)-want > bound {
+		if cm.estimate(v)-want > bound {
 			bad++
 		}
 	}
@@ -59,41 +59,10 @@ func TestErrorBound(t *testing.T) {
 	}
 }
 
-func TestNewForError(t *testing.T) {
-	cm := NewForError(0.01, 0.01, 5)
-	if cm.Width() < 271 { // e/0.01 ≈ 272
-		t.Errorf("width %d too small", cm.Width())
-	}
-	if cm.Depth() < 4 { // ln(100) ≈ 4.6
-		t.Errorf("depth %d too small", cm.Depth())
-	}
-}
-
-func TestHeavyCandidates(t *testing.T) {
-	cm := New(1024, 4, 6)
-	cm.Add(7, 1000)
-	cm.Add(8, 10)
-	got := cm.HeavyCandidates([]uint64{7, 8, 9}, 500)
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("HeavyCandidates = %v, want [7]", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	cm := New(64, 2, 7)
-	cm.Add(1, 5)
-	cm.Reset()
-	if cm.Total() != 0 || cm.Estimate(1) != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 1, 0) },
-		func() { New(1, 0, 0) },
-		func() { NewForError(0, 0.5, 0) },
-		func() { NewForError(0.5, 1, 0) },
+		func() { newCountMin(0, 1, 0) },
+		func() { newCountMin(1, 0, 0) },
 	} {
 		func() {
 			defer func() {

@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"anomalyx/internal/flow"
-	"anomalyx/internal/hhh"
-	"anomalyx/internal/report"
-	"anomalyx/internal/sketch"
 	"anomalyx/internal/tracegen"
 )
 
@@ -27,7 +24,7 @@ type SketchVsClonesResult struct {
 	SketchValues    int
 	SketchPrecision float64
 	SketchRecall    float64
-	Report          report.Table
+	Report          Table
 }
 
 // SketchVsClones compares, on the first anomalous interval with dstPort
@@ -66,22 +63,22 @@ func SketchVsClones(tr *TraceRun, share float64) (*SketchVsClonesResult, error) 
 	// Sketch side: one sketch per interval, candidates tracked
 	// externally (the clone approach needs no such list — that is the
 	// structural difference the ablation shows).
-	prev := sketch.New(4096, 4, tr.Gen.Config().Seed)
-	cur := sketch.New(4096, 4, tr.Gen.Config().Seed)
+	prev := newCountMin(4096, 4, tr.Gen.Config().Seed)
+	cur := newCountMin(4096, 4, tr.Gen.Config().Seed)
 	candidates := map[uint64]bool{}
 	for _, rec := range tr.Gen.Interval(target.Index - 1) {
-		prev.Add(rec.Feature(feature), 1)
+		prev.add(rec.Feature(feature), 1)
 	}
 	recs := tr.Gen.Interval(target.Index)
 	for i := range recs {
 		v := recs[i].Feature(feature)
-		cur.Add(v, 1)
+		cur.add(v, 1)
 		candidates[v] = true
 	}
 	threshold := uint64(share * float64(len(recs)))
 	var sketchFlagged []uint64
 	for v := range candidates {
-		c, p := cur.Estimate(v), prev.Estimate(v)
+		c, p := cur.estimate(v), prev.estimate(v)
 		if c > p && c-p >= threshold {
 			sketchFlagged = append(sketchFlagged, v)
 		}
@@ -109,13 +106,13 @@ func SketchVsClones(tr *TraceRun, share float64) (*SketchVsClonesResult, error) 
 	out.SketchValues = len(sketchFlagged)
 	out.SketchPrecision, out.SketchRecall = pr(sketchFlagged)
 
-	out.Report = report.Table{
+	out.Report = Table{
 		Title: fmt.Sprintf("Histogram cloning vs count-min sketch (interval %d, %s)",
 			target.Index, feature),
 		Headers: []string{"method", "values flagged", "precision", "recall", "needs candidate list"},
 	}
-	out.Report.AddRow("clones+voting", out.CloneValues, out.ClonePrecision, out.CloneRecall, "no")
-	out.Report.AddRow("count-min diff", out.SketchValues, out.SketchPrecision, out.SketchRecall, "yes")
+	out.Report.addRow("clones+voting", out.CloneValues, out.ClonePrecision, out.CloneRecall, "no")
+	out.Report.addRow("count-min diff", out.SketchValues, out.SketchPrecision, out.SketchRecall, "yes")
 	return out, nil
 }
 
@@ -128,8 +125,8 @@ type HHHBaselineResult struct {
 	// footprint (a /32 for flooding/DDoS victims, a covering prefix for
 	// scans).
 	VictimHit bool
-	Hitters   []hhh.HeavyHitter
-	Report    report.Table
+	Hitters   []HeavyHitter
+	Report    Table
 }
 
 // HHHBaseline runs exact HHH over the destination addresses of the first
@@ -153,24 +150,24 @@ func HHHBaseline(tr *TraceRun, phi float64) (*HHHBaselineResult, error) {
 			if victim == 0 {
 				continue
 			}
-			d := hhh.New(nil)
-			if err := d.AddFlows(tr.Gen.Interval(it.Index), flow.DstIP); err != nil {
+			d := newHHH(nil)
+			if err := d.addFlows(tr.Gen.Interval(it.Index), flow.DstIP); err != nil {
 				return nil, err
 			}
-			hitters := d.Detect(phi)
+			hitters := d.detect(phi)
 			out := &HHHBaselineResult{Interval: it.Index, Class: ev.Class, Hitters: hitters}
 			for _, h := range hitters {
-				if h.Prefix.Contains(hhh.Prefix{Addr: victim, Len: 32}) || h.Prefix == (hhh.Prefix{Addr: victim, Len: 32}) {
+				if h.Prefix.contains(Prefix{Addr: victim, Len: 32}) || h.Prefix == (Prefix{Addr: victim, Len: 32}) {
 					out.VictimHit = true
 				}
 			}
-			out.Report = report.Table{
+			out.Report = Table{
 				Title: fmt.Sprintf("HHH baseline (interval %d, %s, phi=%.2f): victim hit = %v",
 					it.Index, ev.Class, phi, out.VictimHit),
 				Headers: []string{"prefix", "count", "discounted"},
 			}
 			for _, h := range hitters {
-				out.Report.AddRow(h.Prefix.String(), h.Count, h.Discounted)
+				out.Report.addRow(h.Prefix.String(), h.Count, h.Discounted)
 			}
 			return out, nil
 		}

@@ -6,8 +6,6 @@ import (
 
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
-	"anomalyx/internal/report"
-	"anomalyx/internal/roc"
 	"anomalyx/internal/stats"
 	"anomalyx/internal/tracegen"
 )
@@ -20,7 +18,7 @@ type Fig4Result struct {
 	KL        []float64
 	Diff      []float64
 	Threshold []float64
-	Figure    report.Figure
+	Figure    Figure
 	// AlarmsAboveThreshold counts intervals whose first difference
 	// exceeded the threshold (the positive spikes of the bottom plot).
 	AlarmsAboveThreshold int
@@ -53,12 +51,12 @@ func Fig4(tr *TraceRun) (*Fig4Result, error) {
 	for i, v := range out.Intervals {
 		xs[i] = float64(v)
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title: "Fig 4: KL distance time series (srcIP, clone 0)", XLabel: "interval", YLabel: "bits",
 	}
-	out.Figure.Add(report.Series{Name: "KL", X: xs, Y: out.KL})
-	out.Figure.Add(report.Series{Name: "diff", X: xs, Y: out.Diff})
-	out.Figure.Add(report.Series{Name: "threshold", X: xs, Y: out.Threshold})
+	out.Figure.add(Series{Name: "KL", X: xs, Y: out.KL})
+	out.Figure.add(Series{Name: "diff", X: xs, Y: out.Diff})
+	out.Figure.add(Series{Name: "threshold", X: xs, Y: out.Threshold})
 	return out, nil
 }
 
@@ -70,7 +68,7 @@ type Fig5Result struct {
 	KLSeries    []float64
 	BinsRemoved int
 	Converged   bool
-	Figure      report.Figure
+	Figure      Figure
 }
 
 // Fig5 reruns detection up to the first flooding event's start interval
@@ -127,19 +125,19 @@ func Fig5(tr *TraceRun) (*Fig5Result, error) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title:  fmt.Sprintf("Fig 5: iterative bin identification (interval %d, dstIP)", out.Interval),
 		XLabel: "round", YLabel: "KL distance (bits)",
 	}
-	out.Figure.Add(report.Series{Name: "KL", X: xs, Y: out.KLSeries})
+	out.Figure.add(Series{Name: "KL", X: xs, Y: out.KLSeries})
 	return out, nil
 }
 
 // Fig6Result holds per-clone ROC curves.
 type Fig6Result struct {
-	Curves []roc.Curve
+	Curves []Curve
 	AUC    []float64
-	Figure report.Figure
+	Figure Figure
 }
 
 // Fig6 computes one ROC curve per histogram clone. The per-interval
@@ -160,7 +158,7 @@ func Fig6(tr *TraceRun) (*Fig6Result, error) {
 		alpha = 3
 	}
 	out := &Fig6Result{}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title: "Fig 6: ROC curves per histogram clone", XLabel: "FPR", YLabel: "TPR",
 	}
 	for c := 0; c < clones; c++ {
@@ -186,16 +184,16 @@ func Fig6(tr *TraceRun) (*Fig6Result, error) {
 			scores = append(scores, score)
 			labels = append(labels, it.Anomalous)
 		}
-		curve := roc.Compute(scores, labels)
+		curve := computeROC(scores, labels)
 		out.Curves = append(out.Curves, curve)
-		out.AUC = append(out.AUC, curve.AUC())
+		out.AUC = append(out.AUC, curve.auc())
 		fpr := make([]float64, len(curve))
 		tpr := make([]float64, len(curve))
 		for i, p := range curve {
 			fpr[i] = p.FPR
 			tpr[i] = p.TPR
 		}
-		out.Figure.Add(report.Series{Name: fmt.Sprintf("clone %d", c), X: fpr, Y: tpr})
+		out.Figure.add(Series{Name: fmt.Sprintf("clone %d", c), X: fpr, Y: tpr})
 	}
 	return out, nil
 }
@@ -204,7 +202,7 @@ func Fig6(tr *TraceRun) (*Fig6Result, error) {
 type Fig7Result struct {
 	N      []int
 	Beta   map[string][]float64 // series name -> beta per n
-	Figure report.Figure
+	Figure Figure
 }
 
 // Fig7 evaluates the upper bound beta that an anomalous feature value is
@@ -236,7 +234,7 @@ func Fig7(p float64) *Fig7Result {
 		out.N = append(out.N, n)
 		xs = append(xs, float64(n))
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title:  fmt.Sprintf("Fig 7: upper bound beta (anomalous value missed), p=%.2f", p),
 		XLabel: "n (clones)", YLabel: "beta",
 	}
@@ -246,7 +244,7 @@ func Fig7(p float64) *Fig7Result {
 			ys = append(ys, stats.VoteMissUB(n, lOf(name, n), p))
 		}
 		out.Beta[name] = ys
-		out.Figure.Add(report.Series{Name: name, X: xs, Y: ys})
+		out.Figure.add(Series{Name: name, X: xs, Y: ys})
 	}
 	return out
 }
@@ -256,7 +254,7 @@ type Fig8Result struct {
 	B      int
 	N      []int
 	Gamma  map[string][]float64
-	Figure report.Figure
+	Figure Figure
 }
 
 // Fig8 evaluates gamma — the probability that a normal feature value
@@ -287,7 +285,7 @@ func Fig8(b, k int) *Fig8Result {
 		out.N = append(out.N, n)
 		xs = append(xs, float64(n))
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title:  fmt.Sprintf("Fig 8: gamma (normal value survives voting), b=%d, k=%d", b, k),
 		XLabel: "n (clones)", YLabel: "gamma",
 	}
@@ -297,7 +295,7 @@ func Fig8(b, k int) *Fig8Result {
 			ys = append(ys, stats.NormalLeak(n, lOf(name, n), b, k))
 		}
 		out.Gamma[name] = ys
-		out.Figure.Add(report.Series{Name: name, X: xs, Y: ys})
+		out.Figure.add(Series{Name: name, X: xs, Y: ys})
 	}
 	return out
 }

@@ -1,8 +1,8 @@
-// Package hhh implements exact offline hierarchical heavy-hitter (HHH)
-// detection over IPv4 prefixes — the related-work comparator of the
-// paper's §IV ([7], [36]) and its §III-D suggestion for capturing
-// anomalies that affect whole network ranges (outages, routing shifts)
-// rather than single feature values.
+// Exact offline hierarchical heavy-hitter (HHH) detection over IPv4
+// prefixes: the related-work comparator of the paper's §IV ([7], [36])
+// and its §III-D suggestion for capturing anomalies that affect whole
+// network ranges (outages, routing shifts) rather than single feature
+// values.
 //
 // A prefix is a hierarchical heavy hitter when its traffic count,
 // *discounted by the counts of its descendant HHHs*, still reaches the
@@ -14,7 +14,8 @@
 // depend only on the flow multiset, and each level's HHH list is sorted
 // by descending discounted count with the prefix address as tiebreak,
 // so the same input yields the same output in the same order every run.
-package hhh
+
+package experiments
 
 import (
 	"fmt"
@@ -34,8 +35,8 @@ func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", flow.U32ToAddr(p.Addr), p.Len)
 }
 
-// Contains reports whether p covers q (q at least as specific).
-func (p Prefix) Contains(q Prefix) bool {
+// contains reports whether p covers q (q at least as specific).
+func (p Prefix) contains(q Prefix) bool {
 	if q.Len < p.Len {
 		return false
 	}
@@ -51,55 +52,52 @@ type HeavyHitter struct {
 	Discounted uint64
 }
 
-// Levels is the default prefix-length hierarchy (byte boundaries, the
+// hhhLevels is the default prefix-length hierarchy (byte boundaries, the
 // granularity of [36]).
-var Levels = []int{32, 24, 16, 8, 0}
+var hhhLevels = []int{32, 24, 16, 8, 0}
 
-// Detector finds exact HHHs over one interval of addresses.
-type Detector struct {
+// hhhDetector finds exact HHHs over one interval of addresses.
+type hhhDetector struct {
 	levels []int
 	counts map[Prefix]uint64
 	total  uint64
 }
 
-// New creates a detector over the given prefix-length hierarchy (most
+// newHHH creates a detector over the given prefix-length hierarchy (most
 // specific first); nil selects byte boundaries.
-func New(levels []int) *Detector {
+func newHHH(levels []int) *hhhDetector {
 	if levels == nil {
-		levels = Levels
+		levels = hhhLevels
 	}
 	cp := make([]int, len(levels))
 	copy(cp, levels)
 	sort.Sort(sort.Reverse(sort.IntSlice(cp)))
-	return &Detector{levels: cp, counts: make(map[Prefix]uint64)}
+	return &hhhDetector{levels: cp, counts: make(map[Prefix]uint64)}
 }
 
-// Add records n flows for address a.
-func (d *Detector) Add(a uint32, n uint64) {
+// add records n flows for address a.
+func (d *hhhDetector) add(a uint32, n uint64) {
 	for _, l := range d.levels {
 		d.counts[Prefix{Addr: a & mask(l), Len: l}] += n
 	}
 	d.total += n
 }
 
-// AddFlows records the chosen address feature of each flow.
-func (d *Detector) AddFlows(recs []flow.Record, kind flow.FeatureKind) error {
+// addFlows records the chosen address feature of each flow.
+func (d *hhhDetector) addFlows(recs []flow.Record, kind flow.FeatureKind) error {
 	if kind != flow.SrcIP && kind != flow.DstIP {
 		return fmt.Errorf("hhh: feature %v is not an address", kind)
 	}
 	for i := range recs {
-		d.Add(uint32(recs[i].Feature(kind)), 1)
+		d.add(uint32(recs[i].Feature(kind)), 1)
 	}
 	return nil
 }
 
-// Total returns the number of observations.
-func (d *Detector) Total() uint64 { return d.total }
-
-// Detect returns the hierarchical heavy hitters at threshold phi (a
+// detect returns the hierarchical heavy hitters at threshold phi (a
 // fraction of the total count), most specific levels first, each level
 // sorted by descending discounted count.
-func (d *Detector) Detect(phi float64) []HeavyHitter {
+func (d *hhhDetector) detect(phi float64) []HeavyHitter {
 	if phi <= 0 || phi > 1 {
 		panic("hhh: phi must be in (0, 1]")
 	}
@@ -123,7 +121,7 @@ func (d *Detector) Detect(phi float64) []HeavyHitter {
 			// Subtract descendant HHHs from more specific levels.
 			for mi := 0; mi < li; mi++ {
 				for _, h := range hhhAt[mi] {
-					if p.Contains(h.Prefix) && isDirectHHHChild(hhhAt, mi, li, p, h.Prefix) {
+					if p.contains(h.Prefix) && isDirectHHHChild(hhhAt, mi, li, p, h.Prefix) {
 						if h.Count > disc {
 							disc = 0
 						} else {
@@ -155,7 +153,7 @@ func (d *Detector) Detect(phi float64) []HeavyHitter {
 func isDirectHHHChild(hhhAt [][]HeavyHitter, childLi, parentLi int, parent, child Prefix) bool {
 	for mi := childLi + 1; mi < parentLi; mi++ {
 		for _, h := range hhhAt[mi] {
-			if parent.Contains(h.Prefix) && h.Prefix.Contains(child) {
+			if parent.contains(h.Prefix) && h.Prefix.contains(child) {
 				return false // already folded into the intermediate HHH
 			}
 		}

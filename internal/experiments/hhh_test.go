@@ -1,4 +1,4 @@
-package hhh
+package experiments
 
 import (
 	"testing"
@@ -10,13 +10,13 @@ func ip(s string) uint32 { return flow.MustParseU32(s) }
 
 func TestPrefixContains(t *testing.T) {
 	p24 := Prefix{Addr: ip("10.1.2.0"), Len: 24}
-	if !p24.Contains(Prefix{Addr: ip("10.1.2.99"), Len: 32}) {
+	if !p24.contains(Prefix{Addr: ip("10.1.2.99"), Len: 32}) {
 		t.Error("/24 should contain its /32")
 	}
-	if p24.Contains(Prefix{Addr: ip("10.1.3.99"), Len: 32}) {
+	if p24.contains(Prefix{Addr: ip("10.1.3.99"), Len: 32}) {
 		t.Error("/24 must not contain a foreign /32")
 	}
-	if p24.Contains(Prefix{Addr: ip("10.1.0.0"), Len: 16}) {
+	if p24.contains(Prefix{Addr: ip("10.1.0.0"), Len: 16}) {
 		t.Error("/24 must not contain its /16 parent")
 	}
 }
@@ -29,12 +29,12 @@ func TestPrefixString(t *testing.T) {
 }
 
 func TestSingleHeavyAddress(t *testing.T) {
-	d := New(nil)
-	d.Add(ip("10.0.0.1"), 900)
+	d := newHHH(nil)
+	d.add(ip("10.0.0.1"), 900)
 	for i := uint32(0); i < 100; i++ {
-		d.Add(ip("172.16.0.0")+i*257, 1)
+		d.add(ip("172.16.0.0")+i*257, 1)
 	}
-	hh := d.Detect(0.5)
+	hh := d.detect(0.5)
 	if len(hh) == 0 {
 		t.Fatal("no HHH found")
 	}
@@ -43,7 +43,7 @@ func TestSingleHeavyAddress(t *testing.T) {
 	}
 	// Parents of the heavy /32 are fully discounted and must not appear.
 	for _, h := range hh {
-		if h.Prefix.Len < 32 && h.Prefix.Contains(Prefix{Addr: ip("10.0.0.1"), Len: 32}) {
+		if h.Prefix.Len < 32 && h.Prefix.contains(Prefix{Addr: ip("10.0.0.1"), Len: 32}) {
 			t.Errorf("discounted parent still reported: %v (disc %d)", h.Prefix, h.Discounted)
 		}
 	}
@@ -52,12 +52,12 @@ func TestSingleHeavyAddress(t *testing.T) {
 func TestDiscountingSurfacesDiffuseParent(t *testing.T) {
 	// 300 flows spread over a /24 with no single address heavy: the /24
 	// is the HHH, not any /32.
-	d := New(nil)
+	d := newHHH(nil)
 	for i := uint32(0); i < 100; i++ {
-		d.Add(ip("10.1.2.0")+i, 3)
+		d.add(ip("10.1.2.0")+i, 3)
 	}
-	d.Add(ip("99.9.9.9"), 100) // background
-	hh := d.Detect(0.5)
+	d.add(ip("99.9.9.9"), 100) // background
+	hh := d.detect(0.5)
 	found24 := false
 	for _, h := range hh {
 		if h.Prefix.Len == 32 && h.Prefix.Addr != ip("99.9.9.9") {
@@ -78,12 +78,12 @@ func TestDiscountingSurfacesDiffuseParent(t *testing.T) {
 func TestMixedLevels(t *testing.T) {
 	// One heavy /32 inside a /24 that also has diffuse traffic: both
 	// surface, with the /24 discounted by the /32's count.
-	d := New(nil)
-	d.Add(ip("10.1.2.42"), 500)
+	d := newHHH(nil)
+	d.add(ip("10.1.2.42"), 500)
 	for i := uint32(0); i < 250; i++ {
-		d.Add(ip("10.1.2.0")+i%250, 2)
+		d.add(ip("10.1.2.0")+i%250, 2)
 	}
-	hh := d.Detect(0.3)
+	hh := d.detect(0.3)
 	var h32, h24 *HeavyHitter
 	for i := range hh {
 		h := &hh[i]
@@ -116,21 +116,21 @@ func TestAddFlows(t *testing.T) {
 		{DstAddr: ip("10.0.0.1")},
 		{DstAddr: ip("10.0.0.2")},
 	}
-	d := New(nil)
-	if err := d.AddFlows(recs, flow.DstIP); err != nil {
+	d := newHHH(nil)
+	if err := d.addFlows(recs, flow.DstIP); err != nil {
 		t.Fatal(err)
 	}
-	if d.Total() != 3 {
-		t.Errorf("Total = %d", d.Total())
+	if d.total != 3 {
+		t.Errorf("total = %d", d.total)
 	}
-	if err := New(nil).AddFlows(recs, flow.DstPort); err == nil {
+	if err := newHHH(nil).addFlows(recs, flow.DstPort); err == nil {
 		t.Error("non-address feature accepted")
 	}
 }
 
 func TestDetectPanicsOnBadPhi(t *testing.T) {
-	d := New(nil)
-	d.Add(1, 1)
+	d := newHHH(nil)
+	d.add(1, 1)
 	for _, phi := range []float64{0, -1, 1.5} {
 		func() {
 			defer func() {
@@ -138,15 +138,15 @@ func TestDetectPanicsOnBadPhi(t *testing.T) {
 					t.Errorf("phi=%v accepted", phi)
 				}
 			}()
-			d.Detect(phi)
+			d.detect(phi)
 		}()
 	}
 }
 
 func TestCustomLevels(t *testing.T) {
-	d := New([]int{32, 16})
-	d.Add(ip("10.1.2.3"), 10)
-	hh := d.Detect(0.5)
+	d := newHHH([]int{32, 16})
+	d.add(ip("10.1.2.3"), 10)
+	hh := d.detect(0.5)
 	for _, h := range hh {
 		if h.Prefix.Len != 32 && h.Prefix.Len != 16 {
 			t.Errorf("unexpected level %d", h.Prefix.Len)
@@ -157,14 +157,14 @@ func TestCustomLevels(t *testing.T) {
 func TestScanFootprint(t *testing.T) {
 	// A scan sweeping an internal /16 produces a diffuse HHH on that
 	// /16 — the §III-D argument for HHH on range anomalies.
-	d := New(nil)
+	d := newHHH(nil)
 	for i := 0; i < 3000; i++ {
-		d.Add(ip("130.59.0.0")+uint32(i*17%65536), 1)
+		d.add(ip("130.59.0.0")+uint32(i*17%65536), 1)
 	}
 	for i := 0; i < 1000; i++ {
-		d.Add(ip("8.8.8.8"), 1) // plus one fat benign server
+		d.add(ip("8.8.8.8"), 1) // plus one fat benign server
 	}
-	hh := d.Detect(0.25)
+	hh := d.detect(0.25)
 	found := false
 	for _, h := range hh {
 		if h.Prefix == (Prefix{Addr: ip("130.59.0.0"), Len: 16}) {

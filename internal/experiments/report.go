@@ -1,11 +1,11 @@
-// Package report renders experiment outputs — tables and data series —
-// as aligned plain text, the format cmd/experiments prints and
-// EXPERIMENTS.md records.
+// Experiment output rendering: tables and data series as aligned plain
+// text, the format cmd/experiments prints and EXPERIMENTS.md records.
 //
 // Determinism: rendering preserves the caller's row and column order
 // and adds nothing of its own (no maps, no clock), so output bytes are
 // a pure function of the input.
-package report
+
+package experiments
 
 import (
 	"fmt"
@@ -19,13 +19,13 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row; values are stringified with %v.
-func (t *Table) AddRow(cells ...any) {
+// addRow appends a row; values are stringified with %v.
+func (t *Table) addRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
-			row[i] = FormatFloat(v)
+			row[i] = formatFloat(v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -86,8 +86,8 @@ type Figure struct {
 	Series []Series
 }
 
-// Add appends a series.
-func (f *Figure) Add(s Series) { f.Series = append(f.Series, s) }
+// add appends a series.
+func (f *Figure) add(s Series) { f.Series = append(f.Series, s) }
 
 // String renders the figure as aligned columns: x followed by one y
 // column per series.
@@ -110,12 +110,12 @@ func (f Figure) String() string {
 		}
 	}
 	for _, x := range xs {
-		row := []string{FormatFloat(x)}
+		row := []string{formatFloat(x)}
 		for _, s := range f.Series {
 			cell := ""
 			for i, sx := range s.X {
 				if sx == x {
-					cell = FormatFloat(s.Y[i])
+					cell = formatFloat(s.Y[i])
 					break
 				}
 			}
@@ -126,9 +126,9 @@ func (f Figure) String() string {
 	return t.String()
 }
 
-// FormatFloat renders floats compactly: integers without decimals,
+// formatFloat renders floats compactly: integers without decimals,
 // small values in scientific notation.
-func FormatFloat(v float64) string {
+func formatFloat(v float64) string {
 	switch {
 	case v == 0:
 		return "0"

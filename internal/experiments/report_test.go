@@ -1,4 +1,4 @@
-package report
+package experiments
 
 import (
 	"strings"
@@ -10,8 +10,8 @@ func TestTableRendering(t *testing.T) {
 		Title:   "demo",
 		Headers: []string{"name", "count"},
 	}
-	tbl.AddRow("alpha", 1)
-	tbl.AddRow("beta-long-name", 22)
+	tbl.addRow("alpha", 1)
+	tbl.addRow("beta-long-name", 22)
 	out := tbl.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, separator, two rows
@@ -37,9 +37,9 @@ func TestTableRendering(t *testing.T) {
 
 func TestAddRowFormatsFloats(t *testing.T) {
 	tbl := Table{Headers: []string{"v"}}
-	tbl.AddRow(3.14159)
-	tbl.AddRow(2.0)
-	tbl.AddRow(1e-9)
+	tbl.addRow(3.14159)
+	tbl.addRow(2.0)
+	tbl.addRow(1e-9)
 	if tbl.Rows[0][0] != "3.142" {
 		t.Errorf("float fmt %q", tbl.Rows[0][0])
 	}
@@ -53,8 +53,8 @@ func TestAddRowFormatsFloats(t *testing.T) {
 
 func TestFigureRendering(t *testing.T) {
 	f := Figure{Title: "fig", XLabel: "x", YLabel: "y"}
-	f.Add(Series{Name: "a", X: []float64{1, 2}, Y: []float64{10, 20}})
-	f.Add(Series{Name: "b", X: []float64{1, 2}, Y: []float64{30, 40}})
+	f.add(Series{Name: "a", X: []float64{1, 2}, Y: []float64{10, 20}})
+	f.add(Series{Name: "b", X: []float64{1, 2}, Y: []float64{30, 40}})
 	out := f.String()
 	if !strings.Contains(out, "fig") || !strings.Contains(out, "a") || !strings.Contains(out, "b") {
 		t.Errorf("missing pieces:\n%s", out)
@@ -71,8 +71,8 @@ func TestFigureRendering(t *testing.T) {
 
 func TestFigureDisjointX(t *testing.T) {
 	f := Figure{XLabel: "x"}
-	f.Add(Series{Name: "a", X: []float64{1}, Y: []float64{5}})
-	f.Add(Series{Name: "b", X: []float64{2}, Y: []float64{6}})
+	f.add(Series{Name: "a", X: []float64{1}, Y: []float64{5}})
+	f.add(Series{Name: "b", X: []float64{2}, Y: []float64{6}})
 	out := f.String()
 	// Union grid has both xs; missing cells are blank.
 	if !strings.Contains(out, "5") || !strings.Contains(out, "6") {
@@ -91,8 +91,8 @@ func TestFormatFloat(t *testing.T) {
 		3.14159: "3.142",
 	}
 	for in, want := range cases {
-		if got := FormatFloat(in); got != want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
+		if got := formatFloat(in); got != want {
+			t.Errorf("formatFloat(%v) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -1,12 +1,13 @@
-// Package roc computes receiver-operating-characteristic curves for the
-// detection evaluation of §III-B: given a per-interval detection score
-// (the first difference of the KL time series) and the ground-truth
-// labeling of intervals, it sweeps the alarm threshold and reports
-// (FPR, TPR) operating points. Curves are deterministic functions of
-// the (score, label) pairs: thresholds sweep the scores in descending
-// order and equal scores collapse into one operating point, so interval
-// order never changes a curve.
-package roc
+// Receiver-operating-characteristic curves for the detection
+// evaluation of §III-B: given a per-interval detection score (the first
+// difference of the KL time series) and the ground-truth labeling of
+// intervals, computeROC sweeps the alarm threshold and reports (FPR,
+// TPR) operating points. Curves are deterministic functions of the
+// (score, label) pairs: thresholds sweep the scores in descending order
+// and equal scores collapse into one operating point, so interval order
+// never changes a curve.
+
+package experiments
 
 import (
 	"math"
@@ -26,11 +27,11 @@ type Point struct {
 // threshold: from the (0,0) corner toward (1,1)).
 type Curve []Point
 
-// Compute builds the ROC curve for scores vs. binary labels (true =
+// computeROC builds the ROC curve for scores vs. binary labels (true =
 // anomalous interval). Each distinct score value contributes an
 // operating point; an interval alarms when score > threshold, matching
 // the detector's strict one-sided test.
-func Compute(scores []float64, labels []bool) Curve {
+func computeROC(scores []float64, labels []bool) Curve {
 	if len(scores) != len(labels) {
 		panic("roc: scores and labels length mismatch")
 	}
@@ -73,9 +74,9 @@ func Compute(scores []float64, labels []bool) Curve {
 	return curve
 }
 
-// AUC returns the area under the curve by trapezoidal integration,
+// auc returns the area under the curve by trapezoidal integration,
 // including the implicit (0,0) and (1,1) endpoints.
-func (c Curve) AUC() float64 {
+func (c Curve) auc() float64 {
 	if len(c) == 0 {
 		return math.NaN()
 	}
@@ -95,18 +96,6 @@ func (c Curve) TPRAt(maxFPR float64) float64 {
 	for _, p := range c {
 		if p.FPR <= maxFPR && p.TPR > best {
 			best = p.TPR
-		}
-	}
-	return best
-}
-
-// FPRAtTPR returns the smallest FPR achieving at least the target TPR,
-// or NaN when the curve never reaches it.
-func (c Curve) FPRAtTPR(minTPR float64) float64 {
-	best := math.NaN()
-	for _, p := range c {
-		if p.TPR >= minTPR && (math.IsNaN(best) || p.FPR < best) {
-			best = p.FPR
 		}
 	}
 	return best

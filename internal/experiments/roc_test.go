@@ -1,4 +1,4 @@
-package roc
+package experiments
 
 import (
 	"math"
@@ -8,8 +8,8 @@ import (
 func TestPerfectSeparation(t *testing.T) {
 	scores := []float64{10, 9, 8, 1, 0.5, 0.2}
 	labels := []bool{true, true, true, false, false, false}
-	c := Compute(scores, labels)
-	if auc := c.AUC(); math.Abs(auc-1) > 1e-9 {
+	c := computeROC(scores, labels)
+	if auc := c.auc(); math.Abs(auc-1) > 1e-9 {
 		t.Errorf("AUC = %v, want 1", auc)
 	}
 	if tpr := c.TPRAt(0); tpr != 1 {
@@ -25,8 +25,8 @@ func TestRandomScoresAUCHalf(t *testing.T) {
 		scores = append(scores, float64(1000-i))
 		labels = append(labels, i%2 == 0)
 	}
-	c := Compute(scores, labels)
-	if auc := c.AUC(); math.Abs(auc-0.5) > 0.01 {
+	c := computeROC(scores, labels)
+	if auc := c.auc(); math.Abs(auc-0.5) > 0.01 {
 		t.Errorf("AUC = %v, want ~0.5", auc)
 	}
 }
@@ -34,8 +34,8 @@ func TestRandomScoresAUCHalf(t *testing.T) {
 func TestInvertedScores(t *testing.T) {
 	scores := []float64{1, 2, 3, 4}
 	labels := []bool{true, true, false, false}
-	c := Compute(scores, labels)
-	if auc := c.AUC(); auc > 0.1 {
+	c := computeROC(scores, labels)
+	if auc := c.auc(); auc > 0.1 {
 		t.Errorf("AUC = %v, want ~0 for inverted scores", auc)
 	}
 }
@@ -43,7 +43,7 @@ func TestInvertedScores(t *testing.T) {
 func TestCurveMonotone(t *testing.T) {
 	scores := []float64{5, 4, 4, 3, 2, 2, 1}
 	labels := []bool{true, false, true, true, false, false, true}
-	c := Compute(scores, labels)
+	c := computeROC(scores, labels)
 	prevF, prevT := -1.0, -1.0
 	for _, p := range c {
 		if p.FPR < prevF || p.TPR < prevT {
@@ -61,7 +61,7 @@ func TestTiesGroupedTogether(t *testing.T) {
 	// Two rows share a score: they must move the curve in one step.
 	scores := []float64{3, 3, 1}
 	labels := []bool{true, false, false}
-	c := Compute(scores, labels)
+	c := computeROC(scores, labels)
 	if len(c) != 2 {
 		t.Fatalf("got %d points, want 2: %+v", len(c), c)
 	}
@@ -70,24 +70,18 @@ func TestTiesGroupedTogether(t *testing.T) {
 	}
 }
 
-func TestTPRAtAndFPRAtTPR(t *testing.T) {
+func TestTPRAt(t *testing.T) {
 	scores := []float64{10, 8, 6, 4, 2}
 	labels := []bool{true, false, true, false, true}
-	c := Compute(scores, labels)
+	c := computeROC(scores, labels)
 	// Operating points: (0,1/3), (1/2,1/3), (1/2,2/3), (1,2/3), (1,1).
 	if got := c.TPRAt(0.4); math.Abs(got-1.0/3) > 1e-9 {
 		t.Errorf("TPRAt(0.4) = %v", got)
 	}
-	if got := c.FPRAtTPR(0.6); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("FPRAtTPR(0.6) = %v", got)
-	}
-	if got := c.FPRAtTPR(2); !math.IsNaN(got) {
-		t.Errorf("unreachable TPR should give NaN, got %v", got)
-	}
 }
 
 func TestAllOneClass(t *testing.T) {
-	c := Compute([]float64{1, 2, 3}, []bool{true, true, true})
+	c := computeROC([]float64{1, 2, 3}, []bool{true, true, true})
 	// No negatives: FPR pinned to 0.
 	for _, p := range c {
 		if p.FPR != 0 {
@@ -102,12 +96,12 @@ func TestComputePanicsOnMismatch(t *testing.T) {
 			t.Fatal("no panic on length mismatch")
 		}
 	}()
-	Compute([]float64{1}, []bool{true, false})
+	computeROC([]float64{1}, []bool{true, false})
 }
 
 func TestEmptyCurveAUC(t *testing.T) {
 	var c Curve
-	if !math.IsNaN(c.AUC()) {
+	if !math.IsNaN(c.auc()) {
 		t.Error("empty curve AUC should be NaN")
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"anomalyx/internal/core"
-	"anomalyx/internal/cost"
 	"anomalyx/internal/itemset"
-	"anomalyx/internal/report"
 	"anomalyx/internal/tracegen"
 )
 
@@ -119,7 +117,7 @@ type Fig9Result struct {
 	// MissedEvents counts intervals where signature-matching item-sets
 	// were absent at the smallest support (extraction misses).
 	MissedEvents int
-	Figure       report.Figure
+	Figure       Figure
 }
 
 // Fig9 aggregates the sweep into the paper's FP-item-set figure.
@@ -155,17 +153,17 @@ func Fig9(sw *SweepResult) *Fig9Result {
 	for i, s := range sw.Supports {
 		xs[i] = float64(s)
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title:  "Fig 9: false-positive item-sets vs minimum support",
 		XLabel: "minsup", YLabel: "FP item-sets",
 	}
-	avg := report.Series{Name: "average", X: xs, Y: out.AvgFP}
-	max := report.Series{Name: "max", X: xs}
+	avg := Series{Name: "average", X: xs, Y: out.AvgFP}
+	max := Series{Name: "max", X: xs}
 	for _, m := range out.MaxFP {
 		max.Y = append(max.Y, float64(m))
 	}
-	out.Figure.Add(avg)
-	out.Figure.Add(max)
+	out.Figure.add(avg)
+	out.Figure.add(max)
 	return out
 }
 
@@ -173,7 +171,7 @@ func Fig9(sw *SweepResult) *Fig9Result {
 type Fig10Result struct {
 	Supports []int
 	AvgR     []float64
-	Figure   report.Figure
+	Figure   Figure
 }
 
 // Fig10 computes the average decrease in classification cost R = F/I per
@@ -189,7 +187,7 @@ func Fig10(sw *SweepResult) *Fig10Result {
 			flows = append(flows, row[s].TotalFlows)
 			sets = append(sets, row[s].ItemSets)
 		}
-		r := cost.MeanReduction(flows, sets)
+		r := meanReduction(flows, sets)
 		if math.IsNaN(r) {
 			r = 0
 		}
@@ -199,10 +197,33 @@ func Fig10(sw *SweepResult) *Fig10Result {
 	for i, s := range sw.Supports {
 		xs[i] = float64(s)
 	}
-	out.Figure = report.Figure{
+	out.Figure = Figure{
 		Title:  "Fig 10: average decrease in classification cost vs minimum support",
 		XLabel: "minsup", YLabel: "R = flows/item-sets",
 	}
-	out.Figure.Add(report.Series{Name: "avg R", X: xs, Y: out.AvgR})
+	out.Figure.add(Series{Name: "avg R", X: xs, Y: out.AvgR})
 	return out
+}
+
+// meanReduction averages the per-interval cost reductions
+// (core.CostReduction), skipping infinite entries (intervals whose
+// mining output was empty), mirroring how the paper averages over its 31
+// anomalous intervals.
+func meanReduction(flows, itemSets []int) float64 {
+	if len(flows) != len(itemSets) {
+		panic("cost: length mismatch")
+	}
+	sum, n := 0.0, 0
+	for i := range flows {
+		r := core.CostReduction(flows[i], itemSets[i])
+		if math.IsInf(r, 1) {
+			continue
+		}
+		sum += r
+		n++
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }

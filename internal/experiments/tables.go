@@ -9,7 +9,6 @@ import (
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 	"anomalyx/internal/mining/apriori"
-	"anomalyx/internal/report"
 	"anomalyx/internal/tracegen"
 )
 
@@ -20,8 +19,8 @@ type TableIIResult struct {
 	// PortSevenK counts maximal item-sets carrying dstPort=7000 — the
 	// paper verifies exactly three.
 	PortSevenK int
-	Report     report.Table
-	Levels     report.Table
+	Report     Table
+	Levels     Table
 }
 
 // TableII generates the paper's example input (350 872 flows; flooding on
@@ -35,7 +34,7 @@ func TableII(seed uint64) (*TableIIResult, error) {
 		return nil, err
 	}
 	out := &TableIIResult{Input: data, Mining: res}
-	out.Report = report.Table{
+	out.Report = Table{
 		Title:   fmt.Sprintf("Table II: maximal frequent item-sets (input %d flows, minsup %d)", len(data.Flows), data.MinSupport),
 		Headers: []string{"item-set", "support"},
 	}
@@ -48,39 +47,39 @@ func TableII(seed uint64) (*TableIIResult, error) {
 			}
 			items += it.String()
 		}
-		out.Report.AddRow("{"+items+"}", s.Support)
+		out.Report.addRow("{"+items+"}", s.Support)
 		for _, it := range s.Items {
 			if it.Kind == flow.DstPort && it.Value == uint64(data.FloodPort) {
 				out.PortSevenK++
 			}
 		}
 	}
-	out.Levels = report.Table{
+	out.Levels = Table{
 		Title:   "Table II rounds: frequent k-item-sets found vs kept as maximal",
 		Headers: []string{"k", "frequent", "maximal", "pruned as subsets"},
 	}
 	for _, l := range res.Levels {
-		out.Levels.AddRow(l.Level, l.Frequent, l.Maximal, l.Frequent-l.Maximal)
+		out.Levels.addRow(l.Level, l.Frequent, l.Maximal, l.Frequent-l.Maximal)
 	}
 	return out, nil
 }
 
 // TableIII renders the parameter table (Table III) from the paper-default
 // pipeline configuration.
-func TableIII(s Scale) report.Table {
+func TableIII(s Scale) Table {
 	pc := PipelineConfig(s)
-	t := report.Table{
+	t := Table{
 		Title:   "Table III: parameters",
 		Headers: []string{"param", "meaning", "default", "paper range"},
 	}
 	tc := TraceConfig(s)
-	t.AddRow("d", "number of histogram detectors (features)", 5, "5")
-	t.AddRow("Delta", "interval length", tc.IntervalLen.String(), "5-15 min")
-	t.AddRow("m", "hash length (k = 2^m bins)", pc.Detector.Bins, "512-2048 bins")
-	t.AddRow("n", "histogram clones", pc.Detector.Clones, "1-25")
-	t.AddRow("l", "votes required", pc.Detector.Votes, "1-n")
-	t.AddRow("s", "minimum support", fmt.Sprintf("%.0f%% of suspicious flows", pc.RelativeSupport*100), "3000-10000 flows (1-10%)")
-	t.AddRow("alpha", "MAD threshold multiplier", pc.Detector.Alpha, "3")
+	t.addRow("d", "number of histogram detectors (features)", 5, "5")
+	t.addRow("Delta", "interval length", tc.IntervalLen.String(), "5-15 min")
+	t.addRow("m", "hash length (k = 2^m bins)", pc.Detector.Bins, "512-2048 bins")
+	t.addRow("n", "histogram clones", pc.Detector.Clones, "1-25")
+	t.addRow("l", "votes required", pc.Detector.Votes, "1-n")
+	t.addRow("s", "minimum support", fmt.Sprintf("%.0f%% of suspicious flows", pc.RelativeSupport*100), "3000-10000 flows (1-10%)")
+	t.addRow("alpha", "MAD threshold multiplier", pc.Detector.Alpha, "3")
 	return t
 }
 
@@ -99,7 +98,7 @@ type TableIVResult struct {
 	Rows               []TableIVRow
 	TotalEvents        int
 	AnomalousIntervals int
-	Report             report.Table
+	Report             Table
 }
 
 // TableIV summarizes the injected ground truth of a completed trace run
@@ -169,7 +168,7 @@ func TableIV(tr *TraceRun) (*TableIVResult, error) {
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 
-	out.Report = report.Table{
+	out.Report = Table{
 		Title:   fmt.Sprintf("Table IV: %d events in %d anomalous intervals", out.TotalEvents, out.AnomalousIntervals),
 		Headers: []string{"class", "events", "avg flows/interval", "detected", "extracted"},
 	}
@@ -181,7 +180,7 @@ func TableIV(tr *TraceRun) (*TableIVResult, error) {
 			Detected: a.detected, Extracted: a.extracted,
 		}
 		out.Rows = append(out.Rows, row)
-		out.Report.AddRow(c.String(), row.Events, row.AvgFlows, row.Detected, row.Extracted)
+		out.Report.addRow(c.String(), row.Events, row.AvgFlows, row.Detected, row.Extracted)
 	}
 	return out, nil
 }

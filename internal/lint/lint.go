@@ -205,12 +205,6 @@ func suppressed(f Finding, directives []*directive) bool {
 	return ok
 }
 
-// pkgPathIn reports whether pkg's import path is path itself or any
-// package under path (a "/..." style prefix match on path boundaries).
-func pkgPathIn(pkg *Package, path string) bool {
-	return pkg.Path == path || strings.HasPrefix(pkg.Path, path+"/")
-}
-
 // typeOf is Info.TypeOf with a nil guard for robustness against partial
 // type information.
 func typeOf(pkg *Package, e ast.Expr) types.Type {

@@ -89,7 +89,15 @@ func TestMapRangeFixture(t *testing.T) {
 }
 
 func TestWallClockFixture(t *testing.T) {
-	runFixture(t, "wallclock", "anomalyx/internal/wallclockfix")
+	// The experiments harness and the trace generator are checked like
+	// any other package: no path-wide exemption covers them.
+	for _, path := range []string{
+		"anomalyx/internal/wallclockfix",
+		"anomalyx/internal/experiments",
+		"anomalyx/internal/tracegen",
+	} {
+		runFixture(t, "wallclock", path)
+	}
 }
 
 func TestWallClockAllowlistFixture(t *testing.T) {

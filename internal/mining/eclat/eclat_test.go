@@ -161,8 +161,8 @@ func TestMineEndToEnd(t *testing.T) {
 
 func TestWindowAccessors(t *testing.T) {
 	w := NewWindow(7)
-	if w.Capacity() != 7 || w.Len() != 0 {
-		t.Errorf("capacity %d len %d", w.Capacity(), w.Len())
+	if w.capacity != 7 || w.Len() != 0 {
+		t.Errorf("capacity %d len %d", w.capacity, w.Len())
 	}
 	w.Push(itemset.FromFlow(&flow.Record{DstPort: 1}))
 	if w.Len() != 1 {

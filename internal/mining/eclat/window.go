@@ -33,9 +33,6 @@ func NewWindow(capacity int) *Window {
 // Len returns the number of transactions currently in the window.
 func (w *Window) Len() int { return w.live }
 
-// Capacity returns the window size.
-func (w *Window) Capacity() int { return w.capacity }
-
 // Push appends one transaction, evicting the oldest when full.
 func (w *Window) Push(tx itemset.Transaction) {
 	tid := w.seq

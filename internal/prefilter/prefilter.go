@@ -59,8 +59,8 @@ func (Intersection) Name() string { return "intersection" }
 // more than they save on small inputs.
 const minParallelRecords = 2048
 
-// resolveWorkers maps the Config.Workers convention (0 = GOMAXPROCS,
-// 1 = sequential) onto an effective chunk count for n records.
+// resolveWorkers maps a workers argument (0 = GOMAXPROCS, 1 =
+// sequential) onto an effective chunk count for n records.
 func resolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -165,9 +165,9 @@ func selectRange(s Strategy, m detector.MetaData, buf *flow.Buffer, lo, hi int, 
 // buf that strategy s selects under meta-data m, ascending. The result
 // reuses dst's memory when its capacity covers buf.Len() (dst's
 // contents are ignored), so a caller that passes the previous result
-// back scans without allocating. workers follows the Config.Workers
-// convention (0 = GOMAXPROCS, <= 1 or small inputs run sequentially):
-// contiguous row ranges are scanned concurrently and their selections
+// back scans without allocating. workers 0 means GOMAXPROCS. With one
+// worker or a small input the scan is sequential; otherwise contiguous
+// row ranges are scanned concurrently and their selections
 // concatenated in range order.
 func SelectBuffer(s Strategy, m detector.MetaData, buf *flow.Buffer, workers int, dst []int32) []int32 {
 	n := buf.Len()

@@ -1,7 +1,7 @@
 // Package shard is the constructor of hash-partitioned pipelines: a
 // core.Pipeline over Config.Shards partitions (core.NewPartitioned),
-// with the defaults the sharded entry points — the engine, the agent
-// session, the facade's NewShardedPipeline — have always applied.
+// defaulting Shards to GOMAXPROCS for the agent session and the
+// facade's NewShardedPipeline.
 // Partitioning, the cross-partition merge and the close live in core,
 // whose reports are byte-identical at every partition count.
 package shard
@@ -18,10 +18,8 @@ type Config struct {
 	// construction; negative counts are rejected).
 	Shards int
 	// Pipeline configures the pipeline; zero-value fields take the
-	// paper's defaults (see core.Config). When Pipeline.Workers is 0 each
-	// partition's detector bank runs sequentially (Workers = 1):
-	// parallelism comes from the partition fan-out, and a worker pool per
-	// partition on top of it would oversubscribe the CPUs.
+	// paper's defaults (see core.Config, whose zero Workers splits
+	// GOMAXPROCS over the partitions).
 	Pipeline core.Config
 }
 
@@ -32,9 +30,6 @@ type ShardedPipeline = core.Pipeline
 func New(cfg Config) (*ShardedPipeline, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Pipeline.Workers == 0 {
-		cfg.Pipeline.Workers = 1
 	}
 	return core.NewPartitioned(cfg.Pipeline, cfg.Shards)
 }

@@ -99,8 +99,8 @@ func TestNewDefaults(t *testing.T) {
 		if len(seen) != tc.want || !seen[tc.want-1] {
 			t.Errorf("Shards %d: records spread over partitions %v, want 0..%d", tc.shards, seen, tc.want-1)
 		}
-		if w := sp.Config().Workers; w != 1 {
-			t.Errorf("Shards %d: Workers %d, want 1", tc.shards, w)
+		if w, want := sp.Config().Workers, max(1, runtime.GOMAXPROCS(0)/tc.want); w != want {
+			t.Errorf("Shards %d: Workers %d, want %d", tc.shards, w, want)
 		}
 		sp.Close()
 	}
@@ -111,6 +111,31 @@ func TestNewDefaults(t *testing.T) {
 	defer sp.Close()
 	if w := sp.Config().Workers; w != 3 {
 		t.Errorf("explicit Workers 3 became %d", w)
+	}
+}
+
+// TestWorkersDefault pins the one meaning of a zero Workers: both
+// partitioned constructors resolve it to max(1, GOMAXPROCS / partitions)
+// and report the resolved count, which the detector banks and the
+// prefilter scan then share.
+func TestWorkersDefault(t *testing.T) {
+	for _, b := range []struct {
+		name  string
+		build func(n int) (*core.Pipeline, error)
+	}{
+		{"core.NewPartitioned", func(n int) (*core.Pipeline, error) { return core.NewPartitioned(core.Config{}, n) }},
+		{"shard.New", func(n int) (*core.Pipeline, error) { return New(Config{Shards: n}) }},
+	} {
+		for _, n := range []int{1, 2, 4} {
+			p, err := b.build(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.Config().Workers, max(1, runtime.GOMAXPROCS(0)/n); got != want {
+				t.Errorf("%s over %d partitions: Workers %d, want %d", b.name, n, got, want)
+			}
+			p.Close()
+		}
 	}
 }
 

@@ -33,9 +33,6 @@ func (r *Rand) Bernoulli(p float64) bool { return r.src.Float64() < p }
 // NormFloat64 returns a standard normal variate.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
-
 // Split derives an independent child generator; id selects the stream.
 // Children of the same parent with different ids are decorrelated, which
 // lets the trace generator give every interval and every injector its own

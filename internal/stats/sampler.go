@@ -10,12 +10,6 @@ import (
 // samplers here reproduce those marginal distributions for the synthetic
 // SWITCH-like trace (DESIGN.md §3).
 
-// Pareto samples a Pareto(alpha, xm) variate: xm * U^(-1/alpha).
-func (r *Rand) Pareto(alpha, xm float64) float64 {
-	u := 1 - r.Float64() // (0, 1]
-	return xm * math.Pow(u, -1/alpha)
-}
-
 // LogNormal samples exp(mu + sigma*Z).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())

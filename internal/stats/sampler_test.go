@@ -31,27 +31,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	r := NewRand(3)
-	const alpha, xm = 1.5, 2.0
-	n := 50000
-	var ge4 int
-	for i := 0; i < n; i++ {
-		v := r.Pareto(alpha, xm)
-		if v < xm {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-		if v >= 4 {
-			ge4++
-		}
-	}
-	// P[X >= 4] = (xm/4)^alpha = 0.5^1.5 ≈ 0.3536
-	got := float64(ge4) / float64(n)
-	if math.Abs(got-0.3536) > 0.015 {
-		t.Errorf("Pareto tail P[X>=4] = %.4f, want ~0.354", got)
-	}
-}
-
 func TestBoundedParetoRange(t *testing.T) {
 	r := NewRand(4)
 	for i := 0; i < 10000; i++ {

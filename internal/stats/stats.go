@@ -59,34 +59,6 @@ func RobustSigma(xs []float64) float64 {
 	return MADScale * MAD(xs)
 }
 
-// Mean returns the arithmetic mean of xs (NaN for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (NaN for fewer than
-// two observations).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
 // BinomPMF returns C(n,i) p^i (1-p)^(n-i), computed in log space for
 // numerical stability at the extreme tail values Figures 7 and 8 plot on
 // logarithmic axes.
@@ -167,30 +139,4 @@ func logChoose(n, i int) float64 {
 	lg2, _ := math.Lgamma(float64(i + 1))
 	lg3, _ := math.Lgamma(float64(n - i + 1))
 	return lg1 - lg2 - lg3
-}
-
-// Quantile returns the qth empirical quantile of xs (0 <= q <= 1) using
-// linear interpolation between order statistics; NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	tmp := make([]float64, n)
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	if q <= 0 {
-		return tmp[0]
-	}
-	if q >= 1 {
-		return tmp[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
 }

@@ -71,19 +71,6 @@ func TestRobustSigmaOnNormalData(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); !almost(got, 2.138, 0.001) {
-		t.Errorf("StdDev = %v, want ~2.138", got)
-	}
-	if !math.IsNaN(StdDev([]float64{1})) {
-		t.Error("StdDev of one sample should be NaN")
-	}
-}
-
 func TestBinomPMFSumsToOne(t *testing.T) {
 	for _, n := range []int{1, 5, 25} {
 		for _, p := range []float64{0.01, 0.5, 0.97} {
@@ -185,21 +172,5 @@ func TestVoteComplementarity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Error("extreme quantiles wrong")
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("Quantile(0.25) = %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
 	}
 }

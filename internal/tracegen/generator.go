@@ -41,9 +41,6 @@ func New(cfg Config) *Generator {
 // Config returns the generator's configuration.
 func (g *Generator) Config() *Config { return &g.cfg }
 
-// NumIntervals returns the trace length in intervals.
-func (g *Generator) NumIntervals() int { return g.cfg.Intervals }
-
 // Interval generates all flows of interval idx (benign plus injected),
 // sorted by start time.
 func (g *Generator) Interval(idx int) []flow.Record {

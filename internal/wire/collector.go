@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -266,6 +267,8 @@ type helloReply struct {
 	gen     int
 	credits chan struct{}
 	free    chan *intervalDecoder
+	// refused carries the reader's refusal, if any, to the ack writer.
+	refused chan<- error
 }
 
 // queuedFrame is one received-but-unabsorbed interval frame.
@@ -451,8 +454,9 @@ func (c *Collector) restore(s *session) {
 // against the merge loop, then decodes the agent→collector frame stream
 // into merge events, consuming one ingest credit per frame so a fast
 // agent cannot outrun the merge unboundedly. All collector→agent frames
-// on an accepted connection are written by its ack writer; rejection
-// errors are written here, before any ack writer exists.
+// on an accepted connection are written by its ack writer, a refused
+// frame's Error reply included; handshake rejections are written here,
+// before any ack writer exists.
 func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan struct{}) {
 	typ, payload, err := readFrame(conn)
 	if err != nil || typ != frameHello {
@@ -489,6 +493,9 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 
 	id, gen := h.agentID, r.gen
 	fail := func(err error) {
+		if errors.As(err, new(refusal)) {
+			r.refused <- err // capacity 1, and the reader fails once
+		}
 		select {
 		case events <- event{kind: evConnErr, id: id, gen: gen, err: err}:
 		case <-done:
@@ -522,7 +529,7 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 				err = fmt.Errorf("wire: boundary %d not after %d on one connection", frame.boundary, last)
 			}
 			if err != nil {
-				fail(err)
+				fail(refusal{err})
 				return
 			}
 			last = frame.boundary
@@ -538,7 +545,7 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 			}
 			return
 		default:
-			fail(fmt.Errorf("wire: unexpected frame type %d", typ))
+			fail(refusal{fmt.Errorf("wire: unexpected frame type %d", typ)})
 			return
 		}
 	}
@@ -547,11 +554,15 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 // reject answers a refused handshake with an Error frame, best effort,
 // and closes the connection.
 func reject(conn net.Conn, code uint64, err error) {
-	w := bufio.NewWriter(conn)
+	writeError(bufio.NewWriter(conn), code, err)
+	conn.Close()
+}
+
+// writeError writes an Error frame, best effort.
+func writeError(w *bufio.Writer, code uint64, err error) {
 	if writeFrame(w, frameError, appendError(nil, code, err.Error())) == nil {
 		w.Flush()
 	}
-	conn.Close()
 }
 
 // byeOKSentinel on the ack channel makes the ack writer emit a ByeOK
@@ -564,11 +575,13 @@ const byeOKSentinel int64 = -1
 // value received on ch (or the ByeOK confirmation for the sentinel). It
 // exits on write error (the read side will notice the broken connection
 // independently), when the merge loop closes ch on retiring the
-// connection, or — for a session that ends abnormally with the
-// connection still live — on done, after draining any confirmation the
-// merge loop queued before ending. It closes conn on the way out; after
-// a confirmed Bye it is the connection's last user.
-func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{}) {
+// connection — answering the reader's refusal, if one is queued on
+// refused, with an Error frame first — or, for a session that ends
+// abnormally with the connection still live, on done, after draining
+// any confirmation the merge loop queued before ending. It closes conn
+// on the way out; after a confirmed Bye or a refusal it is the
+// connection's last user.
+func ackWriter(conn net.Conn, ch <-chan int64, refused <-chan error, resume int64, done <-chan struct{}) {
 	defer conn.Close()
 	w := bufio.NewWriter(conn)
 	if err := writeFrame(w, frameHelloOK, appendBoundary(nil, resume)); err != nil {
@@ -578,7 +591,15 @@ func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{
 		return
 	}
 	var ack []byte // Ack payload scratch
-	write := func(b int64) bool {
+	write := func(b int64, ok bool) bool {
+		if !ok { // retired
+			select {
+			case err := <-refused:
+				writeError(w, errCodeOther, err)
+			default:
+			}
+			return false
+		}
 		typ := byte(frameAck)
 		var payload []byte
 		if b == byeOKSentinel {
@@ -595,7 +616,7 @@ func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{
 	for {
 		select {
 		case b, ok := <-ch:
-			if !ok || !write(b) {
+			if !write(b, ok) {
 				return
 			}
 		case <-done:
@@ -604,7 +625,7 @@ func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{
 			for {
 				select {
 				case b, ok := <-ch:
-					if !ok || !write(b) {
+					if !write(b, ok) {
 						return
 					}
 				default:
@@ -806,13 +827,14 @@ func (a *agentState) retireConn() {
 	a.gen++
 }
 
-// finishConn ends the agent's connection after a Bye: the ack writer
-// emits the ByeOK confirmation, then exits and closes the connection
-// itself — closing here would race the confirmation off the wire and
-// leave the agent's Close redialing a session that already ended.
-func (a *agentState) finishConn() {
+// handOffConn ends the agent's connection through its ack writer,
+// which sends what is still owed — the ByeOK confirmation after a Bye,
+// the Error reply to a refused frame — then exits and closes the
+// connection itself. Closing here would race that frame off the wire:
+// a lost ByeOK leaves the agent's Close redialing a session that already
+// ended, and a lost refusal has the agent replay the refused frame.
+func (a *agentState) handOffConn() {
 	if a.conn != nil {
-		pushLatest(a.ackCh, byeOKSentinel)
 		close(a.ackCh)
 		a.conn, a.ackCh = nil, nil // the ack writer owns closing conn
 	}
@@ -960,8 +982,9 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		}
 		if st.conn != nil {
 			s.forget(st.conn) // the ack writer closes it after the ByeOK
+			pushLatest(st.ackCh, byeOKSentinel)
 		}
-		st.finishConn()
+		st.handOffConn()
 		st.status = statusBye
 		c.met.Agent(ev.id).SetStatus(metrics.StatusBye)
 	case evConnErr:
@@ -969,7 +992,12 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		if ev.gen != st.gen {
 			return nil
 		}
-		st.retireConn()
+		if errors.As(ev.err, new(refusal)) {
+			s.forget(st.conn) // the ack writer closes it after the Error reply
+			st.handOffConn()
+		} else {
+			st.retireConn()
+		}
 		if c.cc.Policy == CloseWithout {
 			st.status = statusDead
 		} else {
@@ -1047,13 +1075,14 @@ func (c *Collector) handleHello(s *session, ev event) {
 	}
 	resume := st.tail()
 	st.ackCh = make(chan int64, 1)
+	refused := make(chan error, 1)
 	s.writers.Add(1)
 	ch := st.ackCh
 	go func() {
 		defer s.writers.Done()
-		ackWriter(ev.conn, ch, resume, s.done)
+		ackWriter(ev.conn, ch, refused, resume, s.done)
 	}()
 	c.met.Agent(h.agentID).SetLastAcked(resume)
 	c.met.Agent(h.agentID).SetStatus(metrics.StatusLive)
-	ev.reply <- helloReply{gen: st.gen, credits: st.credits, free: st.free}
+	ev.reply <- helloReply{gen: st.gen, credits: st.credits, free: st.free, refused: refused}
 }

@@ -78,6 +78,14 @@ const (
 // confirmation it was waiting for.
 var errSessionEnded = errors.New("wire: collector already ended this agent's stream")
 
+// refusal marks a frame error in the frame itself rather than in its
+// transport: a reserved type or a length over its type's limit, an
+// unexpected type, a payload that does not decode, or a boundary out of
+// order. After the handshake the collector answers a refusal with an
+// Error frame, which ends the agent's stream; a transport error (EOF,
+// reset) just drops the connection, and the agent redials.
+type refusal struct{ error }
+
 // protoVersion is the framing/handshake version; bump together with any
 // protocol-shape change. Version 3 is the survivable, bidirectional
 // stream: Hello carries a resume boundary, and the collector answers
@@ -114,7 +122,7 @@ func frameLimit(typ byte) (uint32, error) {
 	case frameBye, frameByeOK:
 		return 1, nil // the type byte alone
 	case frameSnapshot:
-		return 0, fmt.Errorf("wire: unexpected frame type %d (reserved)", typ)
+		return 0, refusal{fmt.Errorf("wire: unexpected frame type %d (reserved)", typ)}
 	default:
 		return maxControlLen, nil
 	}
@@ -166,7 +174,7 @@ func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 || n > limit {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range for type %d", n, typ)
+		return 0, nil, refusal{fmt.Errorf("wire: frame length %d out of range for type %d", n, typ)}
 	}
 	buf = hdr
 	need := int(n - 1)

@@ -178,14 +178,6 @@ func (s *Session) IncEmitted() {
 	}
 }
 
-// Emitted returns the number of reports emitted so far.
-func (s *Session) Emitted() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.emitted.Load()
-}
-
 // IncFramesRelayed counts a merged interval frame a relay actually
 // shipped upstream (boundaries a resumed relay re-closed but the parent
 // already held are not counted).

@@ -29,10 +29,6 @@ func TestSessionJSONShape(t *testing.T) {
 	a0.IncLateDrops()
 	a0.IncDupDrops()
 
-	if got := s.Emitted(); got != 2 {
-		t.Fatalf("Emitted() = %d, want 2", got)
-	}
-
 	var v struct {
 		LastClosed int64 `json:"last_closed_boundary"`
 		Emitted    int64 `json:"reports_emitted"`
@@ -73,9 +69,6 @@ func TestNilSafety(t *testing.T) {
 	var s *Session
 	s.SetLastClosed(1)
 	s.IncEmitted()
-	if got := s.Emitted(); got != 0 {
-		t.Fatalf("nil session Emitted() = %d", got)
-	}
 	if got := s.String(); got != "null" {
 		t.Fatalf("nil session String() = %q, want null", got)
 	}

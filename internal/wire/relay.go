@@ -202,8 +202,8 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 	if rc.LeafBase == 0 {
 		rc.LeafBase = rc.AgentID * rc.Children
 	}
-	if rc.LeafBase+rc.Children > maxLeafSpan {
-		return nil, fmt.Errorf("wire: relay leaf span [%d,%d) exceeds %d",
+	if rc.LeafBase < 0 || rc.LeafBase+rc.Children > maxLeafSpan {
+		return nil, fmt.Errorf("wire: relay leaf span [%d,%d) outside [0,%d)",
 			rc.LeafBase, rc.LeafBase+rc.Children, maxLeafSpan)
 	}
 	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{

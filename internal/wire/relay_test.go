@@ -134,6 +134,7 @@ func TestNewRelayValidation(t *testing.T) {
 		{"no parent", wire.RelayConfig{Children: 1}},
 		{"resume without checkpoint", wire.RelayConfig{Children: 1, Parent: "h:1", Resume: true}},
 		{"leaf span too wide", wire.RelayConfig{Children: 2, Parent: "h:1", LeafBase: 1 << 20}},
+		{"negative leaf base", wire.RelayConfig{Children: 2, Parent: "h:1", LeafBase: -1}},
 		{"missing checkpoint file", wire.RelayConfig{
 			Children: 1, Parent: "h:1", Resume: true, CheckpointPath: "no/such/checkpoint",
 		}},

@@ -3,13 +3,16 @@ package wire_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
@@ -241,12 +244,13 @@ func TestDecodeRejectsNonCanonicalHistogramValues(t *testing.T) {
 // Protocol constants mirrored from the wire package (which keeps them
 // unexported); the error-path tests pin them as wire-format facts.
 const (
-	rawFrameHello    = 1
-	rawFrameSnapshot = 2 // reserved; rejected
-	rawFrameBye      = 3
-	rawFrameHelloOK  = 6
-	rawFrameError    = 7
-	rawFrameByeOK    = 8
+	rawFrameHello        = 1
+	rawFrameSnapshot     = 2 // reserved; rejected
+	rawFrameBye          = 3
+	rawFrameOpenInterval = 4
+	rawFrameHelloOK      = 6
+	rawFrameError        = 7
+	rawFrameByeOK        = 8
 )
 
 // writeRawFrame writes one length-prefixed frame: uint32 big-endian
@@ -419,13 +423,15 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 				// The retired full-snapshot frame type a pre-v3 agent
 				// shipped each interval. The type alone decides: whatever
 				// the payload (here a boundary and an empty open interval),
-				// no collector absorbs it any more; the connection fails
-				// ("unexpected frame type"), the session does not.
+				// no collector absorbs it any more. The connection is
+				// refused with an Error reply, which ends the agent's
+				// stream instead of inviting a replay; the session goes on.
 				payload := binary.AppendVarint(nil, 900_000)
 				payload = append(payload, wireCodecVersion, 0, 0)
 				writeRawFrame(t, conn, rawFrameSnapshot, payload)
 			},
-			silent: true,
+			wantCode: 0, // errCodeOther
+			wantMsg:  "unexpected frame type 2",
 		},
 		{
 			name: "zero-length frame",
@@ -498,6 +504,110 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 				t.Fatalf("session emitted %d reports, want 1 parity report", n)
 			}
 		})
+	}
+}
+
+// corruptingConn flips the last byte of every interval frame the agent
+// writes, whatever the Write calls' split of the byte stream.
+type corruptingConn struct {
+	net.Conn
+	hdr  []byte // header bytes of the next frame seen so far
+	typ  byte   // type of the frame being written
+	left int    // bytes of that frame's payload still to come
+}
+
+func (c *corruptingConn) Write(p []byte) (int, error) {
+	q := slices.Clone(p)
+	for i, b := range q {
+		if c.left == 0 {
+			if c.hdr = append(c.hdr, b); len(c.hdr) == 5 {
+				c.left, c.typ = int(binary.BigEndian.Uint32(c.hdr))-1, c.hdr[4]
+				c.hdr = c.hdr[:0]
+			}
+			continue
+		}
+		if c.left--; c.left == 0 && c.typ == rawFrameOpenInterval {
+			q[i] ^= 0xff
+		}
+	}
+	return c.Conn.Write(q)
+}
+
+// TestAgentRefusedFrameEndsStream pins the answer to a frame the
+// collector refuses after the handshake: an Error reply, which the
+// agent takes as permanent. A silent close would have the agent redial,
+// pass the handshake with a fresh retry budget and replay the same
+// frame forever.
+func TestAgentRefusedFrameEndsStream(t *testing.T) {
+	cfg := gridtest.Config()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	// The default policy holds the session open for the agent forever,
+	// so the test ends it once the agent has given up.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- coll.Serve(ctx, ln, func(*core.Report) error { return nil })
+	}()
+
+	var dials atomic.Int32
+	agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{
+		Retry:        wire.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
+		ReplayBuffer: 1,
+		Dialer: func() (net.Conn, error) {
+			dials.Add(1)
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			return &corruptingConn{Conn: conn}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	trace := gridtest.Trace(4, 500, -1)
+	p, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	shipped := make(chan error, 1)
+	go func() {
+		for i, recs := range trace {
+			p.ObserveBatch(recs)
+			if err := agent.ShipOpenInterval(int64(i+1)*900_000, p.DrainOpenInterval()); err != nil {
+				shipped <- err
+				return
+			}
+		}
+		shipped <- agent.Close()
+	}()
+	select {
+	case err := <-shipped:
+		if err == nil || !strings.Contains(err.Error(), "rejected") {
+			t.Fatalf("agent over a corrupting link ended with %v, want the collector's refusal", err)
+		}
+	case <-time.After(5 * time.Second):
+		cancel() // closes the listener, so the agent's next redial fails
+		t.Fatalf("no ship error after 5s and %d dials: the refused frame is being replayed", dials.Load())
+	}
+	if n := dials.Load(); n > 2 {
+		t.Errorf("agent dialed %d times, want at most 2", n)
+	}
+	cancel()
+	if err := <-serveErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("collector: %v, want the test's cancellation", err)
 	}
 }
 

@@ -239,8 +239,10 @@ type (
 	// open interval upward without ever running detection — only the
 	// tree's root owns detection history and emits reports.
 	WireRelay = wire.Relay
-	// RelayConfig parameterizes a relay node: fan-in, position in the
-	// tree, upstream address, and checkpoint/resume options.
+	// RelayConfig parameterizes a relay node: the CollectorConfig of its
+	// child-facing session (fan-in as Agents, policy, checkpoint/resume,
+	// metrics) and its place upstream (agent ID, parent, leaf base,
+	// retry).
 	RelayConfig = wire.RelayConfig
 )
 
@@ -340,10 +342,11 @@ func NewCollectorWithConfig(cfg Config, cc CollectorConfig) (*WireCollector, err
 
 // NewRelay builds a federation relay node; drive it with Serve on a
 // TCP listener facing its children. cfg must match the whole tree's
-// detection configuration (digest-checked on every edge). A relay
-// never acks a child's boundary before the boundary is either acked by
-// its own parent or durably checkpointed, so no tier of the tree can
-// lose or duplicate an interval.
+// detection configuration (digest-checked on every edge), and
+// rc.Collector is checked as NewCollectorWithConfig checks a root's. A
+// relay never acks a child's boundary before the boundary is either
+// acked by its own parent or durably checkpointed, so no tier of the
+// tree can lose or duplicate an interval.
 func NewRelay(cfg Config, rc RelayConfig) (*WireRelay, error) {
 	return wire.NewRelay(cfg, rc)
 }

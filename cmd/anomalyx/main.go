@@ -72,7 +72,6 @@ type options struct {
 	in       string
 	connect  string
 	listen   string
-	agents   int
 	agentID  int
 	leafBase int
 	interval time.Duration
@@ -91,14 +90,11 @@ type options struct {
 	top      int
 	verbose  bool
 
-	// Fault-tolerance knobs (protocol v3).
-	metricsAddr string
-	partial     string
-	holdTimeout time.Duration
-	checkpoint  string
-	resume      bool
-	retryMax    int
-	retryBase   time.Duration
+	// coll configures the collector session of the collector and relay
+	// modes, retry the redials of the agent and relay modes.
+	coll    anomalyx.CollectorConfig
+	partial string
+	retry   anomalyx.RetryConfig
 }
 
 // parseArgs parses the command line (without the program name) into
@@ -111,7 +107,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.in, "in", "", "input NetFlow v5 trace file (required for run and agent modes)")
 	fs.StringVar(&o.connect, "connect", "", "upstream collector address to ship to (agent and relay modes)")
 	fs.StringVar(&o.listen, "listen", "", "address to accept child connections on (collector and relay modes)")
-	fs.IntVar(&o.agents, "agents", 0, "number of child connections to accept (collector and relay modes)")
+	fs.IntVar(&o.coll.Agents, "agents", 0, "number of child connections to accept (collector and relay modes)")
 	fs.IntVar(&o.agentID, "agent-id", -1, "this node's agent ID on its upstream, in [0, upstream fan-in) (agent and relay modes)")
 	fs.IntVar(&o.leafBase, "leaf-base", 0, "first global leaf ID under this relay (0 = agent-id times agents, the balanced-tree numbering) (relay mode)")
 	fs.DurationVar(&o.interval, "interval", 15*time.Minute, "measurement interval length")
@@ -129,13 +125,13 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.depth, "pipeline-depth", 1, "measurement intervals open at once: 1 closes intervals inline, N > 1 overlaps up to N-1 interval closes with ingestion (reports stay byte-identical) (run mode)")
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
-	fs.StringVar(&o.metricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector and relay modes)")
+	fs.StringVar(&o.coll.MetricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector and relay modes)")
 	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent is down: hold (wait up to -hold-timeout) or close (close without it) (collector and relay modes)")
-	fs.DurationVar(&o.holdTimeout, "hold-timeout", 0, "how long -partial hold waits for a disconnected agent before closing without it (0 = forever) (collector and relay modes)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector and relay modes)")
-	fs.BoolVar(&o.resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector and relay modes)")
-	fs.IntVar(&o.retryMax, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent and relay modes)")
-	fs.DurationVar(&o.retryBase, "retry-base", 0, "base redial backoff delay (0 = default 100ms) (agent and relay modes)")
+	fs.DurationVar(&o.coll.HoldTimeout, "hold-timeout", 0, "how long -partial hold waits for a disconnected agent before closing without it (0 = forever) (collector and relay modes)")
+	fs.StringVar(&o.coll.CheckpointPath, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector and relay modes)")
+	fs.BoolVar(&o.coll.Resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector and relay modes)")
+	fs.IntVar(&o.retry.MaxAttempts, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent and relay modes)")
+	fs.DurationVar(&o.retry.BaseDelay, "retry-base", 0, "base redial backoff delay (0 = default 100ms) (agent and relay modes)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -145,62 +141,54 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	if o.top < 0 {
 		return nil, fmt.Errorf("anomalyx: -top must be >= 0, got %d", o.top)
 	}
+	if o.workers < 0 {
+		return nil, fmt.Errorf("anomalyx: -workers must be >= 0, got %d", o.workers)
+	}
+	if o.interval < 0 {
+		return nil, fmt.Errorf("anomalyx: -interval must be >= 0, got %v", o.interval)
+	}
+	if o.coll.HoldTimeout < 0 {
+		return nil, fmt.Errorf("anomalyx: -hold-timeout must be >= 0, got %v", o.coll.HoldTimeout)
+	}
 	switch o.mode {
-	case "run":
+	case "run", "agent":
 		if o.in == "" {
 			return nil, fmt.Errorf("anomalyx: -in is required")
 		}
-	case "agent":
-		if o.in == "" {
-			return nil, fmt.Errorf("anomalyx: -in is required")
-		}
-		if o.connect == "" {
-			return nil, fmt.Errorf("anomalyx: agent mode requires -connect")
-		}
-		if o.agentID < 0 {
-			return nil, fmt.Errorf("anomalyx: agent mode requires -agent-id >= 0")
-		}
-		if o.depth > 1 {
-			// An agent ships each interval inline; there is no close to overlap.
-			return nil, fmt.Errorf("anomalyx: agent mode closes intervals inline; -pipeline-depth must be 1, got %d", o.depth)
-		}
-	case "collector":
+	case "collector", "relay":
 		if o.listen == "" {
-			return nil, fmt.Errorf("anomalyx: collector mode requires -listen")
+			return nil, fmt.Errorf("anomalyx: %s mode requires -listen", o.mode)
 		}
-		if o.agents < 1 {
-			return nil, fmt.Errorf("anomalyx: collector mode requires -agents >= 1")
+		if o.coll.Agents < 1 {
+			return nil, fmt.Errorf("anomalyx: %s mode requires -agents >= 1", o.mode)
 		}
-		if o.partial != "hold" && o.partial != "close" {
+		switch o.partial {
+		case "hold":
+		case "close":
+			o.coll.Policy = anomalyx.CloseWithout
+		default:
 			return nil, fmt.Errorf("anomalyx: -partial must be hold or close, got %q", o.partial)
 		}
-		if o.resume && o.checkpoint == "" {
+		if o.coll.Resume && o.coll.CheckpointPath == "" {
 			return nil, fmt.Errorf("anomalyx: -resume requires -checkpoint")
-		}
-	case "relay":
-		if o.listen == "" {
-			return nil, fmt.Errorf("anomalyx: relay mode requires -listen")
-		}
-		if o.connect == "" {
-			return nil, fmt.Errorf("anomalyx: relay mode requires -connect")
-		}
-		if o.agentID < 0 {
-			return nil, fmt.Errorf("anomalyx: relay mode requires -agent-id >= 0")
-		}
-		if o.agents < 1 {
-			return nil, fmt.Errorf("anomalyx: relay mode requires -agents >= 1")
-		}
-		if o.partial != "hold" && o.partial != "close" {
-			return nil, fmt.Errorf("anomalyx: -partial must be hold or close, got %q", o.partial)
-		}
-		if o.resume && o.checkpoint == "" {
-			return nil, fmt.Errorf("anomalyx: -resume requires -checkpoint")
-		}
-		if o.leafBase < 0 {
-			return nil, fmt.Errorf("anomalyx: -leaf-base must be >= 0, got %d", o.leafBase)
 		}
 	default:
 		return nil, fmt.Errorf("anomalyx: unknown mode %q", o.mode)
+	}
+	if o.mode == "agent" || o.mode == "relay" {
+		if o.connect == "" {
+			return nil, fmt.Errorf("anomalyx: %s mode requires -connect", o.mode)
+		}
+		if o.agentID < 0 {
+			return nil, fmt.Errorf("anomalyx: %s mode requires -agent-id >= 0", o.mode)
+		}
+	}
+	if o.mode == "agent" && o.depth > 1 {
+		// An agent ships each interval inline; there is no close to overlap.
+		return nil, fmt.Errorf("anomalyx: agent mode closes intervals inline; -pipeline-depth must be 1, got %d", o.depth)
+	}
+	if o.leafBase < 0 {
+		return nil, fmt.Errorf("anomalyx: -leaf-base must be >= 0, got %d", o.leafBase)
 	}
 	return o, nil
 }
@@ -343,10 +331,7 @@ func runAgent(o *options, in io.Reader, out io.Writer) (intervals int, err error
 		Addr:    o.connect,
 		AgentID: o.agentID,
 		Shards:  o.shards,
-		Retry: anomalyx.RetryConfig{
-			MaxAttempts: o.retryMax,
-			BaseDelay:   o.retryBase,
-		},
+		Retry:   o.retry,
 	})
 	if err != nil {
 		return 0, err
@@ -376,30 +361,19 @@ func runAgent(o *options, in io.Reader, out io.Writer) (intervals int, err error
 	return intervals, nil
 }
 
-// serveCollector accepts o.agents connections on ln and prints the
+// serveCollector accepts o.coll.Agents connections on ln and prints the
 // merged per-interval reports, exactly as a local run would.
 func serveCollector(o *options, ln net.Listener, out io.Writer) (intervals, alarms int, err error) {
 	engCfg, err := o.engineConfig()
 	if err != nil {
 		return 0, 0, err
 	}
-	policy := anomalyx.HoldWithTimeout
-	if o.partial == "close" {
-		policy = anomalyx.CloseWithout
-	}
-	coll, err := anomalyx.NewCollectorWithConfig(engCfg.Pipeline, anomalyx.CollectorConfig{
-		Agents:         o.agents,
-		Policy:         policy,
-		HoldTimeout:    o.holdTimeout,
-		CheckpointPath: o.checkpoint,
-		Resume:         o.resume,
-		MetricsAddr:    o.metricsAddr,
-	})
+	coll, err := anomalyx.NewCollectorWithConfig(engCfg.Pipeline, o.coll)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer coll.Close()
-	if o.metricsAddr != "" {
+	if o.coll.MetricsAddr != "" {
 		// Also publish on the process-global expvar registry, so a
 		// /debug/vars scraper pointed at -metrics sees the session under
 		// a stable name.
@@ -421,7 +395,7 @@ func serveCollector(o *options, ln net.Listener, out io.Writer) (intervals, alar
 	return intervals, alarms, err
 }
 
-// runRelay accepts o.agents child connections on ln, merges their
+// runRelay accepts o.coll.Agents child connections on ln, merges their
 // interval frames, and ships each merged interval to the parent at
 // o.connect. No detection happens here and nothing is printed per
 // interval — the tree's root emits the reports.
@@ -430,30 +404,18 @@ func runRelay(o *options, ln net.Listener) error {
 	if err != nil {
 		return err
 	}
-	policy := anomalyx.HoldWithTimeout
-	if o.partial == "close" {
-		policy = anomalyx.CloseWithout
-	}
 	rel, err := anomalyx.NewRelay(engCfg.Pipeline, anomalyx.RelayConfig{
-		Children:       o.agents,
-		AgentID:        o.agentID,
-		Parent:         o.connect,
-		LeafBase:       o.leafBase,
-		Policy:         policy,
-		HoldTimeout:    o.holdTimeout,
-		CheckpointPath: o.checkpoint,
-		Resume:         o.resume,
-		MetricsAddr:    o.metricsAddr,
-		Retry: anomalyx.RetryConfig{
-			MaxAttempts: o.retryMax,
-			BaseDelay:   o.retryBase,
-		},
+		Collector: o.coll,
+		AgentID:   o.agentID,
+		Parent:    o.connect,
+		LeafBase:  o.leafBase,
+		Retry:     o.retry,
 	})
 	if err != nil {
 		return err
 	}
 	defer rel.Close()
-	if o.metricsAddr != "" {
+	if o.coll.MetricsAddr != "" {
 		expvar.Publish("anomalyx.relay", rel.Metrics())
 	}
 	return rel.Serve(context.Background(), ln)
@@ -479,7 +441,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nmerged %d intervals from %d agents, %d alarms\n", intervals, o.agents, alarms)
+		fmt.Printf("\nmerged %d intervals from %d agents, %d alarms\n", intervals, o.coll.Agents, alarms)
 	case "relay":
 		ln, err := net.Listen("tcp", o.listen)
 		if err != nil {
@@ -489,7 +451,7 @@ func main() {
 		if err := runRelay(o, ln); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nrelayed %d children to %s\n", o.agents, o.connect)
+		fmt.Printf("\nrelayed %d children to %s\n", o.coll.Agents, o.connect)
 	case "agent":
 		f, err := os.Open(o.in)
 		if err != nil {

@@ -61,6 +61,20 @@ func TestParseArgsDefaultsAndErrors(t *testing.T) {
 	if o, err := parseArgs([]string{"-in", "x", "-top", "0"}, io.Discard); err != nil || o.top != 0 {
 		t.Fatalf("-top 0: %v", err)
 	}
+	// Negative durations and worker counts are usage errors, not a
+	// default in disguise; 0 keeps its documented meaning.
+	for _, bad := range [][]string{
+		{"-in", "x", "-interval", "-5m"},
+		{"-in", "x", "-workers", "-3"},
+		{"-mode", "collector", "-listen", ":1", "-agents", "2", "-hold-timeout", "-1s"},
+	} {
+		if _, err := parseArgs(bad, io.Discard); err == nil {
+			t.Fatalf("args %v accepted", bad)
+		}
+	}
+	if o, err := parseArgs([]string{"-in", "x", "-interval", "0", "-hold-timeout", "0"}, io.Discard); err != nil || o.interval != 0 {
+		t.Fatalf("-interval 0 -hold-timeout 0: %v", err)
+	}
 }
 
 func TestEngineConfigValidation(t *testing.T) {
@@ -231,11 +245,11 @@ func TestParseArgsModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.mode != "collector" || o.listen != ":1" || o.agents != 3 {
+	if o.mode != "collector" || o.listen != ":1" || o.coll.Agents != 3 {
 		t.Fatalf("collector flags not plumbed: %+v", o)
 	}
-	if o.partial != "close" || o.holdTimeout != 30*time.Second ||
-		o.checkpoint != "cp.axcp" || !o.resume || o.metricsAddr != ":9000" {
+	if o.coll.Policy != anomalyx.CloseWithout || o.coll.HoldTimeout != 30*time.Second ||
+		o.coll.CheckpointPath != "cp.axcp" || !o.coll.Resume || o.coll.MetricsAddr != ":9000" {
 		t.Fatalf("fault-tolerance flags not plumbed: %+v", o)
 	}
 	// Relay mode is both halves at once: it must name its upstream like
@@ -249,10 +263,10 @@ func TestParseArgsModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.mode != "relay" || o.listen != ":2" || o.connect != "root:1" ||
-		o.agentID != 1 || o.agents != 2 || o.leafBase != 6 {
+		o.agentID != 1 || o.coll.Agents != 2 || o.leafBase != 6 {
 		t.Fatalf("relay flags not plumbed: %+v", o)
 	}
-	if o.partial != "close" || o.checkpoint != "relay.axrp" || !o.resume {
+	if o.coll.Policy != anomalyx.CloseWithout || o.coll.CheckpointPath != "relay.axrp" || !o.coll.Resume {
 		t.Fatalf("relay fault-tolerance flags not plumbed: %+v", o)
 	}
 	for _, bad := range [][]string{

@@ -125,10 +125,12 @@ func TestExtractOfflineMinerError(t *testing.T) {
 }
 
 // TestExtractOfflineConfigValidation: the offline entry point accepts
-// exactly the support settings the pipeline constructor accepts. A
-// negative absolute support or a relative support outside (0,1] is an
-// error from both, not a silent 5%, an empty mining or a support of 1;
-// an absolute support, as large as the Table II example's, passes both.
+// exactly the support and worker settings the pipeline constructor
+// accepts. A negative absolute support, a relative support outside
+// (0,1] (NaN included) or a negative worker count is an error from
+// both, not a silent 5%, an empty mining, a support of 1 or a third
+// meaning of Workers; an absolute support, as large as the Table II
+// example's, passes both.
 func TestExtractOfflineConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -138,6 +140,8 @@ func TestExtractOfflineConfigValidation(t *testing.T) {
 		{"negative absolute support", Config{MinSupport: -1}, false},
 		{"relative support above 1", Config{RelativeSupport: 2}, false},
 		{"negative relative support", Config{RelativeSupport: -0.5}, false},
+		{"NaN relative support", Config{RelativeSupport: math.NaN()}, false},
+		{"negative workers", Config{Workers: -3}, false},
 		{"defaults", Config{}, true},
 		{"absolute support", Config{MinSupport: 10000}, true},
 		{"absolute support beside an unused relative one", Config{MinSupport: 50, RelativeSupport: 2}, true},

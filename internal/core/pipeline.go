@@ -73,15 +73,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects the support settings no extraction can use; both
-// entry points, NewPartitioned and ExtractOffline, call it after
-// withDefaults.
+// validate rejects the support and worker settings no extraction can
+// use; both entry points, NewPartitioned and ExtractOffline, call it
+// after withDefaults.
 func (c Config) validate() error {
 	if c.MinSupport < 0 {
 		return fmt.Errorf("core: negative minimum support %d", c.MinSupport)
 	}
-	if c.MinSupport == 0 && (c.RelativeSupport <= 0 || c.RelativeSupport > 1) {
+	if c.MinSupport == 0 && !(c.RelativeSupport > 0 && c.RelativeSupport <= 1) {
 		return fmt.Errorf("core: relative support %v out of (0,1]", c.RelativeSupport)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: negative worker count %d", c.Workers)
 	}
 	return nil
 }

@@ -87,6 +87,9 @@ func (c Config) validate() error {
 	if c.Votes < 1 || c.Votes > c.Clones {
 		return fmt.Errorf("detector: votes l=%d out of range [1,%d]", c.Votes, c.Clones)
 	}
+	if !(c.Alpha > 0) || math.IsInf(c.Alpha, 1) { // 0 is the default 3 by now
+		return fmt.Errorf("detector: threshold multiplier alpha=%v is not a positive finite number", c.Alpha)
+	}
 	// The window must hold the training samples, or Threshold never
 	// reports a trained detector and no alarm is ever raised.
 	if c.TrainIntervals < 0 || c.HistoryWindow < 0 || c.TrainIntervals > c.HistoryWindow {

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -68,24 +69,34 @@ func TestConfigValidation(t *testing.T) {
 // hold the training samples: a longer training never ends, so the
 // detector could never alarm, and a negative window panics at the
 // first close.
+//
+// It holds Alpha to a positive finite multiplier too: a negative one
+// makes the threshold negative, so nearly every interval alarms, and a
+// NaN or infinite one never alarms. 0 still takes the default 3.
 func TestTrainingWindowValidation(t *testing.T) {
 	for _, tc := range []struct {
 		train, window int
+		alpha         float64
 		ok            bool
 	}{
-		{0, 0, true},       // defaults: 12 of 192
-		{192, 0, true},     // the whole default window
-		{193, 0, false},    // one interval more than the default window
-		{200, 0, false},    // -train 200 at the default window
-		{8, 8, true},       // equal
-		{9, 8, false},      // one more than the window
-		{-1, 0, false},     // negative training
-		{0, -1, false},     // negative window
-		{1, 1 << 20, true}, // a window far beyond training
+		{0, 0, 0, true},       // defaults: 12 of 192
+		{192, 0, 0, true},     // the whole default window
+		{193, 0, 0, false},    // one interval more than the default window
+		{200, 0, 0, false},    // -train 200 at the default window
+		{8, 8, 0, true},       // equal
+		{9, 8, 0, false},      // one more than the window
+		{-1, 0, 0, false},     // negative training
+		{0, -1, 0, false},     // negative window
+		{1, 1 << 20, 0, true}, // a window far beyond training
+		{0, 0, 2.5, true},     // an explicit alpha
+		{0, 0, -3, false},     // negative alpha
+		{0, 0, math.NaN(), false},
+		{0, 0, math.Inf(1), false},
+		{0, 0, math.Inf(-1), false},
 	} {
-		_, err := New(Config{Feature: flow.SrcIP, TrainIntervals: tc.train, HistoryWindow: tc.window})
+		_, err := New(Config{Feature: flow.SrcIP, TrainIntervals: tc.train, HistoryWindow: tc.window, Alpha: tc.alpha})
 		if (err == nil) != tc.ok {
-			t.Errorf("TrainIntervals %d, HistoryWindow %d: err = %v, want ok %v", tc.train, tc.window, err, tc.ok)
+			t.Errorf("TrainIntervals %d, HistoryWindow %d, Alpha %v: err = %v, want ok %v", tc.train, tc.window, tc.alpha, err, tc.ok)
 		}
 	}
 }

@@ -58,7 +58,7 @@ type Config struct {
 	// runs one partition. A zero Pipeline.Workers then means max(1,
 	// GOMAXPROCS / partitions) worker goroutines per partition.
 	Shards int
-	// IntervalLen is the measurement-interval length Delta (default the
+	// IntervalLen is the measurement-interval length Delta (0 takes the
 	// paper's 15 minutes). Interval boundaries are aligned to multiples
 	// of IntervalLen from the epoch, seeded by the first record.
 	IntervalLen time.Duration
@@ -83,7 +83,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.IntervalLen <= 0 {
+	if c.IntervalLen == 0 {
 		c.IntervalLen = 15 * time.Minute
 	}
 	if c.Buffer <= 0 {
@@ -205,7 +205,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.IntervalLen < time.Millisecond {
 		// Flow timestamps are in milliseconds; anything finer truncates
-		// to a zero-length boundary grid.
+		// to a zero-length boundary grid, and a negative one has none.
 		return nil, fmt.Errorf("engine: interval length %v below 1ms resolution", cfg.IntervalLen)
 	}
 	if cfg.Shards < 0 {

@@ -129,10 +129,13 @@ func TestEngineErrorSurfacesOnLiveStream(t *testing.T) {
 
 // TestEngineRejectsSubMillisecondInterval: flow timestamps have 1ms
 // resolution; a finer interval would truncate to a zero-length grid and
-// divide by zero in the processing goroutine.
+// divide by zero in the processing goroutine. A negative interval is
+// refused too, not read as the 15-minute default a zero one takes.
 func TestEngineRejectsSubMillisecondInterval(t *testing.T) {
-	if _, err := New(Config{Pipeline: testConfig(1), IntervalLen: 500 * time.Microsecond}); err == nil {
-		t.Fatal("sub-millisecond interval accepted")
+	for _, d := range []time.Duration{500 * time.Microsecond, -5 * time.Minute, -time.Nanosecond} {
+		if _, err := New(Config{Pipeline: testConfig(1), IntervalLen: d}); err == nil {
+			t.Errorf("interval %v accepted", d)
+		}
 	}
 }
 

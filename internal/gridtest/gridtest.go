@@ -13,8 +13,10 @@
 package gridtest
 
 import (
+	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -111,18 +113,16 @@ func Reference(t testing.TB, cfg core.Config, trace [][]flow.Record) []*core.Rep
 }
 
 // Equal fails t unless got holds want's reports, interval for interval,
-// each reflect.DeepEqual to its counterpart and with a nil Partial.
-// Over more than one partition the KeepSuspicious slice is compared as
-// a multiset: partitioning regroups it by partition (see core.Report).
+// each reflect.DeepEqual to its counterpart, Partial included (nil in
+// Reference's reports). Over more than one partition the KeepSuspicious
+// slice is compared as a multiset: partitioning regroups it by
+// partition (see core.Report).
 func Equal(t testing.TB, got, want []*core.Report, partitions int) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d reports, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Partial != nil {
-			t.Fatalf("interval %d: Partial %v, want nil", i, got[i].Partial)
-		}
 		g, w := *got[i], *want[i]
 		if partitions > 1 {
 			if !sameMultiset(g.Suspicious, w.Suspicious) {
@@ -166,22 +166,56 @@ func differing(g, w core.Report) []string {
 	return names
 }
 
-// NoLeak records the running goroutine count and, when t's test ends,
-// polls until the count is back at that baseline, failing t with every
-// goroutine's stack if it is not within five seconds. Exiting
-// goroutines may lag the Close that stops them by a scheduler tick, so
-// the check retries with bounded sleeps instead of reading once.
+// NoLeak records the running goroutine count and the process's open
+// descriptors and, when t's test ends, polls until both counts are back
+// at that baseline, failing t with every goroutine's stack and every
+// new descriptor's link target if they are not within five seconds.
+// Exiting goroutines may lag the Close that stops them by a scheduler
+// tick, so the check retries with bounded sleeps instead of reading
+// once. Descriptors are read from /proc/self/fd, and not checked where
+// that directory does not exist.
 func NoLeak(t testing.TB) {
-	base := runtime.NumGoroutine()
+	// The runtime's poller opens descriptors on first use and keeps
+	// them for the process's life: open it before the baseline.
+	if r, w, err := os.Pipe(); err == nil {
+		r.Close()
+		w.Close()
+	}
+	base, baseFDs := runtime.NumGoroutine(), openFDs()
 	t.Cleanup(func() {
-		for try := 0; runtime.NumGoroutine() > base; try++ {
+		for try := 0; ; try++ {
+			fds := openFDs()
+			if runtime.NumGoroutine() <= base && len(fds) <= len(baseFDs) {
+				return
+			}
 			if try == 500 {
+				var leaked []string
+				for fd, target := range fds {
+					if baseFDs[fd] != target {
+						leaked = append(leaked, fd+" -> "+target)
+					}
+				}
+				slices.Sort(leaked)
 				buf := make([]byte, 1<<16)
-				t.Errorf("%d goroutines still running, %d before the test:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				t.Errorf("%d goroutines still running, %d before the test; %d descriptors open, %d before, new: %v\n%s",
+					runtime.NumGoroutine(), base, len(fds), len(baseFDs), leaked, buf[:runtime.Stack(buf, true)])
 				return
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	})
+}
+
+// openFDs maps the process's open descriptors to their link targets;
+// it is nil where /proc/self/fd does not exist.
+func openFDs() map[string]string {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return nil
+	}
+	fds := make(map[string]string, len(ents))
+	for _, e := range ents {
+		fds[e.Name()], _ = os.Readlink("/proc/self/fd/" + e.Name())
+	}
+	return fds
 }

@@ -34,9 +34,10 @@ func fails(f func(t testing.TB)) bool {
 // TestEqual holds the grids' comparator to what it promises: every grid
 // row is only as strong as Equal. It accepts identical reports and, over
 // several partitions, a regrouped Suspicious slice; it rejects a changed
-// field, a missing report, a non-nil Partial, a reordered Suspicious
-// slice on one partition and a changed suspicious record on several.
-// Reference rejects a trace that never mines.
+// field, a missing report, a reordered Suspicious slice on one
+// partition and a changed suspicious record on several. Partial is
+// compared like any other field, both ways. Reference rejects a trace
+// that never mines.
 func TestEqual(t *testing.T) {
 	trace := Trace(10, 1000, 8)
 	cfg := Config()
@@ -85,6 +86,13 @@ func TestEqual(t *testing.T) {
 		if got := fails(func(t testing.TB) { Equal(t, tc.got, want, tc.partitions) }); got != tc.fail {
 			t.Errorf("%s: Equal failed %v, want %v", tc.name, got, tc.fail)
 		}
+	}
+	partial := edited(func(g []*core.Report) []*core.Report {
+		g[0].Partial = []int{1}
+		return g
+	})
+	if fails(func(t testing.TB) { Equal(t, partial, partial, 1) }) || !fails(func(t testing.TB) { Equal(t, want, partial, 1) }) {
+		t.Error("Equal does not hold got's Partial to want's")
 	}
 	if !fails(func(t testing.TB) { Reference(t, Config(), Trace(2, 100, -1)) }) {
 		t.Error("Reference accepted a trace that never mines")

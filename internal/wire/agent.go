@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"time"
 
 	"anomalyx/internal/core"
 )
@@ -194,7 +195,7 @@ func (a *Agent) reconnectLocked(attempts int) error {
 		delay := a.opts.Retry.backoff(attempt, a.rng)
 		a.mu.Unlock()
 		if delay > 0 {
-			a.opts.Retry.Sleep(delay)
+			time.Sleep(delay)
 		}
 		conn, err := a.opts.Dialer()
 		a.mu.Lock()

@@ -18,7 +18,7 @@ import (
 // TestParentCheckpointsReencode holds the checkpoint codec to the
 // version-3 file bytes recorded in testdata (a two-agent collector after
 // three closes; a two-child relay holding two unacked upstream frames,
-// both under the configuration TestResumeFromParentCheckpoints runs):
+// both under the configuration TestFaultGrid's fixture rows run):
 // decode → encode must reproduce each byte for byte. The root file's
 // tail is detection history alone, and both carry the configuration's
 // digest. The magics still tell the roles apart: each file is refused

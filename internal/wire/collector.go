@@ -53,7 +53,8 @@ type CollectorConfig struct {
 	// Policy selects the partial-interval behavior; see PartialPolicy.
 	Policy PartialPolicy
 	// HoldTimeout bounds how long HoldWithTimeout waits for a
-	// disconnected agent before closing without it. 0 holds forever.
+	// disconnected agent before closing without it. 0 holds forever; a
+	// negative timeout is refused.
 	HoldTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the collector write its
 	// durable state there (fsynced temp + atomic rename) after every
@@ -68,19 +69,11 @@ type CollectorConfig struct {
 	// MetricsAddr, when non-empty, serves the session's expvar metrics
 	// over HTTP on that address for the lifetime of Serve.
 	MetricsAddr string
-
-	// queueCap bounds the per-agent pending-frame queue via ingest
-	// credits; 0 takes the default (4). Unexported: tests tune it.
-	queueCap int
 }
 
-// withDefaults resolves the zero values.
-func (c CollectorConfig) withDefaults() CollectorConfig {
-	if c.queueCap == 0 {
-		c.queueCap = 4
-	}
-	return c
-}
+// queueCap bounds each agent's pending-frame queue: the ingest credits
+// its connection's reader holds.
+const queueCap = 4
 
 // agentStatus is the collector's per-agent connection-state machine.
 type agentStatus uint8
@@ -167,9 +160,11 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 // the held frames into the upstream agent's replay buffer, ahead of
 // that agent's first dial.
 func newCollector(cfg core.Config, cc CollectorConfig, fwd *forwarder) (*Collector, error) {
-	cc = cc.withDefaults()
 	if cc.Agents < 1 {
 		return nil, fmt.Errorf("wire: collector needs at least 1 agent, got %d", cc.Agents)
+	}
+	if cc.HoldTimeout < 0 {
+		return nil, fmt.Errorf("wire: negative hold timeout %v", cc.HoldTimeout)
 	}
 	if cc.Resume && cc.CheckpointPath == "" {
 		return nil, fmt.Errorf("wire: Resume requires CheckpointPath")
@@ -372,7 +367,7 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	}
 	s.ag = make([]*agentState, c.cc.Agents)
 	for i := range s.ag {
-		s.ag[i] = &agentState{free: make(chan *intervalDecoder, c.cc.queueCap+1)}
+		s.ag[i] = &agentState{free: make(chan *intervalDecoder, queueCap+1)}
 	}
 	if c.restored != nil {
 		c.restore(s)
@@ -1069,8 +1064,8 @@ func (c *Collector) handleHello(s *session, ev event) {
 	st.retireConn()
 	st.conn = ev.conn
 	st.status = statusLive
-	st.credits = make(chan struct{}, c.cc.queueCap)
-	for i := 0; i < c.cc.queueCap; i++ {
+	st.credits = make(chan struct{}, queueCap)
+	for i := 0; i < queueCap; i++ {
 		st.credits <- struct{}{}
 	}
 	resume := st.tail()

@@ -2,8 +2,10 @@ package wire_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"anomalyx/internal/core"
@@ -104,6 +106,25 @@ func openIntervalOf(s core.PipelineSnapshot) core.OpenInterval {
 		oi.Clones = append(oi.Clones, ds.Clones)
 	}
 	return oi
+}
+
+// renderReport serializes every deterministic report field, Partial
+// included, in the form the open-interval fixtures store reports in.
+// The KeepSuspicious forensic slice is excluded: partitioning regroups
+// it.
+func renderReport(rep *core.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "interval=%d alarm=%v total=%d suspicious=%d minsup=%d R=%v partial=%v\n",
+		rep.Interval, rep.Alarm, rep.TotalFlows, rep.SuspiciousFlows,
+		rep.MinSupport, rep.CostReduction, rep.Partial)
+	fmt.Fprintf(&b, "detection=%+v\n", rep.Detection)
+	if rep.Mining != nil {
+		fmt.Fprintf(&b, "mining=%+v\n", *rep.Mining)
+	}
+	for i := range rep.ItemSets {
+		fmt.Fprintf(&b, "set %s sup=%d\n", rep.ItemSets[i].String(), rep.ItemSets[i].Support)
+	}
+	return b.String()
 }
 
 // TestParentOpenIntervalFrame: the drain of a seeded two-shard interval

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"time"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/wire/metrics"
@@ -124,53 +123,34 @@ type forwarder struct {
 	spanLo, spanLen int
 }
 
-// RelayConfig parameterizes a relay node: its child-facing collector
-// session and its parent-facing agent stream.
+// RelayConfig parameterizes a relay node: the collector session it
+// runs for its children and the agent stream it ships to its parent.
 type RelayConfig struct {
-	// Children is the relay's fan-in; child agent IDs are local,
-	// in [0, Children).
-	Children int
+	// Collector configures the child-facing session as it would a root
+	// collector's. Agents is the relay's fan-in, with local child IDs in
+	// [0, Agents). A relay with a CheckpointPath writes its durable state
+	// there after shipping each merged frame and before acking its
+	// children, which are then settled at once instead of at the
+	// upstream ack; Resume also puts the checkpoint's held upstream
+	// frames back in line ahead of the first dial.
+	Collector CollectorConfig
 	// AgentID is the relay's own ID on its parent, in [0, parent fan-in).
 	AgentID int
 	// Parent is the parent collector's (or parent relay's) address.
 	Parent string
 	// LeafBase is the first global leaf ID of this relay's span; the
-	// relay's children cover [LeafBase, LeafBase+Children). 0 derives
-	// AgentID·Children — the natural numbering for a balanced tree,
-	// which makes the root's absorb order identical to a flat
-	// deployment's. Set it explicitly for irregular trees.
+	// relay's children cover [LeafBase, LeafBase+Collector.Agents). 0
+	// derives AgentID·Collector.Agents — the natural numbering for a
+	// balanced tree, which makes the root's absorb order identical to a
+	// flat deployment's. Set it explicitly for irregular trees.
 	LeafBase int
-	// Policy selects the partial-interval behavior for the child-facing
-	// session; see PartialPolicy.
-	Policy PartialPolicy
-	// HoldTimeout bounds HoldWithTimeout waits, as in CollectorConfig.
-	HoldTimeout time.Duration
-	// CheckpointPath, when non-empty, makes the relay write its durable
-	// state there after shipping each merged frame and before acking its
-	// children — children are then settled immediately instead of
-	// waiting for the upstream ack.
-	CheckpointPath string
-	// Resume makes Serve rehydrate from CheckpointPath before accepting
-	// children: merge counters, per-child dedup lines, and the held
-	// upstream frames continue where the checkpointed relay stopped.
-	// NewRelay refuses a checkpoint written under another detection
-	// configuration.
-	Resume bool
-	// MetricsAddr, when non-empty, serves the relay's expvar metrics
-	// over HTTP on that address for the lifetime of Serve.
-	MetricsAddr string
 	// Retry is the upstream redial policy; see RetryConfig.
 	Retry RetryConfig
 	// ReplayBuffer bounds the upstream replay buffer, as in
 	// AgentOptions.
 	ReplayBuffer int
-	// Dialer overrides the upstream dial (tests move the parent between
-	// listeners); nil dials Parent over TCP.
+	// Dialer overrides the upstream dial; nil dials Parent over TCP.
 	Dialer func() (net.Conn, error)
-
-	// queueCap tunes the child-facing ingest credits, as in
-	// CollectorConfig. Unexported: tests set it.
-	queueCap int
 }
 
 // Relay is a mid-tier federation node: a Collector facing its children
@@ -182,48 +162,38 @@ type RelayConfig struct {
 // child gated on the upstream ack of the merged frame (or on a durable
 // relay checkpoint), so no boundary is lost to a relay crash.
 type Relay struct {
-	c  *Collector
-	rc RelayConfig
+	c *Collector
 }
 
 // NewRelay builds a relay node. cfg must be the same pipeline
 // configuration the whole tree runs; its digest is checked on both
-// faces' handshakes.
+// faces' handshakes. rc.Collector is validated as NewCollector
+// validates a root's.
 func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
-	if rc.Children < 1 {
-		return nil, fmt.Errorf("wire: relay needs at least 1 child, got %d", rc.Children)
-	}
 	if rc.AgentID < 0 {
 		return nil, fmt.Errorf("wire: negative relay agent ID %d", rc.AgentID)
 	}
 	if rc.Parent == "" && rc.Dialer == nil {
 		return nil, fmt.Errorf("wire: relay needs a parent address")
 	}
+	fanIn := rc.Collector.Agents
 	if rc.LeafBase == 0 {
-		rc.LeafBase = rc.AgentID * rc.Children
+		rc.LeafBase = rc.AgentID * fanIn
 	}
-	if rc.LeafBase < 0 || rc.LeafBase+rc.Children > maxLeafSpan {
+	if rc.LeafBase < 0 || rc.LeafBase+fanIn > maxLeafSpan {
 		return nil, fmt.Errorf("wire: relay leaf span [%d,%d) outside [0,%d)",
-			rc.LeafBase, rc.LeafBase+rc.Children, maxLeafSpan)
+			rc.LeafBase, rc.LeafBase+fanIn, maxLeafSpan)
 	}
 	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{
 		Retry:        rc.Retry,
 		ReplayBuffer: rc.ReplayBuffer,
 		Dialer:       rc.Dialer,
 	})
-	c, err := newCollector(cfg, CollectorConfig{
-		Agents:         rc.Children,
-		Policy:         rc.Policy,
-		HoldTimeout:    rc.HoldTimeout,
-		CheckpointPath: rc.CheckpointPath,
-		Resume:         rc.Resume,
-		MetricsAddr:    rc.MetricsAddr,
-		queueCap:       rc.queueCap,
-	}, &forwarder{agent: up, spanLo: rc.LeafBase, spanLen: rc.Children})
+	c, err := newCollector(cfg, rc.Collector, &forwarder{agent: up, spanLo: rc.LeafBase, spanLen: fanIn})
 	if err != nil {
 		return nil, err
 	}
-	return &Relay{c: c, rc: rc}, nil
+	return &Relay{c: c}, nil
 }
 
 // Metrics returns the relay's metrics surface: the child-facing session

@@ -1,9 +1,9 @@
 package wire_test
 
 import (
-	"context"
 	"net"
 	"testing"
+	"time"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/gridtest"
@@ -21,6 +21,7 @@ const rawFrameRelayInterval = 9
 // anything upstream, and a well-formed agent can then take over the
 // same child slot and complete the stream.
 func TestRelayRejectsMalformedChildFrame(t *testing.T) {
+	gridtest.NoLeak(t)
 	trace := gridtest.Trace(4, 1500, 2)
 	cfg := gridtest.Config()
 
@@ -30,52 +31,20 @@ func TestRelayRejectsMalformedChildFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	want := make([]string, 0, len(trace))
-	for _, recs := range trace {
-		single.ObserveBatch(recs)
-		rep, err := single.EndInterval()
-		if err != nil {
+	want := make([]*core.Report, len(trace))
+	for i, recs := range trace {
+		if want[i], err = single.ProcessInterval(recs); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, renderReport(rep))
 	}
 
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Close()
-	var got []string
-	rootErr := make(chan error, 1)
-	go func() {
-		rootErr <- root.Serve(context.Background(), rootLn, func(rep *core.Report) error {
-			got = append(got, renderReport(rep))
-			return nil
-		})
-	}()
-
-	relayLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := wire.NewRelay(cfg, wire.RelayConfig{
-		Children: 1,
-		AgentID:  0,
-		Parent:   rootLn.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayErr := make(chan error, 1)
-	go func() { relayErr <- rel.Serve(context.Background(), relayLn) }()
+	root := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+	relay := &host{cfg: cfg, cc: wire.CollectorConfig{Agents: 1}, rc: &wire.RelayConfig{Dialer: root.dial}}
+	relay.start(t)
 
 	// A hand-rolled connection handshakes correctly, then sends a relay
 	// frame whose payload is garbage.
-	conn, err := net.Dial("tcp", relayLn.Addr().String())
+	conn, err := relay.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,24 +60,15 @@ func TestRelayRejectsMalformedChildFrame(t *testing.T) {
 	conn.Close()
 
 	// A legitimate agent takes over the slot and delivers the stream.
-	runAgent(t, relayLn.Addr().String(), 0, 1, cfg, trace, wire.AgentOptions{})
+	leaf{shards: 1, part: trace, dial: relay.dial}.run(t, cfg)
 
-	if err := <-relayErr; err != nil {
+	if err := relay.end(t); err != nil {
 		t.Fatalf("relay: %v", err)
 	}
-	rel.Close()
-	if err := <-rootErr; err != nil {
+	if err := root.end(t); err != nil {
 		t.Fatalf("root: %v", err)
 	}
-
-	if len(got) != len(want) {
-		t.Fatalf("root closed %d intervals, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interval %d: report differs after malformed-frame recovery:\n got %s\nwant %s", i, got[i], want[i])
-		}
-	}
+	gridtest.Equal(t, root.got, want, 1)
 }
 
 // drainUntilClosed reads conn until the peer severs it (EOF or reset).
@@ -123,28 +83,41 @@ func drainUntilClosed(conn net.Conn) {
 
 // TestNewRelayValidation pins the relay constructor's contract: the
 // rejections, the derived LeafBase numbering, and the metrics surface.
+// The rows with a bad child-facing configuration are NewCollector's
+// rejections, checked once for both constructors.
 func TestNewRelayValidation(t *testing.T) {
 	cfg := gridtest.Config()
 	for _, tc := range []struct {
-		name string
-		rc   wire.RelayConfig
+		name      string
+		rc        wire.RelayConfig
+		collector bool // the Collector field alone is at fault
 	}{
-		{"zero children", wire.RelayConfig{Children: 0, Parent: "h:1"}},
-		{"negative agent ID", wire.RelayConfig{Children: 1, AgentID: -1, Parent: "h:1"}},
-		{"no parent", wire.RelayConfig{Children: 1}},
-		{"resume without checkpoint", wire.RelayConfig{Children: 1, Parent: "h:1", Resume: true}},
-		{"leaf span too wide", wire.RelayConfig{Children: 2, Parent: "h:1", LeafBase: 1 << 20}},
-		{"negative leaf base", wire.RelayConfig{Children: 2, Parent: "h:1", LeafBase: -1}},
+		{"zero children", wire.RelayConfig{Parent: "h:1"}, true},
+		{"negative agent ID", wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 1}, AgentID: -1, Parent: "h:1"}, false},
+		{"no parent", wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 1}}, false},
+		{"resume without checkpoint", wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 1, Resume: true}, Parent: "h:1"}, true},
+		{"leaf span too wide", wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 2}, Parent: "h:1", LeafBase: 1 << 20}, false},
+		{"negative leaf base", wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 2}, Parent: "h:1", LeafBase: -1}, false},
 		{"missing checkpoint file", wire.RelayConfig{
-			Children: 1, Parent: "h:1", Resume: true, CheckpointPath: "no/such/checkpoint",
-		}},
+			Collector: wire.CollectorConfig{Agents: 1, Resume: true, CheckpointPath: "no/such/checkpoint"}, Parent: "h:1",
+		}, true},
+		{"negative hold timeout", wire.RelayConfig{
+			Collector: wire.CollectorConfig{Agents: 1, HoldTimeout: -time.Second}, Parent: "h:1",
+		}, true},
 	} {
 		if _, err := wire.NewRelay(cfg, tc.rc); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+			t.Errorf("%s: relay accepted", tc.name)
+		}
+		if !tc.collector {
+			continue
+		}
+		if coll, err := wire.NewCollector(cfg, tc.rc.Collector); err == nil {
+			coll.Close()
+			t.Errorf("%s: collector accepted", tc.name)
 		}
 	}
 
-	rel, err := wire.NewRelay(cfg, wire.RelayConfig{Children: 2, AgentID: 1, Parent: "h:1"})
+	rel, err := wire.NewRelay(cfg, wire.RelayConfig{Collector: wire.CollectorConfig{Agents: 2}, AgentID: 1, Parent: "h:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ type RetryConfig struct {
 	// Seed seeds the jitter source. The zero seed is a valid seed (all
 	// agents may share it; jitter decorrelates by attempt anyway).
 	Seed int64
-	// Sleep is the delay function, injectable for tests; nil means
-	// time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // withDefaults resolves the zero values.
@@ -42,9 +39,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 10 * time.Second
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
 	}
 	return c
 }

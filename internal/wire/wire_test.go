@@ -21,25 +21,6 @@ import (
 	"anomalyx/internal/wire"
 )
 
-// renderReport serializes every deterministic report field, Partial
-// included, so two reports can be compared for byte identity; the
-// open-interval fixtures store reports in this form. The KeepSuspicious
-// forensic slice is excluded: partitioning regroups it.
-func renderReport(rep *core.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "interval=%d alarm=%v total=%d suspicious=%d minsup=%d R=%v partial=%v\n",
-		rep.Interval, rep.Alarm, rep.TotalFlows, rep.SuspiciousFlows,
-		rep.MinSupport, rep.CostReduction, rep.Partial)
-	fmt.Fprintf(&b, "detection=%+v\n", rep.Detection)
-	if rep.Mining != nil {
-		fmt.Fprintf(&b, "mining=%+v\n", *rep.Mining)
-	}
-	for i := range rep.ItemSets {
-		fmt.Fprintf(&b, "set %s sup=%d\n", rep.ItemSets[i].String(), rep.ItemSets[i].Support)
-	}
-	return b.String()
-}
-
 // TestDrainAbsorbEquivalence pins the agent-side primitive: draining a
 // pipeline's open interval, pushing it through the exported
 // open-interval codec and absorbing the decoded interval into a second
@@ -65,7 +46,7 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 	}
 	defer agent.Close()
 
-	for i, recs := range trace {
+	for _, recs := range trace {
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
 
@@ -89,9 +70,7 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := renderReport(gotRep), renderReport(wantRep); got != want {
-			t.Fatalf("interval %d: drained/absorbed report diverged:\n got %s\nwant %s", i, got, want)
-		}
+		gridtest.Equal(t, []*core.Report{gotRep}, []*core.Report{wantRep}, 1)
 	}
 	// The drained agent must be empty: closing its interval reports no
 	// flows.
@@ -294,32 +273,6 @@ func rawHello(magic string, version, agentID uint64, resume int64, digest uint64
 	return binary.LittleEndian.AppendUint64(p, digest)
 }
 
-// errorPathCollector serves a 1-agent collector session for one
-// error-path case and returns the listener plus channels carrying the
-// emitted report count and Serve's error.
-func errorPathCollector(t *testing.T, cfg core.Config) (net.Listener, *wire.Collector, <-chan int, <-chan error) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitted := make(chan int, 1)
-	serveErr := make(chan error, 1)
-	go func() {
-		n := 0
-		serveErr <- coll.Serve(context.Background(), ln, func(*core.Report) error {
-			n++
-			emitted <- n
-			return nil
-		})
-	}()
-	return ln, coll, emitted, serveErr
-}
-
 // TestCollectorRejectsMalformedStreams drives the collector's framing
 // and handshake error paths over real connections: each malformed
 // stream must be rejected — with a typed frameError reply where the
@@ -453,10 +406,8 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
-			defer coll.Close()
-
-			conn, err := net.Dial("tcp", ln.Addr().String())
+			coll := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+			conn, err := coll.dial()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -490,17 +441,17 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 			// The rejection must not have hurt the session: a well-behaved
 			// agent connects, ends cleanly, and the session closes with the
 			// empty-stream parity report.
-			agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
+			agent, err := wire.DialAgent("", 0, cfg, wire.AgentOptions{Dialer: coll.dial})
 			if err != nil {
 				t.Fatalf("well-behaved agent after rejection: %v", err)
 			}
 			if err := agent.Close(); err != nil {
 				t.Fatalf("well-behaved agent close: %v", err)
 			}
-			if err := <-serveErr; err != nil {
+			if err := coll.end(t); err != nil {
 				t.Fatalf("collector: %v", err)
 			}
-			if n := <-emitted; n != 1 {
+			if n := len(coll.got); n != 1 {
 				t.Fatalf("session emitted %d reports, want 1 parity report", n)
 			}
 		})
@@ -540,31 +491,16 @@ func (c *corruptingConn) Write(p []byte) (int, error) {
 // frame forever.
 func TestAgentRefusedFrameEndsStream(t *testing.T) {
 	cfg := gridtest.Config()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coll.Close()
 	// The default policy holds the session open for the agent forever,
 	// so the test ends it once the agent has given up.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- coll.Serve(ctx, ln, func(*core.Report) error { return nil })
-	}()
-
+	coll := serve(t, cfg, wire.CollectorConfig{Agents: 1})
 	var dials atomic.Int32
-	agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{
+	agent, err := wire.DialAgent("", 0, cfg, wire.AgentOptions{
 		Retry:        wire.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		ReplayBuffer: 1,
 		Dialer: func() (net.Conn, error) {
 			dials.Add(1)
-			conn, err := net.Dial("tcp", ln.Addr().String())
+			conn, err := coll.dial()
 			if err != nil {
 				return nil, err
 			}
@@ -599,14 +535,14 @@ func TestAgentRefusedFrameEndsStream(t *testing.T) {
 			t.Fatalf("agent over a corrupting link ended with %v, want the collector's refusal", err)
 		}
 	case <-time.After(5 * time.Second):
-		cancel() // closes the listener, so the agent's next redial fails
+		coll.cancel() // closes the listener, so the agent's next redial fails
 		t.Fatalf("no ship error after 5s and %d dials: the refused frame is being replayed", dials.Load())
 	}
 	if n := dials.Load(); n > 2 {
 		t.Errorf("agent dialed %d times, want at most 2", n)
 	}
-	cancel()
-	if err := <-serveErr; !errors.Is(err, context.Canceled) {
+	coll.cancel()
+	if err := coll.end(t); !errors.Is(err, context.Canceled) {
 		t.Fatalf("collector: %v, want the test's cancellation", err)
 	}
 }
@@ -618,10 +554,8 @@ func TestAgentRefusedFrameEndsStream(t *testing.T) {
 func TestDuplicateAgentIDNewestWins(t *testing.T) {
 	cfg := gridtest.Config()
 	digest := wire.ConfigDigest(cfg)
-	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
-	defer coll.Close()
-
-	connA, err := net.Dial("tcp", ln.Addr().String())
+	coll := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+	connA, err := coll.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +564,7 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 		t.Fatalf("first hello reply: type %d, err %v; want HelloOK", typ, err)
 	}
 
-	connB, err := net.Dial("tcp", ln.Addr().String())
+	connB, err := coll.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,10 +587,10 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 		t.Fatalf("bye reply: type %d, err %v; want ByeOK", typ, err)
 	}
 	connB.Close()
-	if err := <-serveErr; err != nil {
+	if err := coll.end(t); err != nil {
 		t.Fatalf("collector: %v", err)
 	}
-	if n := <-emitted; n != 1 {
+	if n := len(coll.got); n != 1 {
 		t.Fatalf("session emitted %d reports, want 1 parity report", n)
 	}
 }
@@ -667,10 +601,8 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 // the session intact for a current agent.
 func TestV2HelloRejected(t *testing.T) {
 	cfg := gridtest.Config()
-	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
-	defer coll.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	coll := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+	conn, err := coll.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,17 +620,17 @@ func TestV2HelloRejected(t *testing.T) {
 	}
 	conn.Close()
 
-	agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
+	agent, err := wire.DialAgent("", 0, cfg, wire.AgentOptions{Dialer: coll.dial})
 	if err != nil {
 		t.Fatalf("current agent after the v2 rejection: %v", err)
 	}
 	if err := agent.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serveErr; err != nil {
+	if err := coll.end(t); err != nil {
 		t.Fatalf("collector: %v", err)
 	}
-	if n := <-emitted; n != 1 {
+	if n := len(coll.got); n != 1 {
 		t.Fatalf("session emitted %d reports, want 1 parity report", n)
 	}
 }
@@ -712,47 +644,30 @@ func TestServeMetricsBindFailureClosesListener(t *testing.T) {
 	cfg := gridtest.Config()
 	busy := listen(t)
 	defer busy.Close()
+	cc := wire.CollectorConfig{Agents: 1, MetricsAddr: busy.Addr().String()}
 	for _, tc := range []struct {
 		name  string
-		serve func(t *testing.T, ln net.Listener) error
+		serve func(t *testing.T) *host
 	}{
-		{"collector", func(t *testing.T, ln net.Listener) error {
-			coll, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1, MetricsAddr: busy.Addr().String()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coll.Close()
-			return coll.Serve(context.Background(), ln, func(*core.Report) error { return nil })
-		}},
-		{"relay", func(t *testing.T, ln net.Listener) error {
-			parentLn := listen(t)
-			parent, err := wire.NewCollector(cfg, wire.CollectorConfig{Agents: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			parentErr := make(chan error, 1)
-			go func() { parentErr <- parent.Serve(ctx, parentLn, func(*core.Report) error { return nil }) }()
-			defer func() {
-				cancel()
-				<-parentErr
-				parent.Close()
-			}()
-			rel, err := wire.NewRelay(cfg, wire.RelayConfig{Children: 1, Parent: parentLn.Addr().String(), MetricsAddr: busy.Addr().String()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rel.Close()
-			return rel.Serve(context.Background(), ln)
+		{"collector", func(t *testing.T) *host { return serve(t, cfg, cc) }},
+		{"relay", func(t *testing.T) *host {
+			parent := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+			t.Cleanup(func() {
+				parent.cancel()
+				parent.end(t)
+			})
+			rel := &host{cfg: cfg, cc: cc, rc: &wire.RelayConfig{Dialer: parent.dial}}
+			rel.start(t)
+			return rel
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gridtest.NoLeak(t)
-			ln := listen(t)
-			if err := tc.serve(t, ln); err == nil || !strings.Contains(err.Error(), "metrics listener") {
+			h := tc.serve(t)
+			if err := h.end(t); err == nil || !strings.Contains(err.Error(), "metrics listener") {
 				t.Fatalf("Serve returned %v, want the metrics bind error", err)
 			}
-			if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+			if conn, err := h.dial(); err == nil {
 				conn.Close()
 				t.Fatal("Serve returned with its listener still accepting")
 			}

@@ -274,7 +274,9 @@ type AgentConfig struct {
 	Shards int
 	// ReplayBuffer bounds the unacked-frame replay buffer (0 = 64);
 	// when full, interval closes block until the collector acks —
-	// backpressure, never data loss.
+	// backpressure, never data loss. A root collector without a
+	// checkpoint acks a frame once it has queued it, so even a buffer of
+	// 1 lets the agent ship ahead of the root's interval close.
 	ReplayBuffer int
 }
 

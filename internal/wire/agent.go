@@ -22,7 +22,10 @@ type AgentOptions struct {
 	// ReplayBuffer bounds how many shipped-but-unacked interval frames
 	// the agent retains for replay after a reconnect. When the buffer
 	// is full, shipping blocks until the collector acks (backpressure
-	// through the engine) — frames are never silently dropped. 0 takes
+	// through the engine) — frames are never silently dropped. The
+	// collector acks at its commit point (see Acked), so against a root
+	// without a checkpoint even a one-frame buffer runs ahead of the
+	// root's close, as far as the root's ingest credit allows. 0 takes
 	// the default (64).
 	ReplayBuffer int
 	// Dialer opens a new collector connection for the initial connect
@@ -513,9 +516,12 @@ func (a *Agent) dropConnLocked() {
 	}
 }
 
-// Acked returns the highest boundary the collector has acknowledged —
-// every frame at or below it is absorbed (and durable when the
-// collector checkpoints).
+// Acked returns the highest boundary the collector has acknowledged:
+// every frame at or below it has reached the collector's commit point,
+// so the agent never needs to resend it. That point is where the frame
+// is as durable as the collector makes it: queued, at a root without a
+// checkpoint; in a written checkpoint, with one; acked by its own
+// parent, at a relay without one.
 func (a *Agent) Acked() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

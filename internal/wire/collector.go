@@ -58,7 +58,9 @@ type CollectorConfig struct {
 	HoldTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the collector write its
 	// durable state there (fsynced temp + atomic rename) after every
-	// closed interval, before acking the interval's frames.
+	// closed interval, before acking the interval's frames. Without it a
+	// root acks each frame as soon as it queues it, there being nothing
+	// more durable to wait for, and a relay acks once its parent has.
 	CheckpointPath string
 	// Resume makes NewCollector load CheckpointPath and Serve continue
 	// from it: the detection history, interval numbering, and per-agent
@@ -72,8 +74,12 @@ type CollectorConfig struct {
 }
 
 // queueCap bounds each agent's pending-frame queue: the ingest credits
-// its connection's reader holds.
-const queueCap = 4
+// its connection's reader holds. A credit in use is a live decoder, a
+// frame's clone histograms and records, and agents acked on queue run
+// ahead into every credit, so there is one: closeBoundary refunds it at
+// absorb, and the reader still decodes frame k+1 while the merge loop
+// detects and mines k.
+const queueCap = 1
 
 // agentStatus is the collector's per-agent connection-state machine.
 type agentStatus uint8
@@ -294,6 +300,7 @@ type agentState struct {
 	free     chan *intervalDecoder
 	queue    []queuedFrame // pending frames, boundary ascending
 	absorbed int64         // highest boundary absorbed into the primary
+	sent     int64         // ack line conn already has: its HelloOK or last Ack
 	// emittedAtAbsorb is the session's emitted count when the agent last
 	// participated in a close; emitted - emittedAtAbsorb is its lag.
 	emittedAtAbsorb int64
@@ -318,10 +325,11 @@ type session struct {
 	ag         []*agentState
 	lastClosed int64
 	emitted    int64
-	// acked is the line agents may be acked up to. At the root (and in a
-	// checkpointed relay) it tracks lastClosed; in an ack-gated relay it
-	// is min(upstream ack line, lastClosed) — the ack-after-upstream
-	// ordering rule that makes a relay crash unable to lose a boundary.
+	// acked is the settled line: every agent may be acked up to it (see
+	// ackLine). At the root (and in a checkpointed relay) it tracks
+	// lastClosed; in an ack-gated relay it is min(upstream ack line,
+	// lastClosed) — the ack-after-upstream ordering rule that makes a
+	// relay crash unable to lose a boundary.
 	acked  int64
 	events chan event
 	done   chan struct{}
@@ -838,12 +846,15 @@ func (a *agentState) handOffConn() {
 }
 
 // closeBoundary is the one interval close. It absorbs every agent's
-// frame for boundary b in agent-ID order and works out the leaf agents
-// the boundary closes without. Then the root closes detection on the
-// merged interval and emits the report, while a relay drains the merged
-// interval and ships it upstream. Either way the boundary is made as
-// durable as the session is configured to make it before the agents are
-// acked — so an acked frame is never one a restart would need again.
+// frame for boundary b in agent-ID order, refunding each agent's ingest
+// credit as it goes, and works out the leaf agents the boundary closes
+// without. Then the root closes detection on the merged interval and
+// emits the report, while a relay drains the merged interval and ships
+// it upstream. Last it settles the agents up to b: after the checkpoint
+// write when there is one, or, at a relay without one, as far as its
+// parent has acked. An acked frame is never one a restart would need
+// again. A root without a checkpoint acked its agents' frames when it
+// queued them (see ackLine).
 func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) error) error {
 	var frameMissing []int
 	for id, st := range s.ag {
@@ -894,10 +905,9 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 		c.met.Agent(id).SetLag(s.emitted - st.emittedAtAbsorb)
 	}
 
-	// Settle the agents. A checkpoint makes b durable here; a root
-	// without one has nothing more durable to wait for; a relay without
-	// one may settle only what its parent has acked (ack-after-upstream),
-	// and evUpstreamAck catches the rest up.
+	// Settle the agents. A checkpoint makes b durable here; a relay
+	// without one may settle only what its parent has acked
+	// (ack-after-upstream), and evUpstreamAck catches the rest up.
 	s.acked = b
 	if c.cc.CheckpointPath != "" {
 		if err := c.writeCheckpoint(s); err != nil {
@@ -962,14 +972,12 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 			}
 			st.recycle(ev.frame.dec)
 			st.refund()
-			if st.conn != nil && s.acked > 0 {
-				pushLatest(st.ackCh, s.acked)
-				c.met.Agent(ev.id).SetLastAcked(s.acked)
-			}
+			c.ack(s, ev.id)
 			return nil
 		}
 		st.queue = append(st.queue, ev.frame)
 		c.met.Agent(ev.id).SetQueueDepth(int64(len(st.queue)))
+		c.ack(s, ev.id)
 	case evBye:
 		st := s.ag[ev.id]
 		if ev.gen != st.gen {
@@ -1069,6 +1077,7 @@ func (c *Collector) handleHello(s *session, ev event) {
 		st.credits <- struct{}{}
 	}
 	resume := st.tail()
+	st.sent = resume
 	st.ackCh = make(chan int64, 1)
 	refused := make(chan error, 1)
 	s.writers.Add(1)

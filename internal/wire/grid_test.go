@@ -350,11 +350,16 @@ type host struct {
 	emitted int64
 }
 
-// serve starts a root collector for cc on a loopback listener.
+// serve starts a root collector for cc on a loopback listener, and
+// cancels and ends it with the test unless the test ended it first.
 func serve(t *testing.T, cfg core.Config, cc wire.CollectorConfig) *host {
 	t.Helper()
 	h := &host{cfg: cfg, cc: cc}
 	h.start(t)
+	t.Cleanup(func() {
+		h.cancel()
+		h.end(t)
+	})
 	return h
 }
 
@@ -399,14 +404,18 @@ func (h *host) emit(rep *core.Report) error {
 func (h *host) dial() (net.Conn, error) { return net.Dial("tcp", h.addr.Load().(string)) }
 
 // end waits for the node's Serve to return, counts the reports it
-// emitted and releases it; it returns Serve's error. A Serve still
-// running after twenty seconds is cancelled and left unreleased, so
-// the row fails instead of hanging.
+// emitted and releases it; it returns Serve's error, and nil once the
+// node has ended. A Serve still running after twenty seconds is
+// cancelled and left unreleased, so the row fails instead of hanging.
 func (h *host) end(t *testing.T) error {
 	t.Helper()
+	if h.done == nil {
+		return nil
+	}
 	var err error
 	select {
 	case err = <-h.done:
+		h.done = nil
 	case <-time.After(20 * time.Second):
 		h.cancel()
 		return errors.New("Serve did not return within 20s")
@@ -429,6 +438,7 @@ type sessionMetrics struct {
 	Agents         []struct {
 		Status     string `json:"status"`
 		LastAcked  int64  `json:"last_acked_boundary"`
+		QueueDepth int64  `json:"queue_depth"`
 		Reconnects int64  `json:"reconnects"`
 	} `json:"agents"`
 }

@@ -273,17 +273,33 @@ func (s *session) missingFor(b int64, frameMissing []int, spanLo int) []int {
 	return slices.Compact(missing)
 }
 
-// ackChildren pushes the session's settled line (s.acked) to every
-// connected child — cumulative, so late children catch up on their next
-// ack.
+// ackChildren pushes every connected child its ack line — cumulative,
+// so late children catch up on their next ack.
 func (c *Collector) ackChildren(s *session) {
-	if s.acked <= 0 {
-		return
+	for id := range s.ag {
+		c.ack(s, id)
 	}
-	for id, st := range s.ag {
-		if st.conn != nil {
-			pushLatest(st.ackCh, s.acked)
-			c.met.Agent(id).SetLastAcked(s.acked)
-		}
+}
+
+// ackLine is the line agent st may be acked up to: its commit point. A
+// root without a checkpoint commits a frame when it queues it — a queued
+// frame is as durable as it will ever be there — so it acks the agent's
+// queue tail as well as the settled line. Elsewhere the settled line
+// alone: written to the checkpoint, or acked by the relay's parent.
+func (c *Collector) ackLine(s *session, st *agentState) int64 {
+	if c.fwd == nil && c.cc.CheckpointPath == "" {
+		return max(s.acked, st.tail())
+	}
+	return s.acked
+}
+
+// ack pushes agent id's ack line to its connection, unless the
+// connection already has it; the last_acked metric follows.
+func (c *Collector) ack(s *session, id int) {
+	st := s.ag[id]
+	if line := c.ackLine(s, st); st.conn != nil && line > st.sent {
+		st.sent = line
+		pushLatest(st.ackCh, line)
+		c.met.Agent(id).SetLastAcked(line)
 	}
 }

@@ -652,10 +652,6 @@ func TestServeMetricsBindFailureClosesListener(t *testing.T) {
 		{"collector", func(t *testing.T) *host { return serve(t, cfg, cc) }},
 		{"relay", func(t *testing.T) *host {
 			parent := serve(t, cfg, wire.CollectorConfig{Agents: 1})
-			t.Cleanup(func() {
-				parent.cancel()
-				parent.end(t)
-			})
 			rel := &host{cfg: cfg, cc: cc, rc: &wire.RelayConfig{Dialer: parent.dial}}
 			rel.start(t)
 			return rel

@@ -44,10 +44,8 @@ import (
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 	"anomalyx/internal/mining/apriori"
-	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/mining/fpgrowth"
 	"anomalyx/internal/netflow"
-	"anomalyx/internal/prefilter"
 	"anomalyx/internal/shard"
 	"anomalyx/internal/wire"
 )
@@ -124,8 +122,8 @@ type (
 // the paper's defaults (five features, k=1024, n=l=3, alpha=3, union
 // prefilter, minimum support 5% of the suspicious flows). A nil
 // Config.Miner — the default — mines with the built-in columnar Eclat,
-// item-sets identical to the modified Apriori of §II-B; Apriori, FPGrowth
-// and Eclat below are the injectable alternatives.
+// item-sets identical to the modified Apriori of §II-B; FPGrowth below
+// is an injectable alternative with the same output.
 // Set Config.Workers to run the detector bank's batched ingestion and the
 // extraction stage's prefilter scan on a worker pool (0 = GOMAXPROCS);
 // parallel reports are byte-identical to sequential ones.
@@ -165,11 +163,10 @@ func NewShardedPipeline(cfg ShardConfig) (*ShardedPipeline, error) { return shar
 // either way, and core.ExtractOffline with a nil Miner is the ~15x faster
 // call, but the repository's benchmark bounds tableii_offline's
 // run-to-run spread by the Apriori-era median, which a call that fast
-// cannot meet on a shared machine (ROADMAP item 1). Pass Eclat() for the
-// same search over row-form transactions.
+// cannot meet on a shared machine (ROADMAP item 1).
 func ExtractOffline(cfg Config, recs []Flow, meta MetaData) (*Report, error) {
 	if cfg.Miner == nil {
-		cfg.Miner = Apriori()
+		cfg.Miner = apriori.New()
 	}
 	return core.ExtractOffline(cfg, recs, meta)
 }
@@ -177,31 +174,8 @@ func ExtractOffline(cfg Config, recs []Flow, meta MetaData) (*Report, error) {
 // NewMetaData returns an empty alarm annotation for offline extraction.
 func NewMetaData() MetaData { return detector.NewMetaData() }
 
-// Apriori returns the paper's modified level-wise miner (§II-B) — the
-// reference the default miner's item-sets are pinned to, and several
-// times slower than it.
-func Apriori() Miner { return apriori.New() }
-
 // FPGrowth returns the FP-tree miner; same item-sets as Apriori.
 func FPGrowth() Miner { return fpgrowth.New() }
-
-// Eclat returns the vertical tid-bitset miner over row-form transactions
-// — the search the default miner runs straight off the flow-buffer
-// columns; same item-sets as Apriori.
-func Eclat() Miner { return eclat.New() }
-
-// EclatParallel returns an Eclat miner that fans the depth-first
-// tid-bitset search out over first-item equivalence classes on a pool of
-// workers goroutines (0 = GOMAXPROCS, 1 = sequential). The mining
-// result is byte-identical to the sequential Eclat on every input.
-func EclatParallel(workers int) Miner { return eclat.New().Parallel(workers) }
-
-// PrefilterUnion returns the paper's union prefilter strategy.
-func PrefilterUnion() prefilter.Strategy { return prefilter.Union{} }
-
-// PrefilterIntersection returns the intersection baseline (§II-A shows it
-// can miss multistage anomalies entirely).
-func PrefilterIntersection() prefilter.Strategy { return prefilter.Intersection{} }
 
 // Distributed deployment: the wire protocol that lets shards live on
 // separate machines. Agents accumulate partitions of the flow stream
@@ -221,13 +195,13 @@ type (
 	// detection state.
 	WireCollector = wire.Collector
 	// RetryConfig parameterizes an agent's redial backoff (capped
-	// exponential with seeded jitter).
+	// exponential, with jitter seeded by the agent ID).
 	RetryConfig = wire.RetryConfig
 	// CollectorConfig parameterizes a collector session: fleet size,
 	// partial-interval policy, checkpoint/resume, metrics address.
 	CollectorConfig = wire.CollectorConfig
 	// PartialPolicy selects what the collector does with an interval
-	// pending while an agent is disconnected (HoldWithTimeout or
+	// pending while an agent's frame is missing (HoldWithTimeout or
 	// CloseWithout).
 	PartialPolicy = wire.PartialPolicy
 	// ConfigMismatchError reports a handshake rejected over differing
@@ -272,11 +246,12 @@ type AgentConfig struct {
 	// partition. The partitions fold into one before every interval
 	// ships.
 	Shards int
-	// ReplayBuffer bounds the unacked-frame replay buffer (0 = 64);
-	// when full, interval closes block until the collector acks —
-	// backpressure, never data loss. A root collector without a
-	// checkpoint acks a frame once it has queued it, so even a buffer of
-	// 1 lets the agent ship ahead of the root's interval close.
+	// ReplayBuffer bounds the unacked-frame replay buffer (0 = 64; a
+	// negative bound is refused); when full, interval closes block
+	// until the collector acks — backpressure, never data loss. A root
+	// collector without a checkpoint acks a frame once it has queued
+	// it, so even a buffer of 1 lets the agent ship ahead of the root's
+	// interval close.
 	ReplayBuffer int
 }
 

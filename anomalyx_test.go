@@ -112,13 +112,8 @@ func TestFacadeOfflineExtraction(t *testing.T) {
 }
 
 func TestFacadeMiners(t *testing.T) {
-	names := map[string]anomalyx.Miner{
-		"apriori": anomalyx.Apriori(), "fp-growth": anomalyx.FPGrowth(), "eclat": anomalyx.Eclat(),
-	}
-	for want, m := range names {
-		if m.Name() != want {
-			t.Errorf("miner %q reports %q", want, m.Name())
-		}
+	if name := anomalyx.FPGrowth().Name(); name != "fp-growth" {
+		t.Errorf("FPGrowth reports %q", name)
 	}
 }
 
@@ -142,15 +137,6 @@ func TestFacadeNetFlowIO(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != in {
 		t.Errorf("round trip: %+v", got)
-	}
-}
-
-func TestFacadePrefilterStrategies(t *testing.T) {
-	if anomalyx.PrefilterUnion().Name() != "union" {
-		t.Error("union name")
-	}
-	if anomalyx.PrefilterIntersection().Name() != "intersection" {
-		t.Error("intersection name")
 	}
 }
 

@@ -259,25 +259,6 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkEclatParallel sweeps the Eclat miner's equivalence-class
-// worker pool over the Table II workload. Results are byte-identical
-// across the sweep; speedup needs real cores (the dev container has
-// one — CI's bench artifact is the multi-core datapoint).
-func BenchmarkEclatParallel(b *testing.B) {
-	txs, data := tableIIFixture(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m := eclat.New().Parallel(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Mine(txs, data.MinSupport); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Maximal-output ablation: the cost of the paper's "modified" step.
 func BenchmarkFilterMaximal(b *testing.B) {
 	txs, data := tableIIFixture(b)

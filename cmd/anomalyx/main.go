@@ -6,7 +6,6 @@
 // Usage:
 //
 //	anomalyx -in trace.nf5 [-interval 15m] [-minsup N | -relsup 0.05]
-//	         [-miner apriori|fp-growth|eclat] [-prefilter union|intersection]
 //	         [-bins 1024] [-clones 3] [-votes 3] [-alpha 3] [-top 20]
 //	         [-shards N] [-workers N] [-pipeline-depth N] [-v]
 //
@@ -17,12 +16,10 @@
 // With -shards N > 1 the engine's pipeline hash-partitions flows across
 // N partitions and merges their state at every interval close; with
 // -workers N != 1 each partition additionally fans its
-// detector updates, prefilter scan, and (for -miner eclat) the miner's
-// equivalence-class search out over N goroutines. -workers 0 means
-// GOMAXPROCS divided by the shard count, at least 1, in every mode.
-// Without -miner the pipeline mines with its built-in columnar Eclat;
-// naming a miner routes the same suspicious flows through it instead,
-// for the same item-sets.
+// detector updates and prefilter scan out over N goroutines. -workers 0
+// means GOMAXPROCS divided by the shard count, at least 1, in every
+// mode. Extraction prefilters with the union of the alarm meta-data
+// (§II-A) and mines the survivors with the built-in columnar Eclat.
 // Reports are byte-identical to an unsharded single-worker run in every
 // combination. With -pipeline-depth N > 1 the engine additionally
 // overlaps each interval's close (detection + extraction) with the next
@@ -77,8 +74,6 @@ type options struct {
 	interval time.Duration
 	minsup   int
 	relsup   float64
-	miner    string
-	prefilt  string
 	bins     int
 	clones   int
 	votes    int
@@ -113,15 +108,13 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.interval, "interval", 15*time.Minute, "measurement interval length")
 	fs.IntVar(&o.minsup, "minsup", 0, "absolute minimum support (0 = use -relsup)")
 	fs.Float64Var(&o.relsup, "relsup", 0.05, "minimum support as a fraction of the suspicious flows")
-	fs.StringVar(&o.miner, "miner", "", "mine through a named algorithm instead of the built-in columnar Eclat: apriori, fp-growth, or eclat (same item-sets, slower)")
-	fs.StringVar(&o.prefilt, "prefilter", "union", "prefilter strategy: union or intersection")
 	fs.IntVar(&o.bins, "bins", 1024, "histogram bins k")
 	fs.IntVar(&o.clones, "clones", 3, "histogram clones n")
 	fs.IntVar(&o.votes, "votes", 3, "votes l required to keep a feature value")
 	fs.Float64Var(&o.alpha, "alpha", 3, "MAD threshold multiplier")
 	fs.IntVar(&o.train, "train", 12, "training intervals before alarms may fire")
 	fs.IntVar(&o.shards, "shards", 1, "hash-partitioned pipeline shards (0 = GOMAXPROCS)")
-	fs.IntVar(&o.workers, "workers", 0, "per-pipeline worker goroutines for detector, prefilter, and eclat fan-out (0 = GOMAXPROCS / shards, at least 1; 1 = sequential)")
+	fs.IntVar(&o.workers, "workers", 0, "per-pipeline worker goroutines for the detector and prefilter fan-out (0 = GOMAXPROCS / shards, at least 1; 1 = sequential)")
 	fs.IntVar(&o.depth, "pipeline-depth", 1, "measurement intervals open at once: 1 closes intervals inline, N > 1 overlaps up to N-1 interval closes with ingestion (reports stay byte-identical) (run mode)")
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
@@ -194,8 +187,8 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 }
 
 // engineConfig resolves the options into the streaming-engine
-// configuration, validating the miner and prefilter names.
-func (o *options) engineConfig() (anomalyx.EngineConfig, error) {
+// configuration.
+func (o *options) engineConfig() anomalyx.EngineConfig {
 	cfg := anomalyx.Config{
 		Detector: anomalyx.DetectorConfig{
 			Bins: o.bins, Clones: o.clones, Votes: o.votes,
@@ -205,42 +198,17 @@ func (o *options) engineConfig() (anomalyx.EngineConfig, error) {
 		RelativeSupport: o.relsup,
 		Workers:         o.workers,
 	}
-	switch o.miner {
-	case "":
-		// The pipeline's built-in miner (Config.Miner nil).
-	case "apriori":
-		cfg.Miner = anomalyx.Apriori()
-	case "fp-growth":
-		cfg.Miner = anomalyx.FPGrowth()
-	case "eclat":
-		// EclatParallel(1) is the sequential search, so one constructor
-		// covers every worker count.
-		cfg.Miner = anomalyx.EclatParallel(o.workers)
-	default:
-		return anomalyx.EngineConfig{}, fmt.Errorf("unknown miner %q", o.miner)
-	}
-	switch o.prefilt {
-	case "union":
-		cfg.Prefilter = anomalyx.PrefilterUnion()
-	case "intersection":
-		cfg.Prefilter = anomalyx.PrefilterIntersection()
-	default:
-		return anomalyx.EngineConfig{}, fmt.Errorf("unknown prefilter %q", o.prefilt)
-	}
 	return anomalyx.EngineConfig{
 		Pipeline:      cfg,
 		IntervalLen:   o.interval,
 		PipelineDepth: o.depth,
-	}, nil
+	}
 }
 
 // run streams the v5 trace from in through the engine and prints the
 // per-interval reports to out; it returns the interval and alarm counts.
 func run(o *options, in io.Reader, out io.Writer) (intervals, alarms int, err error) {
-	engCfg, err := o.engineConfig()
-	if err != nil {
-		return 0, 0, err
-	}
+	engCfg := o.engineConfig()
 	var eng *anomalyx.Engine
 	if o.shards == 1 {
 		eng, err = anomalyx.NewEngine(engCfg)
@@ -323,11 +291,7 @@ func submitTrace(eng *anomalyx.Engine, in io.Reader) error {
 // number of intervals shipped. No detection happens here — the stub
 // per-interval reports carry only flow counts.
 func runAgent(o *options, in io.Reader, out io.Writer) (intervals int, err error) {
-	engCfg, err := o.engineConfig()
-	if err != nil {
-		return 0, err
-	}
-	sess, err := anomalyx.NewAgent(engCfg, anomalyx.AgentConfig{
+	sess, err := anomalyx.NewAgent(o.engineConfig(), anomalyx.AgentConfig{
 		Addr:    o.connect,
 		AgentID: o.agentID,
 		Shards:  o.shards,
@@ -364,11 +328,7 @@ func runAgent(o *options, in io.Reader, out io.Writer) (intervals int, err error
 // serveCollector accepts o.coll.Agents connections on ln and prints the
 // merged per-interval reports, exactly as a local run would.
 func serveCollector(o *options, ln net.Listener, out io.Writer) (intervals, alarms int, err error) {
-	engCfg, err := o.engineConfig()
-	if err != nil {
-		return 0, 0, err
-	}
-	coll, err := anomalyx.NewCollectorWithConfig(engCfg.Pipeline, o.coll)
+	coll, err := anomalyx.NewCollectorWithConfig(o.engineConfig().Pipeline, o.coll)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -400,11 +360,7 @@ func serveCollector(o *options, ln net.Listener, out io.Writer) (intervals, alar
 // o.connect. No detection happens here and nothing is printed per
 // interval — the tree's root emits the reports.
 func runRelay(o *options, ln net.Listener) error {
-	engCfg, err := o.engineConfig()
-	if err != nil {
-		return err
-	}
-	rel, err := anomalyx.NewRelay(engCfg.Pipeline, anomalyx.RelayConfig{
+	rel, err := anomalyx.NewRelay(o.engineConfig().Pipeline, anomalyx.RelayConfig{
 		Collector: o.coll,
 		AgentID:   o.agentID,
 		Parent:    o.connect,

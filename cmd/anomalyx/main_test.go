@@ -17,23 +17,18 @@ import (
 
 func TestParseArgsFlagPlumbing(t *testing.T) {
 	o, err := parseArgs([]string{
-		"-in", "trace.nf5", "-shards", "4", "-workers", "2", "-miner", "eclat",
-		"-prefilter", "intersection", "-interval", "5m", "-bins", "256",
-		"-train", "3", "-minsup", "11", "-top", "7", "-pipeline-depth", "3", "-v",
+		"-in", "trace.nf5", "-shards", "4", "-workers", "2", "-interval", "5m",
+		"-bins", "256", "-train", "3", "-minsup", "11", "-top", "7",
+		"-pipeline-depth", "3", "-v",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.in != "trace.nf5" || o.shards != 4 || o.workers != 2 || o.miner != "eclat" ||
-		o.prefilt != "intersection" || o.interval != 5*time.Minute || o.bins != 256 ||
-		o.train != 3 || o.minsup != 11 || o.top != 7 || o.depth != 3 || !o.verbose {
+	if o.in != "trace.nf5" || o.shards != 4 || o.workers != 2 ||
+		o.interval != 5*time.Minute || o.bins != 256 || o.train != 3 || o.minsup != 11 || o.top != 7 || o.depth != 3 || !o.verbose {
 		t.Fatalf("flags not plumbed: %+v", o)
 	}
-	cfg, err := o.engineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.PipelineDepth != 3 {
+	if cfg := o.engineConfig(); cfg.PipelineDepth != 3 {
 		t.Fatalf("pipeline depth not plumbed into engine config: %+v", cfg)
 	}
 }
@@ -43,7 +38,7 @@ func TestParseArgsDefaultsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.shards != 1 || o.workers != 0 || o.miner != "" || o.prefilt != "union" || o.depth != 1 {
+	if o.shards != 1 || o.workers != 0 || o.depth != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if _, err := parseArgs(nil, io.Discard); err == nil {
@@ -78,57 +73,19 @@ func TestParseArgsDefaultsAndErrors(t *testing.T) {
 }
 
 func TestEngineConfigValidation(t *testing.T) {
-	base := func() *options {
-		o, err := parseArgs([]string{"-in", "x"}, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	for _, miner := range []string{"apriori", "fp-growth", "eclat"} {
-		o := base()
-		o.miner = miner
-		cfg, err := o.engineConfig()
-		if err != nil {
-			t.Fatalf("miner %q rejected: %v", miner, err)
-		}
-		if cfg.Pipeline.Miner == nil || cfg.Pipeline.Miner.Name() != miner {
-			t.Fatalf("-miner %s resolved to %v", miner, cfg.Pipeline.Miner)
-		}
-	}
-	// Without the flag the pipeline keeps its built-in miner.
-	cfg, err := base().engineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Pipeline.Miner != nil {
-		t.Fatalf("flag absent: miner pinned to %q", cfg.Pipeline.Miner.Name())
-	}
-	o := base()
-	o.miner = "magic"
-	if _, err := o.engineConfig(); err == nil {
-		t.Fatal("unknown miner accepted")
-	}
-	o = base()
-	o.prefilt = "none"
-	if _, err := o.engineConfig(); err == nil {
-		t.Fatal("unknown prefilter accepted")
-	}
-	// Workers must reach the pipeline config and pick the right eclat
-	// variant (1 = sequential miner, anything else = parallel).
+	// The engine config carries the detector, support and worker flags
+	// and leaves the miner to the pipeline's built-in one.
 	for _, workers := range []int{0, 1, 4} {
-		o = base()
-		o.miner = "eclat"
-		o.workers = workers
-		cfg, err := o.engineConfig()
+		o, err := parseArgs([]string{"-in", "x", "-workers", fmt.Sprint(workers), "-minsup", "9", "-votes", "2"}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Pipeline.Workers != workers {
-			t.Fatalf("workers=%d not plumbed into pipeline config: %+v", workers, cfg.Pipeline)
+		cfg := o.engineConfig()
+		if p := cfg.Pipeline; p.Workers != workers || p.MinSupport != 9 || p.Detector.Votes != 2 {
+			t.Fatalf("workers=%d: flags not plumbed into pipeline config: %+v", workers, p)
 		}
-		if cfg.Pipeline.Miner.Name() != "eclat" {
-			t.Fatalf("miner = %q", cfg.Pipeline.Miner.Name())
+		if cfg.Pipeline.Miner != nil {
+			t.Fatalf("miner pinned to %q", cfg.Pipeline.Miner.Name())
 		}
 	}
 }
@@ -170,8 +127,8 @@ func testTraceV5(t *testing.T, intervals, baseFlows, floodAt int) []byte {
 // TestRunShardsWorkersDeterminism runs the full CLI path — v5 decode,
 // streaming engine, sharded or not, parallel workers or not — and
 // requires byte-identical stdout for every (shards, workers)
-// combination, including an alarming interval, and for the built-in
-// miner (no -miner flag) against each named one.
+// combination, including an alarming interval, and for every pipeline
+// depth.
 func TestRunShardsWorkersDeterminism(t *testing.T) {
 	trace := testTraceV5(t, 8, 1500, 6)
 	baseArgs := []string{
@@ -203,21 +160,14 @@ func TestRunShardsWorkersDeterminism(t *testing.T) {
 	for _, combo := range [][]string{
 		{"-shards", "2", "-workers", "2"},
 		{"-shards", "4", "-workers", "4"},
-		{"-shards", "2", "-workers", "0", "-miner", "eclat"},
+		{"-shards", "2", "-workers", "0"},
 		{"-shards", "2", "-workers", "2", "-pipeline-depth", "3"},
-		{"-shards", "1", "-workers", "1", "-miner", "apriori"},
-		{"-shards", "1", "-workers", "1", "-miner", "fp-growth"},
-		{"-shards", "1", "-workers", "1", "-miner", "eclat"},
-		{"-shards", "2", "-workers", "2", "-pipeline-depth", "3", "-miner", "apriori"},
 	} {
 		got, intervals, alarms := runWith(combo...)
 		if intervals != wantIntervals || alarms != wantAlarms {
 			t.Fatalf("%v: counts (%d, %d) diverged from (%d, %d)",
 				combo, intervals, alarms, wantIntervals, wantAlarms)
 		}
-		// The named miners mine the same item-sets as the built-in one by
-		// the cross-miner equivalence; all runs must render byte-identical
-		// reports.
 		if got != want {
 			t.Fatalf("%v: output diverged\ngot:\n%s\nwant:\n%s", combo, got, want)
 		}

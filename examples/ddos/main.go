@@ -41,13 +41,10 @@ func main() {
 
 	// Run the parallel extraction path end to end: Workers = 0 fans the
 	// detector bank and the prefilter scan out over GOMAXPROCS
-	// goroutines, and the parallel Eclat miner splits the search across
-	// first-item equivalence classes. Reports are byte-identical to the
-	// sequential defaults — all three miners produce the same item-sets,
-	// and every parallel stage merges its results deterministically.
+	// goroutines. Reports are byte-identical to the sequential defaults:
+	// every parallel stage merges its results deterministically.
 	cfg := experiments.PipelineConfig(experiments.Quick)
 	cfg.Workers = 0
-	cfg.Miner = anomalyx.EclatParallel(0)
 	p, err := anomalyx.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -10,24 +10,18 @@ import (
 	"anomalyx/internal/gridtest"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining/apriori"
-	"anomalyx/internal/prefilter"
 )
 
 // rowFormExtract is the row-form (AoS) extraction every index-based
-// path is pinned against, sharing none of its code: the MetaData
-// predicate of the configured strategy applied record by record
-// (MatchesFlowAll for the intersection, MatchesFlow otherwise),
+// path is pinned against, sharing none of its code: the union
+// predicate MetaData.MatchesFlow applied record by record,
 // itemset.FromFlows, and the paper's own Apriori. It fills the report
 // fields ExtractOffline does.
 func rowFormExtract(t *testing.T, cfg core.Config, recs []flow.Record, meta detector.MetaData) *core.Report {
 	t.Helper()
-	match := meta.MatchesFlow
-	if _, all := cfg.Prefilter.(prefilter.Intersection); all {
-		match = meta.MatchesFlowAll
-	}
 	var suspicious []flow.Record
 	for i := range recs {
-		if match(&recs[i]) {
+		if meta.MatchesFlow(&recs[i]) {
 			suspicious = append(suspicious, recs[i])
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/mining/fpgrowth"
-	"anomalyx/internal/prefilter"
 )
 
 // feedChunked observes recs in alternating small and large chunks, so
@@ -119,9 +118,9 @@ func must(t *testing.T) func(*core.Report, error) *core.Report {
 // partition, one worker, record-by-record EndInterval — reports. The
 // rows are
 //   - partitions {1, 2, 3, 4} × Workers {1, 2, 4, 8} × every close path;
-//   - the built-in miner and injected Apriori, FP-Growth and row-form
-//     Eclat × union and intersection prefilters × partitions {1, 2, 4} ×
-//     close depth {1, 2}, against the reference's built-in miner;
+//   - injected Apriori, FP-Growth and row-form Eclat × partitions
+//     {1, 2, 4} × close depth {1, 2}, against the reference's built-in
+//     miner (the names keep the union prefilter every row runs);
 //   - KeepSuspicious at Workers {0, 1, 2, 4, 8} on one partition (the
 //     forensic slice compared record for record, order included) and at
 //     partitions {2, 4} (compared as a multiset).
@@ -131,15 +130,10 @@ func TestGrid(t *testing.T) {
 	// scan.
 	trace := gridtest.Trace(10, 2000, 8)
 	base := gridtest.Config()
-	strategies := []prefilter.Strategy{prefilter.Union{}, prefilter.Intersection{}}
-	// One reference per reported configuration: the miner, the workers
-	// and the partitions do not change what a report says.
-	refs := make(map[string][]*core.Report)
-	for _, s := range strategies {
-		cfg := base
-		cfg.Prefilter = s
-		refs[s.Name()] = gridtest.Reference(t, cfg, trace)
-	}
+	// The miner, the workers and the partitions do not change what a
+	// report says, so one reference serves every row that keeps no
+	// suspicious flows.
+	ref := gridtest.Reference(t, base, trace)
 	keep := base
 	keep.KeepSuspicious = true
 	kept := gridtest.Reference(t, keep, trace)
@@ -157,25 +151,16 @@ func TestGrid(t *testing.T) {
 			for _, path := range closePaths {
 				cfg := base
 				cfg.Workers = workers
-				rows = append(rows, row{fmt.Sprintf("partitions=%d/workers=%d/%s", parts, workers, path.name), cfg, parts, path, refs["union"]})
+				rows = append(rows, row{fmt.Sprintf("partitions=%d/workers=%d/%s", parts, workers, path.name), cfg, parts, path, ref})
 			}
 		}
 	}
-	for _, strategy := range strategies {
-		for _, m := range []mining.Miner{nil, apriori.New(), fpgrowth.New(), eclat.New()} {
-			if m == nil && strategy == (prefilter.Union{}) {
-				continue // the rows above
-			}
-			name := "built-in"
-			if m != nil {
-				name = m.Name()
-			}
-			for _, parts := range []int{1, 2, 4} {
-				for depth, path := range closePaths[:2] {
-					cfg := base
-					cfg.Workers, cfg.Prefilter, cfg.Miner = 1, strategy, m
-					rows = append(rows, row{fmt.Sprintf("miner=%s/prefilter=%s/partitions=%d/depth=%d", name, strategy.Name(), parts, depth+1), cfg, parts, path, refs[strategy.Name()]})
-				}
+	for _, m := range []mining.Miner{apriori.New(), fpgrowth.New(), eclat.New()} {
+		for _, parts := range []int{1, 2, 4} {
+			for depth, path := range closePaths[:2] {
+				cfg := base
+				cfg.Workers, cfg.Miner = 1, m
+				rows = append(rows, row{fmt.Sprintf("miner=%s/prefilter=union/partitions=%d/depth=%d", m.Name(), parts, depth+1), cfg, parts, path, ref})
 			}
 		}
 	}

@@ -48,9 +48,6 @@ type Config struct {
 	// modified Apriori of §II-B. A non-nil Miner is handed the same
 	// rows as transactions instead.
 	Miner mining.Miner
-	// Prefilter selects the suspicious flows from the meta-data
-	// (default: union, the paper's choice).
-	Prefilter prefilter.Strategy
 	// KeepSuspicious retains the suspicious flows in each report (for
 	// forensics and tests; costs memory on big intervals).
 	KeepSuspicious bool
@@ -66,9 +63,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.RelativeSupport == 0 {
 		c.RelativeSupport = 0.05
-	}
-	if c.Prefilter == nil {
-		c.Prefilter = prefilter.Union{}
 	}
 	return c
 }
@@ -360,7 +354,7 @@ func (p *Pipeline) closeInterval(sets [][]*histogram.CloneSet, buffers []*flow.B
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				x.rows[i] = prefilter.SelectBuffer(p.cfg.Prefilter, det.Meta, buf, p.cfg.Workers, x.rows[i])
+				x.rows[i] = prefilter.SelectBuffer(prefilter.Union{}, det.Meta, buf, p.cfg.Workers, x.rows[i])
 			}()
 		}
 		wg.Wait()
@@ -488,7 +482,7 @@ func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Re
 	buf := flow.BufferOf(recs)
 	var x extraction
 	x.reset(1)
-	x.rows[0] = prefilter.SelectBuffer(cfg.Prefilter, meta, &buf, cfg.Workers, nil)
+	x.rows[0] = prefilter.SelectBuffer(prefilter.Union{}, meta, &buf, cfg.Workers, nil)
 	if err := x.finish(cfg, rep, []*flow.Buffer{&buf}); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"anomalyx/internal/flow"
 	"anomalyx/internal/mining/eclat"
 	"anomalyx/internal/mining/fpgrowth"
-	"anomalyx/internal/prefilter"
 	"anomalyx/internal/stats"
 	"anomalyx/internal/tracegen"
 )
@@ -57,7 +56,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Config().Prefilter == nil || p.Config().RelativeSupport != 0.05 {
+	if p.Config().RelativeSupport != 0.05 {
 		t.Error("defaults not applied")
 	}
 	// A nil Miner is the default: it selects the built-in columnar Eclat.
@@ -266,32 +265,6 @@ func TestExtractOffline(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("scan stage not in item-sets: %v", rep.ItemSets)
-	}
-}
-
-func TestExtractOfflineIntersectionMissesSasser(t *testing.T) {
-	// End-to-end confirmation of §II-A: with the intersection strategy
-	// the multistage worm yields nothing.
-	d := tracegen.SasserScenario(8, 3000)
-	meta := detector.NewMetaData()
-	for _, stage := range d.Meta {
-		for _, fv := range stage {
-			meta.Add(fv.Kind, fv.Value)
-		}
-	}
-	cfg := Config{Prefilter: prefilter.Intersection{}, RelativeSupport: 0.02}
-	rep, err := ExtractOffline(cfg, d.Flows, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SuspiciousFlows != 0 {
-		t.Errorf("intersection selected %d flows", rep.SuspiciousFlows)
-	}
-	if len(rep.ItemSets) != 0 {
-		t.Errorf("intersection extracted %d item-sets", len(rep.ItemSets))
-	}
-	if !math.IsInf(rep.CostReduction, 1) {
-		t.Errorf("empty output should give +Inf reduction, got %v", rep.CostReduction)
 	}
 }
 

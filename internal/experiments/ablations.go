@@ -41,7 +41,7 @@ func Sasser(seed uint64, benignFlows, minsup int) (*SasserResult, error) {
 	out.UnionFlows = prefilter.Count(prefilter.Union{}, meta, d.Flows)
 	out.IntersectionFlows = prefilter.Count(prefilter.Intersection{}, meta, d.Flows)
 
-	suspicious := prefilter.Filter(prefilter.Union{}, meta, d.Flows)
+	suspicious := prefilter.FilterParallel(prefilter.Union{}, meta, d.Flows, 1)
 	res, err := apriori.New().Mine(itemset.FromFlows(suspicious), minsup)
 	if err != nil {
 		return nil, err

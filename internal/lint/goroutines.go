@@ -25,7 +25,6 @@ var auditedConcurrency = []string{
 	"internal/engine",
 	"internal/detector",
 	"internal/prefilter",
-	"internal/mining/eclat",
 	"internal/wire",
 	"internal/core",
 }
@@ -40,7 +39,7 @@ func runGoroutines(pkg *Package, report ReportFunc) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				report(n.Go, "go statement outside the audited concurrency packages; fan-out belongs in engine/detector/prefilter/mining/eclat/wire/core where the merge order is pinned by tests")
+				report(n.Go, "go statement outside the audited concurrency packages; fan-out belongs in engine/detector/prefilter/wire/core where the merge order is pinned by tests")
 			case *ast.CallExpr:
 				id, ok := n.Fun.(*ast.Ident)
 				if !ok || id.Name != "make" || len(n.Args) == 0 {

@@ -11,40 +11,21 @@
 // Determinism: frequent items enter the search in canonical (kind, value)
 // order whatever order the transactions arrive in, and mining.BuildResult
 // sorts the output, so a Result depends only on the multiset of
-// transactions. The optional fan-out over first-item equivalence classes
-// (Parallel) concatenates class results in item order — the exact slice
-// the sequential search produces.
+// transactions. The search runs on the caller's goroutine; the package
+// starts none of its own.
 package eclat
 
 import (
-	"runtime"
-
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 )
 
 // Miner is the Eclat implementation of mining.Miner.
-type Miner struct {
-	// workers is the equivalence-class fan-out; <= 1 mines sequentially.
-	workers int
-}
+type Miner struct{}
 
-// New returns a sequential Eclat miner.
+// New returns an Eclat miner.
 func New() *Miner { return &Miner{} }
-
-// Parallel sets the miner's worker count for the first-item
-// equivalence-class fan-out and returns the miner for chaining
-// (eclat.New().Parallel(8)). 0 resolves to GOMAXPROCS; 1 restores the
-// sequential search. The mining result is byte-identical to the
-// sequential miner's on every input.
-func (m *Miner) Parallel(workers int) *Miner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m.workers = workers
-	return m
-}
 
 // Name implements mining.Miner.
 func (m *Miner) Name() string { return "eclat" }
@@ -63,7 +44,7 @@ func (m *Miner) Mine(txs []itemset.Transaction, minsup int) (*mining.Result, err
 		}
 		s.closeColumn(k)
 	}
-	return mining.BuildResult(s.mine(m.workers), len(txs), minsup), nil
+	return mining.BuildResult(s.mine(), len(txs), minsup), nil
 }
 
 // MineColumns mines the transactions formed by rows[i] of bufs[i], for
@@ -101,7 +82,7 @@ func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, minsup int) *
 		}
 		s.closeColumn(k)
 	}
-	return mining.BuildResult(s.mine(1), n, minsup)
+	return mining.BuildResult(s.mine(), n, minsup)
 }
 
 // count feeds the values of col at rows into the column being counted,

@@ -43,7 +43,7 @@ func TestSearchDFS(t *testing.T) {
 	b := itemset.Item{Kind: flow.DstIP, Value: 2}
 	// Tids straddle a word boundary: n is not a multiple of 64.
 	s := searchOver(70, 3, []itemset.Item{a, b}, [][]int{{0, 1, 64, 69}, {0, 64, 69}})
-	all := s.mine(1)
+	all := s.mine()
 	// {a}:4, {b}:3, {a,b}:3.
 	if len(all) != 3 {
 		t.Fatalf("sets = %v", all)
@@ -60,7 +60,7 @@ func TestSearchDFS(t *testing.T) {
 func TestSearchSkipsSameKind(t *testing.T) {
 	p80 := itemset.Item{Kind: flow.DstPort, Value: 80}
 	p443 := itemset.Item{Kind: flow.DstPort, Value: 443}
-	all := searchOver(4, 2, []itemset.Item{p80, p443}, [][]int{{0, 1}, {2, 3}}).mine(1)
+	all := searchOver(4, 2, []itemset.Item{p80, p443}, [][]int{{0, 1}, {2, 3}}).mine()
 	for i := range all {
 		if all[i].Size() > 1 {
 			t.Errorf("same-kind combination emitted: %v", all[i])

@@ -9,52 +9,6 @@ import (
 	"anomalyx/internal/mining/apriori"
 )
 
-// fuzzTxs decodes data into low-cardinality transactions, 7 bytes per
-// flow record, so random inputs still produce frequent co-occurrences.
-func fuzzTxs(data []byte) []itemset.Transaction {
-	var txs []itemset.Transaction
-	for len(data) >= 7 {
-		b := data[:7]
-		data = data[7:]
-		rec := flow.Record{
-			SrcAddr: uint32(b[0] % 8), DstAddr: uint32(b[1] % 6),
-			SrcPort: uint16(b[2] % 8), DstPort: uint16(b[3] % 4),
-			Protocol: b[4] % 3,
-			Packets:  uint32(b[5]%4) + 1, Bytes: uint64(b[6]%4+1) * 40,
-		}
-		txs = append(txs, itemset.FromFlow(&rec))
-	}
-	return txs
-}
-
-// FuzzEclatParallel drives the parallel miner against the sequential one
-// on random transaction sets: for any input, minimum support, and worker
-// count, the two Results must be deeply equal (same frequent sets,
-// supports, canonical order, and level statistics).
-func FuzzEclatParallel(f *testing.F) {
-	f.Add([]byte{}, byte(1), byte(2))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 9, 9, 9, 9, 9, 9, 9}, byte(2), byte(4))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 7, 7, 7, 7, 7, 7, 7}, byte(1), byte(8))
-	f.Fuzz(func(t *testing.T, data []byte, minsupRaw, workers byte) {
-		txs := fuzzTxs(data)
-		minsup := 1 + int(minsupRaw)%(len(txs)+1)
-		w := int(workers%12) + 1
-
-		want, err := New().Mine(txs, minsup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := New().Parallel(w).Mine(txs, minsup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("minsup=%d workers=%d: parallel result diverged\ngot:  %+v\nwant: %+v",
-				minsup, w, got, want)
-		}
-	})
-}
-
 // fuzzColumns decodes data into two flow buffers and a survivor row
 // selection over each, 8 bytes per record: six small feature values so
 // frequent co-occurrences exist, a byte spreading some values over the

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
@@ -60,39 +58,8 @@ func (s *search) addRoot(it itemset.Item, support int) []uint64 {
 }
 
 // mine returns every frequent item-set below the roots, in depth-first
-// order: sequentially, or with the root classes spread over workers
-// goroutines. Classes are independent (class i only intersects root i
-// with later roots) and their results concatenate in root order, so the
-// output is the same slice for every worker count.
-func (s *search) mine(workers int) []itemset.Set {
-	roots := len(s.levels[0].entries)
-	workers = min(workers, roots)
-	if workers <= 1 {
-		return s.dfs(nil, 0)
-	}
-	results := make([][]itemset.Set, roots)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker searches with levels of its own below the
-			// shared, read-only roots.
-			ws := search{words: s.words, minsup: s.minsup, items: s.items}
-			ws.levels[0] = s.levels[0]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= roots {
-					return
-				}
-				results[i] = ws.class(nil, 0, i)
-			}
-		}()
-	}
-	wg.Wait()
-	return slices.Concat(results...)
-}
+// order.
+func (s *search) mine() []itemset.Set { return s.dfs(nil, 0) }
 
 // dfs appends to out every frequent item-set made of prefix[:d] and
 // entries of levels[d].

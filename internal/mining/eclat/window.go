@@ -99,7 +99,7 @@ func (w *Window) Mine(minsup int) (*mining.Result, error) {
 			b[(t-min)>>6] |= 1 << ((t - min) & 63)
 		}
 	}
-	return mining.BuildResult(s.mine(1), w.live, minsup), nil
+	return mining.BuildResult(s.mine(), w.live, minsup), nil
 }
 
 // lowerBound returns the first index whose tid is >= min.

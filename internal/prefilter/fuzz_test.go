@@ -48,9 +48,9 @@ func fuzzMeta(data []byte) detector.MetaData {
 }
 
 // FuzzPrefilterParity fuzzes the §II-A invariants at once: for both
-// strategies and any worker count, every entry point — Filter,
-// FilterParallel, and SelectBuffer's row indices (into fresh or recycled
-// index memory) — selects exactly the records the MetaData predicate
+// strategies and any worker count, every entry point — FilterParallel
+// and SelectBuffer's row indices (into fresh or recycled index memory) —
+// selects exactly the records the MetaData predicate
 // selects record by record, and the union selection contains the
 // intersection selection pointwise (a flow matching every annotated
 // feature necessarily matches at least one).
@@ -73,9 +73,6 @@ func FuzzPrefilterParity(f *testing.F) {
 
 		for _, s := range []Strategy{Union{}, Intersection{}} {
 			want := reference(s, m, recs)
-			if got := Filter(s, m, recs); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Filter diverged: %d vs %d records", s.Name(), len(got), len(want))
-			}
 			if got := FilterParallel(s, m, recs, w); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: FilterParallel diverged: %d vs %d records",
 					s.Name(), w, len(got), len(want))

@@ -3,16 +3,17 @@
 // *any* meta-data value (the union) rather than flows matching all values
 // (the intersection): multistage anomalies such as the Sasser worm have
 // flow-disjoint meta-data, for which the intersection is empty while the
-// union covers every stage. Both strategies are provided; Intersection
-// exists as the DoWitcher-style comparison baseline (§IV).
+// union covers every stage. The pipeline always scans with Union;
+// Intersection exists only as the DoWitcher-style comparison baseline
+// (§IV) that the §II-A experiment and the tests measure against.
 //
 // There is one scan: SelectBuffer walks a columnar flow.Buffer one
 // annotated feature column at a time and returns the matching rows'
-// indices, which the extraction stage mines in place. Filter,
-// FilterParallel, FilterBufferParallel and Count are adapters over it
-// that gather rows or count them. detector.MetaData's MatchesFlow and MatchesFlowAll state the
-// two strategies' predicates record by record; the tests hold the scan to
-// them.
+// indices, which the extraction stage mines in place. FilterParallel,
+// FilterBufferParallel and Count are adapters over it that gather rows
+// or count them. detector.MetaData's MatchesFlow and MatchesFlowAll
+// state the two strategies' predicates record by record; the tests hold
+// the scan to them.
 //
 // Ordering guarantee: every entry point returns matches in row order,
 // and a parallel scan concatenates per-chunk output in range order, so
@@ -222,11 +223,6 @@ func FilterBufferParallel(s Strategy, m detector.MetaData, buf *flow.Buffer, wor
 func FilterParallel(s Strategy, m detector.MetaData, recs []flow.Record, workers int) []flow.Record {
 	buf := flow.BufferOf(recs)
 	return FilterBufferParallel(s, m, &buf, workers)
-}
-
-// Filter is FilterParallel on one worker.
-func Filter(s Strategy, m detector.MetaData, recs []flow.Record) []flow.Record {
-	return FilterParallel(s, m, recs, 1)
 }
 
 // Count returns how many flows of recs strategy s selects, without

@@ -21,7 +21,7 @@ func sasserMeta(d *tracegen.SasserData) detector.MetaData {
 func TestUnionCoversAllSasserStages(t *testing.T) {
 	d := tracegen.SasserScenario(1, 3000)
 	m := sasserMeta(d)
-	got := Filter(Union{}, m, d.Flows)
+	got := FilterParallel(Union{}, m, d.Flows, 1)
 	wantMin := d.StageFlows[0] + d.StageFlows[1] + d.StageFlows[2]
 	if len(got) < wantMin {
 		t.Fatalf("union selected %d flows, worm injected %d", len(got), wantMin)
@@ -56,8 +56,8 @@ func TestUnionSupersetOfIntersection(t *testing.T) {
 	// union ⊇ intersection.
 	d := tracegen.SasserScenario(2, 2000)
 	m := sasserMeta(d)
-	u := Filter(Union{}, m, d.Flows)
-	i := Filter(Intersection{}, m, d.Flows)
+	u := FilterParallel(Union{}, m, d.Flows, 1)
+	i := FilterParallel(Intersection{}, m, d.Flows, 1)
 	if len(i) > len(u) {
 		t.Fatalf("intersection (%d) larger than union (%d)", len(i), len(u))
 	}
@@ -114,7 +114,7 @@ func TestFilterPreservesOrder(t *testing.T) {
 	}
 	m := detector.NewMetaData()
 	m.Add(flow.DstPort, 445)
-	got := Filter(Union{}, m, recs)
+	got := FilterParallel(Union{}, m, recs, 1)
 	if len(got) != 2 || got[0].Start != 1 || got[1].Start != 3 {
 		t.Errorf("order not preserved: %v", got)
 	}

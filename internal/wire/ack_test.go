@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,6 +120,78 @@ func TestRootAcksQueuedFrame(t *testing.T) {
 	if len(root.got) != len(trace) {
 		t.Errorf("root emitted %d reports, want %d", len(root.got), len(trace))
 	}
+}
+
+// TestHoldTimeoutBoundsSilentAgent: HoldTimeout also bounds an agent
+// that stays connected and ships nothing, as a hung process or a
+// half-open socket does. Agent 1 connects and stays silent while agent
+// 0 ships three intervals, which close Partial [1] once the hold timer
+// fires.
+//   - close: agent 0's Close returns. Were the silent agent to hold
+//     every boundary, its Bye would wait forever behind a frame the
+//     root has no ingest credit to read.
+//   - revive: agent 1 then ships on the connection it kept, so it is
+//     live, and waited for, again; the next interval closes complete.
+func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
+	cfg := gridtest.Config()
+	trace := gridtest.Trace(4, 500, -1)
+	// start has agent 0 ship the first three intervals past a silent
+	// agent 1.
+	start := func(t *testing.T) (root *host, a, silent *shipper) {
+		root = serve(t, cfg, wire.CollectorConfig{Agents: 2, HoldTimeout: 200 * time.Millisecond})
+		silent = newShipper(t, root, 1, 0)
+		a = newShipper(t, root, 0, 0)
+		for i := range 3 {
+			returns(t, fmt.Sprintf("agent 0 ship %d", i), a.ship(trace[i], bnd(i)))
+		}
+		return root, a, silent
+	}
+	closes := func(t *testing.T, s *shipper) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- s.agent.Close() }()
+		returns(t, "Close", done)
+	}
+	// ends checks the root's reports: the first three name agent 1 as
+	// missing, any later one none.
+	ends := func(t *testing.T, root *host, reports int) {
+		t.Helper()
+		if err := root.end(t); err != nil {
+			t.Fatal(err)
+		}
+		if len(root.got) != reports {
+			t.Fatalf("root emitted %d reports, want %d", len(root.got), reports)
+		}
+		for i, rep := range root.got {
+			want := []int{1}
+			if i >= 3 {
+				want = nil
+			}
+			if !slices.Equal(rep.Partial, want) {
+				t.Errorf("interval %d: Partial %v, want %v", rep.Interval, rep.Partial, want)
+			}
+		}
+	}
+	t.Run("close", func(t *testing.T) {
+		gridtest.NoLeak(t)
+		root, a, _ := start(t)
+		closes(t, a)
+		ends(t, root, 3)
+	})
+	t.Run("revive", func(t *testing.T) {
+		gridtest.NoLeak(t)
+		root, a, silent := start(t)
+		eventually(t, "the root closes three intervals without agent 1", func() bool {
+			m := root.metrics(t)
+			return m.LastClosed == bnd(2) && m.Agents[1].Status == "dead"
+		})
+		returns(t, "agent 1 ship 3", silent.ship(trace[3], bnd(3)))
+		eventually(t, "agent 1 live again", func() bool { return root.metrics(t).Agents[1].Status == "live" })
+		returns(t, "agent 0 ship 3", a.ship(trace[3], bnd(3)))
+		closes(t, a)
+		closes(t, silent)
+		ends(t, root, 4)
+	})
 }
 
 // TestCheckpointedRootAcksAfterWrite pins the other commit point: a root

@@ -26,7 +26,7 @@ type AgentOptions struct {
 	// collector acks at its commit point (see Acked), so against a root
 	// without a checkpoint even a one-frame buffer runs ahead of the
 	// root's close, as far as the root's ingest credit allows. 0 takes
-	// the default (64).
+	// the default (64); DialAgent refuses a negative bound.
 	ReplayBuffer int
 	// Dialer opens a new collector connection for the initial connect
 	// and every redial; nil dials DialAgent's addr over TCP.
@@ -38,9 +38,6 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	o.Retry = o.Retry.withDefaults()
 	if o.ReplayBuffer == 0 {
 		o.ReplayBuffer = 64
-	}
-	if o.ReplayBuffer < 1 {
-		o.ReplayBuffer = 1
 	}
 	return o
 }
@@ -69,7 +66,7 @@ type Agent struct {
 	id     int
 	digest uint64
 	opts   AgentOptions
-	rng    *rand.Rand // seeded jitter source; never influences report bytes
+	rng    *rand.Rand // jitter source seeded with id; never influences report bytes
 
 	// shipMu serializes ship calls. A ship encodes its frame without
 	// holding mu, so acks and reconnects proceed meanwhile; enc is the
@@ -109,6 +106,9 @@ func DialAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) (*A
 	if agentID < 0 {
 		return nil, fmt.Errorf("wire: negative agent ID %d", agentID)
 	}
+	if opts.ReplayBuffer < 0 {
+		return nil, fmt.Errorf("wire: negative ReplayBuffer %d", opts.ReplayBuffer)
+	}
 	a := newAgent(addr, agentID, cfg, opts)
 	if err := a.connect(); err != nil {
 		return nil, err
@@ -127,7 +127,7 @@ func newAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) *Age
 		id:     agentID,
 		digest: configDigest(cfg),
 		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Retry.Seed)),
+		rng:    rand.New(rand.NewSource(int64(agentID))),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a

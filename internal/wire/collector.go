@@ -20,9 +20,11 @@ type PartialPolicy int
 
 const (
 	// HoldWithTimeout (the default) holds the interval open waiting for
-	// the missing agent to reconnect and deliver; after HoldTimeout the
-	// agent is declared dead and the interval closes without it, flagged
-	// Partial. A zero HoldTimeout holds forever.
+	// the missing agent to deliver — a disconnected one to reconnect, a
+	// connected one to send its frame; after HoldTimeout the agent is
+	// declared dead and the interval closes without it, flagged Partial.
+	// So a hung agent that keeps its connection open cannot hold the
+	// session. A zero HoldTimeout holds forever.
 	HoldWithTimeout PartialPolicy = iota
 	// CloseWithout closes intervals immediately without disconnected
 	// agents, flagging them Partial. Connected agents are always waited
@@ -52,9 +54,10 @@ type CollectorConfig struct {
 	Agents int
 	// Policy selects the partial-interval behavior; see PartialPolicy.
 	Policy PartialPolicy
-	// HoldTimeout bounds how long HoldWithTimeout waits for a
-	// disconnected agent before closing without it. 0 holds forever; a
-	// negative timeout is refused.
+	// HoldTimeout bounds how long HoldWithTimeout waits for a missing
+	// agent's frame, whether the agent is disconnected or connected and
+	// silent, before closing without it. 0 holds forever; a negative
+	// timeout is refused.
 	HoldTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the collector write its
 	// durable state there (fsynced temp + atomic rename) after every
@@ -92,15 +95,17 @@ const (
 	statusPending agentStatus = iota
 	// statusLive: connected. Blocks closes until its next frame arrives
 	// (in-order delivery means the frame is coming or the connection
-	// will break).
+	// will break) or, under HoldWithTimeout, the hold timer fires.
 	statusLive
 	// statusDown: disconnected, expected back (HoldWithTimeout). Blocks
 	// closes until it reconnects or the hold timer fires.
 	statusDown
-	// statusDead: disconnected and not waited for — a drop under
-	// CloseWithout, or a hold timeout. Never blocks; intervals close
-	// without it, flagged Partial. The agent may still reconnect out of
-	// it.
+	// statusDead: not waited for — a drop under CloseWithout, or a hold
+	// timeout, which may find the agent still connected but silent.
+	// Never blocks; intervals close without it, flagged Partial. The
+	// agent leaves it by reconnecting, by getting a frame queued on the
+	// connection it kept, or, when that connection ends, as any lost
+	// agent does.
 	statusDead
 	// statusBye: ended its stream cleanly. Never blocks; a later hello
 	// for the same ID is rejected.
@@ -766,9 +771,8 @@ func (s *session) stopHold() {
 }
 
 // armHold arms the partial-interval timer when a pending boundary is
-// blocked only by disconnected (or never-connected) agents. Blockage by
-// a connected agent never times out: its frame is in flight, or its
-// connection will break and reclassify it.
+// blocked. The blocker may be connected: a hung agent keeps its socket
+// open and sends nothing, and must not hold every boundary forever.
 func (c *Collector) armHold(s *session) {
 	if c.cc.Policy != HoldWithTimeout || c.cc.HoldTimeout <= 0 {
 		return
@@ -777,12 +781,6 @@ func (c *Collector) armHold(s *session) {
 	if !ok || s.ready(b, c.cc.Policy) {
 		s.stopHold()
 		return
-	}
-	for _, st := range s.ag {
-		if st.blocks(c.cc.Policy) && st.status == statusLive {
-			s.stopHold()
-			return
-		}
 	}
 	if s.holdFor == b {
 		return // already armed for this boundary
@@ -977,6 +975,12 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		}
 		st.queue = append(st.queue, ev.frame)
 		c.met.Agent(ev.id).SetQueueDepth(int64(len(st.queue)))
+		if st.status == statusDead {
+			// A hold timeout gave up on the agent while it stayed
+			// connected; it has delivered again.
+			st.status = statusLive
+			c.met.Agent(ev.id).SetStatus(metrics.StatusLive)
+		}
 		c.ack(s, ev.id)
 	case evBye:
 		st := s.ag[ev.id]
@@ -1018,7 +1022,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		}
 		s.stopHold()
 		for id, st := range s.ag {
-			if st.blocks(c.cc.Policy) && st.status != statusLive {
+			if st.blocks(c.cc.Policy) {
 				st.status = statusDead
 				c.met.Agent(id).SetStatus(metrics.StatusDead)
 			}

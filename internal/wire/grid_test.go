@@ -88,8 +88,8 @@ type row struct {
 // fastRetry is the redial policy of the harness's agents and relays:
 // plenty of attempts with millisecond backoff, so a scripted cut heals
 // in wall-time noise instead of the production default's seconds.
-func fastRetry(seed int64) wire.RetryConfig {
-	return wire.RetryConfig{MaxAttempts: 400, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: seed}
+func fastRetry() wire.RetryConfig {
+	return wire.RetryConfig{MaxAttempts: 400, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 }
 
 // bnd maps an interval ordinal to its boundary on the harness's grid:
@@ -185,7 +185,7 @@ func (r row) run(t *testing.T) {
 			h := &host{cfg: cfg, cc: cc}
 			if tier > 0 {
 				_, id := parentOf(n)
-				h.rc = &wire.RelayConfig{AgentID: id, Dialer: dialer(n), Retry: fastRetry(int64(100 + idx))}
+				h.rc = &wire.RelayConfig{AgentID: id, Dialer: dialer(n), Retry: fastRetry()}
 			} else if r.crash != nil && *r.crash == n {
 				h.failAt = r.at
 			}
@@ -208,7 +208,7 @@ func (r row) run(t *testing.T) {
 		_, id := parentOf(n)
 		from, to := r.window(idx, len(trace))
 		from = max(from, r.from)
-		l := leaf{id: id, shards: 1, part: part[:to], from: from, dial: dialer(n), seed: int64(1 + idx)}
+		l := leaf{id: id, shards: 1, part: part[:to], from: from, dial: dialer(n)}
 		if idx == 0 && r.shards0 > 0 {
 			l.shards = r.shards0
 		}
@@ -467,7 +467,6 @@ type leaf struct {
 	part       [][]flow.Record
 	from       int
 	dial       func() (net.Conn, error)
-	seed       int64
 	// mortal makes the leaf's machine die once its parent has acked its
 	// last interval: the transport closes with no Bye, and it never
 	// redials. (Dying any sooner would race that frame's delivery.)
@@ -479,7 +478,7 @@ type leaf struct {
 }
 
 func (l leaf) run(t *testing.T, cfg core.Config) {
-	opts := wire.AgentOptions{Retry: fastRetry(l.seed), Dialer: l.dial}
+	opts := wire.AgentOptions{Retry: fastRetry(), Dialer: l.dial}
 	var conn net.Conn
 	if l.mortal {
 		opts.Retry = wire.RetryConfig{MaxAttempts: -1}

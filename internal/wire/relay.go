@@ -144,11 +144,9 @@ type RelayConfig struct {
 	// balanced tree, which makes the root's absorb order identical to a
 	// flat deployment's. Set it explicitly for irregular trees.
 	LeafBase int
-	// Retry is the upstream redial policy; see RetryConfig.
+	// Retry is the upstream redial policy; see RetryConfig. The
+	// upstream replay buffer takes AgentOptions' default.
 	Retry RetryConfig
-	// ReplayBuffer bounds the upstream replay buffer, as in
-	// AgentOptions.
-	ReplayBuffer int
 	// Dialer overrides the upstream dial; nil dials Parent over TCP.
 	Dialer func() (net.Conn, error)
 }
@@ -184,11 +182,7 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 		return nil, fmt.Errorf("wire: relay leaf span [%d,%d) outside [0,%d)",
 			rc.LeafBase, rc.LeafBase+fanIn, maxLeafSpan)
 	}
-	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{
-		Retry:        rc.Retry,
-		ReplayBuffer: rc.ReplayBuffer,
-		Dialer:       rc.Dialer,
-	})
+	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{Retry: rc.Retry, Dialer: rc.Dialer})
 	c, err := newCollector(cfg, rc.Collector, &forwarder{agent: up, spanLo: rc.LeafBase, spanLen: fanIn})
 	if err != nil {
 		return nil, err
@@ -247,7 +241,7 @@ func (c *Collector) watchUpstreamAcks(s *session) {
 }
 
 // missingFor computes the global leaf IDs boundary b closes without:
-// the IDs carried by child relay frames, plus every disconnected child
+// the IDs carried by child relay frames, plus every down or dead child
 // with nothing queued and nothing absorbed for b — expanded to its leaf
 // span when the child is itself a relay, mapped through spanLo when it
 // is a direct child of a relay, or reported as its own ID at the root.

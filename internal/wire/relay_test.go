@@ -82,7 +82,8 @@ func drainUntilClosed(conn net.Conn) {
 }
 
 // TestNewRelayValidation pins the relay constructor's contract: the
-// rejections, the derived LeafBase numbering, and the metrics surface.
+// rejections, DialAgent's for the relay's upstream face, the derived
+// LeafBase numbering, and the metrics surface.
 // The rows with a bad child-facing configuration are NewCollector's
 // rejections, checked once for both constructors.
 func TestNewRelayValidation(t *testing.T) {
@@ -114,6 +115,23 @@ func TestNewRelayValidation(t *testing.T) {
 		if coll, err := wire.NewCollector(cfg, tc.rc.Collector); err == nil {
 			coll.Close()
 			t.Errorf("%s: collector accepted", tc.name)
+		}
+	}
+
+	// A relay's upstream face is an agent: DialAgent refuses what it
+	// cannot run, though a collector is there to take the connection.
+	root := serve(t, cfg, wire.CollectorConfig{Agents: 1})
+	for _, tc := range []struct {
+		name         string
+		id, buffered int
+	}{
+		{"negative agent ID", -1, 0},
+		{"negative replay buffer", 0, -1},
+	} {
+		opts := wire.AgentOptions{ReplayBuffer: tc.buffered, Dialer: root.dial}
+		if agent, err := wire.DialAgent("", tc.id, cfg, opts); err == nil {
+			agent.Close()
+			t.Errorf("%s: agent accepted", tc.name)
 		}
 	}
 

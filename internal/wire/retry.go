@@ -7,11 +7,11 @@ import (
 
 // RetryConfig parameterizes an agent's redial behavior after a lost
 // collector connection: capped exponential backoff with seeded jitter.
-// Determinism note: the jitter source is explicitly seeded (Seed), so a
-// given configuration produces the same delay sequence on every run —
-// retry timing never reads the wall clock or the global rand source,
-// and it only spaces connection attempts; it cannot influence report
-// bytes.
+// Determinism note: each agent seeds its jitter source with its agent
+// ID, so one agent draws the same delay sequence on every run while
+// the agents of a fleet draw different ones — retry timing never reads
+// the wall clock or the global rand source, and it only spaces
+// connection attempts; it cannot influence report bytes.
 type RetryConfig struct {
 	// MaxAttempts is the number of redials tried per disconnect before
 	// the agent gives up with a permanent error. 0 takes the default
@@ -24,9 +24,6 @@ type RetryConfig struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth. 0 takes the default (10s).
 	MaxDelay time.Duration
-	// Seed seeds the jitter source. The zero seed is a valid seed (all
-	// agents may share it; jitter decorrelates by attempt anyway).
-	Seed int64
 }
 
 // withDefaults resolves the zero values.

@@ -119,8 +119,8 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
 	fs.StringVar(&o.coll.MetricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector and relay modes)")
-	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent is down: hold (wait up to -hold-timeout) or close (close without it) (collector and relay modes)")
-	fs.DurationVar(&o.coll.HoldTimeout, "hold-timeout", 0, "how long -partial hold waits for a disconnected agent before closing without it (0 = forever) (collector and relay modes)")
+	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent's frame is missing: hold (wait up to -hold-timeout, whether the agent is down or connected and silent) or close (close without a down agent at once) (collector and relay modes)")
+	fs.DurationVar(&o.coll.HoldTimeout, "hold-timeout", 0, "how long -partial hold waits for a missing frame, from a down agent or a connected one that has gone silent, before closing without the agent (0 = forever) (collector and relay modes)")
 	fs.StringVar(&o.coll.CheckpointPath, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector and relay modes)")
 	fs.BoolVar(&o.coll.Resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector and relay modes)")
 	fs.IntVar(&o.retry.MaxAttempts, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent and relay modes)")

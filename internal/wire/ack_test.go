@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,12 @@ type shipper struct {
 // of waiting on a root with no credit to read them.
 func newShipper(t *testing.T, root *host, id, replay int) *shipper {
 	t.Helper()
+	return newShipperVia(t, root, id, replay, root.dial)
+}
+
+// newShipperVia is newShipper over the links dial opens.
+func newShipperVia(t *testing.T, root *host, id, replay int, dial func() (net.Conn, error)) *shipper {
+	t.Helper()
 	p, err := core.New(root.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +46,7 @@ func newShipper(t *testing.T, root *host, id, replay int) *shipper {
 	agent, err := wire.DialAgent("", id, root.cfg, wire.AgentOptions{
 		Retry:        wire.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		ReplayBuffer: replay,
-		Dialer:       root.dial,
+		Dialer:       dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +140,14 @@ func TestRootAcksQueuedFrame(t *testing.T) {
 //     root has no ingest credit to read.
 //   - revive: agent 1 then ships on the connection it kept, so it is
 //     live, and waited for, again; the next interval closes complete.
+//   - revive-backlog: agent 1's link stalls, so the root sees nothing
+//     of it while agent 0 ships four intervals and they close without
+//     it. Its backlog of those four frames then reaches the root late and
+//     is dropped, but still shows agent 1 ships again: it is live, and
+//     the fifth interval waits for it and closes complete.
 func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 	cfg := gridtest.Config()
-	trace := gridtest.Trace(4, 500, -1)
+	trace := gridtest.Trace(5, 500, -1)
 	// start has agent 0 ship the first three intervals past a silent
 	// agent 1.
 	start := func(t *testing.T) (root *host, a, silent *shipper) {
@@ -152,9 +165,9 @@ func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 		go func() { done <- s.agent.Close() }()
 		returns(t, "Close", done)
 	}
-	// ends checks the root's reports: the first three name agent 1 as
-	// missing, any later one none.
-	ends := func(t *testing.T, root *host, reports int) {
+	// ends checks the root's reports: the first partial ones name agent
+	// 1 as missing, any later one none.
+	ends := func(t *testing.T, root *host, reports, partial int) {
 		t.Helper()
 		if err := root.end(t); err != nil {
 			t.Fatal(err)
@@ -164,7 +177,7 @@ func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 		}
 		for i, rep := range root.got {
 			want := []int{1}
-			if i >= 3 {
+			if i >= partial {
 				want = nil
 			}
 			if !slices.Equal(rep.Partial, want) {
@@ -176,7 +189,7 @@ func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 		gridtest.NoLeak(t)
 		root, a, _ := start(t)
 		closes(t, a)
-		ends(t, root, 3)
+		ends(t, root, 3, 3)
 	})
 	t.Run("revive", func(t *testing.T) {
 		gridtest.NoLeak(t)
@@ -190,8 +203,89 @@ func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 		returns(t, "agent 0 ship 3", a.ship(trace[3], bnd(3)))
 		closes(t, a)
 		closes(t, silent)
-		ends(t, root, 4)
+		ends(t, root, 4, 3)
 	})
+	t.Run("revive-backlog", func(t *testing.T) {
+		gridtest.NoLeak(t)
+		root := serve(t, cfg, wire.CollectorConfig{Agents: 2, HoldTimeout: 200 * time.Millisecond})
+		link := &stalledConn{}
+		silent := newShipperVia(t, root, 1, 0, func() (net.Conn, error) {
+			conn, err := root.dial()
+			link.Conn = conn
+			return link, err
+		})
+		link.stall()
+		t.Cleanup(func() { link.flush() })
+		a := newShipper(t, root, 0, 0)
+		for i := range 4 {
+			returns(t, fmt.Sprintf("agent 0 ship %d", i), a.ship(trace[i], bnd(i)))
+			returns(t, fmt.Sprintf("agent 1 ship %d into the stalled link", i), silent.ship(trace[i], bnd(i)))
+		}
+		eventually(t, "the root closes four intervals without agent 1", func() bool {
+			m := root.metrics(t)
+			return m.LastClosed == bnd(3) && m.Agents[1].Status == "dead"
+		})
+		if err := link.flush(); err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "agent 1 live again", func() bool { return root.metrics(t).Agents[1].Status == "live" })
+		returns(t, "agent 0 ship 4", a.ship(trace[4], bnd(4)))
+		returns(t, "agent 1 ship 4", silent.ship(trace[4], bnd(4)))
+		closes(t, a)
+		closes(t, silent)
+		ends(t, root, 5, 4)
+	})
+}
+
+// stalledConn is an agent's link that can stall, as a hung process or a
+// congested path does: while stalled it holds what the agent writes and
+// what the agent would read. flush delivers the held writes, then lets
+// the reads through.
+type stalledConn struct {
+	net.Conn
+	mu      sync.Mutex
+	held    []byte
+	stalled chan struct{} // non-nil while stalled; flush closes it
+}
+
+func (c *stalledConn) stall() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stalled = make(chan struct{})
+}
+
+func (c *stalledConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stalled != nil {
+		c.held = append(c.held, p...)
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *stalledConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	stalled := c.stalled
+	c.mu.Unlock()
+	if stalled != nil {
+		<-stalled
+	}
+	return n, err
+}
+
+func (c *stalledConn) flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stalled == nil {
+		return nil
+	}
+	_, err := c.Conn.Write(c.held)
+	c.held = nil
+	close(c.stalled)
+	c.stalled = nil
+	return err
 }
 
 // TestCheckpointedRootAcksAfterWrite pins the other commit point: a root

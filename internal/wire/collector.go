@@ -15,7 +15,7 @@ import (
 )
 
 // PartialPolicy selects what the collector does with an interval whose
-// boundary is pending while some agent is disconnected.
+// boundary is pending while some agent's frame for it is missing.
 type PartialPolicy int
 
 const (
@@ -24,7 +24,8 @@ const (
 	// connected one to send its frame; after HoldTimeout the agent is
 	// declared dead and the interval closes without it, flagged Partial.
 	// So a hung agent that keeps its connection open cannot hold the
-	// session. A zero HoldTimeout holds forever.
+	// session; its next frame, even a late one, makes it live again. A
+	// zero HoldTimeout holds forever.
 	HoldWithTimeout PartialPolicy = iota
 	// CloseWithout closes intervals immediately without disconnected
 	// agents, flagging them Partial. Connected agents are always waited
@@ -103,9 +104,9 @@ const (
 	// statusDead: not waited for — a drop under CloseWithout, or a hold
 	// timeout, which may find the agent still connected but silent.
 	// Never blocks; intervals close without it, flagged Partial. The
-	// agent leaves it by reconnecting, by getting a frame queued on the
-	// connection it kept, or, when that connection ends, as any lost
-	// agent does.
+	// agent leaves it by reconnecting, by sending any frame (queued or
+	// dropped as late) on the connection it kept, or, when that
+	// connection ends, as any lost agent does.
 	statusDead
 	// statusBye: ended its stream cleanly. Never blocks; a later hello
 	// for the same ID is rejected.
@@ -959,6 +960,13 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 			// Partial attribution can name its leaves if it goes silent.
 			st.spanLo, st.spanLen = ev.frame.spanLo, ev.frame.spanLen
 		}
+		if st.status == statusDead {
+			// A hold timeout gave up on the agent while it stayed
+			// connected; it ships again. A backlog it replays is all
+			// late, so any frame, queued or dropped, makes it live.
+			st.status = statusLive
+			c.met.Agent(ev.id).SetStatus(metrics.StatusLive)
+		}
 		if ev.boundary <= s.lastClosed || ev.boundary <= st.tail() {
 			// Already held or already closed: drop and re-ack (up to the
 			// settled line — never past an upstream ack a relay is still
@@ -975,12 +983,6 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		}
 		st.queue = append(st.queue, ev.frame)
 		c.met.Agent(ev.id).SetQueueDepth(int64(len(st.queue)))
-		if st.status == statusDead {
-			// A hold timeout gave up on the agent while it stayed
-			// connected; it has delivered again.
-			st.status = statusLive
-			c.met.Agent(ev.id).SetStatus(metrics.StatusLive)
-		}
 		c.ack(s, ev.id)
 	case evBye:
 		st := s.ag[ev.id]

@@ -710,7 +710,7 @@ func TestGrid(t *testing.T) {
 //     frames unacked. The alarm falls after both cuts, so the restored
 //     state decides it.
 func TestFaultGrid(t *testing.T) {
-	hold40 := map[int]wire.CollectorConfig{0: {HoldTimeout: 40 * time.Millisecond}}
+	hold500 := map[int]wire.CollectorConfig{0: {HoldTimeout: 500 * time.Millisecond}}
 	closeAt := func(tier int) map[int]wire.CollectorConfig {
 		return map[int]wire.CollectorConfig{tier: {Policy: wire.CloseWithout}}
 	}
@@ -722,7 +722,7 @@ func TestFaultGrid(t *testing.T) {
 		{"reconnect-replay", row{tp: topology{2}, trace: gridtest.Trace(10, 2000, 7),
 			cuts: map[node][]int{{1, 0}: {1, 3, 6}}}},
 		{"close-without-dead-leaf", row{tp: topology{2}, tiers: closeAt(0), dies: map[int]int{1: 4}}},
-		{"hold-timeout", row{tp: topology{2}, tiers: hold40, dies: map[int]int{1: 2}}},
+		{"hold-timeout", row{tp: topology{2}, tiers: hold500, dies: map[int]int{1: 2}}},
 		{"root-restart", row{tp: topology{2}, crash: &node{0, 0}, at: 4}},
 		{"relay-tier-cuts", row{tp: topology{2, 2}, trace: gridtest.Trace(10, 2000, 7),
 			cuts: map[node][]int{{2, 0}: {1, 3}, {1, 1}: {2, 5}}}},

@@ -43,7 +43,6 @@ import (
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
-	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/mining/fpgrowth"
 	"anomalyx/internal/netflow"
 	"anomalyx/internal/shard"
@@ -155,19 +154,10 @@ func NewShardedPipeline(cfg ShardConfig) (*ShardedPipeline, error) { return shar
 
 // ExtractOffline runs the extraction stage alone on a recorded interval:
 // prefilter recs with meta and mine the suspicious set (the post-mortem
-// alarm-investigation mode). cfg.Workers parallelizes the prefilter scan
-// with output identical to the sequential one.
-//
-// A nil cfg.Miner here still means the paper's modified Apriori, not the
-// built-in columnar Eclat a pipeline defaults to: the report is the same
-// either way, and core.ExtractOffline with a nil Miner is the ~15x faster
-// call, but the repository's benchmark bounds tableii_offline's
-// run-to-run spread by the Apriori-era median, which a call that fast
-// cannot meet on a shared machine (ROADMAP item 1).
+// alarm-investigation mode). As in a pipeline, a nil cfg.Miner mines
+// with the built-in columnar Eclat. cfg.Workers parallelizes the
+// prefilter scan with output identical to the sequential one.
 func ExtractOffline(cfg Config, recs []Flow, meta MetaData) (*Report, error) {
-	if cfg.Miner == nil {
-		cfg.Miner = apriori.New()
-	}
 	return core.ExtractOffline(cfg, recs, meta)
 }
 

@@ -13,7 +13,9 @@ import (
 	"anomalyx"
 	"anomalyx/internal/core"
 	"anomalyx/internal/hash"
+	"anomalyx/internal/mining/apriori"
 	"anomalyx/internal/stats"
+	"anomalyx/internal/tracegen"
 )
 
 // hashFunc and newBenchPipeline are shared with bench_test.go.
@@ -100,14 +102,66 @@ func TestFacadeOfflineExtraction(t *testing.T) {
 	if len(rep.ItemSets) != 1 || rep.ItemSets[0].Support != 600 {
 		t.Errorf("item-sets: %v", rep.ItemSets)
 	}
-	// The facade's offline default is Apriori, core's the built-in miner:
-	// the report must not tell them apart.
+	// The facade wraps core's offline call: with a nil Miner both mine
+	// with the built-in Eclat, so the reports must not tell them apart.
 	builtin, err := core.ExtractOffline(core.Config{MinSupport: 100}, flows, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, builtin) {
 		t.Errorf("facade default mined\n%+v\nbuilt-in miner mined\n%+v", rep.Mining, builtin.Mining)
+	}
+}
+
+// TestFacadeOfflineTableII runs the facade's offline call on the §II-B
+// worked example (under -short every 8th flow, at an eighth of the
+// minimum support). The default miner must report exactly what the
+// paper's Apriori and FP-Growth report, and stay on the columnar path:
+// a row-form miner allocates a few times per transaction, hundreds of
+// thousands in all.
+func TestFacadeOfflineTableII(t *testing.T) {
+	d := tracegen.TableIIScenario(20071203)
+	flows, cfg := d.Flows, anomalyx.Config{MinSupport: d.MinSupport}
+	if testing.Short() {
+		const sample = 8
+		flows = nil
+		for i := 0; i < len(d.Flows); i += sample {
+			flows = append(flows, d.Flows[i])
+		}
+		cfg.MinSupport /= sample
+	}
+	meta := anomalyx.NewMetaData()
+	for _, port := range []uint64{7000, 80, 9022, 25} {
+		meta.Add(anomalyx.DstPort, port)
+	}
+
+	rep, err := anomalyx.ExtractOffline(cfg, flows, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ItemSets) == 0 {
+		t.Fatal("no item-sets")
+	}
+	for _, m := range []anomalyx.Miner{apriori.New(), anomalyx.FPGrowth()} {
+		mcfg := cfg
+		mcfg.Miner = m
+		ref, err := anomalyx.ExtractOffline(mcfg, flows, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, ref) {
+			t.Errorf("default miner reported\n%+v\n%s reported\n%+v", rep.Mining, m.Name(), ref.Mining)
+		}
+	}
+
+	const maxAllocs = 10000
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := anomalyx.ExtractOffline(cfg, flows, meta); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("default offline extraction of %d flows allocated %.0f times, want at most %d", len(flows), allocs, maxAllocs)
 	}
 }
 

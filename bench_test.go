@@ -65,8 +65,7 @@ func quickRun(b *testing.B) *experiments.TraceRun {
 // BenchmarkTableII regenerates the §II-B worked example the way the
 // pipeline runs it: the 350 872-flow input prefiltered by the alarm's
 // dstPort meta-data and mined at minimum support 10 000 through
-// core.ExtractOffline's default path (columnar prefilter + built-in
-// Eclat; the facade's ExtractOffline still defaults to Apriori).
+// ExtractOffline's default path (columnar prefilter + built-in Eclat).
 // BenchmarkMinerApriori times the paper's own miner on the same input.
 func BenchmarkTableII(b *testing.B) {
 	_, data := tableIIFixture(b)
@@ -77,7 +76,7 @@ func BenchmarkTableII(b *testing.B) {
 	cfg := anomalyx.Config{MinSupport: data.MinSupport, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.ExtractOffline(cfg, data.Flows, meta)
+		rep, err := anomalyx.ExtractOffline(cfg, data.Flows, meta)
 		if err != nil {
 			b.Fatal(err)
 		}

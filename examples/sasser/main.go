@@ -2,7 +2,7 @@
 // worm. The three propagation stages (port-445 scans, port-9996 backdoor
 // connections, 16 kB executable downloads) have pairwise flow-disjoint
 // meta-data: intersecting the meta-data selects zero flows, while the
-// union covers every stage and lets Apriori summarize each one.
+// union covers every stage and lets the miner summarize each one.
 //
 // The scenario is seeded, so the printed comparison is reproducible run
 // to run.

@@ -319,10 +319,18 @@ func ackingPeer(conn net.Conn) {
 // submits the next interval's records, whose first record cuts the
 // previous interval closed — drain, encode, write (waiting for the
 // previous frame's ack), hand the drained memory back — and reads the
-// close's stub report. Measured at 2 allocations per cycle when this
-// test was written, both outside the close: SubmitBatch's copy of the
-// batch and the stub report. The drain, the frame and the encode
-// scratch all come back from the previous close.
+// close's stub report, then waits for the collector's ack of the frame
+// it shipped. Measured at 2 allocations per cycle when this test was
+// written, both outside the close: SubmitBatch's copy of the batch and
+// the stub report. The drain, the frame and the encode scratch all come
+// back from the previous close.
+//
+// minAllocs counts every malloc in the process, so the ack wait keeps
+// the peer's and the agent's reader's work inside the cycle that caused
+// it. A ship that starts before its predecessor's ack finds the agent's
+// free list empty and grows a second payload from scratch (~25
+// allocations) in whichever try that happens, and a late ack's lock
+// hand-off can add a sudog to another.
 func TestShippingCloseSteadyStateAllocs(t *testing.T) {
 	cfg := core.Config{Workers: 1}
 	p, err := core.New(cfg)
@@ -368,13 +376,22 @@ func TestShippingCloseSteadyStateAllocs(t *testing.T) {
 	}
 	next := 0
 	cycle := func() {
-		n, err := eng.SubmitBatch(batches[next])
+		batch := batches[next]
+		n, err := eng.SubmitBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		next++
+		if n == 0 {
+			return // the first batch closes nothing
+		}
 		for ; n > 0; n-- {
 			<-eng.Reports()
+		}
+		// The batch's first record closed the interval ending at its own
+		// start, and the close shipped it.
+		if _, ok := a.waitAckedAbove(batch[0].Start - 1); !ok {
+			t.Fatal("the agent's stream failed before the ack")
 		}
 	}
 	for i := 0; i <= warm; i++ {

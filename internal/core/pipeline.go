@@ -141,11 +141,13 @@ type Pipeline struct {
 	// column-wise. Each buffer is its own allocation: partitions append
 	// concurrently, and adjacent column headers would share cache lines.
 	buffers []*flow.Buffer
-	// batches is the ingest's partition scratch: one sub-batch per
-	// partition, emptied and refilled by every partitioned batch.
-	batches [][]flow.Record
-	// one is Observe's one-record batch.
-	one [1]flow.Record
+	// rows is the row→column scratch of Observe and ObserveBatch.
+	rows flow.Buffer
+	// marks and tails are the partitioned ingest's scratch: per
+	// partition, the buffer's length before the batch and the view of
+	// the rows the batch appended.
+	marks []int
+	tails []flow.Buffer
 
 	// extract is the extraction stage's scratch, allocated by the first
 	// alarm close that has meta-data to extract by, so a pipeline that
@@ -196,7 +198,7 @@ func NewPartitioned(cfg Config, n int) (*Pipeline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p := &Pipeline{cfg: cfg, part: hash.New(partitionSeed), batches: make([][]flow.Record, n)}
+	p := &Pipeline{cfg: cfg, part: hash.New(partitionSeed), marks: make([]int, n), tails: make([]flow.Buffer, n)}
 	for range n {
 		p.buffers = append(p.buffers, new(flow.Buffer))
 		bank, err := detector.NewBank(detector.BankConfig{
@@ -221,69 +223,85 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // in one partition.
 func (p *Pipeline) ShardOf(rec *flow.Record) int { return p.part.Bin(rec.Key(), len(p.banks)) }
 
-// Observe feeds one flow of the current interval: a one-record
-// ObserveBatch, through a scratch batch that adds no allocation.
+// Observe feeds one flow of the current interval: a one-row
+// ObserveBuffer, through a scratch buffer that adds no allocation.
 func (p *Pipeline) Observe(rec flow.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.one[0] = rec
-	p.ingest(p.one[:])
+	p.rows.Reset()
+	p.rows.Append(rec)
+	p.ingest(&p.rows)
 }
 
-// ObserveBatch feeds a batch of flows of the current interval. It
-// amortizes per-record overhead and fans the detector-bank updates out
-// over the configured worker pool — and, over several partitions,
-// ingests each partition's share of the batch on its own goroutine. The
-// resulting state does not depend on how the records are batched:
-// value-table updates commute, and each partition is owned by one
-// goroutine.
+// ObserveBatch feeds a batch of flows of the current interval: an
+// adapter that transposes recs into a scratch column buffer the pipeline
+// keeps, then runs ObserveBuffer's route.
 func (p *Pipeline) ObserveBatch(recs []flow.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ingest(recs)
+	p.rows.Reset()
+	p.rows.AppendRecords(recs)
+	p.ingest(&p.rows)
 }
 
-// ingest is the one ingest route: it scatters recs to their partitions
-// by ShardOf and feeds each partition its share, concurrently unless the
-// batch is small. p.mu must be held.
-func (p *Pipeline) ingest(recs []flow.Record) {
-	if len(p.banks) == 1 {
-		p.observePart(0, recs)
+// ObserveBuffer feeds a columnar batch of flows of the current interval
+// — the pipeline's one ingest route, which Observe and ObserveBatch
+// adapt row-form input onto. It amortizes per-record overhead and fans
+// the detector-bank updates out over the configured worker pool — and,
+// over several partitions, ingests each partition's share of the batch
+// on its own goroutine. The resulting state does not depend on how the
+// flows are batched: value-table updates commute, and each partition is
+// owned by one goroutine. b is only read, and not retained past the
+// call, so the caller may refill it at once.
+func (p *Pipeline) ObserveBuffer(b *flow.Buffer) {
+	if b.Len() == 0 {
 		return
 	}
-	for i := range p.batches {
-		p.batches[i] = p.batches[i][:0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ingest(b)
+}
+
+// ingest runs the ingest route. One partition appends b to its buffer
+// and hands b to its bank. Over n partitions, every row of b is appended
+// straight to the buffer of the partition ShardOf names — scattered by
+// the key columns, never gathered into a Record — and each partition's
+// bank observes the rows its buffer gained, a view of the buffer's tail,
+// concurrently unless the batch is small. p.mu must be held.
+func (p *Pipeline) ingest(b *flow.Buffer) {
+	if len(p.banks) == 1 {
+		p.buffers[0].AppendBuffer(b)
+		p.banks[0].ObserveBuffer(b)
+		return
 	}
-	for i := range recs {
-		s := p.ShardOf(&recs[i])
-		p.batches[s] = append(p.batches[s], recs[i])
+	for i, buf := range p.buffers {
+		p.marks[i] = buf.Len()
+	}
+	for r, n := 0, b.Len(); r < n; r++ {
+		p.buffers[p.part.Bin(b.Key(r), len(p.banks))].AppendRow(b, r)
 	}
 	// The fan-out costs more than it saves on small batches.
-	inline := len(recs) < minParallelBatch
+	inline := b.Len() < minParallelBatch
 	var wg sync.WaitGroup
-	for i, part := range p.batches {
+	for i, buf := range p.buffers {
+		tail := &p.tails[i]
+		*tail = buf.Slice(p.marks[i], buf.Len())
 		switch {
-		case len(part) == 0:
+		case tail.Len() == 0:
 		case inline:
-			p.observePart(i, part)
+			p.banks[i].ObserveBuffer(tail)
 		default:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.observePart(i, part)
+				p.banks[i].ObserveBuffer(tail)
 			}()
 		}
 	}
 	wg.Wait()
-}
-
-// observePart ingests recs into partition i. p.mu must be held.
-func (p *Pipeline) observePart(i int, recs []flow.Record) {
-	p.buffers[i].AppendRecords(recs)
-	p.banks[i].ObserveBatch(recs)
 }
 
 // EndInterval closes the current interval: runs detection and, on an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"anomalyx/internal/detector"
@@ -315,6 +316,41 @@ func TestPipelineSingleFlowInterval(t *testing.T) {
 		p.Observe(flow.Record{DstPort: 80, Protocol: 6, Packets: 1, Bytes: 40})
 		if _, err := p.EndInterval(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestObserveBufferScattersByShardOf pins the partitioned ingest's
+// scatter: every row of a column chunk lands in the buffer of the
+// partition ShardOf names for its record, in chunk order, and each
+// partition's bank counts exactly its own rows.
+func TestObserveBufferScattersByShardOf(t *testing.T) {
+	p, err := NewPartitioned(testConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r := stats.NewRand(5)
+	recs := make([]flow.Record, 700) // above minParallelBatch: the fan-out runs
+	for i := range recs {
+		recs[i] = flow.Record{
+			SrcAddr: uint32(r.IntN(4096)), DstAddr: uint32(r.IntN(512)),
+			SrcPort: uint16(r.IntN(60000)), DstPort: uint16(r.IntN(1000)), Protocol: 6, Packets: 1,
+		}
+	}
+	chunk := flow.BufferOf(recs)
+	p.ObserveBuffer(&chunk)
+	want := make([][]flow.Record, 3)
+	for i := range recs {
+		s := p.ShardOf(&recs[i])
+		want[s] = append(want[s], recs[i])
+	}
+	for s, buf := range p.buffers {
+		if got := buf.Records(); !slices.Equal(got, want[s]) {
+			t.Fatalf("partition %d holds %d rows, want its %d ShardOf rows in order", s, len(got), len(want[s]))
+		}
+		if n := p.banks[s].LiveInterval()[0].Total(); n != uint64(len(want[s])) {
+			t.Fatalf("partition %d's bank counted %d rows, want %d", s, n, len(want[s]))
 		}
 	}
 }

@@ -39,6 +39,7 @@ type Bank struct {
 	mu        sync.Mutex
 	detectors []*Detector
 	sets      []*histogram.CloneSet // live's result, refilled on every call
+	rows      flow.Buffer           // ObserveBatch's row→column scratch
 
 	// tasks feeds the persistent pool; nil when workers == 1 (sequential
 	// bank, no goroutines).
@@ -132,23 +133,43 @@ func (b *Bank) runTasks(n int, task func(i int)) {
 	wg.Wait()
 }
 
-// ObserveBatch feeds a batch of flows into every feature detector,
-// fanning one task per detector out over the worker pool. The result is
-// identical to observing each record sequentially: value-table updates
-// commute and each detector's clone set is owned by one task.
+// ObserveBuffer feeds a columnar batch of flows into every feature
+// detector, fanning one task per detector out over the worker pool. The
+// result is identical to observing each row sequentially: value-table
+// updates commute and each detector's clone set is owned by one task.
+// buf is only read, and not retained past the call.
+func (b *Bank) ObserveBuffer(buf *flow.Buffer) {
+	if buf.Len() == 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.observeLocked(buf)
+}
+
+// observeLocked is ObserveBuffer under the bank mutex.
+func (b *Bank) observeLocked(buf *flow.Buffer) {
+	if b.tasks == nil || buf.Len() < minParallelBatch {
+		for _, d := range b.detectors {
+			d.ObserveBuffer(buf)
+		}
+		return
+	}
+	b.runTasks(len(b.detectors), func(i int) { b.detectors[i].ObserveBuffer(buf) })
+}
+
+// ObserveBatch feeds a batch of flow records into every feature
+// detector: an adapter that transposes recs once into a scratch column
+// buffer the bank keeps, then runs ObserveBuffer's route.
 func (b *Bank) ObserveBatch(recs []flow.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tasks == nil || len(recs) < minParallelBatch {
-		for _, d := range b.detectors {
-			d.ObserveBatch(recs)
-		}
-		return
-	}
-	b.runTasks(len(b.detectors), func(i int) { b.detectors[i].ObserveBatch(recs) })
+	b.rows.Reset()
+	b.rows.AppendRecords(recs)
+	b.observeLocked(&b.rows)
 }
 
 // EndInterval closes the interval on every detector and merges their

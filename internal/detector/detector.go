@@ -144,6 +144,9 @@ type Detector struct {
 	// more room than any previous one. Safe because the values are
 	// copied into the report before the next clone overwrites them.
 	binValues []uint64
+
+	// rows is ObserveBatch's row→column scratch.
+	rows flow.Buffer
 }
 
 // New builds a detector, applying defaults to unset Config fields.
@@ -176,15 +179,41 @@ func newCloneSet(cfg Config) *histogram.CloneSet {
 // Config returns the detector's effective configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// ObserveBatch feeds a batch of flow records into the current interval:
-// one value-table insert per record, whatever the clone count. Batching
-// does not change the result — the inserts commute — and a batch is the
-// unit of work the parallel bank schedules on its worker pool.
-func (d *Detector) ObserveBatch(recs []flow.Record) {
-	set, k := d.cur, d.cfg.Feature
-	for i := range recs {
-		set.Add(recs[i].Feature(k))
+// ObserveBuffer feeds a columnar batch of flows into the current
+// interval: one switch on the monitored feature, then one value-table
+// insert per row of that feature's column, whatever the clone count.
+// Batching does not change the result — the inserts commute — and a
+// batch is the unit of work the parallel bank schedules on its worker
+// pool.
+func (d *Detector) ObserveBuffer(b *flow.Buffer) {
+	set := d.cur
+	switch d.cfg.Feature {
+	case flow.SrcIP:
+		histogram.AddColumn(set, b.SrcAddr)
+	case flow.DstIP:
+		histogram.AddColumn(set, b.DstAddr)
+	case flow.SrcPort:
+		histogram.AddColumn(set, b.SrcPort)
+	case flow.DstPort:
+		histogram.AddColumn(set, b.DstPort)
+	case flow.Proto:
+		histogram.AddColumn(set, b.Protocol)
+	case flow.Packets:
+		histogram.AddColumn(set, b.Packets)
+	case flow.Bytes:
+		histogram.AddColumn(set, b.Bytes)
+	default:
+		panic("detector: invalid feature kind")
 	}
+}
+
+// ObserveBatch feeds a batch of flow records into the current interval:
+// an adapter that transposes recs into a scratch column buffer the
+// detector keeps, then runs ObserveBuffer.
+func (d *Detector) ObserveBatch(recs []flow.Record) {
+	d.rows.Reset()
+	d.rows.AppendRecords(recs)
+	d.ObserveBuffer(&d.rows)
 }
 
 // mergeable reports whether other's clone sets may be folded into d's:

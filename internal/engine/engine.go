@@ -9,13 +9,18 @@
 // side, so SubmitBatch can synchronously return how many intervals a
 // batch closed (lockstep consumers need no boundary arithmetic of their
 // own), while the processing goroutine just executes the resulting
-// batch/cut stream: each batch goes to the pipeline's ObserveBatch, and
-// each cut closes an interval (detection + extraction). Both channels
-// are bounded, so a slow consumer exerts backpressure all the way back
-// to SubmitBatch instead of growing an unbounded queue. With
-// Config.Shards > 1 the engine's pipeline is hash-partitioned
-// (core.NewPartitioned), parallelizing ingestion across partitions with
-// a deterministic cross-partition merge at each interval close.
+// batch/cut stream: each batch goes to the pipeline's ObserveBuffer, and
+// each cut closes an interval (detection + extraction). The submit side
+// also transposes every batch into a column chunk taken from a free list
+// that the processing goroutine refills once it has observed the chunk,
+// so the goroutine that is the pipeline's bottleneck only probes value
+// tables and closes intervals, and a warmed engine's ingest allocates
+// nothing. The channels and the free list are bounded, so a slow
+// consumer exerts backpressure all the way back to SubmitBatch instead
+// of growing an unbounded queue. With Config.Shards > 1 the engine's
+// pipeline is hash-partitioned (core.NewPartitioned), parallelizing
+// ingestion across partitions with a deterministic cross-partition merge
+// at each interval close.
 //
 // The engine drives exactly one core.Pipeline. A shipping engine
 // (NewShipping, the distributed agent) differs only in where a closed
@@ -64,6 +69,9 @@ type Config struct {
 	IntervalLen time.Duration
 	// Buffer is the input-channel capacity — the backpressure bound.
 	// SubmitBatch blocks once Buffer messages are queued (default 8192).
+	// A message is an interval cut or a batch in a column chunk (a batch
+	// that crosses a boundary takes one message per segment), so at most
+	// Buffer chunks of records are queued.
 	Buffer int
 	// PipelineDepth is the maximum number of measurement intervals the
 	// engine may have open at once: the interval accumulating records,
@@ -95,18 +103,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// msg is one unit of the submit→process stream: a batch of records or
-// an interval-cut marker. Cuts are generated on the submit side, so
-// their position in the channel order is authoritative — the processor
-// closes intervals exactly where the submitters crossed the boundary
-// grid. Consecutive cuts collapse into one counted message:
+// msg is one unit of the submit→process stream: rows [lo, hi) of a
+// column chunk, or an interval-cut marker. Cuts are generated on the
+// submit side, so their position in the channel order is authoritative
+// — the processor closes intervals exactly where the submitters crossed
+// the boundary grid. Consecutive cuts collapse into one counted message:
 // a quiet gap spanning thousands of empty intervals costs one channel
 // slot, so a lockstep consumer (submit, then read the returned number of
-// reports) cannot wedge the input buffer no matter how long the gap.
+// reports) cannot wedge the input buffer no matter how long the gap. A
+// batch that crosses a boundary is split into several segments of one
+// chunk; the last segment carries last, and the processing goroutine
+// returns the chunk to the free list after observing it.
 type msg struct {
-	recs     []flow.Record // batch; nil for cut messages
-	cuts     int           // close this many intervals; no payload
-	boundary int64         // grid end of the first closed interval (cut messages only)
+	chunk    *flow.Buffer // batch; nil for cut messages
+	lo, hi   int          // the segment's rows in chunk
+	last     bool         // the chunk's final segment: recycle it after
+	cuts     int          // close this many intervals; no payload
+	boundary int64        // grid end of the first closed interval (cut messages only)
 }
 
 // Engine is the streaming front end. SubmitBatch may be called from
@@ -137,8 +150,14 @@ type Engine struct {
 	// final flush, after taking submitMu).
 	seeded bool
 
-	in   chan msg
-	out  chan *core.Report
+	in  chan msg
+	out chan *core.Report
+	// free holds the column chunks the processing goroutine has observed
+	// and handed back, at most freeChunks of them.
+	free chan *flow.Buffer
+	// view is the processing goroutine's window onto the segment it is
+	// observing.
+	view flow.Buffer
 	fin  chan struct{} // closed once err is settled, before out closes
 	done chan struct{} // closed when the processing goroutine exits
 
@@ -217,6 +236,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:  cfg,
 		in:   make(chan msg, cfg.Buffer),
+		free: make(chan *flow.Buffer, freeChunks),
 		out:  make(chan *core.Report, 16),
 		fin:  make(chan struct{}),
 		done: make(chan struct{}),
@@ -279,11 +299,14 @@ func (e *Engine) advanceLocked(ts int64) int {
 // returns the number of measurement intervals the batch closed: boundary
 // crossings are detected here, on the submit side, so lockstep consumers
 // can read exactly that many reports without mirroring the engine's
-// boundary arithmetic. The records are copied; the caller may reuse
-// recs. It blocks for backpressure and must not be called after Close.
-// The returned error is the pipeline error that has terminated the
-// engine, if any (further input is discarded once it is set); the cut
-// count is still returned for bookkeeping.
+// boundary arithmetic. The records are transposed into a recycled column
+// chunk before the call returns, so the caller may reuse recs; the
+// transpose runs outside the submit lock, so concurrent submitters
+// transpose in parallel. It blocks for backpressure (see Config.Buffer)
+// and must not be called after Close. The returned error is the pipeline
+// error that has terminated the engine, if any (further input is
+// discarded once it is set); the cut count is still returned for
+// bookkeeping.
 //
 // A lockstep consumer may read exactly intervalsClosed reports after
 // each call from the same goroutine: SubmitBatch enqueues at most two
@@ -296,26 +319,58 @@ func (e *Engine) SubmitBatch(recs []flow.Record) (intervalsClosed int, err error
 	if len(recs) == 0 {
 		return 0, e.Err()
 	}
-	buf := make([]flow.Record, len(recs))
-	copy(buf, recs)
+	c := e.chunk()
+	c.Reset()
+	c.AppendRecords(recs)
 	e.submitMu.Lock()
 	defer e.submitMu.Unlock()
 	closed := 0
 	start := 0
-	for i := range buf {
-		if !e.seeded || buf[i].Start >= e.boundary {
-			// Flush the records before the crossing, then cut.
+	for i, ts := range c.Start {
+		if !e.seeded || ts >= e.boundary {
+			// Flush the rows before the crossing, then cut.
 			if i > start {
-				e.in <- msg{recs: buf[start:i]}
+				e.in <- msg{chunk: c, lo: start, hi: i}
 				start = i
 			}
-			closed += e.advanceLocked(buf[i].Start)
+			closed += e.advanceLocked(ts)
 		}
 	}
-	if start < len(buf) {
-		e.in <- msg{recs: buf[start:]}
-	}
+	e.in <- msg{chunk: c, lo: start, hi: c.Len(), last: true}
 	return closed, e.Err()
+}
+
+// freeChunks bounds the engine's free list of column chunks. The queue
+// of a running engine holds a few batches — those submitted while an
+// interval closes — so steady-state ingest finds every chunk it needs
+// on the list; a burst that queues more allocates the excess, and the
+// list keeps at most freeChunks of them afterwards (5 MB at 512-record
+// batches), so a one-off backlog does not pin Buffer chunks for good.
+const freeChunks = 256
+
+// chunk returns a column chunk for one batch: a recycled one if the
+// free list has one, else a new one.
+func (e *Engine) chunk() *flow.Buffer {
+	select {
+	case c := <-e.free:
+		return c
+	default:
+		return new(flow.Buffer)
+	}
+}
+
+// observe feeds a batch message's segment to the pipeline and, after
+// the chunk's last segment, returns the chunk to the free list, or drops
+// it when the list is full.
+func (e *Engine) observe(m msg) {
+	e.view = m.chunk.Slice(m.lo, m.hi)
+	e.p.ObserveBuffer(&e.view)
+	if m.last {
+		select {
+		case e.free <- m.chunk:
+		default:
+		}
+	}
 }
 
 // Reports returns the channel of per-interval reports. It is closed
@@ -401,7 +456,7 @@ func (e *Engine) consume(cut func(boundary int64) error, failed <-chan struct{})
 			break
 		}
 		if m.cuts == 0 {
-			e.p.ObserveBatch(m.recs)
+			e.observe(m)
 			continue
 		}
 		for i := 0; i < m.cuts; i++ {

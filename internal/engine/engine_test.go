@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -267,6 +269,151 @@ func TestSubmitBatchConcurrentProducers(t *testing.T) {
 	}
 }
 
+// TestChunkRecyclingKeepsReports drives the column-chunk free list
+// hard (run under -race: a chunk passes from a submitter to the
+// processing goroutine and back by design). One producer refills a
+// single slice for every 97-record batch at Buffer 2, so most batches
+// straddle a boundary and travel as several segments of one chunk, and
+// the reports must equal gridtest.Reference's: a chunk recycled before
+// its last segment was observed would be overwritten by the next batch.
+// Four producers then submit at once, and the reports must account for
+// every flow. Both engines must end with chunks on their free lists.
+func TestChunkRecyclingKeepsReports(t *testing.T) {
+	trace := gridtest.Trace(10, 1500, 8)
+	stream := slices.Concat(trace...)
+	eng, err := New(Config{Pipeline: gridtest.Config(), IntervalLen: gridtest.IntervalLen, Buffer: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []*core.Report
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for rep := range eng.Reports() {
+			reports = append(reports, rep)
+		}
+	}()
+	batch := make([]flow.Record, 97)
+	for lo := 0; lo < len(stream); lo += len(batch) {
+		n := copy(batch, stream[lo:])
+		if _, err := eng.SubmitBatch(batch[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	gridtest.Equal(t, reports, gridtest.Reference(t, gridtest.Config(), trace), 1)
+	if len(eng.free) == 0 {
+		t.Fatal("no column chunk came back to the free list")
+	}
+
+	eng, err = New(Config{Pipeline: testConfig(2), IntervalLen: intervalLen, Buffer: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		for rep := range eng.Reports() {
+			total += rep.TotalFlows
+		}
+	}()
+	base := int64(1_700_000_000_000)
+	base -= base % intervalLen.Milliseconds()
+	const producers, batches, perBatch = 4, 30, 97
+	var wg sync.WaitGroup
+	wg.Add(producers)
+	for i := 0; i < producers; i++ {
+		go func(seed uint64) {
+			defer wg.Done()
+			r := stats.NewRand(seed)
+			buf := make([]flow.Record, perBatch)
+			for j := 0; j < batches; j++ {
+				for k := range buf {
+					// Each batch spans about half an interval.
+					buf[k] = flow.Record{
+						SrcAddr: uint32(r.IntN(5000)), DstPort: uint16(r.IntN(500)), Packets: 1,
+						Start: base + int64(j*perBatch+k)*intervalLen.Milliseconds()/(2*perBatch),
+					}
+				}
+				if _, err := eng.SubmitBatch(buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint64(i + 1))
+	}
+	wg.Wait()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if want := producers * batches * perBatch; total != want {
+		t.Fatalf("reports account for %d flows, want %d", total, want)
+	}
+	if len(eng.free) == 0 {
+		t.Fatal("no column chunk came back to the free list")
+	}
+}
+
+// TestSubmitBatchSteadyStateAllocs pins the engine's ingest at zero
+// allocations: once one interval has warmed the column chunks, the
+// partition buffer and the value tables, a depth-1 one-partition
+// engine's SubmitBatch of 512 rows, plus that batch's processing,
+// allocates nothing. Each try waits until the processing goroutine has
+// handed the batch's chunk back, so the processing falls inside it. The
+// count is the least over several tries at GOMAXPROCS 1, of every malloc
+// in the test binary.
+func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng, err := New(Config{Pipeline: core.Config{Workers: 1}, IntervalLen: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range eng.Reports() {
+		}
+	}()
+	defer eng.Close()
+	const batch, batches = 512, 16
+	recs := gridtest.Trace(1, 2*batch*batches, -1)[0]
+	if len(recs) < batch*batches {
+		t.Fatalf("trace interval holds %d records, want %d", len(recs), batch*batches)
+	}
+	submit := func(interval, i int) {
+		b := recs[i*batch : (i+1)*batch]
+		for j := range b {
+			b[j].Start = int64(interval)*1000 + int64(j)
+		}
+		if _, err := eng.SubmitBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		// The engine runs on one chunk: it is back once processed.
+		for len(eng.free) == 0 {
+			runtime.Gosched()
+		}
+	}
+	for i := range batches { // the warm interval
+		submit(1, i)
+	}
+	submit(2, 0) // crosses the boundary; the close allocates its report
+	var ms runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 1; i < batches; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		submit(2, i)
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.Mallocs-before)
+	}
+	if least != 0 {
+		t.Fatalf("a warmed engine's SubmitBatch of %d rows and its processing allocated %d times, want 0", batch, least)
+	}
+}
+
 // benchStream is a single-interval stream for the submit-path benches.
 func benchStream(n int) []flow.Record {
 	r := stats.NewRand(9)
@@ -283,9 +430,11 @@ func benchStream(n int) []flow.Record {
 	return recs
 }
 
-// BenchmarkEngineSubmitBatch measures the submit path over a
-// single-interval stream in 512-record batches (one copy + a handful of
-// channel messages per batch).
+// BenchmarkEngineSubmitBatch measures the submit path in 512-record
+// batches (one transpose into a recycled column chunk and one channel
+// message per batch). Every iteration submits one 20 000-record interval
+// and closes the previous one, so the open interval, and the memory the
+// run holds, stays one iteration's size.
 func BenchmarkEngineSubmitBatch(b *testing.B) {
 	recs := benchStream(20000)
 	eng, err := New(Config{Pipeline: testConfig(1), IntervalLen: intervalLen})
@@ -297,8 +446,14 @@ func BenchmarkEngineSubmitBatch(b *testing.B) {
 		}
 	}()
 	b.SetBytes(int64(len(recs)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 {
+			for j := range recs {
+				recs[j].Start += intervalLen.Milliseconds()
+			}
+		}
 		for j := 0; j < len(recs); j += 512 {
 			end := min(j+512, len(recs))
 			if _, err := eng.SubmitBatch(recs[j:end]); err != nil {

@@ -47,17 +47,39 @@ func (b *Buffer) Append(rec Record) {
 	b.End = append(b.End, rec.End)
 }
 
-// AppendRecords adds a batch of records as new rows, in order.
+// AppendRecords adds a batch of records as new rows, in order: the
+// row→column transpose, one pass over recs storing into every column.
 func (b *Buffer) AppendRecords(recs []Record) {
-	b.Grow(len(recs))
+	m := len(recs)
+	if m == 0 {
+		return
+	}
+	b.Grow(m)
+	n := b.Len()
+	b.SrcAddr, b.DstAddr = b.SrcAddr[:n+m], b.DstAddr[:n+m]
+	b.SrcPort, b.DstPort = b.SrcPort[:n+m], b.DstPort[:n+m]
+	b.Protocol, b.TCPFlags = b.Protocol[:n+m], b.TCPFlags[:n+m]
+	b.Packets, b.Bytes = b.Packets[:n+m], b.Bytes[:n+m]
+	b.Start, b.End = b.Start[:n+m], b.End[:n+m]
+	src, dst := b.SrcAddr[n:n+m], b.DstAddr[n:n+m]
+	sport, dport := b.SrcPort[n:n+m], b.DstPort[n:n+m]
+	proto, flags := b.Protocol[n:n+m], b.TCPFlags[n:n+m]
+	pkts, bytes := b.Packets[n:n+m], b.Bytes[n:n+m]
+	start, end := b.Start[n:n+m], b.End[n:n+m]
 	for i := range recs {
-		b.Append(recs[i])
+		r := &recs[i]
+		src[i], dst[i] = r.SrcAddr, r.DstAddr
+		sport[i], dport[i] = r.SrcPort, r.DstPort
+		proto[i], flags[i] = r.Protocol, r.TCPFlags
+		pkts[i], bytes[i] = r.Packets, r.Bytes
+		start[i], end[i] = r.Start, r.End
 	}
 }
 
 // AppendBuffer adds every row of other to the end of b, in order.
 // other is unchanged.
 func (b *Buffer) AppendBuffer(other *Buffer) {
+	b.Grow(other.Len())
 	b.SrcAddr = append(b.SrcAddr, other.SrcAddr...)
 	b.DstAddr = append(b.DstAddr, other.DstAddr...)
 	b.SrcPort = append(b.SrcPort, other.SrcPort...)
@@ -70,29 +92,67 @@ func (b *Buffer) AppendBuffer(other *Buffer) {
 	b.End = append(b.End, other.End...)
 }
 
-// Grow reserves capacity for n additional rows in every column.
+// AppendRow adds row i of other to the end of b.
+func (b *Buffer) AppendRow(other *Buffer, i int) {
+	b.SrcAddr = append(b.SrcAddr, other.SrcAddr[i])
+	b.DstAddr = append(b.DstAddr, other.DstAddr[i])
+	b.SrcPort = append(b.SrcPort, other.SrcPort[i])
+	b.DstPort = append(b.DstPort, other.DstPort[i])
+	b.Protocol = append(b.Protocol, other.Protocol[i])
+	b.TCPFlags = append(b.TCPFlags, other.TCPFlags[i])
+	b.Packets = append(b.Packets, other.Packets[i])
+	b.Bytes = append(b.Bytes, other.Bytes[i])
+	b.Start = append(b.Start, other.Start[i])
+	b.End = append(b.End, other.End[i])
+}
+
+// Slice returns rows [lo, hi) of b as a view sharing b's memory. The
+// view's columns are capped at hi, so appending to the view copies
+// rather than overwriting b's later rows.
+func (b *Buffer) Slice(lo, hi int) Buffer {
+	return Buffer{
+		SrcAddr:  b.SrcAddr[lo:hi:hi],
+		DstAddr:  b.DstAddr[lo:hi:hi],
+		SrcPort:  b.SrcPort[lo:hi:hi],
+		DstPort:  b.DstPort[lo:hi:hi],
+		Protocol: b.Protocol[lo:hi:hi],
+		TCPFlags: b.TCPFlags[lo:hi:hi],
+		Packets:  b.Packets[lo:hi:hi],
+		Bytes:    b.Bytes[lo:hi:hi],
+		Start:    b.Start[lo:hi:hi],
+		End:      b.End[lo:hi:hi],
+	}
+}
+
+// Grow reserves capacity for n additional rows in every column. A
+// column that is short grows to at least twice its capacity, so a
+// buffer filled by repeated appends copies each row O(1) times on
+// average; an empty buffer grows to exactly n rows, so a one-shot
+// transpose (BufferOf) holds no slack.
 func (b *Buffer) Grow(n int) {
 	if n <= 0 {
 		return
 	}
 	need := b.Len() + n
-	if cap(b.SrcAddr) >= need {
-		return
+	b.SrcAddr = growCol(b.SrcAddr, need)
+	b.DstAddr = growCol(b.DstAddr, need)
+	b.SrcPort = growCol(b.SrcPort, need)
+	b.DstPort = growCol(b.DstPort, need)
+	b.Protocol = growCol(b.Protocol, need)
+	b.TCPFlags = growCol(b.TCPFlags, need)
+	b.Packets = growCol(b.Packets, need)
+	b.Bytes = growCol(b.Bytes, need)
+	b.Start = growCol(b.Start, need)
+	b.End = growCol(b.End, need)
+}
+
+// growCol returns col with capacity for need elements: col itself when
+// it has room, else a copy with capacity max(need, 2*cap(col)).
+func growCol[T any](col []T, need int) []T {
+	if cap(col) >= need {
+		return col
 	}
-	grow32 := func(col []uint32) []uint32 { return append(make([]uint32, 0, need), col...) }
-	b.SrcAddr = grow32(b.SrcAddr)
-	b.DstAddr = grow32(b.DstAddr)
-	grow16 := func(col []uint16) []uint16 { return append(make([]uint16, 0, need), col...) }
-	b.SrcPort = grow16(b.SrcPort)
-	b.DstPort = grow16(b.DstPort)
-	grow8 := func(col []uint8) []uint8 { return append(make([]uint8, 0, need), col...) }
-	b.Protocol = grow8(b.Protocol)
-	b.TCPFlags = grow8(b.TCPFlags)
-	b.Packets = grow32(b.Packets)
-	b.Bytes = append(make([]uint64, 0, need), b.Bytes...)
-	grow64 := func(col []int64) []int64 { return append(make([]int64, 0, need), col...) }
-	b.Start = grow64(b.Start)
-	b.End = grow64(b.End)
+	return append(make([]T, 0, max(need, 2*cap(col))), col...)
 }
 
 // Reset truncates every column to zero length, retaining capacity — the
@@ -148,6 +208,11 @@ func (b *Buffer) Feature(i int, k FeatureKind) uint64 {
 	default:
 		panic("flow: invalid feature kind")
 	}
+}
+
+// Key returns row i's stable flow key, equal to Record.Key of the row.
+func (b *Buffer) Key(i int) uint64 {
+	return flowKey(b.SrcAddr[i], b.DstAddr[i], b.SrcPort[i], b.DstPort[i], b.Protocol[i])
 }
 
 // Records materializes the whole buffer in row form, preserving order.

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 )
@@ -95,6 +96,62 @@ func TestBufferGrow(t *testing.T) {
 	}
 	if &buf.SrcAddr[0] != base {
 		t.Fatal("appends within grown capacity reallocated")
+	}
+}
+
+// TestBufferAppendGrowsGeometrically pins the allocations of filling an
+// empty buffer in 512-row batches, through both batch appends: every
+// column reallocates O(log n) times, not once per batch, which would
+// copy the whole buffer on every batch. A one-shot transpose still
+// sizes its columns exactly.
+func TestBufferAppendGrowsGeometrically(t *testing.T) {
+	const rows, batch = 100_000, 512
+	recs := make([]Record, batch)
+	chunk := BufferOf(recs)
+	if cap(chunk.SrcAddr) != batch || cap(chunk.End) != batch {
+		t.Fatalf("BufferOf(%d rows) capacities %d/%d, want exactly %d", batch, cap(chunk.SrcAddr), cap(chunk.End), batch)
+	}
+	// Ten columns, each doubling from one batch up to rows (nine times
+	// here), plus one allocation per column of slack for the harness.
+	limit := float64(10 * (bits.Len(rows/batch) + 2))
+	for name, fill := range map[string]func(*Buffer){
+		"AppendRecords": func(b *Buffer) { b.AppendRecords(recs) },
+		"AppendBuffer":  func(b *Buffer) { b.AppendBuffer(&chunk) },
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			var b Buffer
+			for b.Len() < rows {
+				fill(&b)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("%s: filling %d rows in %d-row batches allocated %.0f times, want at most %.0f", name, rows, batch, allocs, limit)
+		}
+	}
+}
+
+// TestBufferKeyAndSlice: Key agrees with Record.Key on every row, and a
+// Slice is a view of its rows that appends cannot write through.
+func TestBufferKeyAndSlice(t *testing.T) {
+	recs := bufTestRecords()
+	buf := BufferOf(recs)
+	for i := range recs {
+		if got, want := buf.Key(i), recs[i].Key(); got != want {
+			t.Fatalf("Key(%d) = %#x, want %#x", i, got, want)
+		}
+	}
+	view := buf.Slice(1, 2)
+	if view.Len() != 1 || view.Record(0) != recs[1] {
+		t.Fatalf("Slice(1, 2) = %+v, want row 1", view.Records())
+	}
+	view.Append(recs[0])
+	if buf.Record(2) != recs[2] {
+		t.Fatal("appending to a Slice overwrote the next row of its buffer")
+	}
+	var one Buffer
+	one.AppendRow(&buf, 2)
+	if !reflect.DeepEqual(one.Records(), recs[2:]) {
+		t.Fatalf("AppendRow(2) = %+v, want %+v", one.Records(), recs[2:])
 	}
 }
 

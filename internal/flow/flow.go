@@ -155,9 +155,13 @@ func (r *Record) SetFeature(k FeatureKind, v uint64) {
 // should pass it through a seeded hash.Func before reducing to a shard
 // index.
 func (r *Record) Key() uint64 {
-	k := uint64(r.SrcAddr)<<32 | uint64(r.DstAddr)
-	return k*0x9e3779b97f4a7c15 +
-		(uint64(r.SrcPort)<<24 | uint64(r.DstPort)<<8 | uint64(r.Protocol))
+	return flowKey(r.SrcAddr, r.DstAddr, r.SrcPort, r.DstPort, r.Protocol)
+}
+
+// flowKey is the fold behind Record.Key and Buffer.Key.
+func flowKey(src, dst uint32, sport, dport uint16, proto uint8) uint64 {
+	k := uint64(src)<<32 | uint64(dst)
+	return k*0x9e3779b97f4a7c15 + (uint64(sport)<<24 | uint64(dport)<<8 | uint64(proto))
 }
 
 // Duration returns the flow duration in milliseconds (End - Start); flows

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"fmt"
 	"testing"
 
 	"anomalyx/internal/hash"
@@ -83,18 +84,23 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	})
 }
 
-// BenchmarkCloneSetBin measures the close-time derivation of three
-// clones' bin counts from one value table holding an interval's worth
-// of distinct values — the sweep that replaced per-record bin
-// increments on ingest.
+// BenchmarkCloneSetBin measures the close-time derivation of n clones'
+// bin counts from one value table holding an interval's worth of
+// distinct values — the sweep that replaced per-record bin increments
+// on ingest.
 func BenchmarkCloneSetBin(b *testing.B) {
-	s := NewCloneSet(1024, testFns(3))
-	for _, v := range benchValues(20_000, 50_000) {
-		s.Add(v)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.stale = true
-		s.bin()
+	vals := benchValues(20_000, 50_000)
+	for _, clones := range []int{1, 3, 5} {
+		b.Run(fmt.Sprintf("clones=%d", clones), func(b *testing.B) {
+			s := NewCloneSet(1024, testFns(clones))
+			for _, v := range vals {
+				s.Add(v)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.stale = true
+				s.bin()
+			}
+		})
 	}
 }

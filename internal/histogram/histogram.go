@@ -17,7 +17,9 @@
 package histogram
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -40,8 +42,15 @@ type CloneSet struct {
 	total  uint64
 	stale  bool
 
-	binPos []int32 // AppendValuesInBins scratch: bin -> list position
-	binCnt []int   // AppendValuesInBins scratch: per-position tallies
+	binPos []int32  // AppendValuesInBins scratch: bin -> list position
+	hits   []binHit // AppendValuesInBins scratch: the listed bins' values
+}
+
+// binHit is a value found in a listed bin, tagged with the bin's list
+// position (1-based).
+type binHit struct {
+	v   uint64
+	pos int32
 }
 
 // NewCloneSet creates a set of len(fns) clones with k bins each; clone c
@@ -68,6 +77,18 @@ func (s *CloneSet) AddN(v, n uint64) {
 	s.stale = true
 }
 
+// AddColumn records one observation of every value in col — a feature
+// column of a flow.Buffer — in every clone of s: one table insert per
+// value, exactly as Add over the column in order. Like AddN it allocates
+// nothing on a warmed-up set.
+func AddColumn[T uint8 | uint16 | uint32 | uint64](s *CloneSet, col []T) {
+	if len(col) == 0 {
+		return
+	}
+	addColumn(&s.values, col)
+	s.stale = true
+}
+
 // Total returns the number of observations added since the last Reset.
 func (s *CloneSet) Total() uint64 {
 	s.bin()
@@ -81,9 +102,20 @@ func (s *CloneSet) Counts(c int) []uint64 {
 	return s.counts[c]
 }
 
+// binMask returns k-1 and true when k is a power of two — the paper's
+// k = 2^m, where hash.Func.Bin reduces to masking the digest's low bits
+// and the sweeps below may inline that reduction.
+func (s *CloneSet) binMask() (uint64, bool) {
+	return uint64(s.k - 1), s.k&(s.k-1) == 0
+}
+
 // bin derives every clone's bin counts and the total from the value
-// table, if it changed since the last derivation: one sweep over the
-// distinct values, n bin hashes each.
+// table, if it changed since the last derivation: one closure-free
+// sweep over the table's occupancy bitmap per clone (a set has at least
+// one), each distinct value hashed once per clone; the paper's default
+// of three clones shares one fused sweep. With k a power of two a sweep
+// masks the inlined Sum64 digest; any other k bins through
+// hash.Func.Bin. Every path gives exactly Bin's counts.
 func (s *CloneSet) bin() {
 	if !s.stale {
 		return
@@ -91,20 +123,50 @@ func (s *CloneSet) bin() {
 	for _, cs := range s.counts {
 		clear(cs)
 	}
+	t := &s.values
+	keys, cnts := t.keys, t.counts
 	var total uint64
-	s.values.forEach(func(v, n uint64) {
-		total += n
-		for c, fn := range s.fns {
-			s.counts[c][fn.Bin(v, s.k)] += n
+	mask, pow2 := s.binMask()
+	switch {
+	case pow2 && len(s.fns) == 3:
+		f0, f1, f2 := s.fns[0], s.fns[1], s.fns[2]
+		c0, c1, c2 := s.counts[0][:mask+1], s.counts[1][:mask+1], s.counts[2][:mask+1]
+		for w, word := range t.bits {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				v, n := keys[i], cnts[i]
+				total += n
+				c0[f0.Sum64(v)&mask] += n
+				c1[f1.Sum64(v)&mask] += n
+				c2[f2.Sum64(v)&mask] += n
+			}
 		}
-	})
+	default:
+		// One pass per clone, each summing the total.
+		for c, fn := range s.fns {
+			cs := s.counts[c]
+			total = 0
+			for w, word := range t.bits {
+				for ; word != 0; word &= word - 1 {
+					i := w<<6 | bits.TrailingZeros64(word)
+					n := cnts[i]
+					total += n
+					if pow2 {
+						cs[fn.Sum64(keys[i])&mask] += n
+					} else {
+						cs[fn.Bin(keys[i], s.k)] += n
+					}
+				}
+			}
+		}
+	}
 	s.total, s.stale = total, false
 }
 
 // AppendValuesInBins appends to dst the distinct values clone c bins
 // into each listed bin — grouped in list order, each group ascending —
-// and returns the extended slice. It passes over the value table twice
-// regardless of len(bins); this is the accessor for the detector's
+// and returns the extended slice. It hashes every distinct value once,
+// whatever len(bins); this is the accessor for the detector's
 // anomalous-bin → value mapping. bins must not repeat (the
 // identification's removal sequence never does); a repeated bin
 // contributes its values once, at its first position. Only the appended
@@ -114,9 +176,8 @@ func (s *CloneSet) AppendValuesInBins(c int, dst []uint64, bins []int) []uint64 
 	if s.values.n == 0 || len(bins) == 0 {
 		return dst
 	}
-	fn, k := s.fns[c], s.k
 	if s.binPos == nil {
-		s.binPos = make([]int32, k)
+		s.binPos = make([]int32, s.k)
 	}
 	// pos maps bin -> 1 + its position in bins; 0 means unlisted.
 	pos := s.binPos
@@ -125,38 +186,38 @@ func (s *CloneSet) AppendValuesInBins(c int, dst []uint64, bins []int) []uint64 
 			pos[b] = int32(i + 1)
 		}
 	}
-	// Counting sort by list position: tally, prefix-sum, place, then
-	// sort each bin's range by plain value compare.
-	if cap(s.binCnt) < len(bins)+1 {
-		s.binCnt = make([]int, len(bins)+1)
-	}
-	cnt := s.binCnt[:len(bins)+1]
-	clear(cnt)
-	s.values.forEach(func(v, _ uint64) {
-		if p := pos[fn.Bin(v, k)]; p != 0 {
-			cnt[p]++
+	t, fn := &s.values, s.fns[c]
+	hits := s.hits[:0]
+	mask, pow2 := s.binMask()
+	for w, word := range t.bits {
+		for ; word != 0; word &= word - 1 {
+			v := t.keys[w<<6|bits.TrailingZeros64(word)]
+			var b int
+			if pow2 {
+				b = int(fn.Sum64(v) & mask)
+			} else {
+				b = fn.Bin(v, s.k)
+			}
+			if p := pos[b]; p != 0 {
+				hits = append(hits, binHit{v, p})
+			}
 		}
-	})
-	total := 0
-	for i := 1; i < len(cnt); i++ {
-		cnt[i], total = total, total+cnt[i]
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, total)[:start+total]
-	s.values.forEach(func(v, _ uint64) {
-		if p := pos[fn.Bin(v, k)]; p != 0 {
-			dst[start+cnt[p]] = v
-			cnt[p]++
+	// Group by list position, values ascending within a group. Values
+	// are distinct, so the order is total.
+	slices.SortFunc(hits, func(a, b binHit) int {
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
 		}
+		return cmp.Compare(a.v, b.v)
 	})
-	prev := 0
-	for i := 1; i < len(cnt); i++ { // cnt[i] is now position i's end
-		slices.Sort(dst[start+prev : start+cnt[i]])
-		prev = cnt[i]
+	for _, h := range hits {
+		dst = append(dst, h.v)
 	}
 	for _, b := range bins { // clear the marks for the next call
 		pos[b] = 0
 	}
+	s.hits = hits
 	return dst
 }
 

@@ -151,6 +151,40 @@ func (t *valueTable) add(v, n uint64) {
 	t.n++
 }
 
+// addColumn adds one observation of every value in col, in order —
+// exactly add(v, 1) per value, including when the arena grows, with the
+// probe inlined: between growth checks the loop inserts as many values
+// as the load-factor bound leaves room for, since each adds at most one
+// entry.
+func addColumn[T uint8 | uint16 | uint32 | uint64](t *valueTable, col []T) {
+	for len(col) > 0 {
+		t.ensure(1)
+		room := 3*len(t.keys)/4 - t.n
+		chunk := col[:min(room, len(col))]
+		col = col[len(chunk):]
+		keys, counts, occ, mask, n := t.keys, t.counts, t.bits, t.mask, t.n
+		for _, x := range chunk {
+			v := uint64(x)
+			i := tableSlot(v) & mask
+			for {
+				w, bit := occ[i>>6], uint64(1)<<(i&63)
+				if w&bit == 0 {
+					keys[i], counts[i] = v, 1
+					occ[i>>6] = w | bit
+					n++
+					break
+				}
+				if keys[i] == v {
+					counts[i]++
+					break
+				}
+				i = (i + 1) & mask
+			}
+		}
+		t.n = n
+	}
+}
+
 // get returns v's count and whether v is present.
 func (t *valueTable) get(v uint64) (uint64, bool) {
 	if t.n == 0 {

@@ -188,12 +188,10 @@ type (
 	// exponential, with jitter seeded by the agent ID).
 	RetryConfig = wire.RetryConfig
 	// CollectorConfig parameterizes a collector session: fleet size,
-	// partial-interval policy, checkpoint/resume, metrics address.
+	// hold timeout, checkpoint/resume, metrics address. An interval
+	// waits for a missing agent's frame up to HoldTimeout and then
+	// closes without it, flagged Report.Partial; 0 waits forever.
 	CollectorConfig = wire.CollectorConfig
-	// PartialPolicy selects what the collector does with an interval
-	// pending while an agent's frame is missing (HoldWithTimeout or
-	// CloseWithout).
-	PartialPolicy = wire.PartialPolicy
 	// ConfigMismatchError reports a handshake rejected over differing
 	// detection-config digests; match it with errors.As.
 	ConfigMismatchError = wire.ConfigMismatchError
@@ -204,21 +202,10 @@ type (
 	// tree's root owns detection history and emits reports.
 	WireRelay = wire.Relay
 	// RelayConfig parameterizes a relay node: the CollectorConfig of its
-	// child-facing session (fan-in as Agents, policy, checkpoint/resume,
+	// child-facing session (fan-in as Agents, hold timeout, checkpoint/resume,
 	// metrics) and its place upstream (agent ID, parent, leaf base,
 	// retry).
 	RelayConfig = wire.RelayConfig
-)
-
-// The partial-interval policies; see PartialPolicy.
-const (
-	// HoldWithTimeout holds a pending interval for a disconnected agent
-	// up to CollectorConfig.HoldTimeout (0 = forever) before closing
-	// without it.
-	HoldWithTimeout = wire.HoldWithTimeout
-	// CloseWithout closes pending intervals immediately without
-	// disconnected agents, flagging Report.Partial.
-	CloseWithout = wire.CloseWithout
 )
 
 // AgentConfig parameterizes the agent side of a distributed session.

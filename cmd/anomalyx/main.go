@@ -10,7 +10,7 @@
 //	         [-shards N] [-workers N] [-pipeline-depth N] [-v]
 //
 //	anomalyx -mode agent -in part0.nf5 -connect host:4711 -agent-id 0 [-shards N] ...
-//	anomalyx -mode collector -listen :4711 -agents 2 ...
+//	anomalyx -mode collector -listen :4711 -agents 2 [-hold-timeout 30s] [-checkpoint f [-resume]] ...
 //	anomalyx -mode relay -listen :4712 -connect root:4711 -agent-id 0 -agents 2 ...
 //
 // With -shards N > 1 the engine's pipeline hash-partitions flows across
@@ -37,6 +37,12 @@
 // -train, and the detector seed) must match between agents and
 // collector; the connection handshake enforces this with a config
 // digest. See docs/ARCHITECTURE.md, "Distributed deployment".
+//
+// A collector or relay waits for a missing agent's frame up to
+// -hold-timeout, then closes the interval without the agent and prints
+// the missing leaves on its PARTIAL line; the agent is dead until it
+// ships again or reconnects. The default, 0, waits forever: one silent
+// agent then holds every interval, and every other agent's Close with it.
 //
 // Relay mode federates collectors into a tree: a relay accepts -agents
 // child connections on -listen (leaves or deeper relays), merges their
@@ -87,9 +93,8 @@ type options struct {
 
 	// coll configures the collector session of the collector and relay
 	// modes, retry the redials of the agent and relay modes.
-	coll    anomalyx.CollectorConfig
-	partial string
-	retry   anomalyx.RetryConfig
+	coll  anomalyx.CollectorConfig
+	retry anomalyx.RetryConfig
 }
 
 // parseArgs parses the command line (without the program name) into
@@ -119,8 +124,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.top, "top", 20, "item-sets to print per alarm")
 	fs.BoolVar(&o.verbose, "v", false, "print every interval, not only alarms")
 	fs.StringVar(&o.coll.MetricsAddr, "metrics", "", "serve expvar session metrics over HTTP on this address (collector and relay modes)")
-	fs.StringVar(&o.partial, "partial", "hold", "partial-interval policy when an agent's frame is missing: hold (wait up to -hold-timeout, whether the agent is down or connected and silent) or close (close without a down agent at once) (collector and relay modes)")
-	fs.DurationVar(&o.coll.HoldTimeout, "hold-timeout", 0, "how long -partial hold waits for a missing frame, from a down agent or a connected one that has gone silent, before closing without the agent (0 = forever) (collector and relay modes)")
+	fs.DurationVar(&o.coll.HoldTimeout, "hold-timeout", 0, "how long an interval waits for a missing frame, from an agent that never connected, a down one, or a connected one that has gone silent, before it closes without the agent (0 = forever: one silent agent then holds every interval, and every other agent's Close with it) (collector and relay modes)")
 	fs.StringVar(&o.coll.CheckpointPath, "checkpoint", "", "write a durable session checkpoint to this path after every interval (collector and relay modes)")
 	fs.BoolVar(&o.coll.Resume, "resume", false, "resume the session from -checkpoint instead of starting fresh (collector and relay modes)")
 	fs.IntVar(&o.retry.MaxAttempts, "retry-max", 0, "redial attempts per lost collector connection (0 = default 8, negative disables) (agent and relay modes)")
@@ -154,13 +158,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		}
 		if o.coll.Agents < 1 {
 			return nil, fmt.Errorf("anomalyx: %s mode requires -agents >= 1", o.mode)
-		}
-		switch o.partial {
-		case "hold":
-		case "close":
-			o.coll.Policy = anomalyx.CloseWithout
-		default:
-			return nil, fmt.Errorf("anomalyx: -partial must be hold or close, got %q", o.partial)
 		}
 		if o.coll.Resume && o.coll.CheckpointPath == "" {
 			return nil, fmt.Errorf("anomalyx: -resume requires -checkpoint")

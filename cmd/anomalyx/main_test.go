@@ -189,7 +189,7 @@ func TestParseArgsModes(t *testing.T) {
 	}
 	o, err = parseArgs([]string{
 		"-mode", "collector", "-listen", ":1", "-agents", "3",
-		"-partial", "close", "-hold-timeout", "30s",
+		"-hold-timeout", "30s",
 		"-checkpoint", "cp.axcp", "-resume", "-metrics", ":9000",
 	}, io.Discard)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestParseArgsModes(t *testing.T) {
 	if o.mode != "collector" || o.listen != ":1" || o.coll.Agents != 3 {
 		t.Fatalf("collector flags not plumbed: %+v", o)
 	}
-	if o.coll.Policy != anomalyx.CloseWithout || o.coll.HoldTimeout != 30*time.Second ||
+	if o.coll.HoldTimeout != 30*time.Second ||
 		o.coll.CheckpointPath != "cp.axcp" || !o.coll.Resume || o.coll.MetricsAddr != ":9000" {
 		t.Fatalf("fault-tolerance flags not plumbed: %+v", o)
 	}
@@ -207,7 +207,7 @@ func TestParseArgsModes(t *testing.T) {
 	o, err = parseArgs([]string{
 		"-mode", "relay", "-listen", ":2", "-connect", "root:1",
 		"-agent-id", "1", "-agents", "2", "-leaf-base", "6",
-		"-partial", "close", "-checkpoint", "relay.axrp", "-resume",
+		"-checkpoint", "relay.axrp", "-resume",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestParseArgsModes(t *testing.T) {
 		o.agentID != 1 || o.coll.Agents != 2 || o.leafBase != 6 {
 		t.Fatalf("relay flags not plumbed: %+v", o)
 	}
-	if o.coll.Policy != anomalyx.CloseWithout || o.coll.CheckpointPath != "relay.axrp" || !o.coll.Resume {
+	if o.coll.CheckpointPath != "relay.axrp" || !o.coll.Resume {
 		t.Fatalf("relay fault-tolerance flags not plumbed: %+v", o)
 	}
 	for _, bad := range [][]string{
@@ -225,17 +225,13 @@ func TestParseArgsModes(t *testing.T) {
 		{"-mode", "agent", "-in", "x", "-connect", "h:1"},       // no -agent-id
 		{"-mode", "agent", "-in", "x", "-connect", "h:1", "-agent-id", "0",
 			"-pipeline-depth", "2"}, // agents close inline
-		{"-mode", "collector", "-agents", "2"},  // no -listen
-		{"-mode", "collector", "-listen", ":1"}, // no -agents
-		{"-mode", "collector", "-listen", ":1", "-agents", "2",
-			"-partial", "sometimes"}, // bogus partial policy
+		{"-mode", "collector", "-agents", "2"},                                   // no -listen
+		{"-mode", "collector", "-listen", ":1"},                                  // no -agents
 		{"-mode", "collector", "-listen", ":1", "-agents", "2", "-resume"},       // -resume without -checkpoint
 		{"-mode", "relay", "-connect", "r:1", "-agent-id", "0", "-agents", "2"},  // no -listen
 		{"-mode", "relay", "-listen", ":2", "-agent-id", "0", "-agents", "2"},    // no -connect
 		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agents", "2"},   // no -agent-id
 		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0"}, // no -agents
-		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0",
-			"-agents", "2", "-partial", "maybe"}, // bogus partial policy
 		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0",
 			"-agents", "2", "-resume"}, // -resume without -checkpoint
 		{"-mode", "relay", "-listen", ":2", "-connect", "r:1", "-agent-id", "0",

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzAckResume fuzzes the survivable-session control codecs — Hello
-// (with its v3 resume boundary), Ack/HelloOK boundaries, Error frames,
+// (with its resume boundary and leaf span), Ack/HelloOK boundaries, Error frames,
 // and collector checkpoints — with the codec's standing canonicality
 // invariant: a decoder either rejects its input or accepts it, and
 // every accepted parse re-encodes to the exact input bytes. The codec
@@ -22,15 +22,19 @@ import (
 func FuzzAckResume(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// A v2 hello (no resume field; the checked-in hello_v2 seed), which
-	// is no longer spoken and must be refused by version, and a v3 hello
-	// with a resume offset.
-	v2 := binary.LittleEndian.AppendUint64(append([]byte("AXWP"), 2, 0), 0x1234) // version 2, agent 0
-	if _, err := decodeHello(v2); !errors.As(err, new(errBadHelloVersion)) {
-		f.Fatalf("v2 hello decoded with err = %v, want errBadHelloVersion", err)
+	// A v2 hello (no resume field; the checked-in hello_v2 seed) and a v3
+	// hello (no leaf span), which are no longer spoken and must be refused
+	// by version, and v4 hellos from a plain agent and from a relay.
+	v2 := binary.LittleEndian.AppendUint64(append([]byte("AXWP"), 2, 0), 0x1234)    // version 2, agent 0
+	v3 := binary.LittleEndian.AppendUint64(append([]byte("AXWP"), 3, 0, 2), 0x1234) // version 3, agent 0, resume 1
+	for _, old := range [][]byte{v2, v3} {
+		if _, err := decodeHello(old); !errors.As(err, new(errBadHelloVersion)) {
+			f.Fatalf("hello %x decoded with err = %v, want errBadHelloVersion", old, err)
+		}
+		f.Add(old)
 	}
-	f.Add(v2)
-	f.Add(appendHello(nil, 7, 1196640900000, 0xdeadbeef))
+	f.Add(appendHello(nil, hello{agentID: 7, resume: 1196640900000, digest: 0xdeadbeef}))
+	f.Add(appendHello(nil, hello{agentID: 1, resume: 900000, spanLo: 2, spanLen: 2, digest: 0xdeadbeef}))
 	// Ack/HelloOK boundaries: a grid boundary and the -1 "nothing yet".
 	f.Add(appendBoundary(nil, 900000))
 	f.Add(appendBoundary(nil, -1))
@@ -50,7 +54,7 @@ func FuzzAckResume(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := decodeHello(data); err == nil {
-			re := appendHello(nil, h.agentID, h.resume, h.digest)
+			re := appendHello(nil, h)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("hello re-encode mismatch:\n in  %x\n out %x", data, re)
 			}

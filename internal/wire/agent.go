@@ -66,7 +66,10 @@ type Agent struct {
 	id     int
 	digest uint64
 	opts   AgentOptions
-	rng    *rand.Rand // jitter source seeded with id; never influences report bytes
+	// spanLo and spanLen are the global leaf span a relay's hellos
+	// declare; empty for a plain agent.
+	spanLo, spanLen int
+	rng             *rand.Rand // jitter source seeded with id; never influences report bytes
 
 	// shipMu serializes ship calls. A ship encodes its frame without
 	// holding mu, so acks and reconnects proceed meanwhile; enc is the
@@ -150,7 +153,8 @@ func (a *Agent) redialAttempts() int {
 // a.mu must be held. On error the caller owns closing conn.
 func (a *Agent) handshakeLocked(conn net.Conn) error {
 	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, frameHello, appendHello(nil, a.id, a.acked, a.digest)); err != nil {
+	h := hello{agentID: a.id, resume: a.acked, spanLo: a.spanLo, spanLen: a.spanLen, digest: a.digest}
+	if err := writeFrame(w, frameHello, appendHello(nil, h)); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
@@ -529,9 +533,10 @@ func (a *Agent) Acked() int64 {
 }
 
 // Close ends the stream: it sends the Bye frame, waits for the
-// collector's ByeOK confirmation, and closes the connection. The final
-// partial interval must already have been shipped (a shipping engine's
-// Close flushes it, so close the agent after the engine). Delivery
+// collector's ByeOK confirmation (a checkpointed collector sends it once
+// a checkpoint holds the agent's frames), and closes the connection. The
+// final partial interval must already have been shipped (a shipping
+// engine's Close flushes it, so close the agent after the engine). Delivery
 // is at-least-once end to end: a connection that dies before the
 // confirmation — unacked frames included — is redialed per the retry
 // policy and the Bye resent, so a collector holding the session open

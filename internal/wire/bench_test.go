@@ -94,11 +94,16 @@ func BenchmarkLoopbackInterval(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	for id := range engines {
-		if err := engines[id].Close(); err != nil {
+	// Every engine ships its last interval before any agent says Bye: the
+	// collector holds forever (HoldTimeout 0), so an agent whose peer has
+	// not shipped would wait on its ByeOK forever.
+	for _, eng := range engines {
+		if err := eng.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if err := agentConns[id].Close(); err != nil {
+	}
+	for _, a := range agentConns {
+		if err := a.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

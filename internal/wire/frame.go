@@ -16,7 +16,7 @@ import (
 // Frame types of the agent→collector stream.
 const (
 	// frameHello opens a connection: magic, protocol version, agent ID,
-	// and the detection-config digest.
+	// resume boundary, leaf span, and the detection-config digest.
 	frameHello = 1
 	// frameSnapshot is reserved: it was the full-pipeline-snapshot
 	// interval frame, which nothing sends any more. readFrame rejects it
@@ -87,14 +87,14 @@ var errSessionEnded = errors.New("wire: collector already ended this agent's str
 type refusal struct{ error }
 
 // protoVersion is the framing/handshake version; bump together with any
-// protocol-shape change. Version 3 is the survivable, bidirectional
-// stream: Hello carries a resume boundary, and the collector answers
-// with HelloOK, per-boundary Acks, and Error frames. Collectors accept
-// minProtoVersion..protoVersion, which today is version 3 alone; the
-// one-way v2 stream is rejected with errCodeBadVersion.
+// protocol-shape change. Version 3 made the stream survivable (resume
+// boundary, HelloOK, Acks, Error frames); version 4 adds the sender's
+// leaf span to Hello, so a collector can name a relay child's leaves
+// without any frame from it. Collectors accept minProtoVersion..
+// protoVersion and refuse other hellos with errCodeBadVersion.
 const (
-	protoVersion    = 3
-	minProtoVersion = 3
+	protoVersion    = 4
+	minProtoVersion = 4
 )
 
 // helloMagic starts every Hello payload, so a collector fed a stray
@@ -233,18 +233,24 @@ type hello struct {
 	// resume is the last boundary the agent knows to be acked (0 for
 	// none). Frames the agent resends after a reconnect start beyond it.
 	resume int64
-	digest uint64
+	// spanLo and spanLen are the sender's global leaf span: a relay's
+	// [LeafBase, LeafBase+fan-in), empty (0, 0) for a plain agent. Its
+	// interval frames must carry the same span.
+	spanLo, spanLen int
+	digest          uint64
 }
 
 // appendHello encodes the handshake payload: magic, protocol version,
-// agent ID, the resume boundary, and the config digest as the trailing
-// 8 bytes.
-func appendHello(b []byte, agentID int, resume int64, digest uint64) []byte {
+// agent ID, the resume boundary, the leaf span, and the config digest as
+// the trailing 8 bytes.
+func appendHello(b []byte, h hello) []byte {
 	b = append(b, helloMagic[:]...)
 	b = appendUvarint(b, protoVersion)
-	b = appendUvarint(b, uint64(agentID))
-	b = appendVarint(b, resume)
-	return binary.LittleEndian.AppendUint64(b, digest)
+	b = appendUvarint(b, uint64(h.agentID))
+	b = appendVarint(b, h.resume)
+	b = appendUvarint(b, uint64(h.spanLo))
+	b = appendUvarint(b, uint64(h.spanLen))
+	return binary.LittleEndian.AppendUint64(b, h.digest)
 }
 
 // errBadHelloVersion marks an out-of-range protocol version so the
@@ -275,6 +281,11 @@ func decodeHello(payload []byte) (hello, error) {
 	var h hello
 	h.agentID = int(r.uvarint())
 	h.resume = r.varint()
+	lo, n := r.uvarint(), r.uvarint()
+	if r.err() == nil && (lo > maxLeafSpan || n > maxLeafSpan-lo || (n == 0 && lo != 0)) {
+		r.fail("hello leaf span [%d,+%d) out of range", lo, n)
+	}
+	h.spanLo, h.spanLen = int(lo), int(n)
 	if r.rem() != 8 {
 		r.fail("hello digest is not the trailing 8 bytes")
 	}

@@ -54,8 +54,8 @@ type row struct {
 	// cfg and trace default to gridtest.Config() and the grid trace.
 	cfg   *core.Config
 	trace [][]flow.Record
-	// tiers sets Policy and HoldTimeout of each tier's collectors, tier 0
-	// being the root.
+	// tiers sets HoldTimeout of each tier's collectors, tier 0 being the
+	// root.
 	tiers map[int]wire.CollectorConfig
 	// ships limits a leaf to the intervals [from, to); the others ship
 	// every interval.
@@ -685,8 +685,8 @@ func TestGrid(t *testing.T) {
 //   - reconnect-replay: leaf 0's connection is cut right after the
 //     Hello, and twice more between interval frames; it redials and
 //     replays.
-//   - close-without-dead-leaf, hold-timeout: a leaf dies mid-session,
-//     and the root closes the rest of the trace Partial at once, or
+//   - hold-timeout, hold-timeout-late-death: a leaf dies mid-session,
+//     early or late, and the root closes the rest of the trace Partial
 //     once its hold timer fires, and still ends on its own.
 //   - root-restart: the checkpointed root crashes between absorbing an
 //     interval and checkpointing it, and a new root resumes from the
@@ -701,8 +701,8 @@ func TestGrid(t *testing.T) {
 //     into a blackhole after its first two frames, is killed and
 //     restarts empty. Only the ack-after-upstream rule leaves its
 //     children holding the swallowed intervals to replay.
-//   - relay-leaf-death: a leaf dies behind a CloseWithout relay, and
-//     Partial names its global leaf ID, not the relay's.
+//   - relay-leaf-death: a leaf dies behind a relay whose hold runs out,
+//     and Partial names its global leaf ID, not the relay's.
 //   - fixture: a root and a relay resume from the recorded version-3
 //     checkpoints (see TestParentCheckpointsReencode) under the trace and
 //     configuration they were written with — the collector file after
@@ -710,9 +710,8 @@ func TestGrid(t *testing.T) {
 //     frames unacked. The alarm falls after both cuts, so the restored
 //     state decides it.
 func TestFaultGrid(t *testing.T) {
-	hold500 := map[int]wire.CollectorConfig{0: {HoldTimeout: 500 * time.Millisecond}}
-	closeAt := func(tier int) map[int]wire.CollectorConfig {
-		return map[int]wire.CollectorConfig{tier: {Policy: wire.CloseWithout}}
+	holdAt := func(tier int) map[int]wire.CollectorConfig {
+		return map[int]wire.CollectorConfig{tier: {HoldTimeout: 500 * time.Millisecond}}
 	}
 	fixtureCfg := &core.Config{Detector: detector.Config{Bins: 32, TrainIntervals: 2, Seed: 3}}
 	for _, tc := range []struct {
@@ -721,15 +720,15 @@ func TestFaultGrid(t *testing.T) {
 	}{
 		{"reconnect-replay", row{tp: topology{2}, trace: gridtest.Trace(10, 2000, 7),
 			cuts: map[node][]int{{1, 0}: {1, 3, 6}}}},
-		{"close-without-dead-leaf", row{tp: topology{2}, tiers: closeAt(0), dies: map[int]int{1: 4}}},
-		{"hold-timeout", row{tp: topology{2}, tiers: hold500, dies: map[int]int{1: 2}}},
+		{"hold-timeout", row{tp: topology{2}, tiers: holdAt(0), dies: map[int]int{1: 2}}},
+		{"hold-timeout-late-death", row{tp: topology{2}, tiers: holdAt(0), dies: map[int]int{1: 4}}},
 		{"root-restart", row{tp: topology{2}, crash: &node{0, 0}, at: 4}},
 		{"relay-tier-cuts", row{tp: topology{2, 2}, trace: gridtest.Trace(10, 2000, 7),
 			cuts: map[node][]int{{2, 0}: {1, 3}, {1, 1}: {2, 5}}}},
 		{"relay-restart", row{tp: topology{1, 2}, crash: &node{1, 0}, at: 4}},
 		{"relay-blackhole-fresh-restart", row{tp: topology{1, 2}, holes: map[node]int{{1, 0}: 3},
 			crash: &node{1, 0}, at: 4, fresh: true}},
-		{"relay-leaf-death", row{tp: topology{2, 2}, tiers: closeAt(1), dies: map[int]int{3: 4}}},
+		{"relay-leaf-death", row{tp: topology{2, 2}, tiers: holdAt(1), dies: map[int]int{3: 4}}},
 		{"three-tier-mid-restart", row{tp: topology{1, 1, 2}, crash: &node{2, 0}, at: 4}},
 		{"fixture/collector", row{tp: topology{2}, cfg: fixtureCfg, trace: gridtest.Trace(6, 120, 4),
 			resume: map[node]string{{0, 0}: "v3_collector.ckpt"}, from: 3}},

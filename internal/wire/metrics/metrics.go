@@ -26,11 +26,11 @@ const (
 	// StatusLive marks a connected agent.
 	StatusLive = "live"
 	// StatusDown marks a disconnected agent the collector still waits
-	// for (HoldWithTimeout policy, timer not yet fired).
+	// for: its hold has not run out, or the collector holds forever.
 	StatusDown = "down"
-	// StatusDead marks a disconnected agent the collector no longer
-	// waits for; intervals close without it, flagged Partial, until it
-	// reconnects.
+	// StatusDead marks an agent the collector no longer waits for since
+	// a hold ran out on it, connected or not; intervals close without it,
+	// flagged Partial, until it sends a frame or reconnects.
 	StatusDead = "dead"
 	// StatusBye marks an agent that ended its stream cleanly.
 	StatusBye = "bye"

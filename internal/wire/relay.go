@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"slices"
 
 	"anomalyx/internal/core"
 	"anomalyx/internal/wire/metrics"
@@ -13,22 +12,14 @@ import (
 // Hierarchical federation. Because equal-seed histogram clones are
 // exact mergeable sketches, absorbing open intervals is associative and
 // commutative in the histogram domain (per-bin counter addition) while
-// the flow buffers concatenate in absorb order. A relay node therefore
-// runs a Collector facing its children and an Agent facing its parent:
-// each boundary it absorbs its children's frames in child-ID order,
-// drains the merged open interval, and ships it upstream as one
-// frameRelayInterval. As long as every tier absorbs in ascending global
-// leaf order — which the LeafBase numbering guarantees for contiguous
-// trees — the root's reports are byte-identical to a flat deployment of
-// the same leaves, and to a single process running them as local
-// shards. Only the root owns detection history and emits reports.
-//
-// The ordering rule that makes a relay crash-safe: a child's frame is
-// acked only after the merged frame containing it is acked by the
-// parent, or durably written to the relay's checkpoint. Until then the
-// boundary survives in either the children's replay buffers or the
-// relay checkpoint's held frames, so no tier of the tree can lose or
-// duplicate a boundary.
+// the flow buffers concatenate in absorb order. So a relay absorbs its
+// children's frames in child-ID order and ships the merged interval
+// upstream as one frameRelayInterval. As long as every tier absorbs in
+// ascending global leaf order — which the LeafBase numbering guarantees
+// for contiguous trees — the root's reports are byte-identical to a flat
+// deployment of the same leaves. A child's frame is acked only once the
+// merged frame holding it is acked by the parent or written to the
+// relay's checkpoint, so no tier can lose or duplicate a boundary.
 
 // maxLeafSpan bounds a relay frame's declared leaf span (1M leaves);
 // anything larger is treated as stream corruption, keeping a malformed
@@ -114,15 +105,6 @@ func appendRelayPayload(b []byte, boundary int64, spanLo, spanLen int, missing [
 	return new(encoder).appendOpenInterval(b, oi)
 }
 
-// forwarder is a collector's forward mode: instead of closing detection
-// and emitting reports, every closed boundary is drained and shipped
-// upstream through agent, tagged with the relay's global leaf span. A
-// non-nil fwd switches closeBoundary's second half.
-type forwarder struct {
-	agent           *Agent
-	spanLo, spanLen int
-}
-
 // RelayConfig parameterizes a relay node: the collector session it
 // runs for its children and the agent stream it ships to its parent.
 type RelayConfig struct {
@@ -142,7 +124,9 @@ type RelayConfig struct {
 	// relay's children cover [LeafBase, LeafBase+Collector.Agents). 0
 	// derives AgentID·Collector.Agents — the natural numbering for a
 	// balanced tree, which makes the root's absorb order identical to a
-	// flat deployment's. Set it explicitly for irregular trees.
+	// flat deployment's. Set it explicitly for irregular trees. Every
+	// hello declares the span, so the parent names these leaves Partial
+	// when the relay is missing.
 	LeafBase int
 	// Retry is the upstream redial policy; see RetryConfig. The
 	// upstream replay buffer takes AgentOptions' default.
@@ -152,13 +136,10 @@ type RelayConfig struct {
 }
 
 // Relay is a mid-tier federation node: a Collector facing its children
-// and an Agent facing its parent. It absorbs each child boundary via
-// the same merge path a root collector uses, but instead of closing
-// detection it drains the merged open interval and ships it upstream —
-// the parent (ultimately the root) owns all detection state. Both faces
-// reuse the ack/replay/redial machinery, with the relay's ack to a
-// child gated on the upstream ack of the merged frame (or on a durable
-// relay checkpoint), so no boundary is lost to a relay crash.
+// and an Agent facing its parent. It closes each boundary as a root does,
+// but drains the merged open interval and ships it upstream instead of
+// closing detection, and acks a child only once the parent has acked the
+// merged frame (or a relay checkpoint holds it).
 type Relay struct {
 	c *Collector
 }
@@ -183,7 +164,8 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 			rc.LeafBase, rc.LeafBase+fanIn, maxLeafSpan)
 	}
 	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{Retry: rc.Retry, Dialer: rc.Dialer})
-	c, err := newCollector(cfg, rc.Collector, &forwarder{agent: up, spanLo: rc.LeafBase, spanLen: fanIn})
+	up.spanLo, up.spanLen = rc.LeafBase, fanIn
+	c, err := newCollector(cfg, rc.Collector, up)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +183,7 @@ func (r *Relay) Metrics() *metrics.Session { return r.c.met }
 // stream cleanly with Bye. On a session error the upstream connection
 // is severed without Bye, so the parent keeps the relay resumable.
 func (r *Relay) Serve(ctx context.Context, ln net.Listener) error {
-	up := r.c.fwd.agent
+	up := r.c.fwd
 	if err := up.connect(); err != nil {
 		ln.Close()
 		return err
@@ -216,84 +198,26 @@ func (r *Relay) Serve(ctx context.Context, ln net.Listener) error {
 // Close releases the relay's pipeline and severs any upstream
 // connection that Serve left (it must not be called while Serve runs).
 func (r *Relay) Close() {
-	r.c.fwd.agent.abort()
+	r.c.fwd.abort()
 	r.c.Close()
 }
 
 // watchUpstreamAcks runs beside a forwarding merge loop, turning the
-// upstream agent's ack progress into merge events: the merge loop
-// settles children (ack-after-upstream) and updates the held-frames
+// upstream agent's ack progress into merge events: the core settles
+// children (ack-after-upstream) and the driver updates the held-frames
 // gauge. It exits when the upstream stream ends or the session does.
-func (c *Collector) watchUpstreamAcks(s *session) {
+func (d *driver) watchUpstreamAcks() {
 	var last int64
 	for {
-		line, ok := c.fwd.agent.waitAckedAbove(last)
+		line, ok := d.c.fwd.waitAckedAbove(last)
 		if !ok {
 			return
 		}
 		last = line
 		select {
-		case s.events <- event{kind: evUpstreamAck, boundary: line}:
-		case <-s.done:
+		case d.events <- event{kind: evUpstreamAck, boundary: line}:
+		case <-d.done:
 			return
 		}
-	}
-}
-
-// missingFor computes the global leaf IDs boundary b closes without:
-// the IDs carried by child relay frames, plus every down or dead child
-// with nothing queued and nothing absorbed for b — expanded to its leaf
-// span when the child is itself a relay, mapped through spanLo when it
-// is a direct child of a relay, or reported as its own ID at the root.
-// The result is sorted and deduplicated; nil when complete.
-func (s *session) missingFor(b int64, frameMissing []int, spanLo int) []int {
-	missing := frameMissing
-	for id, st := range s.ag {
-		if (st.status != statusDown && st.status != statusDead) || len(st.queue) > 0 || st.absorbed >= b {
-			continue
-		}
-		if st.spanLen > 0 {
-			for leaf := st.spanLo; leaf < st.spanLo+st.spanLen; leaf++ {
-				missing = append(missing, leaf)
-			}
-		} else {
-			missing = append(missing, spanLo+id)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	slices.Sort(missing)
-	return slices.Compact(missing)
-}
-
-// ackChildren pushes every connected child its ack line — cumulative,
-// so late children catch up on their next ack.
-func (c *Collector) ackChildren(s *session) {
-	for id := range s.ag {
-		c.ack(s, id)
-	}
-}
-
-// ackLine is the line agent st may be acked up to: its commit point. A
-// root without a checkpoint commits a frame when it queues it — a queued
-// frame is as durable as it will ever be there — so it acks the agent's
-// queue tail as well as the settled line. Elsewhere the settled line
-// alone: written to the checkpoint, or acked by the relay's parent.
-func (c *Collector) ackLine(s *session, st *agentState) int64 {
-	if c.fwd == nil && c.cc.CheckpointPath == "" {
-		return max(s.acked, st.tail())
-	}
-	return s.acked
-}
-
-// ack pushes agent id's ack line to its connection, unless the
-// connection already has it; the last_acked metric follows.
-func (c *Collector) ack(s *session, id int) {
-	st := s.ag[id]
-	if line := c.ackLine(s, st); st.conn != nil && line > st.sent {
-		st.sent = line
-		pushLatest(st.ackCh, line)
-		c.met.Agent(id).SetLastAcked(line)
 	}
 }

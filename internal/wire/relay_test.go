@@ -2,10 +2,12 @@ package wire_test
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"anomalyx/internal/core"
+	"anomalyx/internal/flow"
 	"anomalyx/internal/gridtest"
 	"anomalyx/internal/wire"
 )
@@ -48,7 +50,7 @@ func TestRelayRejectsMalformedChildFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, wire.ConfigDigest(cfg)))
+	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 4, 0, 0, wire.ConfigDigest(cfg)))
 	typ, _, err := readRawFrame(conn)
 	if err != nil || typ != rawFrameHelloOK {
 		t.Fatalf("handshake reply: type %d err %v", typ, err)
@@ -143,4 +145,44 @@ func TestNewRelayValidation(t *testing.T) {
 		t.Error("relay has no metrics surface")
 	}
 	rel.Close()
+}
+
+// TestSilentRelayPartialNamesItsLeaves: a root over two relays of two
+// leaves each, where relay 1 never connects. The root knows relay 0's
+// span from its hello, numbers relay 1 like it, and so flags every
+// report Partial with relay 1's leaves 2 and 3 once its hold runs out,
+// not with leaf 1, which relay 0 delivered.
+func TestSilentRelayPartialNamesItsLeaves(t *testing.T) {
+	gridtest.NoLeak(t)
+	cfg := gridtest.Config()
+	trace := gridtest.Trace(10, 1500, 8)
+	parts := gridtest.Partition(trace, 4)
+	shipped := make([][]flow.Record, len(trace))
+	for i := range trace {
+		shipped[i] = append(append(shipped[i], parts[0][i]...), parts[1][i]...)
+	}
+	want := gridtest.Reference(t, cfg, shipped)
+	for _, rep := range want {
+		rep.Partial = []int{2, 3}
+	}
+
+	root := serve(t, cfg, wire.CollectorConfig{Agents: 2, HoldTimeout: 200 * time.Millisecond})
+	relay := &host{cfg: cfg, cc: wire.CollectorConfig{Agents: 2}, rc: &wire.RelayConfig{Dialer: root.dial, Retry: fastRetry()}}
+	relay.start(t)
+	var wg sync.WaitGroup
+	for id := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leaf{id: id, shards: 1, part: parts[id], dial: relay.dial}.run(t, cfg)
+		}()
+	}
+	wg.Wait()
+	if err := relay.end(t); err != nil {
+		t.Fatalf("relay: %v", err)
+	}
+	if err := root.end(t); err != nil {
+		t.Fatalf("root: %v", err)
+	}
+	gridtest.Equal(t, root.got, want, 2)
 }

@@ -262,13 +262,17 @@ func readRawFrame(conn io.Reader) (byte, []byte, error) {
 }
 
 // rawHello builds a Hello payload: magic, uvarint version and agent ID,
-// the v3 zigzag-varint resume offset, and the trailing 8-byte digest.
+// from v3 the zigzag-varint resume offset, from v4 a plain agent's empty
+// leaf span (two zero uvarints), and the trailing 8-byte digest.
 func rawHello(magic string, version, agentID uint64, resume int64, digest uint64) []byte {
 	p := []byte(magic)
 	p = binary.AppendUvarint(p, version)
 	p = binary.AppendUvarint(p, agentID)
 	if version >= 3 {
 		p = binary.AppendVarint(p, resume)
+	}
+	if version >= 4 {
+		p = append(p, 0, 0)
 	}
 	return binary.LittleEndian.AppendUint64(p, digest)
 }
@@ -300,6 +304,14 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 			wantMsg:  "unsupported protocol version 1",
 		},
 		{
+			name: "hello protocol version 3",
+			send: func(t *testing.T, conn net.Conn) {
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest))
+			},
+			wantCode: 3,
+			wantMsg:  "unsupported protocol version 3 (want 4..4)",
+		},
+		{
 			name: "hello protocol version too new",
 			send: func(t *testing.T, conn net.Conn) {
 				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 99, 0, 0, digest))
@@ -310,7 +322,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		{
 			name: "hello bad magic",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("NOPE", 3, 0, 0, digest))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("NOPE", 4, 0, 0, digest))
 			},
 			wantCode: 0, // errCodeOther
 			wantMsg:  "bad hello magic",
@@ -318,7 +330,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		{
 			name: "hello config digest mismatch",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest+1))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 4, 0, 0, digest+1))
 			},
 			wantCode: 1, // errCodeConfigMismatch
 			wantMsg:  "config mismatch: agent=",
@@ -326,7 +338,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		{
 			name: "hello agent ID out of range",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 5, 0, digest))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 4, 5, 0, digest))
 			},
 			wantCode: 2, // errCodeBadAgentID
 			wantMsg:  "out of range",
@@ -369,7 +381,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		{
 			name: "reserved type-2 frame after a good handshake",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 4, 0, 0, digest))
 				if typ, _, err := readRawFrame(conn); err != nil || typ != rawFrameHelloOK {
 					t.Fatalf("hello reply: type %d, err %v; want HelloOK", typ, err)
 				}
@@ -559,7 +571,7 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRawFrame(t, connA, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest))
+	writeRawFrame(t, connA, rawFrameHello, rawHello("AXWP", 4, 0, 0, digest))
 	if typ, _, err := readRawFrame(connA); err != nil || typ != rawFrameHelloOK {
 		t.Fatalf("first hello reply: type %d, err %v; want HelloOK", typ, err)
 	}
@@ -568,7 +580,7 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRawFrame(t, connB, rawFrameHello, rawHello("AXWP", 3, 0, 0, digest))
+	writeRawFrame(t, connB, rawFrameHello, rawHello("AXWP", 4, 0, 0, digest))
 	if typ, _, err := readRawFrame(connB); err != nil || typ != rawFrameHelloOK {
 		t.Fatalf("second hello reply: type %d, err %v; want HelloOK", typ, err)
 	}
@@ -615,8 +627,8 @@ func TestV2HelloRejected(t *testing.T) {
 	if n <= 0 || code != 3 { // errCodeBadVersion
 		t.Fatalf("error payload % x: code %d, want 3 (bad version)", payload, code)
 	}
-	if msg := string(payload[n:]); !strings.Contains(msg, "unsupported protocol version 2 (want 3..3)") {
-		t.Errorf("error message %q does not name version 2 and the accepted range 3..3", msg)
+	if msg := string(payload[n:]); !strings.Contains(msg, "unsupported protocol version 2 (want 4..4)") {
+		t.Errorf("error message %q does not name version 2 and the accepted range 4..4", msg)
 	}
 	conn.Close()
 

@@ -107,12 +107,13 @@ type Report struct {
 	CostReduction float64
 	// Suspicious holds the prefiltered flows when KeepSuspicious is set.
 	Suspicious []flow.Record
-	// Partial lists, sorted ascending, the agent IDs a distributed
-	// collector closed this interval without (their connections were
-	// down and their frames never arrived). Nil for local runs and for
-	// distributed intervals that merged every agent — the byte-identical
-	// determinism guarantee applies exactly to reports with a nil
-	// Partial.
+	// Partial lists, sorted ascending, the global leaf IDs a distributed
+	// collector closed this interval without (their frames never arrived
+	// in time); behind a relay the root never heard from, the IDs its
+	// heard siblings' spans leave for it (see wire.RelayConfig.LeafBase).
+	// Nil for local runs and for distributed intervals that merged every
+	// agent — the byte-identical determinism guarantee applies exactly to
+	// reports with a nil Partial.
 	Partial []int
 }
 

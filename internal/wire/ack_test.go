@@ -237,6 +237,54 @@ func TestHoldTimeoutBoundsSilentAgent(t *testing.T) {
 	})
 }
 
+// TestRevivedAgentShipsOverdueIntervals: an agent a hold gave up on is
+// acked no further than the frames it sent. Agent 1 connects and stays
+// silent while agent 0's first three intervals close Partial [1]; then
+// it wakes and ships its own three, all late, and the fourth. Acked up
+// to the closed line instead, the first of these ships would fail, its
+// boundary not after the ack line, and the agent with it. The late
+// frames are dropped but show that agent 1 is back, so the fourth
+// interval waits for it and closes complete.
+func TestRevivedAgentShipsOverdueIntervals(t *testing.T) {
+	gridtest.NoLeak(t)
+	cfg := gridtest.Config()
+	trace := gridtest.Trace(4, 500, -1)
+	root := serve(t, cfg, wire.CollectorConfig{Agents: 2, HoldTimeout: 200 * time.Millisecond})
+	silent := newShipper(t, root, 1, 0)
+	a := newShipper(t, root, 0, 0)
+	for i := range 3 {
+		returns(t, fmt.Sprintf("agent 0 ship %d", i), a.ship(trace[i], bnd(i)))
+	}
+	eventually(t, "the root closes three intervals without agent 1", func() bool {
+		m := root.metrics(t)
+		return m.LastClosed == bnd(2) && m.Agents[1].Status == "dead"
+	})
+	for i := range 4 {
+		returns(t, fmt.Sprintf("agent 1 ship %d", i), silent.ship(trace[i], bnd(i)))
+	}
+	eventually(t, "agent 1 live again with interval 3 queued", func() bool {
+		m := root.metrics(t)
+		return m.Agents[1].Status == "live" && m.Agents[1].QueueDepth == 1
+	})
+	returns(t, "agent 0 ship 3", a.ship(trace[3], bnd(3)))
+	for _, s := range []*shipper{a, silent} {
+		if err := s.agent.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := root.end(t); err != nil {
+		t.Fatal(err)
+	}
+	if len(root.got) != 4 {
+		t.Fatalf("root emitted %d reports, want 4", len(root.got))
+	}
+	for i, rep := range root.got {
+		if want := []int{1}; i == 3 && rep.Partial != nil || i < 3 && !slices.Equal(rep.Partial, want) {
+			t.Errorf("interval %d: Partial %v, want [1] before interval 3 and none at it", rep.Interval, rep.Partial)
+		}
+	}
+}
+
 // stalledConn is an agent's link that can stall, as a hung process or a
 // congested path does: while stalled it holds what the agent writes and
 // what the agent would read. flush delivers the held writes, then lets

@@ -24,9 +24,10 @@ type CollectorConfig struct {
 	// frame, whether the agent never connected, is disconnected, or is
 	// connected and silent. The agent is then dead: intervals close
 	// without it, flagged Partial, until it sends any frame or
-	// reconnects. 0 holds forever, so one silent agent holds every
-	// interval, and every other agent's Close with it. A negative
-	// timeout is refused.
+	// reconnects. With no interval left to close no hold runs: the
+	// session waits for every agent's Bye. 0 holds forever, so one silent
+	// agent holds every interval, and every other agent's Close with it.
+	// A negative timeout is refused.
 	HoldTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the collector write its
 	// durable state there (fsynced temp + atomic rename) after every

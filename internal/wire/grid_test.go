@@ -65,6 +65,11 @@ type row struct {
 	dies map[int]int
 	// cuts scripts a chaosProxy on a node's upstream edge.
 	cuts map[node][]int
+	// stall maps a leaf to an interval k: once it has submitted interval
+	// k, and so shipped the ones before it, the leaf waits until its
+	// parent sees its connection lost and every sibling ended, then for
+	// four of its parent's holds, and goes on.
+	stall map[int]int
 	// holes blackholes a node's upstream edge: its first connection
 	// forwards n frames and swallows the rest, staying up.
 	holes map[node]int
@@ -213,6 +218,21 @@ func (r row) run(t *testing.T) {
 			l.shards = r.shards0
 		}
 		_, l.mortal = r.dies[idx]
+		if k, ok := r.stall[idx]; ok {
+			parent, id := parentOf(n)
+			l.holdAt, l.hold = k, func(*wire.Agent) {
+				eventually(t, "the stalled leaf is down and its siblings ended", func() bool {
+					m := parent.metrics(t)
+					for sib, ag := range m.Agents {
+						if sib == id && ag.Status != metrics.StatusDown || sib != id && ag.Status != metrics.StatusBye {
+							return false
+						}
+					}
+					return true
+				})
+				time.Sleep(4 * parent.cc.HoldTimeout)
+			}
+		}
 		if atBarrier != nil {
 			l.holdAt = r.at
 			l.hold = func(a *wire.Agent) {
@@ -688,6 +708,11 @@ func TestGrid(t *testing.T) {
 //   - hold-timeout, hold-timeout-late-death: a leaf dies mid-session,
 //     early or late, and the root closes the rest of the trace Partial
 //     once its hold timer fires, and still ends on its own.
+//   - hold-bye-then-cut: leaf 0 ships two intervals and says Bye; leaf
+//     1's connection is cut after its second interval frame, and it
+//     stays away for four holds before it ships on. With nothing queued
+//     no hold runs, so the root waits for it: every interval of leaf 1
+//     is reported, none Partial.
 //   - root-restart: the checkpointed root crashes between absorbing an
 //     interval and checkpointing it, and a new root resumes from the
 //     checkpoint while the agents replay what it lost.
@@ -722,6 +747,8 @@ func TestFaultGrid(t *testing.T) {
 			cuts: map[node][]int{{1, 0}: {1, 3, 6}}}},
 		{"hold-timeout", row{tp: topology{2}, tiers: holdAt(0), dies: map[int]int{1: 2}}},
 		{"hold-timeout-late-death", row{tp: topology{2}, tiers: holdAt(0), dies: map[int]int{1: 4}}},
+		{"hold-bye-then-cut", row{tp: topology{2}, tiers: map[int]wire.CollectorConfig{0: {HoldTimeout: 250 * time.Millisecond}},
+			ships: map[int][2]int{0: {0, 2}}, cuts: map[node][]int{{1, 1}: {3}}, stall: map[int]int{1: 2}}},
 		{"root-restart", row{tp: topology{2}, crash: &node{0, 0}, at: 4}},
 		{"relay-tier-cuts", row{tp: topology{2, 2}, trace: gridtest.Trace(10, 2000, 7),
 			cuts: map[node][]int{{2, 0}: {1, 3}, {1, 1}: {2, 5}}}},

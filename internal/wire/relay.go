@@ -126,7 +126,9 @@ type RelayConfig struct {
 	// balanced tree, which makes the root's absorb order identical to a
 	// flat deployment's. Set it explicitly for irregular trees. Every
 	// hello declares the span, so the parent names these leaves Partial
-	// when the relay is missing.
+	// when the relay is missing; one it never heard from is named by the
+	// leaves its heard siblings leave between them, or past the last of
+	// them by that sibling's width, as in a balanced tree.
 	LeafBase int
 	// Retry is the upstream redial policy; see RetryConfig. The
 	// upstream replay buffer takes AgentOptions' default.

@@ -18,10 +18,11 @@ import (
 // seeded fault schedules.
 //
 // The one close rule: an agent with nothing queued — never connected,
-// connected and silent, or down — blocks the earliest queued boundary (a
-// down one, once some agent has ended, the end of the stream) until
-// HoldTimeout runs out; it is then dead until it sends any frame or
-// reconnects. With no hold (HoldTimeout 0) it blocks forever.
+// connected and silent, or down — blocks the earliest queued boundary
+// until HoldTimeout runs out, then is dead until it sends any frame or
+// reconnects; HoldTimeout 0 holds forever. With nothing queued no hold
+// runs, and a session waits for a down agent's Bye: an agent redials only
+// to ship or to close, so one between intervals looks like one dead.
 
 // effects is everything the core asks of its driver. Connections are
 // named by agent ID: the agent's current one.
@@ -55,20 +56,8 @@ const (
 	statusBye // ended its stream; a later hello is refused
 )
 
-func (s agentStatus) metricsName() string {
-	switch s {
-	case statusLive:
-		return metrics.StatusLive
-	case statusDown:
-		return metrics.StatusDown
-	case statusDead:
-		return metrics.StatusDead
-	case statusBye:
-		return metrics.StatusBye
-	default:
-		return metrics.StatusPending
-	}
-}
+var statusNames = [...]string{statusPending: metrics.StatusPending, statusLive: metrics.StatusLive,
+	statusDown: metrics.StatusDown, statusDead: metrics.StatusDead, statusBye: metrics.StatusBye}
 
 // queuedFrame is one received-but-unabsorbed interval frame.
 type queuedFrame struct {
@@ -93,6 +82,7 @@ type agentState struct {
 	byeOwed  bool
 	queue    []queuedFrame // pending frames, boundary ascending
 	absorbed int64         // highest boundary absorbed
+	top      int64         // highest boundary it sent, dropped ones too
 	sent     int64         // ack line the connection already has
 	// emittedAtAbsorb is the session's emitted count when the agent last
 	// took part in a close; emitted - emittedAtAbsorb is its lag.
@@ -152,7 +142,7 @@ func (s *session) restore(cp *checkpoint) {
 	s.acked = cp.lastClosed // a checkpointing session settles right after the write
 	for id := range s.ag {
 		a := &s.ag[id]
-		a.absorbed, a.emittedAtAbsorb = cp.absorbed[id], cp.emitted
+		a.absorbed, a.top, a.emittedAtAbsorb = cp.absorbed[id], cp.absorbed[id], cp.emitted
 		a.status = cp.statuses[id]
 		if a.status != statusBye && a.status != statusDead {
 			a.status = statusDown
@@ -178,7 +168,7 @@ func (s *session) table() checkpoint {
 
 func (s *session) setStatus(id int, st agentStatus) {
 	s.ag[id].status = st
-	s.met.Agent(id).SetStatus(st.metricsName())
+	s.met.Agent(id).SetStatus(statusNames[st])
 }
 
 // hello validates a handshake and attaches the connection as the agent's
@@ -227,6 +217,7 @@ func (s *session) frame(id, gen int, fr queuedFrame) error {
 		// it replays is all late, so any frame makes it live.
 		s.setStatus(id, statusLive)
 	}
+	a.top = max(a.top, fr.boundary)
 	if fr.boundary <= s.lastClosed || fr.boundary <= a.tail() {
 		// Already held or already closed: drop and re-ack (up to the
 		// settled line) so the agent trims its replay buffer.
@@ -246,10 +237,11 @@ func (s *session) frame(id, gen int, fr queuedFrame) error {
 }
 
 // bye ends agent id's stream. An agent exits once its Bye is confirmed,
-// so with a checkpoint the confirmation waits for the write that holds
-// its queued frames. Without one it goes at once: a root has committed
-// them, and a relay that crashes restarts empty, naming the exited child
-// Partial after its hold as it would a dead one.
+// so with a checkpoint the confirmation waits for a write recording the
+// end, lest a restart wait for the exited agent: the one holding its
+// queued frames, or, with none queued, one made now. Without one it goes
+// at once: a root has committed its frames, and a relay that crashes
+// restarts empty, naming the exited child Partial as it would a dead one.
 func (s *session) bye(id, gen int) error {
 	a := &s.ag[id]
 	if gen != a.gen {
@@ -258,6 +250,11 @@ func (s *session) bye(id, gen int) error {
 	a.gen++
 	a.byeOwed = a.connected
 	s.setStatus(id, statusBye)
+	if s.checkpointed && len(a.queue) == 0 {
+		if err := s.fx.checkpoint(s.table()); err != nil {
+			return err
+		}
+	}
 	s.ack(id)
 	return s.advance()
 }
@@ -284,7 +281,7 @@ func (s *session) holdFired(b int64) error {
 	}
 	s.holdFor = -1
 	for id := range s.ag {
-		if a := &s.ag[id]; a.blocks() && (b != endOfStream || a.status == statusDown) {
+		if s.ag[id].blocks() {
 			s.setStatus(id, statusDead)
 		}
 	}
@@ -317,32 +314,15 @@ func (s *session) advance() error {
 		}
 	}
 	b, ok := s.minQueued()
-	if !ok && s.endHeld() {
-		b, ok = endOfStream, true
-	}
 	switch {
 	case !s.hold:
 	case !ok || s.ready():
 		s.stopHold()
 	case s.holdFor != b:
-		s.stopHold()
 		s.holdFor = b
 		s.fx.armHold(b)
 	}
 	return nil
-}
-
-// endOfStream is the boundary a Bye stands for, past every other: once
-// an agent has ended and nothing is queued, a lost agent trails it and is
-// held for, else one lost between its last frame and its Bye would keep
-// the session open forever. A connected agent may still ship: it is not.
-const endOfStream = int64(1<<63 - 1)
-
-func (s *session) endHeld() bool {
-	has := func(st agentStatus) bool {
-		return slices.ContainsFunc(s.ag, func(a agentState) bool { return a.status == st })
-	}
-	return has(statusBye) && has(statusDown)
 }
 
 func (s *session) stopHold() {
@@ -407,7 +387,7 @@ func (s *session) closeBoundary(b int64) error {
 		s.fx.refund(id)
 		s.met.Agent(id).SetQueueDepth(int64(len(a.queue)))
 	}
-	missing = s.missingFor(missing)
+	missing = s.missingFor(b, missing)
 	if s.relay {
 		if err := s.fx.ship(b, missing); err != nil {
 			return err
@@ -436,15 +416,15 @@ func (s *session) closeBoundary(b int64) error {
 
 // missingFor returns the global leaf IDs boundary b closes without: those
 // the relay frames absorbed for b name, plus every leaf of each down or
-// dead agent with nothing queued. A relay
-// child's leaves are the span its hello declared; a plain child is leaf
-// spanLo+id. A child not heard from this session is numbered like its
-// relay siblings, as balanced trees number them (LeafBase = AgentID ×
-// fan-in). The result is sorted and deduplicated; nil when complete.
-func (s *session) missingFor(missing []int) []int {
+// dead agent with nothing queued and nothing absorbed for b (a connection
+// lost while its frame waited). A relay child's leaves are the span its
+// hello declared; a plain child is leaf spanLo+id; one not heard from
+// this session is placed by siblingSpan. The result is sorted and
+// deduplicated; nil when complete.
+func (s *session) missingFor(b int64, missing []int) []int {
 	for id := range s.ag {
 		a := &s.ag[id]
-		if (a.status != statusDown && a.status != statusDead) || len(a.queue) > 0 {
+		if (a.status != statusDown && a.status != statusDead) || len(a.queue) > 0 || a.absorbed >= b {
 			continue
 		}
 		lo, n := a.spanLo, a.spanLen
@@ -465,27 +445,45 @@ func (s *session) missingFor(missing []int) []int {
 	return slices.Compact(missing)
 }
 
-// siblingSpan derives the leaf span of agent id, not heard from, from the
-// first relay child that was; an empty span when there is none.
+// siblingSpan places agent id, not heard from, among its relay
+// siblings: the run of unheard children around it shares evenly the
+// leaves from the end of the heard sibling below (the tier's first leaf
+// with none) to the start of the one above, so one unheard child before
+// or between heard ones gets exactly its span. Past the last heard
+// sibling each takes that sibling's width, as in a balanced tree. An
+// empty span when no relay sibling bounds the run.
 func (s *session) siblingSpan(id int) (lo, n int) {
-	for j := range s.ag {
-		if sib := &s.ag[j]; sib.heard && sib.spanLen > 0 {
-			return sib.spanLo + (id-j)*sib.spanLen, sib.spanLen
-		}
+	p, q := id, id+1 // the unheard run is [p, q)
+	for p > 0 && !s.ag[p-1].heard {
+		p--
 	}
-	return 0, 0
+	for q < len(s.ag) && !s.ag[q].heard {
+		q++
+	}
+	lo = s.spanLo
+	if p > 0 {
+		lo, n = s.ag[p-1].spanLo+s.ag[p-1].spanLen, s.ag[p-1].spanLen
+	}
+	hi := lo + n*(q-p)
+	if q < len(s.ag) && s.ag[q].spanLen > 0 {
+		hi, n = s.ag[q].spanLo, (s.ag[q].spanLo-lo)/(q-p)
+	}
+	if lo += (id - p) * n; id == q-1 {
+		n = hi - lo
+	}
+	return lo, max(n, 0)
 }
 
-// ackLine is the line agent a may be acked up to: its commit point. A
-// root without a checkpoint commits a frame when it queues it, so it
-// acks the agent's queue tail as well as the settled line. Elsewhere the
-// settled line alone: written to the checkpoint, or acked by the relay's
-// parent.
+// ackLine is the line agent a may be acked up to: its commit point, and
+// never past the last boundary it sent, since an agent sends no boundary
+// at or below its ack line and a dead one revives only by sending. A root
+// without a checkpoint commits a frame when it queues it; elsewhere the
+// settled line caps it: written to the checkpoint, or acked upstream.
 func (s *session) ackLine(a *agentState) int64 {
 	if !s.relay && !s.checkpointed {
-		return max(s.acked, a.tail())
+		return a.top
 	}
-	return s.acked
+	return min(s.acked, a.top)
 }
 
 // ack sends agent id its ack line unless its connection already has it,

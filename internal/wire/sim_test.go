@@ -22,31 +22,40 @@ import (
 // The session simulator: the collector session core (session.go) driven
 // by seeded schedules on a virtual clock, in one goroutine. A schedule
 // draws a topology (flat {1}, {2}, {3} or the {2, 2} relay tree), a hold
-// (100 ms or none), a root with or without a checkpoint, and up to three
-// faults: a connection cut (the agent redials and replays), a silence
+// (none, or shorter or longer than the gap between a leaf's ships: a
+// deployment's hold is shorter than its interval), a root with or
+// without a checkpoint, in a flat topology maybe a leaf that ends its
+// stream early, and up to three faults: a connection cut, a silence
 // (finite, or, with a hold, forever), the death for good of a leaf or a
 // relay before or after its first frame (with a hold), and a crash of a
 // checkpointed root, between two events or inside an emit or checkpoint
-// write, that resumes from the last checkpoint bytes it wrote. Links keep
-// each connection's frames in order, and the parent reads a frame only
-// while the connection holds an ingest credit, as handleConn does. Leaf
-// frames and relay frames go through the real codecs.
+// write, that resumes from the last checkpoint bytes it wrote. Agents
+// behave as Agent does: they redial only to ship or to close, replay
+// what is unacked, and fail a ship at or below their ack line. Links
+// keep each connection's frames in order, and the parent reads a frame
+// only while the connection holds an ingest credit, as handleConn does.
+// Leaf frames and relay frames go through the real codecs.
 //
 // Every schedule is held to the failure model (docs/ARCHITECTURE.md):
 //   - the root's reports equal a reference run over exactly the records
 //     it absorbed, and Partial names exactly the global leaves whose
-//     frame for that boundary was not absorbed (a relay's missing list
-//     likewise names its own);
+//     frame for that boundary was not absorbed and whose stream had not
+//     ended (a relay's missing list likewise names its own);
 //   - a close leaves an agent out only after a hold ran out since the
 //     agent's last frame or hello: the one hold rule;
 //   - no agent is acked past its commit point: the last written
 //     checkpoint at a checkpointed root, the parent's ack at a relay, the
 //     frames it queued at a root without a checkpoint;
-//   - the session ends by a virtual-time bound stated from the schedule.
+//   - a leaf whose path to the root has no lasting fault has every frame
+//     absorbed there, up to the end of its stream (see fault);
+//   - the session ends by a virtual-time bound stated from the schedule,
+//     unless it waits, by the rule, for a child that is gone without a
+//     Bye and with nothing queued (see waitsForGone).
 //
-// A schedule keeps one leaf whose path to the root has no lasting fault:
-// a session that no frame ever reaches has nothing to close and nothing
-// to hold, and waits for its fleet forever by design.
+// A schedule keeps one leaf whose path to the root has no lasting fault
+// (with a hold it is never silenced): a session that no frame ever
+// reaches has nothing to close and nothing to hold, and waits for its
+// fleet forever by design.
 //
 // A failing schedule prints its seed; -sim.seed replays it and logs its
 // effect trace. The fuzz-smoke job sweeps seeds through
@@ -59,9 +68,13 @@ var (
 
 const (
 	simIntervals = 5
-	simStep      = 40  // virtual ms between a leaf's ships
-	simHold      = 100 // virtual ms, the finite hold
-	simGiveUp    = 40  // failed dials before an agent gives up
+	simStep      = 150 // virtual ms between a leaf's ships
+	// The finite holds: shorter than simStep, yet longer than the skew
+	// between leaves' ships of one interval (under 30 ms) plus a redial;
+	// and longer than simStep.
+	simShortHold = 100
+	simLongHold  = 400
+	simGiveUp    = 40 // failed dials before an agent gives up
 )
 
 func simBoundary(i int) int64 { return int64(i+1) * 900_000 }
@@ -153,15 +166,16 @@ func simPipeline(cfg core.Config) *core.Pipeline {
 	return p
 }
 
-// simClose is one report's ground truth: its interval, and the global
-// leaves whose frames it absorbed, ascending.
+// simClose is one report's ground truth: its interval, the global
+// leaves whose frames it absorbed, and those it must flag Partial, the
+// others but those whose stream had ended; each ascending.
 type simClose struct {
-	interval int
-	leaves   []int
+	interval        int
+	leaves, partial []int
 }
 
 // reference returns the reports of one pipeline closing, in order, each
-// close's absorbed leaves' records, flagged Partial with the others.
+// close's absorbed leaves' records, flagged Partial as it says.
 func (f *simFixture) reference(t testing.TB, leaves int, closes []simClose) []*core.Report {
 	key := fmt.Sprint(leaves, closes)
 	if reps, ok := f.refs[key]; ok {
@@ -172,19 +186,14 @@ func (f *simFixture) reference(t testing.TB, leaves int, closes []simClose) []*c
 	reps := make([]*core.Report, len(closes))
 	for k, c := range closes {
 		var recs []flow.Record
-		var partial []int
-		for leaf := range leaves {
-			if slices.Contains(c.leaves, leaf) {
-				recs = append(recs, f.parts[leaves][leaf][c.interval]...)
-			} else {
-				partial = append(partial, leaf)
-			}
+		for _, leaf := range c.leaves {
+			recs = append(recs, f.parts[leaves][leaf][c.interval]...)
 		}
 		rep, err := p.ProcessInterval(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.Partial = partial
+		rep.Partial = c.partial
 		reps[k] = rep
 	}
 	f.refs[key] = reps
@@ -218,9 +227,12 @@ type simRun struct {
 	closes    []simClose
 	scriptEnd int64
 	faults    []string
-	ended     bool
-	endAt     int64
-	failed    bool
+	// faulted marks the leaves a lasting fault may cost frames (see
+	// fault).
+	faulted []bool
+	ended   bool
+	endAt   int64
+	failed  bool
 }
 
 // simEvent is one scheduled action.
@@ -303,17 +315,89 @@ func runSchedule(t testing.TB, seed int64, log bool) *simRun {
 	if r.failed {
 		return r
 	}
-	if !r.ended {
+	switch bound := r.bound(); {
+	case !r.ended && !r.root.waitsForGone():
 		r.fail("the session never ended: nothing left to happen")
 		return r
-	}
-	if bound := r.bound(); r.endAt > bound {
+	case r.ended && r.endAt > bound:
 		r.fail("the session ended at %d ms, past its bound of %d ms", r.endAt, bound)
 		return r
 	}
 	want := r.fix.reference(t, r.nLeaves, r.closes)
 	gridtest.Equal(simTB{t, r}, r.reports, want, r.nLeaves)
+	r.checkComplete()
 	return r
+}
+
+// checkComplete holds every leaf with no lasting fault on its path to
+// its frame in each of the root's reports up to the end of its stream;
+// without a hold, every leaf. A relay ships a boundary once for all its
+// leaves, so one leaf's fault is its siblings': the relay's hold for it
+// may outlast the root's.
+func (r *simRun) checkComplete() {
+	faulted := slices.Clone(r.faulted)
+	for leaf := range faulted {
+		if len(r.relays) > 0 {
+			first := leaf - leaf%r.tp[1]
+			faulted[leaf] = slices.Contains(r.faulted[first:first+r.tp[1]], true)
+		}
+		if faulted[leaf] && r.hold > 0 {
+			continue
+		}
+		for i := range r.leaves[leaf].last {
+			if k := slices.IndexFunc(r.closes, func(c simClose) bool { return c.interval == i }); k < 0 || !slices.Contains(r.closes[k].leaves, leaf) {
+				r.fail("the root reported interval %d without leaf %d, or not at all, though no lasting fault lay on its path", i, leaf)
+				return
+			}
+		}
+	}
+}
+
+// fault marks agent a's leaves — a relay face's span — as ones a lasting
+// fault may cost frames: it fell silent or died, or its relay did; or,
+// with a hold shorter than the gap between ships, a lost connection or a
+// crashed root stranded frames in its replay buffer, which an agent
+// resends only when it next ships.
+func (r *simRun) fault(a *simAgent) {
+	if a.relay == nil {
+		r.faulted[a.leaf] = true
+		return
+	}
+	for leaf := a.relay.leafBase; leaf < a.relay.leafBase+len(a.relay.kids); leaf++ {
+		r.faulted[leaf] = true
+	}
+}
+
+// strand faults a, with a short hold, when it holds unacked frames above
+// line, which its parent does not hold.
+func (r *simRun) strand(a *simAgent, line int64) {
+	if r.hold > 0 && r.hold < simStep && slices.ContainsFunc(a.replay, func(e simEntry) bool { return e.b > line }) {
+		r.fault(a)
+	}
+}
+
+// waitsForGone reports whether the node is open only for children gone
+// for good (dead, or silent) before their Bye, with nothing queued, and
+// lost by their parent: the end of a stream is
+// no boundary, so no hold runs for it, and the session waits for a Bye
+// its collector cannot tell from one a redial will still bring (see
+// session.go). A relay child waiting so makes its parent wait too.
+func (n *simNode) waitsForGone() bool {
+	if n.down || n.done {
+		return false
+	}
+	for id, a := range n.kids {
+		st := &n.s.ag[id]
+		switch {
+		case len(st.queue) > 0 || st.byeOwed:
+			return false
+		case st.status == statusBye || st.status == statusDead:
+		case a.relay != nil && a.relay.waitsForGone():
+		case !a.gone && a.silentUntil >= 0 || st.connected:
+			return false
+		}
+	}
+	return true
 }
 
 // simTB prefixes a failing schedule's reference mismatch with its seed.
@@ -351,9 +435,13 @@ func (r *simRun) build() {
 	for _, f := range r.tp {
 		r.nLeaves *= f
 	}
-	if r.rng.Intn(4) > 0 {
-		r.hold = simHold
+	switch r.rng.Intn(4) {
+	case 1, 2:
+		r.hold = simShortHold
+	case 3:
+		r.hold = simLongHold
 	}
+	r.faulted = make([]bool, r.nLeaves)
 	r.ckpt = r.rng.Intn(2) == 0
 
 	r.root = r.newNode("root", r.tp[0], 0, false)
@@ -402,6 +490,17 @@ func (r *simRun) faultScript() {
 	if len(r.relays) > 0 {
 		survivorRelay = survivor / r.tp[1]
 	}
+	// In a flat topology a leaf other than the survivor may end its
+	// stream early, as an agent whose traffic stops does. Not in the
+	// tree, yet: a relay whose leaves have all ended, some of them dead,
+	// says Bye upstream, and the root then stops naming the dead ones
+	// Partial.
+	if len(r.relays) == 0 && r.rng.Intn(3) == 0 {
+		if a := r.leaves[r.rng.Intn(r.nLeaves)]; a.leaf != survivor {
+			a.last = 1 + r.rng.Intn(simIntervals-1)
+			r.faults = append(r.faults, fmt.Sprintf("%s ends after %d intervals", a.name, a.last))
+		}
+	}
 	crashed := false
 	for range r.rng.Intn(4) {
 		at := r.rng.Int63n(r.scriptEnd)
@@ -413,21 +512,30 @@ func (r *simRun) faultScript() {
 			} else {
 				a = r.leaves[r.rng.Intn(r.nLeaves)]
 			}
-			r.faults = append(r.faults, fmt.Sprintf("cut %s at %d", a.name, at))
+			// Maybe its next connection too, once accepted: the parent
+			// then loses a connection that never carried the frames it
+			// holds of the agent.
+			twice := r.rng.Intn(2) == 0
+			r.faults = append(r.faults, fmt.Sprintf("cut %s at %d (twice %v)", a.name, at, twice))
 			r.after(at, func() {
 				if a.conn != nil {
 					r.note("fault: cut %s", a.name)
 					a.conn.cut()
+					a.recut = twice
 				}
 			})
 		case kind == 1: // silence a leaf
 			a := r.leaves[r.rng.Intn(r.nLeaves)]
-			until := at + 20 + r.rng.Int63n(400)
-			if r.hold > 0 && a.leaf != survivor && r.rng.Intn(3) == 0 {
+			until := at + 20 + r.rng.Int63n(3*simStep)
+			if r.hold > 0 && a.leaf == survivor {
+				break // with a hold, a long silence is a lasting fault
+			}
+			if r.hold > 0 && r.rng.Intn(3) == 0 {
 				until = -1
 			}
 			if a.silentUntil == 0 {
 				a.silentFrom, a.silentUntil = at, until
+				r.fault(a)
 				r.faults = append(r.faults, fmt.Sprintf("silence %s over [%d,%d)", a.name, at, until))
 				r.scriptEnd = max(r.scriptEnd, until+simIntervals*simStep)
 			}
@@ -482,13 +590,15 @@ type simNode struct {
 	done  bool     // its session finished
 
 	// Ground truth. took and leaves are the children and global leaves
-	// absorbed in the close under way; shipped maps a relay's shipped
+	// absorbed in the close under way; ended marks the children whose Bye
+	// this incarnation read or restored; shipped maps a relay's shipped
 	// boundaries to their leaves; excusable marks the children a hold
 	// ran out on since their last frame or hello; tops is each child's
 	// highest frame delivered in this incarnation; closed is the last
 	// closed boundary and written the last checkpoint's bytes and line.
 	took      []int
 	leaves    []int
+	ended     []bool
 	shipped   map[int64][]int
 	excusable []bool
 	tops      []int64
@@ -515,6 +625,7 @@ func (n *simNode) start() {
 	n.conns, n.all = make([]*simConn, len(n.kids)), nil
 	n.free = make([][]*intervalDecoder, len(n.kids))
 	n.tops = make([]int64, len(n.kids))
+	n.ended = make([]bool, len(n.kids))
 	n.took, n.leaves = n.took[:0], n.leaves[:0]
 	clear(n.excusable)
 	if n.written == nil {
@@ -537,6 +648,7 @@ func (n *simNode) start() {
 	r.reports, r.closes = r.reports[:cp.emitted], r.closes[:cp.emitted]
 	for id, st := range cp.statuses {
 		n.excusable[id] = st == statusDead // a hold ran out on it before the crash
+		n.ended[id] = st == statusBye
 	}
 }
 
@@ -571,6 +683,9 @@ func (n *simNode) crash() {
 		return
 	}
 	r.note("fault: %s crashes", n.name)
+	for _, a := range n.kids {
+		r.strand(a, n.wroteLine) // its queue is lost with it
+	}
 	n.down = true
 	n.hold++
 	for _, c := range n.all {
@@ -719,20 +834,21 @@ func (n *simNode) absorb(id int, fr queuedFrame) error {
 }
 
 // closeChecks checks a close of b that names missing: missing must be
-// exactly the leaves of the node's span it did not absorb, and no child
-// is left out unless a hold ran out on it since its last frame or hello.
-// It returns the leaves absorbed.
-func (n *simNode) closeChecks(b int64, missing []int) []int {
+// exactly the leaves of the node's span it did not absorb, but those
+// whose stream ended before b with a Bye their parent has read; and no
+// child whose Bye the node has not read is left out unless a hold ran
+// out on it since its last frame or hello. It returns the leaves
+// absorbed and the missing ones.
+func (n *simNode) closeChecks(b int64, missing []int) (leaves, want []int) {
 	r := n.r
 	slices.Sort(n.leaves)
-	leaves := slices.Clone(n.leaves)
+	leaves = slices.Clone(n.leaves)
 	lo, hi := 0, r.nLeaves
 	if n.relay {
 		lo, hi = n.leafBase, n.leafBase+len(n.kids)
 	}
-	var want []int
 	for leaf := lo; leaf < hi; leaf++ {
-		if !slices.Contains(leaves, leaf) {
+		if a := r.leaves[leaf]; !slices.Contains(leaves, leaf) && (simInterval(b) < a.last || !a.parent.ended[a.id]) {
 			want = append(want, leaf)
 		}
 	}
@@ -740,13 +856,13 @@ func (n *simNode) closeChecks(b int64, missing []int) []int {
 		r.fail("%s closed %d naming %v missing; it absorbed leaves %v, so %v are", n.name, b, missing, leaves, want)
 	}
 	for id := range n.kids {
-		if !slices.Contains(n.took, id) && !n.excusable[id] {
+		if !slices.Contains(n.took, id) && !n.excusable[id] && !n.ended[id] {
 			r.fail("%s closed %d without child %d, though no hold ran out on it since its last frame or hello", n.name, b, id)
 		}
 	}
 	n.took, n.leaves = n.took[:0], n.leaves[:0]
 	n.closed = b
-	return leaves
+	return leaves, want
 }
 
 func (n *simNode) emit(b int64, partial []int) error {
@@ -760,9 +876,9 @@ func (n *simNode) emit(b int64, partial []int) error {
 	}
 	rep.Partial = partial
 	r.note("%s emit %d partial %v", n.name, b, partial)
-	leaves := n.closeChecks(b, partial)
+	leaves, want := n.closeChecks(b, partial)
 	r.reports = append(r.reports, rep)
-	r.closes = append(r.closes, simClose{interval: simInterval(b), leaves: leaves})
+	r.closes = append(r.closes, simClose{interval: simInterval(b), leaves: leaves, partial: want})
 	return nil
 }
 
@@ -771,7 +887,7 @@ func (n *simNode) ship(b int64, missing []int) error {
 	payload := appendRelayPayload(nil, b, n.leafBase, len(n.kids), missing, oi)
 	n.p.RecycleOpenInterval(oi)
 	n.r.note("%s ship %d missing %v", n.name, b, missing)
-	n.shipped[b] = n.closeChecks(b, missing)
+	n.shipped[b], _ = n.closeChecks(b, missing)
 	n.up.ship(simEntry{typ: frameRelayInterval, b: b, payload: payload})
 	return nil
 }
@@ -809,10 +925,11 @@ type simAgent struct {
 	dialing                 bool
 	fails                   int
 	closing                 bool
+	recut                   bool // cut the next connection at its HelloOK
 	done                    bool
 	gone                    bool // dead for good, or gave up dialing
 	start                   int64
-	next                    int // a leaf's next interval to ship
+	next, last              int // a leaf's next interval to ship, and its stream's end
 	silentFrom, silentUntil int64
 }
 
@@ -823,7 +940,7 @@ type simEntry struct {
 }
 
 func (r *simRun) newAgent(name string, id int, parent *simNode, leaf int) *simAgent {
-	return &simAgent{r: r, name: name, id: id, parent: parent, leaf: leaf}
+	return &simAgent{r: r, name: name, id: id, parent: parent, leaf: leaf, last: simIntervals}
 }
 
 // tick ships the leaf's next interval when it is due and the leaf is not
@@ -842,7 +959,7 @@ func (a *simAgent) tick() {
 	i := a.next
 	a.next++
 	a.ship(simEntry{typ: frameOpenInterval, b: simBoundary(i), payload: r.fix.frames[r.nLeaves][a.leaf][i]})
-	if a.next == simIntervals {
+	if a.next == a.last {
 		a.close()
 		return
 	}
@@ -850,15 +967,22 @@ func (a *simAgent) tick() {
 }
 
 // ship enters e in the replay buffer and writes it, or dials. A relay's
-// face skips boundaries its parent already holds, as skipStale does.
+// face skips boundaries its parent already holds, as skipStale does; a
+// leaf's ship at or below its ack line fails, as ShipOpenInterval's does.
 func (a *simAgent) ship(e simEntry) {
 	if a.gone {
 		return
 	}
 	if n := len(a.replay); e.b <= a.acked || n > 0 && e.b <= a.replay[n-1].b {
+		if a.relay == nil {
+			a.r.fail("%s ships %d, not after its ack line %d: the agent's ship fails", a.name, e.b, a.acked)
+		}
 		return
 	}
 	a.replay = append(a.replay, e)
+	if a.conn != nil && a.conn.dead {
+		a.r.strand(a, e.b-1) // lost until the agent notices and next ships
+	}
 	switch {
 	case a.conn == nil:
 		a.dial(0)
@@ -883,6 +1007,7 @@ func (a *simAgent) die() {
 	}
 	a.r.note("fault: %s dies", a.name)
 	a.gone = true
+	a.r.fault(a)
 	if a.conn != nil {
 		a.conn.cut()
 	}
@@ -941,6 +1066,12 @@ func (a *simAgent) receive(c *simConn, it simItem) {
 	r := a.r
 	switch it.typ {
 	case frameHelloOK:
+		if a.recut {
+			a.recut = false
+			r.note("fault: cut %s again", a.name)
+			c.cut()
+			return
+		}
 		c.open = true
 		a.ackTo(it.b)
 		for _, e := range a.replay {
@@ -1020,6 +1151,9 @@ func (c *simConn) cut() {
 	if c.dead {
 		return
 	}
+	if c.a.conn == c && c.current() {
+		c.r.strand(c.a, c.n.s.ag[c.a.id].tail())
+	}
 	c.dead = true
 	c.up, c.down = nil, nil
 	c.pump()
@@ -1085,6 +1219,7 @@ func (c *simConn) readUp() {
 	c.credits--
 	if it.typ == frameBye {
 		c.byeRead = true
+		n.ended[id] = n.ended[id] || c.gen == n.s.ag[id].gen
 		n.apply(n.s.bye(id, c.gen))
 		return
 	}

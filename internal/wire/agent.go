@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -42,34 +41,18 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	return o
 }
 
-// replayEntry is one shipped interval frame retained until acked: the
-// frame type, its grid boundary, and the encoded payload ready to be
-// rewritten verbatim on a replacement connection.
-type replayEntry struct {
-	typ      byte
-	boundary int64
-	payload  []byte
-}
-
-// Agent is the sending half of the protocol: it owns one logical stream
-// to a collector that survives connection loss. Shipped interval frames
-// stay in a bounded replay buffer until the collector acks their
-// boundary; on a broken connection the agent redials with jittered
-// exponential backoff, re-Hellos with a resume offset, and resends the
-// unacked frames — the collector deduplicates, so the report stream is
-// unaffected by drops and reconnects (determinism: replayed boundaries
-// absorb exactly once, in the same agent-ID order as an undisturbed
-// run). Methods are serialized by an internal mutex; frames appear on
-// each connection in ship order, the per-agent boundary monotonicity
-// the collector checks.
+// Agent is the sending half of the protocol: it drives one logical stream
+// to a collector that survives connection loss, its core (stream.go)
+// making every protocol decision. Shipped interval frames stay in a
+// bounded replay buffer until the collector acks their boundary; on a
+// broken connection the agent redials with jittered exponential backoff,
+// re-Hellos with a resume offset, and resends the unacked frames, which
+// the collector deduplicates: replayed boundaries absorb exactly once, in
+// the same agent-ID order as an undisturbed run. Methods are serialized
+// by an internal mutex; frames appear on each connection in ship order.
 type Agent struct {
-	id     int
-	digest uint64
-	opts   AgentOptions
-	// spanLo and spanLen are the global leaf span a relay's hellos
-	// declare; empty for a plain agent.
-	spanLo, spanLen int
-	rng             *rand.Rand // jitter source seeded with id; never influences report bytes
+	opts AgentOptions // MaxAttempts resolved: 0 disables redials
+	rng  *rand.Rand   // jitter source seeded with id; never influences report bytes
 
 	// shipMu serializes ship calls. A ship encodes its frame without
 	// holding mu, so acks and reconnects proceed meanwhile; enc is the
@@ -78,26 +61,15 @@ type Agent struct {
 	enc    encoder
 
 	mu   sync.Mutex
-	cond *sync.Cond // signals ack progress and connection-state changes
+	s    stream
+	cond *sync.Cond // signals what the read loop fed s
 	conn net.Conn   // nil while disconnected
 	w    *bufio.Writer
 	gen  int // connection generation; stale readLoops see a mismatch and exit
-
-	replay     []replayEntry // unacked frames, boundary ascending
-	acked      int64         // highest collector-acked boundary
-	reconnects int
-	permErr    error // the stream is dead after it
-	closed     bool
-	byeOK      bool // the collector confirmed our Bye
-	// free holds the payloads of acked frames for the next ships to
-	// encode into, at most maxFreePayloads of them.
-	free [][]byte
+	// acks, when set, receives the ack line after every collector frame,
+	// newest wins: a relay's merge loop selects on it.
+	acks chan int64
 }
-
-// maxFreePayloads bounds the agent's free list of frame payloads. Two
-// cover the steady state of a one-frame replay buffer: one in flight
-// awaiting its ack while the next is encoded into the other.
-const maxFreePayloads = 2
 
 // DialAgent connects to a collector at addr, performs the handshake
 // for the given agent ID, and returns the ready agent. cfg must be the
@@ -123,82 +95,67 @@ func DialAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) (*A
 // (a nil Dialer dials addr over TCP); the caller connects.
 func newAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) *Agent {
 	opts = opts.withDefaults()
+	opts.Retry.MaxAttempts = max(0, opts.Retry.MaxAttempts)
 	if opts.Dialer == nil {
 		opts.Dialer = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	a := &Agent{
-		id:     agentID,
-		digest: configDigest(cfg),
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(int64(agentID))),
-	}
+	a := &Agent{opts: opts, rng: rand.New(rand.NewSource(int64(agentID))),
+		s: newStream(agentID, configDigest(cfg), opts.ReplayBuffer)}
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
 
-// redialAttempts resolves the configured redial budget: negative
-// MaxAttempts disables reconnection.
-func (a *Agent) redialAttempts() int {
-	if a.opts.Retry.MaxAttempts < 0 {
-		return 0
-	}
-	return a.opts.Retry.MaxAttempts
+// connect performs the initial dial-and-handshake, then resends what a
+// relay checkpoint preloaded.
+func (a *Agent) connect() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.reconnectLocked(max(1, a.opts.Retry.MaxAttempts))
+	return a.driveLocked()
 }
 
-// handshakeLocked performs the handshake on conn — Hello carrying
-// the resume offset (the highest acked boundary), then the collector's
-// HelloOK or Error reply — trims the replay buffer to the collector's
-// resume line, resends the remaining unacked frames in boundary order,
-// and installs conn as the live connection with a fresh read loop.
-// a.mu must be held. On error the caller owns closing conn.
-func (a *Agent) handshakeLocked(conn net.Conn) error {
-	w := bufio.NewWriter(conn)
-	h := hello{agentID: a.id, resume: a.acked, spanLo: a.spanLo, spanLen: a.spanLen, digest: a.digest}
-	if err := writeFrame(w, frameHello, appendHello(nil, h)); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("wire: sending hello: %w", err)
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return fmt.Errorf("wire: reading hello reply: %w", err)
-	}
-	switch typ {
-	case frameHelloOK:
-	case frameError:
-		return decodeError(payload)
-	default:
-		return fmt.Errorf("wire: expected hello reply, got frame type %d", typ)
-	}
-	resume, err := decodeBoundary(payload)
-	if err != nil {
-		return err
-	}
-	a.ackLocked(resume) // frames at or below the collector's line are settled
-	for i := range a.replay {
-		if err := writeFrame(w, a.replay[i].typ, a.replay[i].payload); err != nil {
-			return err
+// drive runs the core's steps outside a ship or Close: a relay's merge
+// loop calls it when its face reports progress or a lost link.
+func (a *Agent) drive() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.driveLocked()
+}
+
+// driveLocked carries out the core's steps — dial, write, or wait for the
+// read loop — until it asks for nothing more. a.mu must be held.
+func (a *Agent) driveLocked() error {
+	for {
+		switch a.s.step() {
+		case stepIdle:
+			return a.s.err
+		case stepDial:
+			a.reconnectLocked(a.opts.Retry.MaxAttempts)
+		case stepSend:
+			frames, bye := a.s.unsent()
+			for _, e := range frames {
+				writeFrame(a.w, e.typ, e.payload) // a bufio.Writer's error sticks: Flush reports it
+			}
+			if bye {
+				writeFrame(a.w, frameBye, nil)
+			}
+			if a.w.Flush() != nil {
+				a.dropConnLocked() // the frames stay held: the core redials next
+			} else {
+				a.s.wrote()
+			}
+		case stepWait:
+			a.cond.Wait()
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("wire: replaying unacked frames: %w", err)
-	}
-	a.conn, a.w = conn, w
-	a.gen++
-	go a.readLoop(conn, a.gen)
-	return nil
 }
 
-// reconnectLocked redials up to attempts times with jittered backoff,
-// handshaking each new connection; it settles permErr when the budget
-// is exhausted or the collector rejects the stream. a.mu must be held.
-func (a *Agent) reconnectLocked(attempts int) error {
-	var lastErr error = fmt.Errorf("wire: agent %d: reconnection disabled", a.id)
+// reconnectLocked redials up to attempts times with jittered backoff
+// until a handshake installs a live connection or the stream finishes;
+// an exhausted budget fails the stream. a.mu must be held.
+func (a *Agent) reconnectLocked(attempts int) {
+	var lastErr error = fmt.Errorf("wire: agent %d: reconnection disabled", a.s.id)
 	for attempt := 0; attempt < attempts; attempt++ {
-		if a.closed {
-			return fmt.Errorf("wire: agent %d closed", a.id)
-		}
 		delay := a.opts.Retry.backoff(attempt, a.rng)
 		a.mu.Unlock()
 		if delay > 0 {
@@ -206,61 +163,57 @@ func (a *Agent) reconnectLocked(attempts int) error {
 		}
 		conn, err := a.opts.Dialer()
 		a.mu.Lock()
-		if a.closed {
-			if err == nil {
-				conn.Close()
+		if err == nil {
+			if !a.s.finished() {
+				if err = a.handshakeLocked(conn); err == nil {
+					return
+				}
 			}
-			return fmt.Errorf("wire: agent %d closed", a.id)
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := a.handshakeLocked(conn); err != nil {
 			conn.Close()
-			var mismatch *ConfigMismatchError
-			if errors.As(err, &mismatch) || errors.Is(err, errSessionEnded) {
-				a.permErr = err
-				a.cond.Broadcast()
-				return err
-			}
-			lastErr = err
-			continue
 		}
-		a.reconnects++
-		return nil
-	}
-	a.permErr = fmt.Errorf("wire: agent %d: collector unreachable after %d attempts: %w",
-		a.id, attempts, lastErr)
-	a.cond.Broadcast()
-	return a.permErr
-}
-
-// ackLocked advances the cumulative ack line to boundary and drops the
-// settled prefix of the replay buffer. a.mu must be held.
-func (a *Agent) ackLocked(boundary int64) {
-	if boundary <= a.acked {
-		return
-	}
-	a.acked = boundary
-	n := 0
-	for n < len(a.replay) && a.replay[n].boundary <= boundary {
-		if len(a.free) < maxFreePayloads {
-			a.free = append(a.free, a.replay[n].payload[:0])
+		if a.s.finished() {
+			return // closed meanwhile, refused for good, or the refusal confirmed the Bye
 		}
-		n++
+		lastErr = err
 	}
-	if n > 0 {
-		m := copy(a.replay, a.replay[n:])
-		clear(a.replay[m:])
-		a.replay = a.replay[:m]
-	}
+	a.s.err = fmt.Errorf("wire: agent %d: collector unreachable after %d attempts: %w", a.s.id, attempts, lastErr)
 	a.cond.Broadcast()
 }
 
-// readLoop consumes the collector→agent side of one connection: Ack
-// frames advance the ack line, an Error frame kills the stream, and a
-// read failure marks the connection lost (the next ship redials).
+// handshakeLocked sends the Hello, hands the reply to the core, and
+// starts conn's read loop; the caller closes conn on error.
+func (a *Agent) handshakeLocked(conn net.Conn) error {
+	w := bufio.NewWriter(conn)
+	writeFrame(w, frameHello, appendHello(nil, a.s.hello())) // Flush reports its error
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("wire: sending hello: %w", err)
+	}
+	typ, payload, err := readFrame(conn)
+	if err != nil {
+		return fmt.Errorf("wire: reading hello reply: %w", err)
+	}
+	if err := a.s.resume(typ, payload); err != nil {
+		return err
+	}
+	a.conn, a.w = conn, w
+	a.gen++
+	go a.readLoop(conn, a.gen)
+	a.progressLocked()
+	return nil
+}
+
+// progressLocked wakes the drive loops after the core took a collector
+// frame, and hands a relay's merge loop the ack line. a.mu must be held.
+func (a *Agent) progressLocked() {
+	a.cond.Broadcast()
+	if a.acks != nil {
+		pushLatest(a.acks, a.s.acked)
+	}
+}
+
+// readLoop feeds the core the collector→agent side of one connection. A
+// read failure, or a frame after which the core drops the connection,
+// marks it lost.
 func (a *Agent) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
 	var buf []byte // payload buffer, reused ack to ack
@@ -268,36 +221,14 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 		typ, payload, err := readFrameInto(br, buf)
 		buf = payload
 		a.mu.Lock()
-		if gen != a.gen || a.closed {
+		if gen != a.gen {
 			a.mu.Unlock()
 			return // a newer connection took over, or Close ran
 		}
-		if err != nil {
-			a.conn, a.w = nil, nil
-			a.cond.Broadcast()
-			a.mu.Unlock()
-			conn.Close()
-			return
+		if err != nil || !a.s.received(typ, payload) {
+			a.dropConnLocked()
 		}
-		switch typ {
-		case frameAck:
-			if b, derr := decodeBoundary(payload); derr == nil {
-				a.ackLocked(b)
-			}
-		case frameByeOK:
-			a.byeOK = true
-			a.cond.Broadcast()
-		case frameError:
-			a.permErr = decodeError(payload)
-			a.conn, a.w = nil, nil
-			a.cond.Broadcast()
-			a.mu.Unlock()
-			conn.Close()
-			return
-		default:
-			// Unknown collector frames are skipped for forward
-			// compatibility; the length prefix delimits them.
-		}
+		a.progressLocked()
 		a.mu.Unlock()
 	}
 }
@@ -316,178 +247,49 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 func (a *Agent) ShipOpenInterval(boundary int64, oi core.OpenInterval) error {
 	_, err := a.ship(boundary, frameOpenInterval, func(b []byte) []byte {
 		return a.enc.appendOpenInterval(b, oi)
-	}, false)
+	})
 	return err
 }
 
-// ship is the delivery path: check the boundary, encode, wait for replay
-// space, enter the replay buffer, write or redial. The frame is encoded
-// into a recycled payload before the wait and without holding a.mu, so
-// with a full replay buffer frame k+1 is encoded while the collector is
-// still closing frame k; it is still written only once k's ack has made
-// room. It has one extra mode for relays: when skipStale is set, a
-// boundary at or below the collector's ack line (or the replay-buffer
-// tail) returns (false, nil) instead of an error — a resumed relay
-// legitimately re-closes boundaries its parent already holds, and must
-// settle its children for them without resending.
-func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, skipStale bool) (bool, error) {
+// ship is the delivery path: the core's entry checks, encode, then drive
+// the core until the frame is written. The frame is encoded into a
+// recycled payload without holding a.mu, so with a full replay buffer
+// frame k+1 is encoded while the collector is still closing frame k; it
+// is still written only once k's ack has made room. It reports whether
+// the frame entered the replay buffer: a relay face's boundary already
+// settled upstream (acked, or held from before a resume) does not.
+func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte) (bool, error) {
 	a.shipMu.Lock()
 	defer a.shipMu.Unlock()
 	a.mu.Lock()
-	if ok, err := a.shippableLocked(boundary, skipStale); !ok {
-		a.mu.Unlock()
+	payload, ok, err := a.s.admit(boundary)
+	a.mu.Unlock()
+	if !ok {
 		return false, err
 	}
-	var payload []byte
-	if n := len(a.free); n > 0 {
-		payload, a.free[n-1] = a.free[n-1], nil
-		a.free = a.free[:n-1]
-	}
-	a.mu.Unlock()
-
 	payload = appendVarint(payload, boundary)
 	payload = append(payload, codecVersion)
 	payload = encodeBody(payload)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Wait for replay space; acks free it, a dead connection has to be
-	// redialed first for them to arrive.
-	for {
-		if a.closed {
-			return false, fmt.Errorf("wire: agent %d closed", a.id)
-		}
-		if a.permErr != nil {
-			return false, a.permErr
-		}
-		if len(a.replay) < a.opts.ReplayBuffer {
-			break
-		}
-		if a.conn == nil {
-			if err := a.reconnectLocked(a.redialAttempts()); err != nil {
-				return false, err
-			}
-			continue
-		}
-		a.cond.Wait()
-	}
-	if skipStale && boundary <= a.acked {
-		// The ack line moved past this boundary while waiting for replay
-		// space (a reconnect handshake can advance it): already settled.
-		return false, nil
-	}
-
-	entry := replayEntry{typ: typ, boundary: boundary, payload: payload}
-	a.replay = append(a.replay, entry)
-
-	if a.conn == nil {
-		// The reconnect handshake replays the whole buffer, the new
-		// entry included.
-		return true, a.reconnectLocked(a.redialAttempts())
-	}
-	if err := writeFrame(a.w, entry.typ, entry.payload); err == nil {
-		if err = a.w.Flush(); err == nil {
-			return true, nil
-		}
-	}
-	// The write broke the connection; the entry is safe in the replay
-	// buffer, so redialing both repairs the stream and resends it.
-	a.dropConnLocked()
-	return true, a.reconnectLocked(a.redialAttempts())
-}
-
-// shippableLocked applies ship's entry checks: the agent is open and
-// healthy, and boundary lies beyond both the ack line and the replay
-// tail. With skipStale a stale boundary reports (false, nil). a.mu must
-// be held; ship serializes on shipMu, so nothing but acks moves the
-// lines between this check and the frame's entry.
-func (a *Agent) shippableLocked(boundary int64, skipStale bool) (bool, error) {
-	if a.closed {
-		return false, fmt.Errorf("wire: agent %d closed", a.id)
-	}
-	if a.permErr != nil {
-		return false, a.permErr
-	}
-	if boundary <= a.acked {
-		if skipStale {
-			return false, nil
-		}
-		if boundary <= 0 {
-			return false, fmt.Errorf("wire: agent %d boundary %d: the protocol carries positive grid boundaries only", a.id, boundary)
-		}
-		return false, fmt.Errorf("wire: agent %d boundary %d not after acked %d", a.id, boundary, a.acked)
-	}
-	if n := len(a.replay); n > 0 && boundary <= a.replay[n-1].boundary {
-		if skipStale {
-			return false, nil
-		}
-		return false, fmt.Errorf("wire: agent %d boundary %d not after %d", a.id, boundary, a.replay[n-1].boundary)
-	}
-	return true, nil
-}
-
-// shipRelayInterval ships a relay's merged interval upstream as a
-// frameRelayInterval, with ShipOpenInterval's delivery semantics plus
-// stale-skip:
-// the reported bool is false when the boundary was already settled
-// upstream (acked or still buffered from before a resume) and nothing
-// was sent. spanLo/spanLen describe the relay's global leaf span and
-// missing lists the in-span leaf IDs this boundary closed without.
-func (a *Agent) shipRelayInterval(boundary int64, spanLo, spanLen int, missing []int, oi core.OpenInterval) (bool, error) {
-	return a.ship(boundary, frameRelayInterval, func(b []byte) []byte {
-		b = appendRelayHeader(b, spanLo, spanLen, missing)
-		return a.enc.appendOpenInterval(b, oi)
-	}, true)
-}
-
-// connect performs the initial dial-and-handshake.
-func (a *Agent) connect() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reconnectLocked(max(1, a.redialAttempts()))
-}
-
-// waitAckedAbove blocks until the collector's cumulative ack line
-// exceeds prev, returning the new line. ok=false means no further
-// progress will come: the agent was closed or its stream failed
-// permanently with the line still at or below prev.
-func (a *Agent) waitAckedAbove(prev int64) (line int64, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for a.acked <= prev && !a.closed && a.permErr == nil {
-		a.cond.Wait()
-	}
-	return a.acked, a.acked > prev
+	a.s.offer = replayEntry{typ: typ, boundary: boundary, payload: payload}
+	err = a.driveLocked()
+	return a.s.top == boundary, err
 }
 
 // unackedFrames returns how many shipped frames await an upstream ack.
 func (a *Agent) unackedFrames() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.replay)
+	return len(a.s.replay)
 }
 
-// replayState copies the unacked replay entries, boundary ascending —
-// what a relay checkpoint must persist so a restart can re-offer them.
-// The payloads are copied too: once acked, a payload is recycled into
-// a later frame.
+// replayState copies the unacked replay entries for a relay checkpoint.
 func (a *Agent) replayState() []replayEntry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := append([]replayEntry(nil), a.replay...)
-	for i := range out {
-		out[i].payload = append([]byte(nil), out[i].payload...)
-	}
-	return out
-}
-
-// preloadReplay seeds the replay buffer from a relay checkpoint before
-// the first dial. The handshake's HelloOK line then trims whatever the
-// collector already holds and resends the rest.
-func (a *Agent) preloadReplay(entries []replayEntry) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.replay = append(a.replay[:0], entries...)
+	return a.s.held()
 }
 
 // abort ends the agent without the Bye handshake: the stream is not
@@ -498,25 +300,21 @@ func (a *Agent) preloadReplay(entries []replayEntry) {
 func (a *Agent) abort() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.closed {
-		return
+	if a.s.err == nil {
+		a.s.err = fmt.Errorf("wire: agent %d closed", a.s.id)
 	}
-	a.closed = true
-	a.gen++
-	if a.conn != nil {
-		a.conn.Close()
-		a.conn, a.w = nil, nil
-	}
+	a.dropConnLocked()
 	a.cond.Broadcast()
 }
 
-// dropConnLocked closes and forgets the current connection. a.mu must
-// be held.
+// dropConnLocked closes and forgets the current connection, retiring its
+// read loop. a.mu must be held.
 func (a *Agent) dropConnLocked() {
+	a.s.lost()
 	if a.conn != nil {
 		a.conn.Close()
 		a.conn, a.w = nil, nil
-		a.gen++ // retire the read loop
+		a.gen++
 	}
 }
 
@@ -529,7 +327,7 @@ func (a *Agent) dropConnLocked() {
 func (a *Agent) Acked() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.acked
+	return a.s.acked
 }
 
 // Close ends the stream: it sends the Bye frame, waits for the
@@ -544,55 +342,17 @@ func (a *Agent) Acked() int64 {
 func (a *Agent) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.closed {
-		return nil
-	}
 	var err error
-	if a.permErr == nil {
-		err = a.sendByeLocked()
+	if a.s.state == streamOpen && a.s.err == nil {
+		a.s.state = streamClosing
+		err = a.driveLocked()
 	}
-	a.closed = true
-	a.gen++
 	if a.conn != nil {
 		if cerr := a.conn.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("wire: closing agent connection: %w", cerr)
 		}
-		a.conn, a.w = nil, nil
 	}
+	a.dropConnLocked()
 	a.cond.Broadcast()
 	return err
-}
-
-// sendByeLocked delivers the end-of-stream marker reliably: write Bye,
-// wait until the collector confirms it with ByeOK, and if the
-// connection dies first, redial (replaying any unacked frames) and
-// resend. Without the confirmation a Bye swallowed by a dying
-// connection would leave the collector waiting forever for an agent
-// that already exited. a.mu must be held.
-func (a *Agent) sendByeLocked() error {
-	for {
-		if a.conn == nil {
-			if err := a.reconnectLocked(a.redialAttempts()); err != nil {
-				if errors.Is(err, errSessionEnded) {
-					return nil // the Bye landed; only its confirmation was lost
-				}
-				return err
-			}
-		}
-		if err := writeFrame(a.w, frameBye, nil); err == nil {
-			if err = a.w.Flush(); err == nil {
-				for !a.byeOK && a.conn != nil && a.permErr == nil {
-					a.cond.Wait()
-				}
-				if a.permErr != nil {
-					return a.permErr
-				}
-				if a.byeOK {
-					return nil
-				}
-				continue // connection died before ByeOK; resend
-			}
-		}
-		a.dropConnLocked()
-	}
 }

@@ -139,7 +139,7 @@ func (c *Collector) loadCheckpoint() error {
 			len(cp.absorbed), c.cc.Agents)
 	}
 	if c.fwd != nil {
-		c.fwd.preloadReplay(cp.held)
+		c.fwd.s.preload(cp.held) // before the first dial: nothing else holds the agent
 	} else if err := c.primary.RestoreSnapshot(cp.hist); err != nil {
 		return fmt.Errorf("wire: restoring checkpoint history: %w", err)
 	}
@@ -167,7 +167,6 @@ const (
 	evConnErr
 	evAcceptErr
 	evHoldTimeout
-	evUpstreamAck // forward mode: the relay's parent acked up to boundary
 )
 
 // event is one merge-loop input.
@@ -224,18 +223,12 @@ func (c *Collector) Serve(ctx context.Context, ln net.Listener, emit func(*core.
 	s := newSession(d, c.met, c.cc.Agents, c.digest)
 	s.checkpointed, s.hold = c.cc.CheckpointPath != "", c.cc.HoldTimeout > 0
 	if c.fwd != nil {
-		s.relay, s.spanLo = true, c.fwd.spanLo
+		s.relay, s.spanLo, d.upAcks = true, c.fwd.s.spanLo, c.fwd.acks
 	}
 	d.s = s
 	if c.restored != nil {
 		s.restore(c.restored)
 		c.restored = nil
-		if c.fwd != nil {
-			c.met.SetFramesHeld(int64(c.fwd.unackedFrames()))
-		}
-	}
-	if c.fwd != nil {
-		go d.watchUpstreamAcks()
 	}
 
 	// Track every accepted connection so session teardown can unblock
@@ -492,19 +485,28 @@ type driver struct {
 	// process exiting right after the session cannot sever a pending ByeOK.
 	writers sync.WaitGroup
 	hold    *time.Timer
+	upAcks  chan int64 // a relay's upstream ack line (see Agent.acks); nil at a root
 }
 
-// run is the merge loop: a single goroutine applies one event at a time
-// until the session finishes.
+// run is the merge loop: a single goroutine applies one event at a time,
+// a relay's upstream ack progress included, until the session finishes.
 func (d *driver) run(ctx context.Context) error {
 	for !d.s.finished() {
+		var err error
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case ev := <-d.events:
-			if err := d.handle(ctx, ev); err != nil {
-				return err
+		case line := <-d.upAcks:
+			// A lost link reports here too: the face redials it at once.
+			if err = d.c.fwd.drive(); err == nil {
+				d.c.met.SetFramesHeld(int64(d.c.fwd.unackedFrames()))
+				err = d.s.upstreamAck(line)
 			}
+		case ev := <-d.events:
+			err = d.handle(ctx, ev)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if d.c.fwd != nil || d.s.emitted > 0 {
@@ -536,9 +538,6 @@ func (d *driver) handle(ctx context.Context, ev event) error {
 		return d.s.lost(ev.id, ev.gen, errors.As(ev.err, new(refusal)))
 	case evHoldTimeout:
 		return d.s.holdFired(ev.boundary)
-	case evUpstreamAck:
-		d.c.met.SetFramesHeld(int64(d.c.fwd.unackedFrames()))
-		return d.s.upstreamAck(ev.boundary)
 	}
 	if ctx.Err() != nil {
 		return ctx.Err()
@@ -622,10 +621,15 @@ func (d *driver) emit(_ int64, partial []int) error {
 	return d.emitFn(rep)
 }
 
+// ship sends the merged interval upstream as a frameRelayInterval tagged
+// with the relay's leaf span and the leaves b closed without.
 func (d *driver) ship(b int64, missing []int) error {
-	c := d.c
+	c, up := d.c, d.c.fwd
 	oi := c.primary.DrainOpenInterval()
-	shipped, err := c.fwd.shipRelayInterval(b, c.fwd.spanLo, c.fwd.spanLen, missing, oi)
+	shipped, err := up.ship(b, frameRelayInterval, func(buf []byte) []byte {
+		buf = appendRelayHeader(buf, up.s.spanLo, up.s.spanLen, missing)
+		return up.enc.appendOpenInterval(buf, oi)
+	})
 	c.primary.RecycleOpenInterval(oi) // the ship encoded it
 	if err != nil {
 		return fmt.Errorf("wire: forwarding boundary %d: %w", b, err)

@@ -95,16 +95,6 @@ func (d *intervalDecoder) decodePayload(typ byte, payload []byte) (queuedFrame, 
 	return frame, nil
 }
 
-// appendRelayPayload encodes a complete frameRelayInterval payload —
-// what ship produces from the same parts. It exists so the fuzz target
-// can assert decode∘encode is the identity on accepted payloads.
-func appendRelayPayload(b []byte, boundary int64, spanLo, spanLen int, missing []int, oi core.OpenInterval) []byte {
-	b = appendVarint(b, boundary)
-	b = append(b, codecVersion)
-	b = appendRelayHeader(b, spanLo, spanLen, missing)
-	return new(encoder).appendOpenInterval(b, oi)
-}
-
 // RelayConfig parameterizes a relay node: the collector session it
 // runs for its children and the agent stream it ships to its parent.
 type RelayConfig struct {
@@ -166,7 +156,7 @@ func NewRelay(cfg core.Config, rc RelayConfig) (*Relay, error) {
 			rc.LeafBase, rc.LeafBase+fanIn, maxLeafSpan)
 	}
 	up := newAgent(rc.Parent, rc.AgentID, cfg, AgentOptions{Retry: rc.Retry, Dialer: rc.Dialer})
-	up.spanLo, up.spanLen = rc.LeafBase, fanIn
+	up.s.spanLo, up.s.spanLen, up.acks = rc.LeafBase, fanIn, make(chan int64, 1)
 	c, err := newCollector(cfg, rc.Collector, up)
 	if err != nil {
 		return nil, err
@@ -202,24 +192,4 @@ func (r *Relay) Serve(ctx context.Context, ln net.Listener) error {
 func (r *Relay) Close() {
 	r.c.fwd.abort()
 	r.c.Close()
-}
-
-// watchUpstreamAcks runs beside a forwarding merge loop, turning the
-// upstream agent's ack progress into merge events: the core settles
-// children (ack-after-upstream) and the driver updates the held-frames
-// gauge. It exits when the upstream stream ends or the session does.
-func (d *driver) watchUpstreamAcks() {
-	var last int64
-	for {
-		line, ok := d.c.fwd.waitAckedAbove(last)
-		if !ok {
-			return
-		}
-		last = line
-		select {
-		case d.events <- event{kind: evUpstreamAck, boundary: line}:
-		case <-d.done:
-			return
-		}
-	}
 }

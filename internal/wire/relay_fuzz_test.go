@@ -63,3 +63,12 @@ func FuzzRelayFrame(f *testing.F) {
 		}
 	})
 }
+
+// appendRelayPayload encodes a complete frameRelayInterval payload, as a
+// relay's ship does from the same parts.
+func appendRelayPayload(b []byte, boundary int64, spanLo, spanLen int, missing []int, oi core.OpenInterval) []byte {
+	b = appendVarint(b, boundary)
+	b = append(b, codecVersion)
+	b = appendRelayHeader(b, spanLo, spanLen, missing)
+	return new(encoder).appendOpenInterval(b, oi)
+}

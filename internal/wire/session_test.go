@@ -9,46 +9,55 @@ import (
 	"testing"
 )
 
-// TestSessionCoreTouchesNoIO pins the core/driver split: the session
-// core (session.go) starts no goroutine, sends, receives or selects on
-// no channel, and names none of the packages that reach sockets, clocks
-// or files. Whatever it needs of them it asks of its effects, so the
-// simulator can run it on a virtual clock in one goroutine.
+// TestSessionCoreTouchesNoIO pins the core/driver splits: the collector
+// session core (session.go) and the agent stream core (stream.go) start
+// no goroutine, send, receive or select on no channel, and name none of
+// the packages that reach sockets, clocks or files; the agent core names
+// no sync either, its driver holding the mutex. Whatever they need of
+// those their drivers do, so the simulator can run both on a virtual
+// clock in one goroutine.
 func TestSessionCoreTouchesNoIO(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "session.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banned := map[string]bool{"time": true, "net": true, "os": true, "bufio": true}
-	for _, imp := range f.Imports {
-		if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
-			t.Errorf("%v: session core imports %q", fset.Position(imp.Pos()), path)
+	for _, tc := range []struct {
+		file   string
+		banned []string
+	}{
+		{"session.go", []string{"time", "net", "os", "bufio"}},
+		{"stream.go", []string{"time", "net", "os", "bufio", "sync"}},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, tc.file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		var what string
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			what = "go statement"
-		case *ast.SendStmt:
-			what = "channel send"
-		case *ast.SelectStmt:
-			what = "select"
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				what = "channel receive"
-			}
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && banned[id.Name] {
-				what = "reference to " + id.Name + "." + n.Sel.Name
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(tc.banned, path) {
+				t.Errorf("%v: the core imports %q", fset.Position(imp.Pos()), path)
 			}
 		}
-		if what != "" {
-			t.Errorf("%v: %s in the session core", fset.Position(n.Pos()), what)
-		}
-		return true
-	})
+		ast.Inspect(f, func(n ast.Node) bool {
+			var what string
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				what = "go statement"
+			case *ast.SendStmt:
+				what = "channel send"
+			case *ast.SelectStmt:
+				what = "select"
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					what = "channel receive"
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && slices.Contains(tc.banned, id.Name) {
+					what = "reference to " + id.Name + "." + n.Sel.Name
+				}
+			}
+			if what != "" {
+				t.Errorf("%v: %s in the core", fset.Position(n.Pos()), what)
+			}
+			return true
+		})
+	}
 }
 
 // TestSilentRelayInIrregularTree: a root names a relay it never heard

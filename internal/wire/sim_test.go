@@ -19,22 +19,26 @@ import (
 	"anomalyx/internal/gridtest"
 )
 
-// The session simulator: the collector session core (session.go) driven
-// by seeded schedules on a virtual clock, in one goroutine. A schedule
-// draws a topology (flat {1}, {2}, {3} or the {2, 2} relay tree), a hold
-// (none, or shorter or longer than the gap between a leaf's ships: a
-// deployment's hold is shorter than its interval), a root with or
-// without a checkpoint, in a flat topology maybe a leaf that ends its
-// stream early, and up to three faults: a connection cut, a silence
-// (finite, or, with a hold, forever), the death for good of a leaf or a
-// relay before or after its first frame (with a hold), and a crash of a
-// checkpointed root, between two events or inside an emit or checkpoint
-// write, that resumes from the last checkpoint bytes it wrote. Agents
-// behave as Agent does: they redial only to ship or to close, replay
-// what is unacked, and fail a ship at or below their ack line. Links
-// keep each connection's frames in order, and the parent reads a frame
-// only while the connection holds an ingest credit, as handleConn does.
-// Leaf frames and relay frames go through the real codecs.
+// The session simulator: both cores of the protocol, the collector
+// session (session.go) and the agent stream (stream.go), driven by
+// seeded schedules on a virtual clock, in one goroutine. A schedule draws
+// a topology (flat {1}, {2}, {3} or the {2, 2} relay tree), a hold (none,
+// or shorter or longer than the gap between a leaf's ships: a
+// deployment's hold is shorter than its interval), the leaves' replay
+// buffer (1, as agents_loopback runs, or the default 64), which nodes
+// write checkpoints (the root, and in the tree each relay), in a flat
+// topology maybe a leaf that ends its stream early, and up to three
+// faults: a connection cut, a cut between a Bye its parent read and the
+// ByeOK, a silence (finite, or, with a hold, forever), the death for
+// good of a leaf or a relay before or after its first frame (with a
+// hold), and a crash of a checkpointed root or relay, between two events
+// or inside an emit, ship or checkpoint write, that resumes from the
+// last checkpoint bytes it wrote (a relay's held frames back in its
+// face's core). The simulator drives every agent's core as Agent does
+// and adds only timing and faults; links keep each connection's frames
+// in order, and the parent reads a frame only while the connection holds
+// an ingest credit, as handleConn does. Every frame either way goes
+// through the real codecs.
 //
 // Every schedule is held to the failure model (docs/ARCHITECTURE.md):
 //   - the root's reports equal a reference run over exactly the records
@@ -44,8 +48,9 @@ import (
 //   - a close leaves an agent out only after a hold ran out since the
 //     agent's last frame or hello: the one hold rule;
 //   - no agent is acked past its commit point: the last written
-//     checkpoint at a checkpointed root, the parent's ack at a relay, the
-//     frames it queued at a root without a checkpoint;
+//     checkpoint at a checkpointed root, the parent's ack at a relay (or
+//     its last written checkpoint), the frames it queued at a root
+//     without a checkpoint;
 //   - a leaf whose path to the root has no lasting fault has every frame
 //     absorbed there, up to the end of its stream (see fault);
 //   - the session ends by a virtual-time bound stated from the schedule,
@@ -80,7 +85,7 @@ const (
 func simBoundary(i int) int64 { return int64(i+1) * 900_000 }
 func simInterval(b int64) int { return int(b/900_000) - 1 }
 
-var errSimCrash = errors.New("simulated root crash")
+var errSimCrash = errors.New("simulated crash")
 
 // TestSimulatedSessionGrid runs -sim.schedules seeded schedules (seeds 1
 // on), and replays the first few to check that a seed determines its
@@ -216,9 +221,8 @@ type simRun struct {
 	tp      []int
 	nLeaves int
 	hold    int64
-	ckpt    bool
-	crashAt int // crash the root inside its crashAt-th emit or checkpoint write
-	effects int
+	ckpt    bool // the root writes checkpoints
+	replay  int  // the leaves' ReplayBuffer
 	root    *simNode
 	relays  []*simNode
 	leaves  []*simAgent
@@ -299,7 +303,12 @@ func (r *simRun) fail(format string, args ...any) {
 }
 
 func (r *simRun) describe() string {
-	return fmt.Sprintf("topology %v, hold %d, checkpoint %v, faults [%s]", r.tp, r.hold, r.ckpt, strings.Join(r.faults, "; "))
+	ckpts := []bool{r.ckpt}
+	for _, n := range r.relays {
+		ckpts = append(ckpts, n.ckpt)
+	}
+	return fmt.Sprintf("topology %v, hold %d, replay buffer %d, checkpoints %v, faults [%s]",
+		r.tp, r.hold, r.replay, ckpts, strings.Join(r.faults, "; "))
 }
 
 // runSchedule builds and runs the schedule seed draws and checks it.
@@ -356,8 +365,9 @@ func (r *simRun) checkComplete() {
 // fault marks agent a's leaves — a relay face's span — as ones a lasting
 // fault may cost frames: it fell silent or died, or its relay did; or,
 // with a hold shorter than the gap between ships, a lost connection or a
-// crashed root stranded frames in its replay buffer, which an agent
-// resends only when it next ships.
+// crashed parent stranded frames in its replay buffer, which an agent
+// resends only when it next ships, or its relay was down for longer
+// than the root's hold.
 func (r *simRun) fault(a *simAgent) {
 	if a.relay == nil {
 		r.faulted[a.leaf] = true
@@ -371,7 +381,7 @@ func (r *simRun) fault(a *simAgent) {
 // strand faults a, with a short hold, when it holds unacked frames above
 // line, which its parent does not hold.
 func (r *simRun) strand(a *simAgent, line int64) {
-	if r.hold > 0 && r.hold < simStep && slices.ContainsFunc(a.replay, func(e simEntry) bool { return e.b > line }) {
+	if r.hold > 0 && r.hold < simStep && slices.ContainsFunc(a.s.replay, func(e replayEntry) bool { return e.boundary > line }) {
 		r.fault(a)
 	}
 }
@@ -443,6 +453,7 @@ func (r *simRun) build() {
 	}
 	r.faulted = make([]bool, r.nLeaves)
 	r.ckpt = r.rng.Intn(2) == 0
+	r.replay = []int{1, 64}[r.rng.Intn(2)]
 
 	r.root = r.newNode("root", r.tp[0], 0, false)
 	r.root.ckpt = r.ckpt
@@ -452,9 +463,10 @@ func (r *simRun) build() {
 		parents = nil
 		for id := range r.tp[0] {
 			relay := r.newNode(fmt.Sprintf("relay%d", id), r.tp[1], id*r.tp[1], true)
+			relay.ckpt = r.rng.Intn(2) == 0
 			relay.start()
-			relay.up = r.newAgent(relay.name, id, r.root, -1)
-			relay.up.relay, relay.up.spanLo, relay.up.spanLen = relay, relay.leafBase, r.tp[1]
+			relay.up = r.newAgent(relay.name, id, r.root, -1, AgentOptions{}.withDefaults().ReplayBuffer)
+			relay.up.relay, relay.up.s.spanLo, relay.up.s.spanLen = relay, relay.leafBase, r.tp[1]
 			r.root.kids[id] = relay.up
 			r.relays = append(r.relays, relay)
 			parents = append(parents, relay)
@@ -462,8 +474,8 @@ func (r *simRun) build() {
 	}
 	for leaf := range r.nLeaves {
 		parent := parents[leaf/len(parents[0].kids)]
-		a := r.newAgent(fmt.Sprintf("leaf%d", leaf), leaf%len(parent.kids), parent, leaf)
-		parent.kids[a.id] = a
+		a := r.newAgent(fmt.Sprintf("leaf%d", leaf), leaf%len(parent.kids), parent, leaf, r.replay)
+		parent.kids[a.s.id] = a
 		r.leaves = append(r.leaves, a)
 	}
 
@@ -501,21 +513,43 @@ func (r *simRun) faultScript() {
 			r.faults = append(r.faults, fmt.Sprintf("%s ends after %d intervals", a.name, a.last))
 		}
 	}
+	// One checkpointed node may crash: the root, or a relay of the tree.
+	var crashable []*simNode
+	for _, n := range append([]*simNode{r.root}, r.relays...) {
+		if n.ckpt {
+			crashable = append(crashable, n)
+		}
+	}
+	edge := func() *simAgent { // a leaf, or a relay's face
+		if len(r.relays) > 0 && r.rng.Intn(3) == 0 {
+			return r.relays[r.rng.Intn(len(r.relays))].up
+		}
+		return r.leaves[r.rng.Intn(r.nLeaves)]
+	}
 	crashed := false
-	for range r.rng.Intn(4) {
+	for range r.rng.Intn(5) {
 		at := r.rng.Int63n(r.scriptEnd)
-		switch kind := r.rng.Intn(5); {
+		switch kind := r.rng.Intn(6); {
 		case kind == 0: // cut an edge
-			var a *simAgent
-			if len(r.relays) > 0 && r.rng.Intn(3) == 0 {
-				a = r.relays[r.rng.Intn(len(r.relays))].up
-			} else {
-				a = r.leaves[r.rng.Intn(r.nLeaves)]
-			}
+			a := edge()
 			// Maybe its next connection too, once accepted: the parent
 			// then loses a connection that never carried the frames it
 			// holds of the agent.
 			twice := r.rng.Intn(2) == 0
+			if r.rng.Intn(2) == 0 {
+				// Right after the parent reads a frame, as a link that breaks
+				// under load does: the agent is down until its next ship.
+				k := simBoundary(r.rng.Intn(simIntervals))
+				r.faults = append(r.faults, fmt.Sprintf("cut %s after frame %d (twice %v)", a.name, k, twice))
+				a.onRead = func(c *simConn, typ byte, b int64) {
+					if typ != frameBye && b == k {
+						r.note("fault: cut %s after frame %d", a.name, b)
+						c.cut()
+						a.recut, a.onRead = twice, nil
+					}
+				}
+				break
+			}
 			r.faults = append(r.faults, fmt.Sprintf("cut %s at %d (twice %v)", a.name, at, twice))
 			r.after(at, func() {
 				if a.conn != nil {
@@ -553,14 +587,24 @@ func (r *simRun) faultScript() {
 				r.faults = append(r.faults, fmt.Sprintf("%s dies at %d", a.name, at))
 				r.after(at, a.die)
 			}
-		case kind >= 3 && r.ckpt && !crashed: // the checkpointed root crashes
+		case kind == 3: // cut an edge between its Bye and the ByeOK
+			a := edge()
+			r.faults = append(r.faults, fmt.Sprintf("cut %s after its Bye", a.name))
+			a.onRead = func(c *simConn, typ byte, _ int64) {
+				if typ == frameBye {
+					r.note("fault: cut %s after its Bye", a.name)
+					c.cut()
+				}
+			}
+		case kind >= 4 && len(crashable) > 0 && !crashed: // a checkpointed node crashes
 			crashed = true
-			if kind == 3 {
-				r.faults = append(r.faults, fmt.Sprintf("root crashes at %d", at))
-				r.after(at, r.root.crash)
+			n := crashable[r.rng.Intn(len(crashable))]
+			if kind == 4 {
+				r.faults = append(r.faults, fmt.Sprintf("%s crashes at %d", n.name, at))
+				r.after(at, n.crash)
 			} else {
-				r.crashAt = 1 + r.rng.Intn(2*simIntervals)
-				r.faults = append(r.faults, fmt.Sprintf("root crashes in its emit or checkpoint write #%d", r.crashAt))
+				n.crashAt = 1 + r.rng.Intn(2*simIntervals)
+				r.faults = append(r.faults, fmt.Sprintf("%s crashes in its effect #%d", n.name, n.crashAt))
 			}
 			r.scriptEnd += 200
 		}
@@ -575,8 +619,11 @@ type simNode struct {
 	relay    bool
 	leafBase int
 	kids     []*simAgent // by child ID
-	ckpt     bool        // the root writes checkpoints
+	ckpt     bool        // the node writes checkpoints
 	up       *simAgent   // a relay's upstream face
+	// crashAt crashes the node inside its crashAt-th emit, ship or
+	// checkpoint write; effects counts them.
+	crashAt, effects int
 
 	s     *session
 	p     *core.Pipeline
@@ -590,16 +637,20 @@ type simNode struct {
 	done  bool     // its session finished
 
 	// Ground truth. took and leaves are the children and global leaves
-	// absorbed in the close under way; ended marks the children whose Bye
+	// absorbed in the close under way; leavesOf names the leaves of each
+	// queued frame, by its decoder; ended marks the children whose Bye
 	// this incarnation read or restored; shipped maps a relay's shipped
-	// boundaries to their leaves; excusable marks the children a hold
-	// ran out on since their last frame or hello; tops is each child's
-	// highest frame delivered in this incarnation; closed is the last
-	// closed boundary and written the last checkpoint's bytes and line.
+	// frames, by their bytes, to their leaves (a relay resumed from a
+	// checkpoint may close a boundary again with other leaves);
+	// excusable marks the children a hold ran out on since their last
+	// frame or hello; tops is each child's highest frame delivered in
+	// this incarnation; closed is the last closed boundary and written
+	// the last checkpoint's bytes and line.
 	took      []int
 	leaves    []int
+	leavesOf  map[*intervalDecoder][]int
 	ended     []bool
-	shipped   map[int64][]int
+	shipped   map[string][]int
 	excusable []bool
 	tops      []int64
 	closed    int64
@@ -609,11 +660,12 @@ type simNode struct {
 
 func (r *simRun) newNode(name string, fanIn, leafBase int, relay bool) *simNode {
 	return &simNode{r: r, name: name, relay: relay, leafBase: leafBase, kids: make([]*simAgent, fanIn),
-		shipped: map[int64][]int{}, excusable: make([]bool, fanIn)}
+		shipped: map[string][]int{}, excusable: make([]bool, fanIn)}
 }
 
 // start builds the node's core and pipeline, from its last checkpoint
-// when it has written one.
+// when it has written one: a root's history goes back into its
+// pipeline, a relay's held frames into its face's new core.
 func (n *simNode) start() {
 	r := n.r
 	n.inc++
@@ -624,6 +676,7 @@ func (n *simNode) start() {
 	n.s.relay, n.s.spanLo = n.relay, n.leafBase
 	n.conns, n.all = make([]*simConn, len(n.kids)), nil
 	n.free = make([][]*intervalDecoder, len(n.kids))
+	n.leavesOf = map[*intervalDecoder][]int{}
 	n.tops = make([]int64, len(n.kids))
 	n.ended = make([]bool, len(n.kids))
 	n.took, n.leaves = n.took[:0], n.leaves[:0]
@@ -634,18 +687,21 @@ func (n *simNode) start() {
 		}
 		return
 	}
-	cp, err := decodeCheckpoint(n.written, false)
+	cp, err := decodeCheckpoint(n.written, n.relay)
 	if err != nil {
 		r.fail("decoding the last checkpoint: %v", err)
 		return
 	}
-	if err := n.p.RestoreSnapshot(cp.hist); err != nil {
+	if n.relay {
+		n.up.s.preload(cp.held)
+	} else if err := n.p.RestoreSnapshot(cp.hist); err != nil {
 		r.fail("restoring the last checkpoint: %v", err)
 		return
+	} else {
+		r.reports, r.closes = r.reports[:cp.emitted], r.closes[:cp.emitted]
 	}
 	n.s.restore(&cp)
 	n.closed = cp.lastClosed
-	r.reports, r.closes = r.reports[:cp.emitted], r.closes[:cp.emitted]
 	for id, st := range cp.statuses {
 		n.excusable[id] = st == statusDead // a hold ran out on it before the crash
 		n.ended[id] = st == statusBye
@@ -663,20 +719,22 @@ func (n *simNode) apply(err error) {
 		r.fail("%s: %v", n.name, err)
 		return
 	}
-	if n.done || !n.s.finished() {
+	if n.done || n.down || !n.s.finished() {
 		return
 	}
 	n.done = true
 	r.note("%s finished", n.name)
 	if n.relay {
-		n.up.close()
+		n.up.s.state = streamClosing
+		n.up.drive()
 	} else {
 		r.ended, r.endAt = true, r.now
 	}
 }
 
-// crash ends the root's incarnation; it restarts from its last written
-// checkpoint a little later.
+// crash ends a checkpointed node's incarnation; it restarts from its last
+// written checkpoint a little later. A relay's face goes with it: the
+// restart dials with a new core, as a restarted Relay does.
 func (n *simNode) crash() {
 	r := n.r
 	if n.down || n.done {
@@ -686,16 +744,32 @@ func (n *simNode) crash() {
 	for _, a := range n.kids {
 		r.strand(a, n.wroteLine) // its queue is lost with it
 	}
+	if n.relay && r.hold > 0 && r.hold < simStep {
+		r.fault(n.up) // the root's hold runs on while it is down
+	}
 	n.down = true
 	n.hold++
 	for _, c := range n.all {
 		c.cut()
+	}
+	if u := n.up; u != nil {
+		if u.conn != nil {
+			u.conn.cut()
+			u.conn = nil
+		}
+		fresh := newStream(u.s.id, u.s.digest, u.s.limit)
+		fresh.spanLo, fresh.spanLen = u.s.spanLo, u.s.spanLen
+		u.s = fresh
 	}
 	n.p.Close()
 	n.p = nil
 	r.after(20+r.rng.Int63n(100), func() {
 		r.note("%s restarts", n.name)
 		n.start()
+		if n.up != nil {
+			n.up.dial(0)
+		}
+		n.apply(nil)
 	})
 }
 
@@ -714,12 +788,24 @@ func (n *simNode) die() {
 	n.up.die()
 }
 
-// checkAck holds an ack line to child id's commit point.
+// effect counts an emit, ship or checkpoint write, and crashes the node
+// inside the one crashAt names.
+func (n *simNode) effect() error {
+	if n.effects++; n.effects == n.crashAt {
+		return errSimCrash
+	}
+	return nil
+}
+
+// checkAck holds an ack line to child id's commit point: at a relay, its
+// parent's ack or its last written checkpoint.
 func (n *simNode) checkAck(id int, line int64, what string) {
 	var commit int64
 	switch {
+	case n.relay && n.ckpt:
+		commit = max(n.up.s.acked, n.wroteLine)
 	case n.relay:
-		commit = n.up.acked
+		commit = n.up.s.acked
 	case n.ckpt:
 		commit = n.wroteLine
 	default:
@@ -739,14 +825,14 @@ func (n *simNode) accept(id, gen int, resume int64) {
 	c.gen, c.accepted, c.credits = gen, true, queueCap
 	n.conns[id] = c
 	n.excusable[id] = false
-	c.sendDown(simItem{typ: frameHelloOK, b: resume})
+	c.sendDown(replayEntry{typ: frameHelloOK, payload: appendBoundary(nil, resume)})
 }
 
 func (n *simNode) refuse(code uint64, err error) {
 	n.r.note("%s refuse code %d: %v", n.name, code, err)
 	c := n.hello
 	c.refused = true
-	c.sendDown(simItem{typ: frameError, code: code})
+	c.sendDown(replayEntry{typ: frameError, payload: appendError(nil, code, err.Error())})
 }
 
 func (n *simNode) refund(id int) {
@@ -765,12 +851,12 @@ func (n *simNode) recycle(id int, d *intervalDecoder) {
 func (n *simNode) ack(id int, line int64) {
 	n.r.note("%s ack %d line %d", n.name, id, line)
 	n.checkAck(id, line, "acked")
-	n.conns[id].sendDown(simItem{typ: frameAck, b: line})
+	n.conns[id].sendDown(replayEntry{typ: frameAck, payload: appendBoundary(nil, line)})
 }
 
 func (n *simNode) byeOK(id int) {
 	n.r.note("%s byeOK %d", n.name, id)
-	n.conns[id].sendDown(simItem{typ: frameByeOK})
+	n.conns[id].sendDown(replayEntry{typ: frameByeOK})
 	n.conns[id] = nil
 }
 
@@ -816,11 +902,8 @@ func (n *simNode) absorb(id int, fr queuedFrame) error {
 	if err := n.p.AbsorbOpenInterval(fr.oi); err != nil {
 		return err
 	}
+	leaves := n.leavesOf[fr.dec]
 	n.recycle(id, fr.dec)
-	leaves := []int{n.kids[id].leaf}
-	if n.kids[id].relay != nil {
-		leaves = n.kids[id].relay.shipped[fr.boundary]
-	}
 	records := 0
 	for _, leaf := range leaves {
 		records += len(r.fix.parts[r.nLeaves][leaf][simInterval(fr.boundary)])
@@ -848,7 +931,7 @@ func (n *simNode) closeChecks(b int64, missing []int) (leaves, want []int) {
 		lo, hi = n.leafBase, n.leafBase+len(n.kids)
 	}
 	for leaf := lo; leaf < hi; leaf++ {
-		if a := r.leaves[leaf]; !slices.Contains(leaves, leaf) && (simInterval(b) < a.last || !a.parent.ended[a.id]) {
+		if a := r.leaves[leaf]; !slices.Contains(leaves, leaf) && (simInterval(b) < a.last || !a.parent.ended[a.s.id]) {
 			want = append(want, leaf)
 		}
 	}
@@ -867,8 +950,8 @@ func (n *simNode) closeChecks(b int64, missing []int) (leaves, want []int) {
 
 func (n *simNode) emit(b int64, partial []int) error {
 	r := n.r
-	if r.effects++; r.effects == r.crashAt {
-		return errSimCrash
+	if err := n.effect(); err != nil {
+		return err
 	}
 	rep, err := n.p.EndInterval()
 	if err != nil {
@@ -882,65 +965,76 @@ func (n *simNode) emit(b int64, partial []int) error {
 	return nil
 }
 
+// ship hands the merged interval to the relay's face, which skips a
+// boundary its parent already holds, as Agent.ship does.
 func (n *simNode) ship(b int64, missing []int) error {
+	if err := n.effect(); err != nil {
+		return err
+	}
 	oi := n.p.DrainOpenInterval()
 	payload := appendRelayPayload(nil, b, n.leafBase, len(n.kids), missing, oi)
 	n.p.RecycleOpenInterval(oi)
 	n.r.note("%s ship %d missing %v", n.name, b, missing)
-	n.shipped[b], _ = n.closeChecks(b, missing)
-	n.up.ship(simEntry{typ: frameRelayInterval, b: b, payload: payload})
-	return nil
+	leaves, _ := n.closeChecks(b, missing)
+	_, ok, err := n.up.s.admit(b)
+	if ok {
+		n.shipped[string(payload)] = leaves
+		n.up.s.offer = replayEntry{typ: frameRelayInterval, boundary: b, payload: payload}
+		n.up.drive()
+	}
+	return err
 }
 
 func (n *simNode) checkpoint(cp checkpoint) error {
 	r := n.r
-	if r.effects++; r.effects == r.crashAt {
-		return errSimCrash
+	if err := n.effect(); err != nil {
+		return err
 	}
-	cp.hist = n.p.Snapshot()
+	if n.relay {
+		cp.relay, cp.held = true, n.up.s.held()
+	} else {
+		cp.hist = n.p.Snapshot()
+	}
 	n.written, n.wroteLine = appendCheckpoint(nil, cp), cp.lastClosed
 	r.note("%s checkpoint %d", n.name, cp.lastClosed)
 	return nil
 }
 
 // simAgent is the sending end of an edge, a leaf or a relay's upstream
-// face, reduced to what the session sees of it: ships enter a replay
-// buffer that acks trim, a lost connection is redialed (at once when
-// closing, else at the next ship), a new connection replays what is
-// unacked, and Close sends Bye until ByeOK.
+// face: the real agent core (stream.go) with the simulator as its
+// driver, which keeps only timing and faults. It carries out the core's
+// steps as Agent does, without blocking: a dial is scheduled, and a wait
+// ends when the parent's frame that ends it arrives. A leaf ships when its
+// interval is due, or, when the core still holds its last ship (a full
+// replay buffer, or no connection), as soon as it lets go, as
+// ShipOpenInterval blocks. The simulator never writes into a payload the
+// core recycles, so fixture frames stay intact.
 type simAgent struct {
 	r      *simRun
 	name   string
-	id     int // on its parent
 	parent *simNode
 	leaf   int      // global leaf ID; -1 for a relay's face
 	relay  *simNode // the relay a face ships for
-	spanLo int
-	// spanLen is the leaf span its hellos declare.
-	spanLen int
+	s      stream
 
-	replay                  []simEntry
-	acked                   int64
-	conn                    *simConn
-	dialing                 bool
-	fails                   int
-	closing                 bool
-	recut                   bool // cut the next connection at its HelloOK
-	done                    bool
-	gone                    bool // dead for good, or gave up dialing
-	start                   int64
-	next, last              int // a leaf's next interval to ship, and its stream's end
+	conn    *simConn
+	dialing bool
+	fails   int
+	recut   bool // cut the next connection at its HelloOK
+	// onRead, when set, sees each frame of the agent's the parent reads,
+	// and its Bye: a scripted cut.
+	onRead  func(c *simConn, typ byte, b int64)
+	gone    bool // dead for good, or gave up dialing
+	blocked bool // a due ship waits for the core to let go of the last one
+	start   int64
+	// next is a leaf's next interval to ship, and last its stream's end.
+	next, last              int
 	silentFrom, silentUntil int64
 }
 
-type simEntry struct {
-	typ     byte
-	b       int64
-	payload []byte
-}
-
-func (r *simRun) newAgent(name string, id int, parent *simNode, leaf int) *simAgent {
-	return &simAgent{r: r, name: name, id: id, parent: parent, leaf: leaf, last: simIntervals}
+func (r *simRun) newAgent(name string, id int, parent *simNode, leaf, replay int) *simAgent {
+	return &simAgent{r: r, name: name, parent: parent, leaf: leaf, last: simIntervals,
+		s: newStream(id, r.fix.digest, replay)}
 }
 
 // tick ships the leaf's next interval when it is due and the leaf is not
@@ -956,48 +1050,52 @@ func (a *simAgent) tick() {
 		}
 		return
 	}
+	if a.drive() != stepIdle {
+		a.blocked = true
+		return
+	}
 	i := a.next
 	a.next++
-	a.ship(simEntry{typ: frameOpenInterval, b: simBoundary(i), payload: r.fix.frames[r.nLeaves][a.leaf][i]})
+	if _, ok, err := a.s.admit(simBoundary(i)); !ok {
+		r.fail("%s ships %d: %v", a.name, simBoundary(i), err)
+		return
+	}
+	a.s.offer = replayEntry{typ: frameOpenInterval, boundary: simBoundary(i), payload: r.fix.frames[r.nLeaves][a.leaf][i]}
 	if a.next == a.last {
-		a.close()
-		return
+		a.s.state = streamClosing
+	} else {
+		r.after(max(0, a.start+int64(a.next)*simStep+r.rng.Int63n(10)-r.now), a.tick)
 	}
-	r.after(max(0, a.start+int64(a.next)*simStep+r.rng.Int63n(10)-r.now), a.tick)
+	a.drive()
 }
 
-// ship enters e in the replay buffer and writes it, or dials. A relay's
-// face skips boundaries its parent already holds, as skipStale does; a
-// leaf's ship at or below its ack line fails, as ShipOpenInterval's does.
-func (a *simAgent) ship(e simEntry) {
-	if a.gone {
-		return
-	}
-	if n := len(a.replay); e.b <= a.acked || n > 0 && e.b <= a.replay[n-1].b {
-		if a.relay == nil {
-			a.r.fail("%s ships %d, not after its ack line %d: the agent's ship fails", a.name, e.b, a.acked)
+// drive carries out the core's steps until it waits or idles, and
+// returns that step. An idle core lets a blocked ship go.
+func (a *simAgent) drive() step {
+	for {
+		switch st := a.s.step(); st {
+		case stepSend:
+			frames, bye := a.s.unsent()
+			if a.conn.dead && len(frames) > 0 {
+				a.r.strand(a, frames[0].boundary-1) // lost until the agent notices and next ships
+			}
+			for _, e := range frames {
+				a.conn.sendUp(e)
+			}
+			if bye {
+				a.conn.sendUp(replayEntry{typ: frameBye})
+			}
+			a.s.wrote()
+		case stepDial:
+			a.dial(0)
+			return st
+		default:
+			if st == stepIdle && a.blocked {
+				a.blocked = false
+				a.r.after(0, a.tick)
+			}
+			return st
 		}
-		return
-	}
-	a.replay = append(a.replay, e)
-	if a.conn != nil && a.conn.dead {
-		a.r.strand(a, e.b-1) // lost until the agent notices and next ships
-	}
-	switch {
-	case a.conn == nil:
-		a.dial(0)
-	case a.conn.open:
-		a.conn.sendUp(simItem{typ: e.typ, b: e.b, payload: e.payload})
-	}
-}
-
-func (a *simAgent) close() {
-	a.closing = true
-	switch {
-	case a.conn == nil:
-		a.dial(0)
-	case a.conn.open:
-		a.conn.sendUp(simItem{typ: frameBye})
 	}
 }
 
@@ -1014,14 +1112,15 @@ func (a *simAgent) die() {
 }
 
 // dial connects after d, retrying with backoff while the parent is down.
+// A crashed relay's face dials only once the relay restarts.
 func (a *simAgent) dial(d int64) {
-	if a.dialing || a.gone || a.done {
+	if a.dialing || a.gone || a.s.finished() {
 		return
 	}
 	a.dialing = true
 	a.r.after(d, func() {
 		a.dialing = false
-		if a.gone || a.done || a.conn != nil {
+		if a.gone || a.s.finished() || a.conn != nil || a.relay != nil && a.relay.down {
 			return
 		}
 		p := a.parent
@@ -1039,67 +1138,49 @@ func (a *simAgent) dial(d int64) {
 		p.all = append(p.all, c)
 		a.conn = c
 		a.r.note("%s dials %s", a.name, p.name)
-		h := hello{agentID: a.id, resume: a.acked, spanLo: a.spanLo, spanLen: a.spanLen, digest: a.r.fix.digest}
-		c.sendUp(simItem{typ: frameHello, payload: appendHello(nil, h)})
+		c.sendUp(replayEntry{typ: frameHello, payload: appendHello(nil, a.s.hello())})
 	})
 }
 
-// ackTo advances the ack line, trimming the replay buffer; a relay's
-// face hands the line to its relay's core.
-func (a *simAgent) ackTo(line int64) {
-	if line <= a.acked {
-		return
-	}
-	a.acked = line
-	n := 0
-	for n < len(a.replay) && a.replay[n].b <= line {
-		n++
-	}
-	a.replay = a.replay[n:]
-	if rl := a.relay; rl != nil && !rl.down {
-		rl.apply(rl.s.upstreamAck(line))
-	}
-}
-
-// receive takes one parent→agent frame.
-func (a *simAgent) receive(c *simConn, it simItem) {
+// receive feeds one parent→agent frame to the core: the first on a
+// connection is the hello's reply. A relay's face hands its new ack
+// line to its relay's core.
+func (a *simAgent) receive(c *simConn, it replayEntry) {
 	r := a.r
-	switch it.typ {
-	case frameHelloOK:
-		if a.recut {
+	acked, ended := a.s.acked, a.s.state == streamEnded
+	if !a.s.up {
+		if a.recut && it.typ == frameHelloOK {
 			a.recut = false
 			r.note("fault: cut %s again", a.name)
 			c.cut()
 			return
 		}
-		c.open = true
-		a.ackTo(it.b)
-		for _, e := range a.replay {
-			c.sendUp(simItem{typ: e.typ, b: e.b, payload: e.payload})
-		}
-		if a.closing {
-			c.sendUp(simItem{typ: frameBye})
-		}
-	case frameAck:
-		a.ackTo(it.b)
-	case frameByeOK:
-		r.note("%s closed", a.name)
-		a.done = true
-	case frameError:
-		if it.code == errCodeSessionEnded && a.closing {
-			a.done = true // the Bye landed; only its confirmation was lost
+		if err := a.s.resume(it.typ, it.payload); err != nil {
+			r.fail("%s: %v", a.name, err)
 			return
 		}
-		r.fail("%s refused with code %d", a.name, it.code)
+	} else if !a.s.received(it.typ, it.payload) {
+		c.cut()
 	}
+	if a.s.err != nil {
+		r.fail("%s: the stream failed: %v", a.name, a.s.err)
+		return
+	}
+	if !ended && a.s.state == streamEnded {
+		r.note("%s closed", a.name)
+	}
+	if rl := a.relay; rl != nil && a.s.acked > acked && !rl.down {
+		rl.apply(rl.s.upstreamAck(a.s.acked))
+	}
+	a.drive()
 }
 
-// lost is the agent noticing its connection broke.
+// lost is the agent noticing its connection broke: a ship or Bye under
+// way redials.
 func (a *simAgent) lost() {
 	a.conn = nil
-	if a.closing && !a.done {
-		a.dial(1 + a.r.rng.Int63n(10))
-	}
+	a.s.lost()
+	a.drive()
 }
 
 // simConn is one connection: agent→parent frames in order, read only
@@ -1113,32 +1194,24 @@ type simConn struct {
 	hello    hello
 	accepted bool
 	refused  bool
-	open     bool // the agent has its HelloOK
 	dead     bool
 	// read: the parent has read the hello; byeRead: its Bye, after which
 	// the reader is gone. lostSent: the reader has reported the loss.
 	read, byeRead, lostSent bool
 	credits                 int
 	last                    int64
-	up, down                []simItem
+	up, down                []replayEntry // frames in flight, of any type
 	upBusy, downBusy        bool
 }
 
-type simItem struct {
-	typ     byte
-	b       int64
-	payload []byte
-	code    uint64
-}
-
-func (c *simConn) sendUp(it simItem) {
+func (c *simConn) sendUp(it replayEntry) {
 	if !c.dead {
 		c.up = append(c.up, it)
 		c.pump()
 	}
 }
 
-func (c *simConn) sendDown(it simItem) {
+func (c *simConn) sendDown(it replayEntry) {
 	if !c.dead {
 		c.down = append(c.down, it)
 		c.pumpDown()
@@ -1152,7 +1225,7 @@ func (c *simConn) cut() {
 		return
 	}
 	if c.a.conn == c && c.current() {
-		c.r.strand(c.a, c.n.s.ag[c.a.id].tail())
+		c.r.strand(c.a, c.n.s.ag[c.a.s.id].tail())
 	}
 	c.dead = true
 	c.up, c.down = nil, nil
@@ -1179,7 +1252,7 @@ func (c *simConn) pump() {
 			c.r.after(c.r.latency(), func() {
 				c.upBusy = false
 				if c.current() {
-					c.n.apply(c.n.s.lost(c.a.id, c.gen, false))
+					c.n.apply(c.n.s.lost(c.a.s.id, c.gen, false))
 				}
 			})
 		}
@@ -1199,7 +1272,7 @@ func (c *simConn) readUp() {
 		c.pump()
 		return
 	}
-	r, n, id := c.r, c.n, c.a.id
+	r, n, id := c.r, c.n, c.a.s.id
 	it := c.up[0]
 	c.up = c.up[1:]
 	if !c.read {
@@ -1221,6 +1294,9 @@ func (c *simConn) readUp() {
 		c.byeRead = true
 		n.ended[id] = n.ended[id] || c.gen == n.s.ag[id].gen
 		n.apply(n.s.bye(id, c.gen))
+		if c.a.onRead != nil {
+			c.a.onRead(c, frameBye, 0)
+		}
 		return
 	}
 	var d *intervalDecoder
@@ -1238,12 +1314,19 @@ func (c *simConn) readUp() {
 		r.fail("%s: frame from %s: %v", n.name, c.a.name, err)
 		return
 	}
+	n.leavesOf[d] = []int{c.a.leaf}
+	if c.a.relay != nil {
+		n.leavesOf[d] = c.a.relay.shipped[string(it.payload)]
+	}
 	c.last = fr.boundary
 	if n.conns[id] == c {
 		n.excusable[id] = false
 		n.tops[id] = max(n.tops[id], fr.boundary)
 	}
 	n.apply(n.s.frame(id, c.gen, fr))
+	if c.a.onRead != nil {
+		c.a.onRead(c, it.typ, fr.boundary)
+	}
 	c.pump()
 }
 

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
+	"anomalyx/internal/tracegen"
 )
 
 // offlineRecs is a small interval with a dstPort-445 cluster the
@@ -196,5 +198,38 @@ func TestPipelineAbsorbMergesState(t *testing.T) {
 	// The drained sibling is empty and reusable.
 	if rep, err := b.EndInterval(); err != nil || rep.TotalFlows != 0 {
 		t.Fatalf("sibling not drained: %+v, %v", rep, err)
+	}
+}
+
+// TestExtractOfflineTableIIAllocation pins what one offline extraction
+// of the paper's Table II example allocates: the transposed columns
+// (14 MiB), the survivor rows (1.3 MiB), and the miner's per-transaction
+// candidate ids and root bitsets, 20.3 MiB in all. A miner that counted
+// through a table of at least twice the survivors allocated 38.7 MiB.
+func TestExtractOfflineTableIIAllocation(t *testing.T) {
+	const limit = 28 << 20
+	d := tracegen.TableIIScenario(20071203)
+	meta := detector.NewMetaData()
+	for _, port := range []uint64{7000, 80, 9022, 25} {
+		meta.Add(flow.DstPort, port)
+	}
+	cfg := Config{MinSupport: d.MinSupport, Workers: 1}
+	if _, err := ExtractOffline(cfg, d.Flows, meta); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := ExtractOffline(cfg, d.Flows, meta)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ItemSets) == 0 {
+		t.Fatal("no item-sets mined")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ExtractOffline allocated %.1f MiB", float64(alloc)/(1<<20))
+	if alloc > limit {
+		t.Errorf("ExtractOffline allocated %d bytes, want at most %d", alloc, limit)
 	}
 }

@@ -75,7 +75,7 @@ func SketchVsClones(tr *TraceRun, share float64) (*SketchVsClonesResult, error) 
 		cur.add(v, 1)
 		candidates[v] = true
 	}
-	threshold := uint64(share * float64(len(recs)))
+	threshold := uint64(float64(share * float64(len(recs))))
 	var sketchFlagged []uint64
 	for v := range candidates {
 		c, p := cur.estimate(v), prev.estimate(v)

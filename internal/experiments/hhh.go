@@ -101,7 +101,7 @@ func (d *hhhDetector) detect(phi float64) []HeavyHitter {
 	if phi <= 0 || phi > 1 {
 		panic("hhh: phi must be in (0, 1]")
 	}
-	threshold := uint64(phi * float64(d.total))
+	threshold := uint64(float64(phi * float64(d.total)))
 	if threshold == 0 {
 		threshold = 1
 	}

@@ -83,10 +83,10 @@ func (c Curve) auc() float64 {
 	area := 0.0
 	prevFPR, prevTPR := 0.0, 0.0
 	for _, p := range c {
-		area += (p.FPR - prevFPR) * (p.TPR + prevTPR) / 2
+		area += float64((p.FPR - prevFPR) * (p.TPR + prevTPR) / 2)
 		prevFPR, prevTPR = p.FPR, p.TPR
 	}
-	area += (1 - prevFPR) * (1 + prevTPR) / 2
+	area += float64((1 - prevFPR) * (1 + prevTPR) / 2)
 	return area
 }
 

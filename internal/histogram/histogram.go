@@ -305,8 +305,8 @@ func KL(p, q []uint64) float64 {
 		np += float64(p[i])
 		nq += float64(q[i])
 	}
-	np += smoothingAlpha * k
-	nq += smoothingAlpha * k
+	np += float64(smoothingAlpha * k)
+	nq += float64(smoothingAlpha * k)
 	m := claimKLMemo()
 	var epoch uint32
 	if m != nil {
@@ -329,7 +329,7 @@ func KL(p, q []uint64) float64 {
 			qi := (float64(q[i]) + smoothingAlpha) / nq
 			l = math.Log2(pi / qi)
 		}
-		d += pi * l
+		d += float64(pi * l)
 	}
 	if m != nil {
 		m.claimed.Store(false)

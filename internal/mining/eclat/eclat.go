@@ -38,11 +38,15 @@ func (m *Miner) Mine(txs []itemset.Transaction, minsup int) (*mining.Result, err
 	}
 	var s Scratch
 	s.begin(len(txs), minsup)
+	col, all := make([]uint64, len(txs)), make([]int32, len(txs))
+	for i := range all {
+		all[i] = int32(i)
+	}
 	for _, k := range flow.AllFeatures {
 		for i := range txs {
-			s.slot[i] = s.add(txs[i][k])
+			col[i] = txs[i][k]
 		}
-		s.closeColumn(k)
+		s.column(k, func(exact bool) { count(&s, col, all, 0, exact) })
 	}
 	return mining.BuildResult(s.mine(), len(txs), minsup), nil
 }
@@ -60,36 +64,28 @@ func (s *Scratch) MineColumns(bufs []*flow.Buffer, rows [][]int32, minsup int) *
 	}
 	s.begin(n, minsup)
 	for _, k := range flow.AllFeatures {
-		tid := 0
-		for i, b := range bufs {
-			switch k {
-			case flow.SrcIP:
-				count(s, b.SrcAddr, rows[i], tid)
-			case flow.DstIP:
-				count(s, b.DstAddr, rows[i], tid)
-			case flow.SrcPort:
-				count(s, b.SrcPort, rows[i], tid)
-			case flow.DstPort:
-				count(s, b.DstPort, rows[i], tid)
-			case flow.Proto:
-				count(s, b.Protocol, rows[i], tid)
-			case flow.Packets:
-				count(s, b.Packets, rows[i], tid)
-			case flow.Bytes:
-				count(s, b.Bytes, rows[i], tid)
+		s.column(k, func(exact bool) {
+			tid := 0
+			for i, b := range bufs {
+				switch k {
+				case flow.SrcIP:
+					count(s, b.SrcAddr, rows[i], tid, exact)
+				case flow.DstIP:
+					count(s, b.DstAddr, rows[i], tid, exact)
+				case flow.SrcPort:
+					count(s, b.SrcPort, rows[i], tid, exact)
+				case flow.DstPort:
+					count(s, b.DstPort, rows[i], tid, exact)
+				case flow.Proto:
+					count(s, b.Protocol, rows[i], tid, exact)
+				case flow.Packets:
+					count(s, b.Packets, rows[i], tid, exact)
+				case flow.Bytes:
+					count(s, b.Bytes, rows[i], tid, exact)
+				}
+				tid += len(rows[i])
 			}
-			tid += len(rows[i])
-		}
-		s.closeColumn(k)
+		})
 	}
 	return mining.BuildResult(s.mine(), n, minsup)
-}
-
-// count feeds the values of col at rows into the column being counted,
-// as transactions tid, tid+1, ...
-func count[T ~uint8 | ~uint16 | ~uint32 | ~uint64](s *Scratch, col []T, rows []int32, tid int) {
-	for _, r := range rows {
-		s.slot[tid] = s.add(uint64(col[r]))
-		tid++
-	}
 }

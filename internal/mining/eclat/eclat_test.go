@@ -7,6 +7,7 @@ import (
 
 	"anomalyx/internal/flow"
 	"anomalyx/internal/itemset"
+	"anomalyx/internal/mining/apriori"
 )
 
 func TestAnd(t *testing.T) {
@@ -187,5 +188,117 @@ func TestWindowMineFindsCooccurrence(t *testing.T) {
 	}
 	if res.Transactions != 30 {
 		t.Errorf("Transactions = %d", res.Transactions)
+	}
+}
+
+// TestBucketBound pins the hash filter's exactness where it is weakest:
+// values that share one bucket. Whatever the bucket's count, only the
+// values' own counts decide which become roots, so every Result is
+// deeply equal to Apriori's, through the columns and through the
+// row-form Miner.
+func TestBucketBound(t *testing.T) {
+	const n = 1000
+	// The colliding values do share a bucket in a Scratch begun for n.
+	var s Scratch
+	s.begin(n, 1)
+	rows := make([]int32, len(colliding))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	clear(s.buckets[:])
+	count(&s, colliding, rows, 0, false)
+	used := 0
+	for lanes := range slices.Chunk(s.buckets[:], 4) {
+		if slices.ContainsFunc(lanes, func(c int32) bool { return c != 0 }) {
+			used++
+		}
+	}
+	if s.bucketBits == 0 || used != 1 {
+		t.Fatalf("colliding values fill %d of %d buckets, want 1", used, 1<<s.bucketBits)
+	}
+
+	// mix builds n records whose source addresses are the colliding
+	// values, per[i] records of colliding[i], and the rest distinct.
+	mix := func(per []int) []flow.Record {
+		recs := make([]flow.Record, 0, n)
+		for i, k := range per {
+			for j := 0; j < k; j++ {
+				recs = append(recs, flow.Record{SrcAddr: uint32(colliding[i]), DstPort: uint16(j % 3), Protocol: 6})
+			}
+		}
+		for len(recs) < n {
+			recs = append(recs, flow.Record{SrcAddr: 1<<31 + uint32(len(recs)), DstPort: 443, Protocol: 17})
+		}
+		return recs
+	}
+	cases := []struct {
+		name   string
+		per    []int
+		minsup int
+		root   bool // colliding[0] is frequent
+	}{
+		// 8×30 = 240 rows in one bucket, every value light.
+		{"heavy bucket of light values", []int{30, 30, 30, 30, 30, 30, 30, 30}, 100, false},
+		// One frequent value among light ones in its bucket.
+		{"frequent value among light ones", []int{150, 10, 10, 10, 10, 10, 10, 10}, 100, true},
+		{"every bucket heavy", []int{3, 2, 1}, 1, true},
+		{"no bucket heavy", []int{150, 10}, n + 1, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recs := mix(c.per)
+			txs := itemset.FromFlows(recs)
+			want, err := apriori.New().Mine(txs, c.minsup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := itemset.Item{Kind: flow.SrcIP, Value: colliding[0]}
+			if got := slices.ContainsFunc(want.All, func(s itemset.Set) bool {
+				return s.Size() == 1 && s.Items[0] == root
+			}); got != c.root {
+				t.Fatalf("Apriori finds %v frequent: %v, want %v", root, got, c.root)
+			}
+			buf := flow.BufferOf(recs)
+			all := make([]int32, n)
+			for i := range all {
+				all[i] = int32(i)
+			}
+			var s Scratch
+			if got := s.MineColumns([]*flow.Buffer{&buf}, [][]int32{all}, c.minsup); !reflect.DeepEqual(got, want) {
+				t.Errorf("columnar result diverged from Apriori\ngot:  %+v\nwant: %+v", got, want)
+			}
+			if got, err := New().Mine(txs, c.minsup); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("row-form result diverged from Apriori (err %v)\ngot:  %+v\nwant: %+v", err, got, want)
+			}
+		})
+	}
+}
+
+// TestScratchHoldsNoTableForLightValues: mining 200 000 transactions
+// whose every value is far below the minimum support leaves a Scratch
+// holding its fixed buckets and a minimal candidate index, nothing
+// proportional to the transactions: no bucket is heavy, so no value is
+// counted exactly and no transaction gets a candidate id.
+func TestScratchHoldsNoTableForLightValues(t *testing.T) {
+	const n = 200_000
+	var buf flow.Buffer
+	rows := make([]int32, n)
+	for i := range rows {
+		buf.Append(flow.Record{
+			SrcAddr: uint32(i), DstAddr: uint32(3 * i), SrcPort: uint16(i), DstPort: uint16(i >> 2),
+			Protocol: uint8(i), Packets: uint32(i), Bytes: uint64(i) * 40,
+		})
+		rows[i] = int32(i)
+	}
+	var s Scratch
+	// Each protocol value, the most repeated, is held by 782 rows.
+	res := s.MineColumns([]*flow.Buffer{&buf}, [][]int32{rows}, n/50)
+	if len(res.All) != 0 {
+		t.Fatalf("found %d frequent item-sets, want none", len(res.All))
+	}
+	held := 4*cap(s.index) + 8*cap(s.values) + 4*cap(s.counts) + 4*cap(s.slot) + 8*cap(s.levels[0].bits)
+	if held > 4*minIndex+64 {
+		t.Errorf("scratch holds %d bytes of tables after %d light transactions: index %d, values %d, slot %d",
+			held, n, cap(s.index), cap(s.values), cap(s.slot))
 	}
 }

@@ -9,12 +9,27 @@ import (
 	"anomalyx/internal/mining/apriori"
 )
 
+// colliding holds eight values whose hashes share their top
+// maxBucketBits bits, so they fall into one bucket however many buckets
+// a Scratch uses.
+var colliding = func() []uint64 {
+	var vs []uint64
+	for v := uint64(1); len(vs) < 8; v++ {
+		if v*hashMul>>(64-maxBucketBits) == 0 {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}()
+
 // fuzzColumns decodes data into two flow buffers and a survivor row
 // selection over each, 8 bytes per record: six small feature values so
 // frequent co-occurrences exist, a byte spreading some values over the
 // whole width of their column type (the counting table must hash high
-// bits too), and a byte choosing the record's buffer and whether the
-// prefilter "kept" it.
+// bits too), and a byte choosing the record's buffer, whether the
+// prefilter "kept" it, and whether its addresses and byte count are
+// drawn from the colliding values instead, so that one bucket holds
+// frequent and light values together.
 func fuzzColumns(data []byte) ([]*flow.Buffer, [][]int32) {
 	bufs := []*flow.Buffer{{}, {}}
 	rows := make([][]int32, 2)
@@ -27,6 +42,10 @@ func fuzzColumns(data []byte) ([]*flow.Buffer, [][]int32) {
 			SrcPort: uint16(b[2]%8) + uint16(wide), DstPort: uint16(b[3] % 4),
 			Protocol: b[4] % 3,
 			Packets:  uint32(b[5]%6) + 1, Bytes: uint64(b[5]%5+1)*40 + wide,
+		}
+		if b[7]&8 != 0 {
+			rec.SrcAddr, rec.DstAddr = uint32(colliding[b[0]%8]), uint32(colliding[b[1]%6])
+			rec.Bytes = colliding[b[5]%5]
 		}
 		buf := bufs[b[7]&1]
 		if b[7]&6 != 0 { // three rows in four survive

@@ -111,33 +111,41 @@ func and(dst, a, b []uint64) int {
 	return n
 }
 
-// grow returns s extended to at least n elements, keeping its contents.
+// grow returns s extended to at least n elements, keeping its contents;
+// a capacity it must raise, it at least doubles.
 func grow[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:cap(s)]
 	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...)
+	return append(s[:cap(s)], make([]T, max(n, 2*cap(s))-cap(s))...)
 }
 
 // Scratch is a search plus the memory that turns transactions into its
-// roots one feature column at a time: a counting table, and per
-// transaction the table slot of its value. Everything is grown on demand
-// and kept, so mining same-shaped inputs through one Scratch allocates
-// only the item-sets found. The zero value is ready to use; a Scratch
-// must not be shared by concurrent callers.
+// roots one feature column at a time, in three steps: count every value
+// into a bucket by its hash; count exactly only the candidates, the
+// values of the buckets that hold at least minsup transactions; set the
+// frequent candidates' root bits. A bucket's count bounds each of its
+// values' (Park, Chen & Yu, SIGMOD 1995), so the roots are exact and
+// colliding values only make more candidates. Everything is grown on
+// demand and kept, so mining same-shaped inputs through one Scratch
+// allocates only the item-sets found. The zero value is ready to use; a
+// Scratch must not be shared by concurrent callers.
 type Scratch struct {
 	search
 
-	// The counting table of the column in progress: open addressing with
-	// linear probing over a power-of-two capacity of at least twice the
-	// transaction count, so it never fills. counts[h] == 0 marks slot h
-	// empty; used lists the occupied slots, so closing a column visits
-	// and clears only what the column touched.
-	keys   []uint64
-	counts []int32
-	used   []int32
-	shift  uint
-	// slot[tid] is the table slot holding transaction tid's value.
+	// buckets[:4<<bucketBits] counts the column in progress in four lanes
+	// per bucket, so that a run of one value does not wait on one counter.
+	buckets    [4 << maxBucketBits]int32
+	bucketBits uint
+	// The candidate table: index, linear probing at most a quarter full,
+	// maps values to dense ids, 0 marking an empty slot, so growing it
+	// renumbers nothing. Id 0 is every other value, with count 0; a
+	// negative count, ^root, names a root.
+	index      []int32
+	indexShift uint
+	values     []uint64
+	counts     []int32
+	// slot[tid] is the candidate id of transaction tid's value.
 	slot []int32
 	// frequent is closeColumn's sort buffer.
 	frequent []frequentValue
@@ -145,38 +153,97 @@ type Scratch struct {
 
 type frequentValue struct {
 	value uint64
-	slot  int32
+	id    int32
 }
+
+const hashMul = 0x9e3779b97f4a7c15 // Fibonacci hashing
+
+// There is about one bucket per 64 transactions, up to 1<<maxBucketBits
+// (32 KB of lanes, so that step 1 runs in an L1 data cache).
+const maxBucketBits, minIndex = 11, 64
 
 // begin readies s for n transactions at minimum support minsup.
 func (s *Scratch) begin(n, minsup int) {
 	s.search.begin(n, minsup)
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	if len(s.keys) < size {
-		s.keys, s.counts = make([]uint64, size), make([]int32, size)
-	}
-	s.shift = uint(64 - bits.TrailingZeros(uint(len(s.keys))))
-	s.slot = grow(s.slot, n)
+	s.bucketBits = uint(min(bits.Len(uint(n)>>6), maxBucketBits))
+	s.values, s.counts = append(s.values[:0], 0), append(s.counts[:0], 0)
+	s.resize(minIndex)
 }
 
-// add counts one occurrence of v in the column in progress and returns
-// v's table slot.
-func (s *Scratch) add(v uint64) int32 {
-	h := (v * 0x9e3779b97f4a7c15) >> s.shift
-	for {
-		switch {
-		case s.counts[h] == 0:
-			s.keys[h], s.counts[h] = v, 1
-			s.used = append(s.used, int32(h))
-			return int32(h)
-		case s.keys[h] == v:
-			s.counts[h]++
-			return int32(h)
+// column makes the roots of kind k. feed hands the column's values to
+// count in transaction order, for step 1 and, if a bucket is heavy, step 2.
+func (s *Scratch) column(k flow.FeatureKind, feed func(exact bool)) {
+	buckets := s.buckets[:4<<s.bucketBits]
+	clear(buckets)
+	feed(false)
+	heavy := false
+	for i := 0; i < len(buckets); i += 4 {
+		buckets[i] += buckets[i+1] + buckets[i+2] + buckets[i+3]
+		heavy = heavy || int(buckets[i]) >= s.minsup
+	}
+	if heavy {
+		s.slot = grow(s.slot, s.n)
+		feed(true)
+		s.closeColumn(k)
+	}
+}
+
+// count runs step 1 or, if exact, step 2 over the values of col at rows,
+// as transactions tid, tid+1, ...: a value's bucket is a field of its
+// hash's top bits, and step 2 records every transaction's candidate id.
+func count[T ~uint8 | ~uint16 | ~uint32 | ~uint64](s *Scratch, col []T, rows []int32, tid int, exact bool) {
+	b, mask := &s.buckets, uint64(1<<s.bucketBits-1)<<(64-maxBucketBits)
+	if !exact {
+		for i, r := range rows {
+			b[(uint64(col[r])*hashMul&mask)>>(62-maxBucketBits)|uint64(i&3)]++
 		}
-		h = (h + 1) & uint64(len(s.keys)-1)
+		return
+	}
+	slot, minsup := s.slot[tid:tid+len(rows)], s.minsup
+	for i, r := range rows {
+		v := uint64(col[r])
+		h, id := v*hashMul, int32(0)
+		if int(b[(h&mask)>>(62-maxBucketBits)]) >= minsup {
+			if id = s.index[h<<maxBucketBits>>(s.indexShift&63)]; id == 0 || s.values[id] != v {
+				id = s.find(v)
+			}
+			s.counts[id]++
+		}
+		slot[i] = id
+	}
+}
+
+// probe returns v's index slot: the one holding its id, or the empty one.
+func (s *Scratch) probe(v uint64) uint64 {
+	i, mask := v*hashMul<<maxBucketBits>>(s.indexShift&63), uint64(len(s.index)-1)
+	for s.index[i] != 0 && s.values[s.index[i]] != v {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns the candidate id of v, making v a candidate if it is none.
+func (s *Scratch) find(v uint64) int32 {
+	i := s.probe(v)
+	if id := s.index[i]; id != 0 {
+		return id
+	}
+	id := int32(len(s.values))
+	s.index[i], s.values, s.counts = id, append(s.values, v), append(s.counts, 0)
+	if 4*len(s.values) > len(s.index) {
+		s.resize(2 * len(s.index))
+	}
+	return id
+}
+
+// resize empties the index at size slots, a power of two, and enters
+// every candidate again.
+func (s *Scratch) resize(size int) {
+	s.index = grow(s.index, size)[:size]
+	clear(s.index)
+	s.indexShift = uint(64 - bits.TrailingZeros(uint(size)))
+	for id := 1; id < len(s.values); id++ {
+		s.index[s.probe(s.values[id])] = int32(id)
 	}
 }
 
@@ -186,28 +253,25 @@ func (s *Scratch) add(v uint64) int32 {
 // transactions holding it; the table is left empty for the next column.
 func (s *Scratch) closeColumn(k flow.FeatureKind) {
 	s.frequent = s.frequent[:0]
-	for _, h := range s.used {
-		if int(s.counts[h]) >= s.minsup {
-			s.frequent = append(s.frequent, frequentValue{s.keys[h], h})
+	for id, c := range s.counts {
+		if int(c) >= s.minsup {
+			s.frequent = append(s.frequent, frequentValue{s.values[id], int32(id)})
 		}
 	}
 	slices.SortFunc(s.frequent, func(a, b frequentValue) int { return cmp.Compare(a.value, b.value) })
 	for _, f := range s.frequent {
-		id := len(s.items)
-		s.addRoot(itemset.Item{Kind: k, Value: f.value}, int(s.counts[f.slot]))
-		// A negative count now names the value's root: ^id.
-		s.counts[f.slot] = ^int32(id)
+		root := len(s.items)
+		s.addRoot(itemset.Item{Kind: k, Value: f.value}, int(s.counts[f.id]))
+		s.counts[f.id] = ^int32(root)
 	}
 	if len(s.frequent) > 0 {
-		roots, w := s.levels[0].bits, s.words
-		for tid, h := range s.slot[:s.n] {
-			if c := s.counts[h]; c < 0 {
+		roots, w, counts := s.levels[0].bits, s.words, s.counts
+		for tid, id := range s.slot[:s.n] {
+			if c := counts[id]; c < 0 {
 				roots[int(^c)*w+tid>>6] |= 1 << (tid & 63)
 			}
 		}
 	}
-	for _, h := range s.used {
-		s.counts[h] = 0
-	}
-	s.used = s.used[:0]
+	s.values, s.counts = s.values[:1], s.counts[:1]
+	s.resize(minIndex)
 }

@@ -24,8 +24,10 @@ func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 // Uint32N returns a uniform uint32 in [0, n). It panics if n == 0.
 func (r *Rand) Uint32N(n uint32) uint32 { return uint32(r.src.Uint64N(uint64(n))) }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform float64 in [0, 1). The conversion keeps the
+// source's scaling by 2⁻⁵³, once inlined, from fusing with a caller's
+// addition into one multiply-add.
+func (r *Rand) Float64() float64 { return float64(r.src.Float64()) }
 
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool { return r.src.Float64() < p }

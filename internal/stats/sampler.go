@@ -12,7 +12,7 @@ import (
 
 // LogNormal samples exp(mu + sigma*Z).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // BoundedPareto samples a Pareto(alpha, xm) truncated to [xm, max] by
@@ -25,7 +25,7 @@ func (r *Rand) BoundedPareto(alpha, xm, max float64) float64 {
 	u := r.Float64()
 	ha := math.Pow(max, -alpha)
 	la := math.Pow(xm, -alpha)
-	return math.Pow(la-u*(la-ha), -1/alpha)
+	return math.Pow(la-float64(u*(la-ha)), -1/alpha)
 }
 
 // ZipfWeights returns the unnormalized Zipf(s) weights 1/rank^s for ranks

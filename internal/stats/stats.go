@@ -78,7 +78,7 @@ func BinomPMF(n, i int, p float64) float64 {
 		}
 		return 0
 	}
-	lg := logChoose(n, i) + float64(i)*math.Log(p) + float64(n-i)*math.Log1p(-p)
+	lg := logChoose(n, i) + float64(float64(i)*math.Log(p)) + float64(float64(n-i)*math.Log1p(-p))
 	return math.Exp(lg)
 }
 

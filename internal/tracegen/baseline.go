@@ -130,13 +130,13 @@ func (b *baseline) diurnal(idx int) float64 {
 	}
 	perDay := (24 * 3600 * 1000) / float64(b.cfg.IntervalLen.Milliseconds())
 	phase := 2 * math.Pi * (float64(idx)/perDay - 0.25) // peak mid-afternoon
-	return 1 + b.cfg.DiurnalAmplitude*math.Sin(phase)
+	return 1 + float64(b.cfg.DiurnalAmplitude*math.Sin(phase))
 }
 
 // count returns the number of benign flows for interval idx, combining the
 // diurnal cycle with ±3% multiplicative noise.
 func (b *baseline) count(idx int, r *stats.Rand) int {
-	n := float64(b.cfg.BaseFlows) * b.diurnal(idx) * (1 + 0.03*r.NormFloat64())
+	n := float64(b.cfg.BaseFlows) * b.diurnal(idx) * (1 + float64(0.03*r.NormFloat64()))
 	if n < 1 {
 		n = 1
 	}
@@ -217,6 +217,6 @@ func (s *service) samplePackets(r *stats.Rand) uint32 {
 
 func (s *service) sampleBytes(r *stats.Rand, pkts uint32) uint64 {
 	// 40-byte headers plus a noisy per-packet payload.
-	perPkt := 40 + s.payload*(0.5+r.Float64())
-	return uint64(float64(pkts) * perPkt)
+	perPkt := 40 + float64(s.payload*(0.5+r.Float64()))
+	return uint64(float64(float64(pkts) * perPkt))
 }

@@ -235,7 +235,7 @@ func (st *eventState) inject(cfg *Config, idx int, r *stats.Rand, dst []flow.Rec
 	endMs := startMs + cfg.IntervalLen.Milliseconds()
 	// ±10% volume jitter so consecutive intervals of a multi-interval
 	// event are not byte-identical.
-	n := int(float64(st.Flows) * (0.9 + 0.2*r.Float64()))
+	n := int(float64(st.Flows) * (0.9 + float64(0.2*r.Float64())))
 
 	internal := func() uint32 { return cfg.InternalBase + r.Uint32N(cfg.InternalSize) }
 	stamp := func(rec *flow.Record) {

@@ -114,13 +114,12 @@ func must(t *testing.T) func(*core.Report, error) *core.Report {
 
 // TestGrid is the determinism contract of the pipeline in one table:
 // every row runs the grid trace through a pipeline of its own
-// configuration and must report exactly what gridtest.Reference — one
-// partition, one worker, record-by-record EndInterval — reports. The
-// rows are
+// configuration and must report exactly what gridtest.Reference, the
+// paper's oracle, reports. The rows are
 //   - partitions {1, 2, 3, 4} × Workers {1, 2, 4, 8} × every close path;
 //   - injected Apriori, FP-Growth and row-form Eclat × partitions
-//     {1, 2, 4} × close depth {1, 2}, against the reference's built-in
-//     miner (the names keep the union prefilter every row runs);
+//     {1, 2, 4} × close depth {1, 2}, against the oracle's Apriori
+//     (the names keep the union prefilter every row runs);
 //   - KeepSuspicious at Workers {0, 1, 2, 4, 8} on one partition (the
 //     forensic slice compared record for record, order included) and at
 //     partitions {2, 4} (compared as a multiset).

@@ -7,10 +7,11 @@ import (
 	"anomalyx/internal/core"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/gridtest"
 )
 
-// TestExtractDegenerateInputs holds the built-in path to the row-form
-// reference on the inputs the bitset core newly owns the edges of.
+// TestExtractDegenerateInputs holds the built-in path to the oracle's
+// extraction on the inputs the bitset core owns the edges of.
 func TestExtractDegenerateInputs(t *testing.T) {
 	// flood returns n flows to port 445 whose other features repeat with
 	// period distinct (distinct == n makes every row unique).
@@ -55,8 +56,8 @@ func TestExtractDegenerateInputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := rowFormExtract(t, tc.cfg, tc.recs, meta); !reflect.DeepEqual(got, want) {
-				t.Fatalf("built-in extraction diverged from the row-form reference\ngot:  %+v\nwant: %+v", got, want)
+			if want := gridtest.OracleExtract(tc.cfg, tc.recs, meta); !reflect.DeepEqual(got, want) {
+				t.Fatalf("built-in extraction diverged from the oracle\ngot:  %+v\nwant: %+v", got, want)
 			}
 		})
 	}

@@ -22,7 +22,7 @@ type Config struct {
 	Clones int
 	// Votes is l: a feature value enters the meta-data when at least l
 	// clones selected it (l=1 is the union of clones, l=n the
-	// intersection; default 3).
+	// intersection; default n, the clone count).
 	Votes int
 	// Alpha is the one-sided alarm threshold multiplier on the robust
 	// standard deviation of the KL first difference (default 3).
@@ -35,7 +35,7 @@ type Config struct {
 	// the MAD estimate (default 192 = two days of 15-minute intervals).
 	HistoryWindow int
 	// MaxRemoveBins bounds the iterative anomalous-bin identification
-	// (default 32; ≤0 means unbounded).
+	// (0 takes the default 32; a negative value means unbounded).
 	MaxRemoveBins int
 	// Seed derives the clones' independent hash functions.
 	Seed uint64

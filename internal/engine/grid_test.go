@@ -58,16 +58,25 @@ func TestGrid(t *testing.T) {
 			pcfg := gridtest.Config()
 			pcfg.Workers = r.workers
 			cfg := Config{Pipeline: pcfg, Shards: r.shards, IntervalLen: gridtest.IntervalLen, PipelineDepth: r.depth}
-			gridtest.Equal(t, runEngine(t, cfg, stream, r.batch), want, max(r.shards, 1))
+			gridtest.Equal(t, runEngine(t, cfg, batched(stream, r.batch)), want, max(r.shards, 1))
 		})
 	}
 }
 
-// runEngine submits recs in batches of the given size to one engine
-// built from cfg and returns the emitted reports in order. It fails t
-// unless the intervals-closed counts SubmitBatch returns sum to one less
-// than the reports: every report but Close's flush is a cut.
-func runEngine(t *testing.T, cfg Config, recs []flow.Record, batch int) []*core.Report {
+// batched cuts recs into batches of n records, the last one shorter.
+func batched(recs []flow.Record, n int) [][]flow.Record {
+	var out [][]flow.Record
+	for i := 0; i < len(recs); i += n {
+		out = append(out, recs[i:min(i+n, len(recs))])
+	}
+	return out
+}
+
+// runEngine submits batches in order to one engine built from cfg and
+// returns the emitted reports in order. It fails t unless the
+// intervals-closed counts SubmitBatch returns sum to one less than the
+// reports: every report but Close's flush is a cut.
+func runEngine(t *testing.T, cfg Config, batches [][]flow.Record) []*core.Report {
 	t.Helper()
 	eng, err := New(cfg)
 	if err != nil {
@@ -82,8 +91,8 @@ func runEngine(t *testing.T, cfg Config, recs []flow.Record, batch int) []*core.
 		}
 	}()
 	closed := 0
-	for i := 0; i < len(recs); i += batch {
-		n, err := eng.SubmitBatch(recs[i:min(i+batch, len(recs))])
+	for _, b := range batches {
+		n, err := eng.SubmitBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,9 @@ func TestPipelinedGapsAndClockJump(t *testing.T) {
 	stream = append(stream, rec)
 
 	cfg := Config{Pipeline: testConfig(1), IntervalLen: gridtest.IntervalLen}
-	want := runEngine(t, cfg, stream, len(stream))
+	want := runEngine(t, cfg, [][]flow.Record{stream})
 	cfg.PipelineDepth = 4
-	gridtest.Equal(t, runEngine(t, cfg, stream, len(stream)), want, 1)
+	gridtest.Equal(t, runEngine(t, cfg, [][]flow.Record{stream}), want, 1)
 }
 
 // TestPipelinedErrorSurfacesOnLiveStream mirrors the synchronous error

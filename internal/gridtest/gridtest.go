@@ -2,14 +2,15 @@
 // core, engine and wire tests each run one table of configurations —
 // partitions, workers, close paths, pipeline depth, batch sizes, agent
 // and relay topologies — over the same seeded trace, and hold every
-// row's reports to one sequential one-partition Reference with Equal.
-// Only tests import it.
+// row's reports with Equal to one Reference: the reports of Oracle, the
+// paper's algorithm (§II) written out plainly, which shares no code with
+// the system it checks. Only tests import it.
 //
 // Determinism: Trace is a pure function of its arguments (seeded
 // tracegen traffic), Partition places records with a pipeline's seeded
-// ShardOf hash, Reference closes the intervals in sequence on one
-// partition and one worker, and Equal compares interval by interval in
-// order.
+// ShardOf hash, Oracle closes the intervals in sequence on one goroutine
+// and sorts everything it reads out of a map, and Equal compares
+// interval by interval in order.
 package gridtest
 
 import (
@@ -86,27 +87,13 @@ func Partition(trace [][]flow.Record, n int) [][][]flow.Record {
 	return parts
 }
 
-// Reference closes every interval of trace with EndInterval on a
-// one-partition pipeline built from cfg at one worker. It fails t unless
-// some interval is mined, so a grid compared against it covers the
-// extraction stage.
+// Reference returns Oracle's reports for trace under cfg. It fails t
+// unless some interval is mined, so a grid compared against it covers
+// the extraction stage.
 func Reference(t testing.TB, cfg core.Config, trace [][]flow.Record) []*core.Report {
 	t.Helper()
-	cfg.Workers = 1
-	p, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	reps := make([]*core.Report, len(trace))
-	mined := false
-	for i, recs := range trace {
-		if reps[i], err = p.ProcessInterval(recs); err != nil {
-			t.Fatal(err)
-		}
-		mined = mined || reps[i].Mining != nil
-	}
-	if !mined {
+	reps := Oracle(cfg, trace)
+	if !slices.ContainsFunc(reps, func(rep *core.Report) bool { return rep.Mining != nil }) {
 		t.Fatal("the reference run never mined an interval; a grid compared against it would not cover extraction")
 	}
 	return reps

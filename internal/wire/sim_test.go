@@ -41,10 +41,10 @@ import (
 // through the real codecs.
 //
 // Every schedule is held to the failure model (docs/ARCHITECTURE.md):
-//   - the root's reports equal a reference run over exactly the records
-//     it absorbed, and Partial names exactly the global leaves whose
-//     frame for that boundary was not absorbed and whose stream had not
-//     ended (a relay's missing list likewise names its own);
+//   - the root's reports equal gridtest.Oracle's over exactly the
+//     records it absorbed, and Partial names exactly the global leaves
+//     whose frame for that boundary was not absorbed and whose stream
+//     had not ended (a relay's missing list likewise names its own);
 //   - a close leaves an agent out only after a hold ran out since the
 //     agent's last frame or hello: the one hold rule;
 //   - no agent is acked past its commit point: the last written
@@ -96,7 +96,7 @@ func TestSimulatedSessionGrid(t *testing.T) {
 	for i := range all {
 		all[i] = simClose{interval: i, leaves: []int{0}}
 	}
-	if !slices.ContainsFunc(simFix().reference(t, 1, all), func(rep *core.Report) bool { return len(rep.ItemSets) > 0 }) {
+	if !slices.ContainsFunc(simFix().reference(1, all), func(rep *core.Report) bool { return len(rep.ItemSets) > 0 }) {
 		t.Fatal("the simulator's trace mines nothing, so its schedules would not cover extraction")
 	}
 	if *simSeed >= 0 {
@@ -129,7 +129,7 @@ func FuzzSessionSchedule(f *testing.F) {
 
 // simFixture is what every schedule shares: the configuration, the trace
 // cut among 1 to 4 leaves, each leaf's encoded interval frames, and the
-// memoized reference runs.
+// memoized reference reports.
 type simFixture struct {
 	cfg    core.Config
 	digest uint64
@@ -179,27 +179,22 @@ type simClose struct {
 	leaves, partial []int
 }
 
-// reference returns the reports of one pipeline closing, in order, each
-// close's absorbed leaves' records, flagged Partial as it says.
-func (f *simFixture) reference(t testing.TB, leaves int, closes []simClose) []*core.Report {
+// reference returns gridtest.Oracle's reports over the closes in order,
+// each over its absorbed leaves' records, flagged Partial as it says.
+func (f *simFixture) reference(leaves int, closes []simClose) []*core.Report {
 	key := fmt.Sprint(leaves, closes)
 	if reps, ok := f.refs[key]; ok {
 		return reps
 	}
-	p := simPipeline(f.cfg)
-	defer p.Close()
-	reps := make([]*core.Report, len(closes))
+	trace := make([][]flow.Record, len(closes))
 	for k, c := range closes {
-		var recs []flow.Record
 		for _, leaf := range c.leaves {
-			recs = append(recs, f.parts[leaves][leaf][c.interval]...)
+			trace[k] = append(trace[k], f.parts[leaves][leaf][c.interval]...)
 		}
-		rep, err := p.ProcessInterval(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Partial = c.partial
-		reps[k] = rep
+	}
+	reps := gridtest.Oracle(f.cfg, trace)
+	for k, c := range closes {
+		reps[k].Partial = c.partial
 	}
 	f.refs[key] = reps
 	return reps
@@ -332,7 +327,7 @@ func runSchedule(t testing.TB, seed int64, log bool) *simRun {
 		r.fail("the session ended at %d ms, past its bound of %d ms", r.endAt, bound)
 		return r
 	}
-	want := r.fix.reference(t, r.nLeaves, r.closes)
+	want := r.fix.reference(r.nLeaves, r.closes)
 	gridtest.Equal(simTB{t, r}, r.reports, want, r.nLeaves)
 	r.checkComplete()
 	return r
